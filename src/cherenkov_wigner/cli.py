@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -35,23 +34,8 @@ from .wignerfield import (EmissionScenario, MapGrid, default_grid,
 __all__ = ["ScenarioConfig", "ParseError", "ValidationError", "parse_config",
            "run_study", "convert_units", "UnitContext", "main", "STUDIES"]
 
-STUDIES = ("spreading-time", "singular-angles", "correlation-radius",
-           "flash-duration", "arrival-shift", "dispersion-scan",
-           "wigner-map", "delta-p-scan", "snapshot")
-
 _SWEEPABLE = ("theta-k", "n", "sigma", "omega", "d-param", "theta-r",
               "phi-r", "t-out")
-
-_KNOWN_KEYS = {
-    "study", "beta", "gamma", "sigma", "omega", "t-out", "t-prime",
-    "theta-k", "phi-k", "theta-p", "phi-p", "p-perp", "pp-perp-ratio",
-    "branch", "r-mag", "medium.n", "medium.table", "medium.d", "medium.e",
-    "sweep.variable", "sweep.start", "sweep.stop", "sweep.samples",
-    "sweep.scale", "grid.nx", "grid.ny", "grid.extent", "grid.z",
-    "delta-p.offsets", "helicity.lambda-e", "helicity.lambda-prime",
-    "helicity.lambda-gamma", "snapshot.t", "out.prefix",
-}
-
 
 class ParseError(ValueError):
     """Config file is syntactically malformed."""
@@ -157,21 +141,54 @@ class ScenarioConfig:
         return "\n".join(f"{k} = {v}" for k, v in pairs) + "\n"
 
 
-def _parse_value(key, raw, lineno):
-    try:
-        if key in ("study", "sweep.variable", "sweep.scale", "out.prefix",
-                   "medium.table"):
-            return raw
-        if key in ("sweep.samples", "grid.nx", "grid.ny", "branch"):
-            return int(raw)
-        if key == "delta-p.offsets":
-            return tuple(float(tok) for tok in raw.split(","))
-        if key == "helicity.lambda-gamma":
-            return None if raw == "sum" else int(raw)
-        return float(raw)
-    except ValueError:
-        raise ParseError(f"line {lineno}: cannot parse value {raw!r} "
-                         f"for key {key!r}") from None
+def _degrees(raw: str) -> float:
+    return float(raw) * (math.pi / 180.0)
+
+
+def _offsets(raw: str) -> tuple:
+    return tuple(float(tok) for tok in raw.split(","))
+
+
+def _helicity(raw: str) -> int | None:
+    return None if raw == "sum" else int(raw)
+
+
+# config key -> (ScenarioConfig field, parser of the value text); a parser's
+# ValueError becomes a ParseError.  Angles are read in degrees.
+_KEYS = {
+    "study": ("study", str),
+    "beta": ("beta", float),
+    "gamma": ("beta", float),  # exclusive with beta; _validate converts it
+    "sigma": ("sigma", float),
+    "omega": ("omega", float),
+    "t-out": ("t_out", float),
+    "t-prime": ("t_prime", float),
+    "theta-k": ("theta_k", _degrees),
+    "phi-k": ("phi_k", _degrees),
+    "p-perp": ("p_perp", float),
+    "pp-perp-ratio": ("pp_perp_ratio", float),
+    "branch": ("branch", int),
+    "r-mag": ("r_mag", float),
+    "medium.n": ("medium_n", float),
+    "medium.table": ("medium_table", Path),
+    "medium.d": ("medium_d", float),
+    "medium.e": ("medium_e", float),
+    "sweep.variable": ("sweep_variable", str),
+    "sweep.start": ("sweep_start", float),
+    "sweep.stop": ("sweep_stop", float),
+    "sweep.samples": ("sweep_samples", int),
+    "sweep.scale": ("sweep_scale", str),
+    "grid.nx": ("grid_nx", int),
+    "grid.ny": ("grid_ny", int),
+    "grid.extent": ("grid_extent", float),
+    "grid.z": ("grid_z", float),
+    "delta-p.offsets": ("delta_p_offsets", _offsets),
+    "helicity.lambda-e": ("lambda_e", float),
+    "helicity.lambda-prime": ("lambda_prime", float),
+    "helicity.lambda-gamma": ("lambda_gamma", _helicity),
+    "snapshot.t": ("snapshot_t", float),
+    "out.prefix": ("out_prefix", str),
+}
 
 
 def parse_config(path) -> ScenarioConfig:
@@ -194,11 +211,15 @@ def parse_config(path) -> ScenarioConfig:
         key, _, val = line.partition("=")
         key = key.strip()
         val = val.strip()
-        if key not in _KNOWN_KEYS:
+        if key not in _KEYS:
             raise ParseError(f"line {lineno}: unknown key {key!r}")
         if key in values:
             raise ParseError(f"line {lineno}: duplicate key {key!r}")
-        values[key] = _parse_value(key, val, lineno)
+        try:
+            values[key] = _KEYS[key][1](val)
+        except ValueError:
+            raise ParseError(f"line {lineno}: cannot parse value {val!r} "
+                             f"for key {key!r}") from None
     return _validate(values, path)
 
 
@@ -208,43 +229,18 @@ def _validate(values: dict, path: Path) -> ScenarioConfig:
     study = values["study"]
     if study not in STUDIES:
         raise ValidationError(f"study: {study!r} not one of {STUDIES}")
-    cfg = ScenarioConfig(study=study)
-    deg = math.pi / 180.0
     if "gamma" in values and "beta" in values:
         raise ValidationError("beta/gamma: give one, not both")
     if "gamma" in values:
-        g = values["gamma"]
+        g = values.pop("gamma")
         if g <= 1.0:
             raise ValidationError("gamma: must exceed 1")
-        cfg.beta = math.sqrt(1.0 - 1.0 / (g * g))
-    if "beta" in values:
-        cfg.beta = values["beta"]
-    simple = {
-        "sigma": "sigma", "omega": "omega", "t-out": "t_out",
-        "t-prime": "t_prime", "p-perp": "p_perp",
-        "pp-perp-ratio": "pp_perp_ratio", "branch": "branch",
-        "r-mag": "r_mag", "medium.n": "medium_n", "medium.d": "medium_d",
-        "medium.e": "medium_e", "sweep.variable": "sweep_variable",
-        "sweep.start": "sweep_start", "sweep.stop": "sweep_stop",
-        "sweep.samples": "sweep_samples", "sweep.scale": "sweep_scale",
-        "grid.nx": "grid_nx", "grid.ny": "grid_ny",
-        "grid.extent": "grid_extent", "grid.z": "grid_z",
-        "delta-p.offsets": "delta_p_offsets",
-        "helicity.lambda-e": "lambda_e",
-        "helicity.lambda-prime": "lambda_prime",
-        "helicity.lambda-gamma": "lambda_gamma", "snapshot.t": "snapshot_t",
-        "out.prefix": "out_prefix",
-    }
-    for key, attr in simple.items():
-        if key in values:
-            setattr(cfg, attr, values[key])
-    for key, attr in (("theta-k", "theta_k"), ("phi-k", "phi_k"),
-                      ("theta-p", None), ("phi-p", None)):
-        if key in values and attr:
-            setattr(cfg, attr, values[key] * deg)
+        values["beta"] = math.sqrt(1.0 - 1.0 / (g * g))
+    cfg = ScenarioConfig(**{_KEYS[key][0]: v for key, v in values.items()})
     if cfg.medium_table is not None:
-        table = (path.parent / cfg.medium_table).resolve() \
-            if not Path(cfg.medium_table).is_absolute() else Path(cfg.medium_table)
+        table = cfg.medium_table
+        if not table.is_absolute():
+            table = (path.parent / table).resolve()
         if not table.exists():
             raise ValidationError(f"medium.table: {table} not found")
         cfg.medium_table = table
@@ -302,19 +298,19 @@ def _write_csv(path: Path, header_lines, columns, rows) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _study_spreading_time(cfg, out_dir, fmt):
+def _study_spreading_time(cfg, out_dir, fmt, workers):
     if cfg.sweep_variable != "theta-k":
         raise ValidationError("spreading-time sweeps theta-k")
     eps = cfg.epsilon()
     medium = cfg.medium()
-    d, e = (medium.dispersion_params(cfg.omega).d_param,
-            medium.dispersion_params(cfg.omega).e_param)
+    n = medium.index(cfg.omega)[0]
+    dp = medium.dispersion_params(cfg.omega)
     thetas = _sweep_values(cfg) * math.pi / 180.0
     tc_ps = convert_units(1.0, "t_c", "ps")
     rows = []
     for th in thetas:
-        st = spread_times_at_angle(cfg.beta, medium.index(cfg.omega)[0],
-                                   cfg.omega, eps, cfg.sigma, th, d, e)
+        st = spread_times_at_angle(cfg.beta, n, cfg.omega, eps, cfg.sigma, th,
+                                   dp.d_param, dp.e_param)
         rows.append((math.degrees(th), st.t_d * tc_ps, st.inv_t_d,
                      st.t_d_tilde * tc_ps))
     out = out_dir / _name(cfg, "spreading_time.csv")
@@ -333,7 +329,7 @@ def _study_spreading_time(cfg, out_dir, fmt):
     return arts, False
 
 
-def _study_singular_angles(cfg, out_dir, fmt):
+def _study_singular_angles(cfg, out_dir, fmt, workers):
     eps = cfg.epsilon()
     n = cfg.medium().index(cfg.omega)[0]
     lo, hi, width = singular_angles(cfg.beta, n, cfg.omega, eps)
@@ -356,13 +352,13 @@ def _study_singular_angles(cfg, out_dir, fmt):
     return [out], False
 
 
-def _study_correlation_radius(cfg, out_dir, fmt):
+def _study_correlation_radius(cfg, out_dir, fmt, workers):
     if cfg.sweep_variable not in ("theta-r", "phi-r"):
         raise ValidationError("correlation-radius sweeps theta-r or phi-r")
-    medium = cfg.medium()
     scenario = _balance_scenario(cfg, t_out=cfg.t_out or 1.0)
     kernel = observables.PhaseSpaceKernel.from_geometry(
-        scenario.geometry(), scenario.packet, medium, scenario.dispersive)
+        scenario.geometry(), scenario.packet, scenario.medium,
+        scenario.dispersive)
     sweep = _sweep_values(cfg) * math.pi / 180.0
     t = cfg.t_prime
     rows = []
@@ -391,16 +387,14 @@ def _study_correlation_radius(cfg, out_dir, fmt):
     return arts, False
 
 
-def _study_flash_duration(cfg, out_dir, fmt):
+def _study_flash_duration(cfg, out_dir, fmt, workers):
     if cfg.sweep_variable != "sigma":
         raise ValidationError("flash-duration sweeps sigma")
-    eps = cfg.epsilon()
     n = cfg.medium().index(cfg.omega)[0]
     theta = cfg.theta_k if cfg.theta_k is not None else \
         cherenkov_angle_classical(cfg.beta, n)
     rows = []
     for sig in _sweep_values(cfg):
-        st = spread_times_at_angle(cfg.beta, n, cfg.omega, eps, sig, theta)
         cc = 1.0 / n ** 2 + cfg.beta ** 2 - 2 * cfg.beta * math.cos(theta) / n
         dd = (cfg.beta * math.sin(theta) / n) ** 2
         sigma_t = math.sqrt((1.0 / sig ** 2) / 2.0 * cc / dd)
@@ -413,7 +407,7 @@ def _study_flash_duration(cfg, out_dir, fmt):
     return [out], False
 
 
-def _arrival_shift_row(cfg, medium, n, d_param, theta_k, eps):
+def _arrival_shift_row(cfg, medium, n, theta_k):
     """Delta t and sigma_t at one emission angle of the transverse-triangle
     construction; None when the kinematics forbid emission."""
     if cfg.beta * n < 1.0:
@@ -440,23 +434,21 @@ def _arrival_shift_row(cfg, medium, n, d_param, theta_k, eps):
     return stats, flags
 
 
-def _study_arrival_shift(cfg, out_dir, fmt):
+def _study_arrival_shift(cfg, out_dir, fmt, workers):
     if cfg.sweep_variable not in ("theta-k", "n"):
         raise ValidationError("arrival-shift sweeps theta-k or n")
-    eps = cfg.epsilon()
     flagged = False
     rows = []
+    medium = cfg.medium()
     for v in _sweep_values(cfg):
         if cfg.sweep_variable == "theta-k":
             theta_k = v * math.pi / 180.0
-            medium = cfg.medium()
         else:
             theta_k = cfg.theta_k if cfg.theta_k is not None else \
                 10.0 * math.pi / 180.0
             medium = ConstantMedium(v)
-        n, n1, _ = medium.index(cfg.omega)
-        d_param = cfg.omega * n1 / n
-        got = _arrival_shift_row(cfg, medium, n, d_param, theta_k, eps)
+        n = medium.index(cfg.omega)[0]
+        got = _arrival_shift_row(cfg, medium, n, theta_k)
         if got is None:
             rows.append((v, math.nan, math.nan, math.nan, 0))
             continue
@@ -482,10 +474,9 @@ def _study_arrival_shift(cfg, out_dir, fmt):
     return arts, flagged
 
 
-def _study_dispersion_scan(cfg, out_dir, fmt):
+def _study_dispersion_scan(cfg, out_dir, fmt, workers):
     if cfg.sweep_variable != "d-param":
         raise ValidationError("dispersion-scan sweeps d-param")
-    eps = cfg.epsilon()
     theta_k = cfg.theta_k if cfg.theta_k is not None else \
         10.0 * math.pi / 180.0
     rows = []
@@ -494,8 +485,7 @@ def _study_dispersion_scan(cfg, out_dir, fmt):
         medium = AnalyticMedium.from_dispersion_params(
             cfg.medium_n, cfg.omega, d, cfg.medium_e)
         try:
-            got = _arrival_shift_row(cfg, medium, cfg.medium_n, d, theta_k,
-                                     eps)
+            got = _arrival_shift_row(cfg, medium, cfg.medium_n, theta_k)
         except ZeroDivisionError:  # group velocity degenerates at D = -1
             got = None
         if got is None:
@@ -513,13 +503,14 @@ def _study_dispersion_scan(cfg, out_dir, fmt):
 
 
 def _balance_scenario(cfg: ScenarioConfig, t_out=None) -> EmissionScenario:
-    n = cfg.medium().index(cfg.omega)[0]
+    medium = cfg.medium()
+    n = medium.index(cfg.omega)[0]
     theta_k = cfg.theta_k if cfg.theta_k is not None else \
         cherenkov_angle_classical(cfg.beta, n)
     mean = Momentum3(0.0, 0.0, momentum_magnitude(cfg.beta))
     packet = ElectronPacket(mean, cfg.sigma, helicity=cfg.lambda_e)
     return EmissionScenario(
-        packet=packet, medium=cfg.medium(), omega=cfg.omega, theta_k=theta_k,
+        packet=packet, medium=medium, omega=cfg.omega, theta_k=theta_k,
         phi_k=cfg.phi_k, t_out=t_out if t_out is not None else cfg.t_out,
         lambda_prime=cfg.lambda_prime, lambda_gamma=cfg.lambda_gamma)
 
@@ -578,7 +569,7 @@ def _study_delta_p_scan(cfg, out_dir, fmt, workers):
     return arts, flagged
 
 
-def _study_snapshot(cfg, out_dir, fmt):
+def _study_snapshot(cfg, out_dir, fmt, workers):
     mean = Momentum3(0.0, momentum_magnitude(cfg.beta), 0.0)  # in-plane drift
     packet = ElectronPacket(mean, cfg.sigma)
     scenario = EmissionScenario(
@@ -615,6 +606,21 @@ def _name(cfg: ScenarioConfig, suffix: str) -> str:
     return f"{cfg.out_prefix}_{suffix}" if cfg.out_prefix else suffix
 
 
+# study name -> runner(cfg, out_dir, fmt, workers) -> (artifacts, flagged)
+_RUNNERS = {
+    "spreading-time": _study_spreading_time,
+    "singular-angles": _study_singular_angles,
+    "correlation-radius": _study_correlation_radius,
+    "flash-duration": _study_flash_duration,
+    "arrival-shift": _study_arrival_shift,
+    "dispersion-scan": _study_dispersion_scan,
+    "wigner-map": _study_wigner_map,
+    "delta-p-scan": _study_delta_p_scan,
+    "snapshot": _study_snapshot,
+}
+STUDIES = tuple(_RUNNERS)
+
+
 def run_study(cfg: ScenarioConfig, out_dir=".", fmt: str = "csv",
               workers: int | None = None):
     """Run the configured study; returns (artifact paths, flagged)."""
@@ -622,25 +628,7 @@ def run_study(cfg: ScenarioConfig, out_dir=".", fmt: str = "csv",
     out_dir.mkdir(parents=True, exist_ok=True)
     if fmt not in ("csv", "csv+svg"):
         raise ValidationError(f"format: {fmt!r} not csv or csv+svg")
-    if cfg.study == "spreading-time":
-        return _study_spreading_time(cfg, out_dir, fmt)
-    if cfg.study == "singular-angles":
-        return _study_singular_angles(cfg, out_dir, fmt)
-    if cfg.study == "correlation-radius":
-        return _study_correlation_radius(cfg, out_dir, fmt)
-    if cfg.study == "flash-duration":
-        return _study_flash_duration(cfg, out_dir, fmt)
-    if cfg.study == "arrival-shift":
-        return _study_arrival_shift(cfg, out_dir, fmt)
-    if cfg.study == "dispersion-scan":
-        return _study_dispersion_scan(cfg, out_dir, fmt)
-    if cfg.study == "wigner-map":
-        return _study_wigner_map(cfg, out_dir, fmt, workers)
-    if cfg.study == "delta-p-scan":
-        return _study_delta_p_scan(cfg, out_dir, fmt, workers)
-    if cfg.study == "snapshot":
-        return _study_snapshot(cfg, out_dir, fmt)
-    raise ValidationError(f"study: unhandled {cfg.study!r}")
+    return _RUNNERS[cfg.study](cfg, out_dir, fmt, workers)
 
 
 def main(argv=None) -> int:
@@ -650,8 +638,9 @@ def main(argv=None) -> int:
     parser.add_argument("study", choices=STUDIES)
     parser.add_argument("--config", required=True)
     parser.add_argument("--out-dir", default=".")
-    parser.add_argument("--workers", type=int,
-                        default=int(os.environ.get("CHR_WORKERS", "1")))
+    parser.add_argument("--workers", type=int, default=None,
+                        help="worker processes for maps (default: "
+                             "CHR_WORKERS, else 1)")
     parser.add_argument("--format", dest="fmt", default="csv",
                         choices=("csv", "csv+svg"))
     args = parser.parse_args(argv)

@@ -26,11 +26,6 @@ __all__ = [
     "OutOfDomain",
     "DegenerateGroupVelocity",
     "TableFormatError",
-    "index",
-    "dispersion_params",
-    "group_velocity",
-    "omega_hessian_factor",
-    "weak_dispersion_check",
     "load_index_table",
     "EV_PER_ME",
 ]
@@ -75,28 +70,6 @@ class MediumModel:
     def dispersion_params(self, omega: float) -> DispersionParams:
         n, n1, n2 = self.index(omega)
         return DispersionParams(omega * n1 / n, n * omega * omega * n2, omega)
-
-    def hessian_factor(self, omega: float) -> float:
-        """xi = n w^2 n'' + (n' w)^2 + n^2 + 4 n n' w, the anisotropy factor
-        of the photon frequency Hessian."""
-        n, n1, n2 = self.index(omega)
-        return n * omega ** 2 * n2 + (n1 * omega) ** 2 + n ** 2 + 4 * n * n1 * omega
-
-    def group_velocity(self, k_direction: np.ndarray, omega: float) -> np.ndarray:
-        """u_k = k_hat / (n (1 + D)); reduces to k_hat/n without dispersion."""
-        n, n1, _ = self.index(omega)
-        denom = n * (1.0 + omega * n1 / n)
-        if abs(denom) < 1e-12:
-            raise DegenerateGroupVelocity(f"n(1 + D) = {denom} at omega={omega}")
-        k_hat = np.asarray(k_direction, dtype=float)
-        return k_hat / denom
-
-    def weak_dispersion_check(
-            self, omega: float,
-            threshold: float = WEAK_DISPERSION_THRESHOLD) -> Tuple[float, bool]:
-        """Returns (|D|, flag) with flag true iff |D| < threshold (strict)."""
-        d = abs(self.dispersion_params(omega).d_param)
-        return d, d < threshold
 
 
 class ConstantMedium(MediumModel):
@@ -213,25 +186,3 @@ def load_index_table(path) -> TabulatedMedium:
         raise TableFormatError(f"{path}: data row {bad}: omega not increasing")
     return TabulatedMedium(omegas, ns)
 
-
-# free-function mirrors of the model methods
-
-def index(model: MediumModel, omega: float) -> Tuple[float, float, float]:
-    return model.index(omega)
-
-
-def dispersion_params(model: MediumModel, omega: float) -> DispersionParams:
-    return model.dispersion_params(omega)
-
-
-def group_velocity(model: MediumModel, k_direction, omega: float) -> np.ndarray:
-    return model.group_velocity(k_direction, omega)
-
-
-def omega_hessian_factor(model: MediumModel, omega: float) -> float:
-    return model.hessian_factor(omega)
-
-
-def weak_dispersion_check(model: MediumModel, omega: float,
-                          threshold: float = WEAK_DISPERSION_THRESHOLD):
-    return model.weak_dispersion_check(omega, threshold)

@@ -23,7 +23,6 @@ __all__ = [
     "NonFiniteSample",
     "NoSignChange",
     "integrate_adaptive",
-    "integrate_signed",
     "differentiate",
     "find_root",
 ]
@@ -189,15 +188,6 @@ def integrate_adaptive(
 
     converged = total_err <= max(abs_tol, rel_tol * abs(total))
     return QuadratureResult(total, total_err, panels, converged)
-
-
-def integrate_signed(f, a, b, **kwargs) -> QuadratureResult:
-    """Signed wrapper: I(f, a, b) = -I(f, b, a) when a > b."""
-    if a <= b:
-        return integrate_adaptive(f, a, b, **kwargs)
-    res = integrate_adaptive(f, b, a, **kwargs)
-    return QuadratureResult(-res.value, res.error_estimate, res.panels_used,
-                            res.converged)
 
 
 def differentiate(f: Callable, x: float, spec: DiffSpec = DiffSpec()) -> float:

@@ -21,17 +21,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import IntFlag
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from . import amplitudes
 from .kinematics import ElectronPacket, EmissionGeometry
-from .medium import MediumModel
+from .medium import (WEAK_DISPERSION_THRESHOLD, DegenerateGroupVelocity,
+                     MediumModel)
 
 __all__ = [
     "SpreadTimes",
-    "EtaChi",
     "CorrelationGeometry",
     "FlashStats",
     "FormationLengths",
@@ -70,7 +70,6 @@ class WkbFlags(IntFlag):
     SMALL_ANGLE = 1       # theta_k below 1/gamma
     TURNING_POINT = 2     # |u_p - u_k| within 10 sigma
     QUAD_NONCONVERGED = 4
-    DEGENERATE_PHASE = 8
 
 
 @dataclass(frozen=True)
@@ -95,16 +94,6 @@ class SpreadTimes:
     @property
     def tau_d_sq(self) -> float:
         return math.copysign(self.tau_d * self.tau_d, self.tau_d)
-
-
-@dataclass(frozen=True)
-class EtaChi:
-    """The complex coefficient pair of the master-integrand Gaussian as
-    functions of the formation time t'; Re eta(t') = 1/(2 sigma^2) > 0
-    always."""
-
-    eta: Callable
-    chi: Callable
 
 
 @dataclass(frozen=True)
@@ -137,11 +126,6 @@ class FormationLengths:
     l_cl: float
 
     @property
-    def inv_l_f(self) -> float:
-        return 1.0 / self.l_f if self.l_f not in (0.0,) and math.isfinite(self.l_f) \
-            else (0.0 if math.isinf(self.l_f) else math.inf)
-
-    @property
     def inv_l_cl(self) -> float:
         return 0.0 if math.isinf(self.l_cl) else 1.0 / self.l_cl
 
@@ -154,10 +138,13 @@ def dispersion_coefficients(n: float, omega: float, epsilon: float,
         b = 1/eps - xi |u_k|/|k|,   xi = E + n^2 (1 + 4 D + D^2),
 
     reducing at D = E = 0 to a = 1/(omega n^2) - 1/eps, b = 1/eps - 1/omega.
+    The arithmetic runs in the arguments' dtype (``np.longdouble`` in
+    ``spread_times_at_angle``).
     """
     one_plus_d = 1.0 + d_param
     if abs(n * one_plus_d) < 1e-12:
-        raise ZeroDivisionError("n (1 + D) vanished; group velocity degenerate")
+        raise DegenerateGroupVelocity(f"n (1 + D) = {n * one_plus_d} at "
+                                      f"omega={omega}")
     uk_mag = 1.0 / (n * one_plus_d)
     uk_over_k = uk_mag / (n * omega)
     xi = e_param + n * n * (1.0 + d_param * (4.0 + d_param))
@@ -171,7 +158,7 @@ def _resolve_branch(medium: MediumModel, omega: float,
     d, e = 0.0, 0.0
     params = medium.dispersion_params(omega)
     if dispersive is None:
-        from .medium import WEAK_DISPERSION_THRESHOLD as thr
+        thr = WEAK_DISPERSION_THRESHOLD
         dispersive = (abs(params.d_param) >= thr or abs(params.e_param) >= thr)
     if dispersive:
         d, e = params.d_param, params.e_param
@@ -181,7 +168,8 @@ def _resolve_branch(medium: MediumModel, omega: float,
 def _spread_from_coeffs(a: float, b: float, sigma: float, cc: float,
                         dd: float, dispersive: bool) -> SpreadTimes:
     """SpreadTimes from the (a, b) pair and the velocity invariants
-    cc = (u_p - u_k)^2, dd = [u_p x u_k]^2."""
+    cc = (u_p - u_k)^2, dd = [u_p x u_k]^2, computed in the arguments' dtype
+    and rounded to float at the end."""
     if cc < 1e-28:
         raise MachConeDegenerate("|u_p - u_k| ~ 0: WKB turning point")
     half_s2 = 0.5 * sigma * sigma
@@ -194,7 +182,8 @@ def _spread_from_coeffs(a: float, b: float, sigma: float, cc: float,
     else:
         tau_sq = 1.0 / inv_tau_sq
         tau_d = math.copysign(math.sqrt(abs(tau_sq)), tau_sq)
-    return SpreadTimes(inv_t_d, t_d_tilde, tau_d, dispersive)
+    return SpreadTimes(float(inv_t_d), float(t_d_tilde), float(tau_d),
+                       dispersive)
 
 
 def _velocities(geom: EmissionGeometry, uk_mag: float):
@@ -233,33 +222,13 @@ def spread_times_at_angle(beta: float, n: float, omega: float, epsilon: float,
     of 1/t_d cancel to ~6 digits, which plain doubles cannot afford.
     """
     ld = np.longdouble
-    n_l, beta_l = ld(n), ld(beta)
-    one_plus_d = ld(1.0) + ld(d_param)
-    if abs(float(n_l * one_plus_d)) < 1e-12:
-        raise ZeroDivisionError("n (1 + D) vanished; group velocity degenerate")
-    uk = ld(1.0) / (n_l * one_plus_d)
-    uk_over_k = uk / (n_l * ld(omega))
-    xi = ld(e_param) + n_l * n_l * (ld(1.0) + ld(d_param) * (ld(4.0) + ld(d_param)))
-    a = uk_over_k - ld(1.0) / ld(epsilon)
-    b = ld(1.0) / ld(epsilon) - xi * uk_over_k
-    cos_t = np.cos(ld(theta))
-    sin_t = np.sin(ld(theta))
-    cc = uk * uk + beta_l * beta_l - ld(2.0) * beta_l * uk * cos_t
-    dd = (beta_l * uk * sin_t) ** 2
-    if float(cc) < 1e-28:
-        raise MachConeDegenerate("|u_p - u_k| ~ 0: WKB turning point")
-    half_s2 = ld(0.5) * ld(sigma) * ld(sigma)
-    inv_t_d = float(half_s2 * (a + b * dd / cc))
-    inv_tilde = half_s2 * a
-    t_d_tilde = float(ld(1.0) / inv_tilde) if float(a) != 0.0 else math.inf
-    inv_tau_sq = float(half_s2 * b * (ld(inv_t_d) + inv_tilde))
-    if inv_tau_sq == 0.0:
-        tau_d = math.inf
-    else:
-        tau_sq = 1.0 / inv_tau_sq
-        tau_d = math.copysign(math.sqrt(abs(tau_sq)), tau_sq)
-    return SpreadTimes(inv_t_d, t_d_tilde, tau_d,
-                       dispersive=(d_param != 0.0 or e_param != 0.0))
+    beta, theta = ld(beta), ld(theta)
+    a, b, uk = dispersion_coefficients(ld(n), ld(omega), ld(epsilon),
+                                       ld(d_param), ld(e_param))
+    cc = uk * uk + beta * beta - 2.0 * beta * uk * np.cos(theta)
+    dd = (beta * uk * np.sin(theta)) ** 2
+    return _spread_from_coeffs(a, b, ld(sigma), cc, dd,
+                               dispersive=(d_param != 0.0 or e_param != 0.0))
 
 
 def singular_angles(beta: float, n: float, omega: float, epsilon: float):
@@ -343,9 +312,6 @@ class PhaseSpaceKernel:
 
     def chi(self, t):
         return 0.25j * np.asarray(t) * self.b
-
-    def eta_chi(self) -> EtaChi:
-        return EtaChi(self.eta, self.chi)
 
     def direction_factors(self, R: np.ndarray):
         """A = |R x (u_p - u_k)|^2 and B = (R . [u_p x u_k])^2."""

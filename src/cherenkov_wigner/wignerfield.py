@@ -228,6 +228,14 @@ def read_map_csv(path):
 
 # scenario context ---------------------------------------------------------
 
+def _mod_squared(geom: EmissionGeometry, lambda_gamma: Optional[int]) -> float:
+    """|M|^2 summed over the photon helicity, or at the geometry's one
+    helicity when ``lambda_gamma`` is set."""
+    if lambda_gamma is None:
+        return amplitudes.summed_mod_squared(geom)
+    return amplitudes.helicity_amplitude(geom).mod_squared
+
+
 class _Context:
     """Per-scenario precomputation: kernel, constant prefactor, the
     oscillation-rate hint and the scenario-wide WKB flags."""
@@ -240,10 +248,7 @@ class _Context:
             self.geom, scenario.packet, scenario.medium, scenario.dispersive)
         sigma = scenario.packet.sigma
         n = scenario.medium.index(scenario.omega)[0]
-        if scenario.lambda_gamma is None:
-            m2 = amplitudes.summed_mod_squared(self.geom)
-        else:
-            m2 = amplitudes.helicity_amplitude(self.geom).mod_squared
+        m2 = _mod_squared(self.geom, scenario.lambda_gamma)
         eps = self.geom.epsilon
         eps_p = self.geom.epsilon_prime
         dp = scenario.delta_p()
@@ -403,13 +408,8 @@ def default_grid(scenario: EmissionScenario, nx: int = 128, ny: int = 128,
     return MapGrid.centered(halves[0], halves[1], nx, ny, z)
 
 
-def _eval_rows(args):
-    iy, = args
-    ctx = _WORKER_CTX["ctx"]
-    grid = _WORKER_CTX["grid"]
-    rel_tol = _WORKER_CTX["rel_tol"]
-    abs_tol = _WORKER_CTX["abs_tol"]
-    max_panels = _WORKER_CTX["max_panels"]
+def _map_row(iy, ctx: _Context, grid: MapGrid, rel_tol, abs_tol, max_panels):
+    """Values, error estimates and flags of grid row ``iy``."""
     y = grid.ys()[iy]
     vals = np.empty(grid.nx)
     errs = np.empty(grid.nx)
@@ -420,19 +420,21 @@ def _eval_rows(args):
         vals[ix] = v
         errs[ix] = e
         flags[ix] = f
-    return iy, vals, errs, flags
+    return vals, errs, flags
 
 
-_WORKER_CTX: dict = {}
+# A pool worker's context and row arguments, built once per process by
+# _init_worker so that the context's coefficient cache outlives each chunk.
+_WORKER_ARGS: tuple = ()
 
 
-def _init_worker(scenario, grid, rel_tol, abs_tol, max_panels,
-                 prefactor_scale):
-    _WORKER_CTX["ctx"] = _Context(scenario, prefactor_scale)
-    _WORKER_CTX["grid"] = grid
-    _WORKER_CTX["rel_tol"] = rel_tol
-    _WORKER_CTX["abs_tol"] = abs_tol
-    _WORKER_CTX["max_panels"] = max_panels
+def _init_worker(scenario, prefactor_scale, grid, *tols):
+    global _WORKER_ARGS
+    _WORKER_ARGS = (_Context(scenario, prefactor_scale), grid, *tols)
+
+
+def _worker_row(iy):
+    return _map_row(iy, *_WORKER_ARGS)
 
 
 def evaluate_map(scenario: EmissionScenario, grid: Optional[MapGrid] = None,
@@ -450,29 +452,17 @@ def evaluate_map(scenario: EmissionScenario, grid: Optional[MapGrid] = None,
         grid = default_grid(scenario)
     if workers is None:
         workers = int(os.environ.get("CHR_WORKERS", "1"))
-    values = np.empty((grid.ny, grid.nx))
-    errors = np.empty((grid.ny, grid.nx))
-    flags = np.empty((grid.ny, grid.nx), dtype=np.uint16)
-
+    tols = (rel_tol, abs_tol, max_panels)
     if workers <= 1:
-        _init_worker(scenario, grid, rel_tol, abs_tol, max_panels,
-                     prefactor_scale)
-        results = map(_eval_rows, [(iy,) for iy in range(grid.ny)])
-        for iy, vals, errs, fl in results:
-            values[iy] = vals
-            errors[iy] = errs
-            flags[iy] = fl
+        ctx = _Context(scenario, prefactor_scale)
+        rows = [_map_row(iy, ctx, grid, *tols) for iy in range(grid.ny)]
     else:
         with ProcessPoolExecutor(
                 max_workers=workers, initializer=_init_worker,
-                initargs=(scenario, grid, rel_tol, abs_tol, max_panels,
-                          prefactor_scale)) as pool:
-            for iy, vals, errs, fl in pool.map(
-                    _eval_rows, [(iy,) for iy in range(grid.ny)],
-                    chunksize=max(1, grid.ny // (4 * workers))):
-                values[iy] = vals
-                errors[iy] = errs
-                flags[iy] = fl
+                initargs=(scenario, prefactor_scale, grid, *tols)) as pool:
+            rows = list(pool.map(_worker_row, range(grid.ny),
+                                 chunksize=max(1, grid.ny // (4 * workers))))
+    values, errors, flags = (np.array(part) for part in zip(*rows))
 
     scale = float(np.max(np.abs(values)))
     if scale > 0.0:
@@ -629,10 +619,7 @@ def momentum_marginal_weight(scenario: EmissionScenario,
                             lambda_e=packet.helicity,
                             lambda_prime=scenario.lambda_prime,
                             lambda_gamma=scenario.lambda_gamma or 1)
-    if scenario.lambda_gamma is None:
-        m2 = amplitudes.summed_mod_squared(geom)
-    else:
-        m2 = amplitudes.helicity_amplitude(geom).mod_squared
+    m2 = _mod_squared(geom, scenario.lambda_gamma)
     eps = geom.epsilon
     eps_p = geom.epsilon_prime
     sigma = packet.sigma

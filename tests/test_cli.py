@@ -3,10 +3,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import ICE_TABLE
 
 from cherenkov_wigner import cli
 from cherenkov_wigner.cli import (ParseError, ScenarioConfig, ValidationError,
                                   parse_config, run_study)
+from cherenkov_wigner.medium import EV_PER_ME, TabulatedMedium
+from cherenkov_wigner.observables import spread_times_at_angle
 from cherenkov_wigner.units import (IncompatibleDimensions, UnitContext,
                                     convert_units)
 
@@ -41,9 +44,11 @@ def test_parse_minimal_with_defaults(tmp_path):
 
 
 def test_parse_rejects_unknown_key(tmp_path):
-    path = write_config(tmp_path, MINIMAL_SPREADING + "bogus.key = 1\n")
-    with pytest.raises(ParseError, match="unknown key"):
-        parse_config(path)
+    # theta-p names no ScenarioConfig field
+    for line in ("bogus.key = 1\n", "theta-p = 10\n"):
+        path = write_config(tmp_path, MINIMAL_SPREADING + line)
+        with pytest.raises(ParseError, match="unknown key"):
+            parse_config(path)
 
 
 def test_parse_rejects_duplicate_and_malformed(tmp_path):
@@ -96,6 +101,44 @@ def test_config_round_trip(tmp_path):
             assert math.isclose(a, b, rel_tol=1e-14), field
         else:
             assert a == b, field
+
+
+def test_medium_table_config(tmp_path):
+    text = MINIMAL_SPREADING.replace("omega = 1e-5",
+                                     f"omega = {4.0 / EV_PER_ME!r}")
+    text = text.replace("medium.n = 1.7", f"medium.table = {ICE_TABLE}")
+    cfg = parse_config(write_config(tmp_path, text))
+    assert cfg.medium_table == ICE_TABLE
+    medium = cfg.medium()
+    assert isinstance(medium, TabulatedMedium)
+    canon = write_config(tmp_path, cfg.canonical_text(), "canon.cfg")
+    assert parse_config(canon) == cfg
+    # the study runs on the table's n, D and E
+    artifacts, _ = run_study(cfg, tmp_path / "out", "csv")
+    row = next(l for l in artifacts[0].read_text().splitlines()
+               if not l.startswith("#"))
+    dp = medium.dispersion_params(cfg.omega)
+    want = spread_times_at_angle(cfg.beta, medium.index(cfg.omega)[0],
+                                 cfg.omega, cfg.epsilon(), cfg.sigma,
+                                 20.0 * math.pi / 180.0, dp.d_param,
+                                 dp.e_param)
+    assert float(row.split(",")[2]) == want.inv_t_d
+    # a relative path resolves against the config's directory
+    relative = text.replace(str(ICE_TABLE), "ice.csv")
+    (tmp_path / "ice.csv").write_bytes(ICE_TABLE.read_bytes())
+    assert parse_config(write_config(tmp_path, relative)).medium_table \
+        == (tmp_path / "ice.csv").resolve()
+
+
+def test_medium_table_missing(tmp_path, capsys):
+    text = MINIMAL_SPREADING.replace("medium.n = 1.7",
+                                     "medium.table = no_such_table.csv")
+    path = write_config(tmp_path, text)
+    with pytest.raises(ValidationError, match="medium.table"):
+        parse_config(path)
+    assert cli.main(["spreading-time", "--config", str(path),
+                     "--out-dir", str(tmp_path / "out")]) == 1
+    assert "config error: medium.table" in capsys.readouterr().err
 
 
 def test_unit_constants():
@@ -194,6 +237,15 @@ def test_cli_main_exit_codes(tmp_path):
     code = cli.main(["singular-angles", "--config", str(path),
                      "--out-dir", str(tmp_path / "out")])
     assert code == 1  # study mismatch
+
+
+def test_malformed_chr_workers_spares_closed_form_studies(tmp_path,
+                                                          monkeypatch):
+    # CHR_WORKERS is read by evaluate_map only, not while building the parser
+    monkeypatch.setenv("CHR_WORKERS", "abc")
+    path = write_config(tmp_path, MINIMAL_SPREADING)
+    assert cli.main(["spreading-time", "--config", str(path),
+                     "--out-dir", str(tmp_path / "out")]) == 0
 
 
 def test_cli_main_error_on_bad_config(tmp_path):

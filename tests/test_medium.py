@@ -1,14 +1,16 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
-from conftest import ICE_TABLE
+from conftest import ICE_TABLE, balance_scenario
 
 from cherenkov_wigner.medium import (EV_PER_ME, AnalyticMedium,
                                      ConstantMedium, DegenerateGroupVelocity,
                                      OutOfDomain, TabulatedMedium,
-                                     TableFormatError, dispersion_params,
-                                     group_velocity, index, load_index_table,
-                                     omega_hessian_factor,
-                                     weak_dispersion_check)
+                                     TableFormatError, load_index_table)
+from cherenkov_wigner.observables import (dispersion_coefficients,
+                                          spreading_times)
 
 
 def quadratic_medium():
@@ -17,16 +19,38 @@ def quadratic_medium():
                           lambda w: 0.02)
 
 
+def group_speed(med, omega):
+    """|u_k| = 1/(n (1 + D)) of ``med`` at omega."""
+    n = med.index(omega)[0]
+    dp = med.dispersion_params(omega)
+    return dispersion_coefficients(n, omega, 10.0, dp.d_param, dp.e_param)[2]
+
+
+def hessian_factor(med, omega):
+    """xi recovered from b = 1/eps - xi |u_k|/|k|; eps = inf drops 1/eps."""
+    n = med.index(omega)[0]
+    dp = med.dispersion_params(omega)
+    _, b, uk = dispersion_coefficients(n, omega, math.inf, dp.d_param,
+                                       dp.e_param)
+    return -b / (uk / (n * omega))
+
+
+def auto_dispersive(med, omega):
+    """The branch ``spreading_times`` selects by itself for ``med``."""
+    sc = replace(balance_scenario(), medium=med, omega=omega)
+    return spreading_times(sc.geometry(), sc.packet, med).dispersive
+
+
 def test_constant_index():
     med = ConstantMedium(1.5)
-    assert index(med, 0.123) == (1.5, 0.0, 0.0)
-    assert index(med, 5.0) == (1.5, 0.0, 0.0)
+    assert med.index(0.123) == (1.5, 0.0, 0.0)
+    assert med.index(5.0) == (1.5, 0.0, 0.0)
 
 
 def test_constant_dispersion_params_vanish():
     med = ConstantMedium(1.5)
     for w in np.geomspace(1e-8, 1.0, 25):
-        dp = dispersion_params(med, w)
+        dp = med.dispersion_params(w)
         assert dp.d_param == 0.0 and dp.e_param == 0.0
 
 
@@ -74,27 +98,24 @@ def test_sodium_eit_dispersion_strength():
     dp = med.dispersion_params(omega0)
     assert abs(dp.d_param - 5e6) < 1.0
     assert abs(dp.e_param) < 1e-9
-    u = group_velocity(med, np.array([0.0, 0.0, 1.0]), omega0)
-    assert abs(np.linalg.norm(u) - 2e-7) < 2e-9  # slow light
+    assert abs(group_speed(med, omega0) - 2e-7) < 2e-9  # slow light
 
 
 def test_group_velocity_constant():
     med = ConstantMedium(1.5)
-    u = group_velocity(med, np.array([0.0, 0.0, 1.0]), 1e-5)
-    assert abs(np.linalg.norm(u) - 2.0 / 3.0) < 1e-15
+    assert abs(group_speed(med, 1e-5) - 2.0 / 3.0) < 1e-15
 
 
 def test_group_velocity_weak_dispersion_limit():
     med = AnalyticMedium(lambda w: 1.5, lambda w: 0.0, lambda w: 0.0)
-    u = group_velocity(med, np.array([1.0, 0.0, 0.0]), 0.3)
-    assert abs(u[0] - 1.0 / 1.5) < 1e-15
+    assert abs(group_speed(med, 0.3) - 1.0 / 1.5) < 1e-15
 
 
 def test_group_velocity_degenerate():
     # D = -1 makes n (1 + D) vanish
     med = AnalyticMedium.from_dispersion_params(1.5, 1e-5, -1.0)
     with pytest.raises(DegenerateGroupVelocity):
-        group_velocity(med, np.array([0.0, 0.0, 1.0]), 1e-5)
+        group_speed(med, 1e-5)
 
 
 def test_group_velocity_magnitude_bound(rng):
@@ -102,14 +123,13 @@ def test_group_velocity_magnitude_bound(rng):
         n = rng.uniform(1.05, 2.0)
         d = rng.uniform(0.0, 2.0)
         med = AnalyticMedium.from_dispersion_params(n, 1e-5, d)
-        u = np.linalg.norm(group_velocity(med, np.array([0, 0, 1.0]), 1e-5))
-        assert u < 1.0
+        assert group_speed(med, 1e-5) < 1.0
 
 
 def test_hessian_factor_constant():
     med = ConstantMedium(1.4)
     for w in (1e-6, 1e-3, 0.5):
-        assert abs(omega_hessian_factor(med, w) - 1.4 ** 2) < 1e-15
+        assert abs(hessian_factor(med, w) - 1.4 ** 2) < 1e-15
 
 
 def test_hessian_factor_analytic():
@@ -117,21 +137,20 @@ def test_hessian_factor_analytic():
     med = quadratic_medium()
     n = 1.3 + 0.01 * 4.0
     expected = n * 4.0 * 0.02 + (0.04 * 2.0) ** 2 + n * n + 4 * n * 0.04 * 2.0
-    assert abs(omega_hessian_factor(med, 2.0) - expected) < 1e-12
+    assert abs(hessian_factor(med, 2.0) - expected) < 1e-12
     assert abs(expected - 2.3380) < 1e-4
 
 
 def test_weak_dispersion_check():
-    assert weak_dispersion_check(ConstantMedium(1.5), 1e-5) == (0.0, True)
+    assert not auto_dispersive(ConstantMedium(1.5), 1e-5)
     med = load_index_table(ICE_TABLE)
-    ratio, weak = weak_dispersion_check(med, 4.0 / EV_PER_ME)
-    assert not weak
-    assert abs(ratio - 13.65) < 0.3
+    w = 4.0 / EV_PER_ME
+    assert auto_dispersive(med, w)
+    assert abs(abs(med.dispersion_params(w).d_param) - 13.65) < 0.3
     # boundary |D| = 0.01 is strictly non-weak
     boundary = AnalyticMedium.from_dispersion_params(1.5, 1e-5, 0.01)
-    ratio, weak = weak_dispersion_check(boundary, 1e-5)
-    assert abs(ratio - 0.01) < 1e-12
-    assert not weak
+    assert abs(boundary.dispersion_params(1e-5).d_param - 0.01) < 1e-12
+    assert auto_dispersive(boundary, 1e-5)
 
 
 def test_out_of_domain():

@@ -6,7 +6,7 @@ import pytest
 from cherenkov_wigner.numerics import (DiffSpec, NoSignChange,
                                        NonFiniteIntegrand, NonFiniteSample,
                                        differentiate, find_root,
-                                       integrate_adaptive, integrate_signed)
+                                       integrate_adaptive)
 
 
 def gauss_legendre_reference(f, a, b, n=2000):
@@ -51,13 +51,6 @@ def test_linearity(rng):
         tol = (abs(al) * i_f.error_estimate + abs(be) * i_g.error_estimate
                + i_h.error_estimate + 1e-12)
         assert abs(i_h.value - combined) <= 10 * tol
-
-
-def test_reversal_signed_wrapper():
-    f = lambda x: np.sin(x) + x ** 2
-    fwd = integrate_signed(f, 0.0, 2.0)
-    rev = integrate_signed(f, 2.0, 0.0)
-    assert fwd.value == -rev.value
 
 
 def test_scalar_integrand_fallback():

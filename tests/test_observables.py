@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -82,6 +83,23 @@ def test_dispersive_branch_reduces_to_weak():
                                d_param=0.0, e_param=0.0)
     st0 = spread_times_at_angle(0.9, 1.5, 1e-5, lorentz_gamma(0.9), 1e-4, 0.7)
     assert st.inv_t_d == st0.inv_t_d
+
+
+def test_parametric_form_matches_geometry_route_dispersive():
+    # spread_times_at_angle (z along p, longdouble) against spreading_times
+    # (vector route, double) on a medium with D != 0 and E != 0
+    med = AnalyticMedium.from_dispersion_params(1.5, 1e-5, 0.3, 0.2)
+    for theta_frac in (0.3, 0.6, 1.8):
+        sc = replace(balance_scenario(beta=0.9, n=1.5, sigma=1e-4,
+                                      theta_frac=theta_frac), medium=med)
+        geom = sc.geometry()
+        vec = spreading_times(geom, sc.packet, med, dispersive=True)
+        par = spread_times_at_angle(geom.beta, 1.5, 1e-5, geom.epsilon, 1e-4,
+                                    sc.theta_k, d_param=0.3, e_param=0.2)
+        assert vec.dispersive and par.dispersive
+        for name in ("inv_t_d", "t_d_tilde", "tau_d"):
+            want = getattr(vec, name)
+            assert abs(getattr(par, name) - want) <= 1e-9 * abs(want), name
 
 
 def test_singular_angles_width_approximation():
@@ -180,11 +198,10 @@ def kernel_for(beta=0.99, n=1.7, omega=1e-5, sigma=1e-4, theta_frac=1.0):
 
 def test_eta_chi_pair(rng):
     kern = kernel_for()
-    pair = kern.eta_chi()
     for _ in range(30):
         tp = rng.uniform(-1e8, 1e8)
-        eta = complex(pair.eta(tp))
-        chi = complex(pair.chi(tp))
+        eta = complex(kern.eta(tp))
+        chi = complex(kern.chi(tp))
         assert eta.real == 1.0 / (2.0 * kern.sigma ** 2)
         assert chi.real == 0.0
         assert abs(eta.imag - 0.25 * tp * kern.a) < 1e-18 * abs(tp * kern.a)
