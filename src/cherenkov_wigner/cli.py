@@ -247,8 +247,11 @@ def _validate(values: dict, path: Path) -> ScenarioConfig:
 
     if not (0.0 < cfg.beta < 1.0):
         raise ValidationError("beta: must lie in (0, 1)")
-    if cfg.sigma <= 0 or cfg.omega <= 0:
-        raise ValidationError("sigma/omega: must be positive")
+    for key, value in (("sigma", cfg.sigma), ("omega", cfg.omega),
+                       ("t-out", cfg.t_out)):
+        if value is not None and not (math.isfinite(value) and value > 0):
+            raise ValidationError(f"{key}: must be finite and positive, "
+                                  f"got {value!r}")
     if cfg.sweep_scale not in ("linear", "log"):
         raise ValidationError("sweep.scale: linear or log")
 
@@ -265,9 +268,13 @@ def _validate(values: dict, path: Path) -> ScenarioConfig:
         if cfg.sweep_samples < 1:
             raise ValidationError("sweep.samples: must be >= 1")
     if study == "singular-angles":
-        if cfg.beta * cfg.medium_n < 1.0:
+        try:
+            n = cfg.medium().index(cfg.omega)[0]
+        except ValueError as exc:
+            raise ValidationError(f"medium: {exc}") from None
+        if cfg.beta * n <= 1.0:
             raise ValidationError(
-                f"beta*n = {cfg.beta * cfg.medium_n:.6g} < 1: below the "
+                f"beta*n = {cfg.beta * n:.6g} <= 1: at or below the "
                 "Cherenkov threshold, no singular angles exist")
     if study in ("wigner-map", "delta-p-scan"):
         if cfg.t_out is None:
@@ -479,13 +486,14 @@ def _study_dispersion_scan(cfg, out_dir, fmt, workers):
         raise ValidationError("dispersion-scan sweeps d-param")
     theta_k = cfg.theta_k if cfg.theta_k is not None else \
         10.0 * math.pi / 180.0
+    n = cfg.medium().index(cfg.omega)[0]
     rows = []
     flagged = False
     for d in _sweep_values(cfg):
         medium = AnalyticMedium.from_dispersion_params(
-            cfg.medium_n, cfg.omega, d, cfg.medium_e)
+            n, cfg.omega, d, cfg.medium_e)
         try:
-            got = _arrival_shift_row(cfg, medium, cfg.medium_n, theta_k)
+            got = _arrival_shift_row(cfg, medium, n, theta_k)
         except ZeroDivisionError:  # group velocity degenerates at D = -1
             got = None
         if got is None:
@@ -496,7 +504,7 @@ def _study_dispersion_scan(cfg, out_dir, fmt, workers):
             flagged = True
         rows.append((d, stats.delta_t, stats.sigma_t, int(flags)))
     out = out_dir / _name(cfg, "dispersion_scan.csv")
-    _write_csv(out, [f"beta: {cfg.beta}", f"n: {cfg.medium_n}",
+    _write_csv(out, [f"beta: {cfg.beta}", f"n: {n}",
                      f"theta_k_rad: {theta_k}"],
                ["d_param", "delta_t_tc", "sigma_t_tc", "flags"], rows)
     return [out], flagged

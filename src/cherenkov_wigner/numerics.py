@@ -1,15 +1,15 @@
-"""Self-contained numerical engine: adaptive Gauss-Kronrod quadrature,
+"""Self-contained numerical engine: adaptive Gauss-Kronrod quadrature of
+one integrand or of a batch of integrands on one shared mesh,
 Richardson-extrapolated central differences, and a bracketing root finder.
 
 Everything here is a pure function over caller-supplied callables, so the
-routines are safe to invoke concurrently.  Integrands may be vectorized
-(called with a numpy array of abscissae) or plain scalar functions; the
-vectorized path is much faster.
+routines are safe to invoke concurrently.  Batch integrands are vectorized
+(called with a numpy array of abscissae); a single integrand may also be a
+plain scalar function, though the vectorized path is much faster.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -22,6 +22,8 @@ __all__ = [
     "NonFiniteIntegrand",
     "NonFiniteSample",
     "NoSignChange",
+    "BatchQuadrature",
+    "integrate_batch",
     "integrate_adaptive",
     "differentiate",
     "find_root",
@@ -105,21 +107,133 @@ def _eval_vectorized(f, x):
     return np.array([float(f(xi)) for xi in x])
 
 
-def _gk15(f, a, b):
-    """One Gauss-Kronrod panel: returns (integral, error, f-samples-ok)."""
-    center = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    y = _eval_vectorized(f, center + half * _KRONROD_NODES)
-    if not np.all(np.isfinite(y)):
-        raise NonFiniteIntegrand(f"non-finite integrand on [{a}, {b}]")
-    result_k = half * float(_KRONROD_WEIGHTS @ y)
-    result_g = half * float(_GAUSS_WEIGHTS @ y[1::2])
-    err = abs(result_k - result_g)
-    # QUADPACK-style rescaling: sharpen the raw |K - G| estimate
-    resasc = half * float(_KRONROD_WEIGHTS @ np.abs(y - result_k / (b - a)))
-    if resasc != 0.0 and err != 0.0:
-        err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
-    return result_k, err
+# upper bound on rows x abscissae per integrand call of integrate_batch
+_BLOCK = 1 << 16
+
+
+def _gk15_panels(f, lo, hi, rows=None):
+    """Gauss-Kronrod sums of the rows of f on each panel [lo, hi]: returns
+    (values, errors), both of shape (rows, len(lo)).  When ``rows`` is not
+    known yet, the first call holds one panel and tells it."""
+    half = 0.5 * (hi - lo)
+    t = (0.5 * (lo + hi))[:, None] + half[:, None] * _KRONROD_NODES
+    vals = errs = None
+    s = 0
+    while s < lo.size:
+        n = 1 if rows is None else max(1, _BLOCK // (15 * rows))
+        part = slice(s, s + n)
+        y = np.asarray(f(t[part].ravel()), dtype=float)
+        y = y.reshape(y.shape[0], -1, 15)
+        if not np.all(np.isfinite(y)):
+            row, panel = np.argwhere(~np.isfinite(y))[0, :2]
+            raise NonFiniteIntegrand(
+                f"non-finite integrand row {row} on "
+                f"[{lo[s + panel]}, {hi[s + panel]}]")
+        if vals is None:
+            rows = y.shape[0]
+            vals = np.empty((rows, lo.size))
+            errs = np.empty((rows, lo.size))
+        h = half[part]
+        kronrod = y @ _KRONROD_WEIGHTS
+        err = h * np.abs(kronrod - y[..., 1::2] @ _GAUSS_WEIGHTS)
+        # QUADPACK-style rescaling: sharpen the raw |K - G| estimate
+        resasc = h * (np.abs(y - 0.5 * kronrod[..., None]) @ _KRONROD_WEIGHTS)
+        ratio = np.divide(200.0 * err, resasc, out=np.zeros_like(err),
+                          where=resasc > 0.0)
+        vals[:, part] = h * kronrod
+        errs[:, part] = np.where(resasc > 0.0,
+                                 resasc * np.minimum(1.0, ratio ** 1.5), err)
+        s += n
+    return vals, errs
+
+
+@dataclass(frozen=True)
+class BatchQuadrature:
+    """Per-row results of ``integrate_batch``; ``panels_used`` counts the
+    panels of the mesh the rows share."""
+
+    values: np.ndarray
+    error_estimates: np.ndarray
+    converged: np.ndarray
+    panels_used: int
+
+
+def integrate_batch(
+    f: Callable,
+    a: float,
+    b: float,
+    *,
+    abs_tol: float = 1e-10,
+    rel_tol: float = 1e-10,
+    phase_rate_hint: float | None = None,
+    max_panels: int = 4096,
+) -> BatchQuadrature:
+    """Integrate the k rows of f over [a, b] on one shared adaptive mesh of
+    15-point Gauss-Kronrod panels.
+
+    ``f(t)`` maps a 1-D array of abscissae to a (k, len(t)) array.  Row r
+    has converged once its error estimate is <= max(abs_tol, rel_tol *
+    |value_r|).  Each round bisects, in one vectorized evaluation, every
+    panel whose error exceeds its even share of some unconverged row's
+    tolerance (that tolerance over the panel count); while a row is
+    unconverged, at least one of its panels does.  When that would exceed
+    ``max_panels``, the panels with the largest share go first.
+
+    ``phase_rate_hint`` is an upper estimate of |d(phase)/dx| of an
+    oscillatory integrand; when given, the initial uniform subdivision uses
+    panels no wider than pi / (2 * hint), i.e. at least four panels per
+    oscillation period, before any adaptive bisection happens.
+
+    Rows that have not converged when the budget is spent keep their best
+    estimate with ``converged`` False instead of raising.
+    """
+    if not (a <= b):
+        raise ValueError("integrate_batch requires a <= b")
+    if abs_tol <= 0 or rel_tol <= 0:
+        raise ValueError("tolerances must be positive")
+    if a == b:
+        k = np.asarray(f(np.array([a]))).shape[0]
+        zero = np.zeros(k)
+        return BatchQuadrature(zero, zero.copy(), np.ones(k, dtype=bool), 1)
+
+    n0 = 1
+    if phase_rate_hint is not None and phase_rate_hint > 0:
+        width = math.pi / (2.0 * phase_rate_hint)
+        n0 = int(min(max(1, math.ceil((b - a) / width)), max_panels // 2 + 1))
+    edges = a + np.arange(n0 + 1) * ((b - a) / n0)
+    edges[-1] = b
+    lo, hi = edges[:-1], edges[1:]
+    vals, errs = _gk15_panels(f, lo, hi)
+
+    while True:
+        total = np.sum(vals, axis=1)
+        total_err = np.sum(errs, axis=1)
+        tol = np.maximum(abs_tol, rel_tol * np.abs(total))
+        active = total_err > tol
+        budget = max_panels - lo.size
+        if not active.any() or budget <= 0:
+            break
+        share = np.max(errs[active] / tol[active, None], axis=0) * lo.size
+        chosen = np.flatnonzero((share > 1.0)
+                                & ((hi - lo) > np.abs(hi + lo) * 1e-15))
+        if chosen.size == 0:
+            break
+        if chosen.size > budget:
+            order = np.argsort(-share[chosen], kind="stable")
+            chosen = chosen[order[:budget]]
+        keep = np.ones(lo.size, dtype=bool)
+        keep[chosen] = False
+        mid = 0.5 * (lo[chosen] + hi[chosen])
+        new_lo = np.concatenate([lo[chosen], mid])
+        new_hi = np.concatenate([mid, hi[chosen]])
+        new_vals, new_errs = _gk15_panels(f, new_lo, new_hi,
+                                          vals.shape[0])
+        lo = np.concatenate([lo[keep], new_lo])
+        hi = np.concatenate([hi[keep], new_hi])
+        vals = np.concatenate([vals[:, keep], new_vals], axis=1)
+        errs = np.concatenate([errs[:, keep], new_errs], axis=1)
+
+    return BatchQuadrature(total, total_err, ~active, lo.size)
 
 
 def integrate_adaptive(
@@ -131,63 +245,21 @@ def integrate_adaptive(
     phase_rate_hint: float | None = None,
     max_panels: int = 4096,
 ) -> QuadratureResult:
-    """Adaptively integrate f over [a, b] with 15-point Gauss-Kronrod panels.
-
-    ``phase_rate_hint`` is an upper estimate of |d(phase)/dx| of an
-    oscillatory integrand; when given, the initial uniform subdivision uses
-    panels no wider than pi / (2 * hint), i.e. at least four panels per
-    oscillation period, before any adaptive bisection happens.
+    """Adaptively integrate a scalar f over [a, b]: the one-row case of
+    ``integrate_batch``.  f may take an array of abscissae or a single
+    float.
 
     Convergence target: total error <= max(abs_tol, rel_tol * |integral|).
     If the panel budget is exhausted first, the best estimate is returned
     with ``converged=False`` instead of raising.
     """
-    if not (a <= b):
-        raise ValueError("integrate_adaptive requires a <= b")
-    if abs_tol <= 0 or rel_tol <= 0:
-        raise ValueError("tolerances must be positive")
-    if a == b:
-        return QuadratureResult(0.0, 0.0, 1)
-
-    n0 = 1
-    if phase_rate_hint is not None and phase_rate_hint > 0:
-        width = math.pi / (2.0 * phase_rate_hint)
-        n0 = int(min(max(1, math.ceil((b - a) / width)), max_panels // 2 + 1))
-    edges = np.linspace(a, b, n0 + 1)
-
-    # max-heap on panel error; counter breaks ties deterministically
-    heap = []
-    counter = 0
-    total = 0.0
-    total_err = 0.0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        val, err = _gk15(f, lo, hi)
-        heapq.heappush(heap, (-err, counter, lo, hi, val, err))
-        counter += 1
-        total += val
-        total_err += err
-
-    panels = n0
-    while panels < max_panels:
-        if total_err <= max(abs_tol, rel_tol * abs(total)):
-            break
-        neg_err, _, lo, hi, val, err = heapq.heappop(heap)
-        if err == 0.0 or (hi - lo) <= abs(hi + lo) * 1e-15:
-            heapq.heappush(heap, (neg_err, counter, lo, hi, val, err))
-            counter += 1
-            break
-        mid = 0.5 * (lo + hi)
-        val_l, err_l = _gk15(f, lo, mid)
-        val_r, err_r = _gk15(f, mid, hi)
-        total += val_l + val_r - val
-        total_err += err_l + err_r - err
-        heapq.heappush(heap, (-err_l, counter, lo, mid, val_l, err_l))
-        heapq.heappush(heap, (-err_r, counter + 1, mid, hi, val_r, err_r))
-        counter += 2
-        panels += 1
-
-    converged = total_err <= max(abs_tol, rel_tol * abs(total))
-    return QuadratureResult(total, total_err, panels, converged)
+    res = integrate_batch(
+        lambda t: _eval_vectorized(f, t)[None, :], a, b, abs_tol=abs_tol,
+        rel_tol=rel_tol, phase_rate_hint=phase_rate_hint,
+        max_panels=max_panels)
+    return QuadratureResult(float(res.values[0]),
+                            float(res.error_estimates[0]), res.panels_used,
+                            bool(res.converged[0]))
 
 
 def differentiate(f: Callable, x: float, spec: DiffSpec = DiffSpec()) -> float:

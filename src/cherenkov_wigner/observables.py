@@ -314,10 +314,14 @@ class PhaseSpaceKernel:
         return 0.25j * np.asarray(t) * self.b
 
     def direction_factors(self, R: np.ndarray):
-        """A = |R x (u_p - u_k)|^2 and B = (R . [u_p x u_k])^2."""
+        """A = |R x (u_p - u_k)|^2 and B = (R . [u_p x u_k])^2 of one node
+        R, shape (3,), or of each row of R, shape (k, 3)."""
         R = np.asarray(R, dtype=float)
-        cr = np.cross(R, self.diff)
-        return float(cr @ cr), float(R @ self.cross) ** 2
+        x, y, z = R[..., 0], R[..., 1], R[..., 2]
+        dx, dy, dz = self.diff
+        cr2 = ((y * dz - z * dy) ** 2 + (z * dx - x * dz) ** 2
+               + (x * dy - y * dx) ** 2)
+        return cr2, (R @ self.cross) ** 2
 
     def exponent_coefficients(self, t):
         """Complex (cA, cB) with exponent(t, R) = cA A + cB B."""

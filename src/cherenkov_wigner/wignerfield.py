@@ -80,10 +80,11 @@ class EmissionScenario:
     dispersive: Optional[bool] = None
 
     def __post_init__(self):
-        if self.t_out <= 0:
-            raise ValueError("t_out must be positive")
-        if self.omega <= 0:
-            raise ValueError("omega must be positive")
+        for name in ("t_out", "omega"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, "
+                                 f"got {value!r}")
 
     def photon_momentum(self) -> Momentum3:
         n = self.medium.index(self.omega)[0]
@@ -272,45 +273,79 @@ class _Context:
         t_sample = np.linspace(0.0, scenario.t_out, 513)
         self.envelope_scale = float(np.trapezoid(
             1.0 / self.kernel.big_g(t_sample), t_sample))
-        self._coeff_cache = {}
-
-    def _coeffs(self, t: np.ndarray):
-        key = (float(t[0]), float(t[-1]), t.size)
-        got = self._coeff_cache.get(key)
-        if got is None:
-            pre = self.kernel.prefactor_complex(t)
-            c_a, c_b = self.kernel.exponent_coefficients(t)
-            got = (np.abs(pre), np.angle(pre) + t * self.kernel.delta_eps,
-                   c_a, c_b)
-            if len(self._coeff_cache) < 1 << 16:
-                self._coeff_cache[key] = got
-        return got
 
     def integrand_for(self, R) -> callable:
-        a_dir, b_dir = self.kernel.direction_factors(np.asarray(R, float))
+        """Master integrand (prefactor excluded) at one node R of shape (3,)
+        or at k nodes of shape (k, 3); ``f(t)`` then has shape (len(t),)
+        or (k, len(t)).  The t'-dependent coefficients are computed once
+        per call and shared by the nodes, which enter only through A and
+        B."""
+        R = np.asarray(R, dtype=float)
+        a_dir, b_dir = self.kernel.direction_factors(R.reshape(-1, 3))
+        a_dir, b_dir = a_dir[:, None], b_dir[:, None]
+        delta_eps = self.kernel.delta_eps
 
         def f(t):
             t = np.atleast_1d(np.asarray(t, dtype=float))
-            mod, phase, c_a, c_b = self._coeffs(t)
-            expo = c_a * a_dir + c_b * b_dir
-            return mod * np.exp(expo.real) * np.cos(phase + expo.imag)
+            pre = self.kernel.prefactor_complex(t)
+            c_a, c_b = self.kernel.exponent_coefficients(t)
+            env = c_a.real * a_dir + c_b.real * b_dir
+            osc = c_a.imag * a_dir + c_b.imag * b_dir
+            out = np.abs(pre) * np.exp(env) * np.cos(
+                np.angle(pre) + t * delta_eps + osc)
+            return out if R.ndim == 2 else out[0]
 
         return f
 
-    def point(self, R, rel_tol: float, abs_tol: Optional[float],
-              max_panels: int):
+    def _quad_options(self, rel_tol, abs_tol, max_panels) -> dict:
         if abs_tol is None:
             abs_tol = max(1e-10 * self.envelope_scale, 1e-300)
+        return dict(abs_tol=abs_tol, rel_tol=rel_tol,
+                    phase_rate_hint=self.phase_rate_hint,
+                    max_panels=max_panels)
+
+    def _scaled(self, value, error, converged):
+        """(value, error estimate, flags) with the prefactor applied."""
+        flags = np.where(converged, self.base_flags,
+                         self.base_flags | int(WkbFlags.QUAD_NONCONVERGED))
+        return (self.prefactor_scale * (2.0 * self.prefactor * value),
+                self.prefactor_scale * (2.0 * self.prefactor * error), flags)
+
+    def point(self, R, rel_tol: float, abs_tol: Optional[float],
+              max_panels: int):
+        """Value, error estimate and flags at one node R, through
+        ``integrate_adaptive`` (the one-row case of ``integrate_batch``)."""
         res = numerics.integrate_adaptive(
             self.integrand_for(R), 0.0, self.scenario.t_out,
-            abs_tol=abs_tol, rel_tol=rel_tol,
-            phase_rate_hint=self.phase_rate_hint, max_panels=max_panels)
-        flags = self.base_flags
-        if not res.converged:
-            flags |= int(WkbFlags.QUAD_NONCONVERGED)
-        return (self.prefactor_scale * (2.0 * self.prefactor * res.value),
-                self.prefactor_scale
-                * (2.0 * self.prefactor * res.error_estimate), flags)
+            **self._quad_options(rel_tol, abs_tol, max_panels))
+        value, error, flags = self._scaled(res.value, res.error_estimate,
+                                           res.converged)
+        return value, error, int(flags)
+
+    def map_abs_tol(self, grid: "MapGrid", rel_tol: float,
+                    max_panels: int) -> float:
+        """Default absolute tolerance of a map's quadratures: rel_tol times
+        the largest |integral| on the grid row nearest R = 0, a lower bound
+        of the map's scale, so that every node lands within about rel_tol
+        of that scale; never below 1e-14 of the envelope integral."""
+        iy = int(np.argmin(np.abs(grid.ys())))
+        res = numerics.integrate_batch(
+            self.integrand_for(_row_nodes(grid, iy)), 0.0,
+            self.scenario.t_out,
+            **self._quad_options(rel_tol, None, max_panels))
+        return max(rel_tol * float(np.max(np.abs(res.values))),
+                   1e-14 * self.envelope_scale)
+
+    def nodes(self, R, rel_tol: float, abs_tol: Optional[float],
+              max_panels: int):
+        """k nodes R of shape (k, 3) on one shared adaptive mesh: arrays of
+        values, error estimates and flags."""
+        res = numerics.integrate_batch(
+            self.integrand_for(R), 0.0, self.scenario.t_out,
+            **self._quad_options(rel_tol, abs_tol, max_panels))
+        value, error, flags = self._scaled(res.values, res.error_estimates,
+                                           res.converged)
+        return value, error, flags.astype(np.uint16)
 
 
 def integrand(scenario: EmissionScenario, R, t_prime):
@@ -408,23 +443,21 @@ def default_grid(scenario: EmissionScenario, nx: int = 128, ny: int = 128,
     return MapGrid.centered(halves[0], halves[1], nx, ny, z)
 
 
+def _row_nodes(grid: MapGrid, iy: int) -> np.ndarray:
+    """The (nx, 3) node coordinates of grid row ``iy``."""
+    xs = grid.xs()
+    return np.column_stack([xs, np.full(grid.nx, grid.ys()[iy]),
+                            np.full(grid.nx, grid.z)])
+
+
 def _map_row(iy, ctx: _Context, grid: MapGrid, rel_tol, abs_tol, max_panels):
-    """Values, error estimates and flags of grid row ``iy``."""
-    y = grid.ys()[iy]
-    vals = np.empty(grid.nx)
-    errs = np.empty(grid.nx)
-    flags = np.empty(grid.nx, dtype=np.uint16)
-    for ix, x in enumerate(grid.xs()):
-        v, e, f = ctx.point(np.array([x, y, grid.z]), rel_tol, abs_tol,
-                            max_panels)
-        vals[ix] = v
-        errs[ix] = e
-        flags[ix] = f
-    return vals, errs, flags
+    """Values, error estimates and flags of grid row ``iy``, integrated on
+    one mesh shared by the row's nodes."""
+    return ctx.nodes(_row_nodes(grid, iy), rel_tol, abs_tol, max_panels)
 
 
 # A pool worker's context and row arguments, built once per process by
-# _init_worker so that the context's coefficient cache outlives each chunk.
+# _init_worker rather than once per row.
 _WORKER_ARGS: tuple = ()
 
 
@@ -437,6 +470,18 @@ def _worker_row(iy):
     return _map_row(iy, *_WORKER_ARGS)
 
 
+def _env_workers() -> int:
+    """Worker count from CHR_WORKERS (default 1), an integer >= 1."""
+    raw = os.environ.get("CHR_WORKERS", "1")
+    try:
+        workers = int(raw)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ValueError(f"CHR_WORKERS must be an integer >= 1, got {raw!r}")
+    return workers
+
+
 def evaluate_map(scenario: EmissionScenario, grid: Optional[MapGrid] = None,
                  workers: Optional[int] = None, rel_tol: float = 1e-9,
                  abs_tol: Optional[float] = None, max_panels: int = 4096,
@@ -444,17 +489,21 @@ def evaluate_map(scenario: EmissionScenario, grid: Optional[MapGrid] = None,
     """Evaluate the Wigner function on a 2-D grid, normalized to
     max |value| = 1 (the raw scale is kept in the result).
 
-    Grid rows are data-parallel across ``workers`` processes (default from
-    CHR_WORKERS, else serial); the output is deterministic and independent
-    of the worker count.
+    Each grid row is one quadrature on a mesh shared by its nodes.  By
+    default every node is held to about ``rel_tol`` of the map's scale
+    (see ``_Context.map_abs_tol``).  Rows are data-parallel across
+    ``workers`` processes (default from CHR_WORKERS, else serial); the
+    output is deterministic and independent of the worker count.
     """
     if grid is None:
         grid = default_grid(scenario)
     if workers is None:
-        workers = int(os.environ.get("CHR_WORKERS", "1"))
+        workers = _env_workers()
+    ctx = _Context(scenario, prefactor_scale)
+    if abs_tol is None:
+        abs_tol = ctx.map_abs_tol(grid, rel_tol, max_panels)
     tols = (rel_tol, abs_tol, max_panels)
     if workers <= 1:
-        ctx = _Context(scenario, prefactor_scale)
         rows = [_map_row(iy, ctx, grid, *tols) for iy in range(grid.ny)]
     else:
         with ProcessPoolExecutor(

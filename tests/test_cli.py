@@ -248,6 +248,79 @@ def test_malformed_chr_workers_spares_closed_form_studies(tmp_path,
                      "--out-dir", str(tmp_path / "out")]) == 0
 
 
+SMALL_MAP = """
+study = wigner-map
+beta = 0.99
+sigma = 1e-5
+omega = 1e-5
+t-out = 3e5
+medium.n = 1.4
+grid.nx = 3
+grid.ny = 3
+"""
+
+
+@pytest.mark.parametrize("raw", ["abc", "0"])
+def test_map_study_rejects_bad_chr_workers(tmp_path, monkeypatch, capsys,
+                                           raw):
+    monkeypatch.setenv("CHR_WORKERS", raw)
+    path = write_config(tmp_path, SMALL_MAP)
+    assert cli.main(["wigner-map", "--config", str(path),
+                     "--out-dir", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "CHR_WORKERS" in err and repr(raw) in err
+
+
+@pytest.mark.parametrize("key,text", [
+    ("sigma", "sigma = nan\n"), ("omega", "omega = inf\n"),
+    ("t-out", "t-out = nan\n")])
+def test_non_finite_inputs_are_config_errors(tmp_path, capsys, key, text):
+    body = "\n".join(line for line in SMALL_MAP.splitlines()
+                     if not line.startswith(key + " "))
+    path = write_config(tmp_path, body + "\n" + text)
+    with pytest.raises(ValidationError, match=key):
+        parse_config(path)
+    assert cli.main(["wigner-map", "--config", str(path),
+                     "--out-dir", str(tmp_path / "out")]) == 1
+    assert "config error" in capsys.readouterr().err
+
+
+def test_threshold_check_reads_the_table_index(tmp_path, capsys):
+    # beta * medium.n = 1.08 clears the threshold, but the ice table gives
+    # n = 1.35 at 4 eV, and 0.72 * 1.35 < 1
+    path = write_config(tmp_path, f"""
+study = singular-angles
+beta = 0.72
+omega = 7.828e-6
+medium.table = {ICE_TABLE}
+""")
+    with pytest.raises(ValidationError, match="Cherenkov threshold"):
+        parse_config(path)
+    assert cli.main(["singular-angles", "--config", str(path),
+                     "--out-dir", str(tmp_path / "out")]) == 1
+    assert "config error" in capsys.readouterr().err
+
+
+def test_dispersion_scan_reads_the_table_index(tmp_path):
+    cfg = parse_config(write_config(tmp_path, f"""
+study = dispersion-scan
+beta = 0.99
+sigma = 1e-4
+omega = 7.828e-6
+medium.table = {ICE_TABLE}
+p-perp = 1e-5
+theta-k = 41.5
+sweep.variable = d-param
+sweep.start = -1
+sweep.stop = 1
+sweep.samples = 3
+"""))
+    n = cfg.medium().index(cfg.omega)[0]
+    assert abs(n - 1.5) > 0.1
+    artifacts, _ = run_study(cfg, tmp_path, "csv")
+    assert f"# n: {n}" in artifacts[0].read_text().splitlines()
+
+
 def test_cli_main_error_on_bad_config(tmp_path):
     path = write_config(tmp_path, "study = nonsense\n")
     assert cli.main(["spreading-time", "--config", str(path)]) == 1

@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cherenkov_wigner.numerics import (DiffSpec, NoSignChange,
                                        NonFiniteIntegrand, NonFiniteSample,
                                        differentiate, find_root,
-                                       integrate_adaptive)
+                                       integrate_adaptive, integrate_batch)
 
 
 def gauss_legendre_reference(f, a, b, n=2000):
@@ -76,6 +78,66 @@ def test_precondition_errors():
         integrate_adaptive(np.cos, 1.0, 0.0)
     with pytest.raises(ValueError):
         integrate_adaptive(np.cos, 0.0, 1.0, abs_tol=0.0)
+
+
+def damped_waves(params):
+    """Rows c exp(-s x^2) cos(w x + p), one per (c, s, w, p)."""
+    c, s, w, p = (np.array(col)[:, None] for col in zip(*params))
+    return lambda x: c * np.exp(-s * x ** 2) * np.cos(w * x + p)
+
+
+_ROW = st.tuples(st.floats(-5.0, 5.0), st.floats(0.0, 4.0),
+                 st.floats(0.0, 60.0), st.floats(-math.pi, math.pi))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(rows=st.lists(_ROW, min_size=1, max_size=6),
+       hint=st.sampled_from([None, 5.0, 60.0]))
+def test_batch_agrees_with_one_row_calls(rows, hint):
+    # the shared mesh changes each row's panels, not its integral: every
+    # row agrees with its own one-row integration within the two error
+    # estimates
+    f = damped_waves(rows)
+    opts = dict(abs_tol=1e-11, rel_tol=1e-10, phase_rate_hint=hint)
+    batch = integrate_batch(f, -3.0, 2.0, **opts)
+    assert batch.converged.all()
+    assert np.all(batch.error_estimates
+                  <= np.maximum(1e-11, 1e-10 * np.abs(batch.values)))
+    assert batch.values.shape == batch.error_estimates.shape == (len(rows),)
+    for j in range(len(rows)):
+        one = integrate_adaptive(lambda x: f(x)[j], -3.0, 2.0, **opts)
+        assert one.converged
+        assert (abs(batch.values[j] - one.value)
+                <= batch.error_estimates[j] + one.error_estimate + 1e-14)
+
+
+def test_batch_non_finite_row():
+    def f(x):
+        return np.stack([np.cos(x), np.where(x > 0.7, np.inf, x)])
+
+    with pytest.raises(NonFiniteIntegrand, match="row 1"):
+        integrate_batch(f, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("max_panels,hint", [(4, None), (5, 100.0)])
+def test_batch_budget_flags_rows_separately(max_panels, hint):
+    # the smooth row converges on the first panels; the fast oscillation
+    # cannot within the budget.  With the hint the pre-split takes three
+    # panels, so the first round wants more bisections than the budget
+    # holds
+    f = lambda x: np.stack([x ** 2, np.cos(100.0 * x)])
+    res = integrate_batch(f, 0.0, 10.0, abs_tol=1e-14, rel_tol=1e-14,
+                          phase_rate_hint=hint, max_panels=max_panels)
+    assert res.panels_used <= max_panels
+    assert res.converged.tolist() == [True, False]
+    assert abs(res.values[0] - 1000.0 / 3.0) < 1e-9
+    assert np.all(np.isfinite(res.values))
+
+
+def test_batch_empty_interval():
+    res = integrate_batch(lambda x: np.stack([x, x]), 1.0, 1.0)
+    assert res.values.tolist() == [0.0, 0.0]
+    assert res.converged.all()
 
 
 def test_differentiate_sin():

@@ -7,6 +7,7 @@ from conftest import balance_scenario
 from cherenkov_wigner.kinematics import (ElectronPacket, Momentum3,
                                          momentum_magnitude)
 from cherenkov_wigner.medium import ConstantMedium
+from cherenkov_wigner.observables import WkbFlags
 from cherenkov_wigner.wignerfield import (EmissionScenario, MapGrid,
                                           NonGaussianPhase, OffShell,
                                           _Context, central_value,
@@ -150,6 +151,36 @@ def test_map_mirror_symmetry():
     sc = balance_scenario(sigma=1e-5, t_out=1e6)
     wmap = evaluate_map(sc, MapGrid.centered(2e5, 1e5, 17, 9))
     assert np.max(np.abs(wmap.values - wmap.values[:, ::-1])) < 1e-6
+
+
+def test_map_centrosymmetry():
+    # A and B are even in R, so W(R) = W(-R); phi_k off pi/2 leaves no
+    # mirror symmetry that could hide a mismatch between mirrored rows
+    sc = balance_scenario(sigma=1e-5, t_out=1e6, phi_k=0.3)
+    wmap = evaluate_map(sc, MapGrid.centered(2e5, 1e5, 9, 7))
+    assert np.max(np.abs(wmap.values - wmap.values[::-1, ::-1])) < 1e-12
+
+
+def test_long_map_matches_reference_at_every_node():
+    # t_out = 5e7 at 1.1 theta_Ch takes tens of panels per node; the mesh
+    # each row shares is refined until every node of the row converges
+    sc = balance_scenario(sigma=1e-5, theta_frac=1.1, t_out=5e7)
+    grid = default_grid(sc, 6, 6)
+    wmap = evaluate_map(sc, grid)
+    assert not np.any(wmap.flags & int(WkbFlags.QUAD_NONCONVERGED))
+    for iy, y in enumerate(grid.ys()):
+        for ix, x in enumerate(grid.xs()):
+            ref = evaluate_point_reference(sc, np.array([x, y, grid.z]))
+            assert (abs(wmap.values[iy, ix] * wmap.scale - ref.real)
+                    <= 1e-9 * wmap.scale)
+
+
+def test_point_is_the_one_node_row():
+    sc = balance_scenario(sigma=1e-5, theta_frac=1.1, t_out=5e6)
+    ctx = _Context(sc)
+    R = np.array([3e4, -2e4, 0.0])
+    value, error, flags = ctx.nodes(R[None, :], 1e-10, None, 4096)
+    assert (value[0], error[0], int(flags[0])) == evaluate_point(sc, R)
 
 
 def test_map_determinism_and_csv_round_trip(tmp_path):
@@ -353,6 +384,13 @@ def test_scenario_validation():
     with pytest.raises(ValueError):
         EmissionScenario(packet=packet, medium=ConstantMedium(1.5),
                          omega=-1e-5, theta_k=0.5, phi_k=0.0, t_out=1.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="t_out"):
+            EmissionScenario(packet=packet, medium=ConstantMedium(1.5),
+                             omega=1e-5, theta_k=0.5, phi_k=0.0, t_out=bad)
+        with pytest.raises(ValueError, match="omega"):
+            EmissionScenario(packet=packet, medium=ConstantMedium(1.5),
+                             omega=bad, theta_k=0.5, phi_k=0.0, t_out=1.0)
 
 
 def test_central_value_nearest_node():
