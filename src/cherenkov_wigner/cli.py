@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -33,9 +33,6 @@ from .wignerfield import (EmissionScenario, MapGrid, default_grid,
 
 __all__ = ["ScenarioConfig", "ParseError", "ValidationError", "parse_config",
            "run_study", "convert_units", "UnitContext", "main", "STUDIES"]
-
-_SWEEPABLE = ("theta-k", "n", "sigma", "omega", "d-param", "theta-r",
-              "phi-r", "t-out")
 
 class ParseError(ValueError):
     """Config file is syntactically malformed."""
@@ -94,51 +91,18 @@ class ScenarioConfig:
         return lorentz_gamma(self.beta)
 
     def canonical_text(self) -> str:
-        """Canonical re-emission of the parsed configuration."""
-        deg = 180.0 / math.pi
-        pairs = [("study", self.study), ("beta", self.beta),
-                 ("sigma", self.sigma), ("omega", self.omega)]
-        if self.t_out is not None:
-            pairs.append(("t-out", self.t_out))
-        pairs.append(("t-prime", self.t_prime))
-        if self.theta_k is not None:
-            pairs.append(("theta-k", self.theta_k * deg))
-        pairs.append(("phi-k", self.phi_k * deg))
-        if self.p_perp is not None:
-            pairs.append(("p-perp", self.p_perp))
-        pairs.extend([("pp-perp-ratio", self.pp_perp_ratio),
-                      ("branch", self.branch), ("r-mag", self.r_mag)])
-        if self.medium_table is not None:
-            pairs.append(("medium.table", self.medium_table))
-        else:
-            pairs.append(("medium.n", self.medium_n))
-            if self.medium_d:
-                pairs.append(("medium.d", self.medium_d))
-            if self.medium_e:
-                pairs.append(("medium.e", self.medium_e))
-        if self.sweep_variable:
-            pairs.extend([("sweep.variable", self.sweep_variable),
-                          ("sweep.start", self.sweep_start),
-                          ("sweep.stop", self.sweep_stop),
-                          ("sweep.samples", self.sweep_samples),
-                          ("sweep.scale", self.sweep_scale)])
-        if self.study in ("wigner-map", "delta-p-scan", "snapshot"):
-            pairs.extend([("grid.nx", self.grid_nx), ("grid.ny", self.grid_ny)])
-            if self.grid_extent is not None:
-                pairs.append(("grid.extent", self.grid_extent))
-            pairs.append(("grid.z", self.grid_z))
-        if self.study == "delta-p-scan":
-            pairs.append(("delta-p.offsets",
-                          ",".join(repr(o) for o in self.delta_p_offsets)))
-        if self.study == "snapshot":
-            pairs.append(("snapshot.t", self.snapshot_t))
-        pairs.append(("helicity.lambda-e", self.lambda_e))
-        pairs.append(("helicity.lambda-prime", self.lambda_prime))
-        pairs.append(("helicity.lambda-gamma",
-                      "sum" if self.lambda_gamma is None else self.lambda_gamma))
-        if self.out_prefix:
-            pairs.append(("out.prefix", self.out_prefix))
-        return "\n".join(f"{k} = {v}" for k, v in pairs) + "\n"
+        """Canonical re-emission of the parsed configuration: the study,
+        then every key whose value differs from the default, in ``_KEYS``
+        order, written through the inverse of the key's parser."""
+        defaults = {f.name: f.default for f in fields(self)}
+        lines, seen = [], set()
+        for key, (name, parse) in _KEYS.items():
+            value = getattr(self, name)
+            if name in seen or value == defaults[name]:
+                continue
+            seen.add(name)
+            lines.append(f"{key} = {_UNPARSE.get(parse, str)(value)}")
+        return "\n".join(lines) + "\n"
 
 
 def _degrees(raw: str) -> float:
@@ -189,6 +153,9 @@ _KEYS = {
     "snapshot.t": ("snapshot_t", float),
     "out.prefix": ("out_prefix", str),
 }
+# inverse of each value parser that str() does not undo, for canonical_text
+_UNPARSE = {_degrees: lambda rad: rad * (180.0 / math.pi),
+            _offsets: lambda offs: ",".join(repr(o) for o in offs)}
 
 
 def parse_config(path) -> ScenarioConfig:
@@ -241,32 +208,40 @@ def _validate(values: dict, path: Path) -> ScenarioConfig:
         table = cfg.medium_table
         if not table.is_absolute():
             table = (path.parent / table).resolve()
-        if not table.exists():
-            raise ValidationError(f"medium.table: {table} not found")
+        if not table.is_file():
+            raise ValidationError(f"medium.table: {table} is not a file")
         cfg.medium_table = table
 
     if not (0.0 < cfg.beta < 1.0):
         raise ValidationError("beta: must lie in (0, 1)")
-    for key, value in (("sigma", cfg.sigma), ("omega", cfg.omega),
-                       ("t-out", cfg.t_out)):
-        if value is not None and not (math.isfinite(value) and value > 0):
-            raise ValidationError(f"{key}: must be finite and positive, "
+    positive = ("sigma", "omega", "t-out", "medium.n")
+    for key in positive + ("medium.d", "medium.e", "sweep.start",
+                           "sweep.stop"):
+        value = getattr(cfg, _KEYS[key][0])
+        if value is not None and not (math.isfinite(value) and (
+                value > 0 or key not in positive)):
+            raise ValidationError(f"{key}: must be finite"
+                                  f"{' and positive' * (key in positive)}, "
                                   f"got {value!r}")
+    if cfg.branch not in (1, -1):
+        raise ValidationError(f"branch: must be +1 or -1, got {cfg.branch}")
     if cfg.sweep_scale not in ("linear", "log"):
         raise ValidationError("sweep.scale: linear or log")
+    if cfg.grid_nx < 1 or cfg.grid_ny < 1:
+        raise ValidationError("grid.nx/grid.ny: must be >= 1")
 
-    one_d = {"spreading-time", "correlation-radius", "flash-duration",
-             "arrival-shift", "dispersion-scan"}
-    if study in one_d:
-        if cfg.sweep_variable is None:
-            raise ValidationError(f"sweep.variable: required for {study}")
-        if cfg.sweep_variable not in _SWEEPABLE:
-            raise ValidationError(
-                f"sweep.variable: {cfg.sweep_variable!r} not in {_SWEEPABLE}")
-        if cfg.sweep_start is None or cfg.sweep_stop is None:
-            raise ValidationError("sweep.start/sweep.stop: required")
-        if cfg.sweep_samples < 1:
-            raise ValidationError("sweep.samples: must be >= 1")
+    _, sweeps, required = _STUDIES[study]
+    if sweeps:
+        required = ("sweep.variable", "sweep.start", "sweep.stop") + required
+    for key in required:
+        if getattr(cfg, _KEYS[key][0]) is None:
+            raise ValidationError(f"{key}: required for {study}")
+    if cfg.sweep_variable is not None and cfg.sweep_variable not in sweeps:
+        raise ValidationError(
+            f"sweep.variable: {study} sweeps "
+            f"{' or '.join(sweeps) or 'nothing'}, not {cfg.sweep_variable!r}")
+    if sweeps and cfg.sweep_samples < 1:
+        raise ValidationError("sweep.samples: must be >= 1")
     if study == "singular-angles":
         try:
             n = cfg.medium().index(cfg.omega)[0]
@@ -276,13 +251,6 @@ def _validate(values: dict, path: Path) -> ScenarioConfig:
             raise ValidationError(
                 f"beta*n = {cfg.beta * n:.6g} <= 1: at or below the "
                 "Cherenkov threshold, no singular angles exist")
-    if study in ("wigner-map", "delta-p-scan"):
-        if cfg.t_out is None:
-            raise ValidationError(f"t-out: required for {study}")
-        if cfg.grid_nx < 1 or cfg.grid_ny < 1:
-            raise ValidationError("grid: wigner-map requires a grid block")
-    if study in ("arrival-shift", "dispersion-scan") and cfg.p_perp is None:
-        raise ValidationError(f"p-perp: required for {study}")
     return cfg
 
 
@@ -296,18 +264,28 @@ def _sweep_values(cfg: ScenarioConfig) -> np.ndarray:
     return np.linspace(cfg.sweep_start, cfg.sweep_stop, cfg.sweep_samples)
 
 
-def _write_csv(path: Path, header_lines, columns, rows) -> None:
-    lines = [f"# {h}" for h in header_lines]
+def _table(cfg, out_dir, fmt, name, header, columns, rows, series=None,
+           **plot) -> list:
+    """Write one CSV table; with csv+svg, at least two rows and ``series``
+    (column indices), also a polyline plot of those columns over the first.
+    Returns the artifact paths."""
+    out = out_dir / _name(cfg, name)
+    lines = [f"# {h}" for h in header]
     lines.append("# " + ",".join(columns))
     for row in rows:
         lines.append(",".join(repr(float(v)) if isinstance(v, (int, float))
                               else str(v) for v in row))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    out.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    arts = [out]
+    if fmt == "csv+svg" and len(rows) > 1 and series is not None:
+        svg = out.with_suffix(".svg")
+        svgplot.polyline_svg(svg, [r[0] for r in rows],
+                             [[r[i] for r in rows] for i in series], **plot)
+        arts.append(svg)
+    return arts
 
 
 def _study_spreading_time(cfg, out_dir, fmt, workers):
-    if cfg.sweep_variable != "theta-k":
-        raise ValidationError("spreading-time sweeps theta-k")
     eps = cfg.epsilon()
     medium = cfg.medium()
     n = medium.index(cfg.omega)[0]
@@ -320,20 +298,12 @@ def _study_spreading_time(cfg, out_dir, fmt, workers):
                                    dp.d_param, dp.e_param)
         rows.append((math.degrees(th), st.t_d * tc_ps, st.inv_t_d,
                      st.t_d_tilde * tc_ps))
-    out = out_dir / _name(cfg, "spreading_time.csv")
-    _write_csv(out, [f"beta: {cfg.beta}", f"omega: {cfg.omega}",
-                     f"sigma: {cfg.sigma}"],
-               ["theta_k_deg", "t_d_ps", "inv_t_d_per_tc", "t_d_tilde_ps"],
-               rows)
-    arts = [out]
-    if fmt == "csv+svg" and len(rows) > 1:
-        svg = out.with_suffix(".svg")
-        svgplot.polyline_svg(svg, [r[0] for r in rows],
-                             [[r[2] for r in rows]],
-                             title="inverse spreading time",
-                             xlabel="theta_k [deg]", ylabel="1/t_d [1/t_c]")
-        arts.append(svg)
-    return arts, False
+    return _table(cfg, out_dir, fmt, "spreading_time.csv",
+                  [f"beta: {cfg.beta}", f"omega: {cfg.omega}",
+                   f"sigma: {cfg.sigma}"],
+                  ["theta_k_deg", "t_d_ps", "inv_t_d_per_tc", "t_d_tilde_ps"],
+                  rows, series=(2,), title="inverse spreading time",
+                  xlabel="theta_k [deg]", ylabel="1/t_d [1/t_c]"), False
 
 
 def _study_singular_angles(cfg, out_dir, fmt, workers):
@@ -351,17 +321,14 @@ def _study_singular_angles(cfg, out_dir, fmt, workers):
     root_lo = find_root(inv_td, max(lo - pad, 1e-9), lo + 0.5 * width, 1e-12)
     root_hi = find_root(inv_td, hi - 0.5 * width, min(hi + pad, math.pi - 1e-9),
                         1e-12)
-    out = out_dir / _name(cfg, "singular_angles.csv")
-    _write_csv(out, [f"beta: {cfg.beta}", f"n: {n}", f"omega: {cfg.omega}"],
-               ["theta_lo_rad", "theta_hi_rad", "width_rad",
-                "width_approx_rad", "root_lo_rad", "root_hi_rad"],
-               [(lo, hi, width, approx, root_lo, root_hi)])
-    return [out], False
+    return _table(cfg, out_dir, fmt, "singular_angles.csv",
+                  [f"beta: {cfg.beta}", f"n: {n}", f"omega: {cfg.omega}"],
+                  ["theta_lo_rad", "theta_hi_rad", "width_rad",
+                   "width_approx_rad", "root_lo_rad", "root_hi_rad"],
+                  [(lo, hi, width, approx, root_lo, root_hi)]), False
 
 
 def _study_correlation_radius(cfg, out_dir, fmt, workers):
-    if cfg.sweep_variable not in ("theta-r", "phi-r"):
-        raise ValidationError("correlation-radius sweeps theta-r or phi-r")
     scenario = _balance_scenario(cfg, t_out=cfg.t_out or 1.0)
     kernel = observables.PhaseSpaceKernel.from_geometry(
         scenario.geometry(), scenario.packet, scenario.medium,
@@ -378,25 +345,16 @@ def _study_correlation_radius(cfg, out_dir, fmt, workers):
         expo = complex(kernel.exponent_complex(t, R))
         r_eff = math.inf if expo.real >= 0 else 1.0 / math.sqrt(-expo.real)
         rows.append((math.degrees(v), r_eff, expo.imag))
-    out = out_dir / _name(cfg, "correlation_radius.csv")
-    _write_csv(out, [f"t_prime: {t}", f"theta_k: {cfg.theta_k}"],
-               [cfg.sweep_variable.replace("-", "_") + "_deg",
-                "r_eff_lambda_c", "inv_r_im_sq"], rows)
-    arts = [out]
-    if fmt == "csv+svg" and len(rows) > 1:
-        svg = out.with_suffix(".svg")
-        finite = [r[1] if math.isfinite(r[1]) else float("nan") for r in rows]
-        svgplot.polyline_svg(svg, [r[0] for r in rows], [finite],
-                             title="correlation radius",
-                             xlabel=cfg.sweep_variable + " [deg]",
-                             ylabel="R_eff [lambda_c]")
-        arts.append(svg)
-    return arts, False
+    return _table(cfg, out_dir, fmt, "correlation_radius.csv",
+                  [f"t_prime: {t}", f"theta_k: {cfg.theta_k}"],
+                  [cfg.sweep_variable.replace("-", "_") + "_deg",
+                   "r_eff_lambda_c", "inv_r_im_sq"], rows, series=(1,),
+                  title="correlation radius",
+                  xlabel=cfg.sweep_variable + " [deg]",
+                  ylabel="R_eff [lambda_c]"), False
 
 
 def _study_flash_duration(cfg, out_dir, fmt, workers):
-    if cfg.sweep_variable != "sigma":
-        raise ValidationError("flash-duration sweeps sigma")
     n = cfg.medium().index(cfg.omega)[0]
     theta = cfg.theta_k if cfg.theta_k is not None else \
         cherenkov_angle_classical(cfg.beta, n)
@@ -407,11 +365,10 @@ def _study_flash_duration(cfg, out_dir, fmt, workers):
         sigma_t = math.sqrt((1.0 / sig ** 2) / 2.0 * cc / dd)
         rows.append((sig, sigma_t, convert_units(sigma_t, "t_c", "as"),
                      convert_units(sigma_t, "t_c", "fs")))
-    out = out_dir / _name(cfg, "flash_duration.csv")
-    _write_csv(out, [f"beta: {cfg.beta}", f"n: {n}",
-                     f"theta_k_rad: {theta}"],
-               ["sigma_me", "sigma_t_tc", "sigma_t_as", "sigma_t_fs"], rows)
-    return [out], False
+    return _table(cfg, out_dir, fmt, "flash_duration.csv",
+                  [f"beta: {cfg.beta}", f"n: {n}", f"theta_k_rad: {theta}"],
+                  ["sigma_me", "sigma_t_tc", "sigma_t_as", "sigma_t_fs"],
+                  rows), False
 
 
 def _arrival_shift_row(cfg, medium, n, theta_k):
@@ -442,8 +399,6 @@ def _arrival_shift_row(cfg, medium, n, theta_k):
 
 
 def _study_arrival_shift(cfg, out_dir, fmt, workers):
-    if cfg.sweep_variable not in ("theta-k", "n"):
-        raise ValidationError("arrival-shift sweeps theta-k or n")
     flagged = False
     rows = []
     medium = cfg.medium()
@@ -463,27 +418,17 @@ def _study_arrival_shift(cfg, out_dir, fmt, workers):
         if flags:
             flagged = True
         rows.append((v, stats.delta_t, stats.sigma_t, stats.t_0, int(flags)))
-    out = out_dir / _name(cfg, "arrival_shift.csv")
-    _write_csv(out, [f"beta: {cfg.beta}", f"omega: {cfg.omega}",
-                     f"p_perp: {cfg.p_perp}", f"branch: {cfg.branch}"],
-               [cfg.sweep_variable.replace("-", "_"), "delta_t_tc",
-                "sigma_t_tc", "t_0_tc", "flags"], rows)
-    arts = [out]
-    if fmt == "csv+svg" and len(rows) > 1:
-        svg = out.with_suffix(".svg")
-        svgplot.polyline_svg(
-            svg, [r[0] for r in rows],
-            [[r[1] for r in rows], [r[2] for r in rows]],
-            title="photon arrival-time shift",
-            xlabel=cfg.sweep_variable, ylabel="time [t_c]",
-            labels=["delta_t", "sigma_t"])
-        arts.append(svg)
-    return arts, flagged
+    return _table(cfg, out_dir, fmt, "arrival_shift.csv",
+                  [f"beta: {cfg.beta}", f"omega: {cfg.omega}",
+                   f"p_perp: {cfg.p_perp}", f"branch: {cfg.branch}"],
+                  [cfg.sweep_variable.replace("-", "_"), "delta_t_tc",
+                   "sigma_t_tc", "t_0_tc", "flags"], rows, series=(1, 2),
+                  title="photon arrival-time shift",
+                  xlabel=cfg.sweep_variable, ylabel="time [t_c]",
+                  labels=["delta_t", "sigma_t"]), flagged
 
 
 def _study_dispersion_scan(cfg, out_dir, fmt, workers):
-    if cfg.sweep_variable != "d-param":
-        raise ValidationError("dispersion-scan sweeps d-param")
     theta_k = cfg.theta_k if cfg.theta_k is not None else \
         10.0 * math.pi / 180.0
     n = cfg.medium().index(cfg.omega)[0]
@@ -503,11 +448,10 @@ def _study_dispersion_scan(cfg, out_dir, fmt, workers):
         if flags:
             flagged = True
         rows.append((d, stats.delta_t, stats.sigma_t, int(flags)))
-    out = out_dir / _name(cfg, "dispersion_scan.csv")
-    _write_csv(out, [f"beta: {cfg.beta}", f"n: {n}",
-                     f"theta_k_rad: {theta_k}"],
-               ["d_param", "delta_t_tc", "sigma_t_tc", "flags"], rows)
-    return [out], flagged
+    return _table(cfg, out_dir, fmt, "dispersion_scan.csv",
+                  [f"beta: {cfg.beta}", f"n: {n}", f"theta_k_rad: {theta_k}"],
+                  ["d_param", "delta_t_tc", "sigma_t_tc", "flags"],
+                  rows), flagged
 
 
 def _balance_scenario(cfg: ScenarioConfig, t_out=None) -> EmissionScenario:
@@ -530,7 +474,10 @@ def _grid_for(cfg, scenario) -> MapGrid:
                             cfg.grid_ny, cfg.grid_z)
 
 
-def _map_artifacts(wmap, out, fmt, title):
+def _map_artifacts(cfg, out_dir, fmt, name, wmap, title, signed=True):
+    """Write a map's CSV and, with csv+svg, its heatmap; returns the
+    artifact paths."""
+    out = out_dir / _name(cfg, name)
     wmap.to_csv(out)
     arts = [out]
     if fmt == "csv+svg":
@@ -539,7 +486,7 @@ def _map_artifacts(wmap, out, fmt, title):
                             (wmap.grid.x_min, wmap.grid.x_max,
                              wmap.grid.y_min, wmap.grid.y_max),
                             title=title, xlabel="X [lambda_c]",
-                            ylabel="Y [lambda_c]")
+                            ylabel="Y [lambda_c]", signed=signed)
         arts.append(svg)
     return arts
 
@@ -548,9 +495,9 @@ def _study_wigner_map(cfg, out_dir, fmt, workers):
     scenario = _balance_scenario(cfg)
     grid = _grid_for(cfg, scenario)
     wmap = evaluate_map(scenario, grid, workers=workers)
-    out = out_dir / _name(cfg, "wigner_map.csv")
-    arts = _map_artifacts(wmap, out, fmt, "Wigner function (normalized)")
-    return arts, bool(wmap.flag_counts())
+    return (_map_artifacts(cfg, out_dir, fmt, "wigner_map.csv", wmap,
+                           "Wigner function (normalized)"),
+            bool(wmap.flag_counts()))
 
 
 def _study_delta_p_scan(cfg, out_dir, fmt, workers):
@@ -564,16 +511,15 @@ def _study_delta_p_scan(cfg, out_dir, fmt, workers):
     base_scale = maps[0].scale if maps else 1.0
     for off, wmap in zip(cfg.delta_p_offsets, maps):
         tag = f"dp_{off:+.2f}sigma".replace("+", "p").replace("-", "m")
-        out = out_dir / _name(cfg, f"delta_p_{tag}.csv")
-        arts.extend(_map_artifacts(wmap, out, fmt, f"DeltaP = {off} sigma"))
+        arts.extend(_map_artifacts(cfg, out_dir, fmt, f"delta_p_{tag}.csv",
+                                   wmap, f"DeltaP = {off} sigma"))
         flagged = flagged or bool(wmap.flag_counts())
         summary.append((off, wmap.scale, wmap.scale / base_scale,
                         math.exp(-float(off) ** 2)))
-    out = out_dir / _name(cfg, "delta_p_summary.csv")
-    _write_csv(out, [f"sigma: {cfg.sigma}"],
-               ["offset_sigma", "raw_scale", "intensity_ratio",
-                "gaussian_expected"], summary)
-    arts.append(out)
+    arts.extend(_table(cfg, out_dir, fmt, "delta_p_summary.csv",
+                       [f"sigma: {cfg.sigma}"],
+                       ["offset_sigma", "raw_scale", "intensity_ratio",
+                        "gaussian_expected"], summary))
     return arts, flagged
 
 
@@ -596,37 +542,30 @@ def _study_snapshot(cfg, out_dir, fmt, workers):
         grid = MapGrid.centered(cfg.grid_extent, cfg.grid_extent,
                                 cfg.grid_nx, cfg.grid_ny, cfg.grid_z)
     snap = near_field_snapshot(scenario, grid, cfg.snapshot_t)
-    out = out_dir / _name(cfg, "snapshot.csv")
-    snap.to_csv(out)
-    arts = [out]
-    if fmt == "csv+svg":
-        svg = out.with_suffix(".svg")
-        svgplot.heatmap_svg(svg, snap.values,
-                            (grid.x_min, grid.x_max, grid.y_min, grid.y_max),
-                            title="electron packet snapshot",
-                            xlabel="X [lambda_c]", ylabel="Y [lambda_c]",
-                            signed=False)
-        arts.append(svg)
-    return arts, False
+    return _map_artifacts(cfg, out_dir, fmt, "snapshot.csv", snap,
+                          "electron packet snapshot", signed=False), False
 
 
 def _name(cfg: ScenarioConfig, suffix: str) -> str:
     return f"{cfg.out_prefix}_{suffix}" if cfg.out_prefix else suffix
 
 
-# study name -> runner(cfg, out_dir, fmt, workers) -> (artifacts, flagged)
-_RUNNERS = {
-    "spreading-time": _study_spreading_time,
-    "singular-angles": _study_singular_angles,
-    "correlation-radius": _study_correlation_radius,
-    "flash-duration": _study_flash_duration,
-    "arrival-shift": _study_arrival_shift,
-    "dispersion-scan": _study_dispersion_scan,
-    "wigner-map": _study_wigner_map,
-    "delta-p-scan": _study_delta_p_scan,
-    "snapshot": _study_snapshot,
+# study -> (runner(cfg, out_dir, fmt, workers) -> (artifacts, flagged),
+#           the sweep.variable values it takes, the config keys it requires);
+# a study that sweeps also requires sweep.variable, .start and .stop
+_STUDIES = {
+    "spreading-time": (_study_spreading_time, ("theta-k",), ()),
+    "singular-angles": (_study_singular_angles, (), ()),
+    "correlation-radius": (_study_correlation_radius, ("theta-r", "phi-r"),
+                           ()),
+    "flash-duration": (_study_flash_duration, ("sigma",), ()),
+    "arrival-shift": (_study_arrival_shift, ("theta-k", "n"), ("p-perp",)),
+    "dispersion-scan": (_study_dispersion_scan, ("d-param",), ("p-perp",)),
+    "wigner-map": (_study_wigner_map, (), ("t-out",)),
+    "delta-p-scan": (_study_delta_p_scan, (), ("t-out",)),
+    "snapshot": (_study_snapshot, (), ()),
 }
-STUDIES = tuple(_RUNNERS)
+STUDIES = tuple(_STUDIES)
 
 
 def run_study(cfg: ScenarioConfig, out_dir=".", fmt: str = "csv",
@@ -636,7 +575,7 @@ def run_study(cfg: ScenarioConfig, out_dir=".", fmt: str = "csv",
     out_dir.mkdir(parents=True, exist_ok=True)
     if fmt not in ("csv", "csv+svg"):
         raise ValidationError(f"format: {fmt!r} not csv or csv+svg")
-    return _RUNNERS[cfg.study](cfg, out_dir, fmt, workers)
+    return _STUDIES[cfg.study][0](cfg, out_dir, fmt, workers)
 
 
 def main(argv=None) -> int:

@@ -202,14 +202,8 @@ def spreading_times(geom: EmissionGeometry, packet: ElectronPacket,
     strengths unless ``dispersive`` forces it; singular angles show up as
     inv_t_d = 0, never as overflow.
     """
-    dispersive, d, e = _resolve_branch(medium, geom.omega, dispersive)
-    n = medium.index(geom.omega)[0]
-    a, b, uk_mag = dispersion_coefficients(n, geom.omega, geom.epsilon, d, e)
-    u_p, u_k = _velocities(geom, uk_mag)
-    diff = u_p - u_k
-    cross = np.cross(u_p, u_k)
-    return _spread_from_coeffs(a, b, packet.sigma, float(diff @ diff),
-                               float(cross @ cross), dispersive)
+    return PhaseSpaceKernel.from_geometry(geom, packet, medium,
+                                          dispersive).spread
 
 
 def spread_times_at_angle(beta: float, n: float, omega: float, epsilon: float,
@@ -288,8 +282,6 @@ class PhaseSpaceKernel:
         self.cross = np.cross(self.u_p, self.u_k)
         self.cc = float(self.diff @ self.diff)
         self.dd = float(self.cross @ self.cross)
-        if self.cc < 1e-28:
-            raise MachConeDegenerate("|u_p - u_k| ~ 0: WKB turning point")
         self.spread = _spread_from_coeffs(a, b, sigma, self.cc, self.dd,
                                           dispersive)
 
@@ -406,8 +398,6 @@ def correlation_geometry(geom: EmissionGeometry, packet: ElectronPacket,
     if r2 == 0.0:
         raise ValueError("R must be non-zero (direction defines the scales)")
     kernel = PhaseSpaceKernel.from_geometry(geom, packet, medium, dispersive)
-    if kernel.cc < 1e-28:
-        raise MachConeDegenerate("|u_p - u_k| ~ 0")
     exponent = complex(kernel.exponent_complex(float(t_prime), R))
     re_unit = exponent.real / r2
     im_unit = exponent.imag / r2

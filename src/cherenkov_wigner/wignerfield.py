@@ -248,11 +248,11 @@ class _Context:
         self.kernel = PhaseSpaceKernel.from_geometry(
             self.geom, scenario.packet, scenario.medium, scenario.dispersive)
         sigma = scenario.packet.sigma
-        n = scenario.medium.index(scenario.omega)[0]
+        self.n = n = scenario.medium.index(scenario.omega)[0]
         m2 = _mod_squared(self.geom, scenario.lambda_gamma)
         eps = self.geom.epsilon
         eps_p = self.geom.epsilon_prime
-        dp = scenario.delta_p()
+        self.delta_p = dp = (self.geom.p - scenario.packet.mean_momentum).mag
         self.prefactor = (
             (2.0 * math.sqrt(math.pi) / sigma) ** 3 * math.sqrt(4.0 * math.pi)
             * (1.0 + n * n) / (2.0 * n * n) ** 2 / (4.0 * eps * eps_p)
@@ -432,12 +432,17 @@ def default_grid(scenario: EmissionScenario, nx: int = 128, ny: int = 128,
                  padding: float = 4.0, z: float = 0.0) -> MapGrid:
     """Grid extents of +-padding * R_eff(t_out) per axis (capped at the
     electron flight distance beta * t_out) around the packet center."""
-    ctx = _Context(scenario)
-    cap = max(ctx.geom.beta, float(np.linalg.norm(ctx.kernel.u_k)))
-    cap *= scenario.t_out
+    return _context_grid(_Context(scenario), nx, ny, padding, z)
+
+
+def _context_grid(ctx: _Context, nx: int = 128, ny: int = 128,
+                  padding: float = 4.0, z: float = 0.0) -> MapGrid:
+    """``default_grid`` of the context's scenario."""
+    t_out = ctx.scenario.t_out
+    cap = max(ctx.geom.beta, float(np.linalg.norm(ctx.kernel.u_k))) * t_out
     halves = []
     for axis in (np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])):
-        expo = complex(ctx.kernel.exponent_complex(scenario.t_out, axis))
+        expo = complex(ctx.kernel.exponent_complex(t_out, axis))
         r_eff = math.inf if expo.real >= 0 else 1.0 / math.sqrt(-expo.real)
         halves.append(min(padding * r_eff, cap))
     return MapGrid.centered(halves[0], halves[1], nx, ny, z)
@@ -495,11 +500,11 @@ def evaluate_map(scenario: EmissionScenario, grid: Optional[MapGrid] = None,
     ``workers`` processes (default from CHR_WORKERS, else serial); the
     output is deterministic and independent of the worker count.
     """
-    if grid is None:
-        grid = default_grid(scenario)
     if workers is None:
         workers = _env_workers()
     ctx = _Context(scenario, prefactor_scale)
+    if grid is None:
+        grid = _context_grid(ctx)
     if abs_tol is None:
         abs_tol = ctx.map_abs_tol(grid, rel_tol, max_panels)
     tols = (rel_tol, abs_tol, max_panels)
@@ -517,23 +522,21 @@ def evaluate_map(scenario: EmissionScenario, grid: Optional[MapGrid] = None,
     if scale > 0.0:
         values = values / scale
         errors = errors / scale
-    meta = _scenario_meta(scenario)
     return WignerMap(grid=grid, values=values, scale=scale, flags=flags,
-                     error_estimates=errors, meta=meta)
+                     error_estimates=errors, meta=_scenario_meta(ctx))
 
 
-def _scenario_meta(scenario: EmissionScenario) -> dict:
-    geom = scenario.geometry()
-    n = scenario.medium.index(scenario.omega)[0]
+def _scenario_meta(ctx: _Context) -> dict:
+    scenario = ctx.scenario
     return {
-        "beta": geom.beta,
-        "n": n,
+        "beta": ctx.geom.beta,
+        "n": ctx.n,
         "omega": scenario.omega,
         "sigma": scenario.packet.sigma,
         "theta_k": scenario.theta_k,
         "phi_k": scenario.phi_k,
         "t_out": scenario.t_out,
-        "delta_p": scenario.delta_p(),
+        "delta_p": ctx.delta_p,
         "lambda_gamma": scenario.lambda_gamma or "sum",
     }
 

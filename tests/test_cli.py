@@ -1,9 +1,12 @@
 import math
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 from conftest import ICE_TABLE
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cherenkov_wigner import cli
 from cherenkov_wigner.cli import (ParseError, ScenarioConfig, ValidationError,
@@ -13,7 +16,9 @@ from cherenkov_wigner.observables import spread_times_at_angle
 from cherenkov_wigner.units import (IncompatibleDimensions, UnitContext,
                                     convert_units)
 
-CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+ROOT = Path(__file__).resolve().parents[1]
+CONFIG_DIR = ROOT / "configs"
+BUNDLED = sorted(CONFIG_DIR.glob("*.cfg"))
 
 
 def write_config(tmp_path, text, name="study.cfg"):
@@ -77,6 +82,29 @@ def test_validation_requires_sweep(tmp_path):
         parse_config(path)
 
 
+@pytest.mark.parametrize("study,variable", [("spreading-time", "omega"),
+                                            ("arrival-shift", "t-out"),
+                                            ("wigner-map", "theta-k")])
+def test_validation_rejects_a_variable_the_study_does_not_sweep(
+        tmp_path, capsys, study, variable):
+    path = write_config(tmp_path, MINIMAL_SPREADING.replace(
+        "spreading-time", study).replace("theta-k", variable)
+        + "p-perp = 1e-5\nt-out = 1e6\n")
+    with pytest.raises(ValidationError, match="sweep.variable"):
+        parse_config(path)
+    assert cli.main([study, "--config", str(path),
+                     "--out-dir", str(tmp_path / "out")]) == 1
+    assert "config error: sweep.variable" in capsys.readouterr().err
+
+
+def test_readme_lists_each_study_sweep():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    for study, (_, sweeps, _) in cli._STUDIES.items():
+        if sweeps:
+            assert re.search(rf"^ +{study} +{' [|] '.join(sweeps)}$", readme,
+                             re.M), study
+
+
 def test_validation_map_requires_t_out(tmp_path):
     path = write_config(tmp_path, """
 study = wigner-map
@@ -90,8 +118,9 @@ theta-k = 43.82
         parse_config(path)
 
 
-def test_config_round_trip(tmp_path):
-    cfg = parse_config(write_config(tmp_path, MINIMAL_SPREADING))
+@pytest.mark.parametrize("config", BUNDLED, ids=lambda p: p.name)
+def test_config_round_trip(tmp_path, config):
+    cfg = parse_config(config)
     canon = write_config(tmp_path, cfg.canonical_text(), "canon.cfg")
     cfg2 = parse_config(canon)
     for field in ScenarioConfig.__dataclass_fields__:
@@ -273,7 +302,12 @@ def test_map_study_rejects_bad_chr_workers(tmp_path, monkeypatch, capsys,
 
 @pytest.mark.parametrize("key,text", [
     ("sigma", "sigma = nan\n"), ("omega", "omega = inf\n"),
-    ("t-out", "t-out = nan\n")])
+    ("t-out", "t-out = nan\n"), ("medium.n", "medium.n = nan\n"),
+    ("medium.n", "medium.n = -1\n"), ("medium.n", "medium.n = 0\n"),
+    ("medium.d", "medium.d = inf\n"), ("medium.e", "medium.e = nan\n"),
+    ("sweep.start", "sweep.start = nan\n"),
+    ("sweep.stop", "sweep.stop = -inf\n"), ("branch", "branch = 2\n"),
+    ("branch", "branch = 0\n"), ("medium.table", "medium.table = .\n")])
 def test_non_finite_inputs_are_config_errors(tmp_path, capsys, key, text):
     body = "\n".join(line for line in SMALL_MAP.splitlines()
                      if not line.startswith(key + " "))
@@ -283,6 +317,34 @@ def test_non_finite_inputs_are_config_errors(tmp_path, capsys, key, text):
     assert cli.main(["wigner-map", "--config", str(path),
                      "--out-dir", str(tmp_path / "out")]) == 1
     assert "config error" in capsys.readouterr().err
+
+
+HOSTILE = ("", ".", "nan", "-1", "0", "1e400", "abc")
+VALID = {"beta": "0.99", "sigma": "1e-4", "omega": "1e-5", "t-out": "1e6",
+         "p-perp": "1e-5", "medium.n": "1.5", "sweep.start": "10",
+         "sweep.stop": "20", "sweep.samples": "3", "grid.nx": "2",
+         "grid.ny": "2"}
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(study=st.sampled_from(cli.STUDIES),
+       hostile=st.dictionaries(st.sampled_from(sorted(cli._KEYS)),
+                               st.sampled_from(HOSTILE), max_size=3))
+@example(study="singular-angles", hostile={"medium.table": "."})
+def test_parser_raises_only_config_errors(tmp_path_factory, study, hostile):
+    # a valid config of the study with up to three keys given hostile values
+    values = dict(VALID, study=study)
+    sweeps = cli._STUDIES[study][1]
+    if sweeps:
+        values["sweep.variable"] = sweeps[0]
+    values.update(hostile)
+    path = tmp_path_factory.mktemp("fuzz") / "study.cfg"
+    path.write_text("".join(f"{k} = {v}\n" for k, v in values.items()),
+                    encoding="utf-8")
+    try:
+        parse_config(path)
+    except (ParseError, ValidationError):
+        pass
 
 
 def test_threshold_check_reads_the_table_index(tmp_path, capsys):
@@ -326,8 +388,7 @@ def test_cli_main_error_on_bad_config(tmp_path):
     assert cli.main(["spreading-time", "--config", str(path)]) == 1
 
 
-@pytest.mark.parametrize("config", sorted(CONFIG_DIR.glob("*.cfg")),
-                         ids=lambda p: p.name)
+@pytest.mark.parametrize("config", BUNDLED, ids=lambda p: p.name)
 def test_bundled_configs_run(config, tmp_path):
     cfg = parse_config(config)
     artifacts, flagged = run_study(cfg, tmp_path, "csv+svg")
