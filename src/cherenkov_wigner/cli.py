@@ -6,7 +6,7 @@ Usage:  chr <study> --config <path> [--out-dir DIR] [--workers N]
         [--format csv|csv+svg]
 
 Exit codes: 0 success, 2 completed with warnings (WKB or quadrature
-flags), 1 error.
+flags, one stderr line per raised flag), 1 error.
 """
 
 from __future__ import annotations
@@ -14,7 +14,8 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass, fields
+from collections import Counter
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -227,6 +228,12 @@ def _validate(values: dict, path: Path) -> ScenarioConfig:
         raise ValidationError(f"branch: must be +1 or -1, got {cfg.branch}")
     if cfg.sweep_scale not in ("linear", "log"):
         raise ValidationError("sweep.scale: linear or log")
+    if cfg.sweep_scale == "log":
+        for key in ("sweep.start", "sweep.stop"):
+            value = getattr(cfg, _KEYS[key][0])
+            if value is not None and value <= 0:
+                raise ValidationError(f"{key}: must be positive with "
+                                      f"sweep.scale = log, got {value!r}")
     if cfg.grid_nx < 1 or cfg.grid_ny < 1:
         raise ValidationError("grid.nx/grid.ny: must be >= 1")
 
@@ -303,7 +310,7 @@ def _study_spreading_time(cfg, out_dir, fmt, workers):
                    f"sigma: {cfg.sigma}"],
                   ["theta_k_deg", "t_d_ps", "inv_t_d_per_tc", "t_d_tilde_ps"],
                   rows, series=(2,), title="inverse spreading time",
-                  xlabel="theta_k [deg]", ylabel="1/t_d [1/t_c]"), False
+                  xlabel="theta_k [deg]", ylabel="1/t_d [1/t_c]"), {}
 
 
 def _study_singular_angles(cfg, out_dir, fmt, workers):
@@ -325,7 +332,7 @@ def _study_singular_angles(cfg, out_dir, fmt, workers):
                   [f"beta: {cfg.beta}", f"n: {n}", f"omega: {cfg.omega}"],
                   ["theta_lo_rad", "theta_hi_rad", "width_rad",
                    "width_approx_rad", "root_lo_rad", "root_hi_rad"],
-                  [(lo, hi, width, approx, root_lo, root_hi)]), False
+                  [(lo, hi, width, approx, root_lo, root_hi)]), {}
 
 
 def _study_correlation_radius(cfg, out_dir, fmt, workers):
@@ -351,24 +358,25 @@ def _study_correlation_radius(cfg, out_dir, fmt, workers):
                    "r_eff_lambda_c", "inv_r_im_sq"], rows, series=(1,),
                   title="correlation radius",
                   xlabel=cfg.sweep_variable + " [deg]",
-                  ylabel="R_eff [lambda_c]"), False
+                  ylabel="R_eff [lambda_c]"), {}
 
 
 def _study_flash_duration(cfg, out_dir, fmt, workers):
-    n = cfg.medium().index(cfg.omega)[0]
-    theta = cfg.theta_k if cfg.theta_k is not None else \
-        cherenkov_angle_classical(cfg.beta, n)
+    scenario = _balance_scenario(cfg, t_out=1.0)
+    geom = scenario.geometry()
     rows = []
     for sig in _sweep_values(cfg):
-        cc = 1.0 / n ** 2 + cfg.beta ** 2 - 2 * cfg.beta * math.cos(theta) / n
-        dd = (cfg.beta * math.sin(theta) / n) ** 2
-        sigma_t = math.sqrt((1.0 / sig ** 2) / 2.0 * cc / dd)
+        packet = replace(scenario.packet, sigma=sig)
+        sigma_t = observables.PhaseSpaceKernel.from_geometry(
+            geom, packet, scenario.medium).sigma_t(0.0)
         rows.append((sig, sigma_t, convert_units(sigma_t, "t_c", "as"),
                      convert_units(sigma_t, "t_c", "fs")))
+    n = scenario.medium.index(cfg.omega)[0]
     return _table(cfg, out_dir, fmt, "flash_duration.csv",
-                  [f"beta: {cfg.beta}", f"n: {n}", f"theta_k_rad: {theta}"],
+                  [f"beta: {cfg.beta}", f"n: {n}",
+                   f"theta_k_rad: {scenario.theta_k}"],
                   ["sigma_me", "sigma_t_tc", "sigma_t_as", "sigma_t_fs"],
-                  rows), False
+                  rows), {}
 
 
 def _arrival_shift_row(cfg, medium, n, theta_k):
@@ -399,7 +407,6 @@ def _arrival_shift_row(cfg, medium, n, theta_k):
 
 
 def _study_arrival_shift(cfg, out_dir, fmt, workers):
-    flagged = False
     rows = []
     medium = cfg.medium()
     for v in _sweep_values(cfg):
@@ -415,8 +422,6 @@ def _study_arrival_shift(cfg, out_dir, fmt, workers):
             rows.append((v, math.nan, math.nan, math.nan, 0))
             continue
         stats, flags = got
-        if flags:
-            flagged = True
         rows.append((v, stats.delta_t, stats.sigma_t, stats.t_0, int(flags)))
     return _table(cfg, out_dir, fmt, "arrival_shift.csv",
                   [f"beta: {cfg.beta}", f"omega: {cfg.omega}",
@@ -425,7 +430,8 @@ def _study_arrival_shift(cfg, out_dir, fmt, workers):
                    "sigma_t_tc", "t_0_tc", "flags"], rows, series=(1, 2),
                   title="photon arrival-time shift",
                   xlabel=cfg.sweep_variable, ylabel="time [t_c]",
-                  labels=["delta_t", "sigma_t"]), flagged
+                  labels=["delta_t", "sigma_t"]), \
+        observables.count_flags([row[-1] for row in rows])
 
 
 def _study_dispersion_scan(cfg, out_dir, fmt, workers):
@@ -433,7 +439,6 @@ def _study_dispersion_scan(cfg, out_dir, fmt, workers):
         10.0 * math.pi / 180.0
     n = cfg.medium().index(cfg.omega)[0]
     rows = []
-    flagged = False
     for d in _sweep_values(cfg):
         medium = AnalyticMedium.from_dispersion_params(
             n, cfg.omega, d, cfg.medium_e)
@@ -445,13 +450,11 @@ def _study_dispersion_scan(cfg, out_dir, fmt, workers):
             rows.append((d, math.nan, math.nan, 0))
             continue
         stats, flags = got
-        if flags:
-            flagged = True
         rows.append((d, stats.delta_t, stats.sigma_t, int(flags)))
     return _table(cfg, out_dir, fmt, "dispersion_scan.csv",
                   [f"beta: {cfg.beta}", f"n: {n}", f"theta_k_rad: {theta_k}"],
                   ["d_param", "delta_t_tc", "sigma_t_tc", "flags"],
-                  rows), flagged
+                  rows), observables.count_flags([row[-1] for row in rows])
 
 
 def _balance_scenario(cfg: ScenarioConfig, t_out=None) -> EmissionScenario:
@@ -497,7 +500,7 @@ def _study_wigner_map(cfg, out_dir, fmt, workers):
     wmap = evaluate_map(scenario, grid, workers=workers)
     return (_map_artifacts(cfg, out_dir, fmt, "wigner_map.csv", wmap,
                            "Wigner function (normalized)"),
-            bool(wmap.flag_counts()))
+            wmap.flag_counts())
 
 
 def _study_delta_p_scan(cfg, out_dir, fmt, workers):
@@ -506,21 +509,21 @@ def _study_delta_p_scan(cfg, out_dir, fmt, workers):
     offsets = tuple(o * cfg.sigma for o in cfg.delta_p_offsets)
     maps = delta_p_scan(scenario, offsets, grid=grid, workers=workers)
     arts = []
-    flagged = False
+    flags = Counter()
     summary = []
     base_scale = maps[0].scale if maps else 1.0
     for off, wmap in zip(cfg.delta_p_offsets, maps):
         tag = f"dp_{off:+.2f}sigma".replace("+", "p").replace("-", "m")
         arts.extend(_map_artifacts(cfg, out_dir, fmt, f"delta_p_{tag}.csv",
                                    wmap, f"DeltaP = {off} sigma"))
-        flagged = flagged or bool(wmap.flag_counts())
+        flags.update(wmap.flag_counts())
         summary.append((off, wmap.scale, wmap.scale / base_scale,
                         math.exp(-float(off) ** 2)))
     arts.extend(_table(cfg, out_dir, fmt, "delta_p_summary.csv",
                        [f"sigma: {cfg.sigma}"],
                        ["offset_sigma", "raw_scale", "intensity_ratio",
                         "gaussian_expected"], summary))
-    return arts, flagged
+    return arts, dict(flags)
 
 
 def _study_snapshot(cfg, out_dir, fmt, workers):
@@ -543,16 +546,18 @@ def _study_snapshot(cfg, out_dir, fmt, workers):
                                 cfg.grid_nx, cfg.grid_ny, cfg.grid_z)
     snap = near_field_snapshot(scenario, grid, cfg.snapshot_t)
     return _map_artifacts(cfg, out_dir, fmt, "snapshot.csv", snap,
-                          "electron packet snapshot", signed=False), False
+                          "electron packet snapshot", signed=False), {}
 
 
 def _name(cfg: ScenarioConfig, suffix: str) -> str:
     return f"{cfg.out_prefix}_{suffix}" if cfg.out_prefix else suffix
 
 
-# study -> (runner(cfg, out_dir, fmt, workers) -> (artifacts, flagged),
+# study -> (runner(cfg, out_dir, fmt, workers) -> (artifacts, flags),
 #           the sweep.variable values it takes, the config keys it requires);
-# a study that sweeps also requires sweep.variable, .start and .stop
+# flags maps each raised WKB/quadrature flag to the number of sweep samples
+# (or, for a study that does not sweep, map nodes) that carry it.  A study
+# that sweeps also requires sweep.variable, .start and .stop
 _STUDIES = {
     "spreading-time": (_study_spreading_time, ("theta-k",), ()),
     "singular-angles": (_study_singular_angles, (), ()),
@@ -570,7 +575,9 @@ STUDIES = tuple(_STUDIES)
 
 def run_study(cfg: ScenarioConfig, out_dir=".", fmt: str = "csv",
               workers: int | None = None):
-    """Run the configured study; returns (artifact paths, flagged)."""
+    """Run the configured study; returns (artifact paths, flags), flags
+    being {flag name: samples or nodes that carry it} for each raised
+    flag."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     if fmt not in ("csv", "csv+svg"):
@@ -597,8 +604,8 @@ def main(argv=None) -> int:
             raise ValidationError(
                 f"study: config says {cfg.study!r}, command line says "
                 f"{args.study!r}")
-        artifacts, flagged = run_study(cfg, args.out_dir, args.fmt,
-                                       args.workers)
+        artifacts, flags = run_study(cfg, args.out_dir, args.fmt,
+                                     args.workers)
     except (ParseError, ValidationError) as exc:
         print(f"chr: config error: {exc}", file=sys.stderr)
         return 1
@@ -607,7 +614,11 @@ def main(argv=None) -> int:
         return 1
     for art in artifacts:
         print(art)
-    return 2 if flagged else 0
+    unit = "sample" if _STUDIES[cfg.study][1] else "node"
+    for name, count in flags.items():
+        print(f"chr: warning: {name} flag on {count} {unit}"
+              f"{'s' * (count != 1)}", file=sys.stderr)
+    return 2 if flags else 0
 
 
 if __name__ == "__main__":

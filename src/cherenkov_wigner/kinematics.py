@@ -270,8 +270,9 @@ class ElectronPacket:
     phase_model: Optional[Callable] = None
 
     def __post_init__(self):
-        if self.sigma <= 0:
-            raise ValueError("sigma must be positive")
+        if not (math.isfinite(self.sigma) and self.sigma > 0):
+            raise ValueError(
+                f"sigma must be finite and positive, got {self.sigma!r}")
         if self.helicity not in (0.5, -0.5):
             raise ValueError("helicity must be +-1/2")
         if self.sigma > 0.1:

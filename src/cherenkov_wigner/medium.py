@@ -15,7 +15,6 @@ from pathlib import Path
 from typing import Callable, Tuple
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 __all__ = [
     "MediumModel",
@@ -76,8 +75,9 @@ class ConstantMedium(MediumModel):
     """Dispersionless medium with fixed refractive index."""
 
     def __init__(self, n: float):
-        if n <= 0:
-            raise ValueError("refractive index must be positive")
+        if not (math.isfinite(n) and n > 0):
+            raise ValueError(
+                f"refractive index must be finite and positive, got {n!r}")
         self.n = float(n)
 
     def index(self, omega: float) -> Tuple[float, float, float]:
@@ -123,7 +123,9 @@ class AnalyticMedium(MediumModel):
 class TabulatedMedium(MediumModel):
     """Natural cubic spline through sampled (omega_i, n_i) pairs.
 
-    Samples must be strictly increasing in omega, with at least 4 points.
+    Samples must be finite, strictly increasing in omega, with at least 4
+    points.  Between knots omega_i and omega_i+1 the spline is the cubic
+    n_i + b_i t + c_i t^2 + d_i t^3 in t = omega - omega_i.
     """
 
     def __init__(self, omegas, ns):
@@ -133,15 +135,32 @@ class TabulatedMedium(MediumModel):
             raise TableFormatError("omega and n arrays must be 1-D, same length")
         if len(omegas) < 4:
             raise TableFormatError("need at least 4 samples")
+        if not (np.all(np.isfinite(omegas)) and np.all(np.isfinite(ns))):
+            raise TableFormatError("omega and n samples must be finite")
         if np.any(np.diff(omegas) <= 0):
             raise TableFormatError("omega samples must be strictly increasing")
         if np.any(ns <= 0):
             raise TableFormatError("refractive index must be positive")
         self.omegas = omegas
         self.ns = ns
-        self._spline = CubicSpline(omegas, ns, bc_type="natural")
-        self._d1 = self._spline.derivative(1)
-        self._d2 = self._spline.derivative(2)
+        h = np.diff(omegas)
+        slope = np.diff(ns) / h
+        # knot second derivatives m: natural ends m_0 = m_last = 0, interior
+        # h_i-1 m_i-1 + 2 (h_i-1 + h_i) m_i + h_i m_i+1 = 6 (slope_i - slope_i-1)
+        # solved by forward elimination and back substitution (the system
+        # is diagonally dominant, so no pivoting is needed)
+        diag = 2.0 * (h[:-1] + h[1:])
+        rhs = 6.0 * np.diff(slope)
+        for i in range(1, len(diag)):
+            w = h[i] / diag[i - 1]
+            diag[i] -= w * h[i]
+            rhs[i] -= w * rhs[i - 1]
+        m = np.zeros_like(ns)
+        for i in range(len(diag) - 1, -1, -1):
+            m[i + 1] = (rhs[i] - h[i + 1] * m[i + 2]) / diag[i]
+        self._b = slope - h * (2.0 * m[:-1] + m[1:]) / 6.0
+        self._c = 0.5 * m[:-1]
+        self._d = np.diff(m) / (6.0 * h)
 
     def domain(self):
         return (float(self.omegas[0]), float(self.omegas[-1]))
@@ -150,10 +169,14 @@ class TabulatedMedium(MediumModel):
         lo, hi = self.domain()
         if not (lo <= omega <= hi):
             raise OutOfDomain(f"omega={omega} outside table range [{lo}, {hi}]")
-        n = float(self._spline(omega))
+        i = min(int(np.searchsorted(self.omegas, omega, side="right")) - 1,
+                len(self.omegas) - 2)
+        t = omega - float(self.omegas[i])
+        b, c, d = float(self._b[i]), float(self._c[i]), float(self._d[i])
+        n = float(self.ns[i]) + t * (b + t * (c + t * d))
         if n <= 0:
             raise OutOfDomain(f"interpolated n({omega}) = {n} <= 0")
-        return n, float(self._d1(omega)), float(self._d2(omega))
+        return n, b + t * (2.0 * c + 3.0 * t * d), 2.0 * c + 6.0 * t * d
 
 
 def load_index_table(path) -> TabulatedMedium:
@@ -176,6 +199,9 @@ def load_index_table(path) -> TabulatedMedium:
                 n = float(parts[1])
             except ValueError as exc:
                 raise TableFormatError(f"{path}:{lineno}: {exc}") from None
+            if not (math.isfinite(w_ev) and math.isfinite(n)):
+                raise TableFormatError(
+                    f"{path}:{lineno}: non-finite value in {raw.strip()!r}")
             omegas.append(w_ev / EV_PER_ME)
             ns.append(n)
     if len(omegas) < 4:

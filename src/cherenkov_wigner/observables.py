@@ -50,6 +50,7 @@ __all__ = [
     "flash_stats",
     "formation_lengths",
     "wkb_flags",
+    "count_flags",
 ]
 
 
@@ -70,6 +71,19 @@ class WkbFlags(IntFlag):
     SMALL_ANGLE = 1       # theta_k below 1/gamma
     TURNING_POINT = 2     # |u_p - u_k| within 10 sigma
     QUAD_NONCONVERGED = 4
+
+
+def count_flags(flags) -> dict:
+    """{lower-case flag name: number of entries of ``flags`` that carry it}
+    for each flag that at least one entry carries."""
+    flags = np.asarray(flags, dtype=int)
+    counts = {}
+    for f in (WkbFlags.SMALL_ANGLE, WkbFlags.TURNING_POINT,
+              WkbFlags.QUAD_NONCONVERGED):
+        c = int(np.count_nonzero(flags & int(f)))
+        if c:
+            counts[f.name.lower()] = c
+    return counts
 
 
 @dataclass(frozen=True)

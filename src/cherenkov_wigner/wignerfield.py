@@ -30,7 +30,7 @@ from .kinematics import (ElectronPacket, EmissionGeometry, Momentum3, energy,
                          triangle_rules_hold, triangle_angles,
                          reconstruct_p_perp)
 from .medium import MediumModel
-from .observables import PhaseSpaceKernel, WkbFlags
+from .observables import PhaseSpaceKernel, WkbFlags, count_flags
 
 __all__ = [
     "EmissionScenario",
@@ -123,6 +123,10 @@ class MapGrid:
     def __post_init__(self):
         if self.nx < 1 or self.ny < 1:
             raise ValueError("grid must be non-empty")
+        for name in ("x_min", "x_max", "y_min", "y_max", "z"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"grid {name} must be finite, "
+                                 f"got {getattr(self, name)!r}")
 
     @classmethod
     def centered(cls, half_x: float, half_y: float, nx: int, ny: int,
@@ -153,13 +157,7 @@ class WignerMap:
     meta: dict = field(default_factory=dict)
 
     def flag_counts(self) -> dict:
-        counts = {}
-        for f in (WkbFlags.SMALL_ANGLE, WkbFlags.TURNING_POINT,
-                  WkbFlags.QUAD_NONCONVERGED):
-            c = int(np.count_nonzero(self.flags & int(f)))
-            if c:
-                counts[f.name.lower()] = c
-        return counts
+        return count_flags(self.flags)
 
     def to_csv(self, path) -> None:
         write_map_csv(path, self.grid, self.values, scale=self.scale,

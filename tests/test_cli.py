@@ -11,8 +11,10 @@ from hypothesis import strategies as st
 from cherenkov_wigner import cli
 from cherenkov_wigner.cli import (ParseError, ScenarioConfig, ValidationError,
                                   parse_config, run_study)
+from cherenkov_wigner.kinematics import (ElectronPacket, EmissionGeometry,
+                                         Momentum3, momentum_magnitude)
 from cherenkov_wigner.medium import EV_PER_ME, TabulatedMedium
-from cherenkov_wigner.observables import spread_times_at_angle
+from cherenkov_wigner.observables import flash_stats, spread_times_at_angle
 from cherenkov_wigner.units import (IncompatibleDimensions, UnitContext,
                                     convert_units)
 
@@ -442,3 +444,94 @@ sweep.samples = 3
     code = cli.main(["arrival-shift", "--config", str(path),
                      "--out-dir", str(tmp_path / "out")])
     assert code == 2
+
+
+def data_rows(csv):
+    return [l.split(",") for l in Path(csv).read_text().splitlines()
+            if not l.startswith("#")]
+
+
+FLASH = (CONFIG_DIR / "flash_duration.cfg").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("key,value", [
+    ("sweep.start", "0"), ("sweep.start", "-1e-7"), ("sweep.stop", "0"),
+    ("sweep.stop", "-1e-4")])
+def test_log_sweep_needs_positive_bounds(tmp_path, capsys, key, value):
+    text = "\n".join(line for line in FLASH.splitlines()
+                     if not line.startswith(key + " "))
+    path = write_config(tmp_path, text + f"\n{key} = {value}\n")
+    with pytest.raises(ValidationError, match=f"{key}: must be positive"):
+        parse_config(path)
+    assert cli.main(["flash-duration", "--config", str(path),
+                     "--out-dir", str(tmp_path / "out")]) == 1
+    assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("samples", [None, "0", "-2"])
+def test_sweep_needs_samples(tmp_path, samples):
+    text = MINIMAL_SPREADING.replace("sweep.samples = 13\n", "" if samples
+                                     is None else f"sweep.samples = {samples}\n")
+    with pytest.raises(ValidationError, match="sweep.samples"):
+        parse_config(write_config(tmp_path, text))
+
+
+def test_flash_duration_honours_medium_d(tmp_path):
+    # sigma_t comes from the kernel's group velocity 1/(n (1 + D)), as in
+    # flash_stats; D = 0.3 must move every row
+    plain = parse_config(write_config(tmp_path, FLASH, "plain.cfg"))
+    dispersive = parse_config(write_config(tmp_path, FLASH + "medium.d = 0.3\n",
+                                           "d.cfg"))
+    base = data_rows(run_study(plain, tmp_path / "plain")[0][0])
+    rows = data_rows(run_study(dispersive, tmp_path / "d")[0][0])
+    assert len(rows) == len(base) == 31
+    medium = dispersive.medium()
+    kmag = medium.index(1e-5)[0] * 1e-5
+    theta = math.acos(1.0 / (dispersive.beta * medium.index(1e-5)[0]))
+    # the study puts p on the z axis, where the amplitude phase gradient
+    # that flash_stats also takes is singular; sigma_t depends only on
+    # u_p, u_k and sigma, so the same geometry is built about the x axis
+    p = Momentum3(momentum_magnitude(dispersive.beta), 0.0, 0.0)
+    k = Momentum3(kmag * math.cos(theta), 0.0, kmag * math.sin(theta))
+    geom = EmissionGeometry.from_final_state(p - k, k, 1e-5)
+    for row, row0 in zip(rows, base):
+        sig, sigma_t = float(row[0]), float(row[1])
+        assert abs(sigma_t / float(row0[1]) - 1.0) > 1e-3
+        want = flash_stats(geom, ElectronPacket(p, sig), medium,
+                           np.zeros(3), 0.0).sigma_t
+        assert abs(sigma_t - want) <= 1e-14 * want
+
+
+def test_flagged_sweep_names_its_flags(tmp_path, capsys):
+    config = CONFIG_DIR / "fig06b_arrival_shift.cfg"
+    out = tmp_path / "out"
+    assert cli.main(["arrival-shift", "--config", str(config),
+                     "--out-dir", str(out)]) == 2
+    rows = data_rows(out / "fig06b_arrival_shift.csv")
+    small = sum(1 for r in rows if int(float(r[-1])) & 1)
+    turning = sum(1 for r in rows if int(float(r[-1])) & 2)
+    assert small > 0
+    expect = [f"chr: warning: small_angle flag on {small} sample"
+              + "s" * (small != 1)]
+    if turning:
+        expect.append(f"chr: warning: turning_point flag on {turning} samples")
+    assert capsys.readouterr().err.splitlines() == expect
+
+
+def test_flagged_map_names_its_flags(tmp_path, capsys):
+    # theta_k = 2 deg lies below 1/gamma = 8.1 deg at beta = 0.99, which
+    # flags every node of the 3x3 map
+    path = write_config(tmp_path, SMALL_MAP + "theta-k = 2\n")
+    assert cli.main(["wigner-map", "--config", str(path),
+                     "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert "chr: warning: small_angle flag on 9 nodes" in err
+    assert all(line.startswith("chr: warning: ") and "nodes" in line
+               for line in err)
+
+
+def test_clean_study_prints_no_warning(tmp_path, capsys):
+    path = write_config(tmp_path, MINIMAL_SPREADING)
+    assert cli.main(["spreading-time", "--config", str(path),
+                     "--out-dir", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().err == ""

@@ -220,6 +220,12 @@ def test_electron_packet_validation():
         ElectronPacket(Momentum3(0, 0, 1.0), 0.5)
 
 
+@pytest.mark.parametrize("sigma", [math.nan, math.inf, 0.0, -1e-4])
+def test_electron_packet_sigma_must_be_finite_and_positive(sigma):
+    with pytest.raises(ValueError, match="sigma must be finite"):
+        ElectronPacket(Momentum3(0, 0, 1.0), sigma)
+
+
 def test_geometry_momentum_balance_enforced():
     p = Momentum3(0, 0, 1.0)
     k = Momentum3(1e-5, 0, 1e-5)

@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -45,6 +49,12 @@ def test_constant_index():
     med = ConstantMedium(1.5)
     assert med.index(0.123) == (1.5, 0.0, 0.0)
     assert med.index(5.0) == (1.5, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("n", [math.nan, math.inf, -math.inf, 0.0, -1.5])
+def test_constant_index_must_be_finite_and_positive(n):
+    with pytest.raises(ValueError, match="refractive index"):
+        ConstantMedium(n)
 
 
 def test_constant_dispersion_params_vanish():
@@ -187,3 +197,69 @@ def test_loader_converts_ev(tmp_path):
     lo, hi = med.domain()
     assert abs(lo - 1.0 / EV_PER_ME) < 1e-20
     assert abs(med.index(2.5 / EV_PER_ME)[0] - 1.315) < 1e-3
+
+
+def test_tabulated_matches_scipy_cubic_spline():
+    # scipy serves only as a reference here; the library does not import it
+    interpolate = pytest.importorskip("scipy.interpolate")
+    med = load_index_table(ICE_TABLE)
+    ref = interpolate.CubicSpline(med.omegas, med.ns, bc_type="natural")
+    ws = np.linspace(med.omegas[0], med.omegas[-1], 100_001)
+    got = np.array([med.index(float(w)) for w in ws])
+    for order in range(3):
+        want = ref(ws, order)
+        err = np.max(np.abs(got[:, order] - want))
+        assert err <= 1e-14 * np.max(np.abs(want)), order
+
+
+@pytest.mark.parametrize("table", ["ice", "sine"])
+def test_tabulated_natural_end_conditions(table):
+    if table == "ice":
+        med = load_index_table(ICE_TABLE)
+    else:
+        ws = np.linspace(0.5, 3.0, 40)
+        med = TabulatedMedium(ws, 1.3 + 0.05 * np.sin(3.0 * ws))
+    lo, hi = med.domain()
+    curvature = max(abs(med.index(float(w))[2])
+                    for w in np.linspace(lo, hi, 2001))
+    assert curvature > 0.0
+    assert med.index(lo)[2] == 0.0
+    assert abs(med.index(hi)[2]) <= 1e-12 * curvature
+
+
+def test_tabulated_exact_on_linear_data():
+    # a natural spline through collinear samples is that line
+    ws = np.array([0.5, 0.6, 0.9, 1.0, 1.7, 2.2, 3.0])
+    med = TabulatedMedium(ws, 1.3 + 0.2 * ws)
+    for w in np.linspace(0.5, 3.0, 101):
+        n, n1, n2 = med.index(float(w))
+        assert abs(n - (1.3 + 0.2 * w)) <= 4e-16 * n
+        assert abs(n1 - 0.2) <= 1e-14
+        assert abs(n2) <= 1e-13
+
+
+@pytest.mark.parametrize("column", ["omega", "n"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_table_rejects_non_finite_entries(tmp_path, column, bad):
+    ws = [1.0, 2.0, 3.0, 4.0, 5.0]
+    ns = [1.30, 1.31, 1.32, 1.33, 1.34]
+    (ws if column == "omega" else ns)[2] = bad
+    with pytest.raises(TableFormatError, match="finite"):
+        TabulatedMedium(ws, ns)
+    table = tmp_path / "bad.csv"
+    table.write_text("# header\n" + "".join(
+        f"{w},{n}\n" for w, n in zip(ws, ns)))
+    with pytest.raises(TableFormatError, match=r":4: non-finite"):
+        load_index_table(table)
+
+
+def test_import_leaves_scipy_out():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = ("import sys, cherenkov_wigner; "
+             "print(sorted(m for m in sys.modules "
+             "if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -393,6 +393,16 @@ def test_scenario_validation():
                              omega=bad, theta_k=0.5, phi_k=0.0, t_out=1.0)
 
 
+@pytest.mark.parametrize("name", ["x_min", "x_max", "y_min", "y_max", "z"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_map_grid_extent_must_be_finite(name, bad):
+    extent = dict(x_min=-1.0, x_max=1.0, nx=3, y_min=-1.0, y_max=1.0, ny=3,
+                  z=0.0)
+    extent[name] = bad
+    with pytest.raises(ValueError, match=f"grid {name} must be finite"):
+        MapGrid(**extent)
+
+
 def test_central_value_nearest_node():
     sc = balance_scenario(sigma=1e-5, t_out=3e5)
     wmap = evaluate_map(sc, MapGrid.centered(3e4, 3e4, 9, 9))
