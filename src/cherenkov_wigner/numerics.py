@@ -48,6 +48,7 @@ class QuadratureResult:
     error_estimate: float
     panels_used: int
     converged: bool = True
+    rounds: int = 1
 
     def __post_init__(self):
         if self.error_estimate < 0 or self.panels_used < 1:
@@ -150,12 +151,14 @@ def _gk15_panels(f, lo, hi, rows=None):
 @dataclass(frozen=True)
 class BatchQuadrature:
     """Per-row results of ``integrate_batch``; ``panels_used`` counts the
-    panels of the mesh the rows share."""
+    panels of the mesh the rows share, and ``rounds`` the passes over it
+    (the start mesh is the first)."""
 
     values: np.ndarray
     error_estimates: np.ndarray
     converged: np.ndarray
     panels_used: int
+    rounds: int = 1
 
 
 def integrate_batch(
@@ -167,6 +170,7 @@ def integrate_batch(
     rel_tol: float = 1e-10,
     phase_rate_hint: float | None = None,
     max_panels: int = 4096,
+    knee: float | None = None,
 ) -> BatchQuadrature:
     """Integrate the k rows of f over [a, b] on one shared adaptive mesh of
     15-point Gauss-Kronrod panels.
@@ -183,6 +187,13 @@ def integrate_batch(
     oscillatory integrand; when given, the initial uniform subdivision uses
     panels no wider than pi / (2 * hint), i.e. at least four panels per
     oscillation period, before any adaptive bisection happens.
+
+    ``knee`` is the width of a boundary layer at ``a``: the scale on which
+    the integrand changes there, much shorter than the start panels.  When
+    knee/8 is less than half the first panel's width w, that panel is split
+    at a + w/2, a + w/4, ... for as long as the piece left at ``a`` stays
+    wider than knee/8, so the start mesh already resolves the layer that
+    bisection would otherwise reach one level per round.
 
     Rows that have not converged when the budget is spent keep their best
     estimate with ``converged`` False instead of raising.
@@ -202,8 +213,15 @@ def integrate_batch(
         n0 = int(min(max(1, math.ceil((b - a) / width)), max_panels // 2 + 1))
     edges = a + np.arange(n0 + 1) * ((b - a) / n0)
     edges[-1] = b
+    w = edges[1] - a
+    if knee is not None and 0.0 < knee / 8.0 < 0.5 * w:
+        levels = min(math.ceil(math.log2(8.0 * w) - math.log2(knee)) - 1,
+                     max_panels - n0)
+        graded = a + w * 2.0 ** -np.arange(levels, 0, -1)
+        edges = np.unique(np.concatenate([[a], graded, edges[1:]]))
     lo, hi = edges[:-1], edges[1:]
     vals, errs = _gk15_panels(f, lo, hi)
+    rounds = 1
 
     while True:
         total = np.sum(vals, axis=1)
@@ -232,8 +250,9 @@ def integrate_batch(
         hi = np.concatenate([hi[keep], new_hi])
         vals = np.concatenate([vals[:, keep], new_vals], axis=1)
         errs = np.concatenate([errs[:, keep], new_errs], axis=1)
+        rounds += 1
 
-    return BatchQuadrature(total, total_err, ~active, lo.size)
+    return BatchQuadrature(total, total_err, ~active, lo.size, rounds)
 
 
 def integrate_adaptive(
@@ -244,6 +263,7 @@ def integrate_adaptive(
     rel_tol: float = 1e-10,
     phase_rate_hint: float | None = None,
     max_panels: int = 4096,
+    knee: float | None = None,
 ) -> QuadratureResult:
     """Adaptively integrate a scalar f over [a, b]: the one-row case of
     ``integrate_batch``.  f may take an array of abscissae or a single
@@ -256,10 +276,10 @@ def integrate_adaptive(
     res = integrate_batch(
         lambda t: _eval_vectorized(f, t)[None, :], a, b, abs_tol=abs_tol,
         rel_tol=rel_tol, phase_rate_hint=phase_rate_hint,
-        max_panels=max_panels)
+        max_panels=max_panels, knee=knee)
     return QuadratureResult(float(res.values[0]),
                             float(res.error_estimates[0]), res.panels_used,
-                            bool(res.converged[0]))
+                            bool(res.converged[0]), res.rounds)
 
 
 def differentiate(f: Callable, x: float, spec: DiffSpec = DiffSpec()) -> float:

@@ -147,7 +147,9 @@ def _format_float(x: float) -> str:
 @dataclass
 class WignerMap:
     """Normalized map values (max |value| scaled to 1) with the raw scale
-    and per-node evaluation flags retained."""
+    and per-node evaluation flags retained; ``panels`` and ``rounds`` hold
+    each row quadrature's mesh size and refinement passes (not written to
+    the CSV)."""
 
     grid: MapGrid
     values: np.ndarray
@@ -155,6 +157,8 @@ class WignerMap:
     flags: np.ndarray
     error_estimates: Optional[np.ndarray] = None
     meta: dict = field(default_factory=dict)
+    panels: Optional[np.ndarray] = None
+    rounds: Optional[np.ndarray] = None
 
     def flag_counts(self) -> dict:
         return count_flags(self.flags)
@@ -298,9 +302,13 @@ class _Context:
     def _quad_options(self, rel_tol, abs_tol, max_panels) -> dict:
         if abs_tol is None:
             abs_tol = max(1e-10 * self.envelope_scale, 1e-300)
+        # the Gouy knee: the integrand's boundary layer at t' = 0
+        spread = self.kernel.spread
+        knee = min(abs(spread.t_d), abs(spread.t_d_tilde))
         return dict(abs_tol=abs_tol, rel_tol=rel_tol,
                     phase_rate_hint=self.phase_rate_hint,
-                    max_panels=max_panels)
+                    max_panels=max_panels,
+                    knee=knee if math.isfinite(knee) and knee > 0 else None)
 
     def _scaled(self, value, error, converged):
         """(value, error estimate, flags) with the prefactor applied."""
@@ -321,29 +329,41 @@ class _Context:
         return value, error, int(flags)
 
     def map_abs_tol(self, grid: "MapGrid", rel_tol: float,
-                    max_panels: int) -> float:
+                    max_panels: int):
         """Default absolute tolerance of a map's quadratures: rel_tol times
         the largest |integral| on the grid row nearest R = 0, a lower bound
         of the map's scale, so that every node lands within about rel_tol
-        of that scale; never below 1e-14 of the envelope integral."""
+        of that scale; never below 1e-14 of the envelope integral.
+
+        Returns (abs_tol, iy, row): the pilot row ``iy`` in the form of
+        ``nodes`` when it converged and each of its nodes already meets
+        that tolerance, else None."""
         iy = int(np.argmin(np.abs(grid.ys())))
-        res = numerics.integrate_batch(
-            self.integrand_for(_row_nodes(grid, iy)), 0.0,
-            self.scenario.t_out,
-            **self._quad_options(rel_tol, None, max_panels))
-        return max(rel_tol * float(np.max(np.abs(res.values))),
-                   1e-14 * self.envelope_scale)
+        res = self._batch(_row_nodes(grid, iy), rel_tol, None, max_panels)
+        abs_tol = max(rel_tol * float(np.max(np.abs(res.values))),
+                      1e-14 * self.envelope_scale)
+        met = res.converged.all() and np.all(
+            res.error_estimates
+            <= np.maximum(abs_tol, rel_tol * np.abs(res.values)))
+        return abs_tol, iy, (self._row(res) if met else None)
+
+    def _batch(self, R, rel_tol, abs_tol, max_panels):
+        return numerics.integrate_batch(
+            self.integrand_for(R), 0.0, self.scenario.t_out,
+            **self._quad_options(rel_tol, abs_tol, max_panels))
+
+    def _row(self, res):
+        value, error, flags = self._scaled(res.values, res.error_estimates,
+                                           res.converged)
+        return (value, error, flags.astype(np.uint16), res.panels_used,
+                res.rounds)
 
     def nodes(self, R, rel_tol: float, abs_tol: Optional[float],
               max_panels: int):
         """k nodes R of shape (k, 3) on one shared adaptive mesh: arrays of
-        values, error estimates and flags."""
-        res = numerics.integrate_batch(
-            self.integrand_for(R), 0.0, self.scenario.t_out,
-            **self._quad_options(rel_tol, abs_tol, max_panels))
-        value, error, flags = self._scaled(res.values, res.error_estimates,
-                                           res.converged)
-        return value, error, flags.astype(np.uint16)
+        values, error estimates and flags, then the mesh's panel count and
+        refinement rounds."""
+        return self._row(self._batch(R, rel_tol, abs_tol, max_panels))
 
 
 def integrand(scenario: EmissionScenario, R, t_prime):
@@ -494,34 +514,42 @@ def evaluate_map(scenario: EmissionScenario, grid: Optional[MapGrid] = None,
 
     Each grid row is one quadrature on a mesh shared by its nodes.  By
     default every node is held to about ``rel_tol`` of the map's scale
-    (see ``_Context.map_abs_tol``).  Rows are data-parallel across
-    ``workers`` processes (default from CHR_WORKERS, else serial); the
-    output is deterministic and independent of the worker count.
+    (see ``_Context.map_abs_tol``), and the pilot row that sets that
+    tolerance is kept when it already meets it.  Rows are data-parallel
+    across ``workers`` processes (default from CHR_WORKERS, else serial);
+    the output is deterministic and independent of the worker count.
     """
     if workers is None:
         workers = _env_workers()
     ctx = _Context(scenario, prefactor_scale)
     if grid is None:
         grid = _context_grid(ctx)
+    done = {}
     if abs_tol is None:
-        abs_tol = ctx.map_abs_tol(grid, rel_tol, max_panels)
+        abs_tol, iy, pilot = ctx.map_abs_tol(grid, rel_tol, max_panels)
+        if pilot is not None:
+            done[iy] = pilot
     tols = (rel_tol, abs_tol, max_panels)
+    todo = [iy for iy in range(grid.ny) if iy not in done]
     if workers <= 1:
-        rows = [_map_row(iy, ctx, grid, *tols) for iy in range(grid.ny)]
+        done.update((iy, _map_row(iy, ctx, grid, *tols)) for iy in todo)
     else:
         with ProcessPoolExecutor(
                 max_workers=workers, initializer=_init_worker,
                 initargs=(scenario, prefactor_scale, grid, *tols)) as pool:
-            rows = list(pool.map(_worker_row, range(grid.ny),
-                                 chunksize=max(1, grid.ny // (4 * workers))))
-    values, errors, flags = (np.array(part) for part in zip(*rows))
+            done.update(zip(todo, pool.map(
+                _worker_row, todo,
+                chunksize=max(1, len(todo) // (4 * workers)))))
+    values, errors, flags, panels, rounds = (
+        np.array(part) for part in zip(*(done[iy] for iy in range(grid.ny))))
 
     scale = float(np.max(np.abs(values)))
     if scale > 0.0:
         values = values / scale
         errors = errors / scale
     return WignerMap(grid=grid, values=values, scale=scale, flags=flags,
-                     error_estimates=errors, meta=_scenario_meta(ctx))
+                     error_estimates=errors, meta=_scenario_meta(ctx),
+                     panels=panels, rounds=rounds)
 
 
 def _scenario_meta(ctx: _Context) -> dict:

@@ -134,6 +134,38 @@ def test_batch_budget_flags_rows_separately(max_panels, hint):
     assert np.all(np.isfinite(res.values))
 
 
+def test_knee_grades_the_start_mesh():
+    # a Lorentzian of width tau at t = 0 on an interval 2.6e6 times longer:
+    # from one uniform panel, bisection reaches the layer one level per
+    # round; a start mesh graded down to tau/8 resolves it at once
+    tau, t_end = 0.39, 1e6
+    exact = tau * math.atan(t_end / tau)
+    f = lambda t: 1.0 / (1.0 + (t / tau) ** 2)
+    graded = integrate_adaptive(f, 0.0, t_end, knee=tau)
+    uniform = integrate_adaptive(f, 0.0, t_end)
+    for res in (graded, uniform):
+        assert res.converged
+        assert abs(res.value - exact) <= 1e-10 * exact
+    assert graded.rounds <= 2
+    assert uniform.rounds >= 10
+    batch = integrate_batch(lambda t: np.stack([f(t), -3.0 * f(t)]), 0.0,
+                            t_end, knee=tau)
+    assert batch.rounds <= 2 and batch.converged.all()
+    assert np.allclose(batch.values, [exact, -3.0 * exact], rtol=1e-10)
+
+
+@pytest.mark.parametrize("knee", [None, 0.0, -1.0, math.nan, math.inf, 5.0])
+def test_knee_leaves_the_mesh_alone_when_it_is_no_boundary_layer(knee):
+    # no knee, a non-finite or non-positive one, or one wider than four
+    # times the first panel keeps the uniform start mesh
+    f = lambda t: np.stack([np.exp(-t), np.cos(t)])
+    opts = dict(abs_tol=1e-12, rel_tol=1e-12, phase_rate_hint=2.0)
+    got = integrate_batch(f, 0.0, 3.0, knee=knee, **opts)
+    ref = integrate_batch(f, 0.0, 3.0, **opts)
+    assert np.array_equal(got.values, ref.values)
+    assert (got.panels_used, got.rounds) == (ref.panels_used, ref.rounds)
+
+
 def test_batch_empty_interval():
     res = integrate_batch(lambda x: np.stack([x, x]), 1.0, 1.0)
     assert res.values.tolist() == [0.0, 0.0]

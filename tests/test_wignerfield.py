@@ -1,8 +1,13 @@
 import math
+import string
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from conftest import balance_scenario
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cherenkov_wigner.kinematics import (ElectronPacket, Momentum3,
                                          momentum_magnitude)
@@ -10,12 +15,14 @@ from cherenkov_wigner.medium import ConstantMedium
 from cherenkov_wigner.observables import WkbFlags
 from cherenkov_wigner.wignerfield import (EmissionScenario, MapGrid,
                                           NonGaussianPhase, OffShell,
-                                          _Context, central_value,
+                                          _Context, _row_nodes,
+                                          central_value,
                                           default_grid, delta_p_scan,
                                           evaluate_map, evaluate_point,
                                           evaluate_point_reference,
                                           integrand, momentum_marginal_weight,
-                                          near_field_snapshot, read_map_csv)
+                                          near_field_snapshot, read_map_csv,
+                                          write_map_csv)
 
 
 def test_integrand_at_zero_time():
@@ -179,7 +186,7 @@ def test_point_is_the_one_node_row():
     sc = balance_scenario(sigma=1e-5, theta_frac=1.1, t_out=5e6)
     ctx = _Context(sc)
     R = np.array([3e4, -2e4, 0.0])
-    value, error, flags = ctx.nodes(R[None, :], 1e-10, None, 4096)
+    value, error, flags, *_ = ctx.nodes(R[None, :], 1e-10, None, 4096)
     assert (value[0], error[0], int(flags[0])) == evaluate_point(sc, R)
 
 
@@ -200,6 +207,57 @@ def test_map_determinism_and_csv_round_trip(tmp_path):
     assert float(meta["scale"]) == m1.scale
 
 
+_GRID_KEYS = {"x_min", "x_max", "nx", "y_min", "y_max", "ny", "z", "scale"}
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _map_csvs(draw):
+    nx, ny = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    grid = MapGrid(draw(_FINITE), draw(_FINITE), nx, draw(_FINITE),
+                   draw(_FINITE), ny, draw(_FINITE))
+    values = np.array(draw(st.lists(st.floats(allow_nan=False),
+                                    min_size=nx * ny, max_size=nx * ny)),
+                      dtype=float).reshape(ny, nx)
+    key = st.text(string.ascii_letters + string.digits + "_.-", min_size=1,
+                  max_size=12).filter(lambda k: k not in _GRID_KEYS
+                                      and not k.startswith("flag."))
+    value = st.one_of(
+        st.floats(), st.integers(),
+        st.text(string.ascii_letters + string.digits + string.punctuation
+                + " ", max_size=20).map(str.strip))
+    meta = draw(st.dictionaries(key, value, max_size=5))
+    flags = draw(st.dictionaries(st.sampled_from(["quad_nonconverged",
+                                                  "small_angle"]),
+                                 st.integers(0, 10 ** 6)))
+    return grid, values, draw(_FINITE), meta, flags
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(case=_map_csvs())
+@example(case=(MapGrid(-0.0, 1e-300, 2, -7.5, 3.0, 1, 5e-324),
+               np.array([[-0.0, math.inf]]), 2.5,
+               {"note": "t: 1e6 : x", "lambda_gamma": "sum"}, {}))
+def test_map_csv_round_trip_property(case):
+    # grids and bit patterns of the values survive, and every header line
+    # reads back as the text it was written from (a value may hold ':')
+    grid, values, scale, meta, flags = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "map.csv"
+        write_map_csv(path, grid, values, scale=scale, meta=meta,
+                      flag_counts=flags)
+        grid_back, values_back, meta_back = read_map_csv(path)
+    assert grid_back == grid
+    assert values_back.shape == values.shape
+    assert np.array_equal(values_back.view(np.uint64),
+                          values.view(np.uint64))
+    assert meta_back["scale"] == str(scale)
+    for key, val in meta.items():
+        assert meta_back[key] == str(val)
+    for name, count in flags.items():
+        assert meta_back[f"flag.{name}"] == str(count)
+
+
 def test_map_worker_independence():
     sc = balance_scenario(sigma=1e-5, t_out=3e5)
     grid = MapGrid.centered(3e4, 3e4, 5, 5)
@@ -207,6 +265,81 @@ def test_map_worker_independence():
     parallel = evaluate_map(sc, grid, workers=2)
     assert np.array_equal(serial.values, parallel.values)
     assert serial.scale == parallel.scale
+
+
+def fig10_scenario():
+    """The fig10 packet: sigma = 1e-2, so t_d~ = 0.39 against t_out = 1e6."""
+    return balance_scenario(sigma=1e-2, t_out=1e6)
+
+
+def test_fig10_rows_converge_on_the_graded_start_mesh():
+    # the start mesh is graded down to the Gouy knee, so no row spends
+    # rounds bisecting its way there (a uniform start takes ~22)
+    grid = MapGrid.centered(400.0, 400.0, 16, 16)
+    wmap = evaluate_map(fig10_scenario(), grid)
+    assert wmap.rounds.shape == wmap.panels.shape == (grid.ny,)
+    assert np.all(wmap.rounds <= 2)
+    assert np.all(wmap.panels >= 1)
+    assert not np.any(wmap.flags & int(WkbFlags.QUAD_NONCONVERGED))
+
+
+def test_fig10_map_matches_reference_at_every_node():
+    sc = fig10_scenario()
+    grid = MapGrid.centered(400.0, 400.0, 6, 6)
+    wmap = evaluate_map(sc, grid)
+    for iy, y in enumerate(grid.ys()):
+        for ix, x in enumerate(grid.xs()):
+            ref = evaluate_point_reference(sc, np.array([x, y, grid.z]))
+            assert (abs(wmap.values[iy, ix] * wmap.scale - ref.real)
+                    <= 1e-9 * wmap.scale)
+
+
+def _rows_without_reuse(sc, grid, rel_tol=1e-9, max_panels=4096):
+    """Raw map values with every row integrated under the map tolerance,
+    the pilot row included; also whether the pilot met that tolerance."""
+    ctx = _Context(sc)
+    abs_tol, _, pilot = ctx.map_abs_tol(grid, rel_tol, max_panels)
+    rows = [ctx.nodes(_row_nodes(grid, iy), rel_tol, abs_tol, max_panels)[0]
+            for iy in range(grid.ny)]
+    return np.array(rows), pilot is not None
+
+
+def test_pilot_row_reuse_matches_a_map_without_it():
+    sc = fig10_scenario()
+    grid = MapGrid.centered(400.0, 400.0, 8, 7)
+    wmap = evaluate_map(sc, grid)
+    raw, reused = _rows_without_reuse(sc, grid)
+    assert reused
+    assert np.max(np.abs(wmap.values * wmap.scale - raw)) <= 1e-9 * wmap.scale
+
+
+def test_pilot_row_that_misses_the_map_tolerance_is_integrated_again():
+    # at t_out = 5e7, 1.1 theta_Ch the integral cancels to ~4e-4 of Int
+    # dt'/G, so the pilot's 1e-10 Int dt'/G floor is far looser than the
+    # map tolerance it sets
+    sc = balance_scenario(sigma=1e-5, theta_frac=1.1, t_out=5e7)
+    grid = default_grid(sc, 6, 6)
+    wmap = evaluate_map(sc, grid)
+    raw, reused = _rows_without_reuse(sc, grid)
+    assert not reused
+    assert wmap.scale == np.max(np.abs(raw))
+    assert np.array_equal(wmap.values, raw / wmap.scale)
+
+
+@pytest.mark.parametrize("sc,grid", [
+    (fig10_scenario(), MapGrid.centered(400.0, 400.0, 8, 5)),
+    # here the pilot took 4 rounds, and integrating its row again under
+    # the map tolerance gives other last digits: the pool must not
+    (balance_scenario(sigma=1e-4, theta_frac=1.1, t_out=3e5), None)],
+    ids=["fig10", "four-round-pilot"])
+def test_map_worker_independence_with_a_reused_pilot_row(sc, grid):
+    grid = grid or default_grid(sc, 8, 5)
+    assert _Context(sc).map_abs_tol(grid, 1e-9, 4096)[2] is not None
+    serial = evaluate_map(sc, grid, workers=1)
+    parallel = evaluate_map(sc, grid, workers=2)
+    assert serial.scale == parallel.scale
+    for name in ("values", "error_estimates", "flags", "panels", "rounds"):
+        assert np.array_equal(getattr(serial, name), getattr(parallel, name))
 
 
 def test_delta_p_scan():
