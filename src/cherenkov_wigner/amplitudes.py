@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import numerics
 from .kinematics import EmissionGeometry, Momentum3
 
 __all__ = [
@@ -23,7 +22,6 @@ __all__ = [
     "HelicityConfig",
     "AmplitudeValue",
     "DegeneratePhase",
-    "PhaseWrapFailure",
     "wigner_d_half",
     "wigner_d_one",
     "coupling",
@@ -40,11 +38,9 @@ _TWO_PI = 2.0 * math.pi
 
 
 class DegeneratePhase(ArithmeticError):
-    """Both phase sums vanish; the amplitude phase is undefined."""
-
-
-class PhaseWrapFailure(ArithmeticError):
-    """Phase unwrapping ambiguous within the differentiation step."""
+    """The amplitude phase or its momentum gradient is undefined: both
+    phase sums vanish, or an azimuth is undefined (zero transverse
+    momentum)."""
 
 
 @dataclass(frozen=True)
@@ -103,28 +99,46 @@ def coupling(epsilon: float, epsilon_prime: float, lambda_e: float,
         * math.sqrt(epsilon + 1.0))
 
 
+def _d_half_slope(sigma: float, lam: float, theta: float) -> float:
+    """d/dtheta of ``wigner_d_half``."""
+    if sigma == lam:
+        return -0.5 * math.sin(0.5 * theta)
+    return -sigma * math.cos(0.5 * theta)
+
+
+def _d_one_slope(sigma: int, lam: int, theta: float) -> float:
+    """d/dtheta of ``wigner_d_one``."""
+    if sigma == 0:
+        return lam / math.sqrt(2.0) * math.cos(theta)
+    if sigma == lam:
+        return -0.5 * math.sin(theta)
+    return 0.5 * math.sin(theta)
+
+
+# (prefactor, sigma, sigma', sigma_gamma) of the four partial amplitudes,
+# in the order _partial_terms returns them
+_TERMS = ((math.sqrt(2.0), 0.5, -0.5, 1), (-1.0, 0.5, 0.5, 0),
+          (-math.sqrt(2.0), -0.5, 0.5, -1), (1.0, -0.5, -0.5, 0))
+
+# d z_i / d(theta, phi, theta', phi', theta_k, phi_k): the azimuthal phases
+# are linear in the azimuths and free of the polar angles
+_Z_SLOPES = np.array([[0.0, -0.5, 0.0, -0.5, 0.0, 1.0],
+                      [0.0, -0.5, 0.0, 0.5, 0.0, 0.0],
+                      [0.0, 0.5, 0.0, 0.5, 0.0, -1.0],
+                      [0.0, 0.5, 0.0, -0.5, 0.0, 0.0]])
+
+
 def _partial_terms(theta, phi, theta_p, phi_p, theta_k, phi_k,
                    lambda_e, lambda_prime, lambda_gamma):
     """The four signed partial amplitudes and their azimuthal phases,
     ordered (1/2,-1/2,1), (1/2,1/2,0), (-1/2,1/2,-1), (-1/2,-1/2,0)."""
-    sqrt2 = math.sqrt(2.0)
-    m1 = (sqrt2 * wigner_d_half(0.5, lambda_e, theta)
-          * wigner_d_half(-0.5, lambda_prime, theta_p)
-          * wigner_d_one(1, lambda_gamma, theta_k))
+    ms = tuple(c * wigner_d_half(s, lambda_e, theta)
+               * wigner_d_half(sp, lambda_prime, theta_p)
+               * wigner_d_one(sg, lambda_gamma, theta_k)
+               for c, s, sp, sg in _TERMS)
     z1 = -0.5 * (phi + phi_p) + phi_k
-    m2 = (-wigner_d_half(0.5, lambda_e, theta)
-          * wigner_d_half(0.5, lambda_prime, theta_p)
-          * wigner_d_one(0, lambda_gamma, theta_k))
     z2 = 0.5 * (phi_p - phi)
-    m3 = (-sqrt2 * wigner_d_half(-0.5, lambda_e, theta)
-          * wigner_d_half(0.5, lambda_prime, theta_p)
-          * wigner_d_one(-1, lambda_gamma, theta_k))
-    z3 = -z1
-    m4 = (wigner_d_half(-0.5, lambda_e, theta)
-          * wigner_d_half(-0.5, lambda_prime, theta_p)
-          * wigner_d_one(0, lambda_gamma, theta_k))
-    z4 = -z2
-    return (m1, m2, m3, m4), (z1, z2, z3, z4)
+    return ms, (z1, z2, -z1, -z2)
 
 
 def _geometry_terms(geom: EmissionGeometry, h: HelicityConfig):
@@ -192,72 +206,75 @@ def summed_mod_squared(geom: EmissionGeometry, lambda_e: float | None = None,
                for lg in (1, -1))
 
 
-def _transverse_scale(geom: EmissionGeometry) -> float:
-    """Characteristic momentum scale of the amplitude-phase variation:
-    the smallest non-vanishing transverse magnitude."""
-    candidates = [x for x in (geom.k.perp, geom.p.perp, geom.p_prime.perp)
-                  if x > 0.0]
-    return min(candidates) if candidates else geom.k.mag
+def _zeta_partials(geom: EmissionGeometry, h: HelicityConfig):
+    """The amplitude phase zeta and its partials with respect to (theta,
+    phi, theta', phi', theta_k, phi_k).
 
-
-def _zeta_at(p_arr, k_arr, omega, h) -> tuple[float, bool]:
-    p = Momentum3.from_array(p_arr)
-    k = Momentum3.from_array(k_arr)
-    geom = EmissionGeometry(p, p - k, k, omega,
-                            h.lambda_e, h.lambda_prime, h.lambda_gamma)
+    zeta = atan2(S, C) with S, C = sum_i m_i (sin, cos) z_i, so
+    d zeta = (C dS - S dC) / (S^2 + C^2).  The m_i are products of
+    d-functions of the polar angles; the z_i are linear in the anchored
+    azimuths, whose anchoring phi_k + remainder(phi - phi_k, 2 pi) has unit
+    slope in phi and none in phi_k.  The coupling sign is a constant pi.
+    """
     amp = helicity_amplitude(geom, h)
-    return amp.phase, amp.degenerate
+    if amp.degenerate:
+        raise DegeneratePhase("amplitude phase undefined at this geometry")
+    ms, zs = _geometry_terms(geom, h)
+    theta, theta_p, theta_k = geom.p.theta, geom.p_prime.theta, geom.k.theta
+    dm = np.zeros((4, 6))
+    for i, (c, s, sp, sg) in enumerate(_TERMS):
+        a = wigner_d_half(s, h.lambda_e, theta)
+        b = wigner_d_half(sp, h.lambda_prime, theta_p)
+        d = wigner_d_one(sg, h.lambda_gamma, theta_k)
+        dm[i, 0] = c * _d_half_slope(s, h.lambda_e, theta) * b * d
+        dm[i, 2] = c * a * _d_half_slope(sp, h.lambda_prime, theta_p) * d
+        dm[i, 4] = c * a * b * _d_one_slope(sg, h.lambda_gamma, theta_k)
+    m = np.array(ms)
+    sin, cos = np.sin(zs), np.cos(zs)
+    s_sin, s_cos = m @ sin, m @ cos
+    d_sin = sin @ dm + (m * cos) @ _Z_SLOPES
+    d_cos = cos @ dm - (m * sin) @ _Z_SLOPES
+    return amp.phase, (s_cos * d_sin - s_sin * d_cos) / (s_sin ** 2
+                                                         + s_cos ** 2)
 
 
-def phase_gradient(geom: EmissionGeometry, h: HelicityConfig | None = None,
-                   spec: numerics.DiffSpec | None = None):
+def _angle_gradients(v: Momentum3, name: str):
+    """Cartesian gradients of the polar angle and the azimuth of v:
+    (cos theta cos phi, cos theta sin phi, -sin theta)/|v| and
+    (-sin phi, cos phi, 0)/v_perp."""
+    rho = v.perp
+    if rho == 0.0:
+        raise DegeneratePhase(f"azimuth of {name} undefined: zero transverse "
+                              "momentum, so the phase gradient is singular")
+    grad_theta = np.array([v.x * v.z / rho, v.y * v.z / rho, -rho]) / v.mag2
+    grad_phi = np.array([-v.y, v.x, 0.0]) / (rho * rho)
+    return grad_theta, grad_phi
+
+
+def phase_gradient(geom: EmissionGeometry, h: HelicityConfig | None = None):
     """Gradients of the amplitude phase with respect to p (at fixed k) and
     k (at fixed p), the final electron p' = p - k varying accordingly.
 
+    Closed form: the angle partials of ``_zeta_partials`` chained through
+    the angle gradients of p, p' and k, with dp'/dp = 1 and dp'/dk = -1.
     Their sum is the fixed-p' joint gradient entering the arrival-time
-    shift.  The phase is unwrapped across +-pi relative to the central
-    configuration before differencing.
+    shift.  Raises ``DegeneratePhase`` where the phase is undefined or
+    p, p' or k has no transverse momentum (its azimuth is undefined).
     """
     h = h or HelicityConfig(geom.lambda_e, geom.lambda_prime, geom.lambda_gamma)
-    # displacements are parameterized in units of the transverse scale, so
-    # the phase varies on an O(1) scale; a 1e-4 step balances evaluation
-    # noise against truncation there
-    spec = spec or numerics.DiffSpec(base_step=1e-4)
-    p0 = geom.p.as_array()
-    k0 = geom.k.as_array()
-    zeta0, degenerate = _zeta_at(p0, k0, geom.omega, h)
-    if degenerate:
-        raise DegeneratePhase("amplitude phase undefined at this geometry")
-    scale = _transverse_scale(geom)
-
-    def unwrapped(p_arr, k_arr):
-        z, _ = _zeta_at(p_arr, k_arr, geom.omega, h)
-        dz = math.remainder(z - zeta0, _TWO_PI)
-        if abs(dz) > 1.5:
-            raise PhaseWrapFailure(
-                f"phase jumped by {dz} within one differentiation step")
-        return zeta0 + dz
-
-    grad_p = np.empty(3)
-    grad_k = np.empty(3)
-    for i in range(3):
-        e = np.zeros(3)
-        e[i] = scale
-
-        def fp(u, e=e):
-            return unwrapped(p0 + u * e, k0)
-
-        def fk(u, e=e):
-            return unwrapped(p0, k0 + u * e)
-
-        grad_p[i] = numerics.differentiate(fp, 0.0, spec) / scale
-        grad_k[i] = numerics.differentiate(fk, 0.0, spec) / scale
+    theta_p, phi_p = _angle_gradients(geom.p, "p")
+    theta_pp, phi_pp = _angle_gradients(geom.p_prime, "p'")
+    theta_k, phi_k = _angle_gradients(geom.k, "k")
+    _, d = _zeta_partials(geom, h)
+    final = d[2] * theta_pp + d[3] * phi_pp
+    grad_p = d[0] * theta_p + d[1] * phi_p + final
+    grad_k = d[4] * theta_k + d[5] * phi_k - final
     return grad_p, grad_k
 
 
 def combined_phase_gradient(geom: EmissionGeometry,
-                            h: HelicityConfig | None = None,
-                            spec: numerics.DiffSpec | None = None) -> np.ndarray:
-    """(d/dp + d/dk) of the amplitude phase at fixed final electron."""
-    grad_p, grad_k = phase_gradient(geom, h, spec)
+                            h: HelicityConfig | None = None) -> np.ndarray:
+    """(d/dp + d/dk) of the amplitude phase at fixed final electron: the
+    sum of the two gradients of ``phase_gradient``."""
+    grad_p, grad_k = phase_gradient(geom, h)
     return grad_p + grad_k

@@ -429,11 +429,17 @@ def flash_stats(geom: EmissionGeometry, packet: ElectronPacket,
     """Flash duration sigma_t(t'), the detection-probability peak time
     t_0 = (r + Phi) . l_0 and the quantum shift Delta t = Phi . l_0, where
     Phi combines the amplitude-phase gradient and the packet-phase gradient.
+
+    The amplitude-phase gradient is closed-form; ``diff_spec`` reaches only
+    the numerical gradient of the packet's optional ``phase_model``.  With
+    p, p' or k along z the azimuth, and so Phi, is undefined:
+    ``amplitudes.DegeneratePhase`` names the vector (``kernel.sigma_t``
+    alone does not need Phi).
     """
     kernel = PhaseSpaceKernel.from_geometry(geom, packet, medium, dispersive)
     sigma_t = kernel.sigma_t(float(t_prime))
     l0 = kernel.l_0()
-    phi_vec = amplitudes.combined_phase_gradient(geom, spec=diff_spec)
+    phi_vec = amplitudes.combined_phase_gradient(geom)
     phi_vec = phi_vec + packet.phase_gradient(geom.p.as_array(), diff_spec)
     r = np.asarray(r, dtype=float)
     delta_t = float(l0 @ phi_vec)

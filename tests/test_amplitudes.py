@@ -4,7 +4,10 @@ import math
 import numpy as np
 import pytest
 from conftest import triangle_from_beta
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from cherenkov_wigner import amplitudes
 from cherenkov_wigner.amplitudes import (DegeneratePhase, HelicityConfig,
                                          amplitude_complex, coupling,
                                          helicity_amplitude, phase_gradient,
@@ -209,31 +212,178 @@ def test_phase_gradient_scales_inverse_k_perp(rng):
     assert abs(mags[0] - mags[1]) < 0.02 * abs(mags[0])
 
 
-def test_phase_gradient_vs_dense_stencil(rng):
+def _zeta(p_arr, k_arr, omega, h):
+    """Amplitude phase at initial electron p and photon k, p' = p - k."""
+    p = Momentum3.from_array(p_arr)
+    k = Momentum3.from_array(k_arr)
+    return helicity_amplitude(EmissionGeometry(p, p - k, k, omega), h).phase
+
+
+def _stencil_gradients(geom, h, step):
+    """Unwrapped 5-point central differences of the phase in p (k fixed)
+    and in k (p fixed); the step is in units of the smallest transverse
+    momentum, the scale on which the phase varies."""
+    scale = min(v.perp for v in (geom.p, geom.p_prime, geom.k))
+    p0, k0 = geom.p.as_array(), geom.k.as_array()
+    grads = (np.empty(3), np.empty(3))
+    for moving, grad in enumerate(grads):
+        for axis in range(3):
+            e = np.zeros(3)
+            e[axis] = step * scale
+            z = np.unwrap([_zeta(p0 + u * e * (moving == 0),
+                                 k0 + u * e * (moving == 1), geom.omega, h)
+                           for u in (-2, -1, 0, 1, 2)])
+            grad[axis] = (z[0] - 8 * z[1] + 8 * z[3] - z[4]) \
+                / (12 * step * scale)
+    return grads, scale
+
+
+def test_phase_gradient_vs_dense_stencil():
     # independent high-order 5-point stencil oracle
-    from cherenkov_wigner.amplitudes import _transverse_scale, _zeta_at
-    got = triangle_from_beta(0.9, 1.5, 1e-5, 3e-5, 0.8)
-    geom, _ = got
-    grad_p, grad_k = phase_gradient(geom)
-    scale = _transverse_scale(geom)
-    h = 1e-4
-    p0 = geom.p.as_array()
-    k0 = geom.k.as_array()
-    for axis in range(3):
-        e = np.zeros(3)
-        e[axis] = scale
+    geom, _ = triangle_from_beta(0.9, 1.5, 1e-5, 3e-5, 0.8)
+    h = HelicityConfig(HALF, HALF, 1)
+    (sten_p, sten_k), scale = _stencil_gradients(geom, h, 1e-4)
+    for got, stencil in zip(phase_gradient(geom), (sten_p, sten_k)):
+        for axis in range(3):
+            assert abs(got[axis] - stencil[axis]) \
+                < 1e-6 * max(abs(stencil[axis]), 1e-3 / scale)
 
-        def zeta_p(u):
-            z, _ = _zeta_at(p0 + u * e, k0, geom.omega,
-                            HelicityConfig(HALF, HALF, 1))
-            return z
 
-        samples = np.array([zeta_p(u) for u in (-2 * h, -h, h, 2 * h)])
-        samples = np.unwrap(np.concatenate([samples[:2], samples[2:]]))
-        stencil = (samples[0] - 8 * samples[1] + 8 * samples[2]
-                   - samples[3]) / (12 * h) / scale
-        assert abs(grad_p[axis] - stencil) \
-            < 1e-6 * max(abs(stencil), 1e-3 / scale)
+_HELICITIES = [HelicityConfig(le, lp, lg) for le in (HALF, -HALF)
+               for lp in (HALF, -HALF) for lg in (1, -1)]
+
+
+def wide_geometry(p_prime, k):
+    """Final electron and photon from (magnitude, theta, phi) triples at
+    wide polar angles, where the polar-angle partials of the phase are not
+    suppressed by theta ~ p_perp / p as on a Cherenkov triangle."""
+    return EmissionGeometry.from_final_state(
+        Momentum3.from_spherical(*p_prime), Momentum3.from_spherical(*k), 1.0)
+
+
+_ANGLE = st.floats(0.0, 2 * math.pi)
+
+
+@st.composite
+def emission_geometries(draw):
+    if draw(st.booleans()):
+        got = triangle_from_beta(
+            draw(st.floats(0.5, 0.999)), draw(st.floats(1.1, 1.9)),
+            10 ** draw(st.floats(-7, -4)), 10 ** draw(st.floats(-6, -4)),
+            draw(st.floats(0.1, 2.8)), pp_ratio=draw(st.floats(0.3, 1.7)),
+            phi_k=draw(_ANGLE), branch=draw(st.sampled_from([1, -1])))
+        assume(got is not None)
+        return got[0]
+    geom = wide_geometry(
+        (draw(st.floats(0.1, 3.0)), draw(st.floats(0.1, 3.0)), draw(_ANGLE)),
+        (draw(st.floats(0.01, 1.0)), draw(st.floats(0.1, 3.0)), draw(_ANGLE)))
+    assume(geom.p.perp > 1e-2 * geom.p.mag)
+    return geom
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(geom=emission_geometries(), h=st.sampled_from(_HELICITIES))
+def test_phase_gradient_matches_stencil_property(geom, h):
+    # every helicity triple, the g < 0 ones included, on both triangle
+    # branches and at wide angles.  Near a zero of the amplitude the phase
+    # turns on a scale far below the transverse one, so the stencil's own
+    # error, estimated from the step halving (the h^4 error of the finer
+    # one is 1/15 of the change), joins the bound
+    assume(not helicity_amplitude(geom, h).degenerate)
+    coarse, scale = _stencil_gradients(geom, h, 2e-4)
+    fine, _ = _stencil_gradients(geom, h, 1e-4)
+    for got, sten, sten_coarse in zip(phase_gradient(geom, h), fine, coarse):
+        assert np.all(np.abs(got - sten)
+                      <= 1e-8 / scale + np.abs(sten_coarse - sten))
+
+
+def _mp_wigner_d(mp, j, m1, m, theta):
+    """Wigner small-d d^j_{m1 m}(theta) from Wigner's factorial sum."""
+    f = mp.factorial
+    norm = mp.sqrt(f(j + m1) * f(j - m1) * f(j + m) * f(j - m))
+    cos, sin = mp.cos(theta / 2), mp.sin(theta / 2)
+    total = mp.mpf(0)
+    for s in range(int(2 * j) + 1):
+        denominators = (j + m - s, s, m1 - m + s, j - m1 - s)
+        if min(denominators) < 0:
+            continue
+        total += ((-1) ** int(m1 - m + s) * norm
+                  / mp.fprod(f(d) for d in denominators)
+                  * cos ** int(2 * j + m - m1 - 2 * s)
+                  * sin ** int(m1 - m + 2 * s))
+    return total
+
+
+def _mp_phase_sums(mp, p, k, h):
+    """S, C = sum over sigma = sigma' + sigma_gamma of
+    c D^{1/2}_{sigma lambda}(p) D^{1/2}_{sigma' lambda'}(p')
+    D^1_{sigma_gamma lambda_gamma}(k) (sin, cos) z with
+    z = -sigma phi + sigma' phi' + sigma_gamma phi_k."""
+    p_prime = [a - b for a, b in zip(p, k)]
+    (theta, phi), (theta_p, phi_p), (theta_k, phi_k) = [
+        (mp.atan2(mp.hypot(v[0], v[1]), v[2]), mp.atan2(v[1], v[0]))
+        for v in (p, p_prime, k)]
+    s_sin = s_cos = mp.mpf(0)
+    for sigma in (HALF, -HALF):
+        for sigma_p in (HALF, -HALF):
+            sigma_g = int(sigma - sigma_p)
+            c = 2 * sigma * (mp.sqrt(2) if sigma_g else -1)
+            m = (c * _mp_wigner_d(mp, HALF, sigma, h.lambda_e, theta)
+                 * _mp_wigner_d(mp, HALF, sigma_p, h.lambda_prime, theta_p)
+                 * _mp_wigner_d(mp, 1, sigma_g, h.lambda_gamma, theta_k))
+            z = -sigma * phi + sigma_p * phi_p + sigma_g * phi_k
+            s_sin += m * mp.sin(z)
+            s_cos += m * mp.cos(z)
+    return s_sin, s_cos
+
+
+def _mp_phase_gradients(mp, geom, h):
+    """d/dp (k fixed) and d/dk (p fixed) of the phase atan2(S, C), taken
+    by mpmath's numerical differentiation of the phase relative to the
+    central configuration (no branch cut near the centre)."""
+    p = [mp.mpf(x) for x in (geom.p.x, geom.p.y, geom.p.z)]
+    k = [mp.mpf(x) for x in (geom.k.x, geom.k.y, geom.k.z)]
+    s0, c0 = _mp_phase_sums(mp, p, k, h)
+
+    def relative_phase(p_arr, k_arr):
+        s, c = _mp_phase_sums(mp, p_arr, k_arr, h)
+        return mp.atan2(s * c0 - c * s0, c * c0 + s * s0)
+
+    def shifted(v, axis, u):
+        return [x + u if i == axis else x for i, x in enumerate(v)]
+
+    grad_p = [mp.diff(lambda u: relative_phase(shifted(p, a, u), k), 0)
+              for a in range(3)]
+    grad_k = [mp.diff(lambda u: relative_phase(p, shifted(k, a, u)), 0)
+              for a in range(3)]
+    return (np.array([float(x) for x in grad_p]),
+            np.array([float(x) for x in grad_k]))
+
+
+@pytest.mark.parametrize("geom, h", [
+    (triangle_from_beta(0.999, 1.3, 1e-6, 1e-6, 0.5)[0],
+     HelicityConfig(HALF, HALF, 1)),
+    (triangle_from_beta(0.999, 1.3, 1e-6, 1e-6, 2.0, branch=-1)[0],
+     HelicityConfig(HALF, HALF, -1)),
+    (triangle_from_beta(0.9, 1.5, 1e-5, 3e-5, 0.8)[0],
+     HelicityConfig(-HALF, HALF, 1)),
+    (triangle_from_beta(0.7, 1.6, 1e-7, 1e-6, 1.3, branch=-1)[0],
+     HelicityConfig(HALF, -HALF, -1)),
+    (triangle_from_beta(0.99, 1.35, 7.8e-6, 1e-5, 0.72)[0],
+     HelicityConfig(-HALF, -HALF, 1)),
+    (wide_geometry((1.2, 0.7, 0.4), (0.3, 1.9, 2.5)),
+     HelicityConfig(HALF, -HALF, 1)),
+    (wide_geometry((0.5, 2.4, 5.1), (0.2, 0.9, 1.3)),
+     HelicityConfig(-HALF, HALF, -1)),
+], ids=["tri-a", "tri-b", "tri-c", "tri-d", "tri-e", "wide-a", "wide-b"])
+def test_phase_gradient_matches_50_digit_reference(geom, h):
+    # the phase re-derived in mpmath from the general Wigner d-function,
+    # sharing no code with amplitudes, and differentiated at 50 digits
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        want = _mp_phase_gradients(mpmath.mp, geom, h)
+    for got, ref in zip(phase_gradient(geom, h), want):
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.linalg.norm(ref)
 
 
 def test_phase_gradient_degenerate_raises():
@@ -242,6 +392,42 @@ def test_phase_gradient_degenerate_raises():
     geom = EmissionGeometry.from_final_state(p, k, 1e-9 / 1.5)
     with pytest.raises(DegeneratePhase):
         phase_gradient(geom)
+
+
+@pytest.mark.parametrize("on_axis", ["p", "p'", "k"])
+def test_phase_gradient_names_the_vector_without_azimuth(on_axis):
+    # a vector along z has no azimuth, and the phase gradient carries its
+    # 1/v_perp; the error names the vector
+    tilted = Momentum3(3e-5, -2e-5, 2.0)
+    axial = Momentum3(0.0, 0.0, 2.0)
+    k_tilted = Momentum3(1e-5, 1e-5, 1.2e-5)
+    k_axial = Momentum3(0.0, 0.0, 1.5e-5)
+    if on_axis == "p":
+        geom = EmissionGeometry.from_final_state(axial - k_tilted, k_tilted,
+                                                 1e-5)
+    elif on_axis == "p'":
+        geom = EmissionGeometry.from_final_state(axial, k_tilted, 1e-5)
+    else:
+        geom = EmissionGeometry.from_final_state(tilted, k_axial, 1e-5)
+    assert not helicity_amplitude(geom).degenerate
+    with pytest.raises(DegeneratePhase, match=f"azimuth of {on_axis} "):
+        phase_gradient(geom)
+
+
+def test_phase_gradient_costs_one_amplitude_evaluation(monkeypatch):
+    # closed form: one amplitude evaluation per gradient (central
+    # differences took 25)
+    calls = []
+    real = amplitudes.helicity_amplitude
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(amplitudes, "helicity_amplitude", counted)
+    geom, _ = triangle_from_beta(0.999, 1.3, 1e-6, 1e-6, 0.5)
+    combined_phase_gradient(geom)
+    assert len(calls) <= 1
 
 
 def test_coupling_sign_folded_into_phase():

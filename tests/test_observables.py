@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from conftest import balance_scenario, triangle_from_beta
 
-from cherenkov_wigner import observables
+from cherenkov_wigner import numerics, observables
+from cherenkov_wigner.amplitudes import DegeneratePhase
 from cherenkov_wigner.kinematics import (ElectronPacket, EmissionGeometry,
                                          Momentum3, lorentz_gamma,
                                          momentum_magnitude)
@@ -383,6 +384,39 @@ def test_collinear_flash_raises():
     geom = EmissionGeometry.from_final_state(mean - k, k, omega)
     with pytest.raises(CollinearVelocities):
         flash_stats(geom, packet, ConstantMedium(n), np.zeros(3), 0.0)
+
+
+def test_flash_stats_names_the_undefined_azimuth():
+    # the balance geometry puts p on the z axis: its azimuth, and with it
+    # the amplitude-phase gradient in Delta t, is undefined, while sigma_t
+    # does not need the phase
+    sc = balance_scenario(beta=0.9, n=1.5, omega=1e-5, sigma=1e-4)
+    geom = sc.geometry()
+    with pytest.raises(DegeneratePhase, match="azimuth of p "):
+        flash_stats(geom, sc.packet, sc.medium, np.zeros(3), 0.0)
+    sigma_t = PhaseSpaceKernel.from_geometry(geom, sc.packet,
+                                             sc.medium).sigma_t(0.0)
+    assert math.isfinite(sigma_t) and sigma_t > 0.0
+
+
+def test_flash_stats_differentiates_only_the_packet_phase(monkeypatch):
+    # the amplitude-phase gradient is closed-form; numerical derivatives
+    # serve only the packet's optional phase model
+    calls = []
+    real = numerics.differentiate
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(numerics, "differentiate", counted)
+    geom, packet = triangle_from_beta(0.999, 1.3, 1e-6, 1e-6, 30 * DEG)
+    medium = ConstantMedium(1.3)
+    flash_stats(geom, packet, medium, np.zeros(3), 0.0)
+    assert calls == []
+    shaped = replace(packet, phase_model=lambda q: 1e3 * q[0])
+    flash_stats(geom, shaped, medium, np.zeros(3), 0.0)
+    assert len(calls) == 3
 
 
 def test_mach_cone_degenerate_raises():
