@@ -275,6 +275,14 @@ def gouy_phase(t_prime, spread: SpreadTimes):
     return float(g) if np.ndim(t_prime) == 0 else g
 
 
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a x b of two 3-vectors, spelled out: np.cross costs over ten times
+    as much on one pair, and the kernel is built once per point."""
+    (a0, a1, a2), (b0, b1, b2) = a, b
+    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2,
+                     a0 * b1 - a1 * b0])
+
+
 class PhaseSpaceKernel:
     """Velocity pair, (a, b) coefficients and packet width bundled with the
     complex eta/chi algebra of the master integrand.
@@ -293,7 +301,7 @@ class PhaseSpaceKernel:
         self.sigma = sigma
         self.delta_eps = delta_eps
         self.diff = self.u_p - self.u_k
-        self.cross = np.cross(self.u_p, self.u_k)
+        self.cross = _cross(self.u_p, self.u_k)
         self.cc = float(self.diff @ self.diff)
         self.dd = float(self.cross @ self.cross)
         self.spread = _spread_from_coeffs(a, b, sigma, self.cc, self.dd,
@@ -396,7 +404,7 @@ class PhaseSpaceKernel:
     def l_0(self) -> np.ndarray:
         if self.dd < 1e-28:
             raise CollinearVelocities("[u_p x u_k] = 0")
-        return np.cross(self.diff, -self.cross) / self.dd
+        return _cross(self.diff, -self.cross) / self.dd
 
 
 def correlation_geometry(geom: EmissionGeometry, packet: ElectronPacket,

@@ -104,14 +104,10 @@ def polyline_svg(path, xs, series, title="", xlabel="", ylabel="",
     Path(path).write_text("\n".join(parts) + "\n", encoding="utf-8")
 
 
-def _diverging_color(v: float) -> str:
-    """Blue (-1) -> white (0) -> red (+1)."""
-    v = max(-1.0, min(1.0, v))
-    if v >= 0:
-        r, g, b = 255, round(255 * (1 - v)), round(255 * (1 - v))
-    else:
-        r, g, b = round(255 * (1 + v)), round(255 * (1 + v)), 255
-    return f"rgb({r},{g},{b})"
+# Blue (-1) -> white (0) -> red (+1): the level q = round(255 (1 - |v|))
+# of each side of the diverging palette.
+_WARM = [f"rgb(255,{q},{q})" for q in range(256)]
+_COOL = [f"rgb({q},{q},255)" for q in range(256)]
 
 
 def heatmap_svg(path, values, extent, title="", xlabel="X", ylabel="Y",
@@ -124,17 +120,25 @@ def heatmap_svg(path, values, extent, title="", xlabel="X", ylabel="Y",
     vmax = float(np.max(np.abs(values))) or 1.0
     x0, x1, y0, y1 = extent
     parts, sx, sy = _frame(title, xlabel, ylabel, x0, x1, y0, y1)
+    ex = [sx(x0 + (x1 - x0) * i / nx) for i in range(nx + 1)]
+    ey = [sy(y0 + (y1 - y0) * i / ny) for i in range(ny + 1)]
+    cell_x = [_f(a) for a in ex[:-1]]
+    cell_w = [_f(b - a) for a, b in zip(ex[:-1], ex[1:])]
+    cell_y = [_f(b) for b in ey[1:]]
+    cell_h = [_f(a - b) for a, b in zip(ey[:-1], ey[1:])]
+    v = values / vmax
+    if not signed:
+        v = np.abs(v)
+    # a non-finite cell is painted as +1
+    v = np.clip(np.where(np.isnan(v), 1.0, v), -1.0, 1.0)
+    level = np.round(255.0 * (1.0 - np.abs(v))).astype(int).tolist()
+    cool = (v < 0).tolist()
     for iy in range(ny):
         for ix in range(nx):
-            v = values[iy, ix] / vmax
-            color = _diverging_color(v) if signed else \
-                _diverging_color(abs(v))
-            cx0 = sx(x0 + (x1 - x0) * ix / nx)
-            cx1 = sx(x0 + (x1 - x0) * (ix + 1) / nx)
-            cy0 = sy(y0 + (y1 - y0) * (iy + 1) / ny)
-            cy1 = sy(y0 + (y1 - y0) * iy / ny)
-            parts.append(f'<rect x="{_f(cx0)}" y="{_f(cy0)}" '
-                         f'width="{_f(cx1 - cx0)}" height="{_f(cy1 - cy0)}" '
+            q = level[iy][ix]
+            color = _COOL[q] if cool[iy][ix] else _WARM[q]
+            parts.append(f'<rect x="{cell_x[ix]}" y="{cell_y[iy]}" '
+                         f'width="{cell_w[ix]}" height="{cell_h[iy]}" '
                          f'fill="{color}"/>')
     parts.append(f'<rect x="{_ML}" y="{_MT}" width="{_W - _ML - _MR}" '
                  f'height="{_H - _MT - _MB}" fill="none" stroke="black"/>')

@@ -479,6 +479,18 @@ def _map_row(iy, ctx: _Context, grid: MapGrid, rel_tol, abs_tol, max_panels):
     return ctx.nodes(_row_nodes(grid, iy), rel_tol, abs_tol, max_panels)
 
 
+def _mirror_sources(grid: MapGrid, kept) -> dict:
+    """{row: source row} of the rows that are their source reversed in X,
+    W(R) = W(-R): row ny-1-iy mirrors row iy on a Z = 0 grid whose nodes
+    are symmetric about 0.  A row in ``kept`` is a source."""
+    # end nodes, not extents: a one-column grid sits at x_min
+    xs, ys = grid.xs(), grid.ys()
+    if not (xs[0] == -xs[-1] and ys[0] == -ys[-1] and grid.z == 0.0):
+        return {}
+    pairs = ((iy, grid.ny - 1 - iy) for iy in range(grid.ny // 2))
+    return dict((b, a) if b not in kept else (a, b) for a, b in pairs)
+
+
 # A pool worker's context and row arguments, built once per process by
 # _init_worker rather than once per row.
 _WORKER_ARGS: tuple = ()
@@ -515,9 +527,14 @@ def evaluate_map(scenario: EmissionScenario, grid: Optional[MapGrid] = None,
     Each grid row is one quadrature on a mesh shared by its nodes.  By
     default every node is held to about ``rel_tol`` of the map's scale
     (see ``_Context.map_abs_tol``), and the pilot row that sets that
-    tolerance is kept when it already meets it.  Rows are data-parallel
-    across ``workers`` processes (default from CHR_WORKERS, else serial);
-    the output is deterministic and independent of the worker count.
+    tolerance is kept when it already meets it.  On a grid at Z = 0 whose
+    nodes are symmetric about 0 in X and Y (``MapGrid.centered``,
+    ``default_grid``), only one row of each mirror pair (iy, ny-1-iy) is
+    integrated, the kept pilot row being the source of its pair, and the
+    other is that row reversed in X, since W(R) = W(-R); any other grid
+    integrates every row.  The integrated rows are data-parallel across
+    ``workers`` processes (default from CHR_WORKERS, else serial); the
+    output is deterministic and independent of the worker count.
     """
     if workers is None:
         workers = _env_workers()
@@ -530,7 +547,9 @@ def evaluate_map(scenario: EmissionScenario, grid: Optional[MapGrid] = None,
         if pilot is not None:
             done[iy] = pilot
     tols = (rel_tol, abs_tol, max_panels)
-    todo = [iy for iy in range(grid.ny) if iy not in done]
+    mirrored = _mirror_sources(grid, done)
+    todo = [iy for iy in range(grid.ny)
+            if iy not in done and iy not in mirrored]
     if workers <= 1:
         done.update((iy, _map_row(iy, ctx, grid, *tols)) for iy in todo)
     else:
@@ -540,6 +559,9 @@ def evaluate_map(scenario: EmissionScenario, grid: Optional[MapGrid] = None,
             done.update(zip(todo, pool.map(
                 _worker_row, todo,
                 chunksize=max(1, len(todo) // (4 * workers)))))
+    for iy, source in mirrored.items():
+        value, error, flag, panels, rounds = done[source]
+        done[iy] = (value[::-1], error[::-1], flag[::-1], panels, rounds)
     values, errors, flags, panels, rounds = (
         np.array(part) for part in zip(*(done[iy] for iy in range(grid.ny))))
 

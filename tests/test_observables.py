@@ -209,6 +209,20 @@ def test_eta_chi_pair(rng):
         assert abs(chi.imag - 0.25 * tp * kern.b) < 1e-18 * abs(tp * kern.b)
 
 
+def test_kernel_cross_products_are_np_cross_bit_for_bit(rng):
+    # the kernel spells out [u_p x u_k] and l_0's cross product; both must
+    # stay the bits np.cross gives, so the closed-form outputs do not move
+    for _ in range(2000):
+        u_p, u_k = (rng.normal(size=(2, 3))
+                    * 10.0 ** rng.uniform(-3.0, 0.0, (2, 1)))
+        kern = PhaseSpaceKernel(u_p, u_k, 1.0, 1.0, 1e-5)
+        cross = np.cross(u_p, u_k)
+        assert np.array_equal(kern.cross.view(np.uint64),
+                              cross.view(np.uint64))
+        l_0 = np.cross(u_p - u_k, -cross) / float(cross @ cross)
+        assert np.array_equal(kern.l_0().view(np.uint64), l_0.view(np.uint64))
+
+
 def test_exponent_vanishes_along_mach_direction():
     kern = kernel_for()
     R = (kern.u_k - kern.u_p) * 1234.5

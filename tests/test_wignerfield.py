@@ -9,6 +9,7 @@ from conftest import balance_scenario
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cherenkov_wigner import numerics
 from cherenkov_wigner.kinematics import (ElectronPacket, Momentum3,
                                          momentum_magnitude)
 from cherenkov_wigner.medium import ConstantMedium
@@ -162,10 +163,26 @@ def test_map_mirror_symmetry():
 
 def test_map_centrosymmetry():
     # A and B are even in R, so W(R) = W(-R); phi_k off pi/2 leaves no
-    # mirror symmetry that could hide a mismatch between mirrored rows
+    # mirror symmetry that could hide a mismatch between mirrored rows.
+    # evaluate_map copies mirrored rows, so each row here is integrated
+    # on its own
     sc = balance_scenario(sigma=1e-5, t_out=1e6, phi_k=0.3)
-    wmap = evaluate_map(sc, MapGrid.centered(2e5, 1e5, 9, 7))
-    assert np.max(np.abs(wmap.values - wmap.values[::-1, ::-1])) < 1e-12
+    raw, _ = _rows_without_reuse(sc, MapGrid.centered(2e5, 1e5, 9, 7))
+    assert (np.max(np.abs(raw - raw[::-1, ::-1]))
+            < 1e-12 * np.max(np.abs(raw)))
+
+
+def test_integrand_is_even_in_R_bit_for_bit(rng):
+    # the map mirrors rows on the strength of W(R) = W(-R); a term odd in
+    # R must fail here rather than be mirrored silently
+    ctx = _Context(balance_scenario(sigma=1e-5, t_out=1e6, phi_k=0.3))
+    for _ in range(50):
+        R = rng.normal(size=(4, 3)) * 10 ** rng.uniform(2, 5.3)
+        t = rng.uniform(0.0, ctx.scenario.t_out, size=9)
+        assert np.array_equal(ctx.integrand_for(R)(t),
+                              ctx.integrand_for(-R)(t))
+        assert np.array_equal(ctx.integrand_for(R[0])(t),
+                              ctx.integrand_for(-R[0])(t))
 
 
 def test_long_map_matches_reference_at_every_node():
@@ -175,6 +192,8 @@ def test_long_map_matches_reference_at_every_node():
     grid = default_grid(sc, 6, 6)
     wmap = evaluate_map(sc, grid)
     assert not np.any(wmap.flags & int(WkbFlags.QUAD_NONCONVERGED))
+    # rows 3-5 are rows 2-0 mirrored
+    assert np.array_equal(wmap.values[3:], wmap.values[2::-1, ::-1])
     for iy, y in enumerate(grid.ys()):
         for ix, x in enumerate(grid.xs()):
             ref = evaluate_point_reference(sc, np.array([x, y, grid.z]))
@@ -287,6 +306,7 @@ def test_fig10_map_matches_reference_at_every_node():
     sc = fig10_scenario()
     grid = MapGrid.centered(400.0, 400.0, 6, 6)
     wmap = evaluate_map(sc, grid)
+    assert np.array_equal(wmap.values[3:], wmap.values[2::-1, ::-1])
     for iy, y in enumerate(grid.ys()):
         for ix, x in enumerate(grid.xs()):
             ref = evaluate_point_reference(sc, np.array([x, y, grid.z]))
@@ -326,14 +346,106 @@ def test_pilot_row_that_misses_the_map_tolerance_is_integrated_again():
     assert np.array_equal(wmap.values, raw / wmap.scale)
 
 
+def skew_scenario():
+    """The fig10 packet with phi_k = 0.3: no mirror symmetry in X, so a
+    row copied without its reversal shows."""
+    return balance_scenario(sigma=1e-2, t_out=1e6, phi_k=0.3)
+
+
+def _count_batches(monkeypatch):
+    """A list that gains one entry per ``integrate_batch`` call."""
+    calls = []
+    batch = numerics.integrate_batch
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return batch(*args, **kwargs)
+
+    monkeypatch.setattr(numerics, "integrate_batch", counted)
+    return calls
+
+
+@pytest.mark.parametrize("sc,grid", [
+    (skew_scenario(), MapGrid.centered(400.0, 400.0, 6, 6)),
+    (skew_scenario(), MapGrid.centered(400.0, 400.0, 5, 7)),
+    # the pilot misses the map tolerance and is integrated again
+    (balance_scenario(sigma=1e-5, theta_frac=1.1, t_out=5e7), None)],
+    ids=["even", "odd", "pilot-not-kept"])
+def test_centered_map_integrates_one_row_of_each_mirror_pair(
+        sc, grid, monkeypatch):
+    grid = grid or default_grid(sc, 6, 6)
+    abs_tol, _, pilot = _Context(sc).map_abs_tol(grid, 1e-9, 4096)
+    calls = _count_batches(monkeypatch)
+    evaluate_map(sc, grid, workers=1)
+    assert len(calls) == math.ceil(grid.ny / 2) + (pilot is None)
+    calls.clear()
+    evaluate_map(sc, grid, workers=1, abs_tol=abs_tol)
+    assert len(calls) == math.ceil(grid.ny / 2)
+
+
+@pytest.mark.parametrize("grid,pilot_row", [
+    (MapGrid.centered(400.0, 400.0, 5, 7), 3),
+    (MapGrid.centered(400.0, 400.0, 6, 4), 1),
+    (MapGrid.centered(400.0, 500.0, 7, 4), 2),
+    (MapGrid.centered(400.0, 300.0, 6, 8), 4)],
+    ids=["odd-odd-middle", "even-even-low", "odd-even-high",
+         "even-even-high"])
+def test_mirrored_rows_are_their_source_reversed(grid, pilot_row):
+    sc = skew_scenario()
+    _, iy_pilot, pilot = _Context(sc).map_abs_tol(grid, 1e-9, 4096)
+    assert iy_pilot == pilot_row and pilot is not None
+    wmap = evaluate_map(sc, grid)
+    # the kept pilot is the source of its pair, whichever side it is on
+    assert np.array_equal(wmap.values[iy_pilot], pilot[0] / wmap.scale)
+    for iy in range(grid.ny // 2):
+        mirror = grid.ny - 1 - iy
+        for name in ("values", "error_estimates", "flags"):
+            rows = getattr(wmap, name)
+            assert np.array_equal(rows[mirror], rows[iy, ::-1]), name
+        assert wmap.panels[mirror] == wmap.panels[iy]
+        assert wmap.rounds[mirror] == wmap.rounds[iy]
+    raw, _ = _rows_without_reuse(sc, grid)
+    assert np.max(np.abs(wmap.values * wmap.scale - raw)) <= 1e-9 * wmap.scale
+
+
+@pytest.mark.parametrize("grid", [
+    MapGrid(-300.0, 400.0, 5, -400.0, 400.0, 6),
+    MapGrid(-400.0, 400.0, 5, -300.0, 400.0, 6),
+    MapGrid.centered(400.0, 400.0, 5, 6, z=50.0),
+    # one column at X = x_min: x_min = -x_max, yet the nodes are not
+    # symmetric about X = 0
+    MapGrid.centered(400.0, 400.0, 1, 6)],
+    ids=["off-centre-x", "off-centre-y", "z-nonzero", "one-column"])
+def test_grid_without_mirror_symmetry_integrates_every_row(grid,
+                                                           monkeypatch):
+    sc = skew_scenario()
+    ctx = _Context(sc)
+    abs_tol, _, pilot = ctx.map_abs_tol(grid, 1e-9, 4096)
+    raw = np.array([ctx.nodes(_row_nodes(grid, iy), 1e-9, abs_tol, 4096)[0]
+                    for iy in range(grid.ny)])
+    calls = _count_batches(monkeypatch)
+    evaluate_map(sc, grid, workers=1)
+    assert len(calls) == grid.ny + (pilot is None)
+    calls.clear()
+    wmap = evaluate_map(sc, grid, workers=1, abs_tol=abs_tol)
+    assert len(calls) == grid.ny
+    assert np.array_equal(wmap.values, raw / wmap.scale)
+
+
 @pytest.mark.parametrize("sc,grid", [
     (fig10_scenario(), MapGrid.centered(400.0, 400.0, 8, 5)),
+    (skew_scenario(), MapGrid.centered(400.0, 300.0, 6, 8)),
+    (skew_scenario(), MapGrid.centered(400.0, 400.0, 7, 7)),
+    # mirrored rows here differ from rows integrated on their own in the
+    # last digits: the pool must integrate the same rows
+    (balance_scenario(sigma=1e-5, t_out=1e6, phi_k=0.3), (6, 6)),
     # here the pilot took 4 rounds, and integrating its row again under
     # the map tolerance gives other last digits: the pool must not
-    (balance_scenario(sigma=1e-4, theta_frac=1.1, t_out=3e5), None)],
-    ids=["fig10", "four-round-pilot"])
+    (balance_scenario(sigma=1e-4, theta_frac=1.1, t_out=3e5), (8, 5))],
+    ids=["fig10", "pilot-high", "odd", "mirrored-digits", "four-round-pilot"])
 def test_map_worker_independence_with_a_reused_pilot_row(sc, grid):
-    grid = grid or default_grid(sc, 8, 5)
+    if not isinstance(grid, MapGrid):
+        grid = default_grid(sc, *grid)
     assert _Context(sc).map_abs_tol(grid, 1e-9, 4096)[2] is not None
     serial = evaluate_map(sc, grid, workers=1)
     parallel = evaluate_map(sc, grid, workers=2)
@@ -354,6 +466,22 @@ def test_delta_p_scan():
         assert np.max(np.abs(wmap.values - base.values)) < 1e-3
     # Gaussian is even in the offset
     assert abs(maps[1].scale - maps[2].scale) < 1e-6 * maps[1].scale
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(offset=st.floats(-3.0, 3.0))
+def test_delta_p_intensity_law_property(offset):
+    # the raw scale follows exp(-DeltaP^2/sigma^2) anywhere within the
+    # +-3 sigma the scan accepts, and the normalized shape stays put.  The
+    # scan's default direction X is normal to the plane of u_p and u_k
+    # (phi_k = 90 deg), so the energy mismatch does not move with DeltaP
+    sigma = 1e-2
+    sc = balance_scenario(sigma=sigma, t_out=1e6)
+    grid = MapGrid.centered(400.0, 400.0, 6, 6)
+    base, moved = delta_p_scan(sc, [0.0, offset * sigma], grid=grid)
+    expected = math.exp(-offset ** 2)
+    assert abs(moved.scale / base.scale - expected) < 0.05 * expected
+    assert np.max(np.abs(moved.values - base.values)) < 1e-3
 
 
 def test_delta_p_scan_rejects_large_offsets():
