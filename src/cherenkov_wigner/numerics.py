@@ -3,9 +3,9 @@ one integrand or of a batch of integrands on one shared mesh,
 Richardson-extrapolated central differences, and a bracketing root finder.
 
 Everything here is a pure function over caller-supplied callables, so the
-routines are safe to invoke concurrently.  Batch integrands are vectorized
-(called with a numpy array of abscissae); a single integrand may also be a
-plain scalar function, though the vectorized path is much faster.
+routines are safe to invoke concurrently.  Integrands are vectorized:
+called with a numpy array of abscissae, they return one row per integrand;
+a single integrand is the one-row batch.
 """
 
 from __future__ import annotations
@@ -17,14 +17,12 @@ from typing import Callable
 import numpy as np
 
 __all__ = [
-    "QuadratureResult",
     "DiffSpec",
     "NonFiniteIntegrand",
     "NonFiniteSample",
     "NoSignChange",
     "BatchQuadrature",
     "integrate_batch",
-    "integrate_adaptive",
     "differentiate",
     "find_root",
 ]
@@ -40,19 +38,6 @@ class NonFiniteSample(ValueError):
 
 class NoSignChange(ValueError):
     """Root bracket does not straddle a sign change."""
-
-
-@dataclass(frozen=True)
-class QuadratureResult:
-    value: float
-    error_estimate: float
-    panels_used: int
-    converged: bool = True
-    rounds: int = 1
-
-    def __post_init__(self):
-        if self.error_estimate < 0 or self.panels_used < 1:
-            raise ValueError("invalid quadrature result")
 
 
 @dataclass(frozen=True)
@@ -95,17 +80,6 @@ _GAUSS_WEIGHTS = np.array([
     0.417959183673469, 0.381830050505119, 0.279705391489277,
     0.129484966168870,
 ])
-
-
-def _eval_vectorized(f, x):
-    """Call f on an array of abscissae, falling back to a scalar loop."""
-    try:
-        y = np.asarray(f(x), dtype=float)
-        if y.shape == x.shape:
-            return y
-    except (TypeError, ValueError):
-        pass
-    return np.array([float(f(xi)) for xi in x])
 
 
 # upper bound on rows x abscissae per integrand call of integrate_batch
@@ -253,33 +227,6 @@ def integrate_batch(
         rounds += 1
 
     return BatchQuadrature(total, total_err, ~active, lo.size, rounds)
-
-
-def integrate_adaptive(
-    f: Callable,
-    a: float,
-    b: float,
-    abs_tol: float = 1e-10,
-    rel_tol: float = 1e-10,
-    phase_rate_hint: float | None = None,
-    max_panels: int = 4096,
-    knee: float | None = None,
-) -> QuadratureResult:
-    """Adaptively integrate a scalar f over [a, b]: the one-row case of
-    ``integrate_batch``.  f may take an array of abscissae or a single
-    float.
-
-    Convergence target: total error <= max(abs_tol, rel_tol * |integral|).
-    If the panel budget is exhausted first, the best estimate is returned
-    with ``converged=False`` instead of raising.
-    """
-    res = integrate_batch(
-        lambda t: _eval_vectorized(f, t)[None, :], a, b, abs_tol=abs_tol,
-        rel_tol=rel_tol, phase_rate_hint=phase_rate_hint,
-        max_panels=max_panels, knee=knee)
-    return QuadratureResult(float(res.values[0]),
-                            float(res.error_estimates[0]), res.panels_used,
-                            bool(res.converged[0]), res.rounds)
 
 
 def differentiate(f: Callable, x: float, spec: DiffSpec = DiffSpec()) -> float:

@@ -104,20 +104,24 @@ def polyline_svg(path, xs, series, title="", xlabel="", ylabel="",
     Path(path).write_text("\n".join(parts) + "\n", encoding="utf-8")
 
 
-# Blue (-1) -> white (0) -> red (+1): the level q = round(255 (1 - |v|))
-# of each side of the diverging palette.
-_WARM = [f"rgb(255,{q},{q})" for q in range(256)]
-_COOL = [f"rgb({q},{q},255)" for q in range(256)]
+# Blue (-1) -> white (0) -> red (+1): entry q (red side) or 256 + q (blue
+# side) has the level q = round(255 (1 - |v|)); the last entry is the grey
+# of a non-finite cell, which neither side produces.
+_PALETTE = ([f"rgb(255,{q},{q})" for q in range(256)]
+            + [f"rgb({q},{q},255)" for q in range(256)]
+            + ["rgb(128,128,128)"])
 
 
 def heatmap_svg(path, values, extent, title="", xlabel="X", ylabel="Y",
                 signed=True):
     """Cell heatmap of a matrix.  ``extent`` is (x0, x1, y0, y1); with
     ``signed`` the palette is the diverging one centered at zero, otherwise
-    a white-to-red ramp of the normalized magnitude."""
+    a white-to-red ramp of the normalized magnitude.  The finite cells set
+    the scale; a non-finite cell is grey."""
     values = np.asarray(values, dtype=float)
     ny, nx = values.shape
-    vmax = float(np.max(np.abs(values))) or 1.0
+    finite = np.isfinite(values)
+    vmax = float(np.max(np.abs(values), where=finite, initial=0.0)) or 1.0
     x0, x1, y0, y1 = extent
     parts, sx, sy = _frame(title, xlabel, ylabel, x0, x1, y0, y1)
     ex = [sx(x0 + (x1 - x0) * i / nx) for i in range(nx + 1)]
@@ -126,20 +130,17 @@ def heatmap_svg(path, values, extent, title="", xlabel="X", ylabel="Y",
     cell_w = [_f(b - a) for a, b in zip(ex[:-1], ex[1:])]
     cell_y = [_f(b) for b in ey[1:]]
     cell_h = [_f(a - b) for a, b in zip(ey[:-1], ey[1:])]
-    v = values / vmax
+    v = np.where(finite, values, 0.0) / vmax
     if not signed:
         v = np.abs(v)
-    # a non-finite cell is painted as +1
-    v = np.clip(np.where(np.isnan(v), 1.0, v), -1.0, 1.0)
-    level = np.round(255.0 * (1.0 - np.abs(v))).astype(int).tolist()
-    cool = (v < 0).tolist()
+    v = np.clip(v, -1.0, 1.0)
+    level = np.round(255.0 * (1.0 - np.abs(v))).astype(int)
+    entry = np.where(finite, level + 256 * (v < 0), 512).tolist()
     for iy in range(ny):
         for ix in range(nx):
-            q = level[iy][ix]
-            color = _COOL[q] if cool[iy][ix] else _WARM[q]
             parts.append(f'<rect x="{cell_x[ix]}" y="{cell_y[iy]}" '
                          f'width="{cell_w[ix]}" height="{cell_h[iy]}" '
-                         f'fill="{color}"/>')
+                         f'fill="{_PALETTE[entry[iy][ix]]}"/>')
     parts.append(f'<rect x="{_ML}" y="{_MT}" width="{_W - _ML - _MR}" '
                  f'height="{_H - _MT - _MB}" fill="none" stroke="black"/>')
     parts.append("</svg>")

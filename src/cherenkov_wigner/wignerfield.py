@@ -310,24 +310,6 @@ class _Context:
                     max_panels=max_panels,
                     knee=knee if math.isfinite(knee) and knee > 0 else None)
 
-    def _scaled(self, value, error, converged):
-        """(value, error estimate, flags) with the prefactor applied."""
-        flags = np.where(converged, self.base_flags,
-                         self.base_flags | int(WkbFlags.QUAD_NONCONVERGED))
-        return (self.prefactor_scale * (2.0 * self.prefactor * value),
-                self.prefactor_scale * (2.0 * self.prefactor * error), flags)
-
-    def point(self, R, rel_tol: float, abs_tol: Optional[float],
-              max_panels: int):
-        """Value, error estimate and flags at one node R, through
-        ``integrate_adaptive`` (the one-row case of ``integrate_batch``)."""
-        res = numerics.integrate_adaptive(
-            self.integrand_for(R), 0.0, self.scenario.t_out,
-            **self._quad_options(rel_tol, abs_tol, max_panels))
-        value, error, flags = self._scaled(res.value, res.error_estimate,
-                                           res.converged)
-        return value, error, int(flags)
-
     def map_abs_tol(self, grid: "MapGrid", rel_tol: float,
                     max_panels: int):
         """Default absolute tolerance of a map's quadratures: rel_tol times
@@ -353,10 +335,14 @@ class _Context:
             **self._quad_options(rel_tol, abs_tol, max_panels))
 
     def _row(self, res):
-        value, error, flags = self._scaled(res.values, res.error_estimates,
-                                           res.converged)
-        return (value, error, flags.astype(np.uint16), res.panels_used,
-                res.rounds)
+        """The batch's values and error estimates with the prefactor
+        applied, its flags, panel count and refinement rounds."""
+        scale = self.prefactor_scale
+        flags = np.where(res.converged, self.base_flags,
+                         self.base_flags | int(WkbFlags.QUAD_NONCONVERGED))
+        return (scale * (2.0 * self.prefactor * res.values),
+                scale * (2.0 * self.prefactor * res.error_estimates),
+                flags.astype(np.uint16), res.panels_used, res.rounds)
 
     def nodes(self, R, rel_tol: float, abs_tol: Optional[float],
               max_panels: int):
@@ -380,11 +366,14 @@ def evaluate_point(scenario: EmissionScenario, R, rel_tol: float = 1e-10,
                    abs_tol: Optional[float] = None, max_panels: int = 4096,
                    prefactor_scale: float = 1.0):
     """Wigner-function value at R: adaptive quadrature of the cosine form
-    over [0, t_out], doubled, times the scenario prefactor.
+    over [0, t_out], doubled, times the scenario prefactor.  A point is the
+    one-node row of a map, on the map's quadrature path.
 
     Returns (value, error_estimate, flags)."""
     ctx = _Context(scenario, prefactor_scale)
-    return ctx.point(R, rel_tol, abs_tol, max_panels)
+    value, error, flags, *_ = ctx.nodes(np.reshape(R, (1, 3)), rel_tol,
+                                        abs_tol, max_panels)
+    return float(value[0]), float(error[0]), int(flags[0])
 
 
 @lru_cache(maxsize=8)
@@ -473,12 +462,6 @@ def _row_nodes(grid: MapGrid, iy: int) -> np.ndarray:
                             np.full(grid.nx, grid.z)])
 
 
-def _map_row(iy, ctx: _Context, grid: MapGrid, rel_tol, abs_tol, max_panels):
-    """Values, error estimates and flags of grid row ``iy``, integrated on
-    one mesh shared by the row's nodes."""
-    return ctx.nodes(_row_nodes(grid, iy), rel_tol, abs_tol, max_panels)
-
-
 def _mirror_sources(grid: MapGrid, kept) -> dict:
     """{row: source row} of the rows that are their source reversed in X,
     W(R) = W(-R): row ny-1-iy mirrors row iy on a Z = 0 grid whose nodes
@@ -498,11 +481,12 @@ _WORKER_ARGS: tuple = ()
 
 def _init_worker(scenario, prefactor_scale, grid, *tols):
     global _WORKER_ARGS
-    _WORKER_ARGS = (_Context(scenario, prefactor_scale), grid, *tols)
+    _WORKER_ARGS = (_Context(scenario, prefactor_scale), grid, tols)
 
 
 def _worker_row(iy):
-    return _map_row(iy, *_WORKER_ARGS)
+    ctx, grid, tols = _WORKER_ARGS
+    return ctx.nodes(_row_nodes(grid, iy), *tols)
 
 
 def _env_workers() -> int:
@@ -551,7 +535,8 @@ def evaluate_map(scenario: EmissionScenario, grid: Optional[MapGrid] = None,
     todo = [iy for iy in range(grid.ny)
             if iy not in done and iy not in mirrored]
     if workers <= 1:
-        done.update((iy, _map_row(iy, ctx, grid, *tols)) for iy in todo)
+        done.update((iy, ctx.nodes(_row_nodes(grid, iy), *tols))
+                    for iy in todo)
     else:
         with ProcessPoolExecutor(
                 max_workers=workers, initializer=_init_worker,
@@ -600,8 +585,12 @@ def delta_p_scan(scenario: EmissionScenario, offsets: Sequence[float],
                  grid: Optional[MapGrid] = None, direction=(1.0, 0.0, 0.0),
                  **map_kwargs) -> list:
     """Maps with the final electron displaced so that DeltaP = offset along
-    ``direction``.  Raw intensities scale as exp(-DeltaP^2/sigma^2) while
-    the normalized shape stays put."""
+    ``direction``.  Only for offsets along X at phi_k = 90 degrees, normal
+    to the plane of u_p and u_k, do raw intensities scale as
+    exp(-DeltaP^2/sigma^2) while the normalized shape stays put; in that
+    plane the energy mismatch moves with DeltaP too (along Y, a 1 sigma
+    offset of the sigma = 1e-2 packet at t_out = 1e6 gives a raw-scale
+    ratio of 0.287, not exp(-1) = 0.368)."""
     sigma = scenario.packet.sigma
     for off in offsets:
         if abs(off) > 3.0 * sigma + 1e-300:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from cherenkov_wigner.numerics import (DiffSpec, NoSignChange,
                                        NonFiniteIntegrand, NonFiniteSample,
                                        differentiate, find_root,
-                                       integrate_adaptive, integrate_batch)
+                                       integrate_batch)
 
 
 def gauss_legendre_reference(f, a, b, n=2000):
@@ -19,22 +19,23 @@ def gauss_legendre_reference(f, a, b, n=2000):
 
 
 def test_polynomial():
-    res = integrate_adaptive(lambda x: x ** 2, 0.0, 1.0)
-    assert abs(res.value - 1.0 / 3.0) < 1e-12
-    assert res.converged
+    res = integrate_batch(lambda x: (x ** 2)[None], 0.0, 1.0)
+    assert abs(res.values[0] - 1.0 / 3.0) < 1e-12
+    assert res.converged[0]
 
 
 def test_full_periods_cancel():
-    res = integrate_adaptive(np.cos, 0.0, 10 * math.pi, abs_tol=1e-10)
-    assert abs(res.value) < 1e-10
+    res = integrate_batch(lambda x: np.cos(x)[None], 0.0, 10 * math.pi,
+                          abs_tol=1e-10)
+    assert abs(res.values[0]) < 1e-10
 
 
 def test_oscillatory_vs_gauss_legendre():
     f = lambda x: np.exp(-x ** 2) * np.cos(50 * x)
-    res = integrate_adaptive(f, -6.0, 6.0, abs_tol=1e-13, rel_tol=1e-12,
-                             phase_rate_hint=50.0)
+    res = integrate_batch(lambda x: f(x)[None], -6.0, 6.0, abs_tol=1e-13,
+                          rel_tol=1e-12, phase_rate_hint=50.0)
     ref = gauss_legendre_reference(f, -6.0, 6.0)
-    assert abs(res.value - ref) < 1e-10
+    assert abs(res.values[0] - ref) < 1e-10
 
 
 def test_linearity(rng):
@@ -46,38 +47,36 @@ def test_linearity(rng):
         f = lambda x: c[0] + c[1] * x + c[2] * np.sin(3 * x) + c[3] * np.exp(-x ** 2)
         g = lambda x: d[0] + d[1] * x ** 2 + d[2] * np.cos(2 * x) + d[3] * x ** 3
         h = lambda x: al * f(x) + be * g(x)
-        i_f = integrate_adaptive(f, -1.0, 2.0, abs_tol=1e-13, rel_tol=1e-13)
-        i_g = integrate_adaptive(g, -1.0, 2.0, abs_tol=1e-13, rel_tol=1e-13)
-        i_h = integrate_adaptive(h, -1.0, 2.0, abs_tol=1e-13, rel_tol=1e-13)
-        combined = al * i_f.value + be * i_g.value
-        tol = (abs(al) * i_f.error_estimate + abs(be) * i_g.error_estimate
-               + i_h.error_estimate + 1e-12)
-        assert abs(i_h.value - combined) <= 10 * tol
-
-
-def test_scalar_integrand_fallback():
-    res = integrate_adaptive(lambda x: float(x) ** 2, 0.0, 1.0)
-    assert abs(res.value - 1.0 / 3.0) < 1e-12
+        i_f, i_g, i_h = (
+            integrate_batch(lambda x: fn(x)[None], -1.0, 2.0, abs_tol=1e-13,
+                            rel_tol=1e-13)
+            for fn in (f, g, h))
+        combined = al * i_f.values[0] + be * i_g.values[0]
+        tol = (abs(al) * i_f.error_estimates[0]
+               + abs(be) * i_g.error_estimates[0]
+               + i_h.error_estimates[0] + 1e-12)
+        assert abs(i_h.values[0] - combined) <= 10 * tol
 
 
 def test_budget_exhaustion_returns_flagged_estimate():
-    res = integrate_adaptive(lambda x: np.cos(100 * x), 0.0, 10.0,
-                             abs_tol=1e-14, rel_tol=1e-14, max_panels=4)
-    assert not res.converged
+    res = integrate_batch(lambda x: np.cos(100 * x)[None], 0.0, 10.0,
+                          abs_tol=1e-14, rel_tol=1e-14, max_panels=4)
+    assert not res.converged[0]
     assert res.panels_used == 4
-    assert math.isfinite(res.value)
+    assert math.isfinite(res.values[0])
 
 
 def test_non_finite_integrand():
     with pytest.raises(NonFiniteIntegrand):
-        integrate_adaptive(lambda x: np.where(x < 0.5, np.nan, 1.0), 0.0, 1.0)
+        integrate_batch(lambda x: np.where(x < 0.5, np.nan, 1.0)[None], 0.0,
+                        1.0)
 
 
 def test_precondition_errors():
     with pytest.raises(ValueError):
-        integrate_adaptive(np.cos, 1.0, 0.0)
+        integrate_batch(lambda x: np.cos(x)[None], 1.0, 0.0)
     with pytest.raises(ValueError):
-        integrate_adaptive(np.cos, 0.0, 1.0, abs_tol=0.0)
+        integrate_batch(lambda x: np.cos(x)[None], 0.0, 1.0, abs_tol=0.0)
 
 
 def damped_waves(params):
@@ -105,10 +104,10 @@ def test_batch_agrees_with_one_row_calls(rows, hint):
                   <= np.maximum(1e-11, 1e-10 * np.abs(batch.values)))
     assert batch.values.shape == batch.error_estimates.shape == (len(rows),)
     for j in range(len(rows)):
-        one = integrate_adaptive(lambda x: f(x)[j], -3.0, 2.0, **opts)
-        assert one.converged
-        assert (abs(batch.values[j] - one.value)
-                <= batch.error_estimates[j] + one.error_estimate + 1e-14)
+        one = integrate_batch(lambda x: f(x)[j:j + 1], -3.0, 2.0, **opts)
+        assert one.converged[0]
+        assert (abs(batch.values[j] - one.values[0])
+                <= batch.error_estimates[j] + one.error_estimates[0] + 1e-14)
 
 
 def test_batch_non_finite_row():
@@ -141,11 +140,11 @@ def test_knee_grades_the_start_mesh():
     tau, t_end = 0.39, 1e6
     exact = tau * math.atan(t_end / tau)
     f = lambda t: 1.0 / (1.0 + (t / tau) ** 2)
-    graded = integrate_adaptive(f, 0.0, t_end, knee=tau)
-    uniform = integrate_adaptive(f, 0.0, t_end)
+    graded = integrate_batch(lambda t: f(t)[None], 0.0, t_end, knee=tau)
+    uniform = integrate_batch(lambda t: f(t)[None], 0.0, t_end)
     for res in (graded, uniform):
-        assert res.converged
-        assert abs(res.value - exact) <= 1e-10 * exact
+        assert res.converged[0]
+        assert abs(res.values[0] - exact) <= 1e-10 * exact
     assert graded.rounds <= 2
     assert uniform.rounds >= 10
     batch = integrate_batch(lambda t: np.stack([f(t), -3.0 * f(t)]), 0.0,

@@ -17,20 +17,28 @@ def _diverging_color(v):
     return f"rgb({r},{g},{b})"
 
 
+_GREY = "rgb(128,128,128)"
+
+
 def _reference_heatmap(path, values, extent, title="", xlabel="X",
                        ylabel="Y", signed=True):
-    """The cell-by-cell writer that ``heatmap_svg`` vectorizes."""
+    """The cell-by-cell writer that ``heatmap_svg`` vectorizes: the finite
+    cells set the scale, and a non-finite cell is grey."""
     f = svgplot._f
     values = np.asarray(values, dtype=float)
     ny, nx = values.shape
-    vmax = float(np.max(np.abs(values))) or 1.0
+    finite = [abs(v) for v in values.ravel() if math.isfinite(v)]
+    vmax = max(finite, default=0.0) or 1.0
     x0, x1, y0, y1 = extent
     parts, sx, sy = svgplot._frame(title, xlabel, ylabel, x0, x1, y0, y1)
     for iy in range(ny):
         for ix in range(nx):
             v = values[iy, ix] / vmax
-            color = _diverging_color(v) if signed else \
-                _diverging_color(abs(v))
+            if not math.isfinite(v):
+                color = _GREY
+            else:
+                color = _diverging_color(v) if signed else \
+                    _diverging_color(abs(v))
             cx0 = sx(x0 + (x1 - x0) * ix / nx)
             cx1 = sx(x0 + (x1 - x0) * (ix + 1) / nx)
             cy0 = sy(y0 + (y1 - y0) * (iy + 1) / ny)
@@ -79,9 +87,22 @@ def test_heatmap_matches_the_cell_by_cell_writer(tmp_path, rng):
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_heatmap_non_finite_cells_match_the_cell_by_cell_writer(
         tmp_path, bad, signed):
-    values = np.array([[0.5, -0.25, bad], [1.0, -1.0, 0.0]])
+    # the bad cell is grey, and the finite cells keep the colours they have
+    # on the same map with a zero (white) cell there instead
+    values = np.array([[0.5, -0.25, bad], [2.0, -1.0, 0.0]])
+    extent = (-1.0, 1.0, -2.0, 2.0)
     got, want = tmp_path / "got.svg", tmp_path / "want.svg"
-    svgplot.heatmap_svg(got, values, (-1.0, 1.0, -2.0, 2.0), signed=signed)
-    _reference_heatmap(want, values, (-1.0, 1.0, -2.0, 2.0), signed=signed)
+    svgplot.heatmap_svg(got, values, extent, signed=signed)
+    _reference_heatmap(want, values, extent, signed=signed)
     assert got.read_bytes() == want.read_bytes()
-    assert 'fill="rgb(255,0,0)"' in got.read_text()
+    text = got.read_text()
+    assert text.count(f'fill="{_GREY}"') == 1
+    absent = tmp_path / "absent.svg"
+    svgplot.heatmap_svg(absent, np.where(np.isfinite(values), values, 0.0),
+                        extent, signed=signed)
+    assert (text.replace(_GREY, "rgb(255,255,255)")
+            == absent.read_text())
+    svgplot.heatmap_svg(got, np.full((2, 2), bad), extent, signed=signed)
+    _reference_heatmap(want, np.full((2, 2), bad), extent, signed=signed)
+    assert got.read_bytes() == want.read_bytes()
+    assert got.read_text().count(f'fill="{_GREY}"') == 4

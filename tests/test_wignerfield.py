@@ -353,16 +353,24 @@ def skew_scenario():
 
 
 def _count_batches(monkeypatch):
-    """A list that gains one entry per ``integrate_batch`` call."""
+    """A list that gains the integrand of each ``integrate_batch`` call."""
     calls = []
     batch = numerics.integrate_batch
 
-    def counted(*args, **kwargs):
-        calls.append(None)
-        return batch(*args, **kwargs)
+    def counted(f, *args, **kwargs):
+        calls.append(f)
+        return batch(f, *args, **kwargs)
 
     monkeypatch.setattr(numerics, "integrate_batch", counted)
     return calls
+
+
+def test_point_is_one_batch_of_one_row(monkeypatch):
+    sc = balance_scenario(sigma=1e-5, theta_frac=1.1, t_out=5e6)
+    calls = _count_batches(monkeypatch)
+    evaluate_point(sc, np.array([3e4, -2e4, 0.0]))
+    assert len(calls) == 1
+    assert calls[0](np.linspace(0.0, sc.t_out, 5)).shape == (1, 5)
 
 
 @pytest.mark.parametrize("sc,grid", [
