@@ -2,7 +2,7 @@
 emission by an electron wave packet, in natural units (hbar = c = m_e = 1).
 """
 
-from . import amplitudes, cli, kinematics, medium, numerics, observables, \
+from . import amplitudes, kinematics, medium, numerics, observables, \
     svgplot, units, wignerfield
 from .kinematics import (ElectronPacket, EmissionGeometry, Momentum3,
                          cherenkov_angle_classical, cherenkov_angle_quantum,

@@ -197,13 +197,11 @@ def amplitude_complex(geom: EmissionGeometry,
                    for m, z in zip(ms, zs))
 
 
-def summed_mod_squared(geom: EmissionGeometry, lambda_e: float | None = None,
-                       lambda_prime: float | None = None) -> float:
-    """Sum of |M|^2 over the photon helicity at fixed electron helicities."""
-    le = geom.lambda_e if lambda_e is None else lambda_e
-    lp = geom.lambda_prime if lambda_prime is None else lambda_prime
-    return sum(helicity_amplitude(geom, HelicityConfig(le, lp, lg)).mod_squared
-               for lg in (1, -1))
+def summed_mod_squared(geom: EmissionGeometry) -> float:
+    """Sum of |M|^2 over the photon helicity at the geometry's electron
+    helicities."""
+    return sum(helicity_amplitude(geom, HelicityConfig(
+        geom.lambda_e, geom.lambda_prime, lg)).mod_squared for lg in (1, -1))
 
 
 def _zeta_partials(geom: EmissionGeometry, h: HelicityConfig):

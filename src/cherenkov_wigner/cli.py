@@ -28,12 +28,12 @@ from .medium import (AnalyticMedium, ConstantMedium, MediumModel,
                      load_index_table)
 from .observables import (singular_angles, singular_width_approx,
                           spread_times_at_angle)
-from .units import UnitContext, convert_units
+from .units import convert_units
 from .wignerfield import (EmissionScenario, MapGrid, default_grid,
                           delta_p_scan, evaluate_map, near_field_snapshot)
 
 __all__ = ["ScenarioConfig", "ParseError", "ValidationError", "parse_config",
-           "run_study", "convert_units", "UnitContext", "main", "STUDIES"]
+           "run_study", "convert_units", "main", "STUDIES"]
 
 class ParseError(ValueError):
     """Config file is syntactically malformed."""

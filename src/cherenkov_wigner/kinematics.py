@@ -122,6 +122,8 @@ class Momentum3:
 
 
 def lorentz_gamma(beta: float) -> float:
+    if not abs(beta) < 1.0:
+        raise ValueError(f"beta must satisfy |beta| < 1, got {beta!r}")
     return 1.0 / math.sqrt((1.0 - beta) * (1.0 + beta))
 
 
@@ -270,6 +272,9 @@ class ElectronPacket:
     phase_model: Optional[Callable] = None
 
     def __post_init__(self):
+        mean = self.mean_momentum
+        if not all(map(math.isfinite, (mean.x, mean.y, mean.z))):
+            raise ValueError(f"mean_momentum must be finite, got {mean!r}")
         if not (math.isfinite(self.sigma) and self.sigma > 0):
             raise ValueError(
                 f"sigma must be finite and positive, got {self.sigma!r}")
@@ -279,19 +284,18 @@ class ElectronPacket:
             warnings.warn(f"sigma = {self.sigma} m_e exceeds the paraxial "
                           "regime (sigma << 1)", ParaxialWarning, stacklevel=2)
 
-    def phase_gradient(self, p: np.ndarray, diff=None) -> np.ndarray:
+    def phase_gradient(self, p: np.ndarray) -> np.ndarray:
         """Numerical gradient of the packet phase at momentum p."""
         from . import numerics
         if self.phase_model is None:
             return np.zeros(3)
-        spec = diff or numerics.DiffSpec()
         grad = np.empty(3)
         for i in range(3):
             def f(u, i=i):
                 q = p.copy()
                 q[i] = u
                 return self.phase_model(q)
-            grad[i] = numerics.differentiate(f, float(p[i]), spec)
+            grad[i] = numerics.differentiate(f, float(p[i]))
         return grad
 
 

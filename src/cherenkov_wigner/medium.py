@@ -16,6 +16,8 @@ from typing import Callable, Tuple
 
 import numpy as np
 
+from .units import ME_EV as EV_PER_ME  # electron rest energy in eV
+
 __all__ = [
     "MediumModel",
     "ConstantMedium",
@@ -28,8 +30,6 @@ __all__ = [
     "load_index_table",
     "EV_PER_ME",
 ]
-
-EV_PER_ME = 510998.95  # electron rest energy in eV
 
 WEAK_DISPERSION_THRESHOLD = 0.01
 
@@ -90,12 +90,11 @@ class ConstantMedium(MediumModel):
 class AnalyticMedium(MediumModel):
     """Medium defined by callables n(omega), n'(omega), n''(omega)."""
 
-    def __init__(self, n: Callable, n_prime: Callable, n_double_prime: Callable,
-                 domain: Tuple[float, float] = (0.0, math.inf)):
+    def __init__(self, n: Callable, n_prime: Callable,
+                 n_double_prime: Callable):
         self._n = n
         self._n1 = n_prime
         self._n2 = n_double_prime
-        self._domain = domain
 
     @classmethod
     def from_dispersion_params(cls, n0: float, omega0: float, d_param: float,
@@ -107,11 +106,8 @@ class AnalyticMedium(MediumModel):
                    lambda w: n1 + n2 * (w - omega0),
                    lambda w: n2)
 
-    def domain(self):
-        return self._domain
-
     def index(self, omega: float) -> Tuple[float, float, float]:
-        lo, hi = self._domain
+        lo, hi = self.domain()
         if not (lo <= omega <= hi):
             raise OutOfDomain(f"omega={omega} outside [{lo}, {hi}]")
         n = float(self._n(omega))

@@ -255,8 +255,7 @@ def differentiate(f: Callable, x: float, spec: DiffSpec = DiffSpec()) -> float:
     return rows[0]
 
 
-def find_root(f: Callable, lo: float, hi: float, tol: float = 1e-12,
-              max_iter: int = 256) -> float:
+def find_root(f: Callable, lo: float, hi: float, tol: float = 1e-12) -> float:
     """Find a root of f on [lo, hi] by bisection with secant acceleration.
 
     Requires a sign change on the bracket.  The bracket width shrinks by at
@@ -272,7 +271,7 @@ def find_root(f: Callable, lo: float, hi: float, tol: float = 1e-12,
     if flo * fhi > 0:
         raise NoSignChange(f"f({lo})={flo} and f({hi})={fhi} have equal sign")
 
-    for _ in range(max_iter):
+    for _ in range(256):
         if hi - lo <= tol:
             break
         width = hi - lo

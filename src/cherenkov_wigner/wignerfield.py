@@ -85,6 +85,10 @@ class EmissionScenario:
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and positive, "
                                  f"got {value!r}")
+        for name in ("theta_k", "phi_k"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
 
     def photon_momentum(self) -> Momentum3:
         n = self.medium.index(self.omega)[0]
@@ -243,9 +247,8 @@ class _Context:
     """Per-scenario precomputation: kernel, constant prefactor, the
     oscillation-rate hint and the scenario-wide WKB flags."""
 
-    def __init__(self, scenario: EmissionScenario, prefactor_scale: float = 1.0):
+    def __init__(self, scenario: EmissionScenario):
         self.scenario = scenario
-        self.prefactor_scale = prefactor_scale
         self.geom = scenario.geometry()
         self.kernel = PhaseSpaceKernel.from_geometry(
             self.geom, scenario.packet, scenario.medium, scenario.dispersive)
@@ -337,11 +340,10 @@ class _Context:
     def _row(self, res):
         """The batch's values and error estimates with the prefactor
         applied, its flags, panel count and refinement rounds."""
-        scale = self.prefactor_scale
         flags = np.where(res.converged, self.base_flags,
                          self.base_flags | int(WkbFlags.QUAD_NONCONVERGED))
-        return (scale * (2.0 * self.prefactor * res.values),
-                scale * (2.0 * self.prefactor * res.error_estimates),
+        return (2.0 * self.prefactor * res.values,
+                2.0 * self.prefactor * res.error_estimates,
                 flags.astype(np.uint16), res.panels_used, res.rounds)
 
     def nodes(self, R, rel_tol: float, abs_tol: Optional[float],
@@ -363,22 +365,22 @@ def integrand(scenario: EmissionScenario, R, t_prime):
 
 
 def evaluate_point(scenario: EmissionScenario, R, rel_tol: float = 1e-10,
-                   abs_tol: Optional[float] = None, max_panels: int = 4096,
-                   prefactor_scale: float = 1.0):
+                   abs_tol: Optional[float] = None, max_panels: int = 4096):
     """Wigner-function value at R: adaptive quadrature of the cosine form
     over [0, t_out], doubled, times the scenario prefactor.  A point is the
     one-node row of a map, on the map's quadrature path.
 
     Returns (value, error_estimate, flags)."""
-    ctx = _Context(scenario, prefactor_scale)
+    ctx = _Context(scenario)
     value, error, flags, *_ = ctx.nodes(np.reshape(R, (1, 3)), rel_tol,
                                         abs_tol, max_panels)
     return float(value[0]), float(error[0]), int(flags[0])
 
 
-@lru_cache(maxsize=8)
-def _gl_nodes(n: int):
-    return np.polynomial.legendre.leggauss(n)
+@lru_cache(maxsize=1)
+def _gl_nodes():
+    """32-point Gauss-Legendre rule, built on first use, not at import."""
+    return np.polynomial.legendre.leggauss(32)
 
 
 def _reference_edges(ctx: "_Context", R, max_phase: float = 0.35,
@@ -410,17 +412,15 @@ def _reference_edges(ctx: "_Context", R, max_phase: float = 0.35,
     return np.unique(edges)
 
 
-def evaluate_point_reference(scenario: EmissionScenario, R,
-                             points_per_panel: int = 32,
-                             prefactor_scale: float = 1.0):
-    """Brute-force reference: composite fixed Gauss-Legendre quadrature of
-    the complex integrand over the symmetric interval [-t_out, t_out], on a
-    non-adaptive mesh graded by the integrand's analytic scales.
+def evaluate_point_reference(scenario: EmissionScenario, R):
+    """Brute-force reference: composite 32-point Gauss-Legendre quadrature
+    of the complex integrand over the symmetric interval [-t_out, t_out],
+    on a non-adaptive mesh graded by the integrand's analytic scales.
 
     Returns the complex integral times the prefactor; its real part should
     match ``evaluate_point`` and its imaginary part should vanish."""
-    ctx = _Context(scenario, prefactor_scale)
-    x, w = _gl_nodes(points_per_panel)
+    ctx = _Context(scenario)
+    x, w = _gl_nodes()
     edges = _reference_edges(ctx, R)
     a_dir, b_dir = ctx.kernel.direction_factors(np.asarray(R, float))
     half = 0.5 * np.diff(edges)
@@ -432,18 +432,18 @@ def evaluate_point_reference(scenario: EmissionScenario, R,
     vals = pre * np.exp(expo)
     # t' > 0 plus the conjugate contribution from t' < 0
     total = np.sum(half[:, None] * w[None, :] * (vals + np.conj(vals)))
-    return ctx.prefactor_scale * ctx.prefactor * complex(total)
+    return ctx.prefactor * complex(total)
 
 
 def default_grid(scenario: EmissionScenario, nx: int = 128, ny: int = 128,
-                 padding: float = 4.0, z: float = 0.0) -> MapGrid:
-    """Grid extents of +-padding * R_eff(t_out) per axis (capped at the
-    electron flight distance beta * t_out) around the packet center."""
-    return _context_grid(_Context(scenario), nx, ny, padding, z)
+                 z: float = 0.0) -> MapGrid:
+    """Grid extents of +-4 R_eff(t_out) per axis (capped at the electron
+    flight distance beta * t_out) around the packet center."""
+    return _context_grid(_Context(scenario), nx, ny, z)
 
 
 def _context_grid(ctx: _Context, nx: int = 128, ny: int = 128,
-                  padding: float = 4.0, z: float = 0.0) -> MapGrid:
+                  z: float = 0.0) -> MapGrid:
     """``default_grid`` of the context's scenario."""
     t_out = ctx.scenario.t_out
     cap = max(ctx.geom.beta, float(np.linalg.norm(ctx.kernel.u_k))) * t_out
@@ -451,7 +451,7 @@ def _context_grid(ctx: _Context, nx: int = 128, ny: int = 128,
     for axis in (np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])):
         expo = complex(ctx.kernel.exponent_complex(t_out, axis))
         r_eff = math.inf if expo.real >= 0 else 1.0 / math.sqrt(-expo.real)
-        halves.append(min(padding * r_eff, cap))
+        halves.append(min(4.0 * r_eff, cap))
     return MapGrid.centered(halves[0], halves[1], nx, ny, z)
 
 
@@ -479,9 +479,9 @@ def _mirror_sources(grid: MapGrid, kept) -> dict:
 _WORKER_ARGS: tuple = ()
 
 
-def _init_worker(scenario, prefactor_scale, grid, *tols):
+def _init_worker(scenario, grid, *tols):
     global _WORKER_ARGS
-    _WORKER_ARGS = (_Context(scenario, prefactor_scale), grid, tols)
+    _WORKER_ARGS = (_Context(scenario), grid, tols)
 
 
 def _worker_row(iy):
@@ -503,8 +503,8 @@ def _env_workers() -> int:
 
 def evaluate_map(scenario: EmissionScenario, grid: Optional[MapGrid] = None,
                  workers: Optional[int] = None, rel_tol: float = 1e-9,
-                 abs_tol: Optional[float] = None, max_panels: int = 4096,
-                 prefactor_scale: float = 1.0) -> WignerMap:
+                 abs_tol: Optional[float] = None,
+                 max_panels: int = 4096) -> WignerMap:
     """Evaluate the Wigner function on a 2-D grid, normalized to
     max |value| = 1 (the raw scale is kept in the result).
 
@@ -522,7 +522,7 @@ def evaluate_map(scenario: EmissionScenario, grid: Optional[MapGrid] = None,
     """
     if workers is None:
         workers = _env_workers()
-    ctx = _Context(scenario, prefactor_scale)
+    ctx = _Context(scenario)
     if grid is None:
         grid = _context_grid(ctx)
     done = {}
@@ -540,7 +540,7 @@ def evaluate_map(scenario: EmissionScenario, grid: Optional[MapGrid] = None,
     else:
         with ProcessPoolExecutor(
                 max_workers=workers, initializer=_init_worker,
-                initargs=(scenario, prefactor_scale, grid, *tols)) as pool:
+                initargs=(scenario, grid, *tols)) as pool:
             done.update(zip(todo, pool.map(
                 _worker_row, todo,
                 chunksize=max(1, len(todo) // (4 * workers)))))
@@ -582,28 +582,21 @@ def central_value(wmap: WignerMap) -> float:
 
 
 def delta_p_scan(scenario: EmissionScenario, offsets: Sequence[float],
-                 grid: Optional[MapGrid] = None, direction=(1.0, 0.0, 0.0),
-                 **map_kwargs) -> list:
+                 grid: Optional[MapGrid] = None, **map_kwargs) -> list:
     """Maps with the final electron displaced so that DeltaP = offset along
-    ``direction``.  Only for offsets along X at phi_k = 90 degrees, normal
-    to the plane of u_p and u_k, do raw intensities scale as
-    exp(-DeltaP^2/sigma^2) while the normalized shape stays put; in that
-    plane the energy mismatch moves with DeltaP too (along Y, a 1 sigma
-    offset of the sigma = 1e-2 packet at t_out = 1e6 gives a raw-scale
-    ratio of 0.287, not exp(-1) = 0.368)."""
+    X.  At phi_k = 90 degrees X is normal to the plane of u_p and u_k, so
+    raw intensities scale as exp(-DeltaP^2/sigma^2) while the normalized
+    shape stays put."""
     sigma = scenario.packet.sigma
     for off in offsets:
         if abs(off) > 3.0 * sigma + 1e-300:
             raise ValueError(f"offset {off} outside +-3 sigma")
-    d = np.asarray(direction, dtype=float)
-    d = d / np.linalg.norm(d)
-    k = scenario.photon_momentum()
-    base_prime = scenario.packet.mean_momentum - k
+    base_prime = scenario.packet.mean_momentum - scenario.photon_momentum()
     if grid is None:
         grid = default_grid(scenario)
     maps = []
     for off in offsets:
-        shifted = base_prime + Momentum3.from_array(off * d)
+        shifted = base_prime + Momentum3(off, 0.0, 0.0)
         sc = replace(scenario, p_prime=shifted)
         wmap = evaluate_map(sc, grid=grid, **map_kwargs)
         wmap.meta["delta_p_offset"] = off
@@ -636,8 +629,7 @@ def near_field_snapshot(scenario: EmissionScenario, grid: MapGrid,
     return SnapshotMap(grid=grid, values=values, meta=meta)
 
 
-def momentum_marginal_weight(scenario: EmissionScenario,
-                             omega_band: Optional[tuple] = None) -> float:
+def momentum_marginal_weight(scenario: EmissionScenario) -> float:
     """Relative spectral-angular detection weight at the on-shell point,
     i.e. the regular factor of the momentum marginal of the Wigner
     function; independent of all phases.
@@ -652,8 +644,7 @@ def momentum_marginal_weight(scenario: EmissionScenario,
     if scenario.p_prime is None:
         mean = packet.mean_momentum
         lo, hi = medium.domain()
-        band = omega_band or (max(1e-9 * scenario.omega, lo),
-                              min(hi, 0.99 * energy(mean) - 0.0))
+        band = (max(1e-9 * scenario.omega, lo), min(hi, 0.99 * energy(mean)))
 
         eps0 = energy(mean)
 

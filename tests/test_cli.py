@@ -1,5 +1,8 @@
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -15,8 +18,7 @@ from cherenkov_wigner.kinematics import (ElectronPacket, EmissionGeometry,
                                          Momentum3, momentum_magnitude)
 from cherenkov_wigner.medium import EV_PER_ME, TabulatedMedium
 from cherenkov_wigner.observables import flash_stats, spread_times_at_angle
-from cherenkov_wigner.units import (IncompatibleDimensions, UnitContext,
-                                    convert_units)
+from cherenkov_wigner.units import IncompatibleDimensions, convert_units
 
 ROOT = Path(__file__).resolve().parents[1]
 CONFIG_DIR = ROOT / "configs"
@@ -172,6 +174,19 @@ def test_medium_table_missing(tmp_path, capsys):
     assert "config error: medium.table" in capsys.readouterr().err
 
 
+def test_module_entry_point_runs_without_runtime_warning():
+    # `python -m cherenkov_wigner.cli` must not find the module already
+    # imported by the package
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                         os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m",
+         "cherenkov_wigner.cli", "--help"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage:")
+
+
 def test_unit_constants():
     from cherenkov_wigner.units import LAMBDAC_CM, TC_SECONDS
     assert abs(TC_SECONDS - 1.3e-21) < 0.05e-21
@@ -186,12 +201,11 @@ def test_unit_conversions():
 
 
 def test_unit_round_trip(rng):
-    ctx = UnitContext()
     pairs = [("t_c", "fs"), ("as", "ps"), ("m_e", "eV"), ("lambda_c", "nm"),
              ("cm", "um")]
     for a, b in pairs:
         x = float(rng.uniform(0.1, 10.0))
-        back = convert_units(convert_units(x, a, b, ctx), b, a, ctx)
+        back = convert_units(convert_units(x, a, b), b, a)
         assert abs(back - x) < 1e-12 * x
 
 

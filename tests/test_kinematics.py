@@ -226,6 +226,23 @@ def test_electron_packet_sigma_must_be_finite_and_positive(sigma):
         ElectronPacket(Momentum3(0, 0, 1.0), sigma)
 
 
+@pytest.mark.parametrize("component", ["x", "y", "z"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_electron_packet_mean_momentum_must_be_finite(component, bad):
+    mean = dict(x=0.0, y=0.0, z=1.0)
+    mean[component] = bad
+    with pytest.raises(ValueError, match="mean_momentum must be finite"):
+        ElectronPacket(Momentum3(**mean), 1e-4)
+
+
+@pytest.mark.parametrize("beta", [1.0, -1.0, 1.5, math.nan, math.inf])
+def test_lorentz_gamma_rejects_beta_outside_unit_interval(beta):
+    with pytest.raises(ValueError, match="beta"):
+        lorentz_gamma(beta)
+    with pytest.raises(ValueError, match="beta"):
+        momentum_magnitude(beta)
+
+
 def test_geometry_momentum_balance_enforced():
     p = Momentum3(0, 0, 1.0)
     k = Momentum3(1e-5, 0, 1e-5)
