@@ -82,43 +82,62 @@ _GAUSS_WEIGHTS = np.array([
 ])
 
 
-# upper bound on rows x abscissae per integrand call of integrate_batch
+# upper bound on rows x abscissae per integrand call of integrate_batch,
+# after the first call of a quadrature (see _HEAD)
 _BLOCK = 1 << 16
+
+
+# a start mesh of up to this many panels is evaluated in one integrand
+# call, which also tells the row count
+_HEAD = 64
+
+
+def _samples(f, t, lo, hi, start, stop):
+    """f on the Kronrod nodes of panels [start, stop), shape (rows,
+    panels, 15)."""
+    y = np.asarray(f(t[start:stop].ravel()), dtype=float)
+    y = y.reshape(y.shape[0], -1, 15)
+    if not np.all(np.isfinite(y)):
+        row, panel = np.argwhere(~np.isfinite(y))[0, :2]
+        raise NonFiniteIntegrand(
+            f"non-finite integrand row {row} on "
+            f"[{lo[start + panel]}, {hi[start + panel]}]")
+    return y
 
 
 def _gk15_panels(f, lo, hi, rows=None):
     """Gauss-Kronrod sums of the rows of f on each panel [lo, hi]: returns
     (values, errors), both of shape (rows, len(lo)).  When ``rows`` is not
-    known yet, the first call holds one panel and tells it."""
+    known yet, the first call of f tells it: that call holds every panel
+    when there are at most ``_HEAD``, else panel 0 alone.
+
+    The sums are taken over blocks of at most _BLOCK rows x abscissae,
+    panel 0 alone first when ``rows`` was not known, whatever the first
+    call held: the BLAS rounding of a panel's sum depends on its place in
+    its block."""
     half = 0.5 * (hi - lo)
     t = (0.5 * (lo + hi))[:, None] + half[:, None] * _KRONROD_NODES
-    vals = errs = None
-    s = 0
-    while s < lo.size:
-        n = 1 if rows is None else max(1, _BLOCK // (15 * rows))
-        part = slice(s, s + n)
-        y = np.asarray(f(t[part].ravel()), dtype=float)
-        y = y.reshape(y.shape[0], -1, 15)
-        if not np.all(np.isfinite(y)):
-            row, panel = np.argwhere(~np.isfinite(y))[0, :2]
-            raise NonFiniteIntegrand(
-                f"non-finite integrand row {row} on "
-                f"[{lo[s + panel]}, {hi[s + panel]}]")
-        if vals is None:
-            rows = y.shape[0]
-            vals = np.empty((rows, lo.size))
-            errs = np.empty((rows, lo.size))
-        h = half[part]
+    got = 0
+    if rows is None:
+        got = lo.size if lo.size <= _HEAD else 1
+        head = _samples(f, t, lo, hi, 0, got)
+        rows = head.shape[0]
+    n = max(1, _BLOCK // (15 * rows))
+    bounds = [0, *range(1 if got else n, lo.size, n), lo.size]
+    vals = np.empty((rows, lo.size))
+    errs = np.empty((rows, lo.size))
+    for s, e in zip(bounds[:-1], bounds[1:]):
+        y = head[:, s:e] if e <= got else _samples(f, t, lo, hi, s, e)
+        h = half[s:e]
         kronrod = y @ _KRONROD_WEIGHTS
         err = h * np.abs(kronrod - y[..., 1::2] @ _GAUSS_WEIGHTS)
         # QUADPACK-style rescaling: sharpen the raw |K - G| estimate
         resasc = h * (np.abs(y - 0.5 * kronrod[..., None]) @ _KRONROD_WEIGHTS)
         ratio = np.divide(200.0 * err, resasc, out=np.zeros_like(err),
                           where=resasc > 0.0)
-        vals[:, part] = h * kronrod
-        errs[:, part] = np.where(resasc > 0.0,
-                                 resasc * np.minimum(1.0, ratio ** 1.5), err)
-        s += n
+        vals[:, s:e] = h * kronrod
+        errs[:, s:e] = np.where(resasc > 0.0,
+                                resasc * np.minimum(1.0, ratio ** 1.5), err)
     return vals, errs
 
 

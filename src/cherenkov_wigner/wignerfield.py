@@ -152,8 +152,9 @@ def _format_float(x: float) -> str:
 class WignerMap:
     """Normalized map values (max |value| scaled to 1) with the raw scale
     and per-node evaluation flags retained; ``panels`` and ``rounds`` hold
-    each row quadrature's mesh size and refinement passes (not written to
-    the CSV)."""
+    the mesh size and refinement passes of the quadrature each row came
+    from (not written to the CSV): the half-row batch when only half of
+    the row was integrated, the source row's when it was mirrored."""
 
     grid: MapGrid
     values: np.ndarray
@@ -243,6 +244,15 @@ def _mod_squared(geom: EmissionGeometry, lambda_gamma: Optional[int]) -> float:
     return amplitudes.helicity_amplitude(geom).mod_squared
 
 
+def _x_normal(kernel: PhaseSpaceKernel) -> bool:
+    """Whether X is normal to the plane of u_p and u_k: d = u_p - u_k has
+    no X component and c = u_p x u_k lies along X, so A and B are even in
+    X.  cos(pi/2) leaves ~6e-17, hence the 1e-15 of each norm."""
+    d, c = kernel.diff, kernel.cross
+    return bool(abs(d[0]) <= 1e-15 * math.hypot(*d)
+                and max(abs(c[1]), abs(c[2])) <= 1e-15 * math.hypot(*c))
+
+
 class _Context:
     """Per-scenario precomputation: kernel, constant prefactor, the
     oscillation-rate hint and the scenario-wide WKB flags."""
@@ -324,7 +334,7 @@ class _Context:
         ``nodes`` when it converged and each of its nodes already meets
         that tolerance, else None."""
         iy = int(np.argmin(np.abs(grid.ys())))
-        res = self._batch(_row_nodes(grid, iy), rel_tol, None, max_panels)
+        res = self._row_batch(grid, iy, rel_tol, None, max_panels)
         abs_tol = max(rel_tol * float(np.max(np.abs(res.values))),
                       1e-14 * self.envelope_scale)
         met = res.converged.all() and np.all(
@@ -336,6 +346,33 @@ class _Context:
         return numerics.integrate_batch(
             self.integrand_for(R), 0.0, self.scenario.t_out,
             **self._quad_options(rel_tol, abs_tol, max_panels))
+
+    def _row_batch(self, grid: "MapGrid", iy: int, rel_tol, abs_tol,
+                   max_panels) -> numerics.BatchQuadrature:
+        """Grid row ``iy`` as one batch.  When X is normal to the plane of
+        u_p and u_k and the X nodes are symmetric about 0, W(x, y) =
+        W(-x, y): only the first ceil(nx/2) columns are integrated, and
+        the rest are those reversed."""
+        nodes = _row_nodes(grid, iy)
+        xs, nx = nodes[:, 0], grid.nx
+        keep = (nx + 1) // 2 if (xs[0] == -xs[-1]
+                                 and _x_normal(self.kernel)) else nx
+        res = self._batch(nodes[:keep], rel_tol, abs_tol, max_panels)
+        if keep == nx:
+            return res
+
+        def full(part):
+            return np.concatenate([part, part[nx - keep - 1::-1]])
+
+        return replace(res, values=full(res.values),
+                       error_estimates=full(res.error_estimates),
+                       converged=full(res.converged))
+
+    def grid_row(self, grid: "MapGrid", iy: int, rel_tol: float,
+            abs_tol: float, max_panels: int):
+        """Grid row ``iy`` in the form of ``nodes``."""
+        return self._row(self._row_batch(grid, iy, rel_tol, abs_tol,
+                                         max_panels))
 
     def _row(self, res):
         """The batch's values and error estimates with the prefactor
@@ -437,8 +474,9 @@ def evaluate_point_reference(scenario: EmissionScenario, R):
 
 def default_grid(scenario: EmissionScenario, nx: int = 128, ny: int = 128,
                  z: float = 0.0) -> MapGrid:
-    """Grid extents of +-4 R_eff(t_out) per axis (capped at the electron
-    flight distance beta * t_out) around the packet center."""
+    """Grid extents of +-4 R_eff(t_out) per axis around the packet center,
+    each capped at max(beta, |u_k|) * t_out, the farther of the electron's
+    and the photon's flight distances."""
     return _context_grid(_Context(scenario), nx, ny, z)
 
 
@@ -486,7 +524,7 @@ def _init_worker(scenario, grid, *tols):
 
 def _worker_row(iy):
     ctx, grid, tols = _WORKER_ARGS
-    return ctx.nodes(_row_nodes(grid, iy), *tols)
+    return ctx.grid_row(grid, iy, *tols)
 
 
 def _env_workers() -> int:
@@ -516,7 +554,12 @@ def evaluate_map(scenario: EmissionScenario, grid: Optional[MapGrid] = None,
     ``default_grid``), only one row of each mirror pair (iy, ny-1-iy) is
     integrated, the kept pilot row being the source of its pair, and the
     other is that row reversed in X, since W(R) = W(-R); any other grid
-    integrates every row.  The integrated rows are data-parallel across
+    integrates every row.  When X is normal to the plane of u_p and u_k
+    (phi_k = 90 deg, no DeltaP along X) and the X nodes are symmetric about
+    0, W(x, y) = W(-x, y) at any Z: each integrated row, the pilot too,
+    integrates its first ceil(nx/2) columns and takes the rest as those
+    reversed, and its ``panels`` and ``rounds`` are those of that half-row
+    batch.  The integrated rows are data-parallel across
     ``workers`` processes (default from CHR_WORKERS, else serial); the
     output is deterministic and independent of the worker count.
     """
@@ -535,8 +578,7 @@ def evaluate_map(scenario: EmissionScenario, grid: Optional[MapGrid] = None,
     todo = [iy for iy in range(grid.ny)
             if iy not in done and iy not in mirrored]
     if workers <= 1:
-        done.update((iy, ctx.nodes(_row_nodes(grid, iy), *tols))
-                    for iy in todo)
+        done.update((iy, ctx.grid_row(grid, iy, *tols)) for iy in todo)
     else:
         with ProcessPoolExecutor(
                 max_workers=workers, initializer=_init_worker,

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from cherenkov_wigner.numerics import (DiffSpec, NoSignChange,
                                        NonFiniteIntegrand, NonFiniteSample,
-                                       differentiate, find_root,
-                                       integrate_batch)
+                                       _gk15_panels, differentiate,
+                                       find_root, integrate_batch)
 
 
 def gauss_legendre_reference(f, a, b, n=2000):
@@ -169,6 +169,47 @@ def test_batch_empty_interval():
     res = integrate_batch(lambda x: np.stack([x, x]), 1.0, 1.0)
     assert res.values.tolist() == [0.0, 0.0]
     assert res.converged.all()
+
+
+@pytest.mark.parametrize("hint,panels,calls", [
+    (1.0, 20, 1), (2.0, 40, 1), (3.2, 64, 1), (3.5, 70, 2)])
+def test_start_mesh_of_up_to_64_panels_is_one_integrand_call(hint, panels,
+                                                             calls):
+    # the first call tells the row count; it holds the whole start mesh
+    # when that has at most 64 panels, so a quadrature that converges
+    # there makes one call, and one panel otherwise
+    sizes = []
+
+    def f(t):
+        sizes.append(t.size)
+        return np.stack([np.cos(t), np.sin(t)])
+
+    res = integrate_batch(f, 0.0, 10.0 * math.pi, abs_tol=1e-6, rel_tol=1e-6,
+                          phase_rate_hint=hint)
+    assert (res.panels_used, res.rounds) == (panels, 1)
+    assert res.converged.all()
+    assert sizes[0] == 15 * (panels if panels <= 64 else 1)
+    assert sum(sizes) == 15 * panels
+    assert len(sizes) == calls
+
+
+@pytest.mark.parametrize("rows,panels", [
+    (1, 60), (3, 64), (100, 60), (3, 65), (2, 200)])
+def test_panel_sums_do_not_depend_on_the_first_call(rows, panels):
+    # the BLAS rounding of a panel's sum depends on its place in the block
+    # it is summed in; with the row count unknown, panel 0 is a block of its
+    # own and the rest are blocked as with the row count known, whatever
+    # the first integrand call held (for 100 rows it spans three blocks)
+    rng = np.random.default_rng(rows)
+    edges = np.cumsum(rng.uniform(0.1, 1.0, size=panels + 1))
+    lo, hi = edges[:-1], edges[1:]
+    c = rng.normal(size=(rows, 1))
+    f = lambda t: c * np.cos(3.0 * t + c) * np.exp(-0.01 * t)
+    vals, errs = _gk15_panels(f, lo, hi)
+    head = _gk15_panels(f, lo[:1], hi[:1], rows)
+    rest = _gk15_panels(f, lo[1:], hi[1:], rows)
+    assert np.array_equal(vals, np.concatenate([head[0], rest[0]], axis=1))
+    assert np.array_equal(errs, np.concatenate([head[1], rest[1]], axis=1))
 
 
 def test_differentiate_sin():

@@ -1,6 +1,7 @@
 import math
 import string
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -13,10 +14,10 @@ from cherenkov_wigner import numerics
 from cherenkov_wigner.kinematics import (ElectronPacket, Momentum3,
                                          momentum_magnitude)
 from cherenkov_wigner.medium import ConstantMedium
-from cherenkov_wigner.observables import WkbFlags
+from cherenkov_wigner.observables import PhaseSpaceKernel, WkbFlags
 from cherenkov_wigner.wignerfield import (EmissionScenario, MapGrid,
                                           NonGaussianPhase, OffShell,
-                                          _Context, _row_nodes,
+                                          _Context, _row_nodes, _x_normal,
                                           central_value,
                                           default_grid, delta_p_scan,
                                           evaluate_map, evaluate_point,
@@ -364,6 +365,25 @@ def test_point_is_one_batch_of_one_row(monkeypatch):
     assert calls[0](np.linspace(0.0, sc.t_out, 5)).shape == (1, 5)
 
 
+def test_point_on_its_start_mesh_is_one_integrand_call(monkeypatch):
+    sc = balance_scenario(sigma=1e-5, theta_frac=1.1, t_out=5e6)
+    R = np.array([3e4, -2e4, 0.0])
+    *_, panels, rounds = _Context(sc).nodes(R[None, :], 1e-10, None, 4096)
+    assert rounds == 1 and panels <= 64
+    sizes = []
+    batch = numerics.integrate_batch
+
+    def counted(f, *args, **kwargs):
+        def g(t):
+            sizes.append(t.size)
+            return f(t)
+        return batch(g, *args, **kwargs)
+
+    monkeypatch.setattr(numerics, "integrate_batch", counted)
+    evaluate_point(sc, R)
+    assert sizes == [15 * panels]
+
+
 @pytest.mark.parametrize("sc,grid", [
     (skew_scenario(), MapGrid.centered(400.0, 400.0, 6, 6)),
     (skew_scenario(), MapGrid.centered(400.0, 400.0, 5, 7)),
@@ -431,26 +451,135 @@ def test_grid_without_mirror_symmetry_integrates_every_row(grid,
     assert np.array_equal(wmap.values, raw / wmap.scale)
 
 
-@pytest.mark.parametrize("sc,grid", [
-    (fig10_scenario(), MapGrid.centered(400.0, 400.0, 8, 5)),
-    (skew_scenario(), MapGrid.centered(400.0, 300.0, 6, 8)),
-    (skew_scenario(), MapGrid.centered(400.0, 400.0, 7, 7)),
+@pytest.mark.parametrize("sc,grid,kept", [
+    (fig10_scenario(), MapGrid.centered(400.0, 400.0, 8, 5), True),
+    (skew_scenario(), MapGrid.centered(400.0, 300.0, 6, 8), True),
+    (skew_scenario(), MapGrid.centered(400.0, 400.0, 7, 7), True),
     # mirrored rows here differ from rows integrated on their own in the
     # last digits: the pool must integrate the same rows
-    (balance_scenario(sigma=1e-5, t_out=1e6, phi_k=0.3), (6, 6)),
+    (balance_scenario(sigma=1e-5, t_out=1e6, phi_k=0.3), (6, 6), True),
     # here the pilot took 4 rounds, and integrating its row again under
     # the map tolerance gives other last digits: the pool must not
-    (balance_scenario(sigma=1e-4, theta_frac=1.1, t_out=3e5), (8, 5))],
-    ids=["fig10", "pilot-high", "odd", "mirrored-digits", "four-round-pilot"])
-def test_map_worker_independence_with_a_reused_pilot_row(sc, grid):
+    (balance_scenario(sigma=1e-4, theta_frac=1.1, t_out=3e5), (8, 5), True),
+    # phi_k = 90 deg, half rows: the pilot misses the map tolerance, and
+    # the pool integrates its row again as the serial loop does
+    (balance_scenario(sigma=1e-5, theta_frac=1.1, t_out=5e7), (5, 4),
+     False)],
+    ids=["fig10", "pilot-high", "odd", "mirrored-digits", "four-round-pilot",
+         "half-rows-pilot-not-kept"])
+def test_map_worker_independence_with_a_reused_pilot_row(sc, grid, kept):
     if not isinstance(grid, MapGrid):
         grid = default_grid(sc, *grid)
-    assert _Context(sc).map_abs_tol(grid, 1e-9, 4096)[2] is not None
+    assert (_Context(sc).map_abs_tol(grid, 1e-9, 4096)[2] is not None) == kept
     serial = evaluate_map(sc, grid, workers=1)
     parallel = evaluate_map(sc, grid, workers=2)
     assert serial.scale == parallel.scale
     for name in ("values", "error_estimates", "flags", "panels", "rounds"):
         assert np.array_equal(getattr(serial, name), getattr(parallel, name))
+
+
+@pytest.mark.parametrize("sc,R", [
+    (fig10_scenario(), [150.0, -80.0, 0.0]),
+    (fig10_scenario(), [150.0, 60.0, 90.0]),
+    (balance_scenario(sigma=1e-5, theta_frac=1.1, t_out=5e7),
+     [4e5, -2e5, -1e5])],
+    ids=["z0", "z-nonzero", "long"])
+def test_reference_is_even_in_x_normal_to_the_emission_plane(sc, R):
+    # the reference route, not the map's: W(x, y, z) = W(-x, y, z) at
+    # phi_k = 90 deg, where X is normal to the plane of u_p and u_k, and
+    # not at phi_k = 0.3
+    R = np.array(R)
+    flip = R * [-1.0, 1.0, 1.0]
+    ref = evaluate_point_reference(sc, R).real
+    assert abs(evaluate_point_reference(sc, flip).real - ref) <= 1e-12 * abs(ref)
+    skew = replace(sc, phi_k=0.3)
+    ref = evaluate_point_reference(skew, R).real
+    assert abs(evaluate_point_reference(skew, flip).real - ref) > 0.1 * abs(ref)
+
+
+def _batch_rows(calls):
+    return [f(np.array([0.0, 1.0])).shape[0] for f in calls]
+
+
+@pytest.mark.parametrize("grid", [
+    MapGrid.centered(400.0, 400.0, 6, 6),
+    MapGrid.centered(400.0, 400.0, 7, 5),
+    MapGrid.centered(400.0, 300.0, 5, 4, z=120.0),
+    MapGrid.centered(400.0, 400.0, 2, 3)],
+    ids=["even", "odd", "odd-z-nonzero", "two-columns"])
+def test_x_normal_map_integrates_half_of_each_row(grid, monkeypatch):
+    sc = fig10_scenario()
+    ctx = _Context(sc)
+    assert _x_normal(ctx.kernel)
+    keep = math.ceil(grid.nx / 2)
+    calls = _count_batches(monkeypatch)
+    wmap = evaluate_map(sc, grid, workers=1)
+    assert calls and _batch_rows(calls) == [keep] * len(calls)
+    # each batch is the first keep columns of a row: an odd grid's centre
+    # column once, as its last node
+    t = np.linspace(0.0, sc.t_out, 7)
+    for f in calls:
+        assert any(np.array_equal(f(t), ctx.integrand_for(
+            _row_nodes(grid, iy)[:keep])(t)) for iy in range(grid.ny))
+    for name in ("values", "error_estimates", "flags"):
+        rows = getattr(wmap, name)
+        assert np.array_equal(rows[:, keep:], rows[:, grid.nx - keep - 1::-1])
+
+
+def _delta_p_scenario(sigmas):
+    """The fig10 scenario with DeltaP = sigmas * sigma along X."""
+    sc = fig10_scenario()
+    shift = Momentum3(sigmas * sc.packet.sigma, 0.0, 0.0)
+    return replace(sc, p_prime=sc.packet.mean_momentum
+                   - sc.photon_momentum() + shift)
+
+
+@pytest.mark.parametrize("sc,grid", [
+    (skew_scenario(), MapGrid.centered(400.0, 400.0, 6, 6)),
+    (_delta_p_scenario(1.0), MapGrid.centered(400.0, 400.0, 7, 6)),
+    (fig10_scenario(), MapGrid(-300.0, 400.0, 6, -400.0, 400.0, 6)),
+    (fig10_scenario(), MapGrid(-400.0, 400.0, 1, -400.0, 400.0, 6)),
+    (fig10_scenario(), MapGrid(0.0, 0.0, 1, -400.0, 400.0, 5))],
+    ids=["skew", "delta-p-1sigma", "off-centre-x", "one-column",
+         "one-column-at-0"])
+def test_map_keeps_full_rows_unless_x_is_normal_and_symmetric(sc, grid,
+                                                              monkeypatch):
+    calls = _count_batches(monkeypatch)
+    evaluate_map(sc, grid, workers=1)
+    assert calls and _batch_rows(calls) == [grid.nx] * len(calls)
+
+
+def test_x_normal_needs_both_d_and_c_normal_to_x():
+    # a DeltaP offset along X or a skew phi_k tilts the emission plane
+    assert _x_normal(_Context(fig10_scenario()).kernel)
+    assert not _x_normal(_Context(_delta_p_scenario(1.0)).kernel)
+    assert not _x_normal(_Context(skew_scenario()).kernel)
+    # d_x = 0 makes A even in X, but B = (R . c)^2 is even in X only when
+    # c lies along X
+    R = np.array([[300.0, 200.0, -100.0], [-300.0, 200.0, -100.0]])
+    for u_k, normal in (([0.3, 0.5, 0.4], False), ([0.0, 0.5, 0.4], True)):
+        u_p = [u_k[0], 0.1, 0.9]
+        kern = PhaseSpaceKernel(np.array(u_p), np.array(u_k), 1.0, 0.5, 1e-2)
+        assert kern.diff[0] == 0.0
+        assert _x_normal(kern) == normal
+        a, b = kern.direction_factors(R)
+        assert (np.isclose(a[0], a[1], rtol=1e-14, atol=0.0)
+                and np.isclose(b[0], b[1], rtol=1e-14, atol=0.0)) == normal
+
+
+def test_copied_half_rows_match_rows_integrated_in_full():
+    # the map-long theta_Ch map: each row's copied half is within 1e-12 of
+    # the scale of that row integrated with all its columns
+    sc = balance_scenario(sigma=1e-5, t_out=5e7)
+    grid = default_grid(sc, 12, 12)
+    wmap = evaluate_map(sc, grid)
+    ctx = _Context(sc)
+    abs_tol, _, _ = ctx.map_abs_tol(grid, 1e-9, 4096)
+    keep = grid.nx // 2
+    for iy in range(grid.ny):
+        full = ctx.nodes(_row_nodes(grid, iy), 1e-9, abs_tol, 4096)[0]
+        assert (np.max(np.abs(wmap.values[iy, keep:] * wmap.scale
+                              - full[keep:])) <= 1e-12 * wmap.scale)
 
 
 def test_delta_p_scan():
