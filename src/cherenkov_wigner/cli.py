@@ -197,6 +197,10 @@ def _validate(values: dict, path: Path) -> ScenarioConfig:
     study = values["study"]
     if study not in STUDIES:
         raise ValidationError(f"study: {study!r} not one of {STUDIES}")
+    for key, value in values.items():
+        if _KEYS[key][1] in (float, _degrees, _offsets) and not np.all(
+                np.isfinite(value)):
+            raise ValidationError(f"{key}: must be finite, got {value!r}")
     if "gamma" in values and "beta" in values:
         raise ValidationError("beta/gamma: give one, not both")
     if "gamma" in values:
@@ -215,15 +219,10 @@ def _validate(values: dict, path: Path) -> ScenarioConfig:
 
     if not (0.0 < cfg.beta < 1.0):
         raise ValidationError("beta: must lie in (0, 1)")
-    positive = ("sigma", "omega", "t-out", "medium.n")
-    for key in positive + ("medium.d", "medium.e", "sweep.start",
-                           "sweep.stop"):
+    for key in ("sigma", "omega", "t-out", "medium.n", "grid.extent"):
         value = getattr(cfg, _KEYS[key][0])
-        if value is not None and not (math.isfinite(value) and (
-                value > 0 or key not in positive)):
-            raise ValidationError(f"{key}: must be finite"
-                                  f"{' and positive' * (key in positive)}, "
-                                  f"got {value!r}")
+        if value is not None and value <= 0:
+            raise ValidationError(f"{key}: must be positive, got {value!r}")
     if cfg.branch not in (1, -1):
         raise ValidationError(f"branch: must be +1 or -1, got {cfg.branch}")
     if cfg.sweep_scale not in ("linear", "log"):

@@ -89,6 +89,9 @@ class EmissionScenario:
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
+        if self.p_prime is not None and not np.all(
+                np.isfinite(self.p_prime.as_array())):
+            raise ValueError(f"p_prime must be finite, got {self.p_prime!r}")
 
     def photon_momentum(self) -> Momentum3:
         n = self.medium.index(self.omega)[0]
@@ -152,9 +155,9 @@ def _format_float(x: float) -> str:
 class WignerMap:
     """Normalized map values (max |value| scaled to 1) with the raw scale
     and per-node evaluation flags retained; ``panels`` and ``rounds`` hold
-    the mesh size and refinement passes of the quadrature each row came
-    from (not written to the CSV): the half-row batch when only half of
-    the row was integrated, the source row's when it was mirrored."""
+    the mesh size and refinement passes of each row's source-row
+    quadrature over its source columns (see ``evaluate_map``; not written
+    to the CSV)."""
 
     grid: MapGrid
     values: np.ndarray
@@ -323,56 +326,24 @@ class _Context:
                     max_panels=max_panels,
                     knee=knee if math.isfinite(knee) and knee > 0 else None)
 
-    def map_abs_tol(self, grid: "MapGrid", rel_tol: float,
-                    max_panels: int):
-        """Default absolute tolerance of a map's quadratures: rel_tol times
-        the largest |integral| on the grid row nearest R = 0, a lower bound
-        of the map's scale, so that every node lands within about rel_tol
-        of that scale; never below 1e-14 of the envelope integral.
-
-        Returns (abs_tol, iy, row): the pilot row ``iy`` in the form of
-        ``nodes`` when it converged and each of its nodes already meets
-        that tolerance, else None."""
-        iy = int(np.argmin(np.abs(grid.ys())))
-        res = self._row_batch(grid, iy, rel_tol, None, max_panels)
+    def pilot(self, R, rel_tol: float, max_panels: int):
+        """A map's pilot quadrature at nodes R.  Returns the map's absolute
+        tolerance, rel_tol times their largest |integral| (a lower bound of
+        the map's scale) but at least 1e-14 of the envelope integral; then
+        the nodes in the form of ``nodes`` if each already meets it, else
+        None."""
+        res = self._batch(R, rel_tol, None, max_panels)
         abs_tol = max(rel_tol * float(np.max(np.abs(res.values))),
                       1e-14 * self.envelope_scale)
         met = res.converged.all() and np.all(
             res.error_estimates
             <= np.maximum(abs_tol, rel_tol * np.abs(res.values)))
-        return abs_tol, iy, (self._row(res) if met else None)
+        return abs_tol, (self._row(res) if met else None)
 
     def _batch(self, R, rel_tol, abs_tol, max_panels):
         return numerics.integrate_batch(
             self.integrand_for(R), 0.0, self.scenario.t_out,
             **self._quad_options(rel_tol, abs_tol, max_panels))
-
-    def _row_batch(self, grid: "MapGrid", iy: int, rel_tol, abs_tol,
-                   max_panels) -> numerics.BatchQuadrature:
-        """Grid row ``iy`` as one batch.  When X is normal to the plane of
-        u_p and u_k and the X nodes are symmetric about 0, W(x, y) =
-        W(-x, y): only the first ceil(nx/2) columns are integrated, and
-        the rest are those reversed."""
-        nodes = _row_nodes(grid, iy)
-        xs, nx = nodes[:, 0], grid.nx
-        keep = (nx + 1) // 2 if (xs[0] == -xs[-1]
-                                 and _x_normal(self.kernel)) else nx
-        res = self._batch(nodes[:keep], rel_tol, abs_tol, max_panels)
-        if keep == nx:
-            return res
-
-        def full(part):
-            return np.concatenate([part, part[nx - keep - 1::-1]])
-
-        return replace(res, values=full(res.values),
-                       error_estimates=full(res.error_estimates),
-                       converged=full(res.converged))
-
-    def grid_row(self, grid: "MapGrid", iy: int, rel_tol: float,
-            abs_tol: float, max_panels: int):
-        """Grid row ``iy`` in the form of ``nodes``."""
-        return self._row(self._row_batch(grid, iy, rel_tol, abs_tol,
-                                         max_panels))
 
     def _row(self, res):
         """The batch's values and error estimates with the prefactor
@@ -493,38 +464,35 @@ def _context_grid(ctx: _Context, nx: int = 128, ny: int = 128,
     return MapGrid.centered(halves[0], halves[1], nx, ny, z)
 
 
-def _row_nodes(grid: MapGrid, iy: int) -> np.ndarray:
-    """The (nx, 3) node coordinates of grid row ``iy``."""
-    xs = grid.xs()
-    return np.column_stack([xs, np.full(grid.nx, grid.ys()[iy]),
-                            np.full(grid.nx, grid.z)])
-
-
-def _mirror_sources(grid: MapGrid, kept) -> dict:
-    """{row: source row} of the rows that are their source reversed in X,
-    W(R) = W(-R): row ny-1-iy mirrors row iy on a Z = 0 grid whose nodes
-    are symmetric about 0.  A row in ``kept`` is a source."""
+def _source_rows(grid: MapGrid) -> np.ndarray:
+    """Each row's source row under W(R) = W(-R) (see ``evaluate_map``)."""
+    xs, ys, iy = grid.xs(), grid.ys(), np.arange(grid.ny)
     # end nodes, not extents: a one-column grid sits at x_min
-    xs, ys = grid.xs(), grid.ys()
-    if not (xs[0] == -xs[-1] and ys[0] == -ys[-1] and grid.z == 0.0):
-        return {}
-    pairs = ((iy, grid.ny - 1 - iy) for iy in range(grid.ny // 2))
-    return dict((b, a) if b not in kept else (a, b) for a, b in pairs)
+    symmetric = xs[0] == -xs[-1] and ys[0] == -ys[-1] and grid.z == 0.0
+    return np.minimum(iy, grid.ny - 1 - iy) if symmetric else iy
 
 
-# A pool worker's context and row arguments, built once per process by
-# _init_worker rather than once per row.
+def _source_columns(ctx: _Context, grid: MapGrid) -> np.ndarray:
+    """Each column's source column under W(x, y) = W(-x, y) (see
+    ``evaluate_map``)."""
+    xs, ix = grid.xs(), np.arange(grid.nx)
+    symmetric = xs[0] == -xs[-1] and _x_normal(ctx.kernel)
+    return np.minimum(ix, grid.nx - 1 - ix) if symmetric else ix
+
+
+# A pool worker's context and quadrature options, built once per process
+# by _init_worker rather than once per row.
 _WORKER_ARGS: tuple = ()
 
 
-def _init_worker(scenario, grid, *tols):
+def _init_worker(scenario, *tols):
     global _WORKER_ARGS
-    _WORKER_ARGS = (_Context(scenario), grid, tols)
+    _WORKER_ARGS = (_Context(scenario), tols)
 
 
-def _worker_row(iy):
-    ctx, grid, tols = _WORKER_ARGS
-    return ctx.grid_row(grid, iy, *tols)
+def _worker_row(R):
+    ctx, tols = _WORKER_ARGS
+    return ctx.nodes(R, *tols)
 
 
 def _env_workers() -> int:
@@ -541,56 +509,55 @@ def _env_workers() -> int:
 
 def evaluate_map(scenario: EmissionScenario, grid: Optional[MapGrid] = None,
                  workers: Optional[int] = None, rel_tol: float = 1e-9,
-                 abs_tol: Optional[float] = None,
                  max_panels: int = 4096) -> WignerMap:
     """Evaluate the Wigner function on a 2-D grid, normalized to
     max |value| = 1 (the raw scale is kept in the result).
 
-    Each grid row is one quadrature on a mesh shared by its nodes.  By
-    default every node is held to about ``rel_tol`` of the map's scale
-    (see ``_Context.map_abs_tol``), and the pilot row that sets that
-    tolerance is kept when it already meets it.  On a grid at Z = 0 whose
-    nodes are symmetric about 0 in X and Y (``MapGrid.centered``,
-    ``default_grid``), only one row of each mirror pair (iy, ny-1-iy) is
-    integrated, the kept pilot row being the source of its pair, and the
-    other is that row reversed in X, since W(R) = W(-R); any other grid
-    integrates every row.  When X is normal to the plane of u_p and u_k
-    (phi_k = 90 deg, no DeltaP along X) and the X nodes are symmetric about
-    0, W(x, y) = W(-x, y) at any Z: each integrated row, the pilot too,
-    integrates its first ceil(nx/2) columns and takes the rest as those
-    reversed, and its ``panels`` and ``rounds`` are those of that half-row
-    batch.  The integrated rows are data-parallel across
-    ``workers`` processes (default from CHR_WORKERS, else serial); the
-    output is deterministic and independent of the worker count.
+    Every node takes its value from a source node.  The integrand sees R
+    only through A and B, both even in R, so W(R) = W(-R): on a Z = 0 grid
+    whose nodes are symmetric about 0 in X and Y, row ny-1-iy is row iy
+    reversed in X, and the lower row of each pair is the source row.  When
+    X is normal to the plane of u_p and u_k (phi_k = 90 deg, no DeltaP
+    along X), A and B are even in X alone, so W(x, y) = W(-x, y) at any Z:
+    if the X nodes are symmetric about 0, the lower column of each pair
+    (ix, nx-1-ix) is the source column.  Other rows and columns are their
+    own sources.  Each source row is one quadrature of its source columns
+    on a mesh those nodes share.  Every node is held to about ``rel_tol``
+    of the map's scale, set by a pilot quadrature of the source row nearest
+    R = 0, which is kept when it already meets that tolerance.  The source
+    rows are data-parallel across ``workers`` processes (default from
+    CHR_WORKERS, else serial); the output is deterministic and independent
+    of the worker count.
     """
     if workers is None:
         workers = _env_workers()
     ctx = _Context(scenario)
     if grid is None:
         grid = _context_grid(ctx)
-    done = {}
-    if abs_tol is None:
-        abs_tol, iy, pilot = ctx.map_abs_tol(grid, rel_tol, max_panels)
-        if pilot is not None:
-            done[iy] = pilot
+    rows, cols = _source_rows(grid), _source_columns(ctx, grid)
+    # each row's nodes on the source columns, shape (ny, max(cols) + 1, 3)
+    x, y = np.meshgrid(grid.xs()[:cols.max() + 1], grid.ys())
+    nodes = np.stack([x, y, np.full_like(x, grid.z)], axis=-1)
+    pilot = rows[np.argmin(np.abs(grid.ys()))]
+    abs_tol, row = ctx.pilot(nodes[pilot], rel_tol, max_panels)
+    done = {} if row is None else {pilot: row}
+    todo = [iy for iy in np.unique(rows) if iy not in done]
     tols = (rel_tol, abs_tol, max_panels)
-    mirrored = _mirror_sources(grid, done)
-    todo = [iy for iy in range(grid.ny)
-            if iy not in done and iy not in mirrored]
     if workers <= 1:
-        done.update((iy, ctx.grid_row(grid, iy, *tols)) for iy in todo)
+        done.update((iy, ctx.nodes(nodes[iy], *tols)) for iy in todo)
     else:
         with ProcessPoolExecutor(
                 max_workers=workers, initializer=_init_worker,
-                initargs=(scenario, grid, *tols)) as pool:
+                initargs=(scenario, *tols)) as pool:
             done.update(zip(todo, pool.map(
-                _worker_row, todo,
+                _worker_row, [nodes[iy] for iy in todo],
                 chunksize=max(1, len(todo) // (4 * workers)))))
-    for iy, source in mirrored.items():
-        value, error, flag, panels, rounds = done[source]
-        done[iy] = (value[::-1], error[::-1], flag[::-1], panels, rounds)
     values, errors, flags, panels, rounds = (
-        np.array(part) for part in zip(*(done[iy] for iy in range(grid.ny))))
+        np.array(part) for part in zip(*(done[iy] for iy in rows)))
+    # a row taken from its mirror row is reversed in X
+    ix = np.where((rows != np.arange(grid.ny))[:, None], cols[::-1], cols)
+    values, errors, flags = (np.take_along_axis(part, ix, axis=1)
+                             for part in (values, errors, flags))
 
     scale = float(np.max(np.abs(values)))
     if scale > 0.0:
@@ -631,6 +598,8 @@ def delta_p_scan(scenario: EmissionScenario, offsets: Sequence[float],
     shape stays put."""
     sigma = scenario.packet.sigma
     for off in offsets:
+        if not math.isfinite(off):
+            raise ValueError(f"offsets must be finite, got {off!r}")
         if abs(off) > 3.0 * sigma + 1e-300:
             raise ValueError(f"offset {off} outside +-3 sigma")
     base_prime = scenario.packet.mean_momentum - scenario.photon_momentum()

@@ -323,7 +323,16 @@ def test_map_study_rejects_bad_chr_workers(tmp_path, monkeypatch, capsys,
     ("medium.d", "medium.d = inf\n"), ("medium.e", "medium.e = nan\n"),
     ("sweep.start", "sweep.start = nan\n"),
     ("sweep.stop", "sweep.stop = -inf\n"), ("branch", "branch = 2\n"),
-    ("branch", "branch = 0\n"), ("medium.table", "medium.table = .\n")])
+    ("branch", "branch = 0\n"), ("medium.table", "medium.table = .\n"),
+    ("p-perp", "p-perp = nan\n"), ("pp-perp-ratio", "pp-perp-ratio = nan\n"),
+    ("r-mag", "r-mag = nan\n"), ("snapshot.t", "snapshot.t = nan\n"),
+    ("t-prime", "t-prime = inf\n"), ("theta-k", "theta-k = nan\n"),
+    ("phi-k", "phi-k = -inf\n"), ("grid.z", "grid.z = nan\n"),
+    ("helicity.lambda-e", "helicity.lambda-e = nan\n"),
+    ("delta-p.offsets", "delta-p.offsets = 0,nan\n"),
+    ("grid.extent", "grid.extent = nan\n"),
+    ("grid.extent", "grid.extent = -1e4\n"),
+    ("grid.extent", "grid.extent = 0\n")])
 def test_non_finite_inputs_are_config_errors(tmp_path, capsys, key, text):
     body = "\n".join(line for line in SMALL_MAP.splitlines()
                      if not line.startswith(key + " "))

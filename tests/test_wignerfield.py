@@ -17,7 +17,8 @@ from cherenkov_wigner.medium import ConstantMedium
 from cherenkov_wigner.observables import PhaseSpaceKernel, WkbFlags
 from cherenkov_wigner.wignerfield import (EmissionScenario, MapGrid,
                                           NonGaussianPhase, OffShell,
-                                          _Context, _row_nodes, _x_normal,
+                                          _Context, _source_columns,
+                                          _source_rows, _x_normal,
                                           central_value,
                                           default_grid, delta_p_scan,
                                           evaluate_map, evaluate_point,
@@ -306,11 +307,30 @@ def test_fig10_map_matches_reference_at_every_node():
                     <= 1e-9 * wmap.scale)
 
 
-def _rows_without_reuse(sc, grid, rel_tol=1e-9, max_panels=4096):
-    """Raw map values with every row integrated under the map tolerance,
-    the pilot row included; also whether the pilot met that tolerance."""
+def _row_nodes(grid, iy):
+    """The (nx, 3) nodes of grid row iy."""
+    return np.column_stack([grid.xs(), np.full(grid.nx, grid.ys()[iy]),
+                            np.full(grid.nx, grid.z)])
+
+
+def _pilot(sc, grid, rel_tol=1e-9, max_panels=4096):
+    """The map's pilot: the source row nearest R = 0 on its source
+    columns.  Returns that row, the map tolerance it sets and its kept
+    result (None when the row is integrated again)."""
     ctx = _Context(sc)
-    abs_tol, _, pilot = ctx.map_abs_tol(grid, rel_tol, max_panels)
+    iy = int(_source_rows(grid)[np.argmin(np.abs(grid.ys()))])
+    keep = _source_columns(ctx, grid).max() + 1
+    abs_tol, row = ctx.pilot(_row_nodes(grid, iy)[:keep], rel_tol,
+                             max_panels)
+    return iy, abs_tol, row
+
+
+def _rows_without_reuse(sc, grid, rel_tol=1e-9, max_panels=4096):
+    """Raw map values with every row integrated in full under the map
+    tolerance, the pilot row included; also whether the pilot met that
+    tolerance."""
+    ctx = _Context(sc)
+    _, abs_tol, pilot = _pilot(sc, grid, rel_tol, max_panels)
     rows = [ctx.nodes(_row_nodes(grid, iy), rel_tol, abs_tol, max_panels)[0]
             for iy in range(grid.ny)]
     return np.array(rows), pilot is not None
@@ -393,28 +413,31 @@ def test_point_on_its_start_mesh_is_one_integrand_call(monkeypatch):
 def test_centered_map_integrates_one_row_of_each_mirror_pair(
         sc, grid, monkeypatch):
     grid = grid or default_grid(sc, 6, 6)
-    abs_tol, _, pilot = _Context(sc).map_abs_tol(grid, 1e-9, 4096)
+    _, _, pilot = _pilot(sc, grid)
     calls = _count_batches(monkeypatch)
     evaluate_map(sc, grid, workers=1)
     assert len(calls) == math.ceil(grid.ny / 2) + (pilot is None)
-    calls.clear()
-    evaluate_map(sc, grid, workers=1, abs_tol=abs_tol)
-    assert len(calls) == math.ceil(grid.ny / 2)
 
 
-@pytest.mark.parametrize("grid,pilot_row", [
-    (MapGrid.centered(400.0, 400.0, 5, 7), 3),
-    (MapGrid.centered(400.0, 400.0, 6, 4), 1),
-    (MapGrid.centered(400.0, 500.0, 7, 4), 2),
-    (MapGrid.centered(400.0, 300.0, 6, 8), 4)],
+@pytest.mark.parametrize("grid,nearest,pilot_row", [
+    (MapGrid.centered(400.0, 400.0, 5, 7), 3, 3),
+    (MapGrid.centered(400.0, 400.0, 6, 4), 1, 1),
+    (MapGrid.centered(400.0, 500.0, 7, 4), 2, 1),
+    (MapGrid.centered(400.0, 300.0, 6, 8), 4, 3)],
     ids=["odd-odd-middle", "even-even-low", "odd-even-high",
          "even-even-high"])
-def test_mirrored_rows_are_their_source_reversed(grid, pilot_row):
+def test_mirrored_rows_are_their_source_reversed(grid, nearest, pilot_row,
+                                                 monkeypatch):
     sc = skew_scenario()
-    _, iy_pilot, pilot = _Context(sc).map_abs_tol(grid, 1e-9, 4096)
+    # rounding puts the row nearest R = 0 above the centre on the *-high
+    # grids; the pilot is still the lower row of the pair, its source, so
+    # the kept pilot is not integrated again
+    assert np.argmin(np.abs(grid.ys())) == nearest
+    iy_pilot, _, pilot = _pilot(sc, grid)
     assert iy_pilot == pilot_row and pilot is not None
-    wmap = evaluate_map(sc, grid)
-    # the kept pilot is the source of its pair, whichever side it is on
+    calls = _count_batches(monkeypatch)
+    wmap = evaluate_map(sc, grid, workers=1)
+    assert len(calls) == math.ceil(grid.ny / 2)
     assert np.array_equal(wmap.values[iy_pilot], pilot[0] / wmap.scale)
     for iy in range(grid.ny // 2):
         mirror = grid.ny - 1 - iy
@@ -438,16 +461,13 @@ def test_mirrored_rows_are_their_source_reversed(grid, pilot_row):
 def test_grid_without_mirror_symmetry_integrates_every_row(grid,
                                                            monkeypatch):
     sc = skew_scenario()
-    ctx = _Context(sc)
-    abs_tol, _, pilot = ctx.map_abs_tol(grid, 1e-9, 4096)
-    raw = np.array([ctx.nodes(_row_nodes(grid, iy), 1e-9, abs_tol, 4096)[0]
-                    for iy in range(grid.ny)])
+    iy_pilot, _, pilot = _pilot(sc, grid)
+    raw, _ = _rows_without_reuse(sc, grid)
+    if pilot is not None:
+        raw[iy_pilot] = pilot[0]
     calls = _count_batches(monkeypatch)
-    evaluate_map(sc, grid, workers=1)
+    wmap = evaluate_map(sc, grid, workers=1)
     assert len(calls) == grid.ny + (pilot is None)
-    calls.clear()
-    wmap = evaluate_map(sc, grid, workers=1, abs_tol=abs_tol)
-    assert len(calls) == grid.ny
     assert np.array_equal(wmap.values, raw / wmap.scale)
 
 
@@ -470,7 +490,7 @@ def test_grid_without_mirror_symmetry_integrates_every_row(grid,
 def test_map_worker_independence_with_a_reused_pilot_row(sc, grid, kept):
     if not isinstance(grid, MapGrid):
         grid = default_grid(sc, *grid)
-    assert (_Context(sc).map_abs_tol(grid, 1e-9, 4096)[2] is not None) == kept
+    assert (_pilot(sc, grid)[2] is not None) == kept
     serial = evaluate_map(sc, grid, workers=1)
     parallel = evaluate_map(sc, grid, workers=2)
     assert serial.scale == parallel.scale
@@ -526,6 +546,35 @@ def test_x_normal_map_integrates_half_of_each_row(grid, monkeypatch):
         assert np.array_equal(rows[:, keep:], rows[:, grid.nx - keep - 1::-1])
 
 
+def test_centered_x_normal_map_integrates_exactly_its_source_nodes(
+        monkeypatch):
+    # odd x odd at phi_k = 90 deg and Z = 0: both folds at once, so only
+    # the 4 x 3 source nodes, the centre row and column included, are
+    # integrated, each once, and every node is its source's value
+    sc = fig10_scenario()
+    grid = MapGrid.centered(400.0, 400.0, 7, 5)
+    ctx = _Context(sc)
+    rows, cols = _source_rows(grid), _source_columns(ctx, grid)
+    assert rows.tolist() == [0, 1, 2, 1, 0]
+    assert cols.tolist() == [0, 1, 2, 3, 2, 1, 0]
+    integrated = []
+    integrand_for = _Context.integrand_for
+
+    def recorded(self, R):
+        integrated.extend(map(tuple, np.reshape(R, (-1, 3))))
+        return integrand_for(self, R)
+
+    monkeypatch.setattr(_Context, "integrand_for", recorded)
+    wmap = evaluate_map(sc, grid, workers=1)
+    sources = [(x, y, 0.0) for y in grid.ys()[:3] for x in grid.xs()[:4]]
+    assert sorted(integrated) == sorted(sources)
+    for name in ("values", "error_estimates", "flags"):
+        part = getattr(wmap, name)
+        assert np.array_equal(part, part[np.ix_(rows, cols)]), name
+    assert np.array_equal(wmap.panels, wmap.panels[rows])
+    assert np.array_equal(wmap.rounds, wmap.rounds[rows])
+
+
 def _delta_p_scenario(sigmas):
     """The fig10 scenario with DeltaP = sigmas * sigma along X."""
     sc = fig10_scenario()
@@ -574,7 +623,7 @@ def test_copied_half_rows_match_rows_integrated_in_full():
     grid = default_grid(sc, 12, 12)
     wmap = evaluate_map(sc, grid)
     ctx = _Context(sc)
-    abs_tol, _, _ = ctx.map_abs_tol(grid, 1e-9, 4096)
+    _, abs_tol, _ = _pilot(sc, grid)
     keep = grid.nx // 2
     for iy in range(grid.ny):
         full = ctx.nodes(_row_nodes(grid, iy), 1e-9, abs_tol, 4096)[0]
@@ -616,6 +665,15 @@ def test_delta_p_scan_rejects_large_offsets():
     sc = balance_scenario(sigma=1e-2, t_out=1e5)
     with pytest.raises(ValueError):
         delta_p_scan(sc, [0.05])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_delta_p_scan_rejects_non_finite_offsets(bad):
+    # abs(nan) > 3 sigma is False: without its own check a NaN offset
+    # reached the quadrature
+    sc = balance_scenario(sigma=1e-2, t_out=1e5)
+    with pytest.raises(ValueError, match="offsets must be finite"):
+        delta_p_scan(sc, [0.0, bad], grid=MapGrid.centered(1.0, 1.0, 1, 1))
 
 
 def snapshot_scenario(sigma=1e-2, beta=0.5):
@@ -786,6 +844,10 @@ def test_scenario_validation():
         with pytest.raises(ValueError, match="phi_k must be finite"):
             EmissionScenario(packet=packet, medium=ConstantMedium(1.5),
                              omega=1e-5, theta_k=0.5, phi_k=bad, t_out=1.0)
+        with pytest.raises(ValueError, match="p_prime must be finite"):
+            EmissionScenario(packet=packet, medium=ConstantMedium(1.5),
+                             omega=1e-5, theta_k=0.5, phi_k=0.0, t_out=1.0,
+                             p_prime=Momentum3(0.0, bad, 0.9))
 
 
 @pytest.mark.parametrize("name", ["x_min", "x_max", "y_min", "y_max", "z"])
