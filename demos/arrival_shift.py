@@ -12,9 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from cherenkov_wigner.kinematics import (ElectronPacket, momentum_magnitude,
-                                         triangle_geometry,
-                                         triangle_rules_hold)
+from cherenkov_wigner.kinematics import ElectronPacket, triangle_geometry
 from cherenkov_wigner.medium import AnalyticMedium, ConstantMedium
 from cherenkov_wigner.observables import flash_stats
 from cherenkov_wigner.svgplot import polyline_svg
@@ -26,16 +24,12 @@ OUT.mkdir(exist_ok=True)
 
 def shift_curve(beta, n, omega, p_perp, medium, thetas_deg, branch=1):
     out = []
-    p_mag = momentum_magnitude(beta)
     for thd in thetas_deg:
-        th = math.radians(thd)
-        k_perp = n * omega * math.sin(th)
-        if not triangle_rules_hold(p_perp, 0.99 * p_perp, k_perp):
+        geom = triangle_geometry(p_perp, 0.99 * p_perp, beta, omega, n,
+                                 math.radians(thd), branch=branch)
+        if geom is None:
             out.append((math.nan, math.nan))
             continue
-        pp_z = math.sqrt(p_mag ** 2 - p_perp ** 2) - n * omega * math.cos(th)
-        geom = triangle_geometry(p_perp, 0.99 * p_perp, pp_z, omega, n, th,
-                                 branch=branch)
         packet = ElectronPacket(geom.p, p_perp)
         stats = flash_stats(geom, packet, medium, np.zeros(3), 0.0)
         out.append((stats.delta_t, stats.sigma_t))

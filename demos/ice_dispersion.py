@@ -13,7 +13,6 @@ from pathlib import Path
 import numpy as np
 
 from cherenkov_wigner.kinematics import (ElectronPacket, lorentz_gamma,
-                                         momentum_magnitude,
                                          triangle_geometry)
 from cherenkov_wigner.medium import (EV_PER_ME, AnalyticMedium,
                                      load_index_table)
@@ -53,11 +52,9 @@ print("the negative-t_d interval widens with growing |D| "
 
 # arrival shift is exactly linear in D at fixed kinematics
 beta, omega, p_perp = 0.99, 4.0 / EV_PER_ME, 1e-5
-p_mag = momentum_magnitude(beta)
-theta = math.radians(41.5)
 n_ice = ice.index(omega)[0]
-pp_z = math.sqrt(p_mag ** 2 - p_perp ** 2) - n_ice * omega * math.cos(theta)
-geom = triangle_geometry(p_perp, 0.99 * p_perp, pp_z, omega, n_ice, theta)
+geom = triangle_geometry(p_perp, 0.99 * p_perp, beta, omega, n_ice,
+                         math.radians(41.5))
 packet = ElectronPacket(geom.p, p_perp)
 ds = np.linspace(-14.0, 5.0, 39)
 ds = ds[np.abs(1.0 + ds) > 1e-6]  # skip the D = -1 group-velocity pole

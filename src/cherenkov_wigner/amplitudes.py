@@ -19,7 +19,6 @@ from .kinematics import EmissionGeometry, Momentum3
 
 __all__ = [
     "ALPHA_EM",
-    "HelicityConfig",
     "AmplitudeValue",
     "DegeneratePhase",
     "wigner_d_half",
@@ -41,19 +40,6 @@ class DegeneratePhase(ArithmeticError):
     """The amplitude phase or its momentum gradient is undefined: both
     phase sums vanish, or an azimuth is undefined (zero transverse
     momentum)."""
-
-
-@dataclass(frozen=True)
-class HelicityConfig:
-    lambda_e: float = 0.5
-    lambda_prime: float = 0.5
-    lambda_gamma: int = 1
-
-    def __post_init__(self):
-        if self.lambda_e not in (0.5, -0.5) or self.lambda_prime not in (0.5, -0.5):
-            raise ValueError("electron helicities must be +-1/2")
-        if self.lambda_gamma not in (1, -1):
-            raise ValueError("photon helicity must be +-1")
 
 
 @dataclass(frozen=True)
@@ -116,7 +102,7 @@ def _d_one_slope(sigma: int, lam: int, theta: float) -> float:
 
 
 # (prefactor, sigma, sigma', sigma_gamma) of the four partial amplitudes,
-# in the order _partial_terms returns them
+# in the order _geometry_terms returns them
 _TERMS = ((math.sqrt(2.0), 0.5, -0.5, 1), (-1.0, 0.5, 0.5, 0),
           (-math.sqrt(2.0), -0.5, 0.5, -1), (1.0, -0.5, -0.5, 0))
 
@@ -128,20 +114,11 @@ _Z_SLOPES = np.array([[0.0, -0.5, 0.0, -0.5, 0.0, 1.0],
                       [0.0, 0.5, 0.0, -0.5, 0.0, 0.0]])
 
 
-def _partial_terms(theta, phi, theta_p, phi_p, theta_k, phi_k,
-                   lambda_e, lambda_prime, lambda_gamma):
-    """The four signed partial amplitudes and their azimuthal phases,
-    ordered (1/2,-1/2,1), (1/2,1/2,0), (-1/2,1/2,-1), (-1/2,-1/2,0)."""
-    ms = tuple(c * wigner_d_half(s, lambda_e, theta)
-               * wigner_d_half(sp, lambda_prime, theta_p)
-               * wigner_d_one(sg, lambda_gamma, theta_k)
-               for c, s, sp, sg in _TERMS)
-    z1 = -0.5 * (phi + phi_p) + phi_k
-    z2 = 0.5 * (phi_p - phi)
-    return ms, (z1, z2, -z1, -z2)
-
-
-def _geometry_terms(geom: EmissionGeometry, h: HelicityConfig):
+def _geometry_terms(geom: EmissionGeometry, lambda_gamma: int):
+    """The four signed partial amplitudes at the geometry's electron
+    helicities and photon helicity ``lambda_gamma``, and their azimuthal
+    phases, ordered (1/2,-1/2,1), (1/2,1/2,0), (-1/2,1/2,-1), (-1/2,-1/2,0).
+    """
     # half-integer phases are double-valued under 2*pi relabeling of a
     # single azimuth; anchor all azimuths within pi of phi_k (the
     # triangle-point convention) so that zeta is continuous and mirror
@@ -149,10 +126,14 @@ def _geometry_terms(geom: EmissionGeometry, h: HelicityConfig):
     phi_k = geom.k.phi
     phi = phi_k + math.remainder(geom.p.phi - phi_k, _TWO_PI)
     phi_p = phi_k + math.remainder(geom.p_prime.phi - phi_k, _TWO_PI)
-    return _partial_terms(geom.p.theta, phi,
-                          geom.p_prime.theta, phi_p,
-                          geom.k.theta, phi_k,
-                          h.lambda_e, h.lambda_prime, h.lambda_gamma)
+    theta, theta_p, theta_k = geom.p.theta, geom.p_prime.theta, geom.k.theta
+    ms = tuple(c * wigner_d_half(s, geom.lambda_e, theta)
+               * wigner_d_half(sp, geom.lambda_prime, theta_p)
+               * wigner_d_one(sg, lambda_gamma, theta_k)
+               for c, s, sp, sg in _TERMS)
+    z1 = -0.5 * (phi + phi_p) + phi_k
+    z2 = 0.5 * (phi_p - phi)
+    return ms, (z1, z2, -z1, -z2)
 
 
 def _wrap(phase: float) -> float:
@@ -161,15 +142,20 @@ def _wrap(phase: float) -> float:
     return w if w != -math.pi else math.pi
 
 
-def helicity_amplitude(geom: EmissionGeometry,
-                       h: HelicityConfig | None = None) -> AmplitudeValue:
+def helicity_amplitude(geom: EmissionGeometry) -> AmplitudeValue:
     """|M|^2 from the four-term coherent expansion (squares plus the six
     cosine cross terms) and the phase from the two-argument arctangent of
-    the partial sine/cosine sums, with the coupling sign folded in as 0/pi.
+    the partial sine/cosine sums, with the coupling sign folded in as 0/pi,
+    at the geometry's helicities.
     """
-    h = h or HelicityConfig(geom.lambda_e, geom.lambda_prime, geom.lambda_gamma)
-    ms, zs = _geometry_terms(geom, h)
-    g = coupling(geom.epsilon, geom.epsilon_prime, h.lambda_e, h.lambda_prime)
+    return _amplitude(geom, geom.lambda_gamma)
+
+
+def _amplitude(geom: EmissionGeometry, lambda_gamma: int) -> AmplitudeValue:
+    """``helicity_amplitude`` at photon helicity ``lambda_gamma``."""
+    ms, zs = _geometry_terms(geom, lambda_gamma)
+    g = coupling(geom.epsilon, geom.epsilon_prime, geom.lambda_e,
+                 geom.lambda_prime)
     mod2 = sum(m * m for m in ms)
     for i in range(4):
         for j in range(i + 1, 4):
@@ -186,13 +172,12 @@ def helicity_amplitude(geom: EmissionGeometry,
     return AmplitudeValue(mod2, phase, degenerate=False)
 
 
-def amplitude_complex(geom: EmissionGeometry,
-                      h: HelicityConfig | None = None) -> complex:
+def amplitude_complex(geom: EmissionGeometry) -> complex:
     """Coherent sum g * sum_i M_i exp(i zeta_i); cross-check route for the
     cosine expansion used by ``helicity_amplitude``."""
-    h = h or HelicityConfig(geom.lambda_e, geom.lambda_prime, geom.lambda_gamma)
-    ms, zs = _geometry_terms(geom, h)
-    g = coupling(geom.epsilon, geom.epsilon_prime, h.lambda_e, h.lambda_prime)
+    ms, zs = _geometry_terms(geom, geom.lambda_gamma)
+    g = coupling(geom.epsilon, geom.epsilon_prime, geom.lambda_e,
+                 geom.lambda_prime)
     return g * sum(m * complex(math.cos(z), math.sin(z))
                    for m, z in zip(ms, zs))
 
@@ -200,11 +185,10 @@ def amplitude_complex(geom: EmissionGeometry,
 def summed_mod_squared(geom: EmissionGeometry) -> float:
     """Sum of |M|^2 over the photon helicity at the geometry's electron
     helicities."""
-    return sum(helicity_amplitude(geom, HelicityConfig(
-        geom.lambda_e, geom.lambda_prime, lg)).mod_squared for lg in (1, -1))
+    return sum(_amplitude(geom, lg).mod_squared for lg in (1, -1))
 
 
-def _zeta_partials(geom: EmissionGeometry, h: HelicityConfig):
+def _zeta_partials(geom: EmissionGeometry):
     """The amplitude phase zeta and its partials with respect to (theta,
     phi, theta', phi', theta_k, phi_k).
 
@@ -214,19 +198,20 @@ def _zeta_partials(geom: EmissionGeometry, h: HelicityConfig):
     azimuths, whose anchoring phi_k + remainder(phi - phi_k, 2 pi) has unit
     slope in phi and none in phi_k.  The coupling sign is a constant pi.
     """
-    amp = helicity_amplitude(geom, h)
+    amp = helicity_amplitude(geom)
     if amp.degenerate:
         raise DegeneratePhase("amplitude phase undefined at this geometry")
-    ms, zs = _geometry_terms(geom, h)
+    lam, lam_p, lam_g = geom.lambda_e, geom.lambda_prime, geom.lambda_gamma
+    ms, zs = _geometry_terms(geom, lam_g)
     theta, theta_p, theta_k = geom.p.theta, geom.p_prime.theta, geom.k.theta
     dm = np.zeros((4, 6))
     for i, (c, s, sp, sg) in enumerate(_TERMS):
-        a = wigner_d_half(s, h.lambda_e, theta)
-        b = wigner_d_half(sp, h.lambda_prime, theta_p)
-        d = wigner_d_one(sg, h.lambda_gamma, theta_k)
-        dm[i, 0] = c * _d_half_slope(s, h.lambda_e, theta) * b * d
-        dm[i, 2] = c * a * _d_half_slope(sp, h.lambda_prime, theta_p) * d
-        dm[i, 4] = c * a * b * _d_one_slope(sg, h.lambda_gamma, theta_k)
+        a = wigner_d_half(s, lam, theta)
+        b = wigner_d_half(sp, lam_p, theta_p)
+        d = wigner_d_one(sg, lam_g, theta_k)
+        dm[i, 0] = c * _d_half_slope(s, lam, theta) * b * d
+        dm[i, 2] = c * a * _d_half_slope(sp, lam_p, theta_p) * d
+        dm[i, 4] = c * a * b * _d_one_slope(sg, lam_g, theta_k)
     m = np.array(ms)
     sin, cos = np.sin(zs), np.cos(zs)
     s_sin, s_cos = m @ sin, m @ cos
@@ -249,7 +234,7 @@ def _angle_gradients(v: Momentum3, name: str):
     return grad_theta, grad_phi
 
 
-def phase_gradient(geom: EmissionGeometry, h: HelicityConfig | None = None):
+def phase_gradient(geom: EmissionGeometry):
     """Gradients of the amplitude phase with respect to p (at fixed k) and
     k (at fixed p), the final electron p' = p - k varying accordingly.
 
@@ -259,20 +244,18 @@ def phase_gradient(geom: EmissionGeometry, h: HelicityConfig | None = None):
     shift.  Raises ``DegeneratePhase`` where the phase is undefined or
     p, p' or k has no transverse momentum (its azimuth is undefined).
     """
-    h = h or HelicityConfig(geom.lambda_e, geom.lambda_prime, geom.lambda_gamma)
     theta_p, phi_p = _angle_gradients(geom.p, "p")
     theta_pp, phi_pp = _angle_gradients(geom.p_prime, "p'")
     theta_k, phi_k = _angle_gradients(geom.k, "k")
-    _, d = _zeta_partials(geom, h)
+    _, d = _zeta_partials(geom)
     final = d[2] * theta_pp + d[3] * phi_pp
     grad_p = d[0] * theta_p + d[1] * phi_p + final
     grad_k = d[4] * theta_k + d[5] * phi_k - final
     return grad_p, grad_k
 
 
-def combined_phase_gradient(geom: EmissionGeometry,
-                            h: HelicityConfig | None = None) -> np.ndarray:
+def combined_phase_gradient(geom: EmissionGeometry) -> np.ndarray:
     """(d/dp + d/dk) of the amplitude phase at fixed final electron: the
     sum of the two gradients of ``phase_gradient``."""
-    grad_p, grad_k = phase_gradient(geom, h)
+    grad_p, grad_k = phase_gradient(geom)
     return grad_p + grad_k

@@ -6,7 +6,7 @@ Usage:  chr <study> --config <path> [--out-dir DIR] [--workers N]
         [--format csv|csv+svg]
 
 Exit codes: 0 success, 2 completed with warnings (WKB or quadrature
-flags, one stderr line per raised flag), 1 error.
+flags, one stderr line per raised flag), 1 error (a usage error included).
 """
 
 from __future__ import annotations
@@ -21,16 +21,17 @@ from pathlib import Path
 import numpy as np
 
 from . import observables, svgplot
-from .kinematics import (ElectronPacket, Momentum3, cherenkov_angle_classical,
-                         lorentz_gamma, momentum_magnitude,
-                         triangle_geometry, triangle_rules_hold)
+from .kinematics import (HELICITIES, ElectronPacket, Momentum3,
+                         cherenkov_angle_classical, lorentz_gamma,
+                         momentum_magnitude, triangle_geometry)
 from .medium import (AnalyticMedium, ConstantMedium, MediumModel,
                      load_index_table)
 from .observables import (singular_angles, singular_width_approx,
                           spread_times_at_angle)
 from .units import convert_units
 from .wignerfield import (EmissionScenario, MapGrid, default_grid,
-                          delta_p_scan, evaluate_map, near_field_snapshot)
+                          delta_p_scan, evaluate_map, near_field_snapshot,
+                          worker_count)
 
 __all__ = ["ScenarioConfig", "ParseError", "ValidationError", "parse_config",
            "run_study", "convert_units", "main", "STUDIES"]
@@ -223,10 +224,17 @@ def _validate(values: dict, path: Path) -> ScenarioConfig:
         value = getattr(cfg, _KEYS[key][0])
         if value is not None and value <= 0:
             raise ValidationError(f"{key}: must be positive, got {value!r}")
-    if cfg.branch not in (1, -1):
-        raise ValidationError(f"branch: must be +1 or -1, got {cfg.branch}")
-    if cfg.sweep_scale not in ("linear", "log"):
-        raise ValidationError("sweep.scale: linear or log")
+    for key, allowed in (("branch", (1, -1)),
+                         ("sweep.scale", ("linear", "log")),
+                         ("helicity.lambda-e", HELICITIES["lambda_e"]),
+                         ("helicity.lambda-prime", HELICITIES["lambda_prime"]),
+                         ("helicity.lambda-gamma",
+                          (*HELICITIES["lambda_gamma"], None))):
+        value = getattr(cfg, _KEYS[key][0])
+        if value not in allowed:
+            names = ", ".join("sum" if a is None else repr(a) for a in allowed)
+            raise ValidationError(f"{key}: must be one of {names}, "
+                                  f"got {value!r}")
     if cfg.sweep_scale == "log":
         for key in ("sweep.start", "sweep.stop"):
             value = getattr(cfg, _KEYS[key][0])
@@ -348,9 +356,7 @@ def _study_correlation_radius(cfg, out_dir, fmt, workers):
         else:
             theta_r, dphi = cfg.theta_k if cfg.theta_k else 0.0, v
         R = Momentum3.from_spherical(1.0, theta_r, cfg.phi_k + dphi).as_array()
-        expo = complex(kernel.exponent_complex(t, R))
-        r_eff = math.inf if expo.real >= 0 else 1.0 / math.sqrt(-expo.real)
-        rows.append((math.degrees(v), r_eff, expo.imag))
+        rows.append((math.degrees(v), *kernel.correlation_scales(t, R)))
     return _table(cfg, out_dir, fmt, "correlation_radius.csv",
                   [f"t_prime: {t}", f"theta_k: {cfg.theta_k}"],
                   [cfg.sweep_variable.replace("-", "_") + "_deg",
@@ -379,30 +385,21 @@ def _study_flash_duration(cfg, out_dir, fmt, workers):
 
 
 def _arrival_shift_row(cfg, medium, n, theta_k):
-    """Delta t and sigma_t at one emission angle of the transverse-triangle
-    construction; None when the kinematics forbid emission."""
-    if cfg.beta * n < 1.0:
-        return None
-    kmag = n * cfg.omega
-    k_perp = kmag * math.sin(theta_k)
-    pp_perp = cfg.pp_perp_ratio * cfg.p_perp
-    if not triangle_rules_hold(cfg.p_perp, pp_perp, k_perp):
-        return None
-    p_mag = momentum_magnitude(cfg.beta)
-    if p_mag <= cfg.p_perp:
-        return None
-    p_z = math.sqrt(p_mag ** 2 - cfg.p_perp ** 2)
-    pp_z = p_z - kmag * math.cos(theta_k)
-    geom = triangle_geometry(cfg.p_perp, pp_perp, pp_z, cfg.omega, n,
-                             theta_k, cfg.phi_k, cfg.branch,
-                             lambda_e=cfg.lambda_e,
-                             lambda_prime=cfg.lambda_prime,
-                             lambda_gamma=cfg.lambda_gamma or 1)
+    """(Delta t, sigma_t, t_0, WKB flags) at one emission angle of the
+    transverse-triangle construction; NaN times and no flags where the
+    kinematics forbid emission."""
+    geom = None if cfg.beta * n < 1.0 else triangle_geometry(
+        cfg.p_perp, cfg.pp_perp_ratio * cfg.p_perp, cfg.beta, cfg.omega, n,
+        theta_k, cfg.phi_k, cfg.branch, cfg.lambda_e, cfg.lambda_prime,
+        1 if cfg.lambda_gamma is None else cfg.lambda_gamma)
+    if geom is None:
+        return math.nan, math.nan, math.nan, 0
     packet = ElectronPacket(geom.p, cfg.sigma)
     r = geom.k.as_array() / geom.k.mag * cfg.r_mag
     stats = observables.flash_stats(geom, packet, medium, r, 0.0)
-    flags = observables.wkb_flags(geom, packet, medium)
-    return stats, flags
+    kernel = observables.PhaseSpaceKernel.from_geometry(geom, packet, medium)
+    return (stats.delta_t, stats.sigma_t, stats.t_0,
+            int(observables.wkb_flags(geom, kernel)))
 
 
 def _study_arrival_shift(cfg, out_dir, fmt, workers):
@@ -416,12 +413,7 @@ def _study_arrival_shift(cfg, out_dir, fmt, workers):
                 10.0 * math.pi / 180.0
             medium = ConstantMedium(v)
         n = medium.index(cfg.omega)[0]
-        got = _arrival_shift_row(cfg, medium, n, theta_k)
-        if got is None:
-            rows.append((v, math.nan, math.nan, math.nan, 0))
-            continue
-        stats, flags = got
-        rows.append((v, stats.delta_t, stats.sigma_t, stats.t_0, int(flags)))
+        rows.append((v, *_arrival_shift_row(cfg, medium, n, theta_k)))
     return _table(cfg, out_dir, fmt, "arrival_shift.csv",
                   [f"beta: {cfg.beta}", f"omega: {cfg.omega}",
                    f"p_perp: {cfg.p_perp}", f"branch: {cfg.branch}"],
@@ -442,14 +434,11 @@ def _study_dispersion_scan(cfg, out_dir, fmt, workers):
         medium = AnalyticMedium.from_dispersion_params(
             n, cfg.omega, d, cfg.medium_e)
         try:
-            got = _arrival_shift_row(cfg, medium, n, theta_k)
+            delta_t, sigma_t, _, flags = _arrival_shift_row(cfg, medium, n,
+                                                            theta_k)
         except ZeroDivisionError:  # group velocity degenerates at D = -1
-            got = None
-        if got is None:
-            rows.append((d, math.nan, math.nan, 0))
-            continue
-        stats, flags = got
-        rows.append((d, stats.delta_t, stats.sigma_t, int(flags)))
+            delta_t, sigma_t, flags = math.nan, math.nan, 0
+        rows.append((d, delta_t, sigma_t, flags))
     return _table(cfg, out_dir, fmt, "dispersion_scan.csv",
                   [f"beta: {cfg.beta}", f"n: {n}", f"theta_k_rad: {theta_k}"],
                   ["d_param", "delta_t_tc", "sigma_t_tc", "flags"],
@@ -596,13 +585,21 @@ def main(argv=None) -> int:
                              "CHR_WORKERS, else 1)")
     parser.add_argument("--format", dest="fmt", default="csv",
                         choices=("csv", "csv+svg"))
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a usage error
+        return 1 if exc.code else 0
     try:
         cfg = parse_config(args.config)
         if cfg.study != args.study:
             raise ValidationError(
                 f"study: config says {cfg.study!r}, command line says "
                 f"{args.study!r}")
+        if args.workers is not None:
+            try:
+                worker_count(args.workers)
+            except ValueError as exc:
+                raise ValidationError(str(exc)) from None
         artifacts, flags = run_study(cfg, args.out_dir, args.fmt,
                                      args.workers)
     except (ParseError, ValidationError) as exc:

@@ -24,6 +24,7 @@ __all__ = [
     "TriangleViolation",
     "NegativeRadicand",
     "ParaxialWarning",
+    "HELICITIES",
     "energy",
     "lorentz_gamma",
     "momentum_magnitude",
@@ -38,6 +39,10 @@ __all__ = [
 ]
 
 _THRESHOLD_EPS = 1e-12
+
+# the values each helicity label of an emission may take
+HELICITIES = {"lambda_e": (0.5, -0.5), "lambda_prime": (0.5, -0.5),
+              "lambda_gamma": (1, -1)}
 
 
 class BelowThreshold(ValueError):
@@ -278,7 +283,7 @@ class ElectronPacket:
         if not (math.isfinite(self.sigma) and self.sigma > 0):
             raise ValueError(
                 f"sigma must be finite and positive, got {self.sigma!r}")
-        if self.helicity not in (0.5, -0.5):
+        if self.helicity not in HELICITIES["lambda_e"]:
             raise ValueError("helicity must be +-1/2")
         if self.sigma > 0.1:
             warnings.warn(f"sigma = {self.sigma} m_e exceeds the paraxial "
@@ -318,6 +323,10 @@ class EmissionGeometry:
     def __post_init__(self):
         if self.omega <= 0:
             raise ValueError("omega must be positive")
+        for name, allowed in HELICITIES.items():
+            if getattr(self, name) not in allowed:
+                raise ValueError(f"{name} must be one of {allowed}, "
+                                 f"got {getattr(self, name)!r}")
         scale = max(self.p.mag, 1.0)
         residual = (self.p - self.p_prime - self.k).as_array()
         if np.max(np.abs(residual)) > 1e-12 * scale:
@@ -352,23 +361,30 @@ class EmissionGeometry:
         return triangle_angles(self.p.perp, self.p_prime.perp, self.k.perp)
 
 
-def triangle_geometry(p_perp: float, pp_perp: float, pp_z: float,
+def triangle_geometry(p_perp: float, pp_perp: float, beta: float,
                       omega: float, n: float, theta_k: float,
                       phi_k: float = 0.5 * math.pi, branch: int = 1,
                       lambda_e: float = 0.5, lambda_prime: float = 0.5,
-                      lambda_gamma: int = 1) -> EmissionGeometry:
+                      lambda_gamma: int = 1) -> Optional[EmissionGeometry]:
     """Place the transverse triangle with legs (p_perp, pp_perp, k_perp)
-    around a photon emitted at (theta_k, phi_k).
+    around a photon emitted at (theta_k, phi_k), for an initial electron of
+    speed beta: p_z = sqrt(|p|^2 - p_perp^2) with |p| = beta gamma, and
+    p' = p - k exactly.  None when the legs cannot close or p_perp >= |p|.
 
     ``branch=+1`` selects the configuration phi = phi' + alpha,
-    phi_k = phi' + alpha + gamma; ``branch=-1`` its mirror.  The final
-    electron carries longitudinal momentum pp_z and p = p' + k exactly.
+    phi_k = phi' + alpha + gamma; ``branch=-1`` its mirror.
     """
     if branch not in (1, -1):
         raise ValueError("branch must be +1 or -1")
     kmag = n * omega
     k_perp = kmag * math.sin(theta_k)
     k_z = kmag * math.cos(theta_k)
+    if not triangle_rules_hold(p_perp, pp_perp, k_perp):
+        return None
+    p_mag = momentum_magnitude(beta)
+    if p_mag <= p_perp:
+        return None
+    pp_z = math.sqrt(p_mag ** 2 - p_perp ** 2) - k_z
     tri = triangle_angles(p_perp, pp_perp, k_perp)
     phi_prime = phi_k - branch * (math.pi - tri.vartheta)
     p_prime = Momentum3(pp_perp * math.cos(phi_prime),

@@ -200,13 +200,6 @@ def _spread_from_coeffs(a: float, b: float, sigma: float, cc: float,
                        dispersive)
 
 
-def _velocities(geom: EmissionGeometry, uk_mag: float):
-    u_p = geom.p.as_array() / geom.epsilon
-    k_hat = geom.k.as_array() / geom.k.mag
-    u_k = uk_mag * k_hat
-    return u_p, u_k
-
-
 def spreading_times(geom: EmissionGeometry, packet: ElectronPacket,
                     medium: MediumModel,
                     dispersive: Optional[bool] = None) -> SpreadTimes:
@@ -315,7 +308,8 @@ class PhaseSpaceKernel:
         n = medium.index(geom.omega)[0]
         a, b, uk_mag = dispersion_coefficients(n, geom.omega, geom.epsilon,
                                                d, e)
-        u_p, u_k = _velocities(geom, uk_mag)
+        u_p = geom.p.as_array() / geom.epsilon
+        u_k = uk_mag * (geom.k.as_array() / geom.k.mag)
         delta_eps = geom.epsilon - geom.epsilon_prime - geom.omega
         return cls(u_p, u_k, a, b, packet.sigma, delta_eps, dispersive)
 
@@ -349,6 +343,14 @@ class PhaseSpaceKernel:
         A, B = self.direction_factors(R)
         cA, cB = self.exponent_coefficients(t)
         return cA * A + cB * B
+
+    def correlation_scales(self, t: float, R: np.ndarray):
+        """(R_eff, 1/R_im^2) along a unit vector R at t': the exponent
+        -R^2/R_eff^2 + i R^2/R_im^2 at R, with R_eff = inf where its real
+        part is not negative.  R is taken as given, not renormalized."""
+        expo = complex(self.exponent_complex(t, R))
+        r_eff = math.inf if expo.real >= 0.0 else 1.0 / math.sqrt(-expo.real)
+        return r_eff, expo.imag
 
     def prefactor_complex(self, t):
         """1/sqrt(eta (eta C + chi D)) = exp(-i g/2)/G; both factors lie in
@@ -412,18 +414,16 @@ def correlation_geometry(geom: EmissionGeometry, packet: ElectronPacket,
                          dispersive: Optional[bool] = None) -> CorrelationGeometry:
     """Correlation radius and imaginary-radius curvature along R at t'.
 
-    Both scale factors are per unit |R|^2, so only the direction of R
-    matters; R must be non-zero.
+    Both scales are taken along the unit vector of R, so only the direction
+    of R matters; R must be non-zero.
     """
     R = np.asarray(R, dtype=float)
     r2 = float(R @ R)
     if r2 == 0.0:
         raise ValueError("R must be non-zero (direction defines the scales)")
     kernel = PhaseSpaceKernel.from_geometry(geom, packet, medium, dispersive)
-    exponent = complex(kernel.exponent_complex(float(t_prime), R))
-    re_unit = exponent.real / r2
-    im_unit = exponent.imag / r2
-    r_eff = math.inf if re_unit >= 0.0 else 1.0 / math.sqrt(-re_unit)
+    r_eff, im_unit = kernel.correlation_scales(float(t_prime),
+                                               R / math.sqrt(r2))
     return CorrelationGeometry(
         R=R, u_p=kernel.u_p, u_k=kernel.u_k, R_eff=r_eff,
         R_im_sq_inverse=im_unit,
@@ -468,20 +468,15 @@ def formation_lengths(geom: EmissionGeometry, packet: ElectronPacket,
     return FormationLengths(l_f=l_f, l_cl=l_cl)
 
 
-def wkb_flags(geom: EmissionGeometry, packet: ElectronPacket,
-              medium: MediumModel,
-              dispersive: Optional[bool] = None) -> WkbFlags:
+def wkb_flags(geom: EmissionGeometry, kernel: PhaseSpaceKernel) -> WkbFlags:
     """Validity guards: the paraxial treatment degrades for emission angles
-    below 1/gamma and near the turning point |u_p - u_k| -> 0."""
+    below 1/gamma and near the turning point |u_p - u_k| -> 0, read from
+    the geometry's kernel (its velocities and packet width)."""
     flags = WkbFlags.NONE
     theta_k = math.acos(max(-1.0, min(1.0,
         geom.p.dot(geom.k) / (geom.p.mag * geom.k.mag))))
     if theta_k < 1.0 / geom.epsilon:
         flags |= WkbFlags.SMALL_ANGLE
-    dispersive, d, e = _resolve_branch(medium, geom.omega, dispersive)
-    n = medium.index(geom.omega)[0]
-    _, _, uk_mag = dispersion_coefficients(n, geom.omega, geom.epsilon, d, e)
-    u_p, u_k = _velocities(geom, uk_mag)
-    if float(np.linalg.norm(u_p - u_k)) < 10.0 * packet.sigma:
+    if math.sqrt(kernel.cc) < 10.0 * kernel.sigma:
         flags |= WkbFlags.TURNING_POINT
     return flags

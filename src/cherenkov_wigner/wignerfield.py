@@ -26,9 +26,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import amplitudes, numerics, observables
-from .kinematics import (ElectronPacket, EmissionGeometry, Momentum3, energy,
-                         triangle_rules_hold, triangle_angles,
-                         reconstruct_p_perp)
+from .kinematics import (HELICITIES, ElectronPacket, EmissionGeometry,
+                         Momentum3, energy, triangle_rules_hold,
+                         triangle_angles, reconstruct_p_perp)
 from .medium import MediumModel
 from .observables import PhaseSpaceKernel, WkbFlags, count_flags
 
@@ -48,6 +48,7 @@ __all__ = [
     "momentum_marginal_weight",
     "default_grid",
     "central_value",
+    "worker_count",
 ]
 
 
@@ -92,6 +93,12 @@ class EmissionScenario:
         if self.p_prime is not None and not np.all(
                 np.isfinite(self.p_prime.as_array())):
             raise ValueError(f"p_prime must be finite, got {self.p_prime!r}")
+        for name, allowed in (("lambda_prime", HELICITIES["lambda_prime"]),
+                              ("lambda_gamma",
+                               (None, *HELICITIES["lambda_gamma"]))):
+            if getattr(self, name) not in allowed:
+                raise ValueError(f"{name} must be one of {allowed}, "
+                                 f"got {getattr(self, name)!r}")
 
     def photon_momentum(self) -> Momentum3:
         n = self.medium.index(self.omega)[0]
@@ -106,7 +113,7 @@ class EmissionScenario:
         return EmissionGeometry.from_final_state(
             p_prime, k, self.omega, lambda_e=self.packet.helicity,
             lambda_prime=self.lambda_prime,
-            lambda_gamma=self.lambda_gamma if self.lambda_gamma else 1)
+            lambda_gamma=1 if self.lambda_gamma is None else self.lambda_gamma)
 
     def delta_p(self) -> float:
         """|p' + k - <p>|, the momentum-balance mismatch."""
@@ -284,8 +291,7 @@ class _Context:
                         abs(float(self.kernel.gouy(scenario.t_out)))
                         / scenario.t_out)
         self.phase_rate_hint = abs(self.kernel.delta_eps) + gouy_rate
-        self.base_flags = int(observables.wkb_flags(
-            self.geom, scenario.packet, scenario.medium, scenario.dispersive))
+        self.base_flags = int(observables.wkb_flags(self.geom, self.kernel))
         # natural magnitude of the t' integral, Int dt'/G: sets the scale of
         # absolute quadrature tolerances (the integrand envelope is 1/G)
         t_sample = np.linspace(0.0, scenario.t_out, 513)
@@ -458,8 +464,7 @@ def _context_grid(ctx: _Context, nx: int = 128, ny: int = 128,
     cap = max(ctx.geom.beta, float(np.linalg.norm(ctx.kernel.u_k))) * t_out
     halves = []
     for axis in (np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])):
-        expo = complex(ctx.kernel.exponent_complex(t_out, axis))
-        r_eff = math.inf if expo.real >= 0 else 1.0 / math.sqrt(-expo.real)
+        r_eff, _ = ctx.kernel.correlation_scales(t_out, axis)
         halves.append(min(4.0 * r_eff, cap))
     return MapGrid.centered(halves[0], halves[1], nx, ny, z)
 
@@ -495,16 +500,19 @@ def _worker_row(R):
     return ctx.nodes(R, *tols)
 
 
-def _env_workers() -> int:
-    """Worker count from CHR_WORKERS (default 1), an integer >= 1."""
-    raw = os.environ.get("CHR_WORKERS", "1")
+def worker_count(workers: Optional[int] = None) -> int:
+    """``workers``, else CHR_WORKERS, else 1; a ValueError naming its
+    source unless it is an integer >= 1."""
+    name, raw = "workers", workers
+    if workers is None:
+        name, raw = "CHR_WORKERS", os.environ.get("CHR_WORKERS", "1")
     try:
-        workers = int(raw)
+        count = int(raw)
     except ValueError:
-        workers = 0
-    if workers < 1:
-        raise ValueError(f"CHR_WORKERS must be an integer >= 1, got {raw!r}")
-    return workers
+        count = 0
+    if count < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {raw!r}")
+    return count
 
 
 def evaluate_map(scenario: EmissionScenario, grid: Optional[MapGrid] = None,
@@ -525,12 +533,11 @@ def evaluate_map(scenario: EmissionScenario, grid: Optional[MapGrid] = None,
     on a mesh those nodes share.  Every node is held to about ``rel_tol``
     of the map's scale, set by a pilot quadrature of the source row nearest
     R = 0, which is kept when it already meets that tolerance.  The source
-    rows are data-parallel across ``workers`` processes (default from
-    CHR_WORKERS, else serial); the output is deterministic and independent
-    of the worker count.
+    rows are data-parallel across ``workers`` processes (``worker_count``:
+    an integer >= 1, by default CHR_WORKERS, else serial); the output is
+    deterministic and independent of the worker count.
     """
-    if workers is None:
-        workers = _env_workers()
+    workers = worker_count(workers)
     ctx = _Context(scenario)
     if grid is None:
         grid = _context_grid(ctx)
@@ -579,7 +586,8 @@ def _scenario_meta(ctx: _Context) -> dict:
         "phi_k": scenario.phi_k,
         "t_out": scenario.t_out,
         "delta_p": ctx.delta_p,
-        "lambda_gamma": scenario.lambda_gamma or "sum",
+        "lambda_gamma": ("sum" if scenario.lambda_gamma is None
+                         else scenario.lambda_gamma),
     }
 
 
@@ -706,10 +714,8 @@ def momentum_marginal_weight(scenario: EmissionScenario) -> float:
                             old_prime.perp * math.sin(phi_prime), old_prime.z)
         p = p_prime + k
 
-    geom = EmissionGeometry(p, p_prime, k, omega,
-                            lambda_e=packet.helicity,
-                            lambda_prime=scenario.lambda_prime,
-                            lambda_gamma=scenario.lambda_gamma or 1)
+    geom = replace(scenario.geometry(), p=p, p_prime=p_prime, k=k,
+                   omega=omega)
     m2 = _mod_squared(geom, scenario.lambda_gamma)
     eps = geom.epsilon
     eps_p = geom.epsilon_prime

@@ -5,8 +5,7 @@ import pytest
 
 from cherenkov_wigner.kinematics import (ElectronPacket, Momentum3,
                                          momentum_magnitude,
-                                         triangle_geometry,
-                                         triangle_rules_hold)
+                                         triangle_geometry)
 from cherenkov_wigner.medium import ConstantMedium
 from cherenkov_wigner.wignerfield import EmissionScenario
 
@@ -31,20 +30,14 @@ def balance_scenario(beta=0.99, n=1.4, omega=1e-5, sigma=1e-5,
 def triangle_from_beta(beta, n, omega, p_perp, theta_k, pp_ratio=0.99,
                        phi_k=0.5 * math.pi, branch=1, lambda_gamma=1,
                        sigma=None):
-    """Transverse-triangle geometry with the initial electron speed fixed:
-    p_z from |p| = beta*gamma, p' = p - k exactly.  Returns (geom, packet)
-    or None when the triangle cannot close."""
-    kmag = n * omega
-    k_perp = kmag * math.sin(theta_k)
-    pp_perp = pp_ratio * p_perp
-    if not triangle_rules_hold(p_perp, pp_perp, k_perp):
+    """Transverse-triangle geometry at initial electron speed beta with
+    pp_perp = pp_ratio * p_perp, and a packet about p of width sigma
+    (default p_perp).  Returns (geom, packet) or None when the triangle
+    cannot close."""
+    geom = triangle_geometry(p_perp, pp_ratio * p_perp, beta, omega, n,
+                             theta_k, phi_k, branch, lambda_gamma=lambda_gamma)
+    if geom is None:
         return None
-    p_mag = momentum_magnitude(beta)
-    if p_mag <= p_perp:
-        return None
-    pp_z = math.sqrt(p_mag ** 2 - p_perp ** 2) - kmag * math.cos(theta_k)
-    geom = triangle_geometry(p_perp, pp_perp, pp_z, omega, n, theta_k, phi_k,
-                             branch, lambda_gamma=lambda_gamma)
     packet = ElectronPacket(geom.p, sigma if sigma is not None else p_perp)
     return geom, packet
 

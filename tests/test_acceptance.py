@@ -152,17 +152,14 @@ def test_criterion_05_amplitude_symmetries():
         p_perp = 10 ** rng.uniform(-6, -4)
         theta_k = rng.uniform(0.1, 2.8)
         lg = int(rng.choice([1, -1]))
-        got = triangle_from_beta(beta, n, omega, p_perp, theta_k,
-                                 pp_ratio=rng.uniform(0.3, 1.7),
-                                 phi_k=rng.uniform(0, 2 * math.pi),
-                                 branch=1, lambda_gamma=lg)
-        if got is None:
+        pp_perp = rng.uniform(0.3, 1.7) * p_perp
+        phi_k = rng.uniform(0, 2 * math.pi)
+        geom_p, geom_m = (triangle_geometry(p_perp, pp_perp, beta, omega, n,
+                                            theta_k, phi_k, branch,
+                                            lambda_gamma=lg)
+                          for branch in (1, -1))
+        if geom_p is None:
             continue
-        geom_p, _ = got
-        geom_m = triangle_geometry(geom_p.p.perp, geom_p.p_prime.perp,
-                                   geom_p.p_prime.z, geom_p.omega,
-                                   geom_p.n_index, geom_p.k.theta,
-                                   geom_p.k.phi, branch=-1, lambda_gamma=lg)
         a_p = amplitudes.helicity_amplitude(geom_p)
         a_m = amplitudes.helicity_amplitude(geom_m)
         scale = max(a_p.mod_squared, 1e-300)
@@ -255,7 +252,7 @@ def test_criterion_07_arrival_shift():
     (``amplitudes.combined_phase_gradient``) has magnitude 1/(2 p_perp),
     4.99e5 at p_perp = 1e-6 and 5.0e4 at p_perp = 1e-5.  It is the
     gradient of the +-phi/2 spinor-azimuth phases in
-    ``amplitudes._partial_terms``.  Delta t = l_0 . Phi therefore keeps
+    ``amplitudes._geometry_terms``.  Delta t = l_0 . Phi therefore keeps
     one sign on a branch: on branch +1 at beta = 0.999, n = 1.3,
     p_perp = omega = 1e-6 it runs from -1.6e7 to -3.7e5 t_c between 4 and
     176 degrees, and it flips only between the two mirror branches.  The

@@ -1,5 +1,6 @@
 import cmath
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,9 +9,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cherenkov_wigner import amplitudes
-from cherenkov_wigner.amplitudes import (DegeneratePhase, HelicityConfig,
-                                         amplitude_complex, coupling,
-                                         helicity_amplitude, phase_gradient,
+from cherenkov_wigner.amplitudes import (DegeneratePhase, amplitude_complex,
+                                         coupling, helicity_amplitude,
+                                         phase_gradient,
                                          combined_phase_gradient,
                                          summed_mod_squared, wigner_d_half,
                                          wigner_d_one)
@@ -21,18 +22,23 @@ HALF = 0.5
 
 
 def random_triangle(rng, lambda_gamma=1, branch=1):
-    """Random valid kinematic triangle around a relativistic electron."""
-    beta = rng.uniform(0.5, 0.999)
-    n = rng.uniform(1.1, 1.9)
-    omega = 10 ** rng.uniform(-7, -4)
-    p_perp = 10 ** rng.uniform(-6, -4)
-    theta_k = rng.uniform(0.1, 2.8)
-    ratio = rng.uniform(0.3, 1.7)
-    got = triangle_from_beta(beta, n, omega, p_perp, theta_k,
-                             pp_ratio=ratio, branch=branch,
-                             lambda_gamma=lambda_gamma,
-                             phi_k=rng.uniform(0, 2 * math.pi))
-    return got
+    """Random kinematic triangle around a relativistic electron: the
+    ``triangle_geometry`` arguments other than the branch, and the
+    geometry (None when the triangle cannot close)."""
+    args = dict(beta=rng.uniform(0.5, 0.999), n=rng.uniform(1.1, 1.9),
+                omega=10 ** rng.uniform(-7, -4),
+                p_perp=10 ** rng.uniform(-6, -4),
+                theta_k=rng.uniform(0.1, 2.8))
+    args["pp_perp"] = rng.uniform(0.3, 1.7) * args["p_perp"]
+    args.update(phi_k=rng.uniform(0, 2 * math.pi), lambda_gamma=lambda_gamma)
+    return args, triangle_geometry(**args, branch=branch)
+
+
+def labelled(geom, lambda_e, lambda_prime, lambda_gamma):
+    """The geometry with the helicities (lambda_e, lambda_prime,
+    lambda_gamma)."""
+    return replace(geom, lambda_e=lambda_e, lambda_prime=lambda_prime,
+                   lambda_gamma=lambda_gamma)
 
 
 def test_d_half_entries():
@@ -79,15 +85,10 @@ def test_d_one_normalization(rng):
 def test_mirror_symmetry(rng):
     # |M|^2 equal, phases opposite, on the two triangle configurations
     for _ in range(1000):
-        got_p = random_triangle(rng, branch=1)
-        if got_p is None:
+        args, geom_p = random_triangle(rng, branch=1)
+        if geom_p is None:
             continue
-        geom_p, _ = got_p
-        geom_m = triangle_geometry(geom_p.p.perp, geom_p.p_prime.perp,
-                                   geom_p.p_prime.z, geom_p.omega,
-                                   geom_p.n_index, geom_p.k.theta,
-                                   geom_p.k.phi, branch=-1,
-                                   lambda_gamma=geom_p.lambda_gamma)
+        geom_m = triangle_geometry(**args, branch=-1)
         a_p = helicity_amplitude(geom_p)
         a_m = helicity_amplitude(geom_m)
         scale = max(a_p.mod_squared, 1e-300)
@@ -98,16 +99,12 @@ def test_mirror_symmetry(rng):
 def test_phi_prime_rigid_rotation_invariance(rng):
     # rotating the whole transverse triangle about z changes nothing
     for _ in range(200):
-        got = random_triangle(rng)
-        if got is None:
+        args, geom = random_triangle(rng)
+        if geom is None:
             continue
-        geom, _ = got
         a0 = helicity_amplitude(geom)
         shift = rng.uniform(0, 2 * math.pi)
-        rotated = triangle_geometry(geom.p.perp, geom.p_prime.perp,
-                                    geom.p_prime.z, geom.omega, geom.n_index,
-                                    geom.k.theta, geom.k.phi + shift,
-                                    branch=1, lambda_gamma=geom.lambda_gamma)
+        rotated = triangle_geometry(**dict(args, phi_k=args["phi_k"] + shift))
         a1 = helicity_amplitude(rotated)
         assert abs(a0.mod_squared - a1.mod_squared) \
             < 1e-10 * max(a0.mod_squared, 1e-300)
@@ -143,10 +140,9 @@ def test_small_angle_hand_reduction():
 
 def test_mdz_expansion_matches_complex_sum(rng):
     for _ in range(500):
-        got = random_triangle(rng, lambda_gamma=int(rng.choice([1, -1])))
-        if got is None:
+        _, geom = random_triangle(rng, lambda_gamma=int(rng.choice([1, -1])))
+        if geom is None:
             continue
-        geom, _ = got
         amp = helicity_amplitude(geom)
         coherent = amplitude_complex(geom)
         assert abs(amp.mod_squared - abs(coherent) ** 2) \
@@ -160,16 +156,15 @@ def test_mdz_expansion_matches_complex_sum(rng):
 def test_helicity_sum_parity_flip(rng):
     # sum over photon helicity invariant under flipping all helicities
     for _ in range(100):
-        got = random_triangle(rng)
-        if got is None:
+        _, geom = random_triangle(rng)
+        if geom is None:
             continue
-        geom, _ = got
         up = sum(helicity_amplitude(
-            geom, HelicityConfig(le, lp, lg)).mod_squared
+            labelled(geom, le, lp, lg)).mod_squared
             for lg in (1, -1)
             for le, lp in [(HALF, HALF)])
         down = sum(helicity_amplitude(
-            geom, HelicityConfig(-HALF, -HALF, lg)).mod_squared
+            labelled(geom, -HALF, -HALF, lg)).mod_squared
             for lg in (1, -1))
         assert abs(up - down) < 1e-11 * max(up, 1e-300)
 
@@ -178,7 +173,7 @@ def test_summed_mod_squared():
     got = triangle_from_beta(0.9, 1.5, 1e-5, 1e-5, 0.6)
     geom, _ = got
     total = summed_mod_squared(geom)
-    manual = sum(helicity_amplitude(geom, HelicityConfig(HALF, HALF, lg))
+    manual = sum(helicity_amplitude(labelled(geom, HALF, HALF, lg))
                  .mod_squared for lg in (1, -1))
     assert total == manual
 
@@ -212,14 +207,15 @@ def test_phase_gradient_scales_inverse_k_perp(rng):
     assert abs(mags[0] - mags[1]) < 0.02 * abs(mags[0])
 
 
-def _zeta(p_arr, k_arr, omega, h):
-    """Amplitude phase at initial electron p and photon k, p' = p - k."""
+def _zeta(p_arr, k_arr, geom):
+    """Amplitude phase at initial electron p and photon k, p' = p - k, at
+    the frequency and helicities of geom."""
     p = Momentum3.from_array(p_arr)
     k = Momentum3.from_array(k_arr)
-    return helicity_amplitude(EmissionGeometry(p, p - k, k, omega), h).phase
+    return helicity_amplitude(replace(geom, p=p, p_prime=p - k, k=k)).phase
 
 
-def _stencil_gradients(geom, h, step):
+def _stencil_gradients(geom, step):
     """Unwrapped 5-point central differences of the phase in p (k fixed)
     and in k (p fixed); the step is in units of the smallest transverse
     momentum, the scale on which the phase varies."""
@@ -231,7 +227,7 @@ def _stencil_gradients(geom, h, step):
             e = np.zeros(3)
             e[axis] = step * scale
             z = np.unwrap([_zeta(p0 + u * e * (moving == 0),
-                                 k0 + u * e * (moving == 1), geom.omega, h)
+                                 k0 + u * e * (moving == 1), geom)
                            for u in (-2, -1, 0, 1, 2)])
             grad[axis] = (z[0] - 8 * z[1] + 8 * z[3] - z[4]) \
                 / (12 * step * scale)
@@ -241,15 +237,14 @@ def _stencil_gradients(geom, h, step):
 def test_phase_gradient_vs_dense_stencil():
     # independent high-order 5-point stencil oracle
     geom, _ = triangle_from_beta(0.9, 1.5, 1e-5, 3e-5, 0.8)
-    h = HelicityConfig(HALF, HALF, 1)
-    (sten_p, sten_k), scale = _stencil_gradients(geom, h, 1e-4)
+    (sten_p, sten_k), scale = _stencil_gradients(geom, 1e-4)
     for got, stencil in zip(phase_gradient(geom), (sten_p, sten_k)):
         for axis in range(3):
             assert abs(got[axis] - stencil[axis]) \
                 < 1e-6 * max(abs(stencil[axis]), 1e-3 / scale)
 
 
-_HELICITIES = [HelicityConfig(le, lp, lg) for le in (HALF, -HALF)
+_HELICITIES = [(le, lp, lg) for le in (HALF, -HALF)
                for lp in (HALF, -HALF) for lg in (1, -1)]
 
 
@@ -289,10 +284,11 @@ def test_phase_gradient_matches_stencil_property(geom, h):
     # turns on a scale far below the transverse one, so the stencil's own
     # error, estimated from the step halving (the h^4 error of the finer
     # one is 1/15 of the change), joins the bound
-    assume(not helicity_amplitude(geom, h).degenerate)
-    coarse, scale = _stencil_gradients(geom, h, 2e-4)
-    fine, _ = _stencil_gradients(geom, h, 1e-4)
-    for got, sten, sten_coarse in zip(phase_gradient(geom, h), fine, coarse):
+    geom = labelled(geom, *h)
+    assume(not helicity_amplitude(geom).degenerate)
+    coarse, scale = _stencil_gradients(geom, 2e-4)
+    fine, _ = _stencil_gradients(geom, 1e-4)
+    for got, sten, sten_coarse in zip(phase_gradient(geom), fine, coarse):
         assert np.all(np.abs(got - sten)
                       <= 1e-8 / scale + np.abs(sten_coarse - sten))
 
@@ -314,11 +310,12 @@ def _mp_wigner_d(mp, j, m1, m, theta):
     return total
 
 
-def _mp_phase_sums(mp, p, k, h):
+def _mp_phase_sums(mp, p, k, geom):
     """S, C = sum over sigma = sigma' + sigma_gamma of
     c D^{1/2}_{sigma lambda}(p) D^{1/2}_{sigma' lambda'}(p')
     D^1_{sigma_gamma lambda_gamma}(k) (sin, cos) z with
-    z = -sigma phi + sigma' phi' + sigma_gamma phi_k."""
+    z = -sigma phi + sigma' phi' + sigma_gamma phi_k, at the helicities
+    (lambda, lambda', lambda_gamma) of geom."""
     p_prime = [a - b for a, b in zip(p, k)]
     (theta, phi), (theta_p, phi_p), (theta_k, phi_k) = [
         (mp.atan2(mp.hypot(v[0], v[1]), v[2]), mp.atan2(v[1], v[0]))
@@ -328,25 +325,26 @@ def _mp_phase_sums(mp, p, k, h):
         for sigma_p in (HALF, -HALF):
             sigma_g = int(sigma - sigma_p)
             c = 2 * sigma * (mp.sqrt(2) if sigma_g else -1)
-            m = (c * _mp_wigner_d(mp, HALF, sigma, h.lambda_e, theta)
-                 * _mp_wigner_d(mp, HALF, sigma_p, h.lambda_prime, theta_p)
-                 * _mp_wigner_d(mp, 1, sigma_g, h.lambda_gamma, theta_k))
+            m = (c * _mp_wigner_d(mp, HALF, sigma, geom.lambda_e, theta)
+                 * _mp_wigner_d(mp, HALF, sigma_p, geom.lambda_prime, theta_p)
+                 * _mp_wigner_d(mp, 1, sigma_g, geom.lambda_gamma, theta_k))
             z = -sigma * phi + sigma_p * phi_p + sigma_g * phi_k
             s_sin += m * mp.sin(z)
             s_cos += m * mp.cos(z)
     return s_sin, s_cos
 
 
-def _mp_phase_gradients(mp, geom, h):
-    """d/dp (k fixed) and d/dk (p fixed) of the phase atan2(S, C), taken
-    by mpmath's numerical differentiation of the phase relative to the
-    central configuration (no branch cut near the centre)."""
+def _mp_phase_gradients(mp, geom):
+    """d/dp (k fixed) and d/dk (p fixed) of the phase atan2(S, C) at the
+    helicities of geom, taken by mpmath's numerical differentiation of the
+    phase relative to the central configuration (no branch cut near the
+    centre)."""
     p = [mp.mpf(x) for x in (geom.p.x, geom.p.y, geom.p.z)]
     k = [mp.mpf(x) for x in (geom.k.x, geom.k.y, geom.k.z)]
-    s0, c0 = _mp_phase_sums(mp, p, k, h)
+    s0, c0 = _mp_phase_sums(mp, p, k, geom)
 
     def relative_phase(p_arr, k_arr):
-        s, c = _mp_phase_sums(mp, p_arr, k_arr, h)
+        s, c = _mp_phase_sums(mp, p_arr, k_arr, geom)
         return mp.atan2(s * c0 - c * s0, c * c0 + s * s0)
 
     def shifted(v, axis, u):
@@ -360,29 +358,29 @@ def _mp_phase_gradients(mp, geom, h):
             np.array([float(x) for x in grad_k]))
 
 
-@pytest.mark.parametrize("geom, h", [
-    (triangle_from_beta(0.999, 1.3, 1e-6, 1e-6, 0.5)[0],
-     HelicityConfig(HALF, HALF, 1)),
-    (triangle_from_beta(0.999, 1.3, 1e-6, 1e-6, 2.0, branch=-1)[0],
-     HelicityConfig(HALF, HALF, -1)),
-    (triangle_from_beta(0.9, 1.5, 1e-5, 3e-5, 0.8)[0],
-     HelicityConfig(-HALF, HALF, 1)),
-    (triangle_from_beta(0.7, 1.6, 1e-7, 1e-6, 1.3, branch=-1)[0],
-     HelicityConfig(HALF, -HALF, -1)),
-    (triangle_from_beta(0.99, 1.35, 7.8e-6, 1e-5, 0.72)[0],
-     HelicityConfig(-HALF, -HALF, 1)),
-    (wide_geometry((1.2, 0.7, 0.4), (0.3, 1.9, 2.5)),
-     HelicityConfig(HALF, -HALF, 1)),
-    (wide_geometry((0.5, 2.4, 5.1), (0.2, 0.9, 1.3)),
-     HelicityConfig(-HALF, HALF, -1)),
+@pytest.mark.parametrize("geom", [
+    labelled(triangle_from_beta(0.999, 1.3, 1e-6, 1e-6, 0.5)[0],
+             HALF, HALF, 1),
+    labelled(triangle_from_beta(0.999, 1.3, 1e-6, 1e-6, 2.0, branch=-1)[0],
+             HALF, HALF, -1),
+    labelled(triangle_from_beta(0.9, 1.5, 1e-5, 3e-5, 0.8)[0],
+             -HALF, HALF, 1),
+    labelled(triangle_from_beta(0.7, 1.6, 1e-7, 1e-6, 1.3, branch=-1)[0],
+             HALF, -HALF, -1),
+    labelled(triangle_from_beta(0.99, 1.35, 7.8e-6, 1e-5, 0.72)[0],
+             -HALF, -HALF, 1),
+    labelled(wide_geometry((1.2, 0.7, 0.4), (0.3, 1.9, 2.5)),
+             HALF, -HALF, 1),
+    labelled(wide_geometry((0.5, 2.4, 5.1), (0.2, 0.9, 1.3)),
+             -HALF, HALF, -1),
 ], ids=["tri-a", "tri-b", "tri-c", "tri-d", "tri-e", "wide-a", "wide-b"])
-def test_phase_gradient_matches_50_digit_reference(geom, h):
+def test_phase_gradient_matches_50_digit_reference(geom):
     # the phase re-derived in mpmath from the general Wigner d-function,
     # sharing no code with amplitudes, and differentiated at 50 digits
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(50):
-        want = _mp_phase_gradients(mpmath.mp, geom, h)
-    for got, ref in zip(phase_gradient(geom, h), want):
+        want = _mp_phase_gradients(mpmath.mp, geom)
+    for got, ref in zip(phase_gradient(geom), want):
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.linalg.norm(ref)
 
 
@@ -434,10 +432,9 @@ def test_coupling_sign_folded_into_phase():
     # lambda = -1/2, lambda' = +1/2 makes g negative for eps' > eps - ish;
     # mod_squared must stay >= 0 and the phase absorb the sign
     got = triangle_from_beta(0.9, 1.5, 1e-5, 1e-5, 0.7)
-    geom, _ = got
-    cfg = HelicityConfig(-HALF, HALF, 1)
-    amp = helicity_amplitude(geom, cfg)
-    coherent = amplitude_complex(geom, cfg)
+    geom = labelled(got[0], -HALF, HALF, 1)
+    amp = helicity_amplitude(geom)
+    coherent = amplitude_complex(geom)
     assert amp.mod_squared >= 0.0
     assert abs(amp.mod_squared - abs(coherent) ** 2) \
         <= 1e-12 * max(abs(coherent) ** 2, 1e-300)

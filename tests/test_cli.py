@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import re
@@ -15,8 +16,9 @@ from cherenkov_wigner import cli
 from cherenkov_wigner.cli import (ParseError, ScenarioConfig, ValidationError,
                                   parse_config, run_study)
 from cherenkov_wigner.kinematics import (ElectronPacket, EmissionGeometry,
-                                         Momentum3, momentum_magnitude)
-from cherenkov_wigner.medium import EV_PER_ME, TabulatedMedium
+                                         Momentum3, momentum_magnitude,
+                                         triangle_geometry)
+from cherenkov_wigner.medium import EV_PER_ME, ConstantMedium, TabulatedMedium
 from cherenkov_wigner.observables import flash_stats, spread_times_at_angle
 from cherenkov_wigner.units import IncompatibleDimensions, convert_units
 
@@ -274,7 +276,7 @@ sweep.samples = 301
     assert abs(peak - theta_ch) < 0.5
 
 
-def test_cli_main_exit_codes(tmp_path):
+def test_cli_main_exit_codes(tmp_path, capsys):
     path = write_config(tmp_path, MINIMAL_SPREADING)
     code = cli.main(["spreading-time", "--config", str(path),
                      "--out-dir", str(tmp_path / "out")])
@@ -282,6 +284,41 @@ def test_cli_main_exit_codes(tmp_path):
     code = cli.main(["singular-angles", "--config", str(path),
                      "--out-dir", str(tmp_path / "out")])
     assert code == 1  # study mismatch
+    # usage errors are errors too: 2 means "completed with warnings"
+    assert cli.main(["no-such-study", "--config", str(path)]) == 1
+    assert cli.main(["spreading-time"]) == 1  # no --config
+    assert cli.main(["spreading-time", "--config", str(path),
+                     "--format", "pdf"]) == 1
+    assert "usage: chr" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_workers_below_one_is_a_config_error(tmp_path, capsys, workers):
+    for study, text in (("wigner-map", SMALL_MAP),
+                        ("spreading-time", MINIMAL_SPREADING)):
+        path = write_config(tmp_path, text)
+        assert cli.main([study, "--config", str(path), "--workers", workers,
+                         "--out-dir", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err == ("chr: config error: workers must be an integer >= 1, "
+                       f"got {workers}\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("key,value", [
+    ("helicity.lambda-e", "0.3"), ("helicity.lambda-e", "0"),
+    ("helicity.lambda-prime", "1"), ("helicity.lambda-prime", "-0.3"),
+    ("helicity.lambda-gamma", "0"), ("helicity.lambda-gamma", "2")])
+def test_helicity_outside_its_values_is_a_config_error(tmp_path, capsys, key,
+                                                        value):
+    # lambda-gamma = 0 used to compute the +1 helicity and label the map
+    # "sum"; lambda-e = 0.3 used to fail only inside the study
+    path = write_config(tmp_path, SMALL_MAP + f"{key} = {value}\n")
+    with pytest.raises(ValidationError, match=f"^{key}: must be one of"):
+        parse_config(path)
+    assert cli.main(["wigner-map", "--config", str(path),
+                     "--out-dir", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith(f"chr: config error: {key}: ")
 
 
 def test_malformed_chr_workers_spares_closed_form_studies(tmp_path,
@@ -523,6 +560,57 @@ def test_flash_duration_honours_medium_d(tmp_path):
         want = flash_stats(geom, ElectronPacket(p, sig), medium,
                            np.zeros(3), 0.0).sigma_t
         assert abs(sigma_t - want) <= 1e-14 * want
+
+
+# For each arrival-shift sweep: the sha256 of the float.hex coordinates of
+# (p, p', k) at every sample ("None" where no geometry), and the samples
+# without one, as the study placed its triangle before triangle_geometry
+# took beta: the triangle rules, then p_z = sqrt(|p|^2 - p_perp^2) with
+# |p| = beta gamma (None where p_perp >= |p|), p'_z = p_z - n omega cos
+# theta_k, and the placement at that p'_z.  Recorded from that code.
+HAND_PLACED_TRIANGLES = {
+    "fig06b_arrival_shift": (
+        "5146e2cf954c50b03bc0ce2ab297756ee35cdd7a89cc2a6f7ccfa478dd8bf773",
+        []),
+    "fig08a_arrival_shift_n_sweep": (
+        "6dd07a483484555f7070f3aee3255c6cc013e950193667df08a1ef219ac1c919",
+        []),
+    "sodium_eit_shift": (
+        "08711150c1579b165660a1cd540f964ba70b2ca740a095691bd7ddbf42a2c439",
+        list(range(41, 48))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HAND_PLACED_TRIANGLES))
+def test_triangle_geometry_from_beta_is_the_hand_placement(tmp_path, name):
+    cfg = parse_config(CONFIG_DIR / f"{name}.cfg")
+    digest, missing, below = hashlib.sha256(), [], set()
+    for i, v in enumerate(cli._sweep_values(cfg)):
+        medium = cfg.medium() if cfg.sweep_variable == "theta-k" else \
+            ConstantMedium(v)
+        theta_k = v * math.pi / 180.0 if cfg.sweep_variable == "theta-k" \
+            else cfg.theta_k
+        n = medium.index(cfg.omega)[0]
+        geom = triangle_geometry(cfg.p_perp, cfg.pp_perp_ratio * cfg.p_perp,
+                                 cfg.beta, cfg.omega, n, theta_k, cfg.phi_k,
+                                 cfg.branch)
+        if geom is None:
+            missing.append(i)
+            digest.update(b"None;")
+        else:
+            digest.update(",".join(c.hex() for v3 in (geom.p, geom.p_prime,
+                                                      geom.k)
+                                   for c in (v3.x, v3.y, v3.z)).encode()
+                          + b";")
+        if cfg.beta * n < 1.0:
+            below.add(i)
+    assert (digest.hexdigest(), missing) == HAND_PLACED_TRIANGLES[name]
+    # the study writes a NaN row exactly where there is no geometry or the
+    # sample lies below the Cherenkov threshold
+    run_study(cfg, tmp_path)
+    rows = data_rows(tmp_path / f"{cfg.out_prefix}_arrival_shift.csv")
+    assert {i for i, r in enumerate(rows) if r[1] == "nan"} == \
+        set(missing) | below
 
 
 def test_flagged_sweep_names_its_flags(tmp_path, capsys):

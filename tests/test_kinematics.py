@@ -265,8 +265,10 @@ def test_geometry_from_balance_passes_triangle_rules(rng):
 
 
 def test_triangle_geometry_placement():
-    geom = triangle_geometry(1e-5, 0.99e-5, 2.0, omega=1e-5, n=1.5,
+    geom = triangle_geometry(1e-5, 0.99e-5, 0.9, omega=1e-5, n=1.5,
                              theta_k=0.4, branch=1)
+    # the initial electron moves at the requested speed
+    assert geom.beta == pytest.approx(0.9, rel=1e-15)
     tri = geom.triangle()
     # phi = phi' + alpha and phi_k = phi' + alpha + gamma on the +1 branch
     phi_p = geom.p.phi
@@ -275,6 +277,33 @@ def test_triangle_geometry_placement():
     wrap = lambda x: math.remainder(x, 2 * math.pi)
     assert abs(wrap(phi_p - phi_prime - tri.alpha)) < 1e-9
     assert abs(wrap(phi_k - phi_p - tri.gamma)) < 1e-9
-    mirror = triangle_geometry(1e-5, 0.99e-5, 2.0, omega=1e-5, n=1.5,
+    mirror = triangle_geometry(1e-5, 0.99e-5, 0.9, omega=1e-5, n=1.5,
                                theta_k=0.4, branch=-1)
     assert abs(wrap(mirror.p.phi - mirror.p_prime.phi + tri.alpha)) < 1e-9
+
+
+def test_triangle_geometry_none_where_no_triangle():
+    # legs that cannot close: |p_perp - pp_perp| = 5e-6 > k_perp = 1.5e-6
+    assert triangle_geometry(1e-5, 0.5e-5, 0.9, 1e-5, 1.5, 0.1) is None
+    # p_perp >= |p| = beta gamma leaves no real p_z
+    p_mag = momentum_magnitude(1e-6)
+    assert triangle_geometry(p_mag, p_mag, 1e-6, 1e-7, 1.5, 1.0) is None
+    assert triangle_geometry(2e-5, 2e-5, 1e-5, 1e-7, 1.5, 1.0) is None
+    with pytest.raises(ValueError, match="beta"):
+        triangle_geometry(1e-5, 0.99e-5, 1.0, 1e-5, 1.5, 0.4)
+
+
+@pytest.mark.parametrize("name,bad", [
+    ("lambda_e", 0.3), ("lambda_e", 0), ("lambda_prime", 1.0),
+    ("lambda_prime", -0.25), ("lambda_gamma", 0), ("lambda_gamma", 0.5),
+    ("lambda_gamma", None)])
+def test_emission_geometry_rejects_helicities_by_name(name, bad):
+    p_prime, k = Momentum3(1e-5, 0.0, 2.0), Momentum3(0.0, 1e-5, 1e-5)
+    geom = EmissionGeometry.from_final_state(p_prime, k, 1e-5)
+    assert (geom.lambda_e, geom.lambda_prime, geom.lambda_gamma) == (0.5, 0.5,
+                                                                     1)
+    labels = dict(lambda_e=0.5, lambda_prime=-0.5, lambda_gamma=-1)
+    EmissionGeometry.from_final_state(p_prime, k, 1e-5, **labels)
+    with pytest.raises(ValueError, match=f"^{name} must be one of"):
+        EmissionGeometry.from_final_state(p_prime, k, 1e-5,
+                                          **dict(labels, **{name: bad}))

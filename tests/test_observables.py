@@ -458,19 +458,22 @@ def test_formation_lengths():
     assert abs(fl3.l_f) > 50 * abs(fl2.l_f)
 
 
+def _scenario_flags(sc):
+    geom = sc.geometry()
+    return wkb_flags(geom, PhaseSpaceKernel.from_geometry(geom, sc.packet,
+                                                          sc.medium))
+
+
 def test_wkb_flags():
     sc = balance_scenario(beta=0.99, n=1.4, sigma=1e-5)
-    flags = wkb_flags(sc.geometry(), sc.packet, sc.medium)
-    assert flags == WkbFlags.NONE
+    assert _scenario_flags(sc) == WkbFlags.NONE
     # tiny emission angle trips the small-angle guard
     small = balance_scenario(beta=0.99, n=1.4, sigma=1e-5, theta_frac=0.01)
-    flags = wkb_flags(small.geometry(), small.packet, small.medium)
-    assert flags & WkbFlags.SMALL_ANGLE
+    assert _scenario_flags(small) & WkbFlags.SMALL_ANGLE
     # |u_p - u_k| < 10 sigma near the turning point
     beta = 1.0 / 1.4 + 1e-6
     turning = balance_scenario(beta=beta, n=1.4, sigma=1e-2, theta_frac=1.0)
-    flags = wkb_flags(turning.geometry(), turning.packet, turning.medium)
-    assert flags & WkbFlags.TURNING_POINT
+    assert _scenario_flags(turning) & WkbFlags.TURNING_POINT
 
 
 def test_dispersive_tau_d_sign_convention():

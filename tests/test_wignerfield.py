@@ -850,6 +850,33 @@ def test_scenario_validation():
                              p_prime=Momentum3(0.0, bad, 0.9))
 
 
+@pytest.mark.parametrize("name,bad", [
+    ("lambda_gamma", 0), ("lambda_gamma", 2), ("lambda_gamma", 0.5),
+    ("lambda_prime", 0.0), ("lambda_prime", 1.0), ("lambda_prime", None)])
+def test_scenario_rejects_helicities_by_name(name, bad):
+    # lambda_gamma = 0 used to compute the +1 helicity while the map said
+    # "sum"
+    with pytest.raises(ValueError, match=f"^{name} must be one of"):
+        replace(balance_scenario(), **{name: bad})
+
+
+def test_map_labels_the_photon_helicity_it_computes():
+    grid = MapGrid.centered(1e3, 1e3, 1, 1)
+    maps = {lg: evaluate_map(balance_scenario(lambda_gamma=lg), grid,
+                             workers=1) for lg in (None, 1, -1)}
+    assert [maps[lg].meta["lambda_gamma"] for lg in maps] == ["sum", 1, -1]
+    # the helicity enters only through |M|^2 in the prefactor
+    assert maps[None].scale == pytest.approx(maps[1].scale + maps[-1].scale,
+                                             rel=1e-12)
+
+
+@pytest.mark.parametrize("workers", [0, -3])
+def test_map_rejects_workers_below_one(workers):
+    with pytest.raises(ValueError, match="^workers must be an integer >= 1"):
+        evaluate_map(balance_scenario(), MapGrid.centered(1e3, 1e3, 1, 1),
+                     workers=workers)
+
+
 @pytest.mark.parametrize("name", ["x_min", "x_max", "y_min", "y_max", "z"])
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_map_grid_extent_must_be_finite(name, bad):
