@@ -6,7 +6,8 @@ Usage:  chr <study> --config <path> [--out-dir DIR] [--workers N]
         [--format csv|csv+svg]
 
 Exit codes: 0 success, 2 completed with warnings (WKB or quadrature
-flags, one stderr line per raised flag), 1 error (a usage error included).
+flags, or sweep samples skipped below the Cherenkov threshold beta*n < 1;
+one stderr line per raised flag), 1 error (a usage error included).
 """
 
 from __future__ import annotations
@@ -30,8 +31,7 @@ from .observables import (singular_angles, singular_width_approx,
                           spread_times_at_angle)
 from .units import convert_units
 from .wignerfield import (EmissionScenario, MapGrid, default_grid,
-                          delta_p_scan, evaluate_map, near_field_snapshot,
-                          worker_count)
+                          delta_p_scan, evaluate_map, near_field_snapshot)
 
 __all__ = ["ScenarioConfig", "ParseError", "ValidationError", "parse_config",
            "run_study", "convert_units", "main", "STUDIES"]
@@ -384,6 +384,14 @@ def _study_flash_duration(cfg, out_dir, fmt, workers):
                   rows), {}
 
 
+def _sweep_flags(cfg, rows, ns) -> dict:
+    """The WKB flag counts of the rows, and below_threshold: the samples at
+    beta*n < 1, where ``_arrival_shift_row`` finds no emission."""
+    counts = observables.count_flags([row[-1] for row in rows])
+    below = sum(cfg.beta * n < 1.0 for n in ns)
+    return dict(counts, below_threshold=below) if below else counts
+
+
 def _arrival_shift_row(cfg, medium, n, theta_k):
     """(Delta t, sigma_t, t_0, WKB flags) at one emission angle of the
     transverse-triangle construction; NaN times and no flags where the
@@ -403,7 +411,7 @@ def _arrival_shift_row(cfg, medium, n, theta_k):
 
 
 def _study_arrival_shift(cfg, out_dir, fmt, workers):
-    rows = []
+    rows, ns = [], []
     medium = cfg.medium()
     for v in _sweep_values(cfg):
         if cfg.sweep_variable == "theta-k":
@@ -413,6 +421,7 @@ def _study_arrival_shift(cfg, out_dir, fmt, workers):
                 10.0 * math.pi / 180.0
             medium = ConstantMedium(v)
         n = medium.index(cfg.omega)[0]
+        ns.append(n)
         rows.append((v, *_arrival_shift_row(cfg, medium, n, theta_k)))
     return _table(cfg, out_dir, fmt, "arrival_shift.csv",
                   [f"beta: {cfg.beta}", f"omega: {cfg.omega}",
@@ -422,7 +431,7 @@ def _study_arrival_shift(cfg, out_dir, fmt, workers):
                   title="photon arrival-time shift",
                   xlabel=cfg.sweep_variable, ylabel="time [t_c]",
                   labels=["delta_t", "sigma_t"]), \
-        observables.count_flags([row[-1] for row in rows])
+        _sweep_flags(cfg, rows, ns)
 
 
 def _study_dispersion_scan(cfg, out_dir, fmt, workers):
@@ -442,7 +451,7 @@ def _study_dispersion_scan(cfg, out_dir, fmt, workers):
     return _table(cfg, out_dir, fmt, "dispersion_scan.csv",
                   [f"beta: {cfg.beta}", f"n: {n}", f"theta_k_rad: {theta_k}"],
                   ["d_param", "delta_t_tc", "sigma_t_tc", "flags"],
-                  rows), observables.count_flags([row[-1] for row in rows])
+                  rows), _sweep_flags(cfg, rows, [n] * len(rows))
 
 
 def _balance_scenario(cfg: ScenarioConfig, t_out=None) -> EmissionScenario:
@@ -543,9 +552,9 @@ def _name(cfg: ScenarioConfig, suffix: str) -> str:
 
 # study -> (runner(cfg, out_dir, fmt, workers) -> (artifacts, flags),
 #           the sweep.variable values it takes, the config keys it requires);
-# flags maps each raised WKB/quadrature flag to the number of sweep samples
-# (or, for a study that does not sweep, map nodes) that carry it.  A study
-# that sweeps also requires sweep.variable, .start and .stop
+# flags maps each raised flag (see the exit codes above) to the number of
+# sweep samples (or, for a study that does not sweep, map nodes) that carry
+# it.  A study that sweeps also requires sweep.variable, .start and .stop
 _STUDIES = {
     "spreading-time": (_study_spreading_time, ("theta-k",), ()),
     "singular-angles": (_study_singular_angles, (), ()),
@@ -562,7 +571,7 @@ STUDIES = tuple(_STUDIES)
 
 
 def run_study(cfg: ScenarioConfig, out_dir=".", fmt: str = "csv",
-              workers: int | None = None):
+              workers: int = 1):
     """Run the configured study; returns (artifact paths, flags), flags
     being {flag name: samples or nodes that carry it} for each raised
     flag."""
@@ -580,9 +589,8 @@ def main(argv=None) -> int:
     parser.add_argument("study", choices=STUDIES)
     parser.add_argument("--config", required=True)
     parser.add_argument("--out-dir", default=".")
-    parser.add_argument("--workers", type=int, default=None,
-                        help="worker processes for maps (default: "
-                             "CHR_WORKERS, else 1)")
+    parser.add_argument("--workers", type=int, default=1,
+                        help="threads over the rows of a map (default: 1)")
     parser.add_argument("--format", dest="fmt", default="csv",
                         choices=("csv", "csv+svg"))
     try:
@@ -595,11 +603,9 @@ def main(argv=None) -> int:
             raise ValidationError(
                 f"study: config says {cfg.study!r}, command line says "
                 f"{args.study!r}")
-        if args.workers is not None:
-            try:
-                worker_count(args.workers)
-            except ValueError as exc:
-                raise ValidationError(str(exc)) from None
+        if args.workers < 1:
+            raise ValidationError("workers must be an integer >= 1, "
+                                  f"got {args.workers}")
         artifacts, flags = run_study(cfg, args.out_dir, args.fmt,
                                      args.workers)
     except (ParseError, ValidationError) as exc:

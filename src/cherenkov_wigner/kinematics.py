@@ -35,6 +35,7 @@ __all__ = [
     "triangle_angles",
     "triangle_rules_hold",
     "reconstruct_p_perp",
+    "place_triangle",
     "triangle_geometry",
 ]
 
@@ -349,16 +350,21 @@ class EmissionGeometry:
         return energy(self.p_prime)
 
     @property
-    def n_index(self) -> float:
-        """Refractive index implied by |k| = n * omega."""
-        return self.k.mag / self.omega
-
-    @property
     def beta(self) -> float:
         return self.p.mag / self.epsilon
 
     def triangle(self) -> TriangleAngles:
         return triangle_angles(self.p.perp, self.p_prime.perp, self.k.perp)
+
+
+def place_triangle(p_perp: float, pp_perp: float, pp_z: float,
+                   k_perp: float, phi_k: float, branch: int = 1) -> Momentum3:
+    """p' at azimuth phi_k - branch * (pi - vartheta) and height pp_z, so
+    that p' + k closes the transverse triangle (p_perp, pp_perp, k_perp)."""
+    tri = triangle_angles(p_perp, pp_perp, k_perp)
+    phi_prime = phi_k - branch * (math.pi - tri.vartheta)
+    return Momentum3(pp_perp * math.cos(phi_prime),
+                     pp_perp * math.sin(phi_prime), pp_z)
 
 
 def triangle_geometry(p_perp: float, pp_perp: float, beta: float,
@@ -384,11 +390,9 @@ def triangle_geometry(p_perp: float, pp_perp: float, beta: float,
     p_mag = momentum_magnitude(beta)
     if p_mag <= p_perp:
         return None
-    pp_z = math.sqrt(p_mag ** 2 - p_perp ** 2) - k_z
-    tri = triangle_angles(p_perp, pp_perp, k_perp)
-    phi_prime = phi_k - branch * (math.pi - tri.vartheta)
-    p_prime = Momentum3(pp_perp * math.cos(phi_prime),
-                        pp_perp * math.sin(phi_prime), pp_z)
+    p_prime = place_triangle(p_perp, pp_perp,
+                             math.sqrt(p_mag ** 2 - p_perp ** 2) - k_z,
+                             k_perp, phi_k, branch)
     k = Momentum3(k_perp * math.cos(phi_k), k_perp * math.sin(phi_k), k_z)
     geom = EmissionGeometry.from_final_state(p_prime, k, omega, lambda_e,
                                              lambda_prime, lambda_gamma)

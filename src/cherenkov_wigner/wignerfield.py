@@ -16,8 +16,6 @@ with G, g, R_eff and R_im taken from the complex eta/chi algebra of
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from pathlib import Path
@@ -27,8 +25,8 @@ import numpy as np
 
 from . import amplitudes, numerics, observables
 from .kinematics import (HELICITIES, ElectronPacket, EmissionGeometry,
-                         Momentum3, energy, triangle_rules_hold,
-                         triangle_angles, reconstruct_p_perp)
+                         Momentum3, energy, place_triangle,
+                         reconstruct_p_perp, triangle_rules_hold)
 from .medium import MediumModel
 from .observables import PhaseSpaceKernel, WkbFlags, count_flags
 
@@ -48,16 +46,22 @@ __all__ = [
     "momentum_marginal_weight",
     "default_grid",
     "central_value",
-    "worker_count",
 ]
 
 
 class NonGaussianPhase(ValueError):
-    """Snapshot mode supports only packets with vanishing phase."""
+    """Points, maps and snapshots read only a packet's sigma and mean
+    momentum, so they support only packets with vanishing phase."""
 
 
 class OffShell(ValueError):
     """No on-shell frequency exists for the requested emission angles."""
+
+
+def _require_no_phase(packet: ElectronPacket) -> None:
+    if packet.phase_model is not None:
+        raise NonGaussianPhase("points, maps and snapshots require a pure "
+                               "Gaussian packet (phase_model None)")
 
 
 @dataclass(frozen=True)
@@ -268,6 +272,7 @@ class _Context:
     oscillation-rate hint and the scenario-wide WKB flags."""
 
     def __init__(self, scenario: EmissionScenario):
+        _require_no_phase(scenario.packet)
         self.scenario = scenario
         self.geom = scenario.geometry()
         self.kernel = PhaseSpaceKernel.from_geometry(
@@ -485,38 +490,8 @@ def _source_columns(ctx: _Context, grid: MapGrid) -> np.ndarray:
     return np.minimum(ix, grid.nx - 1 - ix) if symmetric else ix
 
 
-# A pool worker's context and quadrature options, built once per process
-# by _init_worker rather than once per row.
-_WORKER_ARGS: tuple = ()
-
-
-def _init_worker(scenario, *tols):
-    global _WORKER_ARGS
-    _WORKER_ARGS = (_Context(scenario), tols)
-
-
-def _worker_row(R):
-    ctx, tols = _WORKER_ARGS
-    return ctx.nodes(R, *tols)
-
-
-def worker_count(workers: Optional[int] = None) -> int:
-    """``workers``, else CHR_WORKERS, else 1; a ValueError naming its
-    source unless it is an integer >= 1."""
-    name, raw = "workers", workers
-    if workers is None:
-        name, raw = "CHR_WORKERS", os.environ.get("CHR_WORKERS", "1")
-    try:
-        count = int(raw)
-    except ValueError:
-        count = 0
-    if count < 1:
-        raise ValueError(f"{name} must be an integer >= 1, got {raw!r}")
-    return count
-
-
 def evaluate_map(scenario: EmissionScenario, grid: Optional[MapGrid] = None,
-                 workers: Optional[int] = None, rel_tol: float = 1e-9,
+                 workers: int = 1, rel_tol: float = 1e-9,
                  max_panels: int = 4096) -> WignerMap:
     """Evaluate the Wigner function on a 2-D grid, normalized to
     max |value| = 1 (the raw scale is kept in the result).
@@ -532,12 +507,14 @@ def evaluate_map(scenario: EmissionScenario, grid: Optional[MapGrid] = None,
     own sources.  Each source row is one quadrature of its source columns
     on a mesh those nodes share.  Every node is held to about ``rel_tol``
     of the map's scale, set by a pilot quadrature of the source row nearest
-    R = 0, which is kept when it already meets that tolerance.  The source
-    rows are data-parallel across ``workers`` processes (``worker_count``:
-    an integer >= 1, by default CHR_WORKERS, else serial); the output is
-    deterministic and independent of the worker count.
+    R = 0, which is kept when it already meets that tolerance.  With
+    ``workers`` > 1 the other source rows run on that many threads over
+    the map's one context, else in a serial loop; each row is the same
+    quadrature either way, so the map is bit-identical for any worker
+    count.
     """
-    workers = worker_count(workers)
+    if workers < 1:
+        raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
     ctx = _Context(scenario)
     if grid is None:
         grid = _context_grid(ctx)
@@ -550,15 +527,13 @@ def evaluate_map(scenario: EmissionScenario, grid: Optional[MapGrid] = None,
     done = {} if row is None else {pilot: row}
     todo = [iy for iy in np.unique(rows) if iy not in done]
     tols = (rel_tol, abs_tol, max_panels)
-    if workers <= 1:
+    if workers == 1:
         done.update((iy, ctx.nodes(nodes[iy], *tols)) for iy in todo)
-    else:
-        with ProcessPoolExecutor(
-                max_workers=workers, initializer=_init_worker,
-                initargs=(scenario, *tols)) as pool:
+    else:  # a serial map starts no thread and skips this import
+        from concurrent.futures import ThreadPoolExecutor
+        with ThreadPoolExecutor(workers) as pool:
             done.update(zip(todo, pool.map(
-                _worker_row, [nodes[iy] for iy in todo],
-                chunksize=max(1, len(todo) // (4 * workers)))))
+                lambda iy: ctx.nodes(nodes[iy], *tols), todo)))
     values, errors, flags, panels, rounds = (
         np.array(part) for part in zip(*(done[iy] for iy in rows)))
     # a row taken from its mirror row is reversed in X
@@ -629,9 +604,7 @@ def near_field_snapshot(scenario: EmissionScenario, grid: MapGrid,
     Gaussian packet: width sigma_perp(t) with the laboratory-frame electron
     diffraction time t_d^(e) = gamma/sigma^2, center drifting at u_p."""
     packet = scenario.packet
-    if packet.phase_model is not None:
-        raise NonGaussianPhase("snapshot mode requires a pure Gaussian "
-                               "packet (phase_model None)")
+    _require_no_phase(packet)
     mean = packet.mean_momentum
     eps = energy(mean)
     u_p = mean.as_array() / eps
@@ -661,11 +634,9 @@ def momentum_marginal_weight(scenario: EmissionScenario) -> float:
     medium = scenario.medium
     packet = scenario.packet
     if scenario.p_prime is None:
-        mean = packet.mean_momentum
-        lo, hi = medium.domain()
-        band = (max(1e-9 * scenario.omega, lo), min(hi, 0.99 * energy(mean)))
-
+        p = mean = packet.mean_momentum
         eps0 = energy(mean)
+        lo, hi = medium.domain()
 
         def mismatch(w):
             n = medium.index(w)[0]
@@ -675,27 +646,23 @@ def momentum_marginal_weight(scenario: EmissionScenario) -> float:
             delta = (2.0 * mean.dot(k) - k.mag2) / (eps0 + energy(mean - k))
             return (delta - w) / w
 
-        ws = np.geomspace(band[0], band[1], 200)
+        ws = np.geomspace(max(1e-9 * scenario.omega, lo),
+                          min(hi, 0.99 * eps0), 200)
         vals = [mismatch(w) for w in ws]
-        bracket = None
         for i in range(len(ws) - 1):
             if vals[i] == 0.0:
-                bracket = (ws[i], ws[i])
+                omega = ws[i]
                 break
             if vals[i] * vals[i + 1] < 0:
-                bracket = (ws[i], ws[i + 1])
+                omega = numerics.find_root(mismatch, ws[i], ws[i + 1],
+                                           tol=1e-15 * ws[i + 1])
                 break
-        if bracket is None:
+        else:
             raise OffShell("no on-shell frequency in the scenario band")
-        w_star = (bracket[0] if bracket[0] == bracket[1] else
-                  numerics.find_root(mismatch, bracket[0], bracket[1],
-                                     tol=1e-15 * bracket[1]))
-        n = medium.index(w_star)[0]
-        k = Momentum3.from_spherical(n * w_star, scenario.theta_k,
+        n = medium.index(omega)[0]
+        k = Momentum3.from_spherical(n * omega, scenario.theta_k,
                                      scenario.phi_k)
-        p = mean
         p_prime = mean - k
-        omega = w_star
     else:
         # on-shell: reconstruct the initial transverse momentum and close
         # the transverse triangle (the weight is phi'-independent, so the
@@ -708,10 +675,8 @@ def momentum_marginal_weight(scenario: EmissionScenario) -> float:
                                     omega, n)
         if not triangle_rules_hold(p_perp, old_prime.perp, k.perp):
             return 0.0
-        tri = triangle_angles(p_perp, old_prime.perp, k.perp)
-        phi_prime = k.phi - (math.pi - tri.vartheta)
-        p_prime = Momentum3(old_prime.perp * math.cos(phi_prime),
-                            old_prime.perp * math.sin(phi_prime), old_prime.z)
+        p_prime = place_triangle(p_perp, old_prime.perp, old_prime.z,
+                                 k.perp, k.phi)
         p = p_prime + k
 
     geom = replace(scenario.geometry(), p=p, p_prime=p_prime, k=k,

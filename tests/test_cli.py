@@ -189,6 +189,19 @@ def test_module_entry_point_runs_without_runtime_warning():
     assert done.stdout.startswith("usage:")
 
 
+def test_import_leaves_multiprocessing_out():
+    # maps run their rows on threads: no process pool is imported
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                         os.environ.get("PYTHONPATH")]))
+    probe = ("import sys, cherenkov_wigner.cli; "
+             "print(sorted(m for m in sys.modules "
+             "if m.split('.')[0] == 'multiprocessing'))")
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path},
+                          check=True)
+    assert done.stdout.strip() == "[]"
+
+
 def test_unit_constants():
     from cherenkov_wigner.units import LAMBDAC_CM, TC_SECONDS
     assert abs(TC_SECONDS - 1.3e-21) < 0.05e-21
@@ -321,15 +334,6 @@ def test_helicity_outside_its_values_is_a_config_error(tmp_path, capsys, key,
     assert capsys.readouterr().err.startswith(f"chr: config error: {key}: ")
 
 
-def test_malformed_chr_workers_spares_closed_form_studies(tmp_path,
-                                                          monkeypatch):
-    # CHR_WORKERS is read by evaluate_map only, not while building the parser
-    monkeypatch.setenv("CHR_WORKERS", "abc")
-    path = write_config(tmp_path, MINIMAL_SPREADING)
-    assert cli.main(["spreading-time", "--config", str(path),
-                     "--out-dir", str(tmp_path / "out")]) == 0
-
-
 SMALL_MAP = """
 study = wigner-map
 beta = 0.99
@@ -340,17 +344,6 @@ medium.n = 1.4
 grid.nx = 3
 grid.ny = 3
 """
-
-
-@pytest.mark.parametrize("raw", ["abc", "0"])
-def test_map_study_rejects_bad_chr_workers(tmp_path, monkeypatch, capsys,
-                                           raw):
-    monkeypatch.setenv("CHR_WORKERS", raw)
-    path = write_config(tmp_path, SMALL_MAP)
-    assert cli.main(["wigner-map", "--config", str(path),
-                     "--out-dir", str(tmp_path / "out")]) == 1
-    err = capsys.readouterr().err
-    assert "CHR_WORKERS" in err and repr(raw) in err
 
 
 @pytest.mark.parametrize("key,text", [
@@ -485,6 +478,55 @@ sweep.samples = 25
             assert math.isnan(dt)
         else:
             assert math.isfinite(dt)
+
+
+def test_n_sweep_counts_the_samples_below_threshold(tmp_path, capsys):
+    # fig08a sweeps n from 1.05 across 1/beta = 1.43: each NaN row below
+    # it is one below_threshold sample, next to the WKB flags
+    config = CONFIG_DIR / "fig08a_arrival_shift_n_sweep.cfg"
+    out = tmp_path / "out"
+    assert cli.main(["arrival-shift", "--config", str(config),
+                     "--out-dir", str(out)]) == 2
+    rows = data_rows(out / "fig08a_arrival_shift.csv")
+    below = sum(1 for r in rows if 0.7 * float(r[0]) < 1.0)
+    assert below == 38
+    assert all(r[1] == "nan" for r in rows if 0.7 * float(r[0]) < 1.0)
+    err = capsys.readouterr().err.splitlines()
+    assert err[-1] == f"chr: warning: below_threshold flag on {below} samples"
+    assert len(err) == 2
+
+
+def test_sodium_config_below_threshold_is_not_silent(tmp_path, capsys):
+    # beta*n = 0.999 * 1.001 < 1: no sample radiates, so every row is NaN,
+    # and chr says so with exit code 2
+    config = CONFIG_DIR / "sodium_eit_shift.cfg"
+    out = tmp_path / "out"
+    assert cli.main(["arrival-shift", "--config", str(config),
+                     "--out-dir", str(out)]) == 2
+    rows = data_rows(out / "sodium_arrival_shift.csv")
+    assert len(rows) == 89 and all(r[1:4] == ["nan"] * 3 for r in rows)
+    assert capsys.readouterr().err.splitlines() == [
+        "chr: warning: below_threshold flag on 89 samples"]
+
+
+def test_dispersion_scan_below_threshold_warns(tmp_path, capsys):
+    path = write_config(tmp_path, """
+study = dispersion-scan
+beta = 0.7
+sigma = 1e-4
+omega = 7.828e-6
+medium.n = 1.35
+p-perp = 1e-5
+theta-k = 41.5
+sweep.variable = d-param
+sweep.start = -2
+sweep.stop = 2
+sweep.samples = 5
+""")
+    assert cli.main(["dispersion-scan", "--config", str(path),
+                     "--out-dir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "chr: warning: below_threshold flag on 5 samples"]
 
 
 def test_flagged_study_exits_two(tmp_path):

@@ -1,5 +1,8 @@
 import math
+import multiprocessing
+import os
 import string
+import sys
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -13,7 +16,7 @@ from hypothesis import strategies as st
 from cherenkov_wigner import numerics
 from cherenkov_wigner.kinematics import (ElectronPacket, Momentum3,
                                          momentum_magnitude)
-from cherenkov_wigner.medium import ConstantMedium
+from cherenkov_wigner.medium import AnalyticMedium, ConstantMedium
 from cherenkov_wigner.observables import PhaseSpaceKernel, WkbFlags
 from cherenkov_wigner.wignerfield import (EmissionScenario, MapGrid,
                                           NonGaussianPhase, OffShell,
@@ -277,6 +280,31 @@ def test_map_worker_independence():
     parallel = evaluate_map(sc, grid, workers=2)
     assert np.array_equal(serial.values, parallel.values)
     assert serial.scale == parallel.scale
+
+
+@pytest.mark.parametrize("workers", [2, (os.cpu_count() or 1) + 1],
+                         ids=["two", "more-than-cores"])
+def test_map_worker_independence_under_spawn(workers):
+    # threads share the map's context, so nothing is pickled: a dispersive
+    # medium built from lambdas works under any start method.  The context
+    # is only read: with more threads than cores and a short switch
+    # interval, every row still equals its serial row
+    sc = replace(balance_scenario(sigma=1e-5, t_out=3e5, phi_k=0.3),
+                 medium=AnalyticMedium.from_dispersion_params(1.4, 1e-5, 0.5))
+    grid = MapGrid.centered(3e4, 3e4, 5, 24)
+    serial = evaluate_map(sc, grid, workers=1)
+    method = multiprocessing.get_start_method(allow_none=True)
+    interval = sys.getswitchinterval()
+    multiprocessing.set_start_method("spawn", force=True)
+    sys.setswitchinterval(1e-6)
+    try:
+        parallel = evaluate_map(sc, grid, workers=workers)
+    finally:
+        sys.setswitchinterval(interval)
+        multiprocessing.set_start_method(method, force=True)
+    assert serial.scale == parallel.scale
+    for name in ("values", "error_estimates", "flags", "panels", "rounds"):
+        assert np.array_equal(getattr(serial, name), getattr(parallel, name))
 
 
 def fig10_scenario():
@@ -751,6 +779,21 @@ def test_snapshot_requires_gaussian_phase():
                            theta_k=sc.theta_k, phi_k=sc.phi_k, t_out=1.0)
     with pytest.raises(NonGaussianPhase):
         near_field_snapshot(bad, MapGrid.centered(1.0, 1.0, 5, 5), 0.0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda sc: evaluate_point(sc, [0.0, 0.0, 0.0]),
+    lambda sc: evaluate_map(sc, MapGrid.centered(1e3, 1e3, 3, 3)),
+    lambda sc: delta_p_scan(sc, [0.0], MapGrid.centered(1e3, 1e3, 3, 3))],
+    ids=["point", "map", "delta-p-scan"])
+def test_points_and_maps_reject_a_packet_phase(call):
+    # they read only the packet's sigma and mean momentum: a shift of
+    # 3e5 lambda_c used to give the phaseless values bit for bit
+    sc = balance_scenario(sigma=1e-5, t_out=3e5)
+    shifted = replace(sc, packet=replace(sc.packet,
+                                         phase_model=lambda q: 3e5 * q[0]))
+    with pytest.raises(NonGaussianPhase):
+        call(shifted)
 
 
 def test_marginal_weight_on_shell_frequency():
