@@ -6,7 +6,7 @@ Usage:  chr <study> --config <path> [--out-dir DIR] [--workers N]
         [--format csv|csv+svg]
 
 Exit codes: 0 success, 2 completed with warnings (WKB or quadrature
-flags, or sweep samples skipped below the Cherenkov threshold beta*n < 1;
+flags, or sweep samples that emit no photon, named by ``_arrival_rows``;
 one stderr line per raised flag), 1 error (a usage error included).
 """
 
@@ -25,8 +25,8 @@ from . import observables, svgplot
 from .kinematics import (HELICITIES, ElectronPacket, Momentum3,
                          cherenkov_angle_classical, lorentz_gamma,
                          momentum_magnitude, triangle_geometry)
-from .medium import (AnalyticMedium, ConstantMedium, MediumModel,
-                     load_index_table)
+from .medium import (AnalyticMedium, ConstantMedium, DegenerateGroupVelocity,
+                     MediumModel, load_index_table)
 from .observables import (singular_angles, singular_width_approx,
                           spread_times_at_angle)
 from .units import convert_units
@@ -220,7 +220,8 @@ def _validate(values: dict, path: Path) -> ScenarioConfig:
 
     if not (0.0 < cfg.beta < 1.0):
         raise ValidationError("beta: must lie in (0, 1)")
-    for key in ("sigma", "omega", "t-out", "medium.n", "grid.extent"):
+    for key in ("sigma", "omega", "t-out", "medium.n", "grid.extent",
+                "p-perp", "pp-perp-ratio"):
         value = getattr(cfg, _KEYS[key][0])
         if value is not None and value <= 0:
             raise ValidationError(f"{key}: must be positive, got {value!r}")
@@ -243,6 +244,13 @@ def _validate(values: dict, path: Path) -> ScenarioConfig:
                                       f"sweep.scale = log, got {value!r}")
     if cfg.grid_nx < 1 or cfg.grid_ny < 1:
         raise ValidationError("grid.nx/grid.ny: must be >= 1")
+    tags = {}
+    for off in cfg.delta_p_offsets:
+        tag = _dp_tag(off)
+        if tag in tags:
+            raise ValidationError(f"delta-p.offsets: {tags[tag]!r} and "
+                                  f"{off!r} share the file tag {tag}")
+        tags[tag] = off
 
     _, sweeps, required = _STUDIES[study]
     if sweeps:
@@ -384,45 +392,54 @@ def _study_flash_duration(cfg, out_dir, fmt, workers):
                   rows), {}
 
 
-def _sweep_flags(cfg, rows, ns) -> dict:
-    """The WKB flag counts of the rows, and below_threshold: the samples at
-    beta*n < 1, where ``_arrival_shift_row`` finds no emission."""
-    counts = observables.count_flags([row[-1] for row in rows])
-    below = sum(cfg.beta * n < 1.0 for n in ns)
-    return dict(counts, below_threshold=below) if below else counts
+def _arrival_rows(cfg, samples):
+    """One row (sweep value, Delta t, sigma_t, t_0, WKB flags) per sample
+    (sweep value, medium, theta_k) of the transverse-triangle construction,
+    and the flags dict: the WKB flag counts, then the number of samples that
+    emit no photon, by reason.  The reasons are checked in this order:
+    below_threshold (beta*n < 1), open_triangle (``triangle_geometry``
+    finds no triangle) and degenerate_group_velocity (n (1 + D) = 0).  Such
+    a sample's row holds NaN times and no flags."""
+    rows, no_photon = [], dict.fromkeys(
+        ("below_threshold", "open_triangle", "degenerate_group_velocity"), 0)
+    for v, medium, theta_k in samples:
+        n = medium.index(cfg.omega)[0]
+        stats = None
+        if cfg.beta * n < 1.0:
+            no_photon["below_threshold"] += 1
+        elif (geom := triangle_geometry(
+                cfg.p_perp, cfg.pp_perp_ratio * cfg.p_perp, cfg.beta,
+                cfg.omega, n, theta_k, cfg.phi_k, cfg.branch, cfg.lambda_e,
+                cfg.lambda_prime,
+                1 if cfg.lambda_gamma is None else cfg.lambda_gamma)) is None:
+            no_photon["open_triangle"] += 1
+        else:
+            try:
+                stats = observables.flash_stats(
+                    geom, ElectronPacket(geom.p, cfg.sigma), medium,
+                    geom.k.as_array() / geom.k.mag * cfg.r_mag, 0.0)
+            except DegenerateGroupVelocity:
+                no_photon["degenerate_group_velocity"] += 1
+        rows.append((v, math.nan, math.nan, math.nan, 0) if stats is None else
+                    (v, stats.delta_t, stats.sigma_t, stats.t_0,
+                     int(stats.flags)))
+    flags = observables.count_flags([row[-1] for row in rows])
+    return rows, dict(flags, **{k: c for k, c in no_photon.items() if c})
 
 
-def _arrival_shift_row(cfg, medium, n, theta_k):
-    """(Delta t, sigma_t, t_0, WKB flags) at one emission angle of the
-    transverse-triangle construction; NaN times and no flags where the
-    kinematics forbid emission."""
-    geom = None if cfg.beta * n < 1.0 else triangle_geometry(
-        cfg.p_perp, cfg.pp_perp_ratio * cfg.p_perp, cfg.beta, cfg.omega, n,
-        theta_k, cfg.phi_k, cfg.branch, cfg.lambda_e, cfg.lambda_prime,
-        1 if cfg.lambda_gamma is None else cfg.lambda_gamma)
-    if geom is None:
-        return math.nan, math.nan, math.nan, 0
-    packet = ElectronPacket(geom.p, cfg.sigma)
-    r = geom.k.as_array() / geom.k.mag * cfg.r_mag
-    stats = observables.flash_stats(geom, packet, medium, r, 0.0)
-    kernel = observables.PhaseSpaceKernel.from_geometry(geom, packet, medium)
-    return (stats.delta_t, stats.sigma_t, stats.t_0,
-            int(observables.wkb_flags(geom, kernel)))
+def _fixed_theta_k(cfg) -> float:
+    return cfg.theta_k if cfg.theta_k is not None else 10.0 * math.pi / 180.0
 
 
 def _study_arrival_shift(cfg, out_dir, fmt, workers):
-    rows, ns = [], []
-    medium = cfg.medium()
-    for v in _sweep_values(cfg):
-        if cfg.sweep_variable == "theta-k":
-            theta_k = v * math.pi / 180.0
-        else:
-            theta_k = cfg.theta_k if cfg.theta_k is not None else \
-                10.0 * math.pi / 180.0
-            medium = ConstantMedium(v)
-        n = medium.index(cfg.omega)[0]
-        ns.append(n)
-        rows.append((v, *_arrival_shift_row(cfg, medium, n, theta_k)))
+    values = _sweep_values(cfg)
+    if cfg.sweep_variable == "theta-k":
+        medium = cfg.medium()
+        samples = ((v, medium, v * math.pi / 180.0) for v in values)
+    else:
+        samples = ((v, ConstantMedium(v), _fixed_theta_k(cfg))
+                   for v in values)
+    rows, flags = _arrival_rows(cfg, samples)
     return _table(cfg, out_dir, fmt, "arrival_shift.csv",
                   [f"beta: {cfg.beta}", f"omega: {cfg.omega}",
                    f"p_perp: {cfg.p_perp}", f"branch: {cfg.branch}"],
@@ -430,28 +447,20 @@ def _study_arrival_shift(cfg, out_dir, fmt, workers):
                    "sigma_t_tc", "t_0_tc", "flags"], rows, series=(1, 2),
                   title="photon arrival-time shift",
                   xlabel=cfg.sweep_variable, ylabel="time [t_c]",
-                  labels=["delta_t", "sigma_t"]), \
-        _sweep_flags(cfg, rows, ns)
+                  labels=["delta_t", "sigma_t"]), flags
 
 
 def _study_dispersion_scan(cfg, out_dir, fmt, workers):
-    theta_k = cfg.theta_k if cfg.theta_k is not None else \
-        10.0 * math.pi / 180.0
+    theta_k = _fixed_theta_k(cfg)
     n = cfg.medium().index(cfg.omega)[0]
-    rows = []
-    for d in _sweep_values(cfg):
-        medium = AnalyticMedium.from_dispersion_params(
-            n, cfg.omega, d, cfg.medium_e)
-        try:
-            delta_t, sigma_t, _, flags = _arrival_shift_row(cfg, medium, n,
-                                                            theta_k)
-        except ZeroDivisionError:  # group velocity degenerates at D = -1
-            delta_t, sigma_t, flags = math.nan, math.nan, 0
-        rows.append((d, delta_t, sigma_t, flags))
+    rows, flags = _arrival_rows(cfg, (
+        (d, AnalyticMedium.from_dispersion_params(n, cfg.omega, d,
+                                                  cfg.medium_e), theta_k)
+        for d in _sweep_values(cfg)))
     return _table(cfg, out_dir, fmt, "dispersion_scan.csv",
                   [f"beta: {cfg.beta}", f"n: {n}", f"theta_k_rad: {theta_k}"],
                   ["d_param", "delta_t_tc", "sigma_t_tc", "flags"],
-                  rows), _sweep_flags(cfg, rows, [n] * len(rows))
+                  [(d, dt, st, f) for d, dt, st, _, f in rows]), flags
 
 
 def _balance_scenario(cfg: ScenarioConfig, t_out=None) -> EmissionScenario:
@@ -500,6 +509,11 @@ def _study_wigner_map(cfg, out_dir, fmt, workers):
             wmap.flag_counts())
 
 
+def _dp_tag(offset: float) -> str:
+    """The file tag of a DeltaP offset (in sigma): two decimals, signed."""
+    return f"dp_{offset:+.2f}sigma".replace("+", "p").replace("-", "m")
+
+
 def _study_delta_p_scan(cfg, out_dir, fmt, workers):
     scenario = _balance_scenario(cfg)
     grid = _grid_for(cfg, scenario)
@@ -510,8 +524,8 @@ def _study_delta_p_scan(cfg, out_dir, fmt, workers):
     summary = []
     base_scale = maps[0].scale if maps else 1.0
     for off, wmap in zip(cfg.delta_p_offsets, maps):
-        tag = f"dp_{off:+.2f}sigma".replace("+", "p").replace("-", "m")
-        arts.extend(_map_artifacts(cfg, out_dir, fmt, f"delta_p_{tag}.csv",
+        arts.extend(_map_artifacts(cfg, out_dir, fmt,
+                                   f"delta_p_{_dp_tag(off)}.csv",
                                    wmap, f"DeltaP = {off} sigma"))
         flags.update(wmap.flag_counts())
         summary.append((off, wmap.scale, wmap.scale / base_scale,

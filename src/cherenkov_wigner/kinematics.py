@@ -138,17 +138,9 @@ def momentum_magnitude(beta: float) -> float:
     return beta * lorentz_gamma(beta)
 
 
-def energy(p) -> float:
-    """On-shell electron energy sqrt(1 + |p|^2); accepts Momentum3,
-    a length-3 array, or a scalar momentum magnitude."""
-    if isinstance(p, Momentum3):
-        m2 = p.mag2
-    elif np.ndim(p) == 0:
-        m2 = float(p) ** 2
-    else:
-        arr = np.asarray(p, dtype=float)
-        m2 = float(arr @ arr)
-    return math.sqrt(1.0 + m2)
+def energy(p: Momentum3) -> float:
+    """On-shell electron energy sqrt(1 + |p|^2)."""
+    return math.sqrt(1.0 + p.mag2)
 
 
 def cherenkov_angle_classical(beta: float, n: float) -> float:

@@ -42,20 +42,13 @@ class NoSignChange(ValueError):
 
 @dataclass(frozen=True)
 class DiffSpec:
-    """Central-difference settings: derivative order, relative base step,
-    and the number of Richardson rows (error O(h^(2*levels)) for smooth f)."""
+    """Central-difference settings: the relative base step."""
 
-    order: int = 1
     base_step: float = 1e-5
-    richardson_levels: int = 2
 
     def __post_init__(self):
-        if self.order not in (1, 2):
-            raise ValueError("order must be 1 or 2")
         if self.base_step <= 0:
             raise ValueError("base_step must be positive")
-        if self.richardson_levels < 1:
-            raise ValueError("richardson_levels must be >= 1")
 
 
 # 15-point Kronrod extension of the 7-point Gauss rule on [-1, 1]
@@ -249,29 +242,19 @@ def integrate_batch(
 
 
 def differentiate(f: Callable, x: float, spec: DiffSpec = DiffSpec()) -> float:
-    """Central-difference derivative of f at x, Richardson extrapolated.
-
-    The base step is ``spec.base_step * max(|x|, 1)`` and is halved once per
-    Richardson row; for smooth f the truncation error after extrapolation is
-    O(h^(2*levels)).
+    """First derivative of f at x: central differences at the steps h and
+    h/2, h = ``spec.base_step * max(|x|, 1)``, combined by one Richardson
+    step on their h^2 error series, which leaves an O(h^4) truncation error
+    for smooth f.
     """
     h0 = spec.base_step * max(abs(x), 1.0)
     rows = []
-    for level in range(spec.richardson_levels):
-        h = h0 / 2.0 ** level
-        if spec.order == 1:
-            d = (f(x + h) - f(x - h)) / (2.0 * h)
-        else:
-            d = (f(x + h) - 2.0 * f(x) + f(x - h)) / h ** 2
+    for h in (h0, h0 / 2.0):
+        d = (f(x + h) - f(x - h)) / (2.0 * h)
         if not math.isfinite(d):
             raise NonFiniteSample(f"non-finite sample near x={x}, h={h}")
         rows.append(d)
-    # Richardson tableau on the h^2 error series
-    for j in range(1, spec.richardson_levels):
-        factor = 4.0 ** j
-        rows = [(factor * rows[i + 1] - rows[i]) / (factor - 1.0)
-                for i in range(len(rows) - 1)]
-    return rows[0]
+    return (4.0 * rows[1] - rows[0]) / 3.0
 
 
 def find_root(f: Callable, lo: float, hi: float, tol: float = 1e-12) -> float:

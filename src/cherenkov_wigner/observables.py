@@ -126,12 +126,14 @@ class CorrelationGeometry:
 
 @dataclass(frozen=True)
 class FlashStats:
-    """Flash duration, arrival-probability peak, and its quantum shift."""
+    """Flash duration, arrival-probability peak, and its quantum shift,
+    with the WKB validity flags of the kernel they were computed from."""
 
     sigma_t: float
     t_0: float
     delta_t: float
     l_0: np.ndarray
+    flags: WkbFlags
 
 
 @dataclass(frozen=True)
@@ -436,6 +438,8 @@ def flash_stats(geom: EmissionGeometry, packet: ElectronPacket,
     """Flash duration sigma_t(t'), the detection-probability peak time
     t_0 = (r + Phi) . l_0 and the quantum shift Delta t = Phi . l_0, where
     Phi combines the amplitude-phase gradient and the packet-phase gradient.
+    ``flags`` holds the ``wkb_flags`` of the one kernel all three are read
+    from, so a caller needs no second kernel for them.
 
     The amplitude-phase gradient is closed-form; only the packet's optional
     ``phase_model`` is differentiated numerically.  With p, p' or k along z
@@ -450,7 +454,8 @@ def flash_stats(geom: EmissionGeometry, packet: ElectronPacket,
     r = np.asarray(r, dtype=float)
     delta_t = float(l0 @ phi_vec)
     t_0 = float(l0 @ (r + phi_vec))
-    return FlashStats(sigma_t=sigma_t, t_0=t_0, delta_t=delta_t, l_0=l0)
+    return FlashStats(sigma_t=sigma_t, t_0=t_0, delta_t=delta_t, l_0=l0,
+                      flags=wkb_flags(geom, kernel))
 
 
 def formation_lengths(geom: EmissionGeometry, packet: ElectronPacket,

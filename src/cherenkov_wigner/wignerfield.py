@@ -458,18 +458,22 @@ def default_grid(scenario: EmissionScenario, nx: int = 128, ny: int = 128,
                  z: float = 0.0) -> MapGrid:
     """Grid extents of +-4 R_eff(t_out) per axis around the packet center,
     each capped at max(beta, |u_k|) * t_out, the farther of the electron's
-    and the photon's flight distances."""
-    return _context_grid(_Context(scenario), nx, ny, z)
+    and the photon's flight distances.  Reads only the scenario's kernel:
+    no amplitude, prefactor or envelope is evaluated."""
+    _require_no_phase(scenario.packet)
+    geom = scenario.geometry()
+    kernel = PhaseSpaceKernel.from_geometry(
+        geom, scenario.packet, scenario.medium, scenario.dispersive)
+    return _kernel_grid(kernel, geom.beta, scenario.t_out, nx, ny, z)
 
 
-def _context_grid(ctx: _Context, nx: int = 128, ny: int = 128,
-                  z: float = 0.0) -> MapGrid:
-    """``default_grid`` of the context's scenario."""
-    t_out = ctx.scenario.t_out
-    cap = max(ctx.geom.beta, float(np.linalg.norm(ctx.kernel.u_k))) * t_out
+def _kernel_grid(kernel: PhaseSpaceKernel, beta: float, t_out: float,
+                 nx: int = 128, ny: int = 128, z: float = 0.0) -> MapGrid:
+    """``default_grid`` of a scenario's kernel, electron speed and t_out."""
+    cap = max(beta, float(np.linalg.norm(kernel.u_k))) * t_out
     halves = []
     for axis in (np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])):
-        r_eff, _ = ctx.kernel.correlation_scales(t_out, axis)
+        r_eff, _ = kernel.correlation_scales(t_out, axis)
         halves.append(min(4.0 * r_eff, cap))
     return MapGrid.centered(halves[0], halves[1], nx, ny, z)
 
@@ -517,7 +521,7 @@ def evaluate_map(scenario: EmissionScenario, grid: Optional[MapGrid] = None,
         raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
     ctx = _Context(scenario)
     if grid is None:
-        grid = _context_grid(ctx)
+        grid = _kernel_grid(ctx.kernel, ctx.geom.beta, scenario.t_out)
     rows, cols = _source_rows(grid), _source_columns(ctx, grid)
     # each row's nodes on the source columns, shape (ny, max(cols) + 1, 3)
     x, y = np.meshgrid(grid.xs()[:cols.max() + 1], grid.ys())

@@ -443,13 +443,144 @@ def test_cli_main_error_on_bad_config(tmp_path):
     assert cli.main(["spreading-time", "--config", str(path)]) == 1
 
 
+# each bundled config's exit code and stderr lines under chr --format csv+svg
+BUNDLED_RUNS = {
+    "fig03_correlation_radius.cfg": (0, []),
+    "fig05_spreading_time.cfg": (0, []),
+    "fig06b_arrival_shift.cfg": (
+        2, ["chr: warning: small_angle flag on 1 sample"]),
+    "fig08a_arrival_shift_n_sweep.cfg": (
+        2, ["chr: warning: small_angle flag on 78 samples",
+            "chr: warning: below_threshold flag on 38 samples"]),
+    # D = -1 is one of the 41 samples: n (1 + D) = 0
+    "fig09_ice_dispersion.cfg": (
+        2, ["chr: warning: degenerate_group_velocity flag on 1 sample"]),
+    "fig10_delta_p_scan.cfg": (0, []),
+    "fig12_wigner_map.cfg": (0, []),
+    "flash_duration.cfg": (0, []),
+    "singular_angles.cfg": (0, []),
+    "snapshot.cfg": (0, []),
+    "sodium_eit_shift.cfg": (
+        2, ["chr: warning: below_threshold flag on 89 samples"]),
+}
+
+
 @pytest.mark.parametrize("config", BUNDLED, ids=lambda p: p.name)
-def test_bundled_configs_run(config, tmp_path):
-    cfg = parse_config(config)
-    artifacts, flagged = run_study(cfg, tmp_path, "csv+svg")
-    assert artifacts, config.name
-    for art in artifacts:
-        assert art.exists()
+def test_bundled_configs_run(config, tmp_path, capsys):
+    out = tmp_path / "out"
+    code = cli.main([parse_config(config).study, "--config", str(config),
+                     "--out-dir", str(out), "--format", "csv+svg"])
+    captured = capsys.readouterr()
+    assert (code, captured.err.splitlines()) == BUNDLED_RUNS[config.name]
+    artifacts = [Path(line) for line in captured.out.splitlines()]
+    assert artifacts and all(art.parent == out and art.exists()
+                             for art in artifacts)
+
+
+# PhaseSpaceKernel.from_geometry calls of each arrival-time config: one per
+# sample with a geometry (fig08a: 38 of 116 samples lie below threshold;
+# fig09: the D = -1 kernel raises; sodium: no sample clears the threshold)
+KERNEL_BUILDS = {"fig06b_arrival_shift": 89,
+                 "fig08a_arrival_shift_n_sweep": 78,
+                 "fig09_ice_dispersion": 41, "sodium_eit_shift": 0}
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_BUILDS))
+def test_arrival_time_sample_builds_one_kernel(tmp_path, monkeypatch, name):
+    from cherenkov_wigner.observables import PhaseSpaceKernel
+    build = PhaseSpaceKernel.from_geometry.__func__
+    calls = []
+
+    def counted(cls, *args, **kwargs):
+        calls.append(args[0])
+        return build(cls, *args, **kwargs)
+
+    monkeypatch.setattr(PhaseSpaceKernel, "from_geometry",
+                        classmethod(counted))
+    config = CONFIG_DIR / f"{name}.cfg"
+    cli.main([parse_config(config).study, "--config", str(config),
+              "--out-dir", str(tmp_path)])
+    assert len(calls) == KERNEL_BUILDS[name]
+    assert len({id(geom) for geom in calls}) == len(calls)
+
+
+FIG06B = (CONFIG_DIR / "fig06b_arrival_shift.cfg").read_text(encoding="utf-8")
+
+
+def with_key(text, key, value):
+    """``text`` with ``key`` set to ``value``."""
+    return "".join(line + "\n" for line in text.splitlines()
+                   if not line.startswith(key + " ")) + f"{key} = {value}\n"
+
+
+def test_open_triangle_samples_are_named(tmp_path, capsys):
+    # at p-perp = 1e-7 the transverse legs close at 8 of the 89 angles
+    path = write_config(tmp_path, with_key(FIG06B, "p-perp", "1e-7"))
+    assert cli.main(["arrival-shift", "--config", str(path),
+                     "--out-dir", str(tmp_path / "out")]) == 2
+    rows = data_rows(tmp_path / "out" / "fig06b_arrival_shift.csv")
+    assert sum(r[1] == "nan" for r in rows) == 81
+    assert capsys.readouterr().err.splitlines() == [
+        "chr: warning: small_angle flag on 1 sample",
+        "chr: warning: open_triangle flag on 81 samples"]
+
+
+def test_degenerate_group_velocity_sample_is_named(tmp_path, capsys):
+    config = CONFIG_DIR / "fig09_ice_dispersion.cfg"
+    assert cli.main(["dispersion-scan", "--config", str(config),
+                     "--out-dir", str(tmp_path)]) == 2
+    rows = data_rows(tmp_path / "fig09_dispersion_scan.csv")
+    assert [r[0] for r in rows if r[1] == "nan"] == ["-1.0"]
+    assert [r[1:3] for r in rows if r[0] == "-1.0"] == [["nan", "nan"]]
+    assert capsys.readouterr().err.splitlines() == [
+        "chr: warning: degenerate_group_velocity flag on 1 sample"]
+
+
+def test_dispersion_scan_lets_other_errors_through(tmp_path, monkeypatch,
+                                                   capsys):
+    # only n (1 + D) = 0 means "no photon"; any other division by zero is
+    # a study failure, as in arrival-shift
+    def fail(*args, **kwargs):
+        raise ZeroDivisionError("boom")
+
+    monkeypatch.setattr(cli.observables, "flash_stats", fail)
+    config = CONFIG_DIR / "fig09_ice_dispersion.cfg"
+    assert cli.main(["dispersion-scan", "--config", str(config),
+                     "--out-dir", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == "chr: dispersion-scan failed: boom\n"
+
+
+@pytest.mark.parametrize("key,value", [
+    ("p-perp", "-1e-6"), ("p-perp", "0"), ("pp-perp-ratio", "0"),
+    ("pp-perp-ratio", "-0.5")])
+def test_transverse_inputs_must_be_positive(tmp_path, capsys, key, value):
+    # each used to write 89 NaN rows with exit 0 and nothing on stderr
+    path = write_config(tmp_path, with_key(FIG06B, key, value))
+    with pytest.raises(ValidationError, match=f"^{key}: must be positive"):
+        parse_config(path)
+    assert cli.main(["arrival-shift", "--config", str(path),
+                     "--out-dir", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith(f"chr: config error: {key}: ")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("offsets,first,second,tag", [
+    ("0.5,0.501", "0.5", "0.501", "dp_p0.50sigma"),
+    ("0,1,0.001", "0.0", "0.001", "dp_p0.00sigma"),
+    ("-1,2,-1", "-1.0", "-1.0", "dp_m1.00sigma")])
+def test_delta_p_offsets_sharing_a_file_tag_are_a_config_error(
+        tmp_path, capsys, offsets, first, second, tag):
+    # 0.5 and 0.501 both wrote fig10_delta_p_dp_p0.50sigma.csv, the second
+    # map over the first, with exit 0
+    text = (CONFIG_DIR / "fig10_delta_p_scan.cfg").read_text(encoding="utf-8")
+    path = write_config(tmp_path, with_key(text, "delta-p.offsets", offsets))
+    message = (f"delta-p.offsets: {first} and {second} share the file tag "
+               f"{tag}")
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        parse_config(path)
+    assert cli.main(["delta-p-scan", "--config", str(path),
+                     "--out-dir", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"chr: config error: {message}\n"
 
 
 def test_n_sweep_gated_by_cherenkov_threshold(tmp_path):

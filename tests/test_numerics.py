@@ -216,13 +216,6 @@ def test_differentiate_sin():
     assert abs(differentiate(math.sin, 0.0) - 1.0) < 1e-10
 
 
-def test_differentiate_second_order():
-    # double-precision cancellation in the second difference needs a wider
-    # step than the first-derivative default
-    d2 = differentiate(lambda x: x ** 3, 2.0, DiffSpec(order=2, base_step=1e-3))
-    assert abs(d2 - 12.0) < 1e-8
-
-
 def test_differentiate_even_function_at_zero():
     assert abs(differentiate(math.cosh, 0.0)) < 1e-12
 
@@ -234,11 +227,7 @@ def test_differentiate_non_finite():
 
 def test_diffspec_validation():
     with pytest.raises(ValueError):
-        DiffSpec(order=3)
-    with pytest.raises(ValueError):
         DiffSpec(base_step=0.0)
-    with pytest.raises(ValueError):
-        DiffSpec(richardson_levels=0)
 
 
 def test_differentiate_amplitude_phase_vs_polyfit():

@@ -865,6 +865,40 @@ def test_default_grid_extent():
     assert 0 < grid.y_max <= 0.99 * sc.t_out
 
 
+class _MapGrid(Exception):
+    """Carries the grid a map was about to integrate."""
+
+
+def test_default_grid_reads_only_the_kernel(monkeypatch):
+    # no |M|^2, prefactor, envelope or WKB flags; and the grid is the one
+    # that evaluate_map builds for itself when given none
+    from cherenkov_wigner import amplitudes, observables, wignerfield
+
+    def never(*args, **kwargs):
+        raise AssertionError("default_grid evaluated more than the kernel")
+
+    sc = balance_scenario(sigma=1e-5, t_out=1e6, theta_frac=1.1)
+    with monkeypatch.context() as m:
+        for owner, name in ((amplitudes, "summed_mod_squared"),
+                            (amplitudes, "helicity_amplitude"),
+                            (observables, "wkb_flags"),
+                            (PhaseSpaceKernel, "big_g")):
+            m.setattr(owner, name, never)
+        grid = default_grid(sc, 128, 128)
+
+    def stop(grid):
+        raise _MapGrid(grid)
+
+    monkeypatch.setattr(wignerfield, "_source_rows", stop)
+    with pytest.raises(_MapGrid) as own:
+        evaluate_map(sc)
+    assert own.value.args[0] == grid
+    phased = replace(sc, packet=replace(sc.packet,
+                                        phase_model=lambda p: 0.0))
+    with pytest.raises(NonGaussianPhase):
+        default_grid(phased)
+
+
 def test_scenario_validation():
     mean = Momentum3(0, 0, 1.0)
     packet = ElectronPacket(mean, 1e-4)
