@@ -264,6 +264,12 @@ def _validate(values: dict, path: Path) -> ScenarioConfig:
             f"{' or '.join(sweeps) or 'nothing'}, not {cfg.sweep_variable!r}")
     if sweeps and cfg.sweep_samples < 1:
         raise ValidationError("sweep.samples: must be >= 1")
+    if cfg.sweep_variable == "n":
+        # each sample is ConstantMedium(n): no dispersion to read
+        for key in ("medium.d", "medium.e", "medium.table"):
+            if key in values:
+                raise ValidationError(f"{key}: an n sweep uses a constant "
+                                      f"medium at each n, not {key}")
     if study == "singular-angles":
         try:
             n = cfg.medium().index(cfg.omega)[0]

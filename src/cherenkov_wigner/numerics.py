@@ -134,17 +134,38 @@ def _gk15_panels(f, lo, hi, rows=None):
     return vals, errs
 
 
+def _guided_cuts(guide, lo, hi):
+    """Pieces (lo, hi) of the panels [lo, hi], each cut at the ``guide``
+    edges strictly inside it, or at its midpoint when it holds none.  The
+    first piece of every panel comes first, then every second piece, and
+    so on: where each panel is bisected, that is the layout of a round
+    without a guide."""
+    first = np.searchsorted(guide, lo, side="right")
+    inside = np.searchsorted(guide, hi, side="left") - first
+    n = np.maximum(inside, 1)
+    owner = np.repeat(np.arange(lo.size), n)
+    starts = np.cumsum(n) - n
+    k = np.arange(owner.size) - starts[owner]
+    cuts = 0.5 * (lo + hi)[owner]
+    guided = inside[owner] > 0
+    cuts[guided] = guide[first[owner][guided] + k[guided]]
+    rank = np.argsort(np.insert(k + 1, starts, 0), kind="stable")
+    return (np.insert(cuts, starts, lo)[rank],
+            np.insert(cuts, starts + n, hi)[rank])
+
+
 @dataclass(frozen=True)
 class BatchQuadrature:
     """Per-row results of ``integrate_batch``; ``panels_used`` counts the
-    panels of the mesh the rows share, and ``rounds`` the passes over it
-    (the start mesh is the first)."""
+    panels of the mesh the rows share, ``rounds`` the passes over it (the
+    start mesh is the first), and ``edges`` is that final mesh, sorted."""
 
     values: np.ndarray
     error_estimates: np.ndarray
     converged: np.ndarray
     panels_used: int
-    rounds: int = 1
+    rounds: int
+    edges: np.ndarray
 
 
 def integrate_batch(
@@ -157,6 +178,7 @@ def integrate_batch(
     phase_rate_hint: float | None = None,
     max_panels: int = 4096,
     knee: float | None = None,
+    guide: np.ndarray | None = None,
 ) -> BatchQuadrature:
     """Integrate the k rows of f over [a, b] on one shared adaptive mesh of
     15-point Gauss-Kronrod panels.
@@ -181,6 +203,14 @@ def integrate_batch(
     wider than knee/8, so the start mesh already resolves the layer that
     bisection would otherwise reach one level per round.
 
+    ``guide`` is a sorted array of mesh edges, such as the final ``edges``
+    of a related batch on the same start mesh.  A round then cuts each
+    panel it selects at the guide's edges strictly inside it, and bisects
+    a selected panel that holds none; if those cuts would exceed
+    ``max_panels``, the round bisects as without a guide.  The start mesh
+    is never changed, so a batch that converges on it does not depend on
+    the guide.
+
     Rows that have not converged when the budget is spent keep their best
     estimate with ``converged`` False instead of raising.
     """
@@ -191,7 +221,8 @@ def integrate_batch(
     if a == b:
         k = np.asarray(f(np.array([a]))).shape[0]
         zero = np.zeros(k)
-        return BatchQuadrature(zero, zero.copy(), np.ones(k, dtype=bool), 1)
+        return BatchQuadrature(zero, zero.copy(), np.ones(k, dtype=bool), 1,
+                               1, np.array([a, b]))
 
     n0 = 1
     if phase_rate_hint is not None and phase_rate_hint > 0:
@@ -227,9 +258,13 @@ def integrate_batch(
             chosen = chosen[order[:budget]]
         keep = np.ones(lo.size, dtype=bool)
         keep[chosen] = False
-        mid = 0.5 * (lo[chosen] + hi[chosen])
-        new_lo = np.concatenate([lo[chosen], mid])
-        new_hi = np.concatenate([mid, hi[chosen]])
+        new_lo = None
+        if guide is not None:
+            new_lo, new_hi = _guided_cuts(guide, lo[chosen], hi[chosen])
+        if new_lo is None or new_lo.size - chosen.size > budget:
+            mid = 0.5 * (lo[chosen] + hi[chosen])
+            new_lo = np.concatenate([lo[chosen], mid])
+            new_hi = np.concatenate([mid, hi[chosen]])
         new_vals, new_errs = _gk15_panels(f, new_lo, new_hi,
                                           vals.shape[0])
         lo = np.concatenate([lo[keep], new_lo])
@@ -238,7 +273,8 @@ def integrate_batch(
         errs = np.concatenate([errs[:, keep], new_errs], axis=1)
         rounds += 1
 
-    return BatchQuadrature(total, total_err, ~active, lo.size, rounds)
+    return BatchQuadrature(total, total_err, ~active, lo.size, rounds,
+                           np.append(np.sort(lo), b))
 
 
 def differentiate(f: Callable, x: float, spec: DiffSpec = DiffSpec()) -> float:

@@ -333,11 +333,26 @@ class PhaseSpaceKernel:
                + (x * dy - y * dx) ** 2)
         return cr2, (R @ self.cross) ** 2
 
+    def integrand_coefficients(self, t):
+        """The t'-dependent factors of the master integrand, sharing eta,
+        chi and eta C + chi D: ``prefactor_complex`` and the
+        ``exponent_coefficients`` (cA, cB).  Each intermediate is dropped
+        after its last use: on the reference evaluator's abscissae one
+        complex array takes 4 MB."""
+        eta = self.eta(t)
+        chi = self.chi(t)
+        denom = eta * self.cc + chi * self.dd
+        scaled = eta * denom
+        del eta
+        c_b = -0.5 * chi / scaled
+        del chi
+        c_a = -0.5 / denom
+        del denom
+        return 1.0 / np.sqrt(scaled), c_a, c_b
+
     def exponent_coefficients(self, t):
         """Complex (cA, cB) with exponent(t, R) = cA A + cB B."""
-        eta = self.eta(t)
-        denom = eta * self.cc + self.chi(t) * self.dd
-        return -0.5 / denom, -0.5 * self.chi(t) / (eta * denom)
+        return self.integrand_coefficients(t)[1:]
 
     def exponent_complex(self, t, R: np.ndarray):
         """-(eta A + chi B) / (2 eta (eta C + chi D)); real part is
@@ -357,8 +372,7 @@ class PhaseSpaceKernel:
     def prefactor_complex(self, t):
         """1/sqrt(eta (eta C + chi D)) = exp(-i g/2)/G; both factors lie in
         the right half-plane, so the principal square root is continuous."""
-        eta = self.eta(t)
-        return 1.0 / np.sqrt(eta * (eta * self.cc + self.chi(t) * self.dd))
+        return self.integrand_coefficients(t)[0]
 
     # explicit split (independent evaluation route) -------------------------
 

@@ -316,8 +316,7 @@ class _Context:
 
         def f(t):
             t = np.atleast_1d(np.asarray(t, dtype=float))
-            pre = self.kernel.prefactor_complex(t)
-            c_a, c_b = self.kernel.exponent_coefficients(t)
+            pre, c_a, c_b = self.kernel.integrand_coefficients(t)
             env = c_a.real * a_dir + c_b.real * b_dir
             osc = c_a.imag * a_dir + c_b.imag * b_dir
             out = np.abs(pre) * np.exp(env) * np.cos(
@@ -326,7 +325,7 @@ class _Context:
 
         return f
 
-    def _quad_options(self, rel_tol, abs_tol, max_panels) -> dict:
+    def _quad_options(self, rel_tol, abs_tol, max_panels, guide) -> dict:
         if abs_tol is None:
             abs_tol = max(1e-10 * self.envelope_scale, 1e-300)
         # the Gouy knee: the integrand's boundary layer at t' = 0
@@ -334,27 +333,30 @@ class _Context:
         knee = min(abs(spread.t_d), abs(spread.t_d_tilde))
         return dict(abs_tol=abs_tol, rel_tol=rel_tol,
                     phase_rate_hint=self.phase_rate_hint,
-                    max_panels=max_panels,
+                    max_panels=max_panels, guide=guide,
                     knee=knee if math.isfinite(knee) and knee > 0 else None)
 
     def pilot(self, R, rel_tol: float, max_panels: int):
         """A map's pilot quadrature at nodes R.  Returns the map's absolute
         tolerance, rel_tol times their largest |integral| (a lower bound of
-        the map's scale) but at least 1e-14 of the envelope integral; then
-        the nodes in the form of ``nodes`` if each already meets it, else
-        None."""
-        res = self._batch(R, rel_tol, None, max_panels)
+        the map's scale) but at least 1e-14 of the envelope integral; the
+        nodes in the form of ``nodes`` if each already meets it, else None;
+        and the pilot's final mesh edges, the guide of the map's other
+        rows, if the pilot converged, else None."""
+        res = self._batch(R, rel_tol, None, max_panels, None)
         abs_tol = max(rel_tol * float(np.max(np.abs(res.values))),
                       1e-14 * self.envelope_scale)
-        met = res.converged.all() and np.all(
+        converged = bool(res.converged.all())
+        met = converged and np.all(
             res.error_estimates
             <= np.maximum(abs_tol, rel_tol * np.abs(res.values)))
-        return abs_tol, (self._row(res) if met else None)
+        return (abs_tol, (self._row(res) if met else None),
+                res.edges if converged else None)
 
-    def _batch(self, R, rel_tol, abs_tol, max_panels):
+    def _batch(self, R, rel_tol, abs_tol, max_panels, guide):
         return numerics.integrate_batch(
             self.integrand_for(R), 0.0, self.scenario.t_out,
-            **self._quad_options(rel_tol, abs_tol, max_panels))
+            **self._quad_options(rel_tol, abs_tol, max_panels, guide))
 
     def _row(self, res):
         """The batch's values and error estimates with the prefactor
@@ -366,11 +368,12 @@ class _Context:
                 flags.astype(np.uint16), res.panels_used, res.rounds)
 
     def nodes(self, R, rel_tol: float, abs_tol: Optional[float],
-              max_panels: int):
-        """k nodes R of shape (k, 3) on one shared adaptive mesh: arrays of
-        values, error estimates and flags, then the mesh's panel count and
-        refinement rounds."""
-        return self._row(self._batch(R, rel_tol, abs_tol, max_panels))
+              max_panels: int, guide: Optional[np.ndarray] = None):
+        """k nodes R of shape (k, 3) on one shared adaptive mesh, refined
+        toward ``guide`` (see ``numerics.integrate_batch``) when given:
+        arrays of values, error estimates and flags, then the mesh's panel
+        count and refinement rounds."""
+        return self._row(self._batch(R, rel_tol, abs_tol, max_panels, guide))
 
 
 def integrand(scenario: EmissionScenario, R, t_prime):
@@ -445,8 +448,7 @@ def evaluate_point_reference(scenario: EmissionScenario, R):
     half = 0.5 * np.diff(edges)
     centers = 0.5 * (edges[:-1] + edges[1:])
     t = centers[:, None] + half[:, None] * x[None, :]
-    pre = ctx.kernel.prefactor_complex(t)
-    c_a, c_b = ctx.kernel.exponent_coefficients(t)
+    pre, c_a, c_b = ctx.kernel.integrand_coefficients(t)
     expo = c_a * a_dir + c_b * b_dir + 1j * t * ctx.kernel.delta_eps
     vals = pre * np.exp(expo)
     # t' > 0 plus the conjugate contribution from t' < 0
@@ -511,7 +513,11 @@ def evaluate_map(scenario: EmissionScenario, grid: Optional[MapGrid] = None,
     own sources.  Each source row is one quadrature of its source columns
     on a mesh those nodes share.  Every node is held to about ``rel_tol``
     of the map's scale, set by a pilot quadrature of the source row nearest
-    R = 0, which is kept when it already meets that tolerance.  With
+    R = 0, which is kept when it already meets that tolerance.  When the
+    pilot converged, its final mesh guides the refinement of every other
+    source row: all rows start from one mesh, which depends only on the
+    scenario, so a panel a row selects is cut at once at the pilot's edges
+    inside it instead of being bisected over several rounds.  With
     ``workers`` > 1 the other source rows run on that many threads over
     the map's one context, else in a serial loop; each row is the same
     quadrature either way, so the map is bit-identical for any worker
@@ -527,10 +533,10 @@ def evaluate_map(scenario: EmissionScenario, grid: Optional[MapGrid] = None,
     x, y = np.meshgrid(grid.xs()[:cols.max() + 1], grid.ys())
     nodes = np.stack([x, y, np.full_like(x, grid.z)], axis=-1)
     pilot = rows[np.argmin(np.abs(grid.ys()))]
-    abs_tol, row = ctx.pilot(nodes[pilot], rel_tol, max_panels)
+    abs_tol, row, guide = ctx.pilot(nodes[pilot], rel_tol, max_panels)
     done = {} if row is None else {pilot: row}
     todo = [iy for iy in np.unique(rows) if iy not in done]
-    tols = (rel_tol, abs_tol, max_panels)
+    tols = (rel_tol, abs_tol, max_panels, guide)
     if workers == 1:
         done.update((iy, ctx.nodes(nodes[iy], *tols)) for iy in todo)
     else:  # a serial map starts no thread and skips this import

@@ -564,6 +564,26 @@ def test_transverse_inputs_must_be_positive(tmp_path, capsys, key, value):
     assert not (tmp_path / "out").exists()
 
 
+FIG08A = (CONFIG_DIR / "fig08a_arrival_shift_n_sweep.cfg").read_text(
+    encoding="utf-8")
+
+
+@pytest.mark.parametrize("key,value", [
+    ("medium.d", "0.3"), ("medium.e", "-0.1"), ("medium.table", ICE_TABLE)],
+    ids=["medium.d", "medium.e", "medium.table"])
+def test_n_sweep_rejects_dispersion_keys(tmp_path, capsys, key, value):
+    # each sample of an n sweep is ConstantMedium(n): with medium.d = 0.3
+    # the sweep wrote fig08a's CSV byte for byte, with the same exit code
+    message = f"{key}: an n sweep uses a constant medium at each n, not {key}"
+    path = write_config(tmp_path, FIG08A + f"{key} = {value}\n")
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        parse_config(path)
+    assert cli.main(["arrival-shift", "--config", str(path),
+                     "--out-dir", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"chr: config error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("offsets,first,second,tag", [
     ("0.5,0.501", "0.5", "0.501", "dp_p0.50sigma"),
     ("0,1,0.001", "0.0", "0.001", "dp_p0.00sigma"),

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cherenkov_wigner.numerics import (DiffSpec, NoSignChange,
@@ -210,6 +210,178 @@ def test_panel_sums_do_not_depend_on_the_first_call(rows, panels):
     rest = _gk15_panels(f, lo[1:], hi[1:], rows)
     assert np.array_equal(vals, np.concatenate([head[0], rest[0]], axis=1))
     assert np.array_equal(errs, np.concatenate([head[1], rest[1]], axis=1))
+
+
+def _start_edges(a, b, **opts):
+    """The start mesh of ``integrate_batch``: the final mesh of a batch
+    that converges there, a zero row."""
+    return integrate_batch(lambda t: np.zeros((1, t.size)), a, b,
+                           **opts).edges
+
+
+def _bisection_reference(f, a, b, abs_tol, rel_tol, max_panels=4096,
+                         **start):
+    """``integrate_batch`` without a guide, written out as the plain
+    bisection loop it ran before guides existed: (values, errors,
+    converged, panels, rounds, sorted edges)."""
+    edges = _start_edges(a, b, max_panels=max_panels, **start)
+    lo, hi = edges[:-1], edges[1:]
+    vals, errs = _gk15_panels(f, lo, hi)
+    rounds = 1
+    while True:
+        total, total_err = np.sum(vals, axis=1), np.sum(errs, axis=1)
+        tol = np.maximum(abs_tol, rel_tol * np.abs(total))
+        active = total_err > tol
+        budget = max_panels - lo.size
+        if not active.any() or budget <= 0:
+            break
+        share = np.max(errs[active] / tol[active, None], axis=0) * lo.size
+        chosen = np.flatnonzero((share > 1.0)
+                                & ((hi - lo) > np.abs(hi + lo) * 1e-15))
+        if chosen.size == 0:
+            break
+        if chosen.size > budget:
+            chosen = chosen[np.argsort(-share[chosen], kind="stable")[:budget]]
+        keep = np.ones(lo.size, dtype=bool)
+        keep[chosen] = False
+        mid = 0.5 * (lo[chosen] + hi[chosen])
+        new_lo = np.concatenate([lo[chosen], mid])
+        new_hi = np.concatenate([mid, hi[chosen]])
+        new_vals, new_errs = _gk15_panels(f, new_lo, new_hi, vals.shape[0])
+        lo, hi = np.concatenate([lo[keep], new_lo]), np.concatenate(
+            [hi[keep], new_hi])
+        vals = np.concatenate([vals[:, keep], new_vals], axis=1)
+        errs = np.concatenate([errs[:, keep], new_errs], axis=1)
+        rounds += 1
+    return (total, total_err, ~active, lo.size, rounds,
+            np.append(np.sort(lo), b))
+
+
+def _fields(res):
+    return (res.values, res.error_estimates, res.converged, res.panels_used,
+            res.rounds, res.edges)
+
+
+def _same(got, ref):
+    return all(np.array_equal(x, y) for x, y in zip(got, ref))
+
+
+_GUIDE_CASES = [
+    (lambda x: (x ** 2)[None], 0.0, 1.0, {}),
+    (lambda x: np.cos(x)[None], 0.0, 10 * math.pi,
+     dict(abs_tol=1e-12, rel_tol=1e-12, phase_rate_hint=1.0)),
+    (lambda x: np.cos(100 * x)[None], 0.0, 10.0, dict(max_panels=64)),
+    (lambda x: np.stack([x ** 2, np.cos(100.0 * x)]), 0.0, 10.0,
+     dict(abs_tol=1e-14, rel_tol=1e-14, max_panels=5,
+          phase_rate_hint=100.0)),
+    (lambda t: np.stack([1.0 / (1.0 + (t / 0.39) ** 2)] * 2), 0.0, 1e6,
+     dict(knee=0.39)),
+    (lambda t: np.stack([np.exp(-t), np.cos(t)]), 0.0, 3.0,
+     dict(abs_tol=1e-12, rel_tol=1e-12, phase_rate_hint=2.0, knee=5.0)),
+]
+
+
+@pytest.mark.parametrize("f,a,b,opts", _GUIDE_CASES)
+def test_unguided_batch_is_plain_bisection(f, a, b, opts):
+    # without a guide, and with a guide that holds no edge inside any panel
+    # a round selects (the start mesh), every round bisects as before
+    opts = dict(dict(abs_tol=1e-10, rel_tol=1e-10), **opts)
+    ref = _bisection_reference(f, a, b, **opts)
+    assert _same(_fields(integrate_batch(f, a, b, **opts)), ref)
+    start = _start_edges(a, b, **{k: v for k, v in opts.items()
+                                  if k in ("phase_rate_hint", "knee",
+                                           "max_panels")})
+    assert _same(_fields(integrate_batch(f, a, b, guide=start, **opts)), ref)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(rows=st.lists(_ROW, min_size=1, max_size=6),
+       hint=st.sampled_from([None, 5.0, 60.0]),
+       max_panels=st.sampled_from([8, 64, 4096]),
+       knee=st.sampled_from([None, 1e-3]))
+def test_unguided_batch_property(rows, hint, max_panels, knee):
+    f = damped_waves(rows)
+    opts = dict(abs_tol=1e-11, rel_tol=1e-10, phase_rate_hint=hint,
+                max_panels=max_panels, knee=knee)
+    assert _same(_fields(integrate_batch(f, -3.0, 2.0, **opts)),
+                 _bisection_reference(f, -3.0, 2.0, **opts))
+
+
+_CUTS = st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                 max_size=300)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(rows=st.lists(_ROW, min_size=1, max_size=6),
+       hint=st.sampled_from([None, 5.0, 60.0]), cuts=_CUTS,
+       related=st.lists(_ROW, min_size=1, max_size=3))
+def test_guided_rows_stay_within_tolerance(rows, hint, cuts, related):
+    # a guide refines the start mesh: the final mesh of related rows, or
+    # arbitrary extra edges; either way each row converges within its
+    # tolerance of the unguided result
+    f = damped_waves(rows)
+    opts = dict(abs_tol=1e-11, rel_tol=1e-10, phase_rate_hint=hint)
+    start = _start_edges(-3.0, 2.0, phase_rate_hint=hint)
+    ref = integrate_batch(f, -3.0, 2.0, **opts)
+    tol = np.maximum(1e-11, 1e-10 * np.abs(ref.values))
+    for guide in (integrate_batch(damped_waves(related), -3.0, 2.0,
+                                  **opts).edges,
+                  np.unique(np.concatenate([start,
+                                            -3.0 + 5.0 * np.array(cuts)]))):
+        got = integrate_batch(f, -3.0, 2.0, guide=guide, **opts)
+        assert got.converged.all() and ref.converged.all()
+        assert np.all(np.abs(got.values - ref.values) <= tol)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(rows=st.lists(st.tuples(st.floats(-5.0, 5.0), st.floats(0.0, 1.0),
+                               st.floats(0.0, 5.0),
+                               st.floats(-math.pi, math.pi)),
+                     min_size=1, max_size=6),
+       cuts=_CUTS)
+def test_batch_on_its_start_mesh_ignores_the_guide(rows, cuts):
+    # slow rows on a 32-panel start mesh converge there: the first round
+    # selects nothing, so no guide can change a bit
+    f = damped_waves(rows)
+    opts = dict(abs_tol=1e-8, rel_tol=1e-8, phase_rate_hint=10.0)
+    ref = integrate_batch(f, -3.0, 2.0, **opts)
+    assert ref.rounds == 1
+    guide = np.sort(-3.0 + 5.0 * np.array(cuts))
+    assert _same(_fields(integrate_batch(f, -3.0, 2.0, guide=guide, **opts)),
+                 _fields(ref))
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(rows=st.lists(_ROW, min_size=1, max_size=4),
+       max_panels=st.sampled_from([8, 16, 64]))
+def test_guide_beyond_the_budget_falls_back_to_bisection(rows, max_panels):
+    # guide edges max_panels times denser than the finest unguided panel:
+    # every panel a round selects is at least twice that wide, so its cuts
+    # alone would exceed the budget, and every round bisects
+    f = damped_waves(rows)
+    opts = dict(abs_tol=1e-14, rel_tol=1e-14, max_panels=max_panels)
+    ref = integrate_batch(f, -3.0, 2.0, **opts)
+    step = np.min(np.diff(ref.edges)) / max_panels
+    count = math.ceil(5.0 / step)
+    assume(count <= 2_000_000)
+    guide = np.linspace(-3.0, 2.0, count + 1)
+    assert _same(_fields(integrate_batch(f, -3.0, 2.0, guide=guide, **opts)),
+                 _fields(ref))
+
+
+def test_guided_round_cuts_at_the_guide():
+    # one oscillatory row on one start panel: a guide of 32 even panels
+    # reaches that mesh in a single round where bisection takes several
+    f = lambda x: np.cos(40.0 * x)[None]
+    opts = dict(abs_tol=1e-9, rel_tol=1e-9)
+    plain = integrate_batch(f, 0.0, 2.0, **opts)
+    guide = np.linspace(0.0, 2.0, 33)
+    guided = integrate_batch(f, 0.0, 2.0, guide=guide, **opts)
+    assert guided.converged[0] and plain.converged[0]
+    assert guided.rounds == 2 < plain.rounds
+    assert np.array_equal(guided.edges, guide)
+    exact = math.sin(80.0) / 40.0
+    assert abs(guided.values[0] - exact) <= 1e-9
 
 
 def test_differentiate_sin():

@@ -307,6 +307,28 @@ def test_prefactor_complex_matches_g_and_gouy(rng):
         assert abs(pre - alt) < 1e-12 * abs(pre)
 
 
+def test_integrand_coefficients_share_eta_and_chi(rng, monkeypatch):
+    # one eta and one chi evaluation per call, with the arithmetic of the
+    # separate prefactor and exponent formulas, bit for bit
+    kern = kernel_for(0.99, 1.4, 1e-5, 1e-5)
+    t = rng.uniform(0, 1e7, size=300)
+    eta, chi = kern.eta(t), kern.chi(t)
+    denom = eta * kern.cc + chi * kern.dd
+    pre, c_a, c_b = kern.integrand_coefficients(t)
+    assert np.array_equal(pre, 1.0 / np.sqrt(eta * (eta * kern.cc
+                                                    + chi * kern.dd)))
+    assert np.array_equal(c_a, -0.5 / denom)
+    assert np.array_equal(c_b, -0.5 * chi / (eta * denom))
+    calls = []
+    for name in ("eta", "chi"):
+        method = getattr(PhaseSpaceKernel, name)
+        monkeypatch.setattr(PhaseSpaceKernel, name,
+                            lambda self, t, _m=method, _n=name:
+                            calls.append(_n) or _m(self, t))
+    kern.integrand_coefficients(t)
+    assert sorted(calls) == ["chi", "eta"]
+
+
 def coplanar_cherenkov_geometry(beta=0.99, n=1.4, omega=1e-5,
                                 theta_p=0.3, sigma=1e-5):
     """p off-axis and k in the same azimuthal plane, with the angle between

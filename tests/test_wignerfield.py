@@ -343,23 +343,25 @@ def _row_nodes(grid, iy):
 
 def _pilot(sc, grid, rel_tol=1e-9, max_panels=4096):
     """The map's pilot: the source row nearest R = 0 on its source
-    columns.  Returns that row, the map tolerance it sets and its kept
-    result (None when the row is integrated again)."""
+    columns.  Returns that row, the map tolerance it sets, its kept result
+    (None when the row is integrated again) and the guide it gives the
+    other rows (None when it did not converge)."""
     ctx = _Context(sc)
     iy = int(_source_rows(grid)[np.argmin(np.abs(grid.ys()))])
     keep = _source_columns(ctx, grid).max() + 1
-    abs_tol, row = ctx.pilot(_row_nodes(grid, iy)[:keep], rel_tol,
-                             max_panels)
-    return iy, abs_tol, row
+    abs_tol, row, guide = ctx.pilot(_row_nodes(grid, iy)[:keep], rel_tol,
+                                    max_panels)
+    return iy, abs_tol, row, guide
 
 
 def _rows_without_reuse(sc, grid, rel_tol=1e-9, max_panels=4096):
     """Raw map values with every row integrated in full under the map
-    tolerance, the pilot row included; also whether the pilot met that
-    tolerance."""
+    tolerance and the pilot's guide, as the map integrates its rows, the
+    pilot row included; also whether the pilot met that tolerance."""
     ctx = _Context(sc)
-    _, abs_tol, pilot = _pilot(sc, grid, rel_tol, max_panels)
-    rows = [ctx.nodes(_row_nodes(grid, iy), rel_tol, abs_tol, max_panels)[0]
+    _, abs_tol, pilot, guide = _pilot(sc, grid, rel_tol, max_panels)
+    rows = [ctx.nodes(_row_nodes(grid, iy), rel_tol, abs_tol, max_panels,
+                      guide)[0]
             for iy in range(grid.ny)]
     return np.array(rows), pilot is not None
 
@@ -441,7 +443,7 @@ def test_point_on_its_start_mesh_is_one_integrand_call(monkeypatch):
 def test_centered_map_integrates_one_row_of_each_mirror_pair(
         sc, grid, monkeypatch):
     grid = grid or default_grid(sc, 6, 6)
-    _, _, pilot = _pilot(sc, grid)
+    _, _, pilot, _ = _pilot(sc, grid)
     calls = _count_batches(monkeypatch)
     evaluate_map(sc, grid, workers=1)
     assert len(calls) == math.ceil(grid.ny / 2) + (pilot is None)
@@ -461,7 +463,7 @@ def test_mirrored_rows_are_their_source_reversed(grid, nearest, pilot_row,
     # grids; the pilot is still the lower row of the pair, its source, so
     # the kept pilot is not integrated again
     assert np.argmin(np.abs(grid.ys())) == nearest
-    iy_pilot, _, pilot = _pilot(sc, grid)
+    iy_pilot, _, pilot, _ = _pilot(sc, grid)
     assert iy_pilot == pilot_row and pilot is not None
     calls = _count_batches(monkeypatch)
     wmap = evaluate_map(sc, grid, workers=1)
@@ -489,7 +491,7 @@ def test_mirrored_rows_are_their_source_reversed(grid, nearest, pilot_row,
 def test_grid_without_mirror_symmetry_integrates_every_row(grid,
                                                            monkeypatch):
     sc = skew_scenario()
-    iy_pilot, _, pilot = _pilot(sc, grid)
+    iy_pilot, _, pilot, _ = _pilot(sc, grid)
     raw, _ = _rows_without_reuse(sc, grid)
     if pilot is not None:
         raw[iy_pilot] = pilot[0]
@@ -646,17 +648,53 @@ def test_x_normal_needs_both_d_and_c_normal_to_x():
 
 def test_copied_half_rows_match_rows_integrated_in_full():
     # the map-long theta_Ch map: each row's copied half is within 1e-12 of
-    # the scale of that row integrated with all its columns
+    # the scale of that row integrated with all its columns, under the
+    # pilot's guide as in the map
     sc = balance_scenario(sigma=1e-5, t_out=5e7)
     grid = default_grid(sc, 12, 12)
     wmap = evaluate_map(sc, grid)
     ctx = _Context(sc)
-    _, abs_tol, _ = _pilot(sc, grid)
+    _, abs_tol, _, guide = _pilot(sc, grid)
+    assert guide is not None
     keep = grid.nx // 2
     for iy in range(grid.ny):
-        full = ctx.nodes(_row_nodes(grid, iy), 1e-9, abs_tol, 4096)[0]
+        full = ctx.nodes(_row_nodes(grid, iy), 1e-9, abs_tol, 4096,
+                         guide)[0]
         assert (np.max(np.abs(wmap.values[iy, keep:] * wmap.scale
                               - full[keep:])) <= 1e-12 * wmap.scale)
+
+
+def test_map_long_rows_follow_the_pilot_mesh():
+    # the map-long theta_Ch map: every row starts from one mesh, so the
+    # pilot's final edges take each other source row there in one round
+    # (bisection took 6-8); the pilot row, integrated again under the map
+    # tolerance, takes 3 rounds instead of 8
+    sc = balance_scenario(sigma=1e-5, t_out=5e7)
+    grid = default_grid(sc, 12, 12)
+    iy_pilot, _, kept, guide = _pilot(sc, grid)
+    assert kept is None and guide is not None
+    wmap = evaluate_map(sc, grid)
+    others = [iy for iy in np.unique(_source_rows(grid)) if iy != iy_pilot]
+    assert np.all(wmap.rounds[others] <= 2)
+    assert wmap.rounds[iy_pilot] <= 3
+
+
+def test_unconverged_pilot_guides_no_row(monkeypatch):
+    # on a 64-panel budget the map-long pilot does not converge, so its
+    # mesh is no guide: every row refines by bisection alone
+    sc = balance_scenario(sigma=1e-5, theta_frac=1.1, t_out=5e7)
+    grid = default_grid(sc, 6, 6)
+    assert _pilot(sc, grid, max_panels=64)[3] is None
+    guides = []
+    batch = numerics.integrate_batch
+
+    def recorded(f, *args, guide=None, **kwargs):
+        guides.append(guide)
+        return batch(f, *args, guide=guide, **kwargs)
+
+    monkeypatch.setattr(numerics, "integrate_batch", recorded)
+    evaluate_map(sc, grid, max_panels=64)
+    assert len(guides) == 4 and all(g is None for g in guides)
 
 
 def test_delta_p_scan():
