@@ -264,12 +264,10 @@ def _validate(values: dict, path: Path) -> ScenarioConfig:
             f"{' or '.join(sweeps) or 'nothing'}, not {cfg.sweep_variable!r}")
     if sweeps and cfg.sweep_samples < 1:
         raise ValidationError("sweep.samples: must be >= 1")
-    if cfg.sweep_variable == "n":
-        # each sample is ConstantMedium(n): no dispersion to read
-        for key in ("medium.d", "medium.e", "medium.table"):
-            if key in values:
-                raise ValidationError(f"{key}: an n sweep uses a constant "
-                                      f"medium at each n, not {key}")
+    ignored, instead = _SWEEP_OVERRIDES.get(cfg.sweep_variable, ((), ""))
+    for key in ignored:
+        if key in values:
+            raise ValidationError(f"{key}: {instead}, not {key}")
     if study == "singular-angles":
         try:
             n = cfg.medium().index(cfg.omega)[0]
@@ -368,11 +366,11 @@ def _study_correlation_radius(cfg, out_dir, fmt, workers):
         if cfg.sweep_variable == "theta-r":
             theta_r, dphi = v, 20.0 * math.pi / 180.0
         else:
-            theta_r, dphi = cfg.theta_k if cfg.theta_k else 0.0, v
+            theta_r, dphi = scenario.theta_k, v
         R = Momentum3.from_spherical(1.0, theta_r, cfg.phi_k + dphi).as_array()
         rows.append((math.degrees(v), *kernel.correlation_scales(t, R)))
     return _table(cfg, out_dir, fmt, "correlation_radius.csv",
-                  [f"t_prime: {t}", f"theta_k: {cfg.theta_k}"],
+                  [f"t_prime: {t}", f"theta_k: {scenario.theta_k}"],
                   [cfg.sweep_variable.replace("-", "_") + "_deg",
                    "r_eff_lambda_c", "inv_r_im_sq"], rows, series=(1,),
                   title="correlation radius",
@@ -588,6 +586,17 @@ _STUDIES = {
     "snapshot": (_study_snapshot, (), ()),
 }
 STUDIES = tuple(_STUDIES)
+
+# sweep.variable -> (the config keys that its samples override, so that no
+# study reads them, and what the samples use instead).  An n sweep ignores
+# medium.n and a sigma sweep sigma as well, but bundled configs set those
+_SWEEP_OVERRIDES = {
+    "n": (("medium.d", "medium.e", "medium.table"),
+          "an n sweep uses a constant medium at each n"),
+    "d-param": (("medium.d",), "a d-param sweep takes D from each sample"),
+    "theta-k": (("theta-k",),
+                "a theta-k sweep takes theta_k from each sample"),
+}
 
 
 def run_study(cfg: ScenarioConfig, out_dir=".", fmt: str = "csv",

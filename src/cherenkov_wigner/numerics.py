@@ -183,13 +183,16 @@ def integrate_batch(
     """Integrate the k rows of f over [a, b] on one shared adaptive mesh of
     15-point Gauss-Kronrod panels.
 
-    ``f(t)`` maps a 1-D array of abscissae to a (k, len(t)) array.  Row r
-    has converged once its error estimate is <= max(abs_tol, rel_tol *
-    |value_r|).  Each round bisects, in one vectorized evaluation, every
-    panel whose error exceeds its even share of some unconverged row's
-    tolerance (that tolerance over the panel count); while a row is
-    unconverged, at least one of its panels does.  When that would exceed
-    ``max_panels``, the panels with the largest share go first.
+    ``f(t)`` maps a 1-D array of abscissae to a (k, len(t)) array.  Every
+    row is held to one tolerance, max(abs_tol, rel_tol * max_s |value_s|):
+    rel_tol of the batch's own scale, so a row that cancels to far below
+    its neighbours is not refined to its own relative precision; a
+    one-row batch is held to max(abs_tol, rel_tol * |value|).  Each round
+    bisects, in one vectorized evaluation, every panel whose error exceeds
+    its even share of that tolerance (the tolerance over the panel count)
+    in some unconverged row; while a row is unconverged, at least one of
+    its panels does.  When that would exceed ``max_panels``, the panels
+    with the largest share go first.
 
     ``phase_rate_hint`` is an upper estimate of |d(phase)/dx| of an
     oscillatory integrand; when given, the initial uniform subdivision uses
@@ -243,12 +246,12 @@ def integrate_batch(
     while True:
         total = np.sum(vals, axis=1)
         total_err = np.sum(errs, axis=1)
-        tol = np.maximum(abs_tol, rel_tol * np.abs(total))
+        tol = max(abs_tol, rel_tol * float(np.abs(total).max()))
         active = total_err > tol
         budget = max_panels - lo.size
         if not active.any() or budget <= 0:
             break
-        share = np.max(errs[active] / tol[active, None], axis=0) * lo.size
+        share = np.max(errs[active], axis=0) / tol * lo.size
         chosen = np.flatnonzero((share > 1.0)
                                 & ((hi - lo) > np.abs(hi + lo) * 1e-15))
         if chosen.size == 0:

@@ -269,7 +269,8 @@ def _x_normal(kernel: PhaseSpaceKernel) -> bool:
 
 class _Context:
     """Per-scenario precomputation: kernel, constant prefactor, the
-    oscillation-rate hint and the scenario-wide WKB flags."""
+    oscillation-rate hint, the Gouy knee and the scenario-wide WKB
+    flags."""
 
     def __init__(self, scenario: EmissionScenario):
         _require_no_phase(scenario.packet)
@@ -296,6 +297,9 @@ class _Context:
                         abs(float(self.kernel.gouy(scenario.t_out)))
                         / scenario.t_out)
         self.phase_rate_hint = abs(self.kernel.delta_eps) + gouy_rate
+        # the Gouy knee: the integrand's boundary layer at t' = 0
+        knee = min(abs(spread.t_d), abs(spread.t_d_tilde))
+        self.knee = knee if math.isfinite(knee) and knee > 0 else None
         self.base_flags = int(observables.wkb_flags(self.geom, self.kernel))
         # natural magnitude of the t' integral, Int dt'/G: sets the scale of
         # absolute quadrature tolerances (the integrand envelope is 1/G)
@@ -325,55 +329,27 @@ class _Context:
 
         return f
 
-    def _quad_options(self, rel_tol, abs_tol, max_panels, guide) -> dict:
-        if abs_tol is None:
-            abs_tol = max(1e-10 * self.envelope_scale, 1e-300)
-        # the Gouy knee: the integrand's boundary layer at t' = 0
-        spread = self.kernel.spread
-        knee = min(abs(spread.t_d), abs(spread.t_d_tilde))
-        return dict(abs_tol=abs_tol, rel_tol=rel_tol,
-                    phase_rate_hint=self.phase_rate_hint,
-                    max_panels=max_panels, guide=guide,
-                    knee=knee if math.isfinite(knee) and knee > 0 else None)
-
-    def pilot(self, R, rel_tol: float, max_panels: int):
-        """A map's pilot quadrature at nodes R.  Returns the map's absolute
-        tolerance, rel_tol times their largest |integral| (a lower bound of
-        the map's scale) but at least 1e-14 of the envelope integral; the
-        nodes in the form of ``nodes`` if each already meets it, else None;
-        and the pilot's final mesh edges, the guide of the map's other
-        rows, if the pilot converged, else None."""
-        res = self._batch(R, rel_tol, None, max_panels, None)
-        abs_tol = max(rel_tol * float(np.max(np.abs(res.values))),
-                      1e-14 * self.envelope_scale)
-        converged = bool(res.converged.all())
-        met = converged and np.all(
-            res.error_estimates
-            <= np.maximum(abs_tol, rel_tol * np.abs(res.values)))
-        return (abs_tol, (self._row(res) if met else None),
-                res.edges if converged else None)
-
-    def _batch(self, R, rel_tol, abs_tol, max_panels, guide):
-        return numerics.integrate_batch(
-            self.integrand_for(R), 0.0, self.scenario.t_out,
-            **self._quad_options(rel_tol, abs_tol, max_panels, guide))
-
-    def _row(self, res):
-        """The batch's values and error estimates with the prefactor
-        applied, its flags, panel count and refinement rounds."""
-        flags = np.where(res.converged, self.base_flags,
-                         self.base_flags | int(WkbFlags.QUAD_NONCONVERGED))
-        return (2.0 * self.prefactor * res.values,
-                2.0 * self.prefactor * res.error_estimates,
-                flags.astype(np.uint16), res.panels_used, res.rounds)
-
     def nodes(self, R, rel_tol: float, abs_tol: Optional[float],
               max_panels: int, guide: Optional[np.ndarray] = None):
-        """k nodes R of shape (k, 3) on one shared adaptive mesh, refined
-        toward ``guide`` (see ``numerics.integrate_batch``) when given:
-        arrays of values, error estimates and flags, then the mesh's panel
-        count and refinement rounds."""
-        return self._row(self._batch(R, rel_tol, abs_tol, max_panels, guide))
+        """The t' integrals (prefactor excluded) at k nodes R of shape
+        (k, 3) on one shared adaptive mesh, each held to max(abs_tol,
+        rel_tol times their largest |integral|) and refined toward
+        ``guide`` when given (see ``numerics.integrate_batch``); ``abs_tol``
+        None is a point's 1e-10 of the envelope integral.  Returns arrays of
+        values, error estimates and flags, the mesh's panel count and
+        refinement rounds, and its final edges if every node converged,
+        else None."""
+        if abs_tol is None:
+            abs_tol = max(1e-10 * self.envelope_scale, 1e-300)
+        res = numerics.integrate_batch(
+            self.integrand_for(R), 0.0, self.scenario.t_out, abs_tol=abs_tol,
+            rel_tol=rel_tol, phase_rate_hint=self.phase_rate_hint,
+            max_panels=max_panels, knee=self.knee, guide=guide)
+        flags = np.where(res.converged, self.base_flags,
+                         self.base_flags | int(WkbFlags.QUAD_NONCONVERGED))
+        return (res.values, res.error_estimates, flags.astype(np.uint16),
+                res.panels_used, res.rounds,
+                res.edges if res.converged.all() else None)
 
 
 def integrand(scenario: EmissionScenario, R, t_prime):
@@ -396,7 +372,8 @@ def evaluate_point(scenario: EmissionScenario, R, rel_tol: float = 1e-10,
     ctx = _Context(scenario)
     value, error, flags, *_ = ctx.nodes(np.reshape(R, (1, 3)), rel_tol,
                                         abs_tol, max_panels)
-    return float(value[0]), float(error[0]), int(flags[0])
+    scale = 2.0 * ctx.prefactor
+    return float(scale * value[0]), float(scale * error[0]), int(flags[0])
 
 
 @lru_cache(maxsize=1)
@@ -511,16 +488,19 @@ def evaluate_map(scenario: EmissionScenario, grid: Optional[MapGrid] = None,
     if the X nodes are symmetric about 0, the lower column of each pair
     (ix, nx-1-ix) is the source column.  Other rows and columns are their
     own sources.  Each source row is one quadrature of its source columns
-    on a mesh those nodes share.  Every node is held to about ``rel_tol``
-    of the map's scale, set by a pilot quadrature of the source row nearest
-    R = 0, which is kept when it already meets that tolerance.  When the
-    pilot converged, its final mesh guides the refinement of every other
-    source row: all rows start from one mesh, which depends only on the
-    scenario, so a panel a row selects is cut at once at the pilot's edges
-    inside it instead of being bisected over several rounds.  With
-    ``workers`` > 1 the other source rows run on that many threads over
-    the map's one context, else in a serial loop; each row is the same
-    quadrature either way, so the map is bit-identical for any worker
+    on a mesh those nodes share, integrated once.  The source row nearest
+    R = 0, the pilot, goes first: its nodes are held to ``rel_tol`` of
+    their largest |integral|, a lower bound of the map's scale, but to no
+    less than 1e-14 of the envelope integral Int dt'/G.  That tolerance is
+    the absolute tolerance of every other source row, so every node, the
+    pilot's by construction, is held to about ``rel_tol`` of the map's
+    scale.  When the pilot converged, its final mesh guides the refinement
+    of every other source row: all rows start from one mesh, which depends
+    only on the scenario, so a panel a row selects is cut at once at the
+    pilot's edges inside it instead of being bisected over several rounds.
+    With ``workers`` > 1 the other source rows run on that many threads
+    over the map's one context, else in a serial loop; each row is the
+    same quadrature either way, so the map is bit-identical for any worker
     count.
     """
     if workers < 1:
@@ -533,10 +513,14 @@ def evaluate_map(scenario: EmissionScenario, grid: Optional[MapGrid] = None,
     x, y = np.meshgrid(grid.xs()[:cols.max() + 1], grid.ys())
     nodes = np.stack([x, y, np.full_like(x, grid.z)], axis=-1)
     pilot = rows[np.argmin(np.abs(grid.ys()))]
-    abs_tol, row, guide = ctx.pilot(nodes[pilot], rel_tol, max_panels)
-    done = {} if row is None else {pilot: row}
-    todo = [iy for iy in np.unique(rows) if iy not in done]
-    tols = (rel_tol, abs_tol, max_panels, guide)
+    floor = 1e-14 * ctx.envelope_scale
+    done = {pilot: ctx.nodes(nodes[pilot], rel_tol, floor, max_panels)}
+    values, *_, guide = done[pilot]
+    # the pilot met rel_tol of its largest |integral|, a lower bound of
+    # the map's scale: every other row is held to that same tolerance
+    tols = (rel_tol, max(rel_tol * float(np.max(np.abs(values))), floor),
+            max_panels, guide)
+    todo = np.setdiff1d(rows, pilot)
     if workers == 1:
         done.update((iy, ctx.nodes(nodes[iy], *tols)) for iy in todo)
     else:  # a serial map starts no thread and skips this import
@@ -544,12 +528,12 @@ def evaluate_map(scenario: EmissionScenario, grid: Optional[MapGrid] = None,
         with ThreadPoolExecutor(workers) as pool:
             done.update(zip(todo, pool.map(
                 lambda iy: ctx.nodes(nodes[iy], *tols), todo)))
-    values, errors, flags, panels, rounds = (
-        np.array(part) for part in zip(*(done[iy] for iy in rows)))
+    values, errors, flags, panels, rounds, _ = zip(*(done[iy] for iy in rows))
     # a row taken from its mirror row is reversed in X
     ix = np.where((rows != np.arange(grid.ny))[:, None], cols[::-1], cols)
-    values, errors, flags = (np.take_along_axis(part, ix, axis=1)
+    values, errors, flags = (np.take_along_axis(np.array(part), ix, axis=1)
                              for part in (values, errors, flags))
+    values, errors = 2.0 * ctx.prefactor * values, 2.0 * ctx.prefactor * errors
 
     scale = float(np.max(np.abs(values)))
     if scale > 0.0:
@@ -557,7 +541,7 @@ def evaluate_map(scenario: EmissionScenario, grid: Optional[MapGrid] = None,
         errors = errors / scale
     return WignerMap(grid=grid, values=values, scale=scale, flags=flags,
                      error_estimates=errors, meta=_scenario_meta(ctx),
-                     panels=panels, rounds=rounds)
+                     panels=np.array(panels), rounds=np.array(rounds))
 
 
 def _scenario_meta(ctx: _Context) -> dict:

@@ -584,6 +584,55 @@ def test_n_sweep_rejects_dispersion_keys(tmp_path, capsys, key, value):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("config,study,key,value", [
+    ("fig09_ice_dispersion.cfg", "dispersion-scan", "medium.d", "0.3"),
+    ("fig06b_arrival_shift.cfg", "arrival-shift", "theta-k", "30"),
+    ("fig05_spreading_time.cfg", "spreading-time", "theta-k", "30")],
+    ids=["d-param-medium.d", "arrival-theta-k", "spreading-theta-k"])
+def test_sweep_rejects_the_key_it_overrides(tmp_path, capsys, config, study,
+                                            key, value):
+    # the sweep sets that quantity at every sample: fig09 with medium.d =
+    # 0.3 wrote fig09's CSV byte for byte, with the same exit code
+    path = write_config(tmp_path, (CONFIG_DIR / config).read_text(
+        encoding="utf-8") + f"{key} = {value}\n")
+    with pytest.raises(ValidationError, match=f"^{re.escape(key)}: a "):
+        parse_config(path)
+    assert cli.main([study, "--config", str(path),
+                     "--out-dir", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"chr: config error: {key}: ")
+    assert err.endswith(f", not {key}\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_phi_r_sweep_without_theta_k_puts_r_at_the_scenario_angle(tmp_path):
+    # R's polar angle is the scenario's theta_k, theta_Ch by default: with
+    # R along z every phi_R row was the same
+    cfg = parse_config(write_config(tmp_path, """
+study = correlation-radius
+beta = 0.99
+sigma = 1e-4
+omega = 1e-5
+medium.n = 1.7
+t-out = 1e6
+t-prime = 1e6
+sweep.variable = phi-r
+sweep.start = 0
+sweep.stop = 80
+sweep.samples = 5
+"""))
+    assert cfg.theta_k is None
+    artifacts, _ = run_study(cfg, tmp_path, "csv")
+    lines = artifacts[0].read_text().splitlines()
+    theta_ch = math.acos(1.0 / (0.99 * 1.7))
+    theta_k = float(lines[1].removeprefix("# theta_k: "))
+    assert abs(theta_k - theta_ch) < 1e-12
+    rows = np.array([[float(v) for v in line.split(",")]
+                     for line in lines if not line.startswith("#")])
+    assert rows.shape == (5, 3)
+    assert np.unique(rows[:, 1]).size == 5
+
+
 @pytest.mark.parametrize("offsets,first,second,tag", [
     ("0.5,0.501", "0.5", "0.501", "dp_p0.50sigma"),
     ("0,1,0.001", "0.0", "0.001", "dp_p0.00sigma"),

@@ -101,7 +101,7 @@ def test_batch_agrees_with_one_row_calls(rows, hint):
     batch = integrate_batch(f, -3.0, 2.0, **opts)
     assert batch.converged.all()
     assert np.all(batch.error_estimates
-                  <= np.maximum(1e-11, 1e-10 * np.abs(batch.values)))
+                  <= max(1e-11, 1e-10 * np.max(np.abs(batch.values))))
     assert batch.values.shape == batch.error_estimates.shape == (len(rows),)
     for j in range(len(rows)):
         one = integrate_batch(lambda x: f(x)[j:j + 1], -3.0, 2.0, **opts)
@@ -230,7 +230,8 @@ def _bisection_reference(f, a, b, abs_tol, rel_tol, max_panels=4096,
     rounds = 1
     while True:
         total, total_err = np.sum(vals, axis=1), np.sum(errs, axis=1)
-        tol = np.maximum(abs_tol, rel_tol * np.abs(total))
+        tol = np.full(total.shape,
+                      max(abs_tol, rel_tol * float(np.max(np.abs(total)))))
         active = total_err > tol
         budget = max_panels - lo.size
         if not active.any() or budget <= 0:

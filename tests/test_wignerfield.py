@@ -163,7 +163,7 @@ def test_map_centrosymmetry():
     # evaluate_map copies mirrored rows, so each row here is integrated
     # on its own
     sc = balance_scenario(sigma=1e-5, t_out=1e6, phi_k=0.3)
-    raw, _ = _rows_without_reuse(sc, MapGrid.centered(2e5, 1e5, 9, 7))
+    raw = _rows_without_reuse(sc, MapGrid.centered(2e5, 1e5, 9, 7))
     assert (np.max(np.abs(raw - raw[::-1, ::-1]))
             < 1e-12 * np.max(np.abs(raw)))
 
@@ -202,7 +202,9 @@ def test_point_is_the_one_node_row():
     ctx = _Context(sc)
     R = np.array([3e4, -2e4, 0.0])
     value, error, flags, *_ = ctx.nodes(R[None, :], 1e-10, None, 4096)
-    assert (value[0], error[0], int(flags[0])) == evaluate_point(sc, R)
+    scale = 2.0 * ctx.prefactor
+    assert ((scale * value[0], scale * error[0], int(flags[0]))
+            == evaluate_point(sc, R))
 
 
 def test_map_determinism_and_csv_round_trip(tmp_path):
@@ -343,49 +345,38 @@ def _row_nodes(grid, iy):
 
 def _pilot(sc, grid, rel_tol=1e-9, max_panels=4096):
     """The map's pilot: the source row nearest R = 0 on its source
-    columns.  Returns that row, the map tolerance it sets, its kept result
-    (None when the row is integrated again) and the guide it gives the
-    other rows (None when it did not converge)."""
+    columns, held to 1e-14 of the envelope integral and to rel_tol of its
+    largest |integral|.  Returns that row, the map tolerance it sets, its
+    values with the prefactor applied and the guide it gives the other
+    rows (None when it did not converge)."""
     ctx = _Context(sc)
     iy = int(_source_rows(grid)[np.argmin(np.abs(grid.ys()))])
     keep = _source_columns(ctx, grid).max() + 1
-    abs_tol, row, guide = ctx.pilot(_row_nodes(grid, iy)[:keep], rel_tol,
-                                    max_panels)
-    return iy, abs_tol, row, guide
+    floor = 1e-14 * ctx.envelope_scale
+    values, *_, guide = ctx.nodes(_row_nodes(grid, iy)[:keep], rel_tol,
+                                  floor, max_panels)
+    abs_tol = max(rel_tol * float(np.max(np.abs(values))), floor)
+    return iy, abs_tol, 2.0 * ctx.prefactor * values, guide
 
 
 def _rows_without_reuse(sc, grid, rel_tol=1e-9, max_panels=4096):
-    """Raw map values with every row integrated in full under the map
-    tolerance and the pilot's guide, as the map integrates its rows, the
-    pilot row included; also whether the pilot met that tolerance."""
+    """Map values before normalization with every row integrated in full
+    under the map tolerance and the pilot's guide, as the map integrates
+    its other rows, the pilot row included."""
     ctx = _Context(sc)
-    _, abs_tol, pilot, guide = _pilot(sc, grid, rel_tol, max_panels)
+    _, abs_tol, _, guide = _pilot(sc, grid, rel_tol, max_panels)
     rows = [ctx.nodes(_row_nodes(grid, iy), rel_tol, abs_tol, max_panels,
                       guide)[0]
             for iy in range(grid.ny)]
-    return np.array(rows), pilot is not None
+    return 2.0 * ctx.prefactor * np.array(rows)
 
 
 def test_pilot_row_reuse_matches_a_map_without_it():
     sc = fig10_scenario()
     grid = MapGrid.centered(400.0, 400.0, 8, 7)
     wmap = evaluate_map(sc, grid)
-    raw, reused = _rows_without_reuse(sc, grid)
-    assert reused
+    raw = _rows_without_reuse(sc, grid)
     assert np.max(np.abs(wmap.values * wmap.scale - raw)) <= 1e-9 * wmap.scale
-
-
-def test_pilot_row_that_misses_the_map_tolerance_is_integrated_again():
-    # at t_out = 5e7, 1.1 theta_Ch the integral cancels to ~4e-4 of Int
-    # dt'/G, so the pilot's 1e-10 Int dt'/G floor is far looser than the
-    # map tolerance it sets
-    sc = balance_scenario(sigma=1e-5, theta_frac=1.1, t_out=5e7)
-    grid = default_grid(sc, 6, 6)
-    wmap = evaluate_map(sc, grid)
-    raw, reused = _rows_without_reuse(sc, grid)
-    assert not reused
-    assert wmap.scale == np.max(np.abs(raw))
-    assert np.array_equal(wmap.values, raw / wmap.scale)
 
 
 def skew_scenario():
@@ -418,7 +409,7 @@ def test_point_is_one_batch_of_one_row(monkeypatch):
 def test_point_on_its_start_mesh_is_one_integrand_call(monkeypatch):
     sc = balance_scenario(sigma=1e-5, theta_frac=1.1, t_out=5e6)
     R = np.array([3e4, -2e4, 0.0])
-    *_, panels, rounds = _Context(sc).nodes(R[None, :], 1e-10, None, 4096)
+    *_, panels, rounds, _ = _Context(sc).nodes(R[None, :], 1e-10, None, 4096)
     assert rounds == 1 and panels <= 64
     sizes = []
     batch = numerics.integrate_batch
@@ -437,16 +428,27 @@ def test_point_on_its_start_mesh_is_one_integrand_call(monkeypatch):
 @pytest.mark.parametrize("sc,grid", [
     (skew_scenario(), MapGrid.centered(400.0, 400.0, 6, 6)),
     (skew_scenario(), MapGrid.centered(400.0, 400.0, 5, 7)),
-    # the pilot misses the map tolerance and is integrated again
+    # the integral cancels to ~4e-4 of Int dt'/G: the pilot row is
+    # integrated once all the same
     (balance_scenario(sigma=1e-5, theta_frac=1.1, t_out=5e7), None)],
-    ids=["even", "odd", "pilot-not-kept"])
+    ids=["even", "odd", "long-1.1-theta-ch"])
 def test_centered_map_integrates_one_row_of_each_mirror_pair(
         sc, grid, monkeypatch):
     grid = grid or default_grid(sc, 6, 6)
-    _, _, pilot, _ = _pilot(sc, grid)
     calls = _count_batches(monkeypatch)
     evaluate_map(sc, grid, workers=1)
-    assert len(calls) == math.ceil(grid.ny / 2) + (pilot is None)
+    assert len(calls) == math.ceil(grid.ny / 2)
+
+
+@pytest.mark.parametrize("theta_frac", [1.0, 1.1])
+def test_map_long_integrates_each_source_row_once(theta_frac, monkeypatch):
+    # the map-long maps: the pilot meets the map tolerance it sets, so it
+    # is one of the map's rows and no row is integrated twice
+    sc = balance_scenario(sigma=1e-5, theta_frac=theta_frac, t_out=5e7)
+    grid = default_grid(sc, 12, 12)
+    calls = _count_batches(monkeypatch)
+    evaluate_map(sc, grid, workers=1)
+    assert len(calls) == np.unique(_source_rows(grid)).size == 6
 
 
 @pytest.mark.parametrize("grid,nearest,pilot_row", [
@@ -461,14 +463,14 @@ def test_mirrored_rows_are_their_source_reversed(grid, nearest, pilot_row,
     sc = skew_scenario()
     # rounding puts the row nearest R = 0 above the centre on the *-high
     # grids; the pilot is still the lower row of the pair, its source, so
-    # the kept pilot is not integrated again
+    # its row is not integrated again
     assert np.argmin(np.abs(grid.ys())) == nearest
     iy_pilot, _, pilot, _ = _pilot(sc, grid)
-    assert iy_pilot == pilot_row and pilot is not None
+    assert iy_pilot == pilot_row
     calls = _count_batches(monkeypatch)
     wmap = evaluate_map(sc, grid, workers=1)
     assert len(calls) == math.ceil(grid.ny / 2)
-    assert np.array_equal(wmap.values[iy_pilot], pilot[0] / wmap.scale)
+    assert np.array_equal(wmap.values[iy_pilot], pilot / wmap.scale)
     for iy in range(grid.ny // 2):
         mirror = grid.ny - 1 - iy
         for name in ("values", "error_estimates", "flags"):
@@ -476,7 +478,7 @@ def test_mirrored_rows_are_their_source_reversed(grid, nearest, pilot_row,
             assert np.array_equal(rows[mirror], rows[iy, ::-1]), name
         assert wmap.panels[mirror] == wmap.panels[iy]
         assert wmap.rounds[mirror] == wmap.rounds[iy]
-    raw, _ = _rows_without_reuse(sc, grid)
+    raw = _rows_without_reuse(sc, grid)
     assert np.max(np.abs(wmap.values * wmap.scale - raw)) <= 1e-9 * wmap.scale
 
 
@@ -492,35 +494,35 @@ def test_grid_without_mirror_symmetry_integrates_every_row(grid,
                                                            monkeypatch):
     sc = skew_scenario()
     iy_pilot, _, pilot, _ = _pilot(sc, grid)
-    raw, _ = _rows_without_reuse(sc, grid)
-    if pilot is not None:
-        raw[iy_pilot] = pilot[0]
+    raw = _rows_without_reuse(sc, grid)
+    raw[iy_pilot] = pilot
     calls = _count_batches(monkeypatch)
     wmap = evaluate_map(sc, grid, workers=1)
-    assert len(calls) == grid.ny + (pilot is None)
+    assert len(calls) == grid.ny
     assert np.array_equal(wmap.values, raw / wmap.scale)
 
 
-@pytest.mark.parametrize("sc,grid,kept", [
-    (fig10_scenario(), MapGrid.centered(400.0, 400.0, 8, 5), True),
-    (skew_scenario(), MapGrid.centered(400.0, 300.0, 6, 8), True),
-    (skew_scenario(), MapGrid.centered(400.0, 400.0, 7, 7), True),
+# (scenario, grid or (nx, ny) of its default grid)
+_WORKER_CASES = [
+    (fig10_scenario(), MapGrid.centered(400.0, 400.0, 8, 5)),
+    (skew_scenario(), MapGrid.centered(400.0, 300.0, 6, 8)),
+    (skew_scenario(), MapGrid.centered(400.0, 400.0, 7, 7)),
     # mirrored rows here differ from rows integrated on their own in the
     # last digits: the pool must integrate the same rows
-    (balance_scenario(sigma=1e-5, t_out=1e6, phi_k=0.3), (6, 6), True),
-    # here the pilot took 4 rounds, and integrating its row again under
+    (balance_scenario(sigma=1e-5, t_out=1e6, phi_k=0.3), (6, 6)),
+    # here the pilot takes 4 rounds, and integrating its row again under
     # the map tolerance gives other last digits: the pool must not
-    (balance_scenario(sigma=1e-4, theta_frac=1.1, t_out=3e5), (8, 5), True),
-    # phi_k = 90 deg, half rows: the pilot misses the map tolerance, and
-    # the pool integrates its row again as the serial loop does
-    (balance_scenario(sigma=1e-5, theta_frac=1.1, t_out=5e7), (5, 4),
-     False)],
-    ids=["fig10", "pilot-high", "odd", "mirrored-digits", "four-round-pilot",
-         "half-rows-pilot-not-kept"])
-def test_map_worker_independence_with_a_reused_pilot_row(sc, grid, kept):
+    (balance_scenario(sigma=1e-4, theta_frac=1.1, t_out=3e5), (8, 5)),
+    # phi_k = 90 deg, half rows, at a t_out where the integral cancels
+    (balance_scenario(sigma=1e-5, theta_frac=1.1, t_out=5e7), (5, 4))]
+
+
+@pytest.mark.parametrize("sc,grid", _WORKER_CASES,
+                         ids=["fig10", "pilot-high", "odd", "mirrored-digits",
+                              "four-round-pilot", "half-rows-long"])
+def test_map_worker_independence_with_a_reused_pilot_row(sc, grid):
     if not isinstance(grid, MapGrid):
         grid = default_grid(sc, *grid)
-    assert (_pilot(sc, grid)[2] is not None) == kept
     serial = evaluate_map(sc, grid, workers=1)
     parallel = evaluate_map(sc, grid, workers=2)
     assert serial.scale == parallel.scale
@@ -658,8 +660,8 @@ def test_copied_half_rows_match_rows_integrated_in_full():
     assert guide is not None
     keep = grid.nx // 2
     for iy in range(grid.ny):
-        full = ctx.nodes(_row_nodes(grid, iy), 1e-9, abs_tol, 4096,
-                         guide)[0]
+        full = 2.0 * ctx.prefactor * ctx.nodes(
+            _row_nodes(grid, iy), 1e-9, abs_tol, 4096, guide)[0]
         assert (np.max(np.abs(wmap.values[iy, keep:] * wmap.scale
                               - full[keep:])) <= 1e-12 * wmap.scale)
 
@@ -667,16 +669,14 @@ def test_copied_half_rows_match_rows_integrated_in_full():
 def test_map_long_rows_follow_the_pilot_mesh():
     # the map-long theta_Ch map: every row starts from one mesh, so the
     # pilot's final edges take each other source row there in one round
-    # (bisection took 6-8); the pilot row, integrated again under the map
-    # tolerance, takes 3 rounds instead of 8
+    # (bisection took 6-8)
     sc = balance_scenario(sigma=1e-5, t_out=5e7)
     grid = default_grid(sc, 12, 12)
-    iy_pilot, _, kept, guide = _pilot(sc, grid)
-    assert kept is None and guide is not None
+    iy_pilot, _, _, guide = _pilot(sc, grid)
+    assert guide is not None
     wmap = evaluate_map(sc, grid)
     others = [iy for iy in np.unique(_source_rows(grid)) if iy != iy_pilot]
     assert np.all(wmap.rounds[others] <= 2)
-    assert wmap.rounds[iy_pilot] <= 3
 
 
 def test_unconverged_pilot_guides_no_row(monkeypatch):
@@ -694,7 +694,52 @@ def test_unconverged_pilot_guides_no_row(monkeypatch):
 
     monkeypatch.setattr(numerics, "integrate_batch", recorded)
     evaluate_map(sc, grid, max_panels=64)
-    assert len(guides) == 4 and all(g is None for g in guides)
+    assert len(guides) == 3 and all(g is None for g in guides)
+
+
+_MAP_CASES = _WORKER_CASES + [
+    (fig10_scenario(), MapGrid.centered(400.0, 400.0, 16, 16)),
+    (skew_scenario(), MapGrid(-300.0, 400.0, 5, -400.0, 400.0, 6)),
+    (skew_scenario(), MapGrid.centered(400.0, 400.0, 5, 6, z=50.0)),
+    (skew_scenario(), MapGrid.centered(400.0, 400.0, 1, 6)),
+    (fig10_scenario(), MapGrid.centered(400.0, 300.0, 5, 4, z=120.0)),
+    (_delta_p_scenario(1.0), MapGrid.centered(400.0, 400.0, 7, 6)),
+    (balance_scenario(sigma=1e-5, t_out=3e5),
+     MapGrid.centered(3e4, 3e4, 9, 9)),
+    (balance_scenario(sigma=1e-5, t_out=1e6),
+     MapGrid.centered(2e5, 1e5, 17, 9)),
+    (balance_scenario(sigma=1e-5, t_out=5e7), (12, 12)),
+    (balance_scenario(sigma=1e-5, theta_frac=1.1, t_out=5e7), (12, 12))]
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(case=st.sampled_from(_MAP_CASES),
+       rel_tol=st.sampled_from([1e-9, 1e-7, 1e-11]))
+@example(case=_MAP_CASES[-2], rel_tol=1e-9)
+def test_pilot_row_meets_the_map_tolerance(case, rel_tol):
+    # the pilot is held to the floor of the map tolerance and to rel_tol of
+    # its own largest |integral|, and the map tolerance is the larger of
+    # the two: every pilot node meets the tolerance of the map's other
+    # rows, or is flagged, so the pilot is one of the map's rows
+    sc, grid = case
+    if not isinstance(grid, MapGrid):
+        grid = default_grid(sc, *grid)
+    batches = []
+    batch = numerics.integrate_batch
+
+    def recorded(f, *args, **kwargs):
+        batches.append((kwargs["abs_tol"], batch(f, *args, **kwargs)))
+        return batches[-1][1]
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(numerics, "integrate_batch", recorded)
+        evaluate_map(sc, grid, rel_tol=rel_tol)
+    (_, pilot), *others = batches
+    floor = 1e-14 * _Context(sc).envelope_scale
+    map_tol = max(rel_tol * float(np.max(np.abs(pilot.values))), floor)
+    assert [abs_tol for abs_tol, _ in others] == [map_tol] * len(others)
+    assert np.array_equal(pilot.converged, pilot.error_estimates <= map_tol)
+    assert len(batches) == np.unique(_source_rows(grid)).size
 
 
 def test_delta_p_scan():
