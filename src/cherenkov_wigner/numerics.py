@@ -81,7 +81,9 @@ _BLOCK = 1 << 16
 
 
 # a start mesh of up to this many panels is evaluated in one integrand
-# call, which also tells the row count
+# call, which also tells the row count; a round without a guide cuts its
+# panels as deep as this many rows x pieces allow, since a round's fixed
+# cost far exceeds that of the abscissae it adds
 _HEAD = 64
 
 
@@ -136,10 +138,11 @@ def _gk15_panels(f, lo, hi, rows=None):
 
 def _guided_cuts(guide, lo, hi):
     """Pieces (lo, hi) of the panels [lo, hi], each cut at the ``guide``
-    edges strictly inside it, or at its midpoint when it holds none.  The
-    first piece of every panel comes first, then every second piece, and
-    so on: where each panel is bisected, that is the layout of a round
-    without a guide."""
+    edges strictly inside it, or bisected once when it holds none, however
+    deep a round without a guide would cut it.  The first piece of every
+    panel comes first, then every second piece, and so on: where each
+    panel is bisected, that is the layout of a one-level round without a
+    guide."""
     first = np.searchsorted(guide, lo, side="right")
     inside = np.searchsorted(guide, hi, side="left") - first
     n = np.maximum(inside, 1)
@@ -188,29 +191,38 @@ def integrate_batch(
     rel_tol of the batch's own scale, so a row that cancels to far below
     its neighbours is not refined to its own relative precision; a
     one-row batch is held to max(abs_tol, rel_tol * |value|).  Each round
-    bisects, in one vectorized evaluation, every panel whose error exceeds
+    refines, in one vectorized evaluation, every panel whose error exceeds
     its even share of that tolerance (the tolerance over the panel count)
     in some unconverged row; while a row is unconverged, at least one of
     its panels does.  When that would exceed ``max_panels``, the panels
-    with the largest share go first.
+    with the largest share go first.  Without a guide, a round cuts each
+    panel it selects into 2**levels pieces by nested bisection, levels
+    the largest >= 1 with 2**levels x selected panels x rows <= ``_HEAD``
+    (64) and within ``max_panels``; it stops a level early rather than
+    cut a piece narrower than 4e-15 (|lo| + |hi|).  A single point with
+    one selected panel thus jumps six levels in one round, while a round
+    of many panels or rows bisects once.
+
+    ``abs_tol`` and ``rel_tol`` must be finite and positive and
+    ``max_panels`` at least 1, else ``ValueError`` names the argument.
 
     ``phase_rate_hint`` is an upper estimate of |d(phase)/dx| of an
     oscillatory integrand; when given, the initial uniform subdivision uses
     panels no wider than pi / (2 * hint), i.e. at least four panels per
-    oscillation period, before any adaptive bisection happens.
+    oscillation period, before any adaptive refinement happens.
 
     ``knee`` is the width of a boundary layer at ``a``: the scale on which
     the integrand changes there, much shorter than the start panels.  When
     knee/8 is less than half the first panel's width w, that panel is split
     at a + w/2, a + w/4, ... for as long as the piece left at ``a`` stays
     wider than knee/8, so the start mesh already resolves the layer that
-    bisection would otherwise reach one level per round.
+    refinement would otherwise reach a few levels per round.
 
     ``guide`` is a sorted array of mesh edges, such as the final ``edges``
     of a related batch on the same start mesh.  A round then cuts each
     panel it selects at the guide's edges strictly inside it, and bisects
-    a selected panel that holds none; if those cuts would exceed
-    ``max_panels``, the round bisects as without a guide.  The start mesh
+    a selected panel that holds none once; if those cuts would exceed
+    ``max_panels``, the round cuts as without a guide.  The start mesh
     is never changed, so a batch that converges on it does not depend on
     the guide.
 
@@ -219,8 +231,11 @@ def integrate_batch(
     """
     if not (a <= b):
         raise ValueError("integrate_batch requires a <= b")
-    if abs_tol <= 0 or rel_tol <= 0:
-        raise ValueError("tolerances must be positive")
+    for name, tol in (("abs_tol", abs_tol), ("rel_tol", rel_tol)):
+        if not (0.0 < tol < math.inf):
+            raise ValueError(f"{name} must be finite and positive, got {tol}")
+    if max_panels < 1:
+        raise ValueError(f"max_panels must be at least 1, got {max_panels}")
     if a == b:
         k = np.asarray(f(np.array([a]))).shape[0]
         zero = np.zeros(k)
@@ -265,9 +280,22 @@ def integrate_batch(
         if guide is not None:
             new_lo, new_hi = _guided_cuts(guide, lo[chosen], hi[chosen])
         if new_lo is None or new_lo.size - chosen.size > budget:
-            mid = 0.5 * (lo[chosen] + hi[chosen])
-            new_lo = np.concatenate([lo[chosen], mid])
-            new_hi = np.concatenate([mid, hi[chosen]])
+            # nested midpoints, as many levels as _HEAD and the budget
+            # allow; a piece cut wider than 4e-15 (|lo| + |hi|) stays,
+            # after rounding, above the width guard that selects panels
+            new_lo, new_hi = lo[chosen], hi[chosen]
+            n = chosen.size
+            span = float(np.min((new_hi - new_lo)
+                                / (np.abs(new_hi) + np.abs(new_lo))))
+            levels = 1
+            while (2 ** (levels + 1) * n * vals.shape[0] <= _HEAD
+                   and (2 ** (levels + 1) - 1) * n <= budget
+                   and span > 2 ** levels * 4e-15):
+                levels += 1
+            for _ in range(levels):
+                mid = 0.5 * (new_lo + new_hi)
+                new_lo = np.concatenate([new_lo, mid])
+                new_hi = np.concatenate([mid, new_hi])
         new_vals, new_errs = _gk15_panels(f, new_lo, new_hi,
                                           vals.shape[0])
         lo = np.concatenate([lo[keep], new_lo])

@@ -366,7 +366,9 @@ def evaluate_point(scenario: EmissionScenario, R, rel_tol: float = 1e-10,
                    abs_tol: Optional[float] = None, max_panels: int = 4096):
     """Wigner-function value at R: adaptive quadrature of the cosine form
     over [0, t_out], doubled, times the scenario prefactor.  A point is the
-    one-node row of a map, on the map's quadrature path.
+    one-node row of a map, on the map's quadrature path.  A tolerance that
+    is not finite and positive, or ``max_panels`` below 1, raises
+    ``ValueError`` naming it (see ``numerics.integrate_batch``).
 
     Returns (value, error_estimate, flags)."""
     ctx = _Context(scenario)
@@ -497,7 +499,7 @@ def evaluate_map(scenario: EmissionScenario, grid: Optional[MapGrid] = None,
     scale.  When the pilot converged, its final mesh guides the refinement
     of every other source row: all rows start from one mesh, which depends
     only on the scenario, so a panel a row selects is cut at once at the
-    pilot's edges inside it instead of being bisected over several rounds.
+    pilot's edges inside it instead of over several unguided rounds.
     With ``workers`` > 1 the other source rows run on that many threads
     over the map's one context, else in a serial loop; each row is the
     same quadrature either way, so the map is bit-identical for any worker

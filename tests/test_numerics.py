@@ -2,12 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cherenkov_wigner.numerics import (DiffSpec, NoSignChange,
                                        NonFiniteIntegrand, NonFiniteSample,
-                                       _gk15_panels, differentiate,
+                                       _gk15_panels, _guided_cuts,
+                                       _HEAD, differentiate,
                                        find_root, integrate_batch)
 
 
@@ -79,6 +80,24 @@ def test_precondition_errors():
         integrate_batch(lambda x: np.cos(x)[None], 0.0, 1.0, abs_tol=0.0)
 
 
+@pytest.mark.parametrize("name", ["abs_tol", "rel_tol"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_tolerance_must_be_finite_and_positive(name, bad):
+    # a NaN or infinite tolerance used to pass as met: cos(40 t) over
+    # [0, 2] came back as its one-panel estimate, flagged converged
+    with pytest.raises(ValueError,
+                       match=f"^{name} must be finite and positive"):
+        integrate_batch(lambda t: np.cos(40.0 * t)[None], 0.0, 2.0,
+                        **{name: bad})
+
+
+@pytest.mark.parametrize("bad", [0, -5])
+def test_max_panels_must_be_at_least_one(bad):
+    with pytest.raises(ValueError, match="^max_panels must be at least 1"):
+        integrate_batch(lambda t: np.cos(40.0 * t)[None], 0.0, 2.0,
+                        max_panels=bad)
+
+
 def damped_waves(params):
     """Rows c exp(-s x^2) cos(w x + p), one per (c, s, w, p)."""
     c, s, w, p = (np.array(col)[:, None] for col in zip(*params))
@@ -135,18 +154,27 @@ def test_batch_budget_flags_rows_separately(max_panels, hint):
 
 def test_knee_grades_the_start_mesh():
     # a Lorentzian of width tau at t = 0 on an interval 2.6e6 times longer:
-    # from one uniform panel, bisection reaches the layer one level per
+    # from one uniform panel, refinement reaches the layer a few levels per
     # round; a start mesh graded down to tau/8 resolves it at once
     tau, t_end = 0.39, 1e6
     exact = tau * math.atan(t_end / tau)
     f = lambda t: 1.0 / (1.0 + (t / tau) ** 2)
-    graded = integrate_batch(lambda t: f(t)[None], 0.0, t_end, knee=tau)
-    uniform = integrate_batch(lambda t: f(t)[None], 0.0, t_end)
+    sizes = {}
+
+    def counted(key):
+        def g(t):
+            sizes[key] = sizes.get(key, 0) + t.size
+            return f(t)[None]
+        return g
+
+    graded = integrate_batch(counted("graded"), 0.0, t_end, knee=tau)
+    uniform = integrate_batch(counted("uniform"), 0.0, t_end)
     for res in (graded, uniform):
         assert res.converged[0]
         assert abs(res.values[0] - exact) <= 1e-10 * exact
     assert graded.rounds <= 2
-    assert uniform.rounds >= 10
+    assert graded.rounds < uniform.rounds
+    assert sizes["graded"] < sizes["uniform"]
     batch = integrate_batch(lambda t: np.stack([f(t), -3.0 * f(t)]), 0.0,
                             t_end, knee=tau)
     assert batch.rounds <= 2 and batch.converged.all()
@@ -219,11 +247,40 @@ def _start_edges(a, b, **opts):
                            **opts).edges
 
 
+def _split(lo, hi, rows, budget, head):
+    """The pieces of the panels [lo, hi] that an unguided round evaluates:
+    each panel cut into 2**levels pieces by nested midpoints, where levels
+    is the largest >= 1 such that 2**levels * panels * rows <= head, the
+    pieces add at most ``budget`` panels, and every piece cut at the last
+    level is wider than 4e-15 (|lo| + |hi|) of its panel.  Piece j of
+    every panel comes at position bit-reversed(j), panel by panel."""
+    levels = 1
+    while (2 ** (levels + 1) * lo.size * rows <= head
+           and lo.size * (2 ** (levels + 1) - 1) <= budget
+           and all((h - l) / (abs(h) + abs(l)) > 2.0 ** levels * 4e-15
+                   for l, h in zip(lo, hi))):
+        levels += 1
+    edges = []
+    for l, h in zip(lo, hi):
+        e = np.array([l, h])
+        for _ in range(levels):
+            mid = 0.5 * (e[:-1] + e[1:])
+            e = np.append(np.ravel(np.column_stack([e[:-1], mid])), e[-1])
+        edges.append(e)
+    order = [int(format(j, f"0{levels}b")[::-1], 2)
+             for j in range(2 ** levels)]
+    return (np.array([e[j] for j in order for e in edges]),
+            np.array([e[j + 1] for j in order for e in edges]))
+
+
 def _bisection_reference(f, a, b, abs_tol, rel_tol, max_panels=4096,
-                         **start):
-    """``integrate_batch`` without a guide, written out as the plain
-    bisection loop it ran before guides existed: (values, errors,
-    converged, panels, rounds, sorted edges)."""
+                         head=_HEAD, guide=None, **start):
+    """``integrate_batch`` written out as a loop of rounds that each split
+    the panels they select by ``_split``, or with a ``guide`` cut them at
+    its edges unless that exceeds the budget: (values, errors, converged,
+    panels, rounds, sorted edges).  ``head=0`` bisects once per round,
+    the plain bisection loop that every round ran before the split was
+    sized to ``_HEAD``."""
     edges = _start_edges(a, b, max_panels=max_panels, **start)
     lo, hi = edges[:-1], edges[1:]
     vals, errs = _gk15_panels(f, lo, hi)
@@ -245,9 +302,11 @@ def _bisection_reference(f, a, b, abs_tol, rel_tol, max_panels=4096,
             chosen = chosen[np.argsort(-share[chosen], kind="stable")[:budget]]
         keep = np.ones(lo.size, dtype=bool)
         keep[chosen] = False
-        mid = 0.5 * (lo[chosen] + hi[chosen])
-        new_lo = np.concatenate([lo[chosen], mid])
-        new_hi = np.concatenate([mid, hi[chosen]])
+        if guide is not None:
+            new_lo, new_hi = _guided_cuts(guide, lo[chosen], hi[chosen])
+        if guide is None or new_lo.size - chosen.size > budget:
+            new_lo, new_hi = _split(lo[chosen], hi[chosen], vals.shape[0],
+                                    budget, head)
         new_vals, new_errs = _gk15_panels(f, new_lo, new_hi, vals.shape[0])
         lo, hi = np.concatenate([lo[keep], new_lo]), np.concatenate(
             [hi[keep], new_hi])
@@ -284,15 +343,17 @@ _GUIDE_CASES = [
 
 @pytest.mark.parametrize("f,a,b,opts", _GUIDE_CASES)
 def test_unguided_batch_is_plain_bisection(f, a, b, opts):
-    # without a guide, and with a guide that holds no edge inside any panel
-    # a round selects (the start mesh), every round bisects as before
+    # without a guide every round splits its panels as deep as _HEAD
+    # allows; with a guide that holds no edge inside any panel a round
+    # selects (the start mesh), every round bisects once, as before
     opts = dict(dict(abs_tol=1e-10, rel_tol=1e-10), **opts)
-    ref = _bisection_reference(f, a, b, **opts)
-    assert _same(_fields(integrate_batch(f, a, b, **opts)), ref)
+    assert _same(_fields(integrate_batch(f, a, b, **opts)),
+                 _bisection_reference(f, a, b, **opts))
     start = _start_edges(a, b, **{k: v for k, v in opts.items()
                                   if k in ("phase_rate_hint", "knee",
                                            "max_panels")})
-    assert _same(_fields(integrate_batch(f, a, b, guide=start, **opts)), ref)
+    assert _same(_fields(integrate_batch(f, a, b, guide=start, **opts)),
+                 _bisection_reference(f, a, b, head=0, **opts))
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)
@@ -372,17 +433,116 @@ def test_guide_beyond_the_budget_falls_back_to_bisection(rows, max_panels):
 
 def test_guided_round_cuts_at_the_guide():
     # one oscillatory row on one start panel: a guide of 32 even panels
-    # reaches that mesh in a single round where bisection takes several
+    # is reached exactly in a single round, where the unguided round cuts
+    # the panel into all the 64 pieces one integrand call holds
     f = lambda x: np.cos(40.0 * x)[None]
     opts = dict(abs_tol=1e-9, rel_tol=1e-9)
     plain = integrate_batch(f, 0.0, 2.0, **opts)
     guide = np.linspace(0.0, 2.0, 33)
     guided = integrate_batch(f, 0.0, 2.0, guide=guide, **opts)
     assert guided.converged[0] and plain.converged[0]
-    assert guided.rounds == 2 < plain.rounds
+    assert guided.rounds == 2
+    assert guided.panels_used == 32 < plain.panels_used == 64
     assert np.array_equal(guided.edges, guide)
     exact = math.sin(80.0) / 40.0
     assert abs(guided.values[0] - exact) <= 1e-9
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(rows=st.lists(_ROW, min_size=17, max_size=20),
+       hint=st.sampled_from([None, 5.0, 60.0]),
+       max_panels=st.sampled_from([8, 64, 4096]))
+def test_single_level_rounds_are_plain_bisection(rows, hint, max_panels):
+    # with 17 rows or more, four pieces of one panel overfill the 64 rows x
+    # panels of one integrand call, so every round bisects once: bit for
+    # bit the plain bisection loop
+    f = damped_waves(rows)
+    opts = dict(abs_tol=1e-11, rel_tol=1e-10, phase_rate_hint=hint,
+                max_panels=max_panels)
+    assert _same(_fields(integrate_batch(f, -3.0, 2.0, **opts)),
+                 _bisection_reference(f, -3.0, 2.0, head=0, **opts))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(rows=st.lists(_ROW, min_size=1, max_size=6),
+       hint=st.sampled_from([None, 5.0, 60.0]),
+       related=st.lists(_ROW, min_size=1, max_size=3))
+def test_guided_rounds_are_unchanged(rows, hint, related):
+    # a guide's cuts are taken as they are, and a panel with no guide edge
+    # inside is bisected once; while the cuts fit the budget, the batch is
+    # bit for bit the plain bisection loop with guided cuts
+    f = damped_waves(rows)
+    opts = dict(abs_tol=1e-11, rel_tol=1e-10, phase_rate_hint=hint)
+    guide = integrate_batch(damped_waves(related), -3.0, 2.0, **opts).edges
+    got = integrate_batch(f, -3.0, 2.0, guide=guide, **opts)
+    assert got.panels_used + guide.size <= 4096
+    assert _same(_fields(got), _bisection_reference(f, -3.0, 2.0, head=0,
+                                                    guide=guide, **opts))
+
+
+def _fixed_mesh_reference(f, a, b, x0):
+    """The integrals of the rows of f over [a, b] by 20-point
+    Gauss-Legendre on a fixed mesh: 2,000 even panels, plus edges at x0
+    and at x0 -+ 2**-k for k = 0 .. 59."""
+    x, w = np.polynomial.legendre.leggauss(20)
+    graded = x0 + np.outer([-1.0, 1.0], 2.0 ** -np.arange(60)).ravel()
+    edges = np.unique(np.concatenate([np.linspace(a, b, 2001), [x0],
+                                      graded[(graded > a) & (graded < b)]]))
+    lo, hi = edges[:-1], edges[1:]
+    t = (0.5 * (lo + hi))[:, None] + (0.5 * (hi - lo))[:, None] * x
+    y = f(t.ravel())
+    return (y.reshape(y.shape[0], lo.size, 20) @ w) @ (0.5 * (hi - lo))
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(rows=st.lists(_ROW, min_size=0, max_size=4),
+       layer=st.tuples(st.floats(-5.0, 5.0),
+                       st.floats(0.0, 1.0, exclude_max=True),
+                       st.sampled_from([1e-13, 1e-12, 1e-9, 1e-4])),
+       offset=st.sampled_from([0.0, 1e4]),
+       hint=st.sampled_from([None, 5.0, 60.0]),
+       knee=st.sampled_from([None, 1e-3]),
+       max_panels=st.sampled_from([8, 64, 4096]),
+       rel_tol=st.sampled_from([1e-10, 1e-13]))
+@example(rows=[], layer=(1.0, 0.5, 1e-13), offset=1e4, hint=60.0, knee=None,
+         max_panels=4096, rel_tol=1e-10)
+@example(rows=[(1.0, 1.0, 10.0, 0.0)], layer=(-5.0, 0.5, 1e-13), offset=1e4,
+         hint=None, knee=1e-3, max_panels=4096, rel_tol=1e-13)
+def test_deep_split_keeps_the_mesh_and_the_tolerance(rows, layer, offset,
+                                                     hint, knee, max_panels,
+                                                     rel_tol):
+    # a row with a step of width 1e-13 .. 1e-4 drives the split down to
+    # the width guard, which near |t| = 1e4 is 2e-11 wide: the final mesh
+    # still rises strictly from a to b within the budget, and every
+    # converged row is within the batch tolerance of a fixed-mesh
+    # reference, give or take the rounding of the abscissae (one spacing
+    # of b times each row's total variation).  The step sits a third into
+    # a start panel, so it stays a third into every piece cut around it
+    # and some Kronrod node sees each side
+    c, where, width = layer
+    a, b = offset - 3.0, offset + 2.0
+    opts = dict(phase_rate_hint=hint, knee=knee, max_panels=max_panels)
+    start = _start_edges(a, b, **opts)
+    j = int(where * (start.size - 1))
+    x0 = start[j] + (start[j + 1] - start[j]) / 3.0
+    waves = damped_waves(rows) if rows else None
+
+    def f(t):
+        step = c * np.tanh((t - x0) / width)[None]
+        if waves is None:
+            return step
+        return np.concatenate([waves(t - offset), step])
+
+    res = integrate_batch(f, a, b, abs_tol=1e-12, rel_tol=rel_tol, **opts)
+    assert res.edges[0] == a and res.edges[-1] == b
+    assert np.all(np.diff(res.edges) > 0.0)
+    assert res.panels_used == res.edges.size - 1 <= max_panels
+    variation = np.array([abs(r[0]) * (5.0 * r[2] + 2.0) for r in rows]
+                         + [2.0 * abs(c)])
+    tol = (max(1e-12, rel_tol * np.max(np.abs(res.values)))
+           + np.spacing(b) * variation)
+    ref = _fixed_mesh_reference(f, a, b, x0)
+    assert np.all((np.abs(res.values - ref) <= tol)[res.converged])
 
 
 def test_differentiate_sin():

@@ -406,6 +406,21 @@ def test_point_is_one_batch_of_one_row(monkeypatch):
     assert calls[0](np.linspace(0.0, sc.t_out, 5)).shape == (1, 5)
 
 
+def test_map_long_nodes_as_points_take_few_rounds():
+    # at theta_Ch the start mesh leaves [t_out/2, t_out] one panel; a
+    # round cuts a one-row point's selected panels as deep as one
+    # integrand call holds, so every 5th node of the map-long grid takes
+    # 2.14 rounds on average as a point (one bisection level per round
+    # took 5.38)
+    sc = balance_scenario(sigma=1e-5, t_out=5e7)
+    grid = default_grid(sc, 12, 12)
+    ctx = _Context(sc)
+    nodes = np.array([[x, y, grid.z] for y in grid.ys() for x in grid.xs()])
+    rounds = [ctx.nodes(R[None, :], 1e-10, None, 4096)[4]
+              for R in nodes[::5]]
+    assert np.mean(rounds) <= 3.0
+
+
 def test_point_on_its_start_mesh_is_one_integrand_call(monkeypatch):
     sc = balance_scenario(sigma=1e-5, theta_frac=1.1, t_out=5e6)
     R = np.array([3e4, -2e4, 0.0])
@@ -877,6 +892,17 @@ def test_points_and_maps_reject_a_packet_phase(call):
                                          phase_model=lambda q: 3e5 * q[0]))
     with pytest.raises(NonGaussianPhase):
         call(shifted)
+
+
+@pytest.mark.parametrize("call,name", [
+    (lambda sc: evaluate_point(sc, [0.0, 0.0, 0.0], rel_tol=math.nan),
+     "rel_tol"),
+    (lambda sc: evaluate_map(sc, MapGrid.centered(1e3, 1e3, 3, 3),
+                             max_panels=0), "max_panels")],
+    ids=["point", "map"])
+def test_points_and_maps_reject_invalid_quadrature_settings(call, name):
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        call(balance_scenario(sigma=1e-5, t_out=3e5))
 
 
 def test_marginal_weight_on_shell_frequency():
