@@ -76,7 +76,7 @@ _GAUSS_WEIGHTS = np.array([
 
 
 # upper bound on rows x abscissae per integrand call of integrate_batch,
-# after the first call of a quadrature (see _HEAD)
+# after the first call of a quadrature (see _HEAD); it bounds memory only
 _BLOCK = 1 << 16
 
 
@@ -89,8 +89,8 @@ _HEAD = 64
 
 def _samples(f, t, lo, hi, start, stop):
     """f on the Kronrod nodes of panels [start, stop), shape (rows,
-    panels, 15)."""
-    y = np.asarray(f(t[start:stop].ravel()), dtype=float)
+    panels, 15), C-contiguous."""
+    y = np.ascontiguousarray(f(t[start:stop].ravel()), dtype=float)
     y = y.reshape(y.shape[0], -1, 15)
     if not np.all(np.isfinite(y)):
         row, panel = np.argwhere(~np.isfinite(y))[0, :2]
@@ -102,66 +102,46 @@ def _samples(f, t, lo, hi, start, stop):
 
 def _gk15_panels(f, lo, hi, rows=None):
     """Gauss-Kronrod sums of the rows of f on each panel [lo, hi]: returns
-    (values, errors), both of shape (rows, len(lo)).  When ``rows`` is not
-    known yet, the first call of f tells it: that call holds every panel
-    when there are at most ``_HEAD``, else panel 0 alone.
-
-    The sums are taken over blocks of at most _BLOCK rows x abscissae,
-    panel 0 alone first when ``rows`` was not known, whatever the first
-    call held: the BLAS rounding of a panel's sum depends on its place in
-    its block."""
+    (values, errors), both of shape (rows, len(lo)).  A panel's value and
+    error depend only on its own 15 samples, summed in one fixed order by
+    einsum, not on which panels share an integrand call (a BLAS
+    matrix-vector product would round each sum by its place in the
+    block).  When ``rows`` is not known yet, the first call of f
+    holds the first min(len(lo), ``_HEAD``) panels and tells it; every
+    other call holds at most ``_BLOCK`` rows x abscissae."""
     half = 0.5 * (hi - lo)
     t = (0.5 * (lo + hi))[:, None] + half[:, None] * _KRONROD_NODES
-    got = 0
-    if rows is None:
-        got = lo.size if lo.size <= _HEAD else 1
-        head = _samples(f, t, lo, hi, 0, got)
-        rows = head.shape[0]
-    n = max(1, _BLOCK // (15 * rows))
-    bounds = [0, *range(1 if got else n, lo.size, n), lo.size]
-    vals = np.empty((rows, lo.size))
-    errs = np.empty((rows, lo.size))
-    for s, e in zip(bounds[:-1], bounds[1:]):
-        y = head[:, s:e] if e <= got else _samples(f, t, lo, hi, s, e)
-        h = half[s:e]
-        kronrod = y @ _KRONROD_WEIGHTS
-        err = h * np.abs(kronrod - y[..., 1::2] @ _GAUSS_WEIGHTS)
+    vals, errs = [], []
+    start = 0
+    while start < lo.size:
+        step = _HEAD if rows is None else max(1, _BLOCK // (15 * rows))
+        stop = min(lo.size, start + step)
+        y = _samples(f, t, lo, hi, start, stop)
+        rows = y.shape[0]
+        h = half[start:stop]
+        kronrod = np.einsum("...j,j->...", y, _KRONROD_WEIGHTS)
+        gauss = np.einsum("...j,j->...", y[..., 1::2], _GAUSS_WEIGHTS)
+        err = h * np.abs(kronrod - gauss)
         # QUADPACK-style rescaling: sharpen the raw |K - G| estimate
-        resasc = h * (np.abs(y - 0.5 * kronrod[..., None]) @ _KRONROD_WEIGHTS)
+        resasc = h * np.einsum("...j,j->...",
+                               np.abs(y - 0.5 * kronrod[..., None]),
+                               _KRONROD_WEIGHTS)
         ratio = np.divide(200.0 * err, resasc, out=np.zeros_like(err),
                           where=resasc > 0.0)
-        vals[:, s:e] = h * kronrod
-        errs[:, s:e] = np.where(resasc > 0.0,
-                                resasc * np.minimum(1.0, ratio ** 1.5), err)
-    return vals, errs
-
-
-def _guided_cuts(guide, lo, hi):
-    """Pieces (lo, hi) of the panels [lo, hi], each cut at the ``guide``
-    edges strictly inside it, or bisected once when it holds none, however
-    deep a round without a guide would cut it.  The first piece of every
-    panel comes first, then every second piece, and so on: where each
-    panel is bisected, that is the layout of a one-level round without a
-    guide."""
-    first = np.searchsorted(guide, lo, side="right")
-    inside = np.searchsorted(guide, hi, side="left") - first
-    n = np.maximum(inside, 1)
-    owner = np.repeat(np.arange(lo.size), n)
-    starts = np.cumsum(n) - n
-    k = np.arange(owner.size) - starts[owner]
-    cuts = 0.5 * (lo + hi)[owner]
-    guided = inside[owner] > 0
-    cuts[guided] = guide[first[owner][guided] + k[guided]]
-    rank = np.argsort(np.insert(k + 1, starts, 0), kind="stable")
-    return (np.insert(cuts, starts, lo)[rank],
-            np.insert(cuts, starts + n, hi)[rank])
+        vals.append(h * kronrod)
+        errs.append(np.where(resasc > 0.0,
+                             resasc * np.minimum(1.0, ratio ** 1.5), err))
+        start = stop
+    return np.concatenate(vals, axis=1), np.concatenate(errs, axis=1)
 
 
 @dataclass(frozen=True)
 class BatchQuadrature:
-    """Per-row results of ``integrate_batch``; ``panels_used`` counts the
-    panels of the mesh the rows share, ``rounds`` the passes over it (the
-    start mesh is the first), and ``edges`` is that final mesh, sorted."""
+    """Per-row results of ``integrate_batch``; ``edges`` is the sorted mesh
+    the rows share, ``panels_used`` its panel count and ``rounds`` the
+    passes over it (the start mesh is the first).  Each value is the sum of
+    its row's Gauss-Kronrod panel values on ``edges``, and depends on that
+    mesh and its own samples only."""
 
     values: np.ndarray
     error_estimates: np.ndarray
@@ -190,21 +170,25 @@ def integrate_batch(
     row is held to one tolerance, max(abs_tol, rel_tol * max_s |value_s|):
     rel_tol of the batch's own scale, so a row that cancels to far below
     its neighbours is not refined to its own relative precision; a
-    one-row batch is held to max(abs_tol, rel_tol * |value|).  Each round
-    refines, in one vectorized evaluation, every panel whose error exceeds
-    its even share of that tolerance (the tolerance over the panel count)
-    in some unconverged row; while a row is unconverged, at least one of
-    its panels does.  When that would exceed ``max_panels``, the panels
-    with the largest share go first.  Without a guide, a round cuts each
-    panel it selects into 2**levels pieces by nested bisection, levels
-    the largest >= 1 with 2**levels x selected panels x rows <= ``_HEAD``
-    (64) and within ``max_panels``; it stops a level early rather than
-    cut a piece narrower than 4e-15 (|lo| + |hi|).  A single point with
-    one selected panel thus jumps six levels in one round, while a round
-    of many panels or rows bisects once.
+    one-row batch is held to max(abs_tol, rel_tol * |value|).
 
-    ``abs_tol`` and ``rel_tol`` must be finite and positive and
-    ``max_panels`` at least 1, else ``ValueError`` names the argument.
+    The mesh is one sorted array of edges.  Each round selects every panel
+    whose error exceeds its even share of that tolerance (the tolerance
+    over the panel count) in some unconverged row; while a row is
+    unconverged, at least one of its panels does.  When that would exceed
+    ``max_panels``, the panels with the largest share go first.  The round
+    inserts cut points into the selected panels and evaluates only the new
+    panels, in one vectorized call.  Without a guide, it cuts each
+    selected panel at the 2**levels - 1 nested midpoints of 2**levels even
+    pieces, levels the largest >= 1 with 2**levels x selected panels x
+    rows <= ``_HEAD`` (64) and within ``max_panels``; it stops a level
+    early rather than cut a piece narrower than 4e-15 (|lo| + |hi|).  A
+    single point with one selected panel thus jumps six levels in one
+    round, while a round of many panels or rows bisects once.
+
+    ``a`` and ``b`` must be finite with a <= b, ``abs_tol`` and ``rel_tol``
+    finite and positive and ``max_panels`` at least 1, else ``ValueError``
+    names the argument before f is called.
 
     ``phase_rate_hint`` is an upper estimate of |d(phase)/dx| of an
     oscillatory integrand; when given, the initial uniform subdivision uses
@@ -218,17 +202,19 @@ def integrate_batch(
     wider than knee/8, so the start mesh already resolves the layer that
     refinement would otherwise reach a few levels per round.
 
-    ``guide`` is a sorted array of mesh edges, such as the final ``edges``
-    of a related batch on the same start mesh.  A round then cuts each
-    panel it selects at the guide's edges strictly inside it, and bisects
-    a selected panel that holds none once; if those cuts would exceed
-    ``max_panels``, the round cuts as without a guide.  The start mesh
-    is never changed, so a batch that converges on it does not depend on
-    the guide.
+    ``guide`` is an array of mesh edges, such as the final ``edges`` of a
+    related batch on the same start mesh.  A round then cuts each panel it
+    selects at the guide's edges strictly inside it, and at its midpoint
+    when it holds none; if those cuts would exceed ``max_panels``, the
+    round cuts as without a guide.  The start mesh is never changed, so a
+    batch that converges on it does not depend on the guide.
 
     Rows that have not converged when the budget is spent keep their best
     estimate with ``converged`` False instead of raising.
     """
+    for name, bound in (("a", a), ("b", b)):
+        if not math.isfinite(bound):
+            raise ValueError(f"{name} must be finite, got {bound}")
     if not (a <= b):
         raise ValueError("integrate_batch requires a <= b")
     for name, tol in (("abs_tol", abs_tol), ("rel_tol", rel_tol)):
@@ -254,8 +240,7 @@ def integrate_batch(
                      max_panels - n0)
         graded = a + w * 2.0 ** -np.arange(levels, 0, -1)
         edges = np.unique(np.concatenate([[a], graded, edges[1:]]))
-    lo, hi = edges[:-1], edges[1:]
-    vals, errs = _gk15_panels(f, lo, hi)
+    vals, errs = _gk15_panels(f, edges[:-1], edges[1:])
     rounds = 1
 
     while True:
@@ -263,6 +248,7 @@ def integrate_batch(
         total_err = np.sum(errs, axis=1)
         tol = max(abs_tol, rel_tol * float(np.abs(total).max()))
         active = total_err > tol
+        lo, hi = edges[:-1], edges[1:]
         budget = max_panels - lo.size
         if not active.any() or budget <= 0:
             break
@@ -274,38 +260,48 @@ def integrate_batch(
         if chosen.size > budget:
             order = np.argsort(-share[chosen], kind="stable")
             chosen = chosen[order[:budget]]
-        keep = np.ones(lo.size, dtype=bool)
-        keep[chosen] = False
-        new_lo = None
+        split = np.zeros(lo.size, dtype=bool)
+        split[chosen] = True
+        cuts = None
         if guide is not None:
-            new_lo, new_hi = _guided_cuts(guide, lo[chosen], hi[chosen])
-        if new_lo is None or new_lo.size - chosen.size > budget:
+            # guide edges strictly inside selected panels, else midpoints
+            owner = np.clip(np.searchsorted(edges, guide) - 1, 0, lo.size - 1)
+            inner = split[owner] & (lo[owner] < guide) & (guide < hi[owner])
+            bare = chosen[np.bincount(owner[inner],
+                                      minlength=lo.size)[chosen] == 0]
+            cuts = np.concatenate([guide[inner], 0.5 * (lo[bare] + hi[bare])])
+        if cuts is None or cuts.size > budget:
             # nested midpoints, as many levels as _HEAD and the budget
             # allow; a piece cut wider than 4e-15 (|lo| + |hi|) stays,
-            # after rounding, above the width guard that selects panels
-            new_lo, new_hi = lo[chosen], hi[chosen]
+            # after rounding, above the width guard that selects panels.
+            # cuts holds the lower edge of every piece: the panel's own,
+            # already in the mesh, and each midpoint
+            cuts, ends = lo[chosen], hi[chosen]
             n = chosen.size
-            span = float(np.min((new_hi - new_lo)
-                                / (np.abs(new_hi) + np.abs(new_lo))))
+            span = float(np.min((ends - cuts)
+                                / (np.abs(ends) + np.abs(cuts))))
             levels = 1
             while (2 ** (levels + 1) * n * vals.shape[0] <= _HEAD
                    and (2 ** (levels + 1) - 1) * n <= budget
                    and span > 2 ** levels * 4e-15):
                 levels += 1
             for _ in range(levels):
-                mid = 0.5 * (new_lo + new_hi)
-                new_lo = np.concatenate([new_lo, mid])
-                new_hi = np.concatenate([mid, new_hi])
-        new_vals, new_errs = _gk15_panels(f, new_lo, new_hi,
-                                          vals.shape[0])
-        lo = np.concatenate([lo[keep], new_lo])
-        hi = np.concatenate([hi[keep], new_hi])
-        vals = np.concatenate([vals[:, keep], new_vals], axis=1)
-        errs = np.concatenate([errs[:, keep], new_errs], axis=1)
+                mid = 0.5 * (cuts + ends)
+                cuts, ends = (np.concatenate([cuts, mid]),
+                              np.concatenate([mid, ends]))
+        edges = np.union1d(edges, cuts)
+        fresh = split[np.searchsorted(lo, edges[:-1], side="right") - 1]
+        new_vals = np.empty((vals.shape[0], edges.size - 1))
+        new_errs = np.empty_like(new_vals)
+        new_vals[:, ~fresh] = vals[:, ~split]
+        new_errs[:, ~fresh] = errs[:, ~split]
+        new_vals[:, fresh], new_errs[:, fresh] = _gk15_panels(
+            f, edges[:-1][fresh], edges[1:][fresh], vals.shape[0])
+        vals, errs = new_vals, new_errs
         rounds += 1
 
-    return BatchQuadrature(total, total_err, ~active, lo.size, rounds,
-                           np.append(np.sort(lo), b))
+    return BatchQuadrature(total, total_err, ~active, edges.size - 1, rounds,
+                           edges)
 
 
 def differentiate(f: Callable, x: float, spec: DiffSpec = DiffSpec()) -> float:

@@ -366,14 +366,17 @@ def evaluate_point(scenario: EmissionScenario, R, rel_tol: float = 1e-10,
                    abs_tol: Optional[float] = None, max_panels: int = 4096):
     """Wigner-function value at R: adaptive quadrature of the cosine form
     over [0, t_out], doubled, times the scenario prefactor.  A point is the
-    one-node row of a map, on the map's quadrature path.  A tolerance that
-    is not finite and positive, or ``max_panels`` below 1, raises
-    ``ValueError`` naming it (see ``numerics.integrate_batch``).
+    one-node row of a map, on the map's quadrature path.  A node ``R`` that
+    is not finite, a tolerance that is not finite and positive, or
+    ``max_panels`` below 1 raises ``ValueError`` naming it (see
+    ``numerics.integrate_batch``).
 
     Returns (value, error_estimate, flags)."""
+    R = np.reshape(np.asarray(R, dtype=float), (1, 3))
+    if not np.all(np.isfinite(R)):
+        raise ValueError(f"R must be finite, got {R[0].tolist()}")
     ctx = _Context(scenario)
-    value, error, flags, *_ = ctx.nodes(np.reshape(R, (1, 3)), rel_tol,
-                                        abs_tol, max_panels)
+    value, error, flags, *_ = ctx.nodes(R, rel_tol, abs_tol, max_panels)
     scale = 2.0 * ctx.prefactor
     return float(scale * value[0]), float(scale * error[0]), int(flags[0])
 

@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 
 from cherenkov_wigner.numerics import (DiffSpec, NoSignChange,
                                        NonFiniteIntegrand, NonFiniteSample,
-                                       _gk15_panels, _guided_cuts,
-                                       _HEAD, differentiate,
+                                       _gk15_panels, _HEAD, differentiate,
                                        find_root, integrate_batch)
 
 
@@ -78,6 +77,23 @@ def test_precondition_errors():
         integrate_batch(lambda x: np.cos(x)[None], 1.0, 0.0)
     with pytest.raises(ValueError):
         integrate_batch(lambda x: np.cos(x)[None], 0.0, 1.0, abs_tol=0.0)
+
+
+@pytest.mark.parametrize("a,b,name", [
+    (-math.inf, 0.0, "a"), (math.inf, 0.0, "a"), (math.nan, 0.0, "a"),
+    (0.0, math.inf, "b"), (0.0, -math.inf, "b"), (0.0, math.nan, "b")])
+def test_bounds_must_be_finite(a, b, name):
+    # an infinite bound used to warn while the start mesh was built and
+    # then blame the integrand: NonFiniteIntegrand on [nan, inf]
+    calls = []
+
+    def f(t):
+        calls.append(t.size)
+        return np.exp(-np.abs(t))[None]
+
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        integrate_batch(f, a, b)
+    assert calls == []
 
 
 @pytest.mark.parametrize("name", ["abs_tol", "rel_tol"])
@@ -203,9 +219,9 @@ def test_batch_empty_interval():
     (1.0, 20, 1), (2.0, 40, 1), (3.2, 64, 1), (3.5, 70, 2)])
 def test_start_mesh_of_up_to_64_panels_is_one_integrand_call(hint, panels,
                                                              calls):
-    # the first call tells the row count; it holds the whole start mesh
-    # when that has at most 64 panels, so a quadrature that converges
-    # there makes one call, and one panel otherwise
+    # the first call tells the row count and holds the first 64 panels of
+    # the start mesh, so a quadrature that converges on a start mesh of at
+    # most 64 panels makes one call
     sizes = []
 
     def f(t):
@@ -216,28 +232,69 @@ def test_start_mesh_of_up_to_64_panels_is_one_integrand_call(hint, panels,
                           phase_rate_hint=hint)
     assert (res.panels_used, res.rounds) == (panels, 1)
     assert res.converged.all()
-    assert sizes[0] == 15 * (panels if panels <= 64 else 1)
+    assert sizes[0] == 15 * min(panels, 64)
     assert sum(sizes) == 15 * panels
     assert len(sizes) == calls
 
 
-@pytest.mark.parametrize("rows,panels", [
-    (1, 60), (3, 64), (100, 60), (3, 65), (2, 200)])
-def test_panel_sums_do_not_depend_on_the_first_call(rows, panels):
-    # the BLAS rounding of a panel's sum depends on its place in the block
-    # it is summed in; with the row count unknown, panel 0 is a block of its
-    # own and the rest are blocked as with the row count known, whatever
-    # the first integrand call held (for 100 rows it spans three blocks)
-    rng = np.random.default_rng(rows)
-    edges = np.cumsum(rng.uniform(0.1, 1.0, size=panels + 1))
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(rows=st.lists(_ROW, min_size=1, max_size=30),
+       widths=st.lists(st.floats(1e-3, 0.5), min_size=1, max_size=160),
+       bounds=st.lists(st.integers(1, 159), max_size=5))
+def test_panel_sums_depend_on_their_own_samples_only(rows, widths, bounds):
+    # a panel's value and error are the same bits whether its mesh is
+    # evaluated whole (30 rows x 160 panels span several integrand calls),
+    # in other blocks, a panel or a row at a time, from a strided view of
+    # a mesh, or from an integrand that returns a strided view
+    f = damped_waves(rows)
+    k = len(rows)
+    edges = -3.0 + np.concatenate([[0.0], np.cumsum(widths)])
     lo, hi = edges[:-1], edges[1:]
-    c = rng.normal(size=(rows, 1))
-    f = lambda t: c * np.cos(3.0 * t + c) * np.exp(-0.01 * t)
-    vals, errs = _gk15_panels(f, lo, hi)
-    head = _gk15_panels(f, lo[:1], hi[:1], rows)
-    rest = _gk15_panels(f, lo[1:], hi[1:], rows)
-    assert np.array_equal(vals, np.concatenate([head[0], rest[0]], axis=1))
-    assert np.array_equal(errs, np.concatenate([head[1], rest[1]], axis=1))
+    whole = _gk15_panels(f, lo, hi)
+    cuts = sorted({0, lo.size, *(c for c in bounds if c < lo.size)})
+    blocks = [_gk15_panels(f, lo[s:e], hi[s:e])
+              for s, e in zip(cuts[:-1], cuts[1:])]
+    panels = [_gk15_panels(f, lo[j:j + 1], hi[j:j + 1], k)
+              for j in range(lo.size)]
+    for got in (blocks, panels):
+        for i in (0, 1):
+            assert np.array_equal(np.concatenate([g[i] for g in got], axis=1),
+                                  whole[i])
+    for i in range(k):
+        row = _gk15_panels(lambda t: f(t)[i:i + 1], lo, hi)
+        assert np.array_equal(row[0], whole[0][i:i + 1])
+        assert np.array_equal(row[1], whole[1][i:i + 1])
+    wide = np.repeat(edges, 2)
+    strided = _gk15_panels(f, wide[1:-1:2], wide[2::2])
+    doubled = _gk15_panels(lambda t: np.repeat(f(t), 2, axis=1)[:, ::2],
+                           lo, hi)
+    for got in (strided, doubled):
+        assert np.array_equal(got[0], whole[0])
+        assert np.array_equal(got[1], whole[1])
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(rows=st.lists(_ROW, min_size=1, max_size=8),
+       hint=st.sampled_from([None, 5.0, 60.0]),
+       knee=st.sampled_from([None, 1e-3]),
+       max_panels=st.sampled_from([8, 64, 4096]),
+       related=st.lists(_ROW, max_size=3))
+def test_batch_rows_are_sums_of_their_own_panels(rows, hint, knee,
+                                                 max_panels, related):
+    # a row's value and error are the sums of its own panels on the final
+    # mesh, bit for bit, however many rows shared the batch and however
+    # the rounds grouped the panels
+    f = damped_waves(rows)
+    opts = dict(abs_tol=1e-11, rel_tol=1e-10, phase_rate_hint=hint,
+                knee=knee, max_panels=max_panels)
+    guide = (integrate_batch(damped_waves(related), -3.0, 2.0, **opts).edges
+             if related else None)
+    res = integrate_batch(f, -3.0, 2.0, guide=guide, **opts)
+    for i in range(len(rows)):
+        vals, errs = _gk15_panels(lambda t: f(t)[i:i + 1], res.edges[:-1],
+                                  res.edges[1:])
+        assert res.values[i] == np.sum(vals[0])
+        assert res.error_estimates[i] == np.sum(errs[0])
 
 
 def _start_edges(a, b, **opts):
@@ -247,45 +304,61 @@ def _start_edges(a, b, **opts):
                            **opts).edges
 
 
-def _split(lo, hi, rows, budget, head):
-    """The pieces of the panels [lo, hi] that an unguided round evaluates:
-    each panel cut into 2**levels pieces by nested midpoints, where levels
-    is the largest >= 1 such that 2**levels * panels * rows <= head, the
-    pieces add at most ``budget`` panels, and every piece cut at the last
-    level is wider than 4e-15 (|lo| + |hi|) of its panel.  Piece j of
-    every panel comes at position bit-reversed(j), panel by panel."""
+def _cuts(lo, hi, rows, budget, head):
+    """The cut points that an unguided round inserts into the panels [lo,
+    hi]: the nested midpoints that cut each panel into 2**levels pieces,
+    where levels is the largest >= 1 such that 2**levels * panels * rows <=
+    head, the pieces add at most ``budget`` panels, and every piece cut at
+    the last level is wider than 4e-15 (|lo| + |hi|) of its panel."""
     levels = 1
     while (2 ** (levels + 1) * lo.size * rows <= head
            and lo.size * (2 ** (levels + 1) - 1) <= budget
            and all((h - l) / (abs(h) + abs(l)) > 2.0 ** levels * 4e-15
                    for l, h in zip(lo, hi))):
         levels += 1
-    edges = []
+    cuts = []
     for l, h in zip(lo, hi):
         e = np.array([l, h])
         for _ in range(levels):
             mid = 0.5 * (e[:-1] + e[1:])
             e = np.append(np.ravel(np.column_stack([e[:-1], mid])), e[-1])
-        edges.append(e)
-    order = [int(format(j, f"0{levels}b")[::-1], 2)
-             for j in range(2 ** levels)]
-    return (np.array([e[j] for j in order for e in edges]),
-            np.array([e[j + 1] for j in order for e in edges]))
+        cuts.extend(e[1:-1])
+    return cuts
+
+
+def _guided(guide, lo, hi):
+    """The cut points that a guided round inserts into the panels [lo, hi]:
+    the guide's edges strictly inside each, or its midpoint if none is."""
+    cuts = []
+    for l, h in zip(lo, hi):
+        inside = guide[(guide > l) & (guide < h)]
+        cuts.extend(inside if inside.size else [0.5 * (l + h)])
+    return cuts
 
 
 def _bisection_reference(f, a, b, abs_tol, rel_tol, max_panels=4096,
                          head=_HEAD, guide=None, **start):
-    """``integrate_batch`` written out as a loop of rounds that each split
-    the panels they select by ``_split``, or with a ``guide`` cut them at
-    its edges unless that exceeds the budget: (values, errors, converged,
-    panels, rounds, sorted edges).  ``head=0`` bisects once per round,
+    """``integrate_batch`` written out as a loop of rounds on a sorted
+    mesh: each round inserts the cut points of the panels it selects, from
+    ``_cuts``, or with a ``guide`` from ``_guided`` unless those exceed the
+    budget, and evaluates the panels it has not seen: (values, errors,
+    converged, panels, rounds, edges).  ``head=0`` bisects once per round,
     the plain bisection loop that every round ran before the split was
     sized to ``_HEAD``."""
     edges = _start_edges(a, b, max_panels=max_panels, **start)
-    lo, hi = edges[:-1], edges[1:]
-    vals, errs = _gk15_panels(f, lo, hi)
-    rounds = 1
+    seen = {}
+    rounds = 0
     while True:
+        pairs = list(zip(edges[:-1], edges[1:]))
+        new = [p for p in pairs if p not in seen]
+        if new:
+            lo, hi = np.array(new).T
+            sums = _gk15_panels(f, lo, hi)
+            seen.update(zip(new, zip(*(s.T for s in sums))))
+        vals = np.stack([seen[p][0] for p in pairs], axis=1)
+        errs = np.stack([seen[p][1] for p in pairs], axis=1)
+        lo, hi = edges[:-1], edges[1:]
+        rounds += 1
         total, total_err = np.sum(vals, axis=1), np.sum(errs, axis=1)
         tol = np.full(total.shape,
                       max(abs_tol, rel_tol * float(np.max(np.abs(total)))))
@@ -300,21 +373,12 @@ def _bisection_reference(f, a, b, abs_tol, rel_tol, max_panels=4096,
             break
         if chosen.size > budget:
             chosen = chosen[np.argsort(-share[chosen], kind="stable")[:budget]]
-        keep = np.ones(lo.size, dtype=bool)
-        keep[chosen] = False
         if guide is not None:
-            new_lo, new_hi = _guided_cuts(guide, lo[chosen], hi[chosen])
-        if guide is None or new_lo.size - chosen.size > budget:
-            new_lo, new_hi = _split(lo[chosen], hi[chosen], vals.shape[0],
-                                    budget, head)
-        new_vals, new_errs = _gk15_panels(f, new_lo, new_hi, vals.shape[0])
-        lo, hi = np.concatenate([lo[keep], new_lo]), np.concatenate(
-            [hi[keep], new_hi])
-        vals = np.concatenate([vals[:, keep], new_vals], axis=1)
-        errs = np.concatenate([errs[:, keep], new_errs], axis=1)
-        rounds += 1
-    return (total, total_err, ~active, lo.size, rounds,
-            np.append(np.sort(lo), b))
+            cuts = _guided(guide, lo[chosen], hi[chosen])
+        if guide is None or len(cuts) > budget:
+            cuts = _cuts(lo[chosen], hi[chosen], vals.shape[0], budget, head)
+        edges = np.array(sorted(set(edges) | set(cuts)))
+    return total, total_err, ~active, lo.size, rounds, edges
 
 
 def _fields(res):

@@ -898,9 +898,13 @@ def test_points_and_maps_reject_a_packet_phase(call):
     (lambda sc: evaluate_point(sc, [0.0, 0.0, 0.0], rel_tol=math.nan),
      "rel_tol"),
     (lambda sc: evaluate_map(sc, MapGrid.centered(1e3, 1e3, 3, 3),
-                             max_panels=0), "max_panels")],
-    ids=["point", "map"])
+                             max_panels=0), "max_panels"),
+    (lambda sc: evaluate_point(sc, [math.inf, 0.0, 0.0]), "R"),
+    (lambda sc: evaluate_point(sc, [0.0, math.nan, 0.0]), "R")],
+    ids=["point", "map", "point-inf-node", "point-nan-node"])
 def test_points_and_maps_reject_invalid_quadrature_settings(call, name):
+    # a non-finite node used to warn (inf) or blame the integrand (NaN:
+    # NonFiniteIntegrand on [0, t_out]); map nodes are checked by MapGrid
     with pytest.raises(ValueError, match=f"^{name} must be"):
         call(balance_scenario(sigma=1e-5, t_out=3e5))
 
