@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -257,17 +257,12 @@ def reconstruct_p_perp(pp_perp: float, pp_z: float, k_perp: float,
 
 @dataclass(frozen=True)
 class ElectronPacket:
-    """Gaussian electron wave packet in momentum space.
-
-    sigma is the Gaussian momentum width in m_e units; phase_model is an
-    optional momentum-dependent phase phi(p) (callable on a length-3 array),
-    identically zero when None.
-    """
+    """Gaussian electron wave packet in momentum space: mean momentum and
+    momentum width sigma in m_e units, with no momentum-dependent phase."""
 
     mean_momentum: Momentum3
     sigma: float
     helicity: float = 0.5
-    phase_model: Optional[Callable] = None
 
     def __post_init__(self):
         mean = self.mean_momentum
@@ -281,20 +276,6 @@ class ElectronPacket:
         if self.sigma > 0.1:
             warnings.warn(f"sigma = {self.sigma} m_e exceeds the paraxial "
                           "regime (sigma << 1)", ParaxialWarning, stacklevel=2)
-
-    def phase_gradient(self, p: np.ndarray) -> np.ndarray:
-        """Numerical gradient of the packet phase at momentum p."""
-        from . import numerics
-        if self.phase_model is None:
-            return np.zeros(3)
-        grad = np.empty(3)
-        for i in range(3):
-            def f(u, i=i):
-                q = p.copy()
-                q[i] = u
-                return self.phase_model(q)
-            grad[i] = numerics.differentiate(f, float(p[i]))
-        return grad
 
 
 @dataclass(frozen=True)

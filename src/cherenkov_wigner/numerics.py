@@ -1,6 +1,6 @@
 """Self-contained numerical engine: adaptive Gauss-Kronrod quadrature of
-one integrand or of a batch of integrands on one shared mesh,
-Richardson-extrapolated central differences, and a bracketing root finder.
+one integrand or of a batch of integrands on one shared mesh, a bracketing
+root finder, and Richardson central differences (the tests' extremum oracle).
 
 Everything here is a pure function over caller-supplied callables, so the
 routines are safe to invoke concurrently.  Integrands are vectorized:
@@ -187,13 +187,12 @@ def integrate_batch(
     round, while a round of many panels or rows bisects once.
 
     ``a`` and ``b`` must be finite with a <= b, ``abs_tol`` and ``rel_tol``
-    finite and positive and ``max_panels`` at least 1, else ``ValueError``
-    names the argument before f is called.
+    finite and positive, ``phase_rate_hint`` None or finite and >= 0 and
+    ``max_panels`` >= 1, else ``ValueError`` names it before f is called.
 
     ``phase_rate_hint`` is an upper estimate of |d(phase)/dx| of an
-    oscillatory integrand; when given, the initial uniform subdivision uses
-    panels no wider than pi / (2 * hint), i.e. at least four panels per
-    oscillation period, before any adaptive refinement happens.
+    oscillatory integrand; when positive, the start mesh has panels no
+    wider than pi / (2 * hint), at least four per oscillation period.
 
     ``knee`` is the width of a boundary layer at ``a``: the scale on which
     the integrand changes there, much shorter than the start panels.  When
@@ -210,7 +209,9 @@ def integrate_batch(
     batch that converges on it does not depend on the guide.
 
     Rows that have not converged when the budget is spent keep their best
-    estimate with ``converged`` False instead of raising.
+    estimate with ``converged`` False instead of raising.  Under a tight
+    ``max_panels`` a deep unguided cut can spend the budget where bisection
+    would converge, and a layer that no Kronrod node samples reads converged.
     """
     for name, bound in (("a", a), ("b", b)):
         if not math.isfinite(bound):
@@ -220,6 +221,9 @@ def integrate_batch(
     for name, tol in (("abs_tol", abs_tol), ("rel_tol", rel_tol)):
         if not (0.0 < tol < math.inf):
             raise ValueError(f"{name} must be finite and positive, got {tol}")
+    if not (phase_rate_hint is None or 0.0 <= phase_rate_hint < math.inf):
+        raise ValueError("phase_rate_hint must be finite and non-negative, "
+                         f"got {phase_rate_hint}")
     if max_panels < 1:
         raise ValueError(f"max_panels must be at least 1, got {max_panels}")
     if a == b:
@@ -229,7 +233,7 @@ def integrate_batch(
                                1, np.array([a, b]))
 
     n0 = 1
-    if phase_rate_hint is not None and phase_rate_hint > 0:
+    if phase_rate_hint:
         width = math.pi / (2.0 * phase_rate_hint)
         n0 = int(min(max(1, math.ceil((b - a) / width)), max_panels // 2 + 1))
     edges = a + np.arange(n0 + 1) * ((b - a) / n0)

@@ -426,8 +426,8 @@ class PhaseSpaceKernel:
 
 
 def correlation_geometry(geom: EmissionGeometry, packet: ElectronPacket,
-                         medium: MediumModel, R, t_prime: float,
-                         dispersive: Optional[bool] = None) -> CorrelationGeometry:
+                         medium: MediumModel, R,
+                         t_prime: float) -> CorrelationGeometry:
     """Correlation radius and imaginary-radius curvature along R at t'.
 
     Both scales are taken along the unit vector of R, so only the direction
@@ -437,7 +437,7 @@ def correlation_geometry(geom: EmissionGeometry, packet: ElectronPacket,
     r2 = float(R @ R)
     if r2 == 0.0:
         raise ValueError("R must be non-zero (direction defines the scales)")
-    kernel = PhaseSpaceKernel.from_geometry(geom, packet, medium, dispersive)
+    kernel = PhaseSpaceKernel.from_geometry(geom, packet, medium)
     r_eff, im_unit = kernel.correlation_scales(float(t_prime),
                                                R / math.sqrt(r2))
     return CorrelationGeometry(
@@ -451,20 +451,18 @@ def flash_stats(geom: EmissionGeometry, packet: ElectronPacket,
                 dispersive: Optional[bool] = None) -> FlashStats:
     """Flash duration sigma_t(t'), the detection-probability peak time
     t_0 = (r + Phi) . l_0 and the quantum shift Delta t = Phi . l_0, where
-    Phi combines the amplitude-phase gradient and the packet-phase gradient.
+    Phi = ``amplitudes.combined_phase_gradient(geom)``, the closed-form
+    amplitude-phase gradient (the Gaussian packet adds no phase).
     ``flags`` holds the ``wkb_flags`` of the one kernel all three are read
-    from, so a caller needs no second kernel for them.
-
-    The amplitude-phase gradient is closed-form; only the packet's optional
-    ``phase_model`` is differentiated numerically.  With p, p' or k along z
-    the azimuth, and so Phi, is undefined: ``amplitudes.DegeneratePhase``
-    names the vector (``kernel.sigma_t`` alone does not need Phi).
+    from, so a caller needs no second kernel for them.  With p, p' or k
+    along z the azimuth, and so Phi, is undefined:
+    ``amplitudes.DegeneratePhase`` names the vector (``kernel.sigma_t``
+    alone does not need Phi).
     """
     kernel = PhaseSpaceKernel.from_geometry(geom, packet, medium, dispersive)
     sigma_t = kernel.sigma_t(float(t_prime))
     l0 = kernel.l_0()
     phi_vec = amplitudes.combined_phase_gradient(geom)
-    phi_vec = phi_vec + packet.phase_gradient(geom.p.as_array())
     r = np.asarray(r, dtype=float)
     delta_t = float(l0 @ phi_vec)
     t_0 = float(l0 @ (r + phi_vec))
@@ -473,11 +471,10 @@ def flash_stats(geom: EmissionGeometry, packet: ElectronPacket,
 
 
 def formation_lengths(geom: EmissionGeometry, packet: ElectronPacket,
-                      medium: MediumModel,
-                      dispersive: Optional[bool] = None) -> FormationLengths:
+                      medium: MediumModel) -> FormationLengths:
     """Quantum formation length L_f = beta t_d (signed) and the classical
     one L_cl = (2/(omega n)) / |cos(theta) - 1/(beta n)|."""
-    spread = spreading_times(geom, packet, medium, dispersive)
+    spread = spreading_times(geom, packet, medium)
     beta = geom.beta
     l_f = beta * spread.t_d
     n = medium.index(geom.omega)[0]

@@ -35,9 +35,7 @@ __all__ = [
     "MapGrid",
     "WignerMap",
     "SnapshotMap",
-    "NonGaussianPhase",
     "OffShell",
-    "integrand",
     "evaluate_point",
     "evaluate_point_reference",
     "evaluate_map",
@@ -49,19 +47,8 @@ __all__ = [
 ]
 
 
-class NonGaussianPhase(ValueError):
-    """Points, maps and snapshots read only a packet's sigma and mean
-    momentum, so they support only packets with vanishing phase."""
-
-
 class OffShell(ValueError):
     """No on-shell frequency exists for the requested emission angles."""
-
-
-def _require_no_phase(packet: ElectronPacket) -> None:
-    if packet.phase_model is not None:
-        raise NonGaussianPhase("points, maps and snapshots require a pure "
-                               "Gaussian packet (phase_model None)")
 
 
 @dataclass(frozen=True)
@@ -273,7 +260,6 @@ class _Context:
     flags."""
 
     def __init__(self, scenario: EmissionScenario):
-        _require_no_phase(scenario.packet)
         self.scenario = scenario
         self.geom = scenario.geometry()
         self.kernel = PhaseSpaceKernel.from_geometry(
@@ -352,16 +338,6 @@ class _Context:
                 res.edges if res.converged.all() else None)
 
 
-def integrand(scenario: EmissionScenario, R, t_prime):
-    """Master integrand (prefactor excluded): (1/G) exp(-R^2/R_eff^2)
-    cos(t'(eps - eps' - omega) - g/2 + R^2/R_im^2), evaluated through the
-    complex eta/chi route."""
-    ctx = _Context(scenario)
-    f = ctx.integrand_for(R)
-    out = f(t_prime)
-    return float(out[0]) if np.ndim(t_prime) == 0 else out
-
-
 def evaluate_point(scenario: EmissionScenario, R, rel_tol: float = 1e-10,
                    abs_tol: Optional[float] = None, max_panels: int = 4096):
     """Wigner-function value at R: adaptive quadrature of the cosine form
@@ -422,11 +398,15 @@ def evaluate_point_reference(scenario: EmissionScenario, R):
     on a non-adaptive mesh graded by the integrand's analytic scales.
 
     Returns the complex integral times the prefactor; its real part should
-    match ``evaluate_point`` and its imaginary part should vanish."""
+    match ``evaluate_point`` and its imaginary part should vanish.  A node
+    ``R`` that is not finite raises ``ValueError``."""
+    R = np.asarray(R, dtype=float)
+    if not np.all(np.isfinite(R)):
+        raise ValueError(f"R must be finite, got {R.tolist()}")
     ctx = _Context(scenario)
     x, w = _gl_nodes()
     edges = _reference_edges(ctx, R)
-    a_dir, b_dir = ctx.kernel.direction_factors(np.asarray(R, float))
+    a_dir, b_dir = ctx.kernel.direction_factors(R)
     half = 0.5 * np.diff(edges)
     centers = 0.5 * (edges[:-1] + edges[1:])
     t = centers[:, None] + half[:, None] * x[None, :]
@@ -444,7 +424,6 @@ def default_grid(scenario: EmissionScenario, nx: int = 128, ny: int = 128,
     each capped at max(beta, |u_k|) * t_out, the farther of the electron's
     and the photon's flight distances.  Reads only the scenario's kernel:
     no amplitude, prefactor or envelope is evaluated."""
-    _require_no_phase(scenario.packet)
     geom = scenario.geometry()
     kernel = PhaseSpaceKernel.from_geometry(
         geom, scenario.packet, scenario.medium, scenario.dispersive)
@@ -603,7 +582,6 @@ def near_field_snapshot(scenario: EmissionScenario, grid: MapGrid,
     Gaussian packet: width sigma_perp(t) with the laboratory-frame electron
     diffraction time t_d^(e) = gamma/sigma^2, center drifting at u_p."""
     packet = scenario.packet
-    _require_no_phase(packet)
     mean = packet.mean_momentum
     eps = energy(mean)
     u_p = mean.as_array() / eps

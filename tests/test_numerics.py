@@ -107,6 +107,29 @@ def test_tolerance_must_be_finite_and_positive(name, bad):
                         **{name: bad})
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0])
+def test_phase_rate_hint_must_be_finite_and_non_negative(bad):
+    # an infinite hint used to raise ZeroDivisionError while building the
+    # start mesh; a NaN or negative one passed as no hint
+    calls = []
+
+    def f(t):
+        calls.append(t.size)
+        return np.cos(t)[None]
+
+    with pytest.raises(ValueError, match="^phase_rate_hint must be finite"):
+        integrate_batch(f, 0.0, 1.0, phase_rate_hint=bad)
+    assert calls == []
+
+
+@pytest.mark.parametrize("hint", [None, 0, 0.0])
+def test_no_phase_rate_hint_means_no_pre_split(hint):
+    res = integrate_batch(lambda t: np.cos(t)[None], 0.0, 1.0,
+                          phase_rate_hint=hint)
+    assert res.edges.tolist() == [0.0, 1.0]
+    assert abs(res.values[0] - math.sin(1.0)) < 1e-14
+
+
 @pytest.mark.parametrize("bad", [0, -5])
 def test_max_panels_must_be_at_least_one(bad):
     with pytest.raises(ValueError, match="^max_panels must be at least 1"):

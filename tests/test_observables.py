@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from conftest import balance_scenario, triangle_from_beta
 
-from cherenkov_wigner import numerics, observables
-from cherenkov_wigner.amplitudes import DegeneratePhase
+from cherenkov_wigner.amplitudes import (DegeneratePhase,
+                                         combined_phase_gradient)
 from cherenkov_wigner.kinematics import (ElectronPacket, EmissionGeometry,
                                          Momentum3, lorentz_gamma,
                                          momentum_magnitude)
@@ -435,24 +435,18 @@ def test_flash_stats_names_the_undefined_azimuth():
     assert math.isfinite(sigma_t) and sigma_t > 0.0
 
 
-def test_flash_stats_differentiates_only_the_packet_phase(monkeypatch):
-    # the amplitude-phase gradient is closed-form; numerical derivatives
-    # serve only the packet's optional phase model
-    calls = []
-    real = numerics.differentiate
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(numerics, "differentiate", counted)
+def test_flash_stats_phi_is_the_amplitude_phase_gradient():
+    # Phi = combined_phase_gradient(geom): the Gaussian packet adds no
+    # phase, so Delta t and t_0 are l_0 . Phi and l_0 . (r + Phi) bit for bit
     geom, packet = triangle_from_beta(0.999, 1.3, 1e-6, 1e-6, 30 * DEG)
     medium = ConstantMedium(1.3)
-    flash_stats(geom, packet, medium, np.zeros(3), 0.0)
-    assert calls == []
-    shaped = replace(packet, phase_model=lambda q: 1e3 * q[0])
-    flash_stats(geom, shaped, medium, np.zeros(3), 0.0)
-    assert len(calls) == 3
+    l0 = PhaseSpaceKernel.from_geometry(geom, packet, medium).l_0()
+    phi = combined_phase_gradient(geom)
+    r = np.array([3e4, -2e4, 5e3])
+    stats = flash_stats(geom, packet, medium, r, 0.0)
+    assert stats.delta_t == float(l0 @ phi)
+    assert stats.t_0 == float(l0 @ (r + phi))
+    assert stats.t_0 != stats.delta_t
 
 
 def test_mach_cone_degenerate_raises():

@@ -19,14 +19,14 @@ from cherenkov_wigner.kinematics import (ElectronPacket, Momentum3,
 from cherenkov_wigner.medium import AnalyticMedium, ConstantMedium
 from cherenkov_wigner.observables import PhaseSpaceKernel, WkbFlags
 from cherenkov_wigner.wignerfield import (EmissionScenario, MapGrid,
-                                          NonGaussianPhase, OffShell,
+                                          OffShell,
                                           _Context, _source_columns,
                                           _source_rows, _x_normal,
                                           central_value,
                                           default_grid, delta_p_scan,
                                           evaluate_map, evaluate_point,
                                           evaluate_point_reference,
-                                          integrand, momentum_marginal_weight,
+                                          momentum_marginal_weight,
                                           near_field_snapshot, read_map_csv,
                                           write_map_csv)
 
@@ -38,7 +38,7 @@ def test_integrand_at_zero_time():
     rng = np.random.default_rng(3)
     for _ in range(10):
         R = rng.normal(size=3) * 1e3
-        got = integrand(sc, R, 0.0)
+        got = ctx.integrand_for(R)(0.0)[0]
         e0 = complex(kern.exponent_complex(0.0, R))
         expected = math.exp(e0.real) / float(kern.big_g(0.0))
         assert got > 0
@@ -50,7 +50,7 @@ def test_integrand_constant_along_mach_direction():
     ctx = _Context(sc)
     direction = ctx.kernel.u_k - ctx.kernel.u_p
     ts = np.linspace(0.0, sc.t_out, 7)
-    vals = [integrand(sc, direction * mag, ts) for mag in (1.0, 1e3, 1e6)]
+    vals = [ctx.integrand_for(direction * mag)(ts) for mag in (1.0, 1e3, 1e6)]
     assert np.max(np.abs(vals[0] - vals[1])) < 1e-12 * np.max(np.abs(vals[0]))
     assert np.max(np.abs(vals[0] - vals[2])) < 1e-12 * np.max(np.abs(vals[0]))
 
@@ -64,7 +64,7 @@ def test_integrand_dual_route(rng):
     for _ in range(50):
         t = rng.uniform(0.0, sc.t_out)
         R = rng.normal(size=3) * 10 ** rng.uniform(2, 5)
-        got = integrand(sc, R, t)
+        got = ctx.integrand_for(R)(t)[0]
         re, im = kern.exponent_split(t, R)
         alt = (math.exp(float(re)) / float(kern.big_g(t))
                * math.cos(t * kern.delta_eps - 0.5 * float(kern.gouy(t))
@@ -869,42 +869,21 @@ def test_snapshot_mass_conserved_over_time():
     assert np.ptp(masses) < 1e-3
 
 
-def test_snapshot_requires_gaussian_phase():
-    sc = snapshot_scenario()
-    packet = ElectronPacket(sc.packet.mean_momentum, sc.packet.sigma,
-                            phase_model=lambda p: float(p[0]))
-    bad = EmissionScenario(packet=packet, medium=sc.medium, omega=sc.omega,
-                           theta_k=sc.theta_k, phi_k=sc.phi_k, t_out=1.0)
-    with pytest.raises(NonGaussianPhase):
-        near_field_snapshot(bad, MapGrid.centered(1.0, 1.0, 5, 5), 0.0)
-
-
-@pytest.mark.parametrize("call", [
-    lambda sc: evaluate_point(sc, [0.0, 0.0, 0.0]),
-    lambda sc: evaluate_map(sc, MapGrid.centered(1e3, 1e3, 3, 3)),
-    lambda sc: delta_p_scan(sc, [0.0], MapGrid.centered(1e3, 1e3, 3, 3))],
-    ids=["point", "map", "delta-p-scan"])
-def test_points_and_maps_reject_a_packet_phase(call):
-    # they read only the packet's sigma and mean momentum: a shift of
-    # 3e5 lambda_c used to give the phaseless values bit for bit
-    sc = balance_scenario(sigma=1e-5, t_out=3e5)
-    shifted = replace(sc, packet=replace(sc.packet,
-                                         phase_model=lambda q: 3e5 * q[0]))
-    with pytest.raises(NonGaussianPhase):
-        call(shifted)
-
-
 @pytest.mark.parametrize("call,name", [
     (lambda sc: evaluate_point(sc, [0.0, 0.0, 0.0], rel_tol=math.nan),
      "rel_tol"),
     (lambda sc: evaluate_map(sc, MapGrid.centered(1e3, 1e3, 3, 3),
                              max_panels=0), "max_panels"),
     (lambda sc: evaluate_point(sc, [math.inf, 0.0, 0.0]), "R"),
-    (lambda sc: evaluate_point(sc, [0.0, math.nan, 0.0]), "R")],
-    ids=["point", "map", "point-inf-node", "point-nan-node"])
+    (lambda sc: evaluate_point(sc, [0.0, math.nan, 0.0]), "R"),
+    (lambda sc: evaluate_point_reference(sc, [math.inf, 0.0, 0.0]), "R"),
+    (lambda sc: evaluate_point_reference(sc, [math.nan, 0.0, 0.0]), "R")],
+    ids=["point", "map", "point-inf-node", "point-nan-node",
+         "reference-inf-node", "reference-nan-node"])
 def test_points_and_maps_reject_invalid_quadrature_settings(call, name):
     # a non-finite node used to warn (inf) or blame the integrand (NaN:
-    # NonFiniteIntegrand on [0, t_out]); map nodes are checked by MapGrid
+    # NonFiniteIntegrand on [0, t_out]); the reference used to warn (inf)
+    # or fail to place its mesh (NaN); map nodes are checked by MapGrid
     with pytest.raises(ValueError, match=f"^{name} must be"):
         call(balance_scenario(sigma=1e-5, t_out=3e5))
 
@@ -923,17 +902,6 @@ def test_marginal_weight_on_shell_frequency():
     sc_probe = balance_scenario(beta=beta, n=n, sigma=1e-4, theta_frac=0.9,
                                 t_out=1e5, omega=w_star)
     assert abs(momentum_marginal_weight(sc_probe) - weight) < 1e-9 * weight
-
-
-def test_marginal_weight_phase_independent():
-    sc = balance_scenario(sigma=1e-4, theta_frac=0.95, t_out=1e5)
-    base = momentum_marginal_weight(sc)
-    packet = ElectronPacket(sc.packet.mean_momentum, sc.packet.sigma,
-                            phase_model=lambda p: 0.7)
-    shifted = EmissionScenario(packet=packet, medium=sc.medium,
-                               omega=sc.omega, theta_k=sc.theta_k,
-                               phi_k=sc.phi_k, t_out=sc.t_out)
-    assert momentum_marginal_weight(shifted) == base
 
 
 def test_marginal_weight_plane_wave_proportionality():
@@ -1006,10 +974,6 @@ def test_default_grid_reads_only_the_kernel(monkeypatch):
     with pytest.raises(_MapGrid) as own:
         evaluate_map(sc)
     assert own.value.args[0] == grid
-    phased = replace(sc, packet=replace(sc.packet,
-                                        phase_model=lambda p: 0.0))
-    with pytest.raises(NonGaussianPhase):
-        default_grid(phased)
 
 
 def test_scenario_validation():
