@@ -588,11 +588,11 @@ _STUDIES = {
 STUDIES = tuple(_STUDIES)
 
 # sweep.variable -> (the config keys that its samples override, so that no
-# study reads them, and what the samples use instead).  An n sweep ignores
-# medium.n and a sigma sweep sigma as well, but bundled configs set those
+# study reads them, and what the samples use instead)
 _SWEEP_OVERRIDES = {
-    "n": (("medium.d", "medium.e", "medium.table"),
+    "n": (("medium.n", "medium.d", "medium.e", "medium.table"),
           "an n sweep uses a constant medium at each n"),
+    "sigma": (("sigma",), "a sigma sweep takes sigma from each sample"),
     "d-param": (("medium.d",), "a d-param sweep takes D from each sample"),
     "theta-k": (("theta-k",),
                 "a theta-k sweep takes theta_k from each sample"),

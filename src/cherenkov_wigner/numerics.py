@@ -81,9 +81,9 @@ _BLOCK = 1 << 16
 
 
 # a start mesh of up to this many panels is evaluated in one integrand
-# call, which also tells the row count; a round without a guide cuts its
-# panels as deep as this many rows x pieces allow, since a round's fixed
-# cost far exceeds that of the abscissae it adds
+# call, which also tells the row count; a round cuts its panels as deep as
+# this many rows x pieces allow, since a round's fixed cost far exceeds
+# that of the abscissae it adds
 _HEAD = 64
 
 
@@ -137,11 +137,12 @@ def _gk15_panels(f, lo, hi, rows=None):
 
 @dataclass(frozen=True)
 class BatchQuadrature:
-    """Per-row results of ``integrate_batch``; ``edges`` is the sorted mesh
-    the rows share, ``panels_used`` its panel count and ``rounds`` the
-    passes over it (the start mesh is the first).  Each value is the sum of
-    its row's Gauss-Kronrod panel values on ``edges``, and depends on that
-    mesh and its own samples only."""
+    """Per-row results of ``integrate_batch``; ``edges`` is the mesh the
+    rows share, strictly increasing if a < b, ``panels_used`` its panel
+    count and ``rounds`` the passes over it (the start mesh with the
+    guide's edges is the first).  Each value is the sum of its row's
+    Gauss-Kronrod panel values on ``edges``, and depends on that mesh and
+    its own samples only."""
 
     values: np.ndarray
     error_estimates: np.ndarray
@@ -177,18 +178,21 @@ def integrate_batch(
     over the panel count) in some unconverged row; while a row is
     unconverged, at least one of its panels does.  When that would exceed
     ``max_panels``, the panels with the largest share go first.  The round
-    inserts cut points into the selected panels and evaluates only the new
-    panels, in one vectorized call.  Without a guide, it cuts each
-    selected panel at the 2**levels - 1 nested midpoints of 2**levels even
-    pieces, levels the largest >= 1 with 2**levels x selected panels x
-    rows <= ``_HEAD`` (64) and within ``max_panels``; it stops a level
-    early rather than cut a piece narrower than 4e-15 (|lo| + |hi|).  A
-    single point with one selected panel thus jumps six levels in one
-    round, while a round of many panels or rows bisects once.
+    cuts each selected panel at the 2**levels - 1 nested midpoints of
+    2**levels even pieces, levels the largest >= 1 with 2**levels x
+    selected panels x rows <= ``_HEAD`` (64) and within ``max_panels``; it
+    stops a level early rather than cut a piece narrower than
+    4e-15 (|lo| + |hi|), so every cut lies strictly inside its panel and
+    the edges stay distinct.  Only the new panels are evaluated, in one
+    vectorized call.  A single point with one selected panel thus jumps
+    six levels in one round, while a round of many panels or rows bisects
+    once.
 
     ``a`` and ``b`` must be finite with a <= b, ``abs_tol`` and ``rel_tol``
-    finite and positive, ``phase_rate_hint`` None or finite and >= 0 and
-    ``max_panels`` >= 1, else ``ValueError`` names it before f is called.
+    finite and positive, ``phase_rate_hint`` None or finite and >= 0,
+    ``max_panels`` >= 1 and ``guide`` finite, with at most ``max_panels``
+    panels in the start mesh it extends, else ``ValueError`` names it
+    before f is called.
 
     ``phase_rate_hint`` is an upper estimate of |d(phase)/dx| of an
     oscillatory integrand; when positive, the start mesh has panels no
@@ -201,17 +205,14 @@ def integrate_batch(
     wider than knee/8, so the start mesh already resolves the layer that
     refinement would otherwise reach a few levels per round.
 
-    ``guide`` is an array of mesh edges, such as the final ``edges`` of a
-    related batch on the same start mesh.  A round then cuts each panel it
-    selects at the guide's edges strictly inside it, and at its midpoint
-    when it holds none; if those cuts would exceed ``max_panels``, the
-    round cuts as without a guide.  The start mesh is never changed, so a
-    batch that converges on it does not depend on the guide.
+    ``guide`` is an array of edges added to the start mesh, such as the
+    final ``edges`` of a related batch: those strictly inside (a, b) join
+    it before the first round.
 
     Rows that have not converged when the budget is spent keep their best
     estimate with ``converged`` False instead of raising.  Under a tight
-    ``max_panels`` a deep unguided cut can spend the budget where bisection
-    would converge, and a layer that no Kronrod node samples reads converged.
+    ``max_panels`` a deep cut can spend the budget where bisection would
+    converge, and a layer that no Kronrod node samples reads converged.
     """
     for name, bound in (("a", a), ("b", b)):
         if not math.isfinite(bound):
@@ -226,6 +227,8 @@ def integrate_batch(
                          f"got {phase_rate_hint}")
     if max_panels < 1:
         raise ValueError(f"max_panels must be at least 1, got {max_panels}")
+    if guide is not None and not np.all(np.isfinite(guide)):
+        raise ValueError("guide must be finite")
     if a == b:
         k = np.asarray(f(np.array([a]))).shape[0]
         zero = np.zeros(k)
@@ -244,6 +247,11 @@ def integrate_batch(
                      max_panels - n0)
         graded = a + w * 2.0 ** -np.arange(levels, 0, -1)
         edges = np.unique(np.concatenate([[a], graded, edges[1:]]))
+    if guide is not None:
+        edges = np.union1d(edges, guide[(a < guide) & (guide < b)])
+        if edges.size - 1 > max_panels:
+            raise ValueError(f"guide takes the start mesh to {edges.size - 1}"
+                             f" panels, over max_panels {max_panels}")
     vals, errs = _gk15_panels(f, edges[:-1], edges[1:])
     rounds = 1
 
@@ -266,34 +274,24 @@ def integrate_batch(
             chosen = chosen[order[:budget]]
         split = np.zeros(lo.size, dtype=bool)
         split[chosen] = True
-        cuts = None
-        if guide is not None:
-            # guide edges strictly inside selected panels, else midpoints
-            owner = np.clip(np.searchsorted(edges, guide) - 1, 0, lo.size - 1)
-            inner = split[owner] & (lo[owner] < guide) & (guide < hi[owner])
-            bare = chosen[np.bincount(owner[inner],
-                                      minlength=lo.size)[chosen] == 0]
-            cuts = np.concatenate([guide[inner], 0.5 * (lo[bare] + hi[bare])])
-        if cuts is None or cuts.size > budget:
-            # nested midpoints, as many levels as _HEAD and the budget
-            # allow; a piece cut wider than 4e-15 (|lo| + |hi|) stays,
-            # after rounding, above the width guard that selects panels.
-            # cuts holds the lower edge of every piece: the panel's own,
-            # already in the mesh, and each midpoint
-            cuts, ends = lo[chosen], hi[chosen]
-            n = chosen.size
-            span = float(np.min((ends - cuts)
-                                / (np.abs(ends) + np.abs(cuts))))
-            levels = 1
-            while (2 ** (levels + 1) * n * vals.shape[0] <= _HEAD
-                   and (2 ** (levels + 1) - 1) * n <= budget
-                   and span > 2 ** levels * 4e-15):
-                levels += 1
-            for _ in range(levels):
-                mid = 0.5 * (cuts + ends)
-                cuts, ends = (np.concatenate([cuts, mid]),
-                              np.concatenate([mid, ends]))
-        edges = np.union1d(edges, cuts)
+        # nested midpoints, as many levels as _HEAD and the budget allow;
+        # a piece cut wider than 4e-15 (|lo| + |hi|) stays, after
+        # rounding, above the width guard that selects panels.  cuts holds
+        # the lower edge of every piece: the first n, the panels' own, are
+        # in the mesh already, and the midpoints are distinct and new
+        cuts, ends = lo[chosen], hi[chosen]
+        n = chosen.size
+        span = float(np.min((ends - cuts) / (np.abs(ends) + np.abs(cuts))))
+        levels = 1
+        while (2 ** (levels + 1) * n * vals.shape[0] <= _HEAD
+               and (2 ** (levels + 1) - 1) * n <= budget
+               and span > 2 ** levels * 4e-15):
+            levels += 1
+        for _ in range(levels):
+            mid = 0.5 * (cuts + ends)
+            cuts, ends = (np.concatenate([cuts, mid]),
+                          np.concatenate([mid, ends]))
+        edges = np.sort(np.concatenate([edges, cuts[n:]]))
         fresh = split[np.searchsorted(lo, edges[:-1], side="right") - 1]
         new_vals = np.empty((vals.shape[0], edges.size - 1))
         new_errs = np.empty_like(new_vals)

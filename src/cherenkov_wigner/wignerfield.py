@@ -319,12 +319,12 @@ class _Context:
               max_panels: int, guide: Optional[np.ndarray] = None):
         """The t' integrals (prefactor excluded) at k nodes R of shape
         (k, 3) on one shared adaptive mesh, each held to max(abs_tol,
-        rel_tol times their largest |integral|) and refined toward
-        ``guide`` when given (see ``numerics.integrate_batch``); ``abs_tol``
-        None is a point's 1e-10 of the envelope integral.  Returns arrays of
-        values, error estimates and flags, the mesh's panel count and
-        refinement rounds, and its final edges if every node converged,
-        else None."""
+        rel_tol times their largest |integral|), whose first round runs on
+        the start mesh with ``guide``'s edges added when given (see
+        ``numerics.integrate_batch``); ``abs_tol`` None is a point's 1e-10
+        of the envelope integral.  Returns arrays of values, error
+        estimates and flags, the mesh's panel count and refinement rounds,
+        and its final edges if every node converged, else None."""
         if abs_tol is None:
             abs_tol = max(1e-10 * self.envelope_scale, 1e-300)
         res = numerics.integrate_batch(
@@ -478,10 +478,10 @@ def evaluate_map(scenario: EmissionScenario, grid: Optional[MapGrid] = None,
     less than 1e-14 of the envelope integral Int dt'/G.  That tolerance is
     the absolute tolerance of every other source row, so every node, the
     pilot's by construction, is held to about ``rel_tol`` of the map's
-    scale.  When the pilot converged, its final mesh guides the refinement
-    of every other source row: all rows start from one mesh, which depends
-    only on the scenario, so a panel a row selects is cut at once at the
-    pilot's edges inside it instead of over several unguided rounds.
+    scale.  When the pilot converged, every other source row starts on the
+    pilot's final mesh: every row's start mesh depends only on the
+    scenario, and the pilot's final edges hold it, so a row that the
+    pilot's mesh resolves converges in its first round.
     With ``workers`` > 1 the other source rows run on that many threads
     over the map's one context, else in a serial loop; each row is the
     same quadrature either way, so the map is bit-identical for any worker

@@ -587,15 +587,18 @@ def test_n_sweep_rejects_dispersion_keys(tmp_path, capsys, key, value):
 @pytest.mark.parametrize("config,study,key,value", [
     ("fig09_ice_dispersion.cfg", "dispersion-scan", "medium.d", "0.3"),
     ("fig06b_arrival_shift.cfg", "arrival-shift", "theta-k", "30"),
-    ("fig05_spreading_time.cfg", "spreading-time", "theta-k", "30")],
-    ids=["d-param-medium.d", "arrival-theta-k", "spreading-theta-k"])
+    ("fig05_spreading_time.cfg", "spreading-time", "theta-k", "30"),
+    ("fig08a_arrival_shift_n_sweep.cfg", "arrival-shift", "medium.n", "1.5"),
+    ("flash_duration.cfg", "flash-duration", "sigma", "1e-5")],
+    ids=["d-param-medium.d", "arrival-theta-k", "spreading-theta-k",
+         "n-medium.n", "sigma-sigma"])
 def test_sweep_rejects_the_key_it_overrides(tmp_path, capsys, config, study,
                                             key, value):
     # the sweep sets that quantity at every sample: fig09 with medium.d =
     # 0.3 wrote fig09's CSV byte for byte, with the same exit code
     path = write_config(tmp_path, (CONFIG_DIR / config).read_text(
         encoding="utf-8") + f"{key} = {value}\n")
-    with pytest.raises(ValidationError, match=f"^{re.escape(key)}: a "):
+    with pytest.raises(ValidationError, match=f"^{re.escape(key)}: an? "):
         parse_config(path)
     assert cli.main([study, "--config", str(path),
                      "--out-dir", str(tmp_path / "out")]) == 1
@@ -659,7 +662,6 @@ study = arrival-shift
 beta = 0.7
 sigma = 1e-5
 omega = 1e-6
-medium.n = 1.5
 p-perp = 1e-5
 theta-k = 10
 sweep.variable = n

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cherenkov_wigner.numerics import (DiffSpec, NoSignChange,
@@ -328,11 +328,11 @@ def _start_edges(a, b, **opts):
 
 
 def _cuts(lo, hi, rows, budget, head):
-    """The cut points that an unguided round inserts into the panels [lo,
-    hi]: the nested midpoints that cut each panel into 2**levels pieces,
-    where levels is the largest >= 1 such that 2**levels * panels * rows <=
-    head, the pieces add at most ``budget`` panels, and every piece cut at
-    the last level is wider than 4e-15 (|lo| + |hi|) of its panel."""
+    """The cut points that a round inserts into the panels [lo, hi]: the
+    nested midpoints that cut each panel into 2**levels pieces, where
+    levels is the largest >= 1 such that 2**levels * panels * rows <= head,
+    the pieces add at most ``budget`` panels, and every piece cut at the
+    last level is wider than 4e-15 (|lo| + |hi|) of its panel."""
     levels = 1
     while (2 ** (levels + 1) * lo.size * rows <= head
            and lo.size * (2 ** (levels + 1) - 1) <= budget
@@ -349,26 +349,17 @@ def _cuts(lo, hi, rows, budget, head):
     return cuts
 
 
-def _guided(guide, lo, hi):
-    """The cut points that a guided round inserts into the panels [lo, hi]:
-    the guide's edges strictly inside each, or its midpoint if none is."""
-    cuts = []
-    for l, h in zip(lo, hi):
-        inside = guide[(guide > l) & (guide < h)]
-        cuts.extend(inside if inside.size else [0.5 * (l + h)])
-    return cuts
-
-
 def _bisection_reference(f, a, b, abs_tol, rel_tol, max_panels=4096,
-                         head=_HEAD, guide=None, **start):
+                         head=_HEAD, edges=None, **start):
     """``integrate_batch`` written out as a loop of rounds on a sorted
-    mesh: each round inserts the cut points of the panels it selects, from
-    ``_cuts``, or with a ``guide`` from ``_guided`` unless those exceed the
-    budget, and evaluates the panels it has not seen: (values, errors,
-    converged, panels, rounds, edges).  ``head=0`` bisects once per round,
-    the plain bisection loop that every round ran before the split was
-    sized to ``_HEAD``."""
-    edges = _start_edges(a, b, max_panels=max_panels, **start)
+    mesh that starts on ``edges``, by default the start mesh of
+    ``integrate_batch``: each round inserts the cut points of the panels it
+    selects, from ``_cuts``, and evaluates the panels it has not seen:
+    (values, errors, converged, panels, rounds, edges).  ``head=0`` bisects
+    once per round, the plain bisection loop that every round ran before
+    the split was sized to ``_HEAD``."""
+    if edges is None:
+        edges = _start_edges(a, b, max_panels=max_panels, **start)
     seen = {}
     rounds = 0
     while True:
@@ -396,10 +387,7 @@ def _bisection_reference(f, a, b, abs_tol, rel_tol, max_panels=4096,
             break
         if chosen.size > budget:
             chosen = chosen[np.argsort(-share[chosen], kind="stable")[:budget]]
-        if guide is not None:
-            cuts = _guided(guide, lo[chosen], hi[chosen])
-        if guide is None or len(cuts) > budget:
-            cuts = _cuts(lo[chosen], hi[chosen], vals.shape[0], budget, head)
+        cuts = _cuts(lo[chosen], hi[chosen], vals.shape[0], budget, head)
         edges = np.array(sorted(set(edges) | set(cuts)))
     return total, total_err, ~active, lo.size, rounds, edges
 
@@ -431,16 +419,15 @@ _GUIDE_CASES = [
 @pytest.mark.parametrize("f,a,b,opts", _GUIDE_CASES)
 def test_unguided_batch_is_plain_bisection(f, a, b, opts):
     # without a guide every round splits its panels as deep as _HEAD
-    # allows; with a guide that holds no edge inside any panel a round
-    # selects (the start mesh), every round bisects once, as before
+    # allows; a guide of the start mesh's own edges adds none, and changes
+    # nothing
     opts = dict(dict(abs_tol=1e-10, rel_tol=1e-10), **opts)
-    assert _same(_fields(integrate_batch(f, a, b, **opts)),
-                 _bisection_reference(f, a, b, **opts))
+    ref = _bisection_reference(f, a, b, **opts)
+    assert _same(_fields(integrate_batch(f, a, b, **opts)), ref)
     start = _start_edges(a, b, **{k: v for k, v in opts.items()
                                   if k in ("phase_rate_hint", "knee",
                                            "max_panels")})
-    assert _same(_fields(integrate_batch(f, a, b, guide=start, **opts)),
-                 _bisection_reference(f, a, b, head=0, **opts))
+    assert _same(_fields(integrate_batch(f, a, b, guide=start, **opts)), ref)
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)
@@ -483,56 +470,63 @@ def test_guided_rows_stay_within_tolerance(rows, hint, cuts, related):
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)
-@given(rows=st.lists(st.tuples(st.floats(-5.0, 5.0), st.floats(0.0, 1.0),
-                               st.floats(0.0, 5.0),
-                               st.floats(-math.pi, math.pi)),
-                     min_size=1, max_size=6),
-       cuts=_CUTS)
-def test_batch_on_its_start_mesh_ignores_the_guide(rows, cuts):
-    # slow rows on a 32-panel start mesh converge there: the first round
-    # selects nothing, so no guide can change a bit
+@given(rows=st.lists(_ROW, min_size=1, max_size=6),
+       hint=st.sampled_from([None, 5.0, 60.0]),
+       knee=st.sampled_from([None, 1e-3]),
+       max_panels=st.sampled_from([8, 64, 4096]),
+       related=st.lists(_ROW, min_size=1, max_size=3),
+       cuts=st.lists(st.floats(-4.0, 3.0), max_size=40))
+def test_guided_batch_is_bisection_from_start_and_guide(rows, hint, knee,
+                                                        max_panels, related,
+                                                        cuts):
+    # a guide's edges inside (a, b) join the start mesh, and every round
+    # cuts by nested midpoints from there: bit for bit the plain loop
+    # started on start | guide.  The guide is the final mesh of related
+    # rows, a superset of the start mesh, or that plus arbitrary points,
+    # some outside (a, b) or on a start edge, over the budget or not
     f = damped_waves(rows)
-    opts = dict(abs_tol=1e-8, rel_tol=1e-8, phase_rate_hint=10.0)
-    ref = integrate_batch(f, -3.0, 2.0, **opts)
-    assert ref.rounds == 1
-    guide = np.sort(-3.0 + 5.0 * np.array(cuts))
-    assert _same(_fields(integrate_batch(f, -3.0, 2.0, guide=guide, **opts)),
-                 _fields(ref))
+    opts = dict(abs_tol=1e-11, rel_tol=1e-10, phase_rate_hint=hint,
+                knee=knee, max_panels=max_panels)
+    related = integrate_batch(damped_waves(related), -3.0, 2.0, **opts)
+    start = set(_start_edges(-3.0, 2.0, phase_rate_hint=hint, knee=knee,
+                             max_panels=max_panels))
+    for guide in (related.edges, np.concatenate([related.edges, cuts])):
+        edges = np.array(sorted(start | {g for g in guide if -3.0 < g < 2.0}))
+        if edges.size - 1 > max_panels:
+            with pytest.raises(ValueError, match="guide"):
+                integrate_batch(f, -3.0, 2.0, guide=guide, **opts)
+            continue
+        got = integrate_batch(f, -3.0, 2.0, guide=guide, **opts)
+        assert _same(_fields(got), _bisection_reference(
+            f, -3.0, 2.0, edges=edges, **opts))
+        for res in (got, related):
+            assert np.all(np.diff(res.edges) > 0.0)
 
 
-@settings(derandomize=True, max_examples=25, deadline=None)
-@given(rows=st.lists(_ROW, min_size=1, max_size=4),
-       max_panels=st.sampled_from([8, 16, 64]))
-def test_guide_beyond_the_budget_falls_back_to_bisection(rows, max_panels):
-    # guide edges max_panels times denser than the finest unguided panel:
-    # every panel a round selects is at least twice that wide, so its cuts
-    # alone would exceed the budget, and every round bisects
-    f = damped_waves(rows)
-    opts = dict(abs_tol=1e-14, rel_tol=1e-14, max_panels=max_panels)
-    ref = integrate_batch(f, -3.0, 2.0, **opts)
-    step = np.min(np.diff(ref.edges)) / max_panels
-    count = math.ceil(5.0 / step)
-    assume(count <= 2_000_000)
-    guide = np.linspace(-3.0, 2.0, count + 1)
-    assert _same(_fields(integrate_batch(f, -3.0, 2.0, guide=guide, **opts)),
-                 _fields(ref))
+def _never_called(t):
+    raise AssertionError("the integrand was called")
 
 
-def test_guided_round_cuts_at_the_guide():
-    # one oscillatory row on one start panel: a guide of 32 even panels
-    # is reached exactly in a single round, where the unguided round cuts
-    # the panel into all the 64 pieces one integrand call holds
-    f = lambda x: np.cos(40.0 * x)[None]
-    opts = dict(abs_tol=1e-9, rel_tol=1e-9)
-    plain = integrate_batch(f, 0.0, 2.0, **opts)
-    guide = np.linspace(0.0, 2.0, 33)
-    guided = integrate_batch(f, 0.0, 2.0, guide=guide, **opts)
-    assert guided.converged[0] and plain.converged[0]
-    assert guided.rounds == 2
-    assert guided.panels_used == 32 < plain.panels_used == 64
-    assert np.array_equal(guided.edges, guide)
-    exact = math.sin(80.0) / 40.0
-    assert abs(guided.values[0] - exact) <= 1e-9
+@pytest.mark.parametrize("max_panels", [1, 8, 64])
+def test_guide_beyond_the_budget_is_rejected(max_panels):
+    # a guide that extends the start mesh past max_panels fails by name
+    # before f is called; one edge fewer fits
+    guide = np.linspace(-3.0, 2.0, max_panels + 2)
+    with pytest.raises(ValueError, match="guide"):
+        integrate_batch(_never_called, -3.0, 2.0, max_panels=max_panels,
+                        guide=guide)
+    res = integrate_batch(lambda t: np.ones((1, t.size)), -3.0, 2.0,
+                          max_panels=max_panels, guide=np.delete(guide, 1))
+    assert res.panels_used == max_panels and res.rounds == 1
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_guide_is_rejected(bad):
+    # a NaN or infinite guide edge, which no panel holds, fails by name
+    # before f is called, also on an empty interval
+    for a, b in ((-3.0, 2.0), (1.0, 1.0)):
+        with pytest.raises(ValueError, match="guide"):
+            integrate_batch(_never_called, a, b, guide=np.array([0.0, bad]))
 
 
 @settings(derandomize=True, max_examples=20, deadline=None)
@@ -548,23 +542,6 @@ def test_single_level_rounds_are_plain_bisection(rows, hint, max_panels):
                 max_panels=max_panels)
     assert _same(_fields(integrate_batch(f, -3.0, 2.0, **opts)),
                  _bisection_reference(f, -3.0, 2.0, head=0, **opts))
-
-
-@settings(derandomize=True, max_examples=40, deadline=None)
-@given(rows=st.lists(_ROW, min_size=1, max_size=6),
-       hint=st.sampled_from([None, 5.0, 60.0]),
-       related=st.lists(_ROW, min_size=1, max_size=3))
-def test_guided_rounds_are_unchanged(rows, hint, related):
-    # a guide's cuts are taken as they are, and a panel with no guide edge
-    # inside is bisected once; while the cuts fit the budget, the batch is
-    # bit for bit the plain bisection loop with guided cuts
-    f = damped_waves(rows)
-    opts = dict(abs_tol=1e-11, rel_tol=1e-10, phase_rate_hint=hint)
-    guide = integrate_batch(damped_waves(related), -3.0, 2.0, **opts).edges
-    got = integrate_batch(f, -3.0, 2.0, guide=guide, **opts)
-    assert got.panels_used + guide.size <= 4096
-    assert _same(_fields(got), _bisection_reference(f, -3.0, 2.0, head=0,
-                                                    guide=guide, **opts))
 
 
 def _fixed_mesh_reference(f, a, b, x0):

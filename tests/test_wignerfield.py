@@ -682,21 +682,29 @@ def test_copied_half_rows_match_rows_integrated_in_full():
 
 
 def test_map_long_rows_follow_the_pilot_mesh():
-    # the map-long theta_Ch map: every row starts from one mesh, so the
-    # pilot's final edges take each other source row there in one round
-    # (bisection took 6-8)
-    sc = balance_scenario(sigma=1e-5, t_out=5e7)
-    grid = default_grid(sc, 12, 12)
-    iy_pilot, _, _, guide = _pilot(sc, grid)
-    assert guide is not None
-    wmap = evaluate_map(sc, grid)
-    others = [iy for iy in np.unique(_source_rows(grid)) if iy != iy_pilot]
-    assert np.all(wmap.rounds[others] <= 2)
+    # both map-long maps and the fig12 map: every other source row starts
+    # on the converged pilot's final mesh and converges there, in one
+    # round (bisection took 6-8, and cuts at the pilot's edges 2)
+    fig12 = replace(balance_scenario(sigma=1e-5, t_out=1e6),
+                    theta_k=math.radians(43.82))
+    for sc, size in ((balance_scenario(sigma=1e-5, t_out=5e7), 12),
+                     (balance_scenario(sigma=1e-5, theta_frac=1.1,
+                                       t_out=5e7), 12),
+                     (fig12, 24)):
+        grid = default_grid(sc, size, size)
+        iy_pilot, _, _, guide = _pilot(sc, grid)
+        assert guide is not None
+        wmap = evaluate_map(sc, grid)
+        others = [iy for iy in np.unique(_source_rows(grid))
+                  if iy != iy_pilot]
+        assert np.all(wmap.rounds[others] == 1)
+        assert not np.any(wmap.flags[others]
+                          & int(WkbFlags.QUAD_NONCONVERGED))
 
 
 def test_unconverged_pilot_guides_no_row(monkeypatch):
     # on a 64-panel budget the map-long pilot does not converge, so its
-    # mesh is no guide: every row refines by bisection alone
+    # mesh is no guide: every row starts on the start mesh alone
     sc = balance_scenario(sigma=1e-5, theta_frac=1.1, t_out=5e7)
     grid = default_grid(sc, 6, 6)
     assert _pilot(sc, grid, max_panels=64)[3] is None
