@@ -119,6 +119,14 @@ def _geometry_terms(geom: EmissionGeometry, lambda_gamma: int):
     helicities and photon helicity ``lambda_gamma``, and their azimuthal
     phases, ordered (1/2,-1/2,1), (1/2,1/2,0), (-1/2,1/2,-1), (-1/2,-1/2,0).
     """
+    (ms,), zs = _helicity_terms(geom, (lambda_gamma,))
+    return ms, zs
+
+
+def _helicity_terms(geom: EmissionGeometry, lambda_gammas):
+    """``_geometry_terms`` at each photon helicity of ``lambda_gammas``:
+    (one tuple of partial amplitudes per helicity, the phases, which no
+    helicity changes)."""
     # half-integer phases are double-valued under 2*pi relabeling of a
     # single azimuth; anchor all azimuths within pi of phi_k (the
     # triangle-point convention) so that zeta is continuous and mirror
@@ -127,10 +135,12 @@ def _geometry_terms(geom: EmissionGeometry, lambda_gamma: int):
     phi = phi_k + math.remainder(geom.p.phi - phi_k, _TWO_PI)
     phi_p = phi_k + math.remainder(geom.p_prime.phi - phi_k, _TWO_PI)
     theta, theta_p, theta_k = geom.p.theta, geom.p_prime.theta, geom.k.theta
-    ms = tuple(c * wigner_d_half(s, geom.lambda_e, theta)
-               * wigner_d_half(sp, geom.lambda_prime, theta_p)
-               * wigner_d_one(sg, lambda_gamma, theta_k)
-               for c, s, sp, sg in _TERMS)
+    electron = [c * wigner_d_half(s, geom.lambda_e, theta)
+                * wigner_d_half(sp, geom.lambda_prime, theta_p)
+                for c, s, sp, _ in _TERMS]
+    ms = [tuple(e * wigner_d_one(sg, lg, theta_k)
+                for e, (*_, sg) in zip(electron, _TERMS))
+          for lg in lambda_gammas]
     z1 = -0.5 * (phi + phi_p) + phi_k
     z2 = 0.5 * (phi_p - phi)
     return ms, (z1, z2, -z1, -z2)
@@ -151,16 +161,30 @@ def helicity_amplitude(geom: EmissionGeometry) -> AmplitudeValue:
     return _amplitude(geom, geom.lambda_gamma)
 
 
+# the six pairs (i, j), i < j, of the four partial amplitudes
+_PAIRS = [(i, j) for i in range(4) for j in range(i + 1, 4)]
+
+
+def _cosines(zs) -> list:
+    """cos(z_i - z_j) of each of the ``_PAIRS``."""
+    return [math.cos(zs[i] - zs[j]) for i, j in _PAIRS]
+
+
+def _mod_squared(ms, cosines, g: float) -> float:
+    """|M|^2 of the partial amplitudes ms: their squares plus the six
+    cross terms 2 m_i m_j cos(z_i - z_j), clipped at zero, times g^2."""
+    mod2 = sum(m * m for m in ms)
+    for (i, j), c in zip(_PAIRS, cosines):
+        mod2 += 2.0 * ms[i] * ms[j] * c
+    return max(mod2, 0.0) * g * g
+
+
 def _amplitude(geom: EmissionGeometry, lambda_gamma: int) -> AmplitudeValue:
     """``helicity_amplitude`` at photon helicity ``lambda_gamma``."""
     ms, zs = _geometry_terms(geom, lambda_gamma)
     g = coupling(geom.epsilon, geom.epsilon_prime, geom.lambda_e,
                  geom.lambda_prime)
-    mod2 = sum(m * m for m in ms)
-    for i in range(4):
-        for j in range(i + 1, 4):
-            mod2 += 2.0 * ms[i] * ms[j] * math.cos(zs[i] - zs[j])
-    mod2 = max(mod2, 0.0) * g * g
+    mod2 = _mod_squared(ms, _cosines(zs), g)
     s_sin = sum(m * math.sin(z) for m, z in zip(ms, zs))
     s_cos = sum(m * math.cos(z) for m, z in zip(ms, zs))
     scale = max(sum(abs(m) for m in ms), 1e-300)
@@ -184,8 +208,15 @@ def amplitude_complex(geom: EmissionGeometry) -> complex:
 
 def summed_mod_squared(geom: EmissionGeometry) -> float:
     """Sum of |M|^2 over the photon helicity at the geometry's electron
-    helicities."""
-    return sum(_amplitude(geom, lg).mod_squared for lg in (1, -1))
+    helicities.  The azimuthal phases do not depend on the photon
+    helicity, so their cosines serve both terms, and no amplitude phase is
+    formed."""
+    g = coupling(geom.epsilon, geom.epsilon_prime, geom.lambda_e,
+                 geom.lambda_prime)
+    (ms_plus, ms_minus), zs = _helicity_terms(geom, (1, -1))
+    cosines = _cosines(zs)
+    return _mod_squared(ms_plus, cosines, g) + _mod_squared(ms_minus,
+                                                            cosines, g)
 
 
 def _zeta_partials(geom: EmissionGeometry):

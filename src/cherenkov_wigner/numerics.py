@@ -1,6 +1,8 @@
-"""Self-contained numerical engine: adaptive Gauss-Kronrod quadrature of
-one integrand or of a batch of integrands on one shared mesh, a bracketing
-root finder, and Richardson central differences (the tests' extremum oracle).
+"""Self-contained numerical engine: adaptive quadrature of one integrand or
+of a batch of integrands on one shared mesh, by Gauss-Kronrod panels and,
+for integrands that oscillate fast, Levin collocation panels; a bracketing
+root finder, and Richardson central differences (the tests' extremum
+oracle).
 
 Everything here is a pure function over caller-supplied callables, so the
 routines are safe to invoke concurrently.  Integrands are vectorized:
@@ -87,19 +89,6 @@ _BLOCK = 1 << 16
 _HEAD = 64
 
 
-def _samples(f, t, lo, hi, start, stop):
-    """f on the Kronrod nodes of panels [start, stop), shape (rows,
-    panels, 15), C-contiguous."""
-    y = np.ascontiguousarray(f(t[start:stop].ravel()), dtype=float)
-    y = y.reshape(y.shape[0], -1, 15)
-    if not np.all(np.isfinite(y)):
-        row, panel = np.argwhere(~np.isfinite(y))[0, :2]
-        raise NonFiniteIntegrand(
-            f"non-finite integrand row {row} on "
-            f"[{lo[start + panel]}, {hi[start + panel]}]")
-    return y
-
-
 def _gk15_panels(f, lo, hi, rows=None):
     """Gauss-Kronrod sums of the rows of f on each panel [lo, hi]: returns
     (values, errors), both of shape (rows, len(lo)).  A panel's value and
@@ -108,7 +97,12 @@ def _gk15_panels(f, lo, hi, rows=None):
     matrix-vector product would round each sum by its place in the
     block).  When ``rows`` is not known yet, the first call of f
     holds the first min(len(lo), ``_HEAD``) panels and tells it; every
-    other call holds at most ``_BLOCK`` rows x abscissae."""
+    other call holds at most ``_BLOCK`` rows x abscissae.
+
+    A panel whose Kronrod sum is not finite raises ``NonFiniteIntegrand``
+    naming its row and panel: the weights are positive, so a NaN or +-inf
+    sample makes the sum non-finite, and so does a sum that overflows from
+    finite samples."""
     half = 0.5 * (hi - lo)
     t = (0.5 * (lo + hi))[:, None] + half[:, None] * _KRONROD_NODES
     vals, errs = [], []
@@ -116,23 +110,167 @@ def _gk15_panels(f, lo, hi, rows=None):
     while start < lo.size:
         step = _HEAD if rows is None else max(1, _BLOCK // (15 * rows))
         stop = min(lo.size, start + step)
-        y = _samples(f, t, lo, hi, start, stop)
+        y = np.ascontiguousarray(f(t[start:stop].ravel()), dtype=float)
         rows = y.shape[0]
+        y = y.reshape(rows, -1, 15)
         h = half[start:stop]
         kronrod = np.einsum("...j,j->...", y, _KRONROD_WEIGHTS)
+        if not np.all(np.isfinite(kronrod)):
+            row, panel = np.argwhere(~np.isfinite(kronrod))[0]
+            raise NonFiniteIntegrand(
+                f"non-finite integrand row {row} on "
+                f"[{lo[start + panel]}, {hi[start + panel]}]")
         gauss = np.einsum("...j,j->...", y[..., 1::2], _GAUSS_WEIGHTS)
         err = h * np.abs(kronrod - gauss)
         # QUADPACK-style rescaling: sharpen the raw |K - G| estimate
         resasc = h * np.einsum("...j,j->...",
                                np.abs(y - 0.5 * kronrod[..., None]),
                                _KRONROD_WEIGHTS)
+        scaled = resasc > 0.0
         ratio = np.divide(200.0 * err, resasc, out=np.zeros_like(err),
-                          where=resasc > 0.0)
+                          where=scaled)
         vals.append(h * kronrod)
-        errs.append(np.where(resasc > 0.0,
-                             resasc * np.minimum(1.0, ratio ** 1.5), err))
+        errs.append(np.where(scaled, resasc * np.minimum(1.0, ratio ** 1.5),
+                             err))
         start = stop
+    if len(vals) == 1:
+        return vals[0], errs[0]
     return np.concatenate(vals, axis=1), np.concatenate(errs, axis=1)
+
+
+def _differentiation_matrix(x):
+    """The derivative of the polynomial interpolant on the
+    Chebyshev-Lobatto points x, as a matrix on its values there (Trefethen,
+    Spectral Methods in MATLAB, ch. 6); each diagonal entry is minus the
+    sum of its row's others, so constants differentiate to zero."""
+    c = (-1.0) ** np.arange(x.size)
+    c[[0, -1]] *= 2.0
+    d = np.outer(c, 1.0 / c) / (x[:, None] - x[None, :] + np.eye(x.size))
+    np.fill_diagonal(d, 0.0)
+    np.fill_diagonal(d, -d.sum(axis=1))
+    return d
+
+
+# a Levin panel collocates on the 17 Chebyshev-Lobatto points of [-1, 1],
+# ascending, and on the nested 9 and 5 (every other one, every fourth) for
+# its error estimate
+_LOBATTO = -np.cos(np.pi * np.arange(17) / 16)
+_ONES = np.ones((17, 1), dtype=complex)
+# the 17-point matrix, and the 9- and 5-point ones as the two diagonal
+# blocks of one 14 x 14 matrix, so that one solve takes both
+_LEVIN_FINE = _differentiation_matrix(_LOBATTO)
+_LEVIN_COARSE = np.zeros((14, 14))
+_LEVIN_COARSE[:9, :9] = _differentiation_matrix(_LOBATTO[::2])
+_LEVIN_COARSE[9:, 9:] = _differentiation_matrix(_LOBATTO[::4])
+_COARSE_POINTS = np.r_[0:17:2, 0:17:4]
+
+# a batch takes Levin panels when a start panel of width w has a phase
+# rate |Im L'| above _LEVIN_BATCH / w in some row at either edge: that
+# many radians cost Gauss-Kronrod rounds.  There a panel turns, and is
+# taken by Levin collocation, when w |L'| exceeds _LEVIN_TURN (radians
+# and e-folds) in some row at either edge; a narrower panel, such as those
+# of the start mesh that phase_rate_hint splits, is a Gauss-Kronrod one
+_LEVIN_BATCH = 1e4
+_LEVIN_TURN = 0.5 * math.pi
+
+
+def _solve(m, ones):
+    """The solutions of m q = ``ones`` for the stack m, shape (k, n, 1);
+    NaN for a singular matrix, and for the others the bits they get in any
+    stack."""
+    try:
+        return np.linalg.solve(m, ones)
+    except np.linalg.LinAlgError:
+        q = np.full(m.shape[:2] + (1,), np.nan, dtype=complex)
+        for j, system in enumerate(m):
+            try:
+                q[j] = np.linalg.solve(system, ones)
+            except np.linalg.LinAlgError:
+                pass
+        return q
+
+
+def _levin_panels(levin, lo, hi, rows):
+    """Levin collocation sums of the rows of Re exp(L) on each panel
+    [lo, hi] that turns, where ``levin(t)`` returns (L, L'), each of shape
+    (rows, len(t)): returns (values, errors), both of shape (rows,
+    len(lo)), NaN on every panel that does not turn.
+
+    L and L' are sampled on each panel's 17 Chebyshev-Lobatto points, its
+    edges among them.  A panel turns when its width times the largest
+    |L'| of any row at either edge exceeds ``_LEVIN_TURN``.  Its value
+    solves P' + L'P = 1 for a polynomial P on the 17 points and is
+    Re[P(hi) F(hi) - P(lo) F(lo)], F = exp(L), so F is needed at the ends
+    only: a row whose F is zero at both ends has value and error zero.
+    The same on the nested 9 and 5 points gives e9 and e5, the distances
+    of their values from the 17-point one; the error is e9 times the
+    contraction e9/e5 when that is below 1, else e9.  A panel's sums
+    depend only on its own samples; a row whose L or L' is not finite, or
+    whose system is singular, gets non-finite sums.  Each call of
+    ``levin`` holds at most ``_BLOCK`` rows x abscissae."""
+    half = 0.5 * (hi - lo)
+    t = (0.5 * (lo + hi))[:, None] + half[:, None] * _LOBATTO
+    vals = np.full((rows, lo.size), np.nan)
+    errs = np.full_like(vals, np.nan)
+    step = max(1, _BLOCK // (17 * rows))
+    for start in range(0, lo.size, step):
+        stop = min(lo.size, start + step)
+        log_f, rate = levin(t[start:stop].ravel())
+        log_f = np.reshape(log_f, (rows, -1, 17))
+        # a non-finite L or L' gives non-finite sums, without a warning,
+        # which _panel_sums hands to Gauss-Kronrod
+        with np.errstate(invalid="ignore", over="ignore"):
+            rate = np.reshape(rate, log_f.shape) * half[start:stop, None]
+            turning = (2.0 * np.max(np.abs(rate[..., ::16]), axis=(0, 2))
+                       > _LEVIN_TURN)
+            ends = np.exp(log_f[..., ::16])
+            row, panel = np.nonzero(turning & np.any(ends != 0.0, axis=2))
+            rate, ends = rate[row, panel], ends[row, panel]
+            # (D + h diag(L')) q = 1 on [-1, 1], and P = h q
+            q_ends = []
+            for d, points, ends_at in ((_LEVIN_FINE, slice(None), [0, 16]),
+                                       (_LEVIN_COARSE, _COARSE_POINTS,
+                                        [0, 8, 9, 13])):
+                n = d.shape[0]
+                m = np.empty((row.size, n, n), dtype=complex)
+                m[:] = d
+                m.reshape(-1, n * n)[:, ::n + 1] += rate[:, points]
+                q_ends.append(_solve(m, _ONES[:n])[:, ends_at, 0])
+            q_ends = np.concatenate(q_ends, axis=1).reshape(-1, 3, 2)
+            fine, e9, e5 = (half[start:stop][panel] * np.einsum(
+                "irj,ij->ri", q_ends, ends * [-1.0, 1.0]).real)
+            e9, e5 = abs(e9 - fine), abs(e5 - fine)
+            err = np.divide(e9 * e9, e5, out=e9, where=e9 < e5)
+        vals[:, start:stop][:, turning] = 0.0
+        errs[:, start:stop][:, turning] = 0.0
+        vals[row, start + panel], errs[row, start + panel] = fine, err
+    return vals, errs
+
+
+def _panel_sums(f, levin, lo, hi, rows):
+    """(values, errors) of the rows on each panel [lo, hi]: by Levin
+    collocation where the panel turns and its sums are finite in every
+    row, else by Gauss-Kronrod (see ``_levin_panels``)."""
+    vals, errs = _levin_panels(levin, lo, hi, rows)
+    rest = ~np.all(np.isfinite(vals) & np.isfinite(errs), axis=0)
+    if rest.any():
+        vals[:, rest], errs[:, rest] = _gk15_panels(f, lo[rest], hi[rest],
+                                                    rows)
+    return vals, errs
+
+
+def _start_mesh(a, b, n0, knee, max_panels):
+    """n0 even panels on [a, b], the first graded toward ``knee`` (see
+    ``integrate_batch``)."""
+    edges = a + np.arange(n0 + 1) * ((b - a) / n0)
+    edges[-1] = b
+    w = edges[1] - a
+    if knee is not None and 0.0 < knee / 8.0 < 0.5 * w:
+        levels = min(math.ceil(math.log2(8.0 * w) - math.log2(knee)) - 1,
+                     max_panels - n0)
+        graded = a + w * 2.0 ** -np.arange(levels, 0, -1)
+        edges = np.unique(np.concatenate([[a], graded, edges[1:]]))
+    return edges
 
 
 @dataclass(frozen=True)
@@ -140,9 +278,10 @@ class BatchQuadrature:
     """Per-row results of ``integrate_batch``; ``edges`` is the mesh the
     rows share, strictly increasing if a < b, ``panels_used`` its panel
     count and ``rounds`` the passes over it (the start mesh with the
-    guide's edges is the first).  Each value is the sum of its row's
-    Gauss-Kronrod panel values on ``edges``, and depends on that mesh and
-    its own samples only."""
+    guide's edges is the first), and ``levin`` whether the batch took
+    Levin panels.  Each value is the sum of its row's Gauss-Kronrod and
+    Levin panel values on ``edges``, and depends on that mesh and its own
+    samples only."""
 
     values: np.ndarray
     error_estimates: np.ndarray
@@ -150,6 +289,7 @@ class BatchQuadrature:
     panels_used: int
     rounds: int
     edges: np.ndarray
+    levin: bool = False
 
 
 def integrate_batch(
@@ -163,9 +303,11 @@ def integrate_batch(
     max_panels: int = 4096,
     knee: float | None = None,
     guide: np.ndarray | None = None,
+    levin: Callable | None = None,
 ) -> BatchQuadrature:
     """Integrate the k rows of f over [a, b] on one shared adaptive mesh of
-    15-point Gauss-Kronrod panels.
+    15-point Gauss-Kronrod panels and, given ``levin``, 17-point Levin
+    collocation panels.
 
     ``f(t)`` maps a 1-D array of abscissae to a (k, len(t)) array.  Every
     row is held to one tolerance, max(abs_tol, rel_tol * max_s |value_s|):
@@ -209,10 +351,30 @@ def integrate_batch(
     final ``edges`` of a related batch: those strictly inside (a, b) join
     it before the first round.
 
+    ``levin`` is f in log form: ``levin(t)`` returns (L, L'), each of shape
+    (k, len(t)), with f = Re exp(L).  One call at the start edges picks the
+    batch's rule.  If no start panel of width w has a phase rate |Im L'|
+    above ``_LEVIN_BATCH`` / w (1e4 radians) in any row at either edge,
+    the batch runs the Gauss-Kronrod rounds above on that start mesh, and
+    ``levin`` is not called again.  Otherwise the batch starts on the
+    knee grading of the whole interval, with the guide's edges but no
+    ``phase_rate_hint`` split (if that fits ``max_panels``), and every
+    round bisects.  Each new panel is
+    then sampled at its 17 Chebyshev-Lobatto points, edges included.  A
+    panel with w |L'| above pi/2 in some row at either edge is a Levin
+    panel: its value solves P' + L'P = 1 by collocation, with error from
+    the nested 9- and 5-point collocations (see ``_levin_panels``).  The
+    other panels, and any whose Levin sums are not finite or whose
+    collocation is singular, are Gauss-Kronrod panels.  Every panel's
+    value and error depend on its own samples only.
+
     Rows that have not converged when the budget is spent keep their best
-    estimate with ``converged`` False instead of raising.  Under a tight
-    ``max_panels`` a deep cut can spend the budget where bisection would
-    converge, and a layer that no Kronrod node samples reads converged.
+    estimate with ``converged`` False instead of raising.  Two limits hold
+    for Gauss-Kronrod panels only: under a tight ``max_panels`` a deep cut
+    can spend the budget where bisection would converge, and a layer that
+    no Kronrod node samples reads converged.  A Levin panel reads F at its
+    ends alone, so a row whose F vanishes at both ends of a turning panel
+    but not inside it reads zero there.
     """
     for name, bound in (("a", a), ("b", b)):
         if not math.isfinite(bound):
@@ -239,20 +401,37 @@ def integrate_batch(
     if phase_rate_hint:
         width = math.pi / (2.0 * phase_rate_hint)
         n0 = int(min(max(1, math.ceil((b - a) / width)), max_panels // 2 + 1))
-    edges = a + np.arange(n0 + 1) * ((b - a) / n0)
-    edges[-1] = b
-    w = edges[1] - a
-    if knee is not None and 0.0 < knee / 8.0 < 0.5 * w:
-        levels = min(math.ceil(math.log2(8.0 * w) - math.log2(knee)) - 1,
-                     max_panels - n0)
-        graded = a + w * 2.0 ** -np.arange(levels, 0, -1)
-        edges = np.unique(np.concatenate([[a], graded, edges[1:]]))
-    if guide is not None:
-        edges = np.union1d(edges, guide[(a < guide) & (guide < b)])
-        if edges.size - 1 > max_panels:
-            raise ValueError(f"guide takes the start mesh to {edges.size - 1}"
-                             f" panels, over max_panels {max_panels}")
-    vals, errs = _gk15_panels(f, edges[:-1], edges[1:])
+
+    inside = None if guide is None else guide[(a < guide) & (guide < b)]
+
+    def start(n):
+        edges = _start_mesh(a, b, n, knee, max_panels)
+        return edges if inside is None else np.union1d(edges, inside)
+
+    edges = start(n0)
+    if edges.size - 1 > max_panels:
+        raise ValueError(f"guide takes the start mesh to {edges.size - 1}"
+                         f" panels, over max_panels {max_panels}")
+
+    def levin_start():
+        """The knee-graded start mesh and the row count if some start
+        panel turns more than _LEVIN_BATCH radians, else None."""
+        phase = np.abs(levin(edges)[1].imag)
+        if (np.max(np.maximum(phase[:, :-1], phase[:, 1:]) * np.diff(edges))
+                <= _LEVIN_BATCH):
+            return None
+        plain = start(1)
+        if plain.size - 1 > max_panels:
+            return None
+        return plain, phase.shape[0]
+
+    choice = None if levin is None else levin_start()
+    levin_rows = None  # the row count of a batch of Levin panels
+    if choice is None:
+        vals, errs = _gk15_panels(f, edges[:-1], edges[1:])
+    else:
+        edges, levin_rows = choice
+        vals, errs = _panel_sums(f, levin, edges[:-1], edges[1:], levin_rows)
     rounds = 1
 
     while True:
@@ -274,16 +453,19 @@ def integrate_batch(
             chosen = chosen[order[:budget]]
         split = np.zeros(lo.size, dtype=bool)
         split[chosen] = True
-        # nested midpoints, as many levels as _HEAD and the budget allow;
-        # a piece cut wider than 4e-15 (|lo| + |hi|) stays, after
-        # rounding, above the width guard that selects panels.  cuts holds
-        # the lower edge of every piece: the first n, the panels' own, are
-        # in the mesh already, and the midpoints are distinct and new
+        # nested midpoints, as many levels as _HEAD and the budget allow
+        # (a Levin batch bisects: its pieces cost a solve each, and its
+        # panels converge spectrally); a piece cut wider than
+        # 4e-15 (|lo| + |hi|) stays, after rounding, above the width guard
+        # that selects panels.  cuts holds the lower edge of every piece:
+        # the first n, the panels' own, are in the mesh already, and the
+        # midpoints are distinct and new
         cuts, ends = lo[chosen], hi[chosen]
         n = chosen.size
         span = float(np.min((ends - cuts) / (np.abs(ends) + np.abs(cuts))))
         levels = 1
-        while (2 ** (levels + 1) * n * vals.shape[0] <= _HEAD
+        while (levin_rows is None
+               and 2 ** (levels + 1) * n * vals.shape[0] <= _HEAD
                and (2 ** (levels + 1) - 1) * n <= budget
                and span > 2 ** levels * 4e-15):
             levels += 1
@@ -297,13 +479,17 @@ def integrate_batch(
         new_errs = np.empty_like(new_vals)
         new_vals[:, ~fresh] = vals[:, ~split]
         new_errs[:, ~fresh] = errs[:, ~split]
-        new_vals[:, fresh], new_errs[:, fresh] = _gk15_panels(
-            f, edges[:-1][fresh], edges[1:][fresh], vals.shape[0])
+        if levin_rows is None:
+            new_vals[:, fresh], new_errs[:, fresh] = _gk15_panels(
+                f, edges[:-1][fresh], edges[1:][fresh], vals.shape[0])
+        else:
+            new_vals[:, fresh], new_errs[:, fresh] = _panel_sums(
+                f, levin, edges[:-1][fresh], edges[1:][fresh], levin_rows)
         vals, errs = new_vals, new_errs
         rounds += 1
 
     return BatchQuadrature(total, total_err, ~active, edges.size - 1, rounds,
-                           edges)
+                           edges, levin_rows is not None)
 
 
 def differentiate(f: Callable, x: float, spec: DiffSpec = DiffSpec()) -> float:

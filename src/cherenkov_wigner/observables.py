@@ -350,6 +350,27 @@ class PhaseSpaceKernel:
         del denom
         return 1.0 / np.sqrt(scaled), c_a, c_b
 
+    def log_integrand_coefficients(self, t):
+        """The t'-dependent factors of the log-integrand
+        L = log pre + cA A + cB B + i t' delta_eps, where pre is
+        ``prefactor_complex`` and log pre = -log(eta (eta C + chi D))/2 on
+        the principal branch, and of its derivative
+        L' = d_log_pre + d_c_a A + d_c_b B + i delta_eps, in closed form
+        from eta' = i a/4 and chi' = i b/4.  Returns (log_pre, c_a, c_b,
+        d_log_pre, d_c_a, d_c_b)."""
+        t = np.asarray(t)
+        eta = 1.0 / (2.0 * self.sigma ** 2) + (0.25j * self.a) * t
+        chi = (0.25j * self.b) * t
+        denom = eta * self.cc + chi * self.dd
+        scaled = eta * denom
+        # (eta denom)'/(eta denom) = eta'/eta + denom'/denom
+        d_denom = (0.25j * (self.a * self.cc + self.b * self.dd)) / denom
+        rate = (0.25j * self.a) / eta + d_denom
+        c_a = -0.5 / denom
+        c_b = -0.5 * chi / scaled
+        return (-0.5 * np.log(scaled), c_a, c_b, -0.5 * rate, -c_a * d_denom,
+                (-0.125j * self.b) / scaled - c_b * rate)
+
     def exponent_coefficients(self, t):
         """Complex (cA, cB) with exponent(t, R) = cA A + cB B."""
         return self.integrand_coefficients(t)[1:]

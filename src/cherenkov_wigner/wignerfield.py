@@ -9,7 +9,9 @@ The production path is the manifestly real cosine form
         cos(t' (eps - eps' - omega) - g/2 + R^2/R_im^2),
 
 with G, g, R_eff and R_im taken from the complex eta/chi algebra of
-``observables.PhaseSpaceKernel``.  The complex symmetric-interval form over
+``observables.PhaseSpaceKernel``; where its phase turns fast, the
+quadrature integrates the same integrand in log form, Re exp(L), on Levin
+collocation panels.  The complex symmetric-interval form over
 [-t_out, t_out] is kept as an independent reference evaluator.
 """
 
@@ -298,7 +300,11 @@ class _Context:
         or at k nodes of shape (k, 3); ``f(t)`` then has shape (len(t),)
         or (k, len(t)).  The t'-dependent coefficients are computed once
         per call and shared by the nodes, which enter only through A and
-        B."""
+        B.  ``f.levin(t)`` returns the same rows in log form (L, L'), each
+        of shape (k, len(t)), k = 1 for one node, with Re exp(L) the
+        integrand and L' in closed form (see
+        ``PhaseSpaceKernel.log_integrand_coefficients``): the form that
+        ``numerics.integrate_batch`` takes for its Levin panels."""
         R = np.asarray(R, dtype=float)
         a_dir, b_dir = self.kernel.direction_factors(R.reshape(-1, 3))
         a_dir, b_dir = a_dir[:, None], b_dir[:, None]
@@ -313,29 +319,40 @@ class _Context:
                 np.angle(pre) + t * delta_eps + osc)
             return out if R.ndim == 2 else out[0]
 
+        def levin(t):
+            log_pre, c_a, c_b, d_pre, d_a, d_b = (
+                self.kernel.log_integrand_coefficients(t))
+            return (log_pre + c_a * a_dir + c_b * b_dir + 1j * delta_eps * t,
+                    d_pre + d_a * a_dir + d_b * b_dir + 1j * delta_eps)
+
+        f.levin = levin
         return f
 
     def nodes(self, R, rel_tol: float, abs_tol: Optional[float],
-              max_panels: int, guide: Optional[np.ndarray] = None):
+              max_panels: int, guide: Optional[np.ndarray] = None,
+              levin: bool = True):
         """The t' integrals (prefactor excluded) at k nodes R of shape
         (k, 3) on one shared adaptive mesh, each held to max(abs_tol,
         rel_tol times their largest |integral|), whose first round runs on
         the start mesh with ``guide``'s edges added when given (see
         ``numerics.integrate_batch``); ``abs_tol`` None is a point's 1e-10
-        of the envelope integral.  Returns arrays of values, error
-        estimates and flags, the mesh's panel count and refinement rounds,
-        and its final edges if every node converged, else None."""
+        of the envelope integral.  With ``levin`` the quadrature may take
+        Levin panels, else Gauss-Kronrod ones only.  Returns arrays of
+        values, error estimates and flags, the mesh's panel count and
+        refinement rounds, its final edges if every node converged, else
+        None, and whether it took Levin panels."""
         if abs_tol is None:
             abs_tol = max(1e-10 * self.envelope_scale, 1e-300)
+        f = self.integrand_for(R)
         res = numerics.integrate_batch(
-            self.integrand_for(R), 0.0, self.scenario.t_out, abs_tol=abs_tol,
-            rel_tol=rel_tol, phase_rate_hint=self.phase_rate_hint,
-            max_panels=max_panels, knee=self.knee, guide=guide)
+            f, 0.0, self.scenario.t_out, abs_tol=abs_tol, rel_tol=rel_tol,
+            phase_rate_hint=self.phase_rate_hint, max_panels=max_panels,
+            knee=self.knee, guide=guide, levin=f.levin if levin else None)
         flags = np.where(res.converged, self.base_flags,
                          self.base_flags | int(WkbFlags.QUAD_NONCONVERGED))
         return (res.values, res.error_estimates, flags.astype(np.uint16),
                 res.panels_used, res.rounds,
-                res.edges if res.converged.all() else None)
+                res.edges if res.converged.all() else None, res.levin)
 
 
 def evaluate_point(scenario: EmissionScenario, R, rel_tol: float = 1e-10,
@@ -480,8 +497,11 @@ def evaluate_map(scenario: EmissionScenario, grid: Optional[MapGrid] = None,
     pilot's by construction, is held to about ``rel_tol`` of the map's
     scale.  When the pilot converged, every other source row starts on the
     pilot's final mesh: every row's start mesh depends only on the
-    scenario, and the pilot's final edges hold it, so a row that the
-    pilot's mesh resolves converges in its first round.
+    scenario and its rule, and the pilot's final edges hold it, so a row
+    that the pilot's mesh resolves converges in its first round.  The
+    other rows may take Levin panels only if the pilot took them (see
+    ``numerics.integrate_batch``), so the rows of a Gauss-Kronrod pilot
+    run exactly the Gauss-Kronrod quadrature.
     With ``workers`` > 1 the other source rows run on that many threads
     over the map's one context, else in a serial loop; each row is the
     same quadrature either way, so the map is bit-identical for any worker
@@ -499,11 +519,12 @@ def evaluate_map(scenario: EmissionScenario, grid: Optional[MapGrid] = None,
     pilot = rows[np.argmin(np.abs(grid.ys()))]
     floor = 1e-14 * ctx.envelope_scale
     done = {pilot: ctx.nodes(nodes[pilot], rel_tol, floor, max_panels)}
-    values, *_, guide = done[pilot]
+    values, *_, guide, levin = done[pilot]
     # the pilot met rel_tol of its largest |integral|, a lower bound of
-    # the map's scale: every other row is held to that same tolerance
+    # the map's scale: every other row is held to that same tolerance, and
+    # takes Levin panels only if the pilot did
     tols = (rel_tol, max(rel_tol * float(np.max(np.abs(values))), floor),
-            max_panels, guide)
+            max_panels, guide, levin)
     todo = np.setdiff1d(rows, pilot)
     if workers == 1:
         done.update((iy, ctx.nodes(nodes[iy], *tols)) for iy in todo)
@@ -512,7 +533,8 @@ def evaluate_map(scenario: EmissionScenario, grid: Optional[MapGrid] = None,
         with ThreadPoolExecutor(workers) as pool:
             done.update(zip(todo, pool.map(
                 lambda iy: ctx.nodes(nodes[iy], *tols), todo)))
-    values, errors, flags, panels, rounds, _ = zip(*(done[iy] for iy in rows))
+    values, errors, flags, panels, rounds, *_ = zip(*(done[iy]
+                                                      for iy in rows))
     # a row taken from its mirror row is reversed in X
     ix = np.where((rows != np.arange(grid.ny))[:, None], cols[::-1], cols)
     values, errors, flags = (np.take_along_axis(np.array(part), ix, axis=1)

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cherenkov_wigner.numerics import (DiffSpec, NoSignChange,
+from cherenkov_wigner.numerics import (_LEVIN_TURN, DiffSpec, NoSignChange,
                                        NonFiniteIntegrand, NonFiniteSample,
-                                       _gk15_panels, _HEAD, differentiate,
-                                       find_root, integrate_batch)
+                                       _gk15_panels, _HEAD, _levin_panels,
+                                       _solve, differentiate, find_root,
+                                       integrate_batch)
 
 
 def gauss_legendre_reference(f, a, b, n=2000):
@@ -607,6 +608,206 @@ def test_deep_split_keeps_the_mesh_and_the_tolerance(rows, layer, offset,
            + np.spacing(b) * variation)
     ref = _fixed_mesh_reference(f, a, b, x0)
     assert np.all((np.abs(res.values - ref) <= tol)[res.converged])
+
+
+def log_form(L, dL):
+    """(f, levin) for integrate_batch: the rows of Re exp(L(t)) and the
+    (L, L') callable of the Levin rule."""
+    return (lambda t: np.exp(L(t)).real), (lambda t: (L(t), dL(t)))
+
+
+def _count_levin(levin, calls):
+    def counted(t):
+        calls.append(t.size)
+        return levin(t)
+    return counted
+
+
+@pytest.mark.parametrize("mu,omega", [(0.0, 2e3), (0.3, 5e3), (2.0, 3e4),
+                                      (-0.2, 8e3)])
+def test_levin_panels_are_exact_on_exponentials(mu, omega):
+    # L' = -mu + i omega is constant, so P = 1/L' solves the collocation
+    # exactly, and the batch meets the closed form
+    # Re[(exp(L(b)) - exp(L(a))) / L'] to rounding on one Levin panel in
+    # one round; the log form is evaluated at the start edges and at the
+    # panel's 17 Chebyshev-Lobatto points
+    c = complex(-mu, omega)
+    f, levin = log_form(lambda t: c * np.atleast_2d(t),
+                        lambda t: np.full((1, np.size(t)), c))
+    calls = []
+    res = integrate_batch(f, 0.0, 10.0, abs_tol=1e-13, rel_tol=1e-12,
+                          levin=_count_levin(levin, calls))
+    exact = ((np.exp(10.0 * c) - 1.0) / c).real
+    assert res.converged[0] and res.levin
+    assert (res.panels_used, res.rounds) == (1, 1)
+    assert abs(res.values[0] - exact) <= 1e-12 * np.exp(max(0.0, -10 * mu))
+    assert calls == [2, 17]
+
+
+def test_levin_panels_meet_closed_forms_and_a_chirp_reference():
+    # rows (1 + t) exp(i w t), whose integral is
+    # exp(i w t) ((1 + t)/(i w) + 1/w^2), and a chirp exp(i (40 t + 2 t^2))
+    # against 100-point Gauss-Legendre on 40 even pieces: every row
+    # converges on a few panels, where Gauss-Kronrod alone spends a
+    # 512-panel budget
+    w = 1500.0
+
+    def L(t):
+        t = np.atleast_1d(t)
+        return np.stack([np.log1p(t) + 1j * w * t,
+                         1j * (40.0 * t + 2.0 * t * t)])
+
+    def dL(t):
+        t = np.atleast_1d(t)
+        return np.stack([1.0 / (1.0 + t) + 1j * w, 1j * (40.0 + 4.0 * t)])
+
+    f, levin = log_form(L, dL)
+    res = integrate_batch(f, 0.0, 20.0, abs_tol=1e-11, rel_tol=1e-11,
+                          levin=levin)
+    prim = lambda t: (np.exp(1j * w * t) * ((1.0 + t) / (1j * w)
+                                            + 1.0 / w ** 2)).real
+    x, wts = np.polynomial.legendre.leggauss(100)
+    t = (np.arange(40)[:, None] + 0.5 * (x + 1.0)) * 0.5
+    chirp = 0.25 * np.sum(wts * f(t.ravel())[1].reshape(t.shape))
+    assert res.converged.all() and res.levin and res.panels_used <= 4
+    assert abs(res.values[0] - (prim(20.0) - prim(0.0))) <= 1e-10
+    assert abs(res.values[1] - chirp) <= 1e-10
+    gk = integrate_batch(f, 0.0, 20.0, abs_tol=1e-11, rel_tol=1e-11,
+                         max_panels=512)
+    assert gk.panels_used == 512 and not gk.converged[0] and not gk.levin
+
+
+@pytest.mark.parametrize("guide", [None, np.array([0.5, 2.0])])
+def test_gauss_kronrod_batches_ignore_the_levin_form(guide):
+    # start panels that turn little keep the Gauss-Kronrod rounds: the same
+    # values, errors, rounds and mesh with and without the log form, which
+    # is evaluated once, at the start edges, whether or not the batch
+    # converges on its start mesh
+    f, levin = log_form(lambda t: np.stack([(-1.0 + 3j) * t, 0.5j * t]),
+                        lambda t: np.stack([np.full(t.size, -1.0 + 3j),
+                                            np.full(t.size, 0.5j)]))
+    start = np.union1d(_start_edges(0.0, 6.0, phase_rate_hint=0.5, knee=0.1),
+                       [] if guide is None else guide)
+    for tol, unconverged in ((1e-12, True), (1e-3, False)):
+        calls = []
+        opts = dict(abs_tol=tol, rel_tol=tol, phase_rate_hint=0.5, knee=0.1,
+                    guide=guide)
+        got = integrate_batch(f, 0.0, 6.0, levin=_count_levin(levin, calls),
+                              **opts)
+        ref = integrate_batch(f, 0.0, 6.0, **opts)
+        assert _same(_fields(got), _fields(ref)) and not got.levin
+        assert (ref.rounds > 1) == unconverged
+        assert calls == [start.size]
+
+
+def damped_chirps(params):
+    """(L, L') of rows c + (-s + i w) t + i k t^2, one per (c, s, w, k);
+    c = -800 makes a row's F = exp(L) underflow to zero."""
+    c, s, w, k = (np.array(col)[:, None] for col in zip(*params))
+
+    def L(t):
+        return c + (-s + 1j * w) * t + 1j * k * t * t
+
+    return L, lambda t: (-s + 1j * w) + 2j * k * t
+
+
+_CHIRP = st.tuples(st.sampled_from([0.0, 1.5, -800.0]), st.floats(0.0, 2.0),
+                   st.floats(40.0, 400.0), st.floats(-20.0, 20.0))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(rows=st.lists(_CHIRP, min_size=1, max_size=12),
+       widths=st.lists(st.floats(0.05, 0.5), min_size=1, max_size=60),
+       bounds=st.lists(st.integers(1, 59), max_size=5))
+def test_levin_panels_depend_on_their_own_samples_only(rows, widths, bounds):
+    # every panel turns (w |L'| >= 0.05 * 40 > pi/2), and its Levin value
+    # and error are the same bits whether its mesh is solved whole, in
+    # other blocks, a panel at a time or a row at a time; a row whose F
+    # underflows at both ends has value and error zero
+    L, dL = damped_chirps(rows)
+    levin = lambda t: (L(t), dL(t))
+    k = len(rows)
+    edges = -3.0 + np.concatenate([[0.0], np.cumsum(widths)])
+    lo, hi = edges[:-1], edges[1:]
+    whole = _levin_panels(levin, lo, hi, k)
+    assert np.all(np.isfinite(whole[0])) and np.all(np.isfinite(whole[1]))
+    cuts = sorted({0, lo.size, *(c for c in bounds if c < lo.size)})
+    blocks = [_levin_panels(levin, lo[s:e], hi[s:e], k)
+              for s, e in zip(cuts[:-1], cuts[1:])]
+    panels = [_levin_panels(levin, lo[j:j + 1], hi[j:j + 1], k)
+              for j in range(lo.size)]
+    for got in (blocks, panels):
+        for i in (0, 1):
+            assert np.array_equal(np.concatenate([g[i] for g in got], axis=1),
+                                  whole[i])
+    for i in range(k):
+        row = _levin_panels(lambda t: (L(t)[i:i + 1], dL(t)[i:i + 1]), lo,
+                            hi, 1)
+        assert np.array_equal(row[0], whole[0][i:i + 1])
+        assert np.array_equal(row[1], whole[1][i:i + 1])
+        if rows[i][0] == -800.0:
+            assert not np.any(whole[0][i]) and not np.any(whole[1][i])
+
+
+def test_panels_that_do_not_turn_are_left_to_gauss_kronrod():
+    # a panel whose width times |L'| at both edges is at most pi/2 reads
+    # NaN from the Levin rule; the others get finite sums
+    levin = lambda t: (0.01j * t[None], np.full((1, t.size), 1.0j))
+    lo = np.array([0.0, 1.0, 3.0])
+    hi = np.array([1.0, 3.0, 10.0])
+    vals, errs = _levin_panels(levin, lo, hi, 1)
+    assert np.isnan(vals[0, 0]) and np.isnan(errs[0, 0])
+    assert (hi - lo)[0] <= _LEVIN_TURN < (hi - lo)[1]
+    assert np.all(np.isfinite(vals[0, 1:]))
+    assert np.all(np.isfinite(errs[0, 1:]))
+
+
+def test_singular_systems_solve_to_nan_and_leave_the_others_alone():
+    rng = np.random.default_rng(5)
+    m = rng.normal(size=(5, 6, 6)) + 1j * rng.normal(size=(5, 6, 6))
+    ones = np.ones((6, 1), dtype=complex)
+    alone = [np.linalg.solve(system, ones) for system in m]
+    m[2] = 0.0
+    q = _solve(m, ones)
+    assert np.all(np.isnan(q[2]))
+    for j in (0, 1, 3, 4):
+        assert np.array_equal(q[j], alone[j])
+
+
+def test_non_finite_levin_form_falls_back_to_gauss_kronrod():
+    # a log form that is NaN or infinite on part of the interval never
+    # reaches a sum: those panels are Gauss-Kronrod ones, and the batch
+    # meets the Gauss-Kronrod result within its tolerance
+    c = 0.5 + 300j
+
+    def levin(t):
+        slope = np.where(t > 6.0, np.nan, c)[None] * np.ones((2, 1))
+        slope[1, t > 8.0] = np.inf
+        return c * t[None] * np.ones((2, 1)), slope
+
+    f = lambda t: np.exp(c * t[None] * np.ones((2, 1))).real
+    opts = dict(abs_tol=1e-12, rel_tol=1e-12)
+    got = integrate_batch(f, 0.0, 10.0, levin=levin, **opts)
+    ref = integrate_batch(f, 0.0, 10.0, **opts)
+    exact = ((np.exp(10.0 * c) - 1.0) / c).real
+    assert got.converged.all() and np.all(np.isfinite(got.values))
+    assert np.allclose(got.values, exact, rtol=1e-11, atol=0.0)
+    assert np.allclose(ref.values, exact, rtol=1e-11, atol=0.0)
+
+
+def test_non_finite_integrand_under_levin_panels_is_named():
+    # a row whose log form and integrand are both non-finite fails by
+    # name, as on Gauss-Kronrod panels
+    c = 300j
+
+    def L(t):
+        out = c * t[None] * np.ones((2, 1))
+        out[1, t > 0.7] = np.nan
+        return out
+
+    f, levin = log_form(L, lambda t: np.full((2, t.size), c))
+    with pytest.raises(NonFiniteIntegrand, match="row 1"):
+        integrate_batch(f, 0.0, 1.0, levin=levin)
 
 
 def test_differentiate_sin():

@@ -4,6 +4,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from conftest import balance_scenario, triangle_from_beta
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cherenkov_wigner.amplitudes import (DegeneratePhase,
                                          combined_phase_gradient)
@@ -327,6 +329,41 @@ def test_integrand_coefficients_share_eta_and_chi(rng, monkeypatch):
                             calls.append(_n) or _m(self, t))
     kern.integrand_coefficients(t)
     assert sorted(calls) == ["chi", "eta"]
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(beta=st.floats(0.75, 0.999), n=st.floats(1.35, 1.8),
+       log_omega=st.floats(-7.0, -4.0), log_sigma=st.floats(-5.0, -2.0),
+       theta_frac=st.floats(0.8, 1.25), log_t=st.floats(-3.0, 7.0),
+       R=st.tuples(*[st.floats(-3.0, 3.0)] * 3))
+def test_log_integrand_slope_is_the_derivative_of_its_log(
+        beta, n, log_omega, log_sigma, theta_frac, log_t, R):
+    # L' of the Levin rule, closed-form from eta' = i a/4 and chi' = i b/4,
+    # against Richardson differences of L = log F, part by part; exp(L) is
+    # F = prefactor_complex exp(cA A + cB B + i t' delta_eps)
+    sc = balance_scenario(beta=beta, n=n, omega=10 ** log_omega,
+                          sigma=10 ** log_sigma, theta_frac=theta_frac)
+    kern = PhaseSpaceKernel.from_geometry(sc.geometry(), sc.packet, sc.medium)
+    t = 10 ** log_t
+    r_eff, _ = kern.correlation_scales(t, np.array([1.0, 0.0, 0.0]))
+    a_dir, b_dir = kern.direction_factors(
+        np.array(R) * min(r_eff, 1e3 / kern.sigma))
+
+    def log_form(s):
+        l0, c_a, c_b, d0, d_a, d_b = kern.log_integrand_coefficients(s)
+        return (l0 + c_a * a_dir + c_b * b_dir + 1j * kern.delta_eps * s,
+                d0 + d_a * a_dir + d_b * b_dir + 1j * kern.delta_eps)
+
+    L, slope = (complex(x) for x in log_form(t))
+    pre, c_a, c_b = kern.integrand_coefficients(t)
+    big_f = complex(pre * np.exp(c_a * a_dir + c_b * b_dir
+                                 + 1j * kern.delta_eps * t))
+    # both round the phase, |Im L| radians, to a few ulps
+    assert abs(np.exp(L) - big_f) <= 1e-14 * (1.0 + abs(L)) * abs(big_f)
+    for part in (np.real, np.imag):
+        numeric = differentiate(lambda s: float(part(log_form(s)[0])), t,
+                                DiffSpec(base_step=1e-4))
+        assert abs(numeric - part(slope)) <= 1e-6 * abs(slope) + 1e-9 / t
 
 
 def coplanar_cherenkov_geometry(beta=0.99, n=1.4, omega=1e-5,

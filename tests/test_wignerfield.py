@@ -20,8 +20,9 @@ from cherenkov_wigner.medium import AnalyticMedium, ConstantMedium
 from cherenkov_wigner.observables import PhaseSpaceKernel, WkbFlags
 from cherenkov_wigner.wignerfield import (EmissionScenario, MapGrid,
                                           OffShell,
-                                          _Context, _source_columns,
-                                          _source_rows, _x_normal,
+                                          _Context, _reference_edges,
+                                          _source_columns, _source_rows,
+                                          _x_normal,
                                           central_value,
                                           default_grid, delta_p_scan,
                                           evaluate_map, evaluate_point,
@@ -197,6 +198,46 @@ def test_long_map_matches_reference_at_every_node():
                     <= 1e-9 * wmap.scale)
 
 
+def _fine_reference(sc, R):
+    """``evaluate_point_reference``'s 32-point Gauss-Legendre sum (real
+    part) on a mesh of 0.05-radian phase steps and up to 200,000 panels,
+    summed 10,000 panels at a time."""
+    ctx = _Context(sc)
+    x, w = np.polynomial.legendre.leggauss(32)
+    edges = _reference_edges(ctx, R, max_phase=0.05, max_panels=200_000)
+    a_dir, b_dir = ctx.kernel.direction_factors(R)
+    total = 0.0
+    for s in range(0, edges.size - 1, 10_000):
+        lo, hi = edges[s:s + 10_001][:-1], edges[s:s + 10_001][1:]
+        half = 0.5 * (hi - lo)[:, None]
+        t = 0.5 * (lo + hi)[:, None] + half * x
+        pre, c_a, c_b = ctx.kernel.integrand_coefficients(t)
+        vals = pre * np.exp(c_a * a_dir + c_b * b_dir
+                            + 1j * t * ctx.kernel.delta_eps)
+        total += 2.0 * np.sum(half * w * vals.real)
+    return ctx.prefactor * total
+
+
+@pytest.mark.parametrize("sigma,t_out,nodes", [
+    (1e-2, 1e6, [(6, 1), (7, 7)]),
+    (1e-3, 7e6, [(6, 1), (7, 0), (7, 7)])], ids=["sigma-1e-2", "sigma-1e-3"])
+def test_wide_maps_converge_at_every_node(sigma, t_out, nodes):
+    # the 16 x 16 default grids at theta_Ch that Gauss-Kronrod alone left
+    # with 48 and 116 QUAD_NONCONVERGED nodes: every row now converges, and
+    # the check nodes meet a Gauss-Legendre reference on up to 200,000
+    # panels within 1e-9 of the scale.  evaluate_point_reference's 8,192
+    # panels are 1.7e-9 off at node (6, 1) of the sigma = 1e-3 map; the
+    # 200,000-panel reference at (7, 0) moves by 2e-10 on 1,000,000
+    sc = balance_scenario(sigma=sigma, t_out=t_out)
+    wmap = evaluate_map(sc, default_grid(sc, 16, 16))
+    assert not np.any(wmap.flags & int(WkbFlags.QUAD_NONCONVERGED))
+    grid = wmap.grid
+    for iy, ix in nodes:
+        ref = _fine_reference(sc, np.array([grid.xs()[ix], grid.ys()[iy],
+                                            grid.z]))
+        assert abs(wmap.values[iy, ix] * wmap.scale - ref) <= 1e-9 * wmap.scale
+
+
 def test_point_is_the_one_node_row():
     sc = balance_scenario(sigma=1e-5, theta_frac=1.1, t_out=5e6)
     ctx = _Context(sc)
@@ -353,8 +394,8 @@ def _pilot(sc, grid, rel_tol=1e-9, max_panels=4096):
     iy = int(_source_rows(grid)[np.argmin(np.abs(grid.ys()))])
     keep = _source_columns(ctx, grid).max() + 1
     floor = 1e-14 * ctx.envelope_scale
-    values, *_, guide = ctx.nodes(_row_nodes(grid, iy)[:keep], rel_tol,
-                                  floor, max_panels)
+    values, *_, guide, _ = ctx.nodes(_row_nodes(grid, iy)[:keep], rel_tol,
+                                     floor, max_panels)
     abs_tol = max(rel_tol * float(np.max(np.abs(values))), floor)
     return iy, abs_tol, 2.0 * ctx.prefactor * values, guide
 
@@ -424,7 +465,8 @@ def test_map_long_nodes_as_points_take_few_rounds():
 def test_point_on_its_start_mesh_is_one_integrand_call(monkeypatch):
     sc = balance_scenario(sigma=1e-5, theta_frac=1.1, t_out=5e6)
     R = np.array([3e4, -2e4, 0.0])
-    *_, panels, rounds, _ = _Context(sc).nodes(R[None, :], 1e-10, None, 4096)
+    *_, panels, rounds, _, _ = _Context(sc).nodes(R[None, :], 1e-10, None,
+                                                  4096)
     assert rounds == 1 and panels <= 64
     sizes = []
     batch = numerics.integrate_batch
@@ -702,12 +744,26 @@ def test_map_long_rows_follow_the_pilot_mesh():
                           & int(WkbFlags.QUAD_NONCONVERGED))
 
 
+@pytest.mark.parametrize("theta_frac", [1.0, 1.1])
+def test_map_long_rows_take_few_levin_panels(theta_frac):
+    # at t_out = 5e7 the phase makes ~10^4 turns over the outer nodes: Levin
+    # panels on the Gouy-knee grading hold every source row to the map
+    # tolerance on a few panels (Gauss-Kronrod took 196-229, the pilot in
+    # 4-8 rounds)
+    sc = balance_scenario(sigma=1e-5, theta_frac=theta_frac, t_out=5e7)
+    wmap = evaluate_map(sc, default_grid(sc, 12, 12))
+    assert np.all(wmap.panels <= 40) and np.all(wmap.rounds <= 3)
+    assert not np.any(wmap.flags & int(WkbFlags.QUAD_NONCONVERGED))
+
+
 def test_unconverged_pilot_guides_no_row(monkeypatch):
-    # on a 64-panel budget the map-long pilot does not converge, so its
-    # mesh is no guide: every row starts on the start mesh alone
-    sc = balance_scenario(sigma=1e-5, theta_frac=1.1, t_out=5e7)
-    grid = default_grid(sc, 6, 6)
-    assert _pilot(sc, grid, max_panels=64)[3] is None
+    # on a 16-panel budget the fig10 pilot does not converge, so its mesh
+    # is no guide: every row starts on the start mesh alone.  (The
+    # map-long pilot, which this test used on 64 panels, now converges on
+    # any budget: Levin panels take its whole [0, t_out] on one panel.)
+    sc = fig10_scenario()
+    grid = MapGrid.centered(400.0, 400.0, 6, 6)
+    assert _pilot(sc, grid, max_panels=16)[3] is None
     guides = []
     batch = numerics.integrate_batch
 
@@ -716,7 +772,7 @@ def test_unconverged_pilot_guides_no_row(monkeypatch):
         return batch(f, *args, guide=guide, **kwargs)
 
     monkeypatch.setattr(numerics, "integrate_batch", recorded)
-    evaluate_map(sc, grid, max_panels=64)
+    evaluate_map(sc, grid, max_panels=16)
     assert len(guides) == 3 and all(g is None for g in guides)
 
 
