@@ -619,7 +619,8 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True)
     parser.add_argument("--out-dir", default=".")
     parser.add_argument("--workers", type=int, default=1,
-                        help="threads over the rows of a map (default: 1)")
+                        help="threads over the row groups of a map "
+                             "(default: 1)")
     parser.add_argument("--format", dest="fmt", default="csv",
                         choices=("csv", "csv+svg"))
     try:

@@ -207,7 +207,9 @@ def _levin_panels(levin, lo, hi, rows):
     contraction e9/e5 when that is below 1, else e9.  A panel's sums
     depend only on its own samples; a row whose L or L' is not finite, or
     whose system is singular, gets non-finite sums.  Each call of
-    ``levin`` holds at most ``_BLOCK`` rows x abscissae."""
+    ``levin`` holds at most ``_BLOCK`` rows x abscissae, and each stack of
+    collocation systems solved at once at most ``_BLOCK`` matrix
+    entries."""
     half = 0.5 * (hi - lo)
     t = (0.5 * (lo + hi))[:, None] + half[:, None] * _LOBATTO
     vals = np.full((rows, lo.size), np.nan)
@@ -226,16 +228,23 @@ def _levin_panels(levin, lo, hi, rows):
             ends = np.exp(log_f[..., ::16])
             row, panel = np.nonzero(turning & np.any(ends != 0.0, axis=2))
             rate, ends = rate[row, panel], ends[row, panel]
-            # (D + h diag(L')) q = 1 on [-1, 1], and P = h q
+            # (D + h diag(L')) q = 1 on [-1, 1], and P = h q, solved in
+            # stacks of at most _BLOCK matrix entries
             q_ends = []
             for d, points, ends_at in ((_LEVIN_FINE, slice(None), [0, 16]),
                                        (_LEVIN_COARSE, _COARSE_POINTS,
                                         [0, 8, 9, 13])):
                 n = d.shape[0]
-                m = np.empty((row.size, n, n), dtype=complex)
-                m[:] = d
-                m.reshape(-1, n * n)[:, ::n + 1] += rate[:, points]
-                q_ends.append(_solve(m, _ONES[:n])[:, ends_at, 0])
+                stack = _BLOCK // (n * n)
+                q = np.empty((row.size, len(ends_at)), dtype=complex)
+                for s in range(0, row.size, stack):
+                    m = np.empty((min(stack, row.size - s), n, n),
+                                 dtype=complex)
+                    m[:] = d
+                    m.reshape(-1, n * n)[:, ::n + 1] += rate[s:s + stack,
+                                                             points]
+                    q[s:s + stack] = _solve(m, _ONES[:n])[:, ends_at, 0]
+                q_ends.append(q)
             q_ends = np.concatenate(q_ends, axis=1).reshape(-1, 3, 2)
             fine, e9, e5 = (half[start:stop][panel] * np.einsum(
                 "irj,ij->ri", q_ends, ends * [-1.0, 1.0]).real)

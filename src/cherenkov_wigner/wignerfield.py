@@ -18,6 +18,7 @@ collocation panels.  The complex symmetric-interval form over
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from pathlib import Path
@@ -154,10 +155,11 @@ def _format_float(x: float) -> str:
 @dataclass
 class WignerMap:
     """Normalized map values (max |value| scaled to 1) with the raw scale
-    and per-node evaluation flags retained; ``panels`` and ``rounds`` hold
-    the mesh size and refinement passes of each row's source-row
-    quadrature over its source columns (see ``evaluate_map``; not written
-    to the CSV)."""
+    and per-node evaluation flags retained; ``panels`` and ``rounds`` hold,
+    for each row, the mesh size and refinement passes of the batch that
+    integrated its source row: the pilot's own, or its row group's, shared
+    by every row of the group (see ``evaluate_map``; not written to the
+    CSV)."""
 
     grid: MapGrid
     values: np.ndarray
@@ -488,8 +490,8 @@ def evaluate_map(scenario: EmissionScenario, grid: Optional[MapGrid] = None,
     along X), A and B are even in X alone, so W(x, y) = W(-x, y) at any Z:
     if the X nodes are symmetric about 0, the lower column of each pair
     (ix, nx-1-ix) is the source column.  Other rows and columns are their
-    own sources.  Each source row is one quadrature of its source columns
-    on a mesh those nodes share, integrated once.  The source row nearest
+    own sources.  Each source row is integrated once, on its source
+    columns and on a mesh its nodes share.  The source row nearest
     R = 0, the pilot, goes first: its nodes are held to ``rel_tol`` of
     their largest |integral|, a lower bound of the map's scale, but to no
     less than 1e-14 of the envelope integral Int dt'/G.  That tolerance is
@@ -502,12 +504,24 @@ def evaluate_map(scenario: EmissionScenario, grid: Optional[MapGrid] = None,
     other rows may take Levin panels only if the pilot took them (see
     ``numerics.integrate_batch``), so the rows of a Gauss-Kronrod pilot
     run exactly the Gauss-Kronrod quadrature.
-    With ``workers`` > 1 the other source rows run on that many threads
-    over the map's one context, else in a serial loop; each row is the
-    same quadrature either way, so the map is bit-identical for any worker
-    count.
+
+    The other source rows are integrated in row groups: each group is one
+    quadrature of the stacked nodes of consecutive source rows, as many
+    rows as fit source columns x the pilot's panel count x 17 abscissae
+    within ``numerics._BLOCK``, and at least one.  The groups depend only
+    on the grid and the pilot, and no integrand call holds more than
+    ``_BLOCK`` rows x abscissae.  A panel's sums depend only on its own
+    samples, so a group whose rows all converge in their first round gives
+    each row the bits it gets alone; a group that refines shares its cuts,
+    and is held to ``rel_tol`` of its own largest |integral| when that
+    exceeds the pilot's tolerance.
+    With ``workers`` > 1 the groups run on that many threads over the
+    map's one context, else in a serial loop, and a map of one group
+    starts no thread; each group is the same quadrature either way, so the
+    map is bit-identical for any worker count.  ``workers`` must be an
+    integer >= 1, else ``ValueError`` is raised before any quadrature.
     """
-    if workers < 1:
+    if not isinstance(workers, numbers.Integral) or workers < 1:
         raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
     ctx = _Context(scenario)
     if grid is None:
@@ -518,23 +532,35 @@ def evaluate_map(scenario: EmissionScenario, grid: Optional[MapGrid] = None,
     nodes = np.stack([x, y, np.full_like(x, grid.z)], axis=-1)
     pilot = rows[np.argmin(np.abs(grid.ys()))]
     floor = 1e-14 * ctx.envelope_scale
-    done = {pilot: ctx.nodes(nodes[pilot], rel_tol, floor, max_panels)}
-    values, *_, guide, levin = done[pilot]
+    *pilot_row, guide, levin = ctx.nodes(nodes[pilot], rel_tol, floor,
+                                         max_panels)
+    done = {pilot: pilot_row}
+    values, *_, pilot_panels, _ = pilot_row
     # the pilot met rel_tol of its largest |integral|, a lower bound of
     # the map's scale: every other row is held to that same tolerance, and
     # takes Levin panels only if the pilot did
     tols = (rel_tol, max(rel_tol * float(np.max(np.abs(values))), floor),
             max_panels, guide, levin)
+    # consecutive source rows, as many as fit _BLOCK rows x abscissae on
+    # the pilot's mesh at 17 per panel
     todo = np.setdiff1d(rows, pilot)
-    if workers == 1:
-        done.update((iy, ctx.nodes(nodes[iy], *tols)) for iy in todo)
-    else:  # a serial map starts no thread and skips this import
+    size = max(1, numerics._BLOCK // (nodes.shape[1] * pilot_panels * 17))
+    groups = [todo[i:i + size] for i in range(0, todo.size, size)]
+
+    def integrate(group):
+        return ctx.nodes(nodes[group].reshape(-1, 3), *tols)
+
+    if workers == 1 or len(groups) < 2:
+        batches = map(integrate, groups)
+    else:  # only a map of several groups starts threads and imports this
         from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(workers) as pool:
-            done.update(zip(todo, pool.map(
-                lambda iy: ctx.nodes(nodes[iy], *tols), todo)))
-    values, errors, flags, panels, rounds, *_ = zip(*(done[iy]
-                                                      for iy in rows))
+            batches = list(pool.map(integrate, groups))
+    for group, (*parts, panels, rounds, _, _) in zip(groups, batches):
+        parts = [part.reshape(group.size, -1) for part in parts]
+        done.update((iy, (*sums, panels, rounds))
+                    for iy, *sums in zip(group, *parts))
+    values, errors, flags, panels, rounds = zip(*(done[iy] for iy in rows))
     # a row taken from its mirror row is reversed in X
     ix = np.where((rows != np.arange(grid.ny))[:, None], cols[::-1], cols)
     values, errors, flags = (np.take_along_axis(np.array(part), ix, axis=1)

@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 import multiprocessing
 import os
@@ -331,10 +332,12 @@ def test_map_worker_independence_under_spawn(workers):
     # threads share the map's context, so nothing is pickled: a dispersive
     # medium built from lambdas works under any start method.  The context
     # is only read: with more threads than cores and a short switch
-    # interval, every row still equals its serial row
+    # interval, every row still equals its serial row.  256 columns on the
+    # pilot's 3 panels make three row groups, so the threads run
     sc = replace(balance_scenario(sigma=1e-5, t_out=3e5, phi_k=0.3),
                  medium=AnalyticMedium.from_dispersion_params(1.4, 1e-5, 0.5))
-    grid = MapGrid.centered(3e4, 3e4, 5, 24)
+    grid = MapGrid.centered(3e4, 3e4, 256, 24)
+    assert len(_batch_sizes(sc, grid)) == 4
     serial = evaluate_map(sc, grid, workers=1)
     method = multiprocessing.get_start_method(allow_none=True)
     interval = sys.getswitchinterval()
@@ -410,6 +413,23 @@ def _rows_without_reuse(sc, grid, rel_tol=1e-9, max_panels=4096):
                       guide)[0]
             for iy in range(grid.ny)]
     return 2.0 * ctx.prefactor * np.array(rows)
+
+
+def _batch_sizes(sc, grid, rel_tol=1e-9, max_panels=4096):
+    """The node count of each ``integrate_batch`` call of the map: the
+    pilot row on the source columns, then one row group after another,
+    each as many consecutive other source rows as fit source columns x the
+    pilot's panel count x 17 abscissae within ``numerics._BLOCK``, and at
+    least one."""
+    ctx = _Context(sc)
+    iy = int(_source_rows(grid)[np.argmin(np.abs(grid.ys()))])
+    keep = _source_columns(ctx, grid).max() + 1
+    panels = ctx.nodes(_row_nodes(grid, iy)[:keep], rel_tol,
+                       1e-14 * ctx.envelope_scale, max_panels)[3]
+    others = np.unique(_source_rows(grid)).size - 1
+    size = max(1, numerics._BLOCK // (keep * panels * 17))
+    return [keep] + [keep * min(size, others - i)
+                     for i in range(0, others, size)]
 
 
 def test_pilot_row_reuse_matches_a_map_without_it():
@@ -491,21 +511,128 @@ def test_point_on_its_start_mesh_is_one_integrand_call(monkeypatch):
     ids=["even", "odd", "long-1.1-theta-ch"])
 def test_centered_map_integrates_one_row_of_each_mirror_pair(
         sc, grid, monkeypatch):
+    # the pilot, then the other source rows in row groups: together one
+    # row of each mirror pair
     grid = grid or default_grid(sc, 6, 6)
+    sizes = _batch_sizes(sc, grid)
     calls = _count_batches(monkeypatch)
     evaluate_map(sc, grid, workers=1)
-    assert len(calls) == math.ceil(grid.ny / 2)
+    assert _batch_rows(calls) == sizes
+    assert sum(sizes) == math.ceil(grid.ny / 2) * sizes[0]
 
 
 @pytest.mark.parametrize("theta_frac", [1.0, 1.1])
 def test_map_long_integrates_each_source_row_once(theta_frac, monkeypatch):
     # the map-long maps: the pilot meets the map tolerance it sets, so it
-    # is one of the map's rows and no row is integrated twice
+    # is one of the map's rows and no row is integrated twice; the other
+    # five source rows are one row group
     sc = balance_scenario(sigma=1e-5, theta_frac=theta_frac, t_out=5e7)
     grid = default_grid(sc, 12, 12)
+    sizes = _batch_sizes(sc, grid)
     calls = _count_batches(monkeypatch)
     evaluate_map(sc, grid, workers=1)
-    assert len(calls) == np.unique(_source_rows(grid)).size == 6
+    assert np.unique(_source_rows(grid)).size == 6
+    assert _batch_rows(calls) == sizes == [6, 30]
+
+
+def fig12_scenario():
+    """The fig12 map's scenario, theta_k = 43.82 deg at t_out = 1e6."""
+    return replace(balance_scenario(sigma=1e-5, t_out=1e6),
+                   theta_k=math.radians(43.82))
+
+
+# (scenario, default grid size): both map-long maps, fig12 and both
+# 16 x 16 maps that Gauss-Kronrod alone left unconverged
+_GROUPED_MAPS = [
+    (balance_scenario(sigma=1e-5, t_out=5e7), 12),
+    (balance_scenario(sigma=1e-5, theta_frac=1.1, t_out=5e7), 12),
+    (fig12_scenario(), 24),
+    (balance_scenario(sigma=1e-2, t_out=1e6), 16),
+    (balance_scenario(sigma=1e-3, t_out=7e6), 16)]
+_GROUPED_IDS = ["map-long-1.0", "map-long-1.1", "fig12", "probe-sigma-1e-2",
+                "probe-sigma-1e-3"]
+
+
+@pytest.mark.parametrize("sc,size", _GROUPED_MAPS[:3], ids=_GROUPED_IDS[:3])
+def test_map_long_and_fig12_maps_take_two_batches(sc, size, monkeypatch):
+    # the pilot, then every other source row in one row group
+    calls = _count_batches(monkeypatch)
+    evaluate_map(sc, default_grid(sc, size, size))
+    assert len(calls) == 2
+
+
+def _per_row_map(sc, grid, rel_tol=1e-9, max_panels=4096):
+    """The map integrated one source row per ``_Context.nodes`` batch: the
+    pilot, then each other source row on its own under the map tolerance,
+    with the pilot's guide and rule.  Returns, keyed by source row, its
+    values and errors on the source columns with the prefactor applied,
+    its flags, panels and rounds."""
+    ctx = _Context(sc)
+    iy_pilot = int(_source_rows(grid)[np.argmin(np.abs(grid.ys()))])
+    keep = _source_columns(ctx, grid).max() + 1
+    floor = 1e-14 * ctx.envelope_scale
+    *pilot, guide, levin = ctx.nodes(_row_nodes(grid, iy_pilot)[:keep],
+                                     rel_tol, floor, max_panels)
+    tols = (rel_tol, max(rel_tol * float(np.max(np.abs(pilot[0]))), floor),
+            max_panels, guide, levin)
+    rows = {}
+    for iy in np.unique(_source_rows(grid)):
+        values, errors, *rest = (pilot if iy == iy_pilot else ctx.nodes(
+            _row_nodes(grid, iy)[:keep], *tols)[:5])
+        rows[iy] = (2.0 * ctx.prefactor * values,
+                    2.0 * ctx.prefactor * errors, *rest)
+    return rows
+
+
+@pytest.mark.parametrize("sc,size", _GROUPED_MAPS, ids=_GROUPED_IDS)
+def test_row_groups_match_per_row_batches_bit_for_bit(sc, size):
+    # every row of these maps converges in its group's first round, and a
+    # panel's sums depend only on its own samples: each source row gets the
+    # bits of its own batch, its panels and rounds included
+    grid = default_grid(sc, size, size)
+    sizes = _batch_sizes(sc, grid)
+    assert max(sizes[1:]) > sizes[0]  # some group holds several rows
+    wmap = evaluate_map(sc, grid)
+    rows = _per_row_map(sc, grid)
+    scale = max(float(np.max(np.abs(row[0]))) for row in rows.values())
+    assert wmap.scale == scale
+    keep = sizes[0]
+    for iy, (values, errors, flags, panels, rounds) in rows.items():
+        assert np.array_equal(wmap.values[iy, :keep], values / scale)
+        assert np.array_equal(wmap.error_estimates[iy, :keep],
+                              errors / scale)
+        assert np.array_equal(wmap.flags[iy, :keep], flags)
+        assert wmap.panels[iy] == panels and wmap.rounds[iy] == rounds
+
+
+@pytest.mark.parametrize("theta_frac,t_out", [
+    (1.0, 1e6), (1.1, 1e6), (1.0, 5e7), (1.1, 5e7)],
+    ids=["1.0-1e6", "1.1-1e6", "1.0-5e7", "1.1-5e7"])
+def test_paper_scale_map_calls_hold_at_most_a_block(theta_frac, t_out,
+                                                    monkeypatch):
+    # the 128 x 128 default maps, in row groups of 6-10 rows: no call of an
+    # integrand or of its log form holds more than _BLOCK rows x abscissae
+    sc = balance_scenario(sigma=1e-5, theta_frac=theta_frac, t_out=t_out)
+    sizes = []
+    integrand_for = _Context.integrand_for
+
+    def recorded(self, R):
+        f = integrand_for(self, R)
+        rows = np.reshape(R, (-1, 3)).shape[0]
+
+        def counted(form):
+            def g(t):
+                sizes.append(rows * np.size(t))
+                return form(t)
+            return g
+
+        g = counted(f)
+        g.levin = counted(f.levin)
+        return g
+
+    monkeypatch.setattr(_Context, "integrand_for", recorded)
+    evaluate_map(sc, default_grid(sc))
+    assert sizes and max(sizes) <= numerics._BLOCK
 
 
 @pytest.mark.parametrize("grid,nearest,pilot_row", [
@@ -524,9 +651,11 @@ def test_mirrored_rows_are_their_source_reversed(grid, nearest, pilot_row,
     assert np.argmin(np.abs(grid.ys())) == nearest
     iy_pilot, _, pilot, _ = _pilot(sc, grid)
     assert iy_pilot == pilot_row
+    sizes = _batch_sizes(sc, grid)
     calls = _count_batches(monkeypatch)
     wmap = evaluate_map(sc, grid, workers=1)
-    assert len(calls) == math.ceil(grid.ny / 2)
+    assert _batch_rows(calls) == sizes
+    assert sum(sizes) == math.ceil(grid.ny / 2) * grid.nx
     assert np.array_equal(wmap.values[iy_pilot], pilot / wmap.scale)
     for iy in range(grid.ny // 2):
         mirror = grid.ny - 1 - iy
@@ -553,9 +682,11 @@ def test_grid_without_mirror_symmetry_integrates_every_row(grid,
     iy_pilot, _, pilot, _ = _pilot(sc, grid)
     raw = _rows_without_reuse(sc, grid)
     raw[iy_pilot] = pilot
+    sizes = _batch_sizes(sc, grid)
     calls = _count_batches(monkeypatch)
     wmap = evaluate_map(sc, grid, workers=1)
-    assert len(calls) == grid.ny
+    assert _batch_rows(calls) == sizes
+    assert sum(sizes) == grid.ny * grid.nx
     assert np.array_equal(wmap.values, raw / wmap.scale)
 
 
@@ -571,12 +702,15 @@ _WORKER_CASES = [
     # the map tolerance gives other last digits: the pool must not
     (balance_scenario(sigma=1e-4, theta_frac=1.1, t_out=3e5), (8, 5)),
     # phi_k = 90 deg, half rows, at a t_out where the integral cancels
-    (balance_scenario(sigma=1e-5, theta_frac=1.1, t_out=5e7), (5, 4))]
+    (balance_scenario(sigma=1e-5, theta_frac=1.1, t_out=5e7), (5, 4)),
+    # two row groups, each refined over five rounds: the pool runs
+    (skew_scenario(), (20, 20))]
 
 
 @pytest.mark.parametrize("sc,grid", _WORKER_CASES,
                          ids=["fig10", "pilot-high", "odd", "mirrored-digits",
-                              "four-round-pilot", "half-rows-long"])
+                              "four-round-pilot", "half-rows-long",
+                              "two-groups"])
 def test_map_worker_independence_with_a_reused_pilot_row(sc, grid):
     if not isinstance(grid, MapGrid):
         grid = default_grid(sc, *grid)
@@ -621,15 +755,18 @@ def test_x_normal_map_integrates_half_of_each_row(grid, monkeypatch):
     ctx = _Context(sc)
     assert _x_normal(ctx.kernel)
     keep = math.ceil(grid.nx / 2)
+    sizes = _batch_sizes(sc, grid)
     calls = _count_batches(monkeypatch)
     wmap = evaluate_map(sc, grid, workers=1)
-    assert calls and _batch_rows(calls) == [keep] * len(calls)
-    # each batch is the first keep columns of a row: an odd grid's centre
-    # column once, as its last node
+    assert _batch_rows(calls) == sizes
+    assert all(rows % keep == 0 for rows in sizes)
+    # each batch is the first keep columns of whole rows: an odd grid's
+    # centre column once per row, as its last node
     t = np.linspace(0.0, sc.t_out, 7)
     for f in calls:
-        assert any(np.array_equal(f(t), ctx.integrand_for(
-            _row_nodes(grid, iy)[:keep])(t)) for iy in range(grid.ny))
+        for block in f(t).reshape(-1, keep, t.size):
+            assert any(np.array_equal(block, ctx.integrand_for(
+                _row_nodes(grid, iy)[:keep])(t)) for iy in range(grid.ny))
     for name in ("values", "error_estimates", "flags"):
         rows = getattr(wmap, name)
         assert np.array_equal(rows[:, keep:], rows[:, grid.nx - keep - 1::-1])
@@ -682,9 +819,13 @@ def _delta_p_scenario(sigmas):
          "one-column-at-0"])
 def test_map_keeps_full_rows_unless_x_is_normal_and_symmetric(sc, grid,
                                                               monkeypatch):
+    # the pilot is one full row, and every row group whole full rows
+    sizes = _batch_sizes(sc, grid)
     calls = _count_batches(monkeypatch)
     evaluate_map(sc, grid, workers=1)
-    assert calls and _batch_rows(calls) == [grid.nx] * len(calls)
+    assert _batch_rows(calls) == sizes
+    assert sizes[0] == grid.nx
+    assert all(rows % grid.nx == 0 for rows in sizes)
 
 
 def test_x_normal_needs_both_d_and_c_normal_to_x():
@@ -727,12 +868,7 @@ def test_map_long_rows_follow_the_pilot_mesh():
     # both map-long maps and the fig12 map: every other source row starts
     # on the converged pilot's final mesh and converges there, in one
     # round (bisection took 6-8, and cuts at the pilot's edges 2)
-    fig12 = replace(balance_scenario(sigma=1e-5, t_out=1e6),
-                    theta_k=math.radians(43.82))
-    for sc, size in ((balance_scenario(sigma=1e-5, t_out=5e7), 12),
-                     (balance_scenario(sigma=1e-5, theta_frac=1.1,
-                                       t_out=5e7), 12),
-                     (fig12, 24)):
+    for sc, size in _GROUPED_MAPS[:3]:
         grid = default_grid(sc, size, size)
         iy_pilot, _, _, guide = _pilot(sc, grid)
         assert guide is not None
@@ -764,6 +900,7 @@ def test_unconverged_pilot_guides_no_row(monkeypatch):
     sc = fig10_scenario()
     grid = MapGrid.centered(400.0, 400.0, 6, 6)
     assert _pilot(sc, grid, max_panels=16)[3] is None
+    sizes = _batch_sizes(sc, grid, max_panels=16)
     guides = []
     batch = numerics.integrate_batch
 
@@ -773,7 +910,8 @@ def test_unconverged_pilot_guides_no_row(monkeypatch):
 
     monkeypatch.setattr(numerics, "integrate_batch", recorded)
     evaluate_map(sc, grid, max_panels=16)
-    assert len(guides) == 3 and all(g is None for g in guides)
+    assert len(guides) == len(sizes) == 2
+    assert all(g is None for g in guides)
 
 
 _MAP_CASES = _WORKER_CASES + [
@@ -818,7 +956,8 @@ def test_pilot_row_meets_the_map_tolerance(case, rel_tol):
     map_tol = max(rel_tol * float(np.max(np.abs(pilot.values))), floor)
     assert [abs_tol for abs_tol, _ in others] == [map_tol] * len(others)
     assert np.array_equal(pilot.converged, pilot.error_estimates <= map_tol)
-    assert len(batches) == np.unique(_source_rows(grid)).size
+    assert ([batch.values.size for _, batch in batches]
+            == _batch_sizes(sc, grid, rel_tol))
 
 
 def test_delta_p_scan():
@@ -1093,6 +1232,42 @@ def test_map_rejects_workers_below_one(workers):
     with pytest.raises(ValueError, match="^workers must be an integer >= 1"):
         evaluate_map(balance_scenario(), MapGrid.centered(1e3, 1e3, 1, 1),
                      workers=workers)
+
+
+@pytest.mark.parametrize("workers", [math.nan, 1.5, 2.0])
+def test_map_rejects_workers_that_are_not_integers(workers, monkeypatch):
+    # NaN passes a "< 1" check and would start a pool with no thread that
+    # never returns; 1.5 would start two threads.  Both fail by name before
+    # any quadrature or thread
+    def never(*args, **kwargs):
+        raise AssertionError("started before workers was checked")
+
+    monkeypatch.setattr(numerics, "integrate_batch", never)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", never)
+    with pytest.raises(ValueError, match="^workers must be an integer >= 1"):
+        evaluate_map(skew_scenario(), default_grid(skew_scenario(), 20, 20),
+                     workers=workers)
+
+
+@pytest.mark.parametrize("sc,size,pools", [
+    (balance_scenario(sigma=1e-5, t_out=5e7), 12, []),
+    (skew_scenario(), 20, [2])], ids=["one-group", "two-groups"])
+def test_threads_map_row_groups(sc, size, pools, monkeypatch):
+    # workers > 1 maps the row groups over a pool, and a map of one group
+    # starts none
+    grid = default_grid(sc, size, size)
+    assert len(_batch_sizes(sc, grid)) - 1 == max(pools, default=1)
+    tasks = []
+    executor = concurrent.futures.ThreadPoolExecutor
+
+    class Recorded(executor):
+        def map(self, fn, items, **kwargs):
+            tasks.append(len(items))
+            return super().map(fn, items, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recorded)
+    evaluate_map(sc, grid, workers=2)
+    assert tasks == pools
 
 
 @pytest.mark.parametrize("name", ["x_min", "x_max", "y_min", "y_max", "z"])
