@@ -13,6 +13,7 @@ a single integrand is the one-row batch.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -341,9 +342,9 @@ def integrate_batch(
 
     ``a`` and ``b`` must be finite with a <= b, ``abs_tol`` and ``rel_tol``
     finite and positive, ``phase_rate_hint`` None or finite and >= 0,
-    ``max_panels`` >= 1 and ``guide`` finite, with at most ``max_panels``
-    panels in the start mesh it extends, else ``ValueError`` names it
-    before f is called.
+    ``max_panels`` an integer >= 1 and ``guide`` finite, with at most
+    ``max_panels`` panels in the start mesh it extends, else
+    ``ValueError`` names it before f is called.
 
     ``phase_rate_hint`` is an upper estimate of |d(phase)/dx| of an
     oscillatory integrand; when positive, the start mesh has panels no
@@ -362,13 +363,16 @@ def integrate_batch(
 
     ``levin`` is f in log form: ``levin(t)`` returns (L, L'), each of shape
     (k, len(t)), with f = Re exp(L).  One call at the start edges picks the
-    batch's rule.  If no start panel of width w has a phase rate |Im L'|
-    above ``_LEVIN_BATCH`` / w (1e4 radians) in any row at either edge,
-    the batch runs the Gauss-Kronrod rounds above on that start mesh, and
+    batch's rule and tells the row count, so that the first call of f,
+    like every later one, holds at most ``_BLOCK`` rows x abscissae.  If
+    no start panel of width w has a phase rate |Im L'| above
+    ``_LEVIN_BATCH`` / w (1e4 radians) in any row at either edge, the
+    batch runs the Gauss-Kronrod rounds above on that start mesh, and
     ``levin`` is not called again.  Otherwise the batch starts on the
     knee grading of the whole interval, with the guide's edges but no
     ``phase_rate_hint`` split (if that fits ``max_panels``), and every
-    round bisects.  Each new panel is
+    round bisects.  The start mesh and each round's new panels are summed
+    by the one rule picked.  Each new panel is
     then sampled at its 17 Chebyshev-Lobatto points, edges included.  A
     panel with w |L'| above pi/2 in some row at either edge is a Levin
     panel: its value solves P' + L'P = 1 by collocation, with error from
@@ -396,8 +400,10 @@ def integrate_batch(
     if not (phase_rate_hint is None or 0.0 <= phase_rate_hint < math.inf):
         raise ValueError("phase_rate_hint must be finite and non-negative, "
                          f"got {phase_rate_hint}")
-    if max_panels < 1:
-        raise ValueError(f"max_panels must be at least 1, got {max_panels}")
+    # NaN passes "< 1" and inf never spends its budget
+    if not isinstance(max_panels, numbers.Integral) or max_panels < 1:
+        raise ValueError("max_panels must be at least 1 and an integer, "
+                         f"got {max_panels!r}")
     if guide is not None and not np.all(np.isfinite(guide)):
         raise ValueError("guide must be finite")
     if a == b:
@@ -422,25 +428,25 @@ def integrate_batch(
         raise ValueError(f"guide takes the start mesh to {edges.size - 1}"
                          f" panels, over max_panels {max_panels}")
 
-    def levin_start():
-        """The knee-graded start mesh and the row count if some start
-        panel turns more than _LEVIN_BATCH radians, else None."""
+    # one call of ``levin`` at the start edges picks the rule and tells the
+    # row count; a batch that stays Gauss-Kronrod drops ``levin``
+    rows = None
+    if levin is not None:
         phase = np.abs(levin(edges)[1].imag)
+        rows = phase.shape[0]
         if (np.max(np.maximum(phase[:, :-1], phase[:, 1:]) * np.diff(edges))
-                <= _LEVIN_BATCH):
-            return None
-        plain = start(1)
-        if plain.size - 1 > max_panels:
-            return None
-        return plain, phase.shape[0]
+                > _LEVIN_BATCH and (plain := start(1)).size - 1 <= max_panels):
+            edges = plain
+        else:
+            levin = None
 
-    choice = None if levin is None else levin_start()
-    levin_rows = None  # the row count of a batch of Levin panels
-    if choice is None:
-        vals, errs = _gk15_panels(f, edges[:-1], edges[1:])
-    else:
-        edges, levin_rows = choice
-        vals, errs = _panel_sums(f, levin, edges[:-1], edges[1:], levin_rows)
+    def sums(lo, hi):
+        if levin is None:
+            return _gk15_panels(f, lo, hi, rows)
+        return _panel_sums(f, levin, lo, hi, rows)
+
+    vals, errs = sums(edges[:-1], edges[1:])
+    rows = vals.shape[0]
     rounds = 1
 
     while True:
@@ -473,8 +479,8 @@ def integrate_batch(
         n = chosen.size
         span = float(np.min((ends - cuts) / (np.abs(ends) + np.abs(cuts))))
         levels = 1
-        while (levin_rows is None
-               and 2 ** (levels + 1) * n * vals.shape[0] <= _HEAD
+        while (levin is None
+               and 2 ** (levels + 1) * n * rows <= _HEAD
                and (2 ** (levels + 1) - 1) * n <= budget
                and span > 2 ** levels * 4e-15):
             levels += 1
@@ -484,21 +490,17 @@ def integrate_batch(
                           np.concatenate([mid, ends]))
         edges = np.sort(np.concatenate([edges, cuts[n:]]))
         fresh = split[np.searchsorted(lo, edges[:-1], side="right") - 1]
-        new_vals = np.empty((vals.shape[0], edges.size - 1))
+        new_vals = np.empty((rows, edges.size - 1))
         new_errs = np.empty_like(new_vals)
         new_vals[:, ~fresh] = vals[:, ~split]
         new_errs[:, ~fresh] = errs[:, ~split]
-        if levin_rows is None:
-            new_vals[:, fresh], new_errs[:, fresh] = _gk15_panels(
-                f, edges[:-1][fresh], edges[1:][fresh], vals.shape[0])
-        else:
-            new_vals[:, fresh], new_errs[:, fresh] = _panel_sums(
-                f, levin, edges[:-1][fresh], edges[1:][fresh], levin_rows)
+        new_vals[:, fresh], new_errs[:, fresh] = sums(edges[:-1][fresh],
+                                                      edges[1:][fresh])
         vals, errs = new_vals, new_errs
         rounds += 1
 
     return BatchQuadrature(total, total_err, ~active, edges.size - 1, rounds,
-                           edges, levin_rows is not None)
+                           edges, levin is not None)
 
 
 def differentiate(f: Callable, x: float, spec: DiffSpec = DiffSpec()) -> float:

@@ -129,6 +129,10 @@ class MapGrid:
     z: float = 0.0
 
     def __post_init__(self):
+        for name in ("nx", "ny"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ValueError(f"grid {name} must be an integer, "
+                                 f"got {getattr(self, name)!r}")
         if self.nx < 1 or self.ny < 1:
             raise ValueError("grid must be non-empty")
         for name in ("x_min", "x_max", "y_min", "y_max", "z"):
@@ -156,10 +160,10 @@ def _format_float(x: float) -> str:
 class WignerMap:
     """Normalized map values (max |value| scaled to 1) with the raw scale
     and per-node evaluation flags retained; ``panels`` and ``rounds`` hold,
-    for each row, the mesh size and refinement passes of the batch that
-    integrated its source row: the pilot's own, or its row group's, shared
-    by every row of the group (see ``evaluate_map``; not written to the
-    CSV)."""
+    for each row, the ``panels_used`` and ``rounds`` of the
+    ``BatchQuadrature`` record of the batch that integrated its source
+    row: the pilot's own, or its row group's, shared by every row of the
+    group (see ``evaluate_map``; not written to the CSV)."""
 
     grid: MapGrid
     values: np.ndarray
@@ -331,30 +335,30 @@ class _Context:
         return f
 
     def nodes(self, R, rel_tol: float, abs_tol: Optional[float],
-              max_panels: int, guide: Optional[np.ndarray] = None,
-              levin: bool = True):
+              max_panels: int,
+              pilot: Optional[numerics.BatchQuadrature] = None):
         """The t' integrals (prefactor excluded) at k nodes R of shape
         (k, 3) on one shared adaptive mesh, each held to max(abs_tol,
-        rel_tol times their largest |integral|), whose first round runs on
-        the start mesh with ``guide``'s edges added when given (see
-        ``numerics.integrate_batch``); ``abs_tol`` None is a point's 1e-10
-        of the envelope integral.  With ``levin`` the quadrature may take
-        Levin panels, else Gauss-Kronrod ones only.  Returns arrays of
-        values, error estimates and flags, the mesh's panel count and
-        refinement rounds, its final edges if every node converged, else
-        None, and whether it took Levin panels."""
+        rel_tol times their largest |integral|); ``abs_tol`` None is a
+        point's 1e-10 of the envelope integral.  A map row follows its
+        ``pilot``, the record of the map's pilot batch: its start mesh
+        gains the pilot's final edges when every pilot node converged, and
+        it may take Levin panels only if the pilot did (see
+        ``numerics.integrate_batch``).  Returns the quadrature's
+        ``BatchQuadrature`` record and the nodes' flags."""
         if abs_tol is None:
             abs_tol = max(1e-10 * self.envelope_scale, 1e-300)
         f = self.integrand_for(R)
+        follow = pilot is not None
         res = numerics.integrate_batch(
             f, 0.0, self.scenario.t_out, abs_tol=abs_tol, rel_tol=rel_tol,
             phase_rate_hint=self.phase_rate_hint, max_panels=max_panels,
-            knee=self.knee, guide=guide, levin=f.levin if levin else None)
+            knee=self.knee,
+            guide=pilot.edges if follow and pilot.converged.all() else None,
+            levin=None if follow and not pilot.levin else f.levin)
         flags = np.where(res.converged, self.base_flags,
                          self.base_flags | int(WkbFlags.QUAD_NONCONVERGED))
-        return (res.values, res.error_estimates, flags.astype(np.uint16),
-                res.panels_used, res.rounds,
-                res.edges if res.converged.all() else None, res.levin)
+        return res, flags.astype(np.uint16)
 
 
 def evaluate_point(scenario: EmissionScenario, R, rel_tol: float = 1e-10,
@@ -362,18 +366,19 @@ def evaluate_point(scenario: EmissionScenario, R, rel_tol: float = 1e-10,
     """Wigner-function value at R: adaptive quadrature of the cosine form
     over [0, t_out], doubled, times the scenario prefactor.  A point is the
     one-node row of a map, on the map's quadrature path.  A node ``R`` that
-    is not finite, a tolerance that is not finite and positive, or
-    ``max_panels`` below 1 raises ``ValueError`` naming it (see
-    ``numerics.integrate_batch``).
+    is not finite, a tolerance that is not finite and positive, or a
+    ``max_panels`` that is not an integer >= 1 raises ``ValueError``
+    naming it (see ``numerics.integrate_batch``).
 
     Returns (value, error_estimate, flags)."""
     R = np.reshape(np.asarray(R, dtype=float), (1, 3))
     if not np.all(np.isfinite(R)):
         raise ValueError(f"R must be finite, got {R[0].tolist()}")
     ctx = _Context(scenario)
-    value, error, flags, *_ = ctx.nodes(R, rel_tol, abs_tol, max_panels)
+    res, flags = ctx.nodes(R, rel_tol, abs_tol, max_panels)
     scale = 2.0 * ctx.prefactor
-    return float(scale * value[0]), float(scale * error[0]), int(flags[0])
+    return (float(scale * res.values[0]),
+            float(scale * res.error_estimates[0]), int(flags[0]))
 
 
 @lru_cache(maxsize=1)
@@ -497,13 +502,14 @@ def evaluate_map(scenario: EmissionScenario, grid: Optional[MapGrid] = None,
     less than 1e-14 of the envelope integral Int dt'/G.  That tolerance is
     the absolute tolerance of every other source row, so every node, the
     pilot's by construction, is held to about ``rel_tol`` of the map's
-    scale.  When the pilot converged, every other source row starts on the
-    pilot's final mesh: every row's start mesh depends only on the
-    scenario and its rule, and the pilot's final edges hold it, so a row
-    that the pilot's mesh resolves converges in its first round.  The
-    other rows may take Levin panels only if the pilot took them (see
-    ``numerics.integrate_batch``), so the rows of a Gauss-Kronrod pilot
-    run exactly the Gauss-Kronrod quadrature.
+    scale.  Every other source row follows the pilot's
+    ``BatchQuadrature`` record (see ``_Context.nodes``).  When the pilot
+    converged, the row starts on the pilot's final mesh: every row's start
+    mesh depends only on the scenario and its rule, and the pilot's final
+    edges hold it, so a row that the pilot's mesh resolves converges in
+    its first round.  The row may take Levin panels only if the pilot took
+    them (see ``numerics.integrate_batch``), so the rows of a
+    Gauss-Kronrod pilot run exactly the Gauss-Kronrod quadrature.
 
     The other source rows are integrated in row groups: each group is one
     quadrature of the stacked nodes of consecutive source rows, as many
@@ -514,12 +520,16 @@ def evaluate_map(scenario: EmissionScenario, grid: Optional[MapGrid] = None,
     samples, so a group whose rows all converge in their first round gives
     each row the bits it gets alone; a group that refines shares its cuts,
     and is held to ``rel_tol`` of its own largest |integral| when that
-    exceeds the pilot's tolerance.
+    exceeds the pilot's tolerance.  The pilot is batch 0 and each group
+    one more: each batch's record fills its source rows' values, errors
+    and flags on the source columns and their panels and rounds, and the
+    mirror folds fill the other rows and columns.
     With ``workers`` > 1 the groups run on that many threads over the
     map's one context, else in a serial loop, and a map of one group
     starts no thread; each group is the same quadrature either way, so the
-    map is bit-identical for any worker count.  ``workers`` must be an
-    integer >= 1, else ``ValueError`` is raised before any quadrature.
+    map is bit-identical for any worker count.  ``workers`` and
+    ``max_panels`` must be integers >= 1, else ``ValueError`` is raised
+    before any quadrature.
     """
     if not isinstance(workers, numbers.Integral) or workers < 1:
         raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
@@ -530,40 +540,40 @@ def evaluate_map(scenario: EmissionScenario, grid: Optional[MapGrid] = None,
     # each row's nodes on the source columns, shape (ny, max(cols) + 1, 3)
     x, y = np.meshgrid(grid.xs()[:cols.max() + 1], grid.ys())
     nodes = np.stack([x, y, np.full_like(x, grid.z)], axis=-1)
-    pilot = rows[np.argmin(np.abs(grid.ys()))]
+    first = rows[np.argmin(np.abs(grid.ys()))]
     floor = 1e-14 * ctx.envelope_scale
-    *pilot_row, guide, levin = ctx.nodes(nodes[pilot], rel_tol, floor,
-                                         max_panels)
-    done = {pilot: pilot_row}
-    values, *_, pilot_panels, _ = pilot_row
+    batches = [ctx.nodes(nodes[first], rel_tol, floor, max_panels)]
+    pilot = batches[0][0]
     # the pilot met rel_tol of its largest |integral|, a lower bound of
-    # the map's scale: every other row is held to that same tolerance, and
-    # takes Levin panels only if the pilot did
-    tols = (rel_tol, max(rel_tol * float(np.max(np.abs(values))), floor),
-            max_panels, guide, levin)
+    # the map's scale: every other row is held to that same tolerance
+    abs_tol = max(rel_tol * float(np.max(np.abs(pilot.values))), floor)
     # consecutive source rows, as many as fit _BLOCK rows x abscissae on
     # the pilot's mesh at 17 per panel
-    todo = np.setdiff1d(rows, pilot)
-    size = max(1, numerics._BLOCK // (nodes.shape[1] * pilot_panels * 17))
+    todo = np.setdiff1d(rows, first)
+    size = max(1, numerics._BLOCK // (nodes.shape[1] * pilot.panels_used * 17))
     groups = [todo[i:i + size] for i in range(0, todo.size, size)]
 
     def integrate(group):
-        return ctx.nodes(nodes[group].reshape(-1, 3), *tols)
+        return ctx.nodes(nodes[group].reshape(-1, 3), rel_tol, abs_tol,
+                         max_panels, pilot)
 
     if workers == 1 or len(groups) < 2:
-        batches = map(integrate, groups)
+        batches.extend(map(integrate, groups))
     else:  # only a map of several groups starts threads and imports this
         from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(workers) as pool:
-            batches = list(pool.map(integrate, groups))
-    for group, (*parts, panels, rounds, _, _) in zip(groups, batches):
-        parts = [part.reshape(group.size, -1) for part in parts]
-        done.update((iy, (*sums, panels, rounds))
-                    for iy, *sums in zip(group, *parts))
-    values, errors, flags, panels, rounds = zip(*(done[iy] for iy in rows))
+            batches.extend(pool.map(integrate, groups))
+    values, errors = np.empty(nodes.shape[:2]), np.empty(nodes.shape[:2])
+    flags = np.empty(nodes.shape[:2], dtype=np.uint16)
+    panels, rounds = np.empty(grid.ny, dtype=int), np.empty(grid.ny, dtype=int)
+    for group, (res, batch_flags) in zip([[first], *groups], batches):
+        for part, got in ((values, res.values), (errors, res.error_estimates),
+                          (flags, batch_flags)):
+            part[group] = got.reshape(len(group), -1)
+        panels[group], rounds[group] = res.panels_used, res.rounds
     # a row taken from its mirror row is reversed in X
     ix = np.where((rows != np.arange(grid.ny))[:, None], cols[::-1], cols)
-    values, errors, flags = (np.take_along_axis(np.array(part), ix, axis=1)
+    values, errors, flags = (np.take_along_axis(part[rows], ix, axis=1)
                              for part in (values, errors, flags))
     values, errors = 2.0 * ctx.prefactor * values, 2.0 * ctx.prefactor * errors
 
@@ -573,7 +583,7 @@ def evaluate_map(scenario: EmissionScenario, grid: Optional[MapGrid] = None,
         errors = errors / scale
     return WignerMap(grid=grid, values=values, scale=scale, flags=flags,
                      error_estimates=errors, meta=_scenario_meta(ctx),
-                     panels=np.array(panels), rounds=np.array(rounds))
+                     panels=panels[rows], rounds=rounds[rows])
 
 
 def _scenario_meta(ctx: _Context) -> dict:
@@ -628,7 +638,10 @@ def near_field_snapshot(scenario: EmissionScenario, grid: MapGrid,
                         t: float) -> SnapshotMap:
     """Transverse probability density |psi(r, t)|^2 of the freely spreading
     Gaussian packet: width sigma_perp(t) with the laboratory-frame electron
-    diffraction time t_d^(e) = gamma/sigma^2, center drifting at u_p."""
+    diffraction time t_d^(e) = gamma/sigma^2, center drifting at u_p.  A
+    ``t`` that is not finite raises ``ValueError``."""
+    if not math.isfinite(t):
+        raise ValueError(f"t must be finite, got {t!r}")
     packet = scenario.packet
     mean = packet.mean_momentum
     eps = energy(mean)

@@ -131,8 +131,10 @@ def test_no_phase_rate_hint_means_no_pre_split(hint):
     assert abs(res.values[0] - math.sin(1.0)) < 1e-14
 
 
-@pytest.mark.parametrize("bad", [0, -5])
+@pytest.mark.parametrize("bad", [0, -5, math.nan, math.inf, 16.5, 2.0])
 def test_max_panels_must_be_at_least_one(bad):
+    # NaN passes "< 1" and inf never spends its budget: both refined
+    # cos(300 t) to 126 panels; 16.5 failed in a slice
     with pytest.raises(ValueError, match="^max_panels must be at least 1"):
         integrate_batch(lambda t: np.cos(40.0 * t)[None], 0.0, 2.0,
                         max_panels=bad)

@@ -243,10 +243,10 @@ def test_point_is_the_one_node_row():
     sc = balance_scenario(sigma=1e-5, theta_frac=1.1, t_out=5e6)
     ctx = _Context(sc)
     R = np.array([3e4, -2e4, 0.0])
-    value, error, flags, *_ = ctx.nodes(R[None, :], 1e-10, None, 4096)
+    res, flags = ctx.nodes(R[None, :], 1e-10, None, 4096)
     scale = 2.0 * ctx.prefactor
-    assert ((scale * value[0], scale * error[0], int(flags[0]))
-            == evaluate_point(sc, R))
+    assert ((scale * res.values[0], scale * res.error_estimates[0],
+             int(flags[0])) == evaluate_point(sc, R))
 
 
 def test_map_determinism_and_csv_round_trip(tmp_path):
@@ -391,26 +391,26 @@ def _pilot(sc, grid, rel_tol=1e-9, max_panels=4096):
     """The map's pilot: the source row nearest R = 0 on its source
     columns, held to 1e-14 of the envelope integral and to rel_tol of its
     largest |integral|.  Returns that row, the map tolerance it sets, its
-    values with the prefactor applied and the guide it gives the other
-    rows (None when it did not converge)."""
+    values with the prefactor applied and its ``BatchQuadrature`` record,
+    which the other rows follow."""
     ctx = _Context(sc)
     iy = int(_source_rows(grid)[np.argmin(np.abs(grid.ys()))])
     keep = _source_columns(ctx, grid).max() + 1
     floor = 1e-14 * ctx.envelope_scale
-    values, *_, guide, _ = ctx.nodes(_row_nodes(grid, iy)[:keep], rel_tol,
-                                     floor, max_panels)
-    abs_tol = max(rel_tol * float(np.max(np.abs(values))), floor)
-    return iy, abs_tol, 2.0 * ctx.prefactor * values, guide
+    pilot, _ = ctx.nodes(_row_nodes(grid, iy)[:keep], rel_tol, floor,
+                         max_panels)
+    abs_tol = max(rel_tol * float(np.max(np.abs(pilot.values))), floor)
+    return iy, abs_tol, 2.0 * ctx.prefactor * pilot.values, pilot
 
 
 def _rows_without_reuse(sc, grid, rel_tol=1e-9, max_panels=4096):
     """Map values before normalization with every row integrated in full
-    under the map tolerance and the pilot's guide, as the map integrates
+    under the map tolerance, following the pilot, as the map integrates
     its other rows, the pilot row included."""
     ctx = _Context(sc)
-    _, abs_tol, _, guide = _pilot(sc, grid, rel_tol, max_panels)
+    _, abs_tol, _, pilot = _pilot(sc, grid, rel_tol, max_panels)
     rows = [ctx.nodes(_row_nodes(grid, iy), rel_tol, abs_tol, max_panels,
-                      guide)[0]
+                      pilot)[0].values
             for iy in range(grid.ny)]
     return 2.0 * ctx.prefactor * np.array(rows)
 
@@ -425,7 +425,7 @@ def _batch_sizes(sc, grid, rel_tol=1e-9, max_panels=4096):
     iy = int(_source_rows(grid)[np.argmin(np.abs(grid.ys()))])
     keep = _source_columns(ctx, grid).max() + 1
     panels = ctx.nodes(_row_nodes(grid, iy)[:keep], rel_tol,
-                       1e-14 * ctx.envelope_scale, max_panels)[3]
+                       1e-14 * ctx.envelope_scale, max_panels)[0].panels_used
     others = np.unique(_source_rows(grid)).size - 1
     size = max(1, numerics._BLOCK // (keep * panels * 17))
     return [keep] + [keep * min(size, others - i)
@@ -477,17 +477,36 @@ def test_map_long_nodes_as_points_take_few_rounds():
     grid = default_grid(sc, 12, 12)
     ctx = _Context(sc)
     nodes = np.array([[x, y, grid.z] for y in grid.ys() for x in grid.xs()])
-    rounds = [ctx.nodes(R[None, :], 1e-10, None, 4096)[4]
+    rounds = [ctx.nodes(R[None, :], 1e-10, None, 4096)[0].rounds
               for R in nodes[::5]]
     assert np.mean(rounds) <= 3.0
+
+
+def test_gauss_kronrod_point_builds_one_start_mesh(monkeypatch):
+    # the knee-only mesh of a Levin batch is built only once the start
+    # mesh turns more than 1e4 radians; a point that stays Gauss-Kronrod
+    # builds its start mesh alone
+    sc = balance_scenario(sigma=1e-5, t_out=1e6)
+    R = np.zeros(3)
+    assert not _Context(sc).nodes(R[None, :], 1e-10, None, 4096)[0].levin
+    calls = []
+    start_mesh = numerics._start_mesh
+
+    def counted(*args):
+        calls.append(args)
+        return start_mesh(*args)
+
+    monkeypatch.setattr(numerics, "_start_mesh", counted)
+    evaluate_point(sc, R)
+    assert len(calls) == 1
 
 
 def test_point_on_its_start_mesh_is_one_integrand_call(monkeypatch):
     sc = balance_scenario(sigma=1e-5, theta_frac=1.1, t_out=5e6)
     R = np.array([3e4, -2e4, 0.0])
-    *_, panels, rounds, _, _ = _Context(sc).nodes(R[None, :], 1e-10, None,
-                                                  4096)
-    assert rounds == 1 and panels <= 64
+    res, _ = _Context(sc).nodes(R[None, :], 1e-10, None, 4096)
+    panels = res.panels_used
+    assert res.rounds == 1 and panels <= 64
     sizes = []
     batch = numerics.integrate_batch
 
@@ -564,23 +583,24 @@ def test_map_long_and_fig12_maps_take_two_batches(sc, size, monkeypatch):
 def _per_row_map(sc, grid, rel_tol=1e-9, max_panels=4096):
     """The map integrated one source row per ``_Context.nodes`` batch: the
     pilot, then each other source row on its own under the map tolerance,
-    with the pilot's guide and rule.  Returns, keyed by source row, its
-    values and errors on the source columns with the prefactor applied,
-    its flags, panels and rounds."""
+    following the pilot.  Returns, keyed by source row, its values and
+    errors on the source columns with the prefactor applied, its flags,
+    panels and rounds."""
     ctx = _Context(sc)
     iy_pilot = int(_source_rows(grid)[np.argmin(np.abs(grid.ys()))])
     keep = _source_columns(ctx, grid).max() + 1
     floor = 1e-14 * ctx.envelope_scale
-    *pilot, guide, levin = ctx.nodes(_row_nodes(grid, iy_pilot)[:keep],
-                                     rel_tol, floor, max_panels)
-    tols = (rel_tol, max(rel_tol * float(np.max(np.abs(pilot[0]))), floor),
-            max_panels, guide, levin)
+    pilot, pilot_flags = ctx.nodes(_row_nodes(grid, iy_pilot)[:keep],
+                                   rel_tol, floor, max_panels)
+    abs_tol = max(rel_tol * float(np.max(np.abs(pilot.values))), floor)
     rows = {}
     for iy in np.unique(_source_rows(grid)):
-        values, errors, *rest = (pilot if iy == iy_pilot else ctx.nodes(
-            _row_nodes(grid, iy)[:keep], *tols)[:5])
-        rows[iy] = (2.0 * ctx.prefactor * values,
-                    2.0 * ctx.prefactor * errors, *rest)
+        res, flags = ((pilot, pilot_flags) if iy == iy_pilot else ctx.nodes(
+            _row_nodes(grid, iy)[:keep], rel_tol, abs_tol, max_panels,
+            pilot))
+        rows[iy] = (2.0 * ctx.prefactor * res.values,
+                    2.0 * ctx.prefactor * res.error_estimates, flags,
+                    res.panels_used, res.rounds)
     return rows
 
 
@@ -848,18 +868,18 @@ def test_x_normal_needs_both_d_and_c_normal_to_x():
 
 def test_copied_half_rows_match_rows_integrated_in_full():
     # the map-long theta_Ch map: each row's copied half is within 1e-12 of
-    # the scale of that row integrated with all its columns, under the
-    # pilot's guide as in the map
+    # the scale of that row integrated with all its columns, following the
+    # converged pilot as in the map
     sc = balance_scenario(sigma=1e-5, t_out=5e7)
     grid = default_grid(sc, 12, 12)
     wmap = evaluate_map(sc, grid)
     ctx = _Context(sc)
-    _, abs_tol, _, guide = _pilot(sc, grid)
-    assert guide is not None
+    _, abs_tol, _, pilot = _pilot(sc, grid)
+    assert pilot.converged.all()
     keep = grid.nx // 2
     for iy in range(grid.ny):
         full = 2.0 * ctx.prefactor * ctx.nodes(
-            _row_nodes(grid, iy), 1e-9, abs_tol, 4096, guide)[0]
+            _row_nodes(grid, iy), 1e-9, abs_tol, 4096, pilot)[0].values
         assert (np.max(np.abs(wmap.values[iy, keep:] * wmap.scale
                               - full[keep:])) <= 1e-12 * wmap.scale)
 
@@ -870,8 +890,8 @@ def test_map_long_rows_follow_the_pilot_mesh():
     # round (bisection took 6-8, and cuts at the pilot's edges 2)
     for sc, size in _GROUPED_MAPS[:3]:
         grid = default_grid(sc, size, size)
-        iy_pilot, _, _, guide = _pilot(sc, grid)
-        assert guide is not None
+        iy_pilot, _, _, pilot = _pilot(sc, grid)
+        assert pilot.converged.all()
         wmap = evaluate_map(sc, grid)
         others = [iy for iy in np.unique(_source_rows(grid))
                   if iy != iy_pilot]
@@ -899,7 +919,7 @@ def test_unconverged_pilot_guides_no_row(monkeypatch):
     # any budget: Levin panels take its whole [0, t_out] on one panel.)
     sc = fig10_scenario()
     grid = MapGrid.centered(400.0, 400.0, 6, 6)
-    assert _pilot(sc, grid, max_panels=16)[3] is None
+    assert not _pilot(sc, grid, max_panels=16)[3].converged.all()
     sizes = _batch_sizes(sc, grid, max_panels=16)
     guides = []
     batch = numerics.integrate_batch
@@ -1080,13 +1100,24 @@ def test_snapshot_mass_conserved_over_time():
     (lambda sc: evaluate_point(sc, [math.inf, 0.0, 0.0]), "R"),
     (lambda sc: evaluate_point(sc, [0.0, math.nan, 0.0]), "R"),
     (lambda sc: evaluate_point_reference(sc, [math.inf, 0.0, 0.0]), "R"),
-    (lambda sc: evaluate_point_reference(sc, [math.nan, 0.0, 0.0]), "R")],
+    (lambda sc: evaluate_point_reference(sc, [math.nan, 0.0, 0.0]), "R"),
+    *[(lambda sc, bad=bad: evaluate_point(sc, [0.0, 0.0, 0.0],
+                                          max_panels=bad), "max_panels")
+      for bad in (math.nan, math.inf, 16.5, 2.0)],
+    *[(lambda sc, bad=bad: evaluate_map(sc, MapGrid.centered(1e3, 1e3, 3, 3),
+                                        max_panels=bad), "max_panels")
+      for bad in (math.nan, math.inf, 16.5, 2.0)]],
     ids=["point", "map", "point-inf-node", "point-nan-node",
-         "reference-inf-node", "reference-nan-node"])
+         "reference-inf-node", "reference-nan-node",
+         "point-nan-panels", "point-inf-panels", "point-16.5-panels",
+         "point-2.0-panels", "map-nan-panels", "map-inf-panels",
+         "map-16.5-panels", "map-2.0-panels"])
 def test_points_and_maps_reject_invalid_quadrature_settings(call, name):
     # a non-finite node used to warn (inf) or blame the integrand (NaN:
     # NonFiniteIntegrand on [0, t_out]); the reference used to warn (inf)
-    # or fail to place its mesh (NaN); map nodes are checked by MapGrid
+    # or fail to place its mesh (NaN); map nodes are checked by MapGrid.
+    # A max_panels of NaN or inf refined without bound, and a map at 2.5
+    # blamed a guide that no caller gave
     with pytest.raises(ValueError, match=f"^{name} must be"):
         call(balance_scenario(sigma=1e-5, t_out=3e5))
 
@@ -1270,6 +1301,30 @@ def test_threads_map_row_groups(sc, size, pools, monkeypatch):
     assert tasks == pools
 
 
+def test_threads_on_a_levin_map_of_several_groups_change_no_bit(
+        monkeypatch):
+    # the pilot and two row groups, all on Levin panels: the maps where
+    # threads pay off most give the serial map's bits
+    sc = balance_scenario(sigma=1e-5, theta_frac=1.1, t_out=5e7)
+    grid = default_grid(sc, 72, 20)
+    assert len(_batch_sizes(sc, grid)) == 3
+    rules = []
+    batch = numerics.integrate_batch
+
+    def recorded(*args, **kwargs):
+        res = batch(*args, **kwargs)
+        rules.append(res.levin)
+        return res
+
+    monkeypatch.setattr(numerics, "integrate_batch", recorded)
+    serial = evaluate_map(sc, grid, workers=1)
+    assert rules == [True] * 3
+    parallel = evaluate_map(sc, grid, workers=2)
+    assert serial.scale == parallel.scale
+    for name in ("values", "error_estimates", "flags", "panels", "rounds"):
+        assert np.array_equal(getattr(serial, name), getattr(parallel, name))
+
+
 @pytest.mark.parametrize("name", ["x_min", "x_max", "y_min", "y_max", "z"])
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_map_grid_extent_must_be_finite(name, bad):
@@ -1278,6 +1333,24 @@ def test_map_grid_extent_must_be_finite(name, bad):
     extent[name] = bad
     with pytest.raises(ValueError, match=f"grid {name} must be finite"):
         MapGrid(**extent)
+
+
+@pytest.mark.parametrize("name", ["nx", "ny"])
+@pytest.mark.parametrize("bad", [3.0, 1.5, np.float64(4)])
+def test_map_grid_sizes_must_be_integers(name, bad):
+    # such a grid was built, and its map failed in linspace
+    sizes = dict(nx=3, ny=3)
+    sizes[name] = bad
+    with pytest.raises(ValueError, match=f"^grid {name} must be an integer"):
+        MapGrid.centered(1e3, 1e3, **sizes)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_snapshot_rejects_a_time_that_is_not_finite(bad):
+    # the map was all NaN, and +-inf also warned
+    with pytest.raises(ValueError, match="^t must be finite"):
+        near_field_snapshot(snapshot_scenario(),
+                            MapGrid.centered(1e3, 1e3, 5, 5), bad)
 
 
 def test_central_value_nearest_node():
