@@ -116,7 +116,7 @@ def _gk15_panels(f, lo, hi, rows=None):
         y = y.reshape(rows, -1, 15)
         h = half[start:stop]
         kronrod = np.einsum("...j,j->...", y, _KRONROD_WEIGHTS)
-        if not np.all(np.isfinite(kronrod)):
+        if not np.isfinite(kronrod).all():
             row, panel = np.argwhere(~np.isfinite(kronrod))[0]
             raise NonFiniteIntegrand(
                 f"non-finite integrand row {row} on "
@@ -158,12 +158,19 @@ def _differentiation_matrix(x):
 _LOBATTO = -np.cos(np.pi * np.arange(17) / 16)
 _ONES = np.ones((17, 1), dtype=complex)
 # the 17-point matrix, and the 9- and 5-point ones as the two diagonal
-# blocks of one 14 x 14 matrix, so that one solve takes both
-_LEVIN_FINE = _differentiation_matrix(_LOBATTO)
-_LEVIN_COARSE = np.zeros((14, 14))
+# blocks of one 14 x 14 matrix, so that one solve takes both; complex, so
+# that a stack of systems is a copy of them
+_LEVIN_FINE = _differentiation_matrix(_LOBATTO).astype(complex)
+_LEVIN_COARSE = np.zeros((14, 14), dtype=complex)
 _LEVIN_COARSE[:9, :9] = _differentiation_matrix(_LOBATTO[::2])
 _LEVIN_COARSE[9:, 9:] = _differentiation_matrix(_LOBATTO[::4])
 _COARSE_POINTS = np.r_[0:17:2, 0:17:4]
+# each system's solution at the panel's ends: the 17-point one's first and
+# last entries, and the 9- and 5-point ones' within the 14
+_FINE_ENDS = slice(None, None, 16)
+_COARSE_ENDS = np.array([0, 8, 9, 13])
+# the signs of F(lo) and F(hi) in P(hi) F(hi) - P(lo) F(lo)
+_END_SIGNS = np.array([-1.0, 1.0])
 
 # a batch takes Levin panels when a start panel of width w has a phase
 # rate |Im L'| above _LEVIN_BATCH / w in some row at either edge: that
@@ -194,8 +201,8 @@ def _solve(m, ones):
 def _levin_panels(levin, lo, hi, rows):
     """Levin collocation sums of the rows of Re exp(L) on each panel
     [lo, hi] that turns, where ``levin(t)`` returns (L, L'), each of shape
-    (rows, len(t)): returns (values, errors), both of shape (rows,
-    len(lo)), NaN on every panel that does not turn.
+    (rows, len(t)): returns one array of shape (2, rows, len(lo)), the
+    values and the errors, NaN on every panel that does not turn.
 
     L and L' are sampled on each panel's 17 Chebyshev-Lobatto points, its
     edges among them.  A panel turns when its width times the largest
@@ -213,65 +220,65 @@ def _levin_panels(levin, lo, hi, rows):
     entries."""
     half = 0.5 * (hi - lo)
     t = (0.5 * (lo + hi))[:, None] + half[:, None] * _LOBATTO
-    vals = np.full((rows, lo.size), np.nan)
-    errs = np.full_like(vals, np.nan)
+    sums = np.empty((2, rows, lo.size))
     step = max(1, _BLOCK // (17 * rows))
     for start in range(0, lo.size, step):
         stop = min(lo.size, start + step)
+        h = half[start:stop]
         log_f, rate = levin(t[start:stop].ravel())
-        log_f = np.reshape(log_f, (rows, -1, 17))
         # a non-finite L or L' gives non-finite sums, without a warning,
         # which _panel_sums hands to Gauss-Kronrod
         with np.errstate(invalid="ignore", over="ignore"):
-            rate = np.reshape(rate, log_f.shape) * half[start:stop, None]
-            turning = (2.0 * np.max(np.abs(rate[..., ::16]), axis=(0, 2))
+            rate = np.reshape(rate, (rows, -1, 17)) * h[:, None]
+            turning = (2.0 * np.abs(rate[..., ::16]).max(axis=(0, 2))
                        > _LEVIN_TURN)
-            ends = np.exp(log_f[..., ::16])
-            row, panel = np.nonzero(turning & np.any(ends != 0.0, axis=2))
+            ends = np.exp(np.reshape(log_f, rate.shape)[..., ::16])
+            row, panel = np.nonzero(turning & (ends != 0.0).any(axis=2))
             rate, ends = rate[row, panel], ends[row, panel]
             # (D + h diag(L')) q = 1 on [-1, 1], and P = h q, solved in
-            # stacks of at most _BLOCK matrix entries
-            q_ends = []
-            for d, points, ends_at in ((_LEVIN_FINE, slice(None), [0, 16]),
-                                       (_LEVIN_COARSE, _COARSE_POINTS,
-                                        [0, 8, 9, 13])):
+            # stacks of at most _BLOCK matrix entries; q_ends holds each
+            # system's q at the ends, 17-point, 9-point, 5-point
+            q_ends = np.empty((row.size, 6), dtype=complex)
+            for d, points, ends_at, into in (
+                    (_LEVIN_FINE, slice(None), _FINE_ENDS, q_ends[:, :2]),
+                    (_LEVIN_COARSE, _COARSE_POINTS, _COARSE_ENDS,
+                     q_ends[:, 2:])):
                 n = d.shape[0]
                 stack = _BLOCK // (n * n)
-                q = np.empty((row.size, len(ends_at)), dtype=complex)
                 for s in range(0, row.size, stack):
-                    m = np.empty((min(stack, row.size - s), n, n),
-                                 dtype=complex)
-                    m[:] = d
+                    m = d[None].repeat(min(stack, row.size - s), axis=0)
                     m.reshape(-1, n * n)[:, ::n + 1] += rate[s:s + stack,
                                                              points]
-                    q[s:s + stack] = _solve(m, _ONES[:n])[:, ends_at, 0]
-                q_ends.append(q)
-            q_ends = np.concatenate(q_ends, axis=1).reshape(-1, 3, 2)
-            fine, e9, e5 = (half[start:stop][panel] * np.einsum(
-                "irj,ij->ri", q_ends, ends * [-1.0, 1.0]).real)
+                    into[s:s + stack] = _solve(m, _ONES[:n])[:, ends_at, 0]
+            fine, e9, e5 = h[panel] * np.einsum(
+                "irj,ij->ri", q_ends.reshape(-1, 3, 2), ends * _END_SIGNS).real
             e9, e5 = abs(e9 - fine), abs(e5 - fine)
             err = np.divide(e9 * e9, e5, out=e9, where=e9 < e5)
-        vals[:, start:stop][:, turning] = 0.0
-        errs[:, start:stop][:, turning] = 0.0
-        vals[row, start + panel], errs[row, start + panel] = fine, err
-    return vals, errs
+        block = sums[:, :, start:stop]
+        block[:] = np.where(turning, 0.0, np.nan)
+        block[0, row, panel], block[1, row, panel] = fine, err
+    return sums
 
 
 def _panel_sums(f, levin, lo, hi, rows):
-    """(values, errors) of the rows on each panel [lo, hi]: by Levin
-    collocation where the panel turns and its sums are finite in every
-    row, else by Gauss-Kronrod (see ``_levin_panels``)."""
-    vals, errs = _levin_panels(levin, lo, hi, rows)
-    rest = ~np.all(np.isfinite(vals) & np.isfinite(errs), axis=0)
+    """(values, errors) of the rows on each panel [lo, hi], as one array of
+    shape (2, rows, len(lo)): by Levin collocation where the panel turns
+    and its sums are finite in every row, else by Gauss-Kronrod (see
+    ``_levin_panels``)."""
+    sums = _levin_panels(levin, lo, hi, rows)
+    rest = ~np.isfinite(sums).all(axis=(0, 1))
     if rest.any():
-        vals[:, rest], errs[:, rest] = _gk15_panels(f, lo[rest], hi[rest],
-                                                    rows)
-    return vals, errs
+        sums[:, :, rest] = _gk15_panels(f, lo[rest], hi[rest], rows)
+    return sums
 
 
 def _start_mesh(a, b, n0, knee, max_panels):
     """n0 even panels on [a, b], the first graded toward ``knee`` (see
-    ``integrate_batch``)."""
+    ``integrate_batch``).  The graded edges a + w 2**-k, w the first
+    panel's width, increase inside (a, a + w), so they join the even edges
+    in order; near a large |a|, where w 2**-k falls below the spacing of
+    floats, an edge that rounds onto the one before it is dropped, which
+    leaves the edges of ``np.unique``."""
     edges = a + np.arange(n0 + 1) * ((b - a) / n0)
     edges[-1] = b
     w = edges[1] - a
@@ -279,7 +286,8 @@ def _start_mesh(a, b, n0, knee, max_panels):
         levels = min(math.ceil(math.log2(8.0 * w) - math.log2(knee)) - 1,
                      max_panels - n0)
         graded = a + w * 2.0 ** -np.arange(levels, 0, -1)
-        edges = np.unique(np.concatenate([[a], graded, edges[1:]]))
+        edges = np.concatenate(([a], graded, edges[1:]))
+        edges = edges[np.concatenate(([True], edges[1:] > edges[:-1]))]
     return edges
 
 
@@ -336,9 +344,11 @@ def integrate_batch(
     stops a level early rather than cut a piece narrower than
     4e-15 (|lo| + |hi|), so every cut lies strictly inside its panel and
     the edges stay distinct.  Only the new panels are evaluated, in one
-    vectorized call.  A single point with one selected panel thus jumps
-    six levels in one round, while a round of many panels or rows bisects
-    once.
+    vectorized call, and take their places in the mesh; the other panels
+    keep their sums, so each value is its row's panel values on the final
+    edges added in mesh order, the bits of one call on those edges.  A
+    single point with one selected panel thus jumps six levels in one
+    round, while a round of many panels or rows bisects once.
 
     ``a`` and ``b`` must be finite with a <= b, ``abs_tol`` and ``rel_tol``
     finite and positive, ``phase_rate_hint`` None or finite and >= 0,
@@ -370,8 +380,9 @@ def integrate_batch(
     batch runs the Gauss-Kronrod rounds above on that start mesh, and
     ``levin`` is not called again.  Otherwise the batch starts on the
     knee grading of the whole interval, with the guide's edges but no
-    ``phase_rate_hint`` split (if that fits ``max_panels``), and every
-    round bisects.  The start mesh and each round's new panels are summed
+    ``phase_rate_hint`` split (if that fits ``max_panels``; where the split
+    left one panel, that is the start mesh already, and is not built
+    again), and every round bisects.  The start mesh and each round's new panels are summed
     by the one rule picked.  Each new panel is
     then sampled at its 17 Chebyshev-Lobatto points, edges included.  A
     panel with w |L'| above pi/2 in some row at either edge is a Levin
@@ -434,8 +445,11 @@ def integrate_batch(
     if levin is not None:
         phase = np.abs(levin(edges)[1].imag)
         rows = phase.shape[0]
-        if (np.max(np.maximum(phase[:, :-1], phase[:, 1:]) * np.diff(edges))
-                > _LEVIN_BATCH and (plain := start(1)).size - 1 <= max_panels):
+        turns = (np.maximum(phase[:, :-1], phase[:, 1:])
+                 * (edges[1:] - edges[:-1])).max() > _LEVIN_BATCH
+        # with one start panel, the start mesh is the knee-only one
+        plain = edges if n0 == 1 or not turns else start(1)
+        if turns and plain.size - 1 <= max_panels:
             edges = plain
         else:
             levin = None
@@ -450,15 +464,15 @@ def integrate_batch(
     rounds = 1
 
     while True:
-        total = np.sum(vals, axis=1)
-        total_err = np.sum(errs, axis=1)
+        total = vals.sum(axis=1)
+        total_err = errs.sum(axis=1)
         tol = max(abs_tol, rel_tol * float(np.abs(total).max()))
         active = total_err > tol
         lo, hi = edges[:-1], edges[1:]
         budget = max_panels - lo.size
         if not active.any() or budget <= 0:
             break
-        share = np.max(errs[active], axis=0) / tol * lo.size
+        share = errs[active].max(axis=0) / tol * lo.size
         chosen = np.flatnonzero((share > 1.0)
                                 & ((hi - lo) > np.abs(hi + lo) * 1e-15))
         if chosen.size == 0:
@@ -466,8 +480,6 @@ def integrate_batch(
         if chosen.size > budget:
             order = np.argsort(-share[chosen], kind="stable")
             chosen = chosen[order[:budget]]
-        split = np.zeros(lo.size, dtype=bool)
-        split[chosen] = True
         # nested midpoints, as many levels as _HEAD and the budget allow
         # (a Levin batch bisects: its pieces cost a solve each, and its
         # panels converge spectrally); a piece cut wider than
@@ -477,7 +489,7 @@ def integrate_batch(
         # midpoints are distinct and new
         cuts, ends = lo[chosen], hi[chosen]
         n = chosen.size
-        span = float(np.min((ends - cuts) / (np.abs(ends) + np.abs(cuts))))
+        span = float(((ends - cuts) / (np.abs(ends) + np.abs(cuts))).min())
         levels = 1
         while (levin is None
                and 2 ** (levels + 1) * n * rows <= _HEAD
@@ -488,15 +500,14 @@ def integrate_batch(
             mid = 0.5 * (cuts + ends)
             cuts, ends = (np.concatenate([cuts, mid]),
                           np.concatenate([mid, ends]))
+        # each new panel takes the sums of the old panel it lies in, and
+        # the pieces, at their places in the new mesh, their own; take
+        # keeps the rows contiguous, so that their sums add in one order
         edges = np.sort(np.concatenate([edges, cuts[n:]]))
-        fresh = split[np.searchsorted(lo, edges[:-1], side="right") - 1]
-        new_vals = np.empty((rows, edges.size - 1))
-        new_errs = np.empty_like(new_vals)
-        new_vals[:, ~fresh] = vals[:, ~split]
-        new_errs[:, ~fresh] = errs[:, ~split]
-        new_vals[:, fresh], new_errs[:, fresh] = sums(edges[:-1][fresh],
-                                                      edges[1:][fresh])
-        vals, errs = new_vals, new_errs
+        kept = np.searchsorted(lo, edges[:-1], side="right") - 1
+        fresh = np.searchsorted(edges, cuts)
+        vals, errs = vals.take(kept, axis=1), errs.take(kept, axis=1)
+        vals[:, fresh], errs[:, fresh] = sums(cuts, ends)
         rounds += 1
 
     return BatchQuadrature(total, total_err, ~active, edges.size - 1, rounds,

@@ -296,10 +296,14 @@ class _Context:
         self.knee = knee if math.isfinite(knee) and knee > 0 else None
         self.base_flags = int(observables.wkb_flags(self.geom, self.kernel))
         # natural magnitude of the t' integral, Int dt'/G: sets the scale of
-        # absolute quadrature tolerances (the integrand envelope is 1/G)
-        t_sample = np.linspace(0.0, scenario.t_out, 513)
-        self.envelope_scale = float(np.trapezoid(
-            1.0 / self.kernel.big_g(t_sample), t_sample))
+        # absolute quadrature tolerances (the integrand envelope is 1/G).
+        # np.trapezoid on np.linspace(0, t_out, 513), spelled out: the
+        # same arithmetic without their argument handling
+        t = np.arange(513.0) * (scenario.t_out / 512)
+        t[-1] = scenario.t_out
+        inv_g = 1.0 / self.kernel.big_g(t)
+        self.envelope_scale = float(
+            ((t[1:] - t[:-1]) * (inv_g[1:] + inv_g[:-1]) / 2.0).sum())
 
     def integrand_for(self, R) -> callable:
         """Master integrand (prefactor excluded) at one node R of shape (3,)
@@ -361,19 +365,30 @@ class _Context:
         return res, flags.astype(np.uint16)
 
 
+def _node(R) -> np.ndarray:
+    """The node R as a float array of shape (3,); ``ValueError`` naming R
+    when it is not three values or not finite."""
+    R = np.asarray(R, dtype=float)
+    if R.size != 3:
+        raise ValueError(f"R must be three values, got shape {R.shape}")
+    R = R.reshape(3)
+    if not np.isfinite(R).all():
+        raise ValueError(f"R must be finite, got {R.tolist()}")
+    return R
+
+
 def evaluate_point(scenario: EmissionScenario, R, rel_tol: float = 1e-10,
                    abs_tol: Optional[float] = None, max_panels: int = 4096):
     """Wigner-function value at R: adaptive quadrature of the cosine form
     over [0, t_out], doubled, times the scenario prefactor.  A point is the
     one-node row of a map, on the map's quadrature path.  A node ``R`` that
-    is not finite, a tolerance that is not finite and positive, or a
-    ``max_panels`` that is not an integer >= 1 raises ``ValueError``
-    naming it (see ``numerics.integrate_batch``).
+    is not three finite values raises ``ValueError`` naming R before any
+    work; so do a tolerance that is not finite and positive and a
+    ``max_panels`` that is not an integer >= 1, before any quadrature
+    (see ``numerics.integrate_batch``).
 
     Returns (value, error_estimate, flags)."""
-    R = np.reshape(np.asarray(R, dtype=float), (1, 3))
-    if not np.all(np.isfinite(R)):
-        raise ValueError(f"R must be finite, got {R[0].tolist()}")
+    R = _node(R)[None, :]
     ctx = _Context(scenario)
     res, flags = ctx.nodes(R, rel_tol, abs_tol, max_panels)
     scale = 2.0 * ctx.prefactor
@@ -423,10 +438,8 @@ def evaluate_point_reference(scenario: EmissionScenario, R):
 
     Returns the complex integral times the prefactor; its real part should
     match ``evaluate_point`` and its imaginary part should vanish.  A node
-    ``R`` that is not finite raises ``ValueError``."""
-    R = np.asarray(R, dtype=float)
-    if not np.all(np.isfinite(R)):
-        raise ValueError(f"R must be finite, got {R.tolist()}")
+    ``R`` that is not three finite values raises ``ValueError``."""
+    R = _node(R)
     ctx = _Context(scenario)
     x, w = _gl_nodes()
     edges = _reference_edges(ctx, R)

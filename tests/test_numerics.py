@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from cherenkov_wigner.numerics import (_LEVIN_TURN, DiffSpec, NoSignChange,
                                        NonFiniteIntegrand, NonFiniteSample,
                                        _gk15_panels, _HEAD, _levin_panels,
-                                       _solve, differentiate, find_root,
-                                       integrate_batch)
+                                       _solve, _start_mesh, differentiate,
+                                       find_root, integrate_batch)
 
 
 def gauss_legendre_reference(f, a, b, n=2000):
@@ -233,6 +233,72 @@ def test_knee_leaves_the_mesh_alone_when_it_is_no_boundary_layer(knee):
     ref = integrate_batch(f, 0.0, 3.0, **opts)
     assert np.array_equal(got.values, ref.values)
     assert (got.panels_used, got.rounds) == (ref.panels_used, ref.rounds)
+
+
+def _unique_start_mesh(a, b, n0, knee, max_panels):
+    """The start mesh as ``np.unique`` of its pieces: the even edges, and
+    the graded ones a + w 2**-k of a first panel of width w."""
+    edges = a + np.arange(n0 + 1) * ((b - a) / n0)
+    edges[-1] = b
+    w = edges[1] - a
+    if knee is not None and 0.0 < knee / 8.0 < 0.5 * w:
+        levels = min(math.ceil(math.log2(8.0 * w) - math.log2(knee)) - 1,
+                     max_panels - n0)
+        graded = a + w * 2.0 ** -np.arange(levels, 0, -1)
+        edges = np.unique(np.concatenate([[a], graded, edges[1:]]))
+    return edges
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(a=st.one_of(st.just(0.0), st.floats(-1e9, 1e9)),
+       width=st.floats(-4.0, 3.0), max_panels=st.integers(1, 4096),
+       n0=st.integers(1, 64),
+       knee=st.one_of(st.none(), st.floats(-20.0, 1.0)))
+@example(a=1e6, width=0.0, max_panels=4096, n0=1, knee=-20.0)
+@example(a=-3.0, width=0.0, max_panels=4096, n0=1, knee=-18.0)
+def test_start_mesh_is_unique_of_its_pieces(a, width, max_panels, n0, knee):
+    # width and knee are decades: b - a = 10**width max(1, |a|), and the
+    # knee 10**knee (b - a); where |a| >> knee, graded edges round onto a
+    # or onto each other and are dropped (the examples)
+    b = a + 10.0 ** width * max(1.0, abs(a))
+    n0 = min(n0, max_panels // 2 + 1)
+    knee = None if knee is None else 10.0 ** knee * (b - a)
+    edges = _start_mesh(a, b, n0, knee, max_panels)
+    assert edges[0] == a and edges[-1] == b
+    assert np.all(edges[1:] > edges[:-1])
+    assert np.array_equal(edges, _unique_start_mesh(a, b, n0, knee,
+                                                    max_panels))
+
+
+def test_start_mesh_drops_graded_edges_that_round_together():
+    # near a = 1e6 floats are 1.2e-10 apart, so the graded edges
+    # a + 2**-k for 2**-k below that round onto a or onto each other
+    a, knee = 1e6, 1e-20
+    w = 1.0
+    levels = math.ceil(math.log2(8.0 * w) - math.log2(knee)) - 1
+    graded = a + w * 2.0 ** -np.arange(levels, 0, -1)
+    assert np.count_nonzero(graded == a) > 1
+    assert np.unique(graded).size < graded.size
+    edges = _start_mesh(a, a + w, 1, knee, 4096)
+    assert np.array_equal(edges, np.unique(np.concatenate([[a], graded,
+                                                           [a + w]])))
+
+
+@pytest.mark.parametrize("f", [
+    lambda t: np.tanh((t - 2.0 ** -8) / 1e-13)[None],
+    lambda t: np.stack([np.tanh((t - 2.0 ** -8) / 1e-13), np.cos(9.0 * t),
+                        np.exp(-t * t)])], ids=["step", "step-and-two-rows"])
+def test_refined_batch_sums_its_final_mesh_in_one_call(f):
+    # the round merge places each panel's sums in mesh order, in rows
+    # that add in one order: after several rounds the values and errors
+    # are those of the final edges summed in one Gauss-Kronrod call, bit
+    # for bit
+    res = integrate_batch(f, -3.0, 2.0, abs_tol=1e-12, rel_tol=1e-10,
+                          phase_rate_hint=5.0, max_panels=4096)
+    assert res.rounds >= 5 and res.converged.all()
+    vals, errs = _gk15_panels(f, res.edges[:-1], res.edges[1:])
+    assert np.array_equal(vals.sum(axis=1), res.values)
+    assert np.array_equal(errs.sum(axis=1), res.error_estimates)
 
 
 def test_batch_empty_interval():

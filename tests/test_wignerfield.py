@@ -482,13 +482,8 @@ def test_map_long_nodes_as_points_take_few_rounds():
     assert np.mean(rounds) <= 3.0
 
 
-def test_gauss_kronrod_point_builds_one_start_mesh(monkeypatch):
-    # the knee-only mesh of a Levin batch is built only once the start
-    # mesh turns more than 1e4 radians; a point that stays Gauss-Kronrod
-    # builds its start mesh alone
-    sc = balance_scenario(sigma=1e-5, t_out=1e6)
-    R = np.zeros(3)
-    assert not _Context(sc).nodes(R[None, :], 1e-10, None, 4096)[0].levin
+def _count_start_meshes(monkeypatch):
+    """A list that gains the arguments of each ``_start_mesh`` call."""
     calls = []
     start_mesh = numerics._start_mesh
 
@@ -497,8 +492,82 @@ def test_gauss_kronrod_point_builds_one_start_mesh(monkeypatch):
         return start_mesh(*args)
 
     monkeypatch.setattr(numerics, "_start_mesh", counted)
+    return calls
+
+
+def test_gauss_kronrod_point_builds_one_start_mesh(monkeypatch):
+    # the knee-only mesh of a Levin batch is built only once the start
+    # mesh turns more than 1e4 radians; a point that stays Gauss-Kronrod
+    # builds its start mesh alone
+    sc = balance_scenario(sigma=1e-5, t_out=1e6)
+    R = np.zeros(3)
+    assert not _Context(sc).nodes(R[None, :], 1e-10, None, 4096)[0].levin
+    calls = _count_start_meshes(monkeypatch)
     evaluate_point(sc, R)
     assert len(calls) == 1
+
+
+def test_levin_point_on_one_start_panel_builds_one_start_mesh(monkeypatch):
+    # at theta_Ch, t_out = 5e7, the phase_rate_hint split leaves one start
+    # panel: that mesh is already the knee-only mesh of a Levin batch, so
+    # a Levin point builds it once
+    sc = balance_scenario(sigma=1e-5, t_out=5e7)
+    grid = default_grid(sc, 12, 12)
+    R = np.array([grid.xs()[3], grid.ys()[5], grid.z])
+    assert _Context(sc).nodes(R[None, :], 1e-10, None, 4096)[0].levin
+    calls = _count_start_meshes(monkeypatch)
+    evaluate_point(sc, R)
+    assert [args[2] for args in calls] == [1]
+
+
+@pytest.mark.parametrize("theta_frac,meshes", [(1.0, [1, 1]),
+                                               (1.1, [26, 1, 26, 1])])
+def test_map_long_batches_build_each_start_mesh_once(theta_frac, meshes,
+                                                     monkeypatch):
+    # each batch of a map-long map (the pilot, then one row group) builds
+    # its phase_rate_hint split and, when that has more than one panel,
+    # the knee-only mesh that its Levin panels start on
+    sc = balance_scenario(sigma=1e-5, theta_frac=theta_frac, t_out=5e7)
+    grid = default_grid(sc, 12, 12)
+    calls = _count_start_meshes(monkeypatch)
+    wmap = evaluate_map(sc, grid)
+    assert [args[2] for args in calls] == meshes
+    assert np.all(wmap.rounds == 1)
+
+
+@pytest.mark.parametrize("t_out", [59444.41642204142, 3e5, 1e6, 7e6, 5e7,
+                                   7e7])
+@pytest.mark.parametrize("theta_frac", [0.99, 1.1])
+def test_envelope_scale_is_the_trapezoid_of_513_samples(theta_frac, t_out):
+    # every point's abs_tol is 1e-10 of this integral: it stays
+    # np.trapezoid of 1/G on np.linspace(0, t_out, 513), bit for bit
+    sc = balance_scenario(sigma=1e-5, theta_frac=theta_frac, t_out=t_out)
+    ctx = _Context(sc)
+    t = np.linspace(0.0, t_out, 513)
+    assert ctx.envelope_scale == float(
+        np.trapezoid(1.0 / ctx.kernel.big_g(t), t))
+
+
+def test_refined_point_sums_its_final_mesh_in_one_call():
+    # a Gauss-Kronrod point of the benchmark's point design that refines
+    # over several rounds: its value and error are those of its final
+    # edges summed in one call, bit for bit, so no round's merge moves a
+    # panel's sums
+    mean = Momentum3(0.0, 0.0, 0.8223291548689425)
+    sc = EmissionScenario(
+        packet=ElectronPacket(mean, 0.0073125755806394905),
+        medium=ConstantMedium(1.171396695390982), omega=4.515864686715488e-06,
+        theta_k=0.5932387487473936, phi_k=0.5 * math.pi,
+        t_out=59444.41642204142)
+    R = np.array([[-22905.50046584955, -11505.653382900047,
+                   -6804.278717158056]])
+    ctx = _Context(sc)
+    res, _ = ctx.nodes(R, 1e-10, None, 4096)
+    assert res.rounds >= 2 and not res.levin and res.converged[0]
+    vals, errs = numerics._gk15_panels(ctx.integrand_for(R), res.edges[:-1],
+                                       res.edges[1:])
+    assert np.array_equal(vals.sum(axis=1), res.values)
+    assert np.array_equal(errs.sum(axis=1), res.error_estimates)
 
 
 def test_point_on_its_start_mesh_is_one_integrand_call(monkeypatch):
@@ -1101,6 +1170,10 @@ def test_snapshot_mass_conserved_over_time():
     (lambda sc: evaluate_point(sc, [0.0, math.nan, 0.0]), "R"),
     (lambda sc: evaluate_point_reference(sc, [math.inf, 0.0, 0.0]), "R"),
     (lambda sc: evaluate_point_reference(sc, [math.nan, 0.0, 0.0]), "R"),
+    *[(lambda sc, bad=bad: evaluate_point(sc, np.zeros(bad)), "R")
+      for bad in ((2,), (4,), (2, 3))],
+    *[(lambda sc, bad=bad: evaluate_point_reference(sc, np.zeros(bad)), "R")
+      for bad in ((2,), (2, 3))],
     *[(lambda sc, bad=bad: evaluate_point(sc, [0.0, 0.0, 0.0],
                                           max_panels=bad), "max_panels")
       for bad in (math.nan, math.inf, 16.5, 2.0)],
@@ -1108,7 +1181,9 @@ def test_snapshot_mass_conserved_over_time():
                                         max_panels=bad), "max_panels")
       for bad in (math.nan, math.inf, 16.5, 2.0)]],
     ids=["point", "map", "point-inf-node", "point-nan-node",
-         "reference-inf-node", "reference-nan-node",
+         "reference-inf-node", "reference-nan-node", "point-2-node",
+         "point-4-node", "point-2x3-node", "reference-2-node",
+         "reference-2x3-node",
          "point-nan-panels", "point-inf-panels", "point-16.5-panels",
          "point-2.0-panels", "map-nan-panels", "map-inf-panels",
          "map-16.5-panels", "map-2.0-panels"])
@@ -1117,7 +1192,9 @@ def test_points_and_maps_reject_invalid_quadrature_settings(call, name):
     # NonFiniteIntegrand on [0, t_out]); the reference used to warn (inf)
     # or fail to place its mesh (NaN); map nodes are checked by MapGrid.
     # A max_panels of NaN or inf refined without bound, and a map at 2.5
-    # blamed a guide that no caller gave
+    # blamed a guide that no caller gave.  A node of other than three
+    # values failed in numpy's reshape (points) or in an index or a
+    # broadcast (the reference), without naming R
     with pytest.raises(ValueError, match=f"^{name} must be"):
         call(balance_scenario(sigma=1e-5, t_out=3e5))
 
