@@ -28,6 +28,7 @@ __all__ = [
     "energy",
     "lorentz_gamma",
     "momentum_magnitude",
+    "check_speed_and_index",
     "cherenkov_angle_classical",
     "cherenkov_angle_quantum",
     "cutoff_frequency",
@@ -133,6 +134,20 @@ def lorentz_gamma(beta: float) -> float:
     return 1.0 / math.sqrt((1.0 - beta) * (1.0 + beta))
 
 
+def check_speed_and_index(beta: float, n: float, **others: float) -> None:
+    """The one input check of the closed-form angle functions: raises
+    ``ValueError`` naming the first of beta, n and ``others`` that is NaN
+    or infinite, then a beta with |beta| >= 1 (as ``lorentz_gamma`` does)
+    or an n <= 0."""
+    for name, value in (("beta", beta), ("n", n), *others.items()):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+    if not abs(beta) < 1.0:
+        raise ValueError(f"beta must satisfy |beta| < 1, got {beta!r}")
+    if not n > 0.0:
+        raise ValueError(f"n must be positive, got {n!r}")
+
+
 def momentum_magnitude(beta: float) -> float:
     """|p| = beta * gamma for an electron of speed beta."""
     return beta * lorentz_gamma(beta)
@@ -147,8 +162,10 @@ def cherenkov_angle_classical(beta: float, n: float) -> float:
     """arccos(1/(beta*n)); radiation threshold is beta*n >= 1.
 
     Within 1e-12 of the threshold the angle is clamped to zero (with a
-    warning) instead of producing NaN.
+    warning) instead of producing NaN.  Inputs are checked by
+    ``check_speed_and_index``.
     """
+    check_speed_and_index(beta, n)
     bn = beta * n
     if bn < 1.0 - _THRESHOLD_EPS:
         raise BelowThreshold(f"beta*n = {bn} < 1: no Cherenkov radiation")
@@ -162,7 +179,9 @@ def cherenkov_angle_classical(beta: float, n: float) -> float:
 def cherenkov_angle_quantum(beta: float, n: float, omega: float,
                             epsilon: float) -> float:
     """Emission angle with electron recoil:
-    cos(theta) = 1/(beta n) + (omega/2 eps) (n^2-1)/(beta n)."""
+    cos(theta) = 1/(beta n) + (omega/2 eps) (n^2-1)/(beta n).  Inputs are
+    checked by ``check_speed_and_index``."""
+    check_speed_and_index(beta, n, omega=omega, epsilon=epsilon)
     arg = (1.0 + 0.5 * (omega / epsilon) * (n * n - 1.0)) / (beta * n)
     if abs(arg) > 1.0 + 1e-12:
         raise Unphysical(f"cos(theta) = {arg} outside [-1, 1]")
@@ -171,7 +190,8 @@ def cherenkov_angle_quantum(beta: float, n: float, omega: float,
 
 def cutoff_frequency(beta: float, n: float, epsilon: float) -> float:
     """Spectral cutoff 2 eps (beta n - 1)/(n^2 - 1), clamped to 0 below
-    threshold."""
+    threshold.  Inputs are checked by ``check_speed_and_index``."""
+    check_speed_and_index(beta, n, epsilon=epsilon)
     if n <= 1.0:
         raise ValueError("cutoff frequency requires n > 1")
     return max(0.0, 2.0 * epsilon * (beta * n - 1.0) / (n * n - 1.0))
@@ -179,7 +199,9 @@ def cutoff_frequency(beta: float, n: float, epsilon: float) -> float:
 
 def mach_angle(beta: float, n: float, theta: float) -> float:
     """Opening angle of the Mach cone:
-    pi - arcsin(sin(theta) / (n |u_k - u_p|))."""
+    pi - arcsin(sin(theta) / (n |u_k - u_p|)).  Inputs are checked by
+    ``check_speed_and_index``."""
+    check_speed_and_index(beta, n, theta=theta)
     diff2 = 1.0 / n ** 2 + beta * beta - 2.0 * beta * math.cos(theta) / n
     if diff2 <= 0.0:
         raise Unphysical("u_p and u_k coincide; Mach angle undefined")

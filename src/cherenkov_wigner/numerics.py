@@ -26,6 +26,7 @@ __all__ = [
     "NoSignChange",
     "BatchQuadrature",
     "integrate_batch",
+    "per_call",
     "differentiate",
     "find_root",
 ]
@@ -79,7 +80,7 @@ _GAUSS_WEIGHTS = np.array([
 
 
 # upper bound on rows x abscissae per integrand call of integrate_batch,
-# after the first call of a quadrature (see _HEAD); it bounds memory only
+# after the first call of a quadrature (see _panel_sums); it bounds memory
 _BLOCK = 1 << 16
 
 
@@ -90,15 +91,13 @@ _BLOCK = 1 << 16
 _HEAD = 64
 
 
-def _gk15_panels(f, lo, hi, rows=None):
-    """Gauss-Kronrod sums of the rows of f on each panel [lo, hi]: returns
-    (values, errors), both of shape (rows, len(lo)).  A panel's value and
-    error depend only on its own 15 samples, summed in one fixed order by
-    einsum, not on which panels share an integrand call (a BLAS
-    matrix-vector product would round each sum by its place in the
-    block).  When ``rows`` is not known yet, the first call of f
-    holds the first min(len(lo), ``_HEAD``) panels and tells it; every
-    other call holds at most ``_BLOCK`` rows x abscissae.
+def _gk15_panels(f, lo, hi):
+    """Gauss-Kronrod sums of the rows of f on each panel [lo, hi], in one
+    call of f: returns (values, errors), both of shape (rows, len(lo)).  A
+    panel's value and error depend only on its own 15 samples, summed in
+    one fixed order by einsum, not on which panels share an integrand call
+    (a BLAS matrix-vector product would round each sum by its place in the
+    block).
 
     A panel whose Kronrod sum is not finite raises ``NonFiniteIntegrand``
     naming its row and panel: the weights are positive, so a NaN or +-inf
@@ -106,37 +105,24 @@ def _gk15_panels(f, lo, hi, rows=None):
     finite samples."""
     half = 0.5 * (hi - lo)
     t = (0.5 * (lo + hi))[:, None] + half[:, None] * _KRONROD_NODES
-    vals, errs = [], []
-    start = 0
-    while start < lo.size:
-        step = _HEAD if rows is None else max(1, _BLOCK // (15 * rows))
-        stop = min(lo.size, start + step)
-        y = np.ascontiguousarray(f(t[start:stop].ravel()), dtype=float)
-        rows = y.shape[0]
-        y = y.reshape(rows, -1, 15)
-        h = half[start:stop]
-        kronrod = np.einsum("...j,j->...", y, _KRONROD_WEIGHTS)
-        if not np.isfinite(kronrod).all():
-            row, panel = np.argwhere(~np.isfinite(kronrod))[0]
-            raise NonFiniteIntegrand(
-                f"non-finite integrand row {row} on "
-                f"[{lo[start + panel]}, {hi[start + panel]}]")
-        gauss = np.einsum("...j,j->...", y[..., 1::2], _GAUSS_WEIGHTS)
-        err = h * np.abs(kronrod - gauss)
-        # QUADPACK-style rescaling: sharpen the raw |K - G| estimate
-        resasc = h * np.einsum("...j,j->...",
-                               np.abs(y - 0.5 * kronrod[..., None]),
-                               _KRONROD_WEIGHTS)
-        scaled = resasc > 0.0
-        ratio = np.divide(200.0 * err, resasc, out=np.zeros_like(err),
-                          where=scaled)
-        vals.append(h * kronrod)
-        errs.append(np.where(scaled, resasc * np.minimum(1.0, ratio ** 1.5),
-                             err))
-        start = stop
-    if len(vals) == 1:
-        return vals[0], errs[0]
-    return np.concatenate(vals, axis=1), np.concatenate(errs, axis=1)
+    y = np.ascontiguousarray(f(t.ravel()), dtype=float)
+    y = y.reshape(y.shape[0], -1, 15)
+    kronrod = np.einsum("...j,j->...", y, _KRONROD_WEIGHTS)
+    if not np.isfinite(kronrod).all():
+        row, panel = np.argwhere(~np.isfinite(kronrod))[0]
+        raise NonFiniteIntegrand(
+            f"non-finite integrand row {row} on [{lo[panel]}, {hi[panel]}]")
+    gauss = np.einsum("...j,j->...", y[..., 1::2], _GAUSS_WEIGHTS)
+    err = half * np.abs(kronrod - gauss)
+    # QUADPACK-style rescaling: sharpen the raw |K - G| estimate
+    resasc = half * np.einsum("...j,j->...",
+                              np.abs(y - 0.5 * kronrod[..., None]),
+                              _KRONROD_WEIGHTS)
+    scaled = resasc > 0.0
+    ratio = np.divide(200.0 * err, resasc, out=np.zeros_like(err),
+                      where=scaled)
+    return (half * kronrod,
+            np.where(scaled, resasc * np.minimum(1.0, ratio ** 1.5), err))
 
 
 def _differentiation_matrix(x):
@@ -198,11 +184,11 @@ def _solve(m, ones):
         return q
 
 
-def _levin_panels(levin, lo, hi, rows):
+def _levin_panels(levin, lo, hi):
     """Levin collocation sums of the rows of Re exp(L) on each panel
-    [lo, hi] that turns, where ``levin(t)`` returns (L, L'), each of shape
-    (rows, len(t)): returns one array of shape (2, rows, len(lo)), the
-    values and the errors, NaN on every panel that does not turn.
+    [lo, hi] that turns, from one call ``levin(t)`` of (L, L'), each of
+    shape (rows, len(t)): one array of shape (2, rows, len(lo)), the values
+    and the errors, NaN on every panel that does not turn.
 
     L and L' are sampled on each panel's 17 Chebyshev-Lobatto points, its
     edges among them.  A panel turns when its width times the largest
@@ -214,62 +200,77 @@ def _levin_panels(levin, lo, hi, rows):
     of their values from the 17-point one; the error is e9 times the
     contraction e9/e5 when that is below 1, else e9.  A panel's sums
     depend only on its own samples; a row whose L or L' is not finite, or
-    whose system is singular, gets non-finite sums.  Each call of
-    ``levin`` holds at most ``_BLOCK`` rows x abscissae, and each stack of
-    collocation systems solved at once at most ``_BLOCK`` matrix
+    whose system is singular, gets non-finite sums.  Each stack of
+    collocation systems solved at once holds at most ``_BLOCK`` matrix
     entries."""
     half = 0.5 * (hi - lo)
     t = (0.5 * (lo + hi))[:, None] + half[:, None] * _LOBATTO
-    sums = np.empty((2, rows, lo.size))
-    step = max(1, _BLOCK // (17 * rows))
-    for start in range(0, lo.size, step):
-        stop = min(lo.size, start + step)
-        h = half[start:stop]
-        log_f, rate = levin(t[start:stop].ravel())
-        # a non-finite L or L' gives non-finite sums, without a warning,
-        # which _panel_sums hands to Gauss-Kronrod
-        with np.errstate(invalid="ignore", over="ignore"):
-            rate = np.reshape(rate, (rows, -1, 17)) * h[:, None]
-            turning = (2.0 * np.abs(rate[..., ::16]).max(axis=(0, 2))
-                       > _LEVIN_TURN)
-            ends = np.exp(np.reshape(log_f, rate.shape)[..., ::16])
-            row, panel = np.nonzero(turning & (ends != 0.0).any(axis=2))
-            rate, ends = rate[row, panel], ends[row, panel]
-            # (D + h diag(L')) q = 1 on [-1, 1], and P = h q, solved in
-            # stacks of at most _BLOCK matrix entries; q_ends holds each
-            # system's q at the ends, 17-point, 9-point, 5-point
-            q_ends = np.empty((row.size, 6), dtype=complex)
-            for d, points, ends_at, into in (
-                    (_LEVIN_FINE, slice(None), _FINE_ENDS, q_ends[:, :2]),
-                    (_LEVIN_COARSE, _COARSE_POINTS, _COARSE_ENDS,
-                     q_ends[:, 2:])):
-                n = d.shape[0]
-                stack = _BLOCK // (n * n)
-                for s in range(0, row.size, stack):
-                    m = d[None].repeat(min(stack, row.size - s), axis=0)
-                    m.reshape(-1, n * n)[:, ::n + 1] += rate[s:s + stack,
-                                                             points]
-                    into[s:s + stack] = _solve(m, _ONES[:n])[:, ends_at, 0]
-            fine, e9, e5 = h[panel] * np.einsum(
-                "irj,ij->ri", q_ends.reshape(-1, 3, 2), ends * _END_SIGNS).real
-            e9, e5 = abs(e9 - fine), abs(e5 - fine)
-            err = np.divide(e9 * e9, e5, out=e9, where=e9 < e5)
-        block = sums[:, :, start:stop]
-        block[:] = np.where(turning, 0.0, np.nan)
-        block[0, row, panel], block[1, row, panel] = fine, err
+    log_f, rate = levin(t.ravel())
+    # a non-finite L or L' gives non-finite sums, without a warning, which
+    # _panel_sums hands to Gauss-Kronrod
+    with np.errstate(invalid="ignore", over="ignore"):
+        rate = np.reshape(rate, (-1, lo.size, 17)) * half[:, None]
+        turning = (2.0 * np.abs(rate[..., ::16]).max(axis=(0, 2))
+                   > _LEVIN_TURN)
+        ends = np.exp(np.reshape(log_f, rate.shape)[..., ::16])
+        sums = np.where(turning, 0.0, np.full((2,) + rate.shape[:2], np.nan))
+        row, panel = np.nonzero(turning & (ends != 0.0).any(axis=2))
+        rate, ends = rate[row, panel], ends[row, panel]
+        # (D + h diag(L')) q = 1 on [-1, 1], and P = h q, solved in stacks
+        # of at most _BLOCK matrix entries; q_ends holds each system's q at
+        # the ends, 17-point, 9-point, 5-point
+        q_ends = np.empty((row.size, 6), dtype=complex)
+        for d, points, ends_at, into in (
+                (_LEVIN_FINE, slice(None), _FINE_ENDS, q_ends[:, :2]),
+                (_LEVIN_COARSE, _COARSE_POINTS, _COARSE_ENDS,
+                 q_ends[:, 2:])):
+            n = d.shape[0]
+            stack = _BLOCK // (n * n)
+            for s in range(0, row.size, stack):
+                m = d[None].repeat(min(stack, row.size - s), axis=0)
+                m.reshape(-1, n * n)[:, ::n + 1] += rate[s:s + stack, points]
+                into[s:s + stack] = _solve(m, _ONES[:n])[:, ends_at, 0]
+        fine, e9, e5 = half[panel] * np.einsum(
+            "irj,ij->ri", q_ends.reshape(-1, 3, 2), ends * _END_SIGNS).real
+        e9, e5 = abs(e9 - fine), abs(e5 - fine)
+        err = np.divide(e9 * e9, e5, out=e9, where=e9 < e5)
+    sums[0, row, panel], sums[1, row, panel] = fine, err
     return sums
+
+
+def per_call(*sizes: int) -> int:
+    """How many panels, or source rows, one integrand call holds beside
+    the counts ``sizes``: the largest m with m x product(sizes) x 17
+    abscissae <= ``_BLOCK``, and at least one.  ``per_call(rows)`` panels
+    per call of a batch, ``per_call(columns, panels)`` rows per row group."""
+    return max(1, _BLOCK // (17 * math.prod(sizes)))
 
 
 def _panel_sums(f, levin, lo, hi, rows):
-    """(values, errors) of the rows on each panel [lo, hi], as one array of
-    shape (2, rows, len(lo)): by Levin collocation where the panel turns
-    and its sums are finite in every row, else by Gauss-Kronrod (see
-    ``_levin_panels``)."""
-    sums = _levin_panels(levin, lo, hi, rows)
-    rest = ~np.isfinite(sums).all(axis=(0, 1))
-    if rest.any():
-        sums[:, :, rest] = _gk15_panels(f, lo[rest], hi[rest], rows)
-    return sums
+    """(values, errors) of the rows on each panel [lo, hi], each of shape
+    (rows, len(lo)): by Levin collocation where the panel turns and its
+    sums are finite in every row, else by Gauss-Kronrod (see
+    ``_levin_panels``), and by Gauss-Kronrod alone when ``levin`` is None.
+
+    The one loop that splits panels into integrand calls: each call holds
+    ``per_call(rows)`` panels, so at most ``_BLOCK`` rows x abscissae, but
+    when ``rows`` is None the first holds min(len(lo), ``_HEAD``) panels
+    and tells it.  A panel's sums depend only on its own samples, so the
+    split changes no bit."""
+    chunks, start = [], 0
+    while start < lo.size:
+        stop = start + (_HEAD if rows is None else per_call(rows))
+        a, b = lo[start:stop], hi[start:stop]
+        if levin is None:
+            sums = _gk15_panels(f, a, b)
+        else:
+            sums = _levin_panels(levin, a, b)
+            rest = ~np.isfinite(sums).all(axis=(0, 1))
+            if rest.any():
+                sums[:, :, rest] = _gk15_panels(f, a[rest], b[rest])
+        chunks.append(sums)
+        rows, start = len(sums[0]), stop
+    return chunks[0] if len(chunks) == 1 else np.concatenate(chunks, axis=2)
 
 
 def _start_mesh(a, b, n0, knee, max_panels):
@@ -296,10 +297,11 @@ class BatchQuadrature:
     """Per-row results of ``integrate_batch``; ``edges`` is the mesh the
     rows share, strictly increasing if a < b, ``panels_used`` its panel
     count and ``rounds`` the passes over it (the start mesh with the
-    guide's edges is the first), and ``levin`` whether the batch took
-    Levin panels.  Each value is the sum of its row's Gauss-Kronrod and
-    Levin panel values on ``edges``, and depends on that mesh and its own
-    samples only."""
+    guide's edges is the first), ``tolerance`` the error every row was
+    held to in the last round, max(abs_tol, rel_tol * max_s |value_s|),
+    and ``levin`` whether the batch took Levin panels.  Each value is the
+    sum of its row's Gauss-Kronrod and Levin panel values on ``edges``,
+    and depends on that mesh and its own samples only."""
 
     values: np.ndarray
     error_estimates: np.ndarray
@@ -307,6 +309,7 @@ class BatchQuadrature:
     panels_used: int
     rounds: int
     edges: np.ndarray
+    tolerance: float
     levin: bool = False
 
 
@@ -328,10 +331,10 @@ def integrate_batch(
     collocation panels.
 
     ``f(t)`` maps a 1-D array of abscissae to a (k, len(t)) array.  Every
-    row is held to one tolerance, max(abs_tol, rel_tol * max_s |value_s|):
-    rel_tol of the batch's own scale, so a row that cancels to far below
-    its neighbours is not refined to its own relative precision; a
-    one-row batch is held to max(abs_tol, rel_tol * |value|).
+    row is held to one tolerance, max(abs_tol, rel_tol * max_s |value_s|),
+    the record's ``tolerance`` in the last round: rel_tol of the batch's
+    own scale, so a row that cancels to far below its neighbours is not
+    refined to its own relative precision.
 
     The mesh is one sorted array of edges.  Each round selects every panel
     whose error exceeds its even share of that tolerance (the tolerance
@@ -343,18 +346,19 @@ def integrate_batch(
     selected panels x rows <= ``_HEAD`` (64) and within ``max_panels``; it
     stops a level early rather than cut a piece narrower than
     4e-15 (|lo| + |hi|), so every cut lies strictly inside its panel and
-    the edges stay distinct.  Only the new panels are evaluated, in one
-    vectorized call, and take their places in the mesh; the other panels
-    keep their sums, so each value is its row's panel values on the final
-    edges added in mesh order, the bits of one call on those edges.  A
+    the edges stay distinct.  Only the new panels are evaluated, in
+    vectorized calls (see ``_panel_sums``), and take their places in the
+    mesh; the other panels keep their sums, so each value is its row's
+    panel values on the final edges added in mesh order, the bits of one
+    call on those edges.  A
     single point with one selected panel thus jumps six levels in one
     round, while a round of many panels or rows bisects once.
 
     ``a`` and ``b`` must be finite with a <= b, ``abs_tol`` and ``rel_tol``
     finite and positive, ``phase_rate_hint`` None or finite and >= 0,
-    ``max_panels`` an integer >= 1 and ``guide`` finite, with at most
-    ``max_panels`` panels in the start mesh it extends, else
-    ``ValueError`` names it before f is called.
+    ``max_panels`` an integer >= 1 and ``guide`` a 1-D array of finite
+    edges, with at most ``max_panels`` panels in the start mesh it
+    extends, else ``ValueError`` names it before f is called.
 
     ``phase_rate_hint`` is an upper estimate of |d(phase)/dx| of an
     oscillatory integrand; when positive, the start mesh has panels no
@@ -415,13 +419,17 @@ def integrate_batch(
     if not isinstance(max_panels, numbers.Integral) or max_panels < 1:
         raise ValueError("max_panels must be at least 1 and an integer, "
                          f"got {max_panels!r}")
-    if guide is not None and not np.all(np.isfinite(guide)):
-        raise ValueError("guide must be finite")
+    if guide is not None:
+        guide = np.asarray(guide, dtype=float)
+        if guide.ndim != 1:
+            raise ValueError(f"guide must be 1-D, got shape {guide.shape}")
+        if not np.isfinite(guide).all():
+            raise ValueError("guide must be finite")
     if a == b:
         k = np.asarray(f(np.array([a]))).shape[0]
         zero = np.zeros(k)
         return BatchQuadrature(zero, zero.copy(), np.ones(k, dtype=bool), 1,
-                               1, np.array([a, b]))
+                               1, np.array([a, b]), abs_tol)
 
     n0 = 1
     if phase_rate_hint:
@@ -454,12 +462,7 @@ def integrate_batch(
         else:
             levin = None
 
-    def sums(lo, hi):
-        if levin is None:
-            return _gk15_panels(f, lo, hi, rows)
-        return _panel_sums(f, levin, lo, hi, rows)
-
-    vals, errs = sums(edges[:-1], edges[1:])
+    vals, errs = _panel_sums(f, levin, edges[:-1], edges[1:], rows)
     rows = vals.shape[0]
     rounds = 1
 
@@ -507,11 +510,12 @@ def integrate_batch(
         kept = np.searchsorted(lo, edges[:-1], side="right") - 1
         fresh = np.searchsorted(edges, cuts)
         vals, errs = vals.take(kept, axis=1), errs.take(kept, axis=1)
-        vals[:, fresh], errs[:, fresh] = sums(cuts, ends)
+        vals[:, fresh], errs[:, fresh] = _panel_sums(f, levin, cuts, ends,
+                                                     rows)
         rounds += 1
 
     return BatchQuadrature(total, total_err, ~active, edges.size - 1, rounds,
-                           edges, levin is not None)
+                           edges, tol, levin is not None)
 
 
 def differentiate(f: Callable, x: float, spec: DiffSpec = DiffSpec()) -> float:

@@ -26,7 +26,8 @@ from typing import Optional
 import numpy as np
 
 from . import amplitudes
-from .kinematics import ElectronPacket, EmissionGeometry
+from .kinematics import (ElectronPacket, EmissionGeometry,
+                         check_speed_and_index)
 from .medium import (WEAK_DISPERSION_THRESHOLD, DegenerateGroupVelocity,
                      MediumModel)
 
@@ -223,7 +224,10 @@ def spread_times_at_angle(beta: float, n: float, omega: float, epsilon: float,
 
     Evaluated in extended precision: near the Cherenkov angle the two terms
     of 1/t_d cancel to ~6 digits, which plain doubles cannot afford.
+    Inputs are checked by ``kinematics.check_speed_and_index``.
     """
+    check_speed_and_index(beta, n, omega=omega, epsilon=epsilon, sigma=sigma,
+                          theta=theta, d_param=d_param, e_param=e_param)
     ld = np.longdouble
     beta, theta = ld(beta), ld(theta)
     a, b, uk = dispersion_coefficients(ld(n), ld(omega), ld(epsilon),
@@ -237,7 +241,9 @@ def spread_times_at_angle(beta: float, n: float, omega: float, epsilon: float,
 def singular_angles(beta: float, n: float, omega: float, epsilon: float):
     """Exact poles of the spreading time: the two roots of the quadratic in
     cos(theta) where aC + bD = 0.  Returns (theta_lo, theta_hi, width); the
-    poles exist only under the Cherenkov condition beta*n > 1."""
+    poles exist only under the Cherenkov condition beta*n > 1.  Inputs are
+    checked by ``kinematics.check_speed_and_index``."""
+    check_speed_and_index(beta, n, omega=omega, epsilon=epsilon)
     if beta * n <= 1.0:
         raise NoSingularAngles(f"beta*n = {beta * n} <= 1: spreading time "
                                "finite at all angles")

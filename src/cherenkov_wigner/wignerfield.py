@@ -512,8 +512,9 @@ def evaluate_map(scenario: EmissionScenario, grid: Optional[MapGrid] = None,
     columns and on a mesh its nodes share.  The source row nearest
     R = 0, the pilot, goes first: its nodes are held to ``rel_tol`` of
     their largest |integral|, a lower bound of the map's scale, but to no
-    less than 1e-14 of the envelope integral Int dt'/G.  That tolerance is
-    the absolute tolerance of every other source row, so every node, the
+    less than 1e-14 of the envelope integral Int dt'/G.  That tolerance,
+    the ``tolerance`` of the pilot's ``BatchQuadrature`` record, is the
+    absolute tolerance of every other source row, so every node, the
     pilot's by construction, is held to about ``rel_tol`` of the map's
     scale.  Every other source row follows the pilot's
     ``BatchQuadrature`` record (see ``_Context.nodes``).  When the pilot
@@ -526,17 +527,17 @@ def evaluate_map(scenario: EmissionScenario, grid: Optional[MapGrid] = None,
 
     The other source rows are integrated in row groups: each group is one
     quadrature of the stacked nodes of consecutive source rows, as many
-    rows as fit source columns x the pilot's panel count x 17 abscissae
-    within ``numerics._BLOCK``, and at least one.  The groups depend only
-    on the grid and the pilot, and no integrand call holds more than
-    ``_BLOCK`` rows x abscissae.  A panel's sums depend only on its own
-    samples, so a group whose rows all converge in their first round gives
-    each row the bits it gets alone; a group that refines shares its cuts,
-    and is held to ``rel_tol`` of its own largest |integral| when that
-    exceeds the pilot's tolerance.  The pilot is batch 0 and each group
-    one more: each batch's record fills its source rows' values, errors
-    and flags on the source columns and their panels and rounds, and the
-    mirror folds fill the other rows and columns.
+    rows as ``numerics.per_call`` fits beside the source columns and the
+    pilot's panel count.  The groups depend only on the grid and the
+    pilot, and no integrand call holds more rows x abscissae than the
+    block that ``per_call`` divides.  A panel's sums depend only on its
+    own samples, so a group whose rows all converge in their first round
+    gives each row the bits it gets alone; a group that refines shares its
+    cuts, and is held to ``rel_tol`` of its own largest |integral| when
+    that exceeds the pilot's tolerance.  The pilot is batch 0 and each
+    group one more: each batch's record fills its source rows' values,
+    errors and flags on the source columns and their panels and rounds,
+    and the mirror folds fill the other rows and columns.
     With ``workers`` > 1 the groups run on that many threads over the
     map's one context, else in a serial loop, and a map of one group
     starts no thread; each group is the same quadrature either way, so the
@@ -554,21 +555,18 @@ def evaluate_map(scenario: EmissionScenario, grid: Optional[MapGrid] = None,
     x, y = np.meshgrid(grid.xs()[:cols.max() + 1], grid.ys())
     nodes = np.stack([x, y, np.full_like(x, grid.z)], axis=-1)
     first = rows[np.argmin(np.abs(grid.ys()))]
-    floor = 1e-14 * ctx.envelope_scale
-    batches = [ctx.nodes(nodes[first], rel_tol, floor, max_panels)]
+    batches = [ctx.nodes(nodes[first], rel_tol, 1e-14 * ctx.envelope_scale,
+                         max_panels)]
     pilot = batches[0][0]
-    # the pilot met rel_tol of its largest |integral|, a lower bound of
-    # the map's scale: every other row is held to that same tolerance
-    abs_tol = max(rel_tol * float(np.max(np.abs(pilot.values))), floor)
-    # consecutive source rows, as many as fit _BLOCK rows x abscissae on
-    # the pilot's mesh at 17 per panel
+    # consecutive source rows, as many as fit one integrand call on the
+    # pilot's mesh
     todo = np.setdiff1d(rows, first)
-    size = max(1, numerics._BLOCK // (nodes.shape[1] * pilot.panels_used * 17))
+    size = numerics.per_call(nodes.shape[1], pilot.panels_used)
     groups = [todo[i:i + size] for i in range(0, todo.size, size)]
 
     def integrate(group):
-        return ctx.nodes(nodes[group].reshape(-1, 3), rel_tol, abs_tol,
-                         max_panels, pilot)
+        return ctx.nodes(nodes[group].reshape(-1, 3), rel_tol,
+                         pilot.tolerance, max_panels, pilot)
 
     if workers == 1 or len(groups) < 2:
         batches.extend(map(integrate, groups))

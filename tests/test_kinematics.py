@@ -15,6 +15,8 @@ from cherenkov_wigner.kinematics import (BelowThreshold, ElectronPacket,
                                          reconstruct_p_perp, triangle_angles,
                                          triangle_geometry,
                                          triangle_rules_hold)
+from cherenkov_wigner.observables import (singular_angles,
+                                          spread_times_at_angle)
 
 DEG = math.pi / 180.0
 
@@ -112,6 +114,56 @@ def test_mach_angle_values():
 def test_mach_angle_forward_direction():
     assert mach_angle(0.7, 1.5, 0.0) == math.pi
     assert mach_angle(0.3, 1.5, 0.0) == math.pi
+
+
+_EPS = lorentz_gamma(0.9)
+# each closed-form angle function with valid keyword arguments
+_ANGLE_CALLS = {
+    "cherenkov_angle_classical": (cherenkov_angle_classical,
+                                  dict(beta=0.9, n=1.5)),
+    "cherenkov_angle_quantum": (cherenkov_angle_quantum,
+                                dict(beta=0.9, n=1.5, omega=1e-5,
+                                     epsilon=_EPS)),
+    "cutoff_frequency": (cutoff_frequency,
+                         dict(beta=0.9, n=1.5, epsilon=_EPS)),
+    "mach_angle": (mach_angle, dict(beta=0.9, n=1.5, theta=0.7)),
+    "singular_angles": (singular_angles,
+                        dict(beta=0.9, n=1.5, omega=1e-5, epsilon=_EPS)),
+    "spread_times_at_angle": (spread_times_at_angle,
+                              dict(beta=0.9, n=1.5, omega=1e-5, epsilon=_EPS,
+                                   sigma=1e-4, theta=0.7, d_param=0.0,
+                                   e_param=0.0)),
+}
+_BAD_ANGLE_INPUTS = [
+    (func, name, bad) for func, (_, args) in _ANGLE_CALLS.items()
+    for name, values in [*((arg, (math.nan, math.inf, -math.inf))
+                           for arg in args),
+                         ("beta", (1.0, 1.2, 1.5, -1.0)),
+                         ("n", (0.0, -1.4))]
+    for bad in values]
+
+
+@pytest.mark.parametrize("func", sorted(_ANGLE_CALLS))
+def test_closed_form_angles_take_their_valid_inputs(func):
+    # the base case of each rejected input below; omega = 0 (no recoil)
+    # and theta = 0 (forward) stay valid where other tests use them
+    call, args = _ANGLE_CALLS[func]
+    call(**args)
+    for name in {"cherenkov_angle_quantum": ["omega"], "mach_angle": ["theta"],
+                 "spread_times_at_angle": ["theta"]}.get(func, []):
+        call(**{**args, name: 0.0})
+
+
+@pytest.mark.parametrize("func,name,bad", _BAD_ANGLE_INPUTS)
+def test_closed_form_angles_reject_invalid_inputs_by_name(func, name, bad):
+    # NaN or +-inf in any argument, |beta| >= 1 and n <= 0 raise
+    # ValueError naming the argument, where they used to return finite
+    # angles (cherenkov_angle_quantum with beta NaN gave 0, mach_angle
+    # with n NaN pi/2, singular_angles with n NaN (0, pi, pi)) or passed
+    # beta = 1.2 through
+    call, args = _ANGLE_CALLS[func]
+    with pytest.raises(ValueError, match=f"^{name} must"):
+        call(**{**args, name: bad})
 
 
 def test_triangle_equilateral():

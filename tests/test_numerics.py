@@ -5,11 +5,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cherenkov_wigner import numerics
 from cherenkov_wigner.numerics import (_LEVIN_TURN, DiffSpec, NoSignChange,
                                        NonFiniteIntegrand, NonFiniteSample,
                                        _gk15_panels, _HEAD, _levin_panels,
-                                       _solve, _start_mesh, differentiate,
-                                       find_root, integrate_batch)
+                                       _panel_sums, _solve, _start_mesh,
+                                       differentiate, find_root,
+                                       integrate_batch, per_call)
 
 
 def gauss_legendre_reference(f, a, b, n=2000):
@@ -335,7 +337,7 @@ def test_start_mesh_of_up_to_64_panels_is_one_integrand_call(hint, panels,
        bounds=st.lists(st.integers(1, 159), max_size=5))
 def test_panel_sums_depend_on_their_own_samples_only(rows, widths, bounds):
     # a panel's value and error are the same bits whether its mesh is
-    # evaluated whole (30 rows x 160 panels span several integrand calls),
+    # evaluated whole (30 rows x 160 panels in one integrand call),
     # in other blocks, a panel or a row at a time, from a strided view of
     # a mesh, or from an integrand that returns a strided view
     f = damped_waves(rows)
@@ -346,7 +348,7 @@ def test_panel_sums_depend_on_their_own_samples_only(rows, widths, bounds):
     cuts = sorted({0, lo.size, *(c for c in bounds if c < lo.size)})
     blocks = [_gk15_panels(f, lo[s:e], hi[s:e])
               for s, e in zip(cuts[:-1], cuts[1:])]
-    panels = [_gk15_panels(f, lo[j:j + 1], hi[j:j + 1], k)
+    panels = [_gk15_panels(f, lo[j:j + 1], hi[j:j + 1])
               for j in range(lo.size)]
     for got in (blocks, panels):
         for i in (0, 1):
@@ -589,6 +591,20 @@ def test_guide_beyond_the_budget_is_rejected(max_panels):
     assert res.panels_used == max_panels and res.rounds == 1
 
 
+def test_guide_is_an_array_of_floats_and_one_dimensional():
+    # a guide given as a list is the same guide as the array, and a guide
+    # of two dimensions fails by name before f is called
+    f = damped_waves([(1.0, 0.5, 9.0, 0.3), (-2.0, 1.0, 30.0, 1.0)])
+    want = integrate_batch(f, -3.0, 2.0, guide=np.array([0.5]))
+    got = integrate_batch(f, -3.0, 2.0, guide=[0.5])
+    assert 0.5 in got.edges
+    assert np.array_equal(got.edges, want.edges)
+    assert np.array_equal(got.values, want.values)
+    with pytest.raises(ValueError, match="guide must be 1-D"):
+        integrate_batch(_never_called, -3.0, 2.0,
+                        guide=np.array([[-1.0, 0.5], [1.0, 1.5]]))
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_non_finite_guide_is_rejected(bad):
     # a NaN or infinite guide edge, which no panel holds, fails by name
@@ -797,12 +813,12 @@ def test_levin_panels_depend_on_their_own_samples_only(rows, widths, bounds):
     k = len(rows)
     edges = -3.0 + np.concatenate([[0.0], np.cumsum(widths)])
     lo, hi = edges[:-1], edges[1:]
-    whole = _levin_panels(levin, lo, hi, k)
+    whole = _levin_panels(levin, lo, hi)
     assert np.all(np.isfinite(whole[0])) and np.all(np.isfinite(whole[1]))
     cuts = sorted({0, lo.size, *(c for c in bounds if c < lo.size)})
-    blocks = [_levin_panels(levin, lo[s:e], hi[s:e], k)
+    blocks = [_levin_panels(levin, lo[s:e], hi[s:e])
               for s, e in zip(cuts[:-1], cuts[1:])]
-    panels = [_levin_panels(levin, lo[j:j + 1], hi[j:j + 1], k)
+    panels = [_levin_panels(levin, lo[j:j + 1], hi[j:j + 1])
               for j in range(lo.size)]
     for got in (blocks, panels):
         for i in (0, 1):
@@ -810,7 +826,7 @@ def test_levin_panels_depend_on_their_own_samples_only(rows, widths, bounds):
                                   whole[i])
     for i in range(k):
         row = _levin_panels(lambda t: (L(t)[i:i + 1], dL(t)[i:i + 1]), lo,
-                            hi, 1)
+                            hi)
         assert np.array_equal(row[0], whole[0][i:i + 1])
         assert np.array_equal(row[1], whole[1][i:i + 1])
         if rows[i][0] == -800.0:
@@ -823,7 +839,7 @@ def test_panels_that_do_not_turn_are_left_to_gauss_kronrod():
     levin = lambda t: (0.01j * t[None], np.full((1, t.size), 1.0j))
     lo = np.array([0.0, 1.0, 3.0])
     hi = np.array([1.0, 3.0, 10.0])
-    vals, errs = _levin_panels(levin, lo, hi, 1)
+    vals, errs = _levin_panels(levin, lo, hi)
     assert np.isnan(vals[0, 0]) and np.isnan(errs[0, 0])
     assert (hi - lo)[0] <= _LEVIN_TURN < (hi - lo)[1]
     assert np.all(np.isfinite(vals[0, 1:]))
@@ -876,6 +892,92 @@ def test_non_finite_integrand_under_levin_panels_is_named():
     f, levin = log_form(L, lambda t: np.full((2, t.size), c))
     with pytest.raises(NonFiniteIntegrand, match="row 1"):
         integrate_batch(f, 0.0, 1.0, levin=levin)
+
+
+def _sized(form, sizes):
+    """``form``, appending the rows x abscissae of each call to sizes; no
+    form stays None."""
+    if form is None:
+        return None
+
+    def g(t):
+        out = form(t)
+        sizes.append(np.size(out[0] if isinstance(out, tuple) else out))
+        return out
+    return g
+
+
+def _chunk_case(case):
+    """(f, levin, lo, hi, rows) of a batch of panel sums: Gauss-Kronrod
+    with the row count not known yet, Levin on panels that all turn, or
+    Levin on panels of which every other one is too narrow to turn and
+    falls back to Gauss-Kronrod."""
+    if case == "gauss-kronrod":
+        edges = np.linspace(-3.0, 2.0, 151)
+        f = damped_waves([(1.0, 0.5, 9.0, 0.3), (-2.0, 1.0, 30.0, 1.0),
+                          (0.5, 0.0, 55.0, -2.0)])
+        return f, None, edges[:-1], edges[1:], None
+    L, dL = damped_chirps([(0.0, 0.5, 300.0, 2.0), (1.5, 1.0, 120.0, -5.0),
+                           (-800.0, 0.0, 60.0, 0.0), (0.0, 2.0, 40.0, 10.0)])
+    widths = np.full(60, 0.05)
+    if case == "levin-and-gauss-kronrod":
+        widths[::2] = 0.002  # w |L'| <= 0.002 * 312 < pi/2
+    edges = np.concatenate([[0.0], np.cumsum(widths)])
+    f, levin = log_form(L, dL)
+    return f, levin, edges[:-1], edges[1:], 4
+
+
+@pytest.mark.parametrize("case", ["gauss-kronrod", "levin",
+                                  "levin-and-gauss-kronrod"])
+def test_panel_sums_split_into_calls_change_no_bit(case, monkeypatch):
+    # with a block of 2**9 rows x abscissae the panels take many integrand
+    # calls, each within the block (after a first call of _HEAD panels
+    # that tells the row count, when it is not known), and their sums are
+    # the bits of the default block, where the panels take one or two
+    f, levin, lo, hi, rows = _chunk_case(case)
+    default = []
+    want = _panel_sums(_sized(f, default), _sized(levin, default), lo, hi,
+                       rows)
+    assert np.all(np.isfinite(want))
+    if levin is not None:
+        turns = np.isfinite(_levin_panels(levin, lo, hi)).all(axis=(0, 1))
+        assert turns.all() == (case == "levin")
+    monkeypatch.setattr(numerics, "_BLOCK", 1 << 9)
+    sizes = []
+    got = _panel_sums(_sized(f, sizes), _sized(levin, sizes), lo, hi, rows)
+    assert np.array_equal(got, want)
+    assert len(sizes) >= 8 > len(default)
+    if rows is None:
+        assert sizes[0] == 3 * 15 * _HEAD
+        sizes = sizes[1:]
+    assert max(sizes) <= 1 << 9
+
+
+@pytest.mark.parametrize("sizes,fit", [((4,), 963), ((3,), 1285),
+                                       ((64, 1), 60), ((6, 40), 16),
+                                       ((1, 4096), 1), ((64, 4096), 1)])
+def test_per_call_fits_a_block_at_17_abscissae_per_panel(sizes, fit):
+    assert per_call(*sizes) == fit
+    assert fit == 1 or fit * math.prod(sizes) * 17 <= numerics._BLOCK
+    assert (fit + 1) * math.prod(sizes) * 17 > numerics._BLOCK
+
+
+@pytest.mark.parametrize("a,b,opts,relative", [
+    (-3.0, 2.0, dict(abs_tol=1e-11, rel_tol=1e-10), True),
+    (-3.0, 2.0, dict(abs_tol=1e-3, rel_tol=1e-10), False),
+    (-3.0, 2.0, dict(abs_tol=1e-14, rel_tol=1e-13, max_panels=4), True),
+    (1.0, 1.0, dict(abs_tol=1e-11, rel_tol=1e-10), False)])
+def test_batch_records_the_tolerance_of_its_last_round(a, b, opts, relative):
+    # the rows were held to max(abs_tol, rel_tol x their largest |value|),
+    # whichever is larger, also when the budget ran out (max_panels=4)
+    rows = [(1.0, 0.5, 1.0, 0.3), (-2.0, 1.0, 3.0, 1.0)]
+    res = integrate_batch(damped_waves(rows), a, b, **opts)
+    scaled = opts["rel_tol"] * float(np.max(np.abs(res.values)))
+    assert res.tolerance == max(opts["abs_tol"], scaled)
+    assert (scaled > opts["abs_tol"]) == relative
+    assert np.array_equal(res.converged,
+                          res.error_estimates <= res.tolerance)
+    assert res.converged.all() == ("max_panels" not in opts)
 
 
 def test_differentiate_sin():

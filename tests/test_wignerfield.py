@@ -694,6 +694,59 @@ def test_row_groups_match_per_row_batches_bit_for_bit(sc, size):
         assert wmap.panels[iy] == panels and wmap.rounds[iy] == rounds
 
 
+# both map-long maps, fig12 and the fig10 map at DeltaP = 0, each with
+# the grid of its benchmark or bundled config
+_BLOCK_MAPS = [(sc, default_grid(sc, size, size))
+               for sc, size in _GROUPED_MAPS[:3]] + [
+    (replace(fig10_scenario(), theta_k=math.radians(43.82)),
+     MapGrid.centered(400.0, 400.0, 16, 16))]
+
+
+@pytest.mark.parametrize("sc,grid", _BLOCK_MAPS,
+                         ids=_GROUPED_IDS[:3] + ["fig10"])
+def test_map_is_the_same_for_smaller_blocks(sc, grid, monkeypatch):
+    # every row group of these maps converges in its first round on the
+    # pilot's mesh, so a smaller _BLOCK, which splits the source rows into
+    # more groups (4 to 12 batches) and their panels into more calls,
+    # changes no bit
+    want = evaluate_map(sc, grid)
+    calls = _count_batches(monkeypatch)
+    for block in (1 << 11, 1 << 9):
+        monkeypatch.setattr(numerics, "_BLOCK", block)
+        calls.clear()
+        got = evaluate_map(sc, grid)
+        assert len(calls) >= 4
+        assert got.scale == want.scale
+        for name in ("values", "error_estimates", "flags", "panels",
+                     "rounds"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+
+
+@pytest.mark.parametrize("sc,size", _GROUPED_MAPS[:3], ids=_GROUPED_IDS[:3])
+def test_row_groups_are_held_to_the_pilots_recorded_tolerance(sc, size,
+                                                              monkeypatch):
+    # the pilot's record keeps the tolerance it was held to, 1e-14 of the
+    # envelope integral or rel_tol of its largest |integral|, and every
+    # row group follows that record with that tolerance as its abs_tol
+    calls = []
+    nodes = _Context.nodes
+
+    def recorded(self, R, rel_tol, abs_tol, max_panels, pilot=None):
+        res = nodes(self, R, rel_tol, abs_tol, max_panels, pilot)
+        calls.append((abs_tol, pilot, res[0]))
+        return res
+
+    monkeypatch.setattr(_Context, "nodes", recorded)
+    evaluate_map(sc, default_grid(sc, size, size))
+    (_, _, pilot), *groups = calls
+    floor = 1e-14 * _Context(sc).envelope_scale
+    assert pilot.tolerance == max(floor,
+                                  1e-9 * float(np.max(np.abs(pilot.values))))
+    assert groups
+    for abs_tol, followed, _ in groups:
+        assert followed is pilot and abs_tol == pilot.tolerance
+
+
 @pytest.mark.parametrize("theta_frac,t_out", [
     (1.0, 1e6), (1.1, 1e6), (1.0, 5e7), (1.1, 5e7)],
     ids=["1.0-1e6", "1.1-1e6", "1.0-5e7", "1.1-5e7"])

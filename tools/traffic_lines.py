@@ -1,0 +1,106 @@
+"""Which lines of the library one benchmark cycle never runs.
+
+Runs one cycle of both benchmark workloads of ``perfbench/workloads.py``
+(seed 1, with their workers=2 operations) and ``demos/wigner_map.py`` in a
+temporary directory, under a line tracer on ``src/cherenkov_wigner/``,
+then prints, per module, the executable lines that never ran.  Nothing is
+written under the checkout: no bytecode, and every output goes to a
+temporary directory.  Not part of the test suite; it takes a few seconds.
+
+    python3 tools/traffic_lines.py
+"""
+
+import contextlib
+import io
+import runpy
+import shutil
+import sys
+import tempfile
+import threading
+from pathlib import Path
+
+sys.dont_write_bytecode = True
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "cherenkov_wigner"
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+# the lines run so far, per library file
+RAN = {str(path): set() for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def trace(frame, event, arg):
+    """Line events of library frames only; other frames run untraced."""
+    lines = RAN.get(frame.f_code.co_filename)
+    if lines is None:
+        return None
+
+    def line(frame, event, arg):
+        if event == "line":
+            lines.add(frame.f_lineno)
+        return line
+
+    return line
+
+
+def executable(path):
+    """The line numbers that some instruction of the module belongs to."""
+    lines, stack = set(), [compile(path.read_text(), str(path), "exec")]
+    while stack:
+        code = stack.pop()
+        lines.update(n for _, _, n in code.co_lines() if n)
+        stack.extend(c for c in code.co_consts if hasattr(c, "co_lines"))
+    return lines
+
+
+def spans(lines):
+    """Sorted line numbers as 'a-b' runs."""
+    out, lines = [], sorted(lines)
+    for n in lines:
+        if out and n == out[-1][1] + 1:
+            out[-1][1] = n
+        else:
+            out.append([n, n])
+    return ", ".join(f"{a}" if a == b else f"{a}-{b}" for a, b in out)
+
+
+def run_traffic(tmp):
+    import workloads
+    failures = []
+    for name in ("map-long", "studies"):
+        out = tmp / name
+        out.mkdir()
+        wl = workloads.build(name, ROOT, 1)
+        wl.prepare(out)
+        rec = workloads.Recorder()
+        for step in wl.steps(True):
+            step(rec)
+        failures += rec.failures
+    demo = tmp / "demo"
+    demo.mkdir()
+    shutil.copy(ROOT / "demos" / "wigner_map.py", demo)
+    with contextlib.redirect_stdout(io.StringIO()):
+        runpy.run_path(str(demo / "wigner_map.py"), run_name="__main__")
+    return failures
+
+
+def main():
+    threading.settrace(trace)
+    sys.settrace(trace)
+    try:
+        with tempfile.TemporaryDirectory() as tmp:
+            failures = run_traffic(Path(tmp))
+    finally:
+        sys.settrace(None)
+        threading.settrace(None)
+    for failure in failures:
+        print(f"failed operation: {failure}")
+    for name, ran in RAN.items():
+        path = Path(name)
+        idle = executable(path) - ran
+        print(f"{path.relative_to(ROOT)}: {len(idle)} lines never ran")
+        if idle:
+            print(f"    {spans(idle)}")
+
+
+if __name__ == "__main__":
+    main()
