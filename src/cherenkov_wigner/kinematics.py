@@ -137,15 +137,19 @@ def lorentz_gamma(beta: float) -> float:
 def check_speed_and_index(beta: float, n: float, **others: float) -> None:
     """The one input check of the closed-form angle functions: raises
     ``ValueError`` naming the first of beta, n and ``others`` that is NaN
-    or infinite, then a beta with |beta| >= 1 (as ``lorentz_gamma`` does)
-    or an n <= 0."""
+    or infinite, then a beta with |beta| >= 1 (as ``lorentz_gamma`` does),
+    an n <= 0, and among ``others`` an epsilon or sigma <= 0 or an
+    omega < 0 (omega = 0 is the recoil-free limit)."""
     for name, value in (("beta", beta), ("n", n), *others.items()):
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value!r}")
     if not abs(beta) < 1.0:
         raise ValueError(f"beta must satisfy |beta| < 1, got {beta!r}")
-    if not n > 0.0:
-        raise ValueError(f"n must be positive, got {n!r}")
+    for name, value in (("n", n), *others.items()):
+        if name in ("n", "epsilon", "sigma") and not value > 0.0:
+            raise ValueError(f"{name} must be positive, got {value!r}")
+        if name == "omega" and not value >= 0.0:
+            raise ValueError(f"omega must be non-negative, got {value!r}")
 
 
 def momentum_magnitude(beta: float) -> float:

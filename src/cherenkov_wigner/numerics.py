@@ -160,10 +160,10 @@ _END_SIGNS = np.array([-1.0, 1.0])
 
 # a batch takes Levin panels when a start panel of width w has a phase
 # rate |Im L'| above _LEVIN_BATCH / w in some row at either edge: that
-# many radians cost Gauss-Kronrod rounds.  There a panel turns, and is
-# taken by Levin collocation, when w |L'| exceeds _LEVIN_TURN (radians
-# and e-folds) in some row at either edge; a narrower panel, such as those
-# of the start mesh that phase_rate_hint splits, is a Gauss-Kronrod one
+# many radians cost Gauss-Kronrod rounds.  There a row takes a panel by
+# Levin collocation when w |L'| exceeds _LEVIN_TURN (radians and e-folds)
+# in that row at either edge; on a narrower panel, such as those of the
+# start mesh that phase_rate_hint splits, it takes Gauss-Kronrod
 _LEVIN_BATCH = 1e4
 _LEVIN_TURN = 0.5 * math.pi
 
@@ -186,21 +186,22 @@ def _solve(m, ones):
 
 def _levin_panels(levin, lo, hi):
     """Levin collocation sums of the rows of Re exp(L) on each panel
-    [lo, hi] that turns, from one call ``levin(t)`` of (L, L'), each of
-    shape (rows, len(t)): one array of shape (2, rows, len(lo)), the values
-    and the errors, NaN on every panel that does not turn.
+    [lo, hi], from one call ``levin(t)`` of (L, L'), each of shape
+    (rows, len(t)): one array of shape (2, rows, len(lo)), the values and
+    the errors, NaN in every (row, panel) cell where the row does not turn.
 
     L and L' are sampled on each panel's 17 Chebyshev-Lobatto points, its
-    edges among them.  A panel turns when its width times the largest
-    |L'| of any row at either edge exceeds ``_LEVIN_TURN``.  Its value
+    edges among them.  A row turns on a panel when the panel's width times
+    that row's larger |L'| at the two edges exceeds ``_LEVIN_TURN``, so a
+    cell's rule reads only that row's samples.  A turning cell's value
     solves P' + L'P = 1 for a polynomial P on the 17 points and is
     Re[P(hi) F(hi) - P(lo) F(lo)], F = exp(L), so F is needed at the ends
     only: a row whose F is zero at both ends has value and error zero.
     The same on the nested 9 and 5 points gives e9 and e5, the distances
     of their values from the 17-point one; the error is e9 times the
-    contraction e9/e5 when that is below 1, else e9.  A panel's sums
+    contraction e9/e5 when that is below 1, else e9.  A cell's sums
     depend only on its own samples; a row whose L or L' is not finite, or
-    whose system is singular, gets non-finite sums.  Each stack of
+    whose system is singular, gets non-finite sums there.  Each stack of
     collocation systems solved at once holds at most ``_BLOCK`` matrix
     entries."""
     half = 0.5 * (hi - lo)
@@ -210,8 +211,7 @@ def _levin_panels(levin, lo, hi):
     # _panel_sums hands to Gauss-Kronrod
     with np.errstate(invalid="ignore", over="ignore"):
         rate = np.reshape(rate, (-1, lo.size, 17)) * half[:, None]
-        turning = (2.0 * np.abs(rate[..., ::16]).max(axis=(0, 2))
-                   > _LEVIN_TURN)
+        turning = 2.0 * np.abs(rate[..., ::16]).max(axis=2) > _LEVIN_TURN
         ends = np.exp(np.reshape(log_f, rate.shape)[..., ::16])
         sums = np.where(turning, 0.0, np.full((2,) + rate.shape[:2], np.nan))
         row, panel = np.nonzero(turning & (ends != 0.0).any(axis=2))
@@ -248,15 +248,16 @@ def per_call(*sizes: int) -> int:
 
 def _panel_sums(f, levin, lo, hi, rows):
     """(values, errors) of the rows on each panel [lo, hi], each of shape
-    (rows, len(lo)): by Levin collocation where the panel turns and its
-    sums are finite in every row, else by Gauss-Kronrod (see
-    ``_levin_panels``), and by Gauss-Kronrod alone when ``levin`` is None.
+    (rows, len(lo)): each cell by Levin collocation where that row turns
+    on the panel and its sums are finite in that row, else by
+    Gauss-Kronrod (see ``_levin_panels``), which runs once on each panel
+    that holds such a cell; by Gauss-Kronrod alone when ``levin`` is None.
 
     The one loop that splits panels into integrand calls: each call holds
     ``per_call(rows)`` panels, so at most ``_BLOCK`` rows x abscissae, but
     when ``rows`` is None the first holds min(len(lo), ``_HEAD``) panels
-    and tells it.  A panel's sums depend only on its own samples, so the
-    split changes no bit."""
+    and tells it.  A cell's sums depend only on its row's samples on its
+    panel, so the split changes no bit, nor do the other rows."""
     chunks, start = [], 0
     while start < lo.size:
         stop = start + (_HEAD if rows is None else per_call(rows))
@@ -265,9 +266,11 @@ def _panel_sums(f, levin, lo, hi, rows):
             sums = _gk15_panels(f, a, b)
         else:
             sums = _levin_panels(levin, a, b)
-            rest = ~np.isfinite(sums).all(axis=(0, 1))
+            cells = ~np.isfinite(sums).all(axis=0)
+            rest = cells.any(axis=0)
             if rest.any():
-                sums[:, :, rest] = _gk15_panels(f, a[rest], b[rest])
+                sums[:, :, rest] = np.where(cells[:, rest], _gk15_panels(
+                    f, a[rest], b[rest]), sums[:, :, rest])
         chunks.append(sums)
         rows, start = len(sums[0]), stop
     return chunks[0] if len(chunks) == 1 else np.concatenate(chunks, axis=2)
@@ -301,7 +304,7 @@ class BatchQuadrature:
     held to in the last round, max(abs_tol, rel_tol * max_s |value_s|),
     and ``levin`` whether the batch took Levin panels.  Each value is the
     sum of its row's Gauss-Kronrod and Levin panel values on ``edges``,
-    and depends on that mesh and its own samples only."""
+    and depends on that mesh, the batch's rule and its own samples only."""
 
     values: np.ndarray
     error_estimates: np.ndarray
@@ -357,8 +360,9 @@ def integrate_batch(
     ``a`` and ``b`` must be finite with a <= b, ``abs_tol`` and ``rel_tol``
     finite and positive, ``phase_rate_hint`` None or finite and >= 0,
     ``max_panels`` an integer >= 1 and ``guide`` a 1-D array of finite
-    edges, with at most ``max_panels`` panels in the start mesh it
-    extends, else ``ValueError`` names it before f is called.
+    edges, with at most ``max_panels`` panels in the start mesh it extends
+    under the rule picked (see ``levin`` below), else ``ValueError`` names
+    it before f is called.
 
     ``phase_rate_hint`` is an upper estimate of |d(phase)/dx| of an
     oscillatory integrand; when positive, the start mesh has panels no
@@ -377,24 +381,24 @@ def integrate_batch(
 
     ``levin`` is f in log form: ``levin(t)`` returns (L, L'), each of shape
     (k, len(t)), with f = Re exp(L).  One call at the start edges picks the
-    batch's rule and tells the row count, so that the first call of f,
-    like every later one, holds at most ``_BLOCK`` rows x abscissae.  If
-    no start panel of width w has a phase rate |Im L'| above
-    ``_LEVIN_BATCH`` / w (1e4 radians) in any row at either edge, the
-    batch runs the Gauss-Kronrod rounds above on that start mesh, and
-    ``levin`` is not called again.  Otherwise the batch starts on the
-    knee grading of the whole interval, with the guide's edges but no
-    ``phase_rate_hint`` split (if that fits ``max_panels``; where the split
-    left one panel, that is the start mesh already, and is not built
-    again), and every round bisects.  The start mesh and each round's new panels are summed
-    by the one rule picked.  Each new panel is
-    then sampled at its 17 Chebyshev-Lobatto points, edges included.  A
-    panel with w |L'| above pi/2 in some row at either edge is a Levin
-    panel: its value solves P' + L'P = 1 by collocation, with error from
-    the nested 9- and 5-point collocations (see ``_levin_panels``).  The
-    other panels, and any whose Levin sums are not finite or whose
-    collocation is singular, are Gauss-Kronrod panels.  Every panel's
-    value and error depend on its own samples only.
+    batch's rule and tells the row count, so that the first call of f, like
+    every later one, holds at most ``_BLOCK`` rows x abscissae.  If no start
+    panel of width w has a phase rate |Im L'| above ``_LEVIN_BATCH`` / w
+    (1e4 radians) in any row at either edge, the batch runs the
+    Gauss-Kronrod rounds above on that start mesh, and ``levin`` is not
+    called again.  Otherwise the batch starts on the knee grading of the
+    whole interval, with the guide's edges but no ``phase_rate_hint`` split
+    (if that fits ``max_panels``; where the split left one panel, that is
+    the start mesh already, and is not built again), and every round
+    bisects.  The start mesh and each round's new panels are summed by the
+    one rule picked.  Each new panel is then sampled at its 17
+    Chebyshev-Lobatto points, edges included.  A row with w |L'| above pi/2
+    at either edge of a panel takes that panel by Levin collocation: its
+    value solves P' + L'P = 1, with error from the nested 9- and 5-point
+    collocations (see ``_levin_panels``).  The row's other panels, and any
+    where its Levin sums are not finite or its collocation is singular, are
+    Gauss-Kronrod panels in that row.  Every panel's value and error in a
+    row depend on that row's own samples only, given the batch's rule.
 
     Rows that have not converged when the budget is spent keep their best
     estimate with ``converged`` False instead of raising.  Two limits hold
@@ -443,9 +447,6 @@ def integrate_batch(
         return edges if inside is None else np.union1d(edges, inside)
 
     edges = start(n0)
-    if edges.size - 1 > max_panels:
-        raise ValueError(f"guide takes the start mesh to {edges.size - 1}"
-                         f" panels, over max_panels {max_panels}")
 
     # one call of ``levin`` at the start edges picks the rule and tells the
     # row count; a batch that stays Gauss-Kronrod drops ``levin``
@@ -461,6 +462,9 @@ def integrate_batch(
             edges = plain
         else:
             levin = None
+    if edges.size - 1 > max_panels:
+        raise ValueError(f"guide takes the start mesh to {edges.size - 1}"
+                         f" panels, over max_panels {max_panels}")
 
     vals, errs = _panel_sums(f, levin, edges[:-1], edges[1:], rows)
     rows = vals.shape[0]

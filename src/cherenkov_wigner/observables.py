@@ -224,10 +224,13 @@ def spread_times_at_angle(beta: float, n: float, omega: float, epsilon: float,
 
     Evaluated in extended precision: near the Cherenkov angle the two terms
     of 1/t_d cancel to ~6 digits, which plain doubles cannot afford.
-    Inputs are checked by ``kinematics.check_speed_and_index``.
+    Inputs are checked by ``kinematics.check_speed_and_index``, and omega
+    must be positive: 1/t_d divides by n omega.
     """
     check_speed_and_index(beta, n, omega=omega, epsilon=epsilon, sigma=sigma,
                           theta=theta, d_param=d_param, e_param=e_param)
+    if not omega > 0.0:
+        raise ValueError(f"omega must be positive, got {omega!r}")
     ld = np.longdouble
     beta, theta = ld(beta), ld(theta)
     a, b, uk = dispersion_coefficients(ld(n), ld(omega), ld(epsilon),

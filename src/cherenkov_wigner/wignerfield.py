@@ -526,18 +526,18 @@ def evaluate_map(scenario: EmissionScenario, grid: Optional[MapGrid] = None,
     Gauss-Kronrod pilot run exactly the Gauss-Kronrod quadrature.
 
     The other source rows are integrated in row groups: each group is one
-    quadrature of the stacked nodes of consecutive source rows, as many
-    rows as ``numerics.per_call`` fits beside the source columns and the
-    pilot's panel count.  The groups depend only on the grid and the
-    pilot, and no integrand call holds more rows x abscissae than the
-    block that ``per_call`` divides.  A panel's sums depend only on its
-    own samples, so a group whose rows all converge in their first round
-    gives each row the bits it gets alone; a group that refines shares its
-    cuts, and is held to ``rel_tol`` of its own largest |integral| when
-    that exceeds the pilot's tolerance.  The pilot is batch 0 and each
-    group one more: each batch's record fills its source rows' values,
-    errors and flags on the source columns and their panels and rounds,
-    and the mirror folds fill the other rows and columns.
+    quadrature of the stacked nodes of consecutive source rows, as many rows
+    as ``numerics.per_call`` fits beside the source columns and the pilot's
+    panel count.  The groups depend only on the grid and the pilot, and no
+    integrand call holds more rows x abscissae than the block that
+    ``per_call`` divides.  Given the group's rule, a row's panel rules and
+    sums read only its own samples, so a group that converges in its first
+    round at the pilot's tolerance gives each row the bits it gets alone; a
+    group that refines shares its cuts, and is held to ``rel_tol`` of its
+    own largest |integral| when that exceeds the pilot's tolerance.  The
+    pilot is batch 0 and each group one more: each batch's record fills its
+    source rows' values, errors and flags on the source columns and their
+    panels and rounds, and the mirror folds fill the other rows and columns.
     With ``workers`` > 1 the groups run on that many threads over the
     map's one context, else in a serial loop, and a map of one group
     starts no thread; each group is the same quadrature either way, so the

@@ -166,6 +166,27 @@ def test_closed_form_angles_reject_invalid_inputs_by_name(func, name, bad):
         call(**{**args, name: bad})
 
 
+# epsilon and sigma must be positive, omega non-negative, and positive in
+# spread_times_at_angle, which divides by n omega
+_NON_POSITIVE_INPUTS = [
+    (func, name, bad) for func, (_, args) in _ANGLE_CALLS.items()
+    for name, values in (("epsilon", (0.0, -7.0)), ("sigma", (0.0, -1e-4)),
+                         ("omega", (-1e-5,) if func != "spread_times_at_angle"
+                          else (0.0, -1e-5)))
+    if name in args for bad in values]
+
+
+@pytest.mark.parametrize("func,name,bad", _NON_POSITIVE_INPUTS)
+def test_closed_form_angles_reject_non_positive_inputs_by_name(func, name,
+                                                               bad):
+    # these used to pass: cutoff_frequency with epsilon = -7 gave 0, a
+    # negative sigma the result of |sigma|, omega = 0 a NaN inv_t_d and
+    # epsilon = 0 an unnamed ZeroDivisionError
+    call, args = _ANGLE_CALLS[func]
+    with pytest.raises(ValueError, match=f"^{name} must"):
+        call(**{**args, name: bad})
+
+
 def test_triangle_equilateral():
     tri = triangle_angles(1e-5, 1e-5, 1e-5)
     for ang in (tri.alpha, tri.vartheta, tri.gamma):

@@ -804,17 +804,24 @@ _CHIRP = st.tuples(st.sampled_from([0.0, 1.5, -800.0]), st.floats(0.0, 2.0),
        widths=st.lists(st.floats(0.05, 0.5), min_size=1, max_size=60),
        bounds=st.lists(st.integers(1, 59), max_size=5))
 def test_levin_panels_depend_on_their_own_samples_only(rows, widths, bounds):
-    # every panel turns (w |L'| >= 0.05 * 40 > pi/2), and its Levin value
-    # and error are the same bits whether its mesh is solved whole, in
+    # most panels turn (w |L'| >= 0.05 * 40 > pi/2), but w + 2kt can
+    # nearly vanish on [-3, ...]: a row's Levin value and error are finite
+    # exactly where that row's w |L'| exceeds pi/2 at either edge, NaN
+    # elsewhere, and the same bits whether its mesh is solved whole, in
     # other blocks, a panel at a time or a row at a time; a row whose F
-    # underflows at both ends has value and error zero
+    # underflows at both ends has value and error zero where it turns
     L, dL = damped_chirps(rows)
     levin = lambda t: (L(t), dL(t))
     k = len(rows)
     edges = -3.0 + np.concatenate([[0.0], np.cumsum(widths)])
     lo, hi = edges[:-1], edges[1:]
     whole = _levin_panels(levin, lo, hi)
-    assert np.all(np.isfinite(whole[0])) and np.all(np.isfinite(whole[1]))
+    half = 0.5 * (hi - lo)
+    turn = [np.abs(dL(0.5 * (lo + hi) + side * half) * half)
+            for side in (-1.0, 1.0)]
+    turns = 2.0 * np.maximum(*turn) > _LEVIN_TURN
+    for i in (0, 1):
+        assert np.array_equal(np.isfinite(whole[i]), turns)
     cuts = sorted({0, lo.size, *(c for c in bounds if c < lo.size)})
     blocks = [_levin_panels(levin, lo[s:e], hi[s:e])
               for s, e in zip(cuts[:-1], cuts[1:])]
@@ -823,14 +830,34 @@ def test_levin_panels_depend_on_their_own_samples_only(rows, widths, bounds):
     for got in (blocks, panels):
         for i in (0, 1):
             assert np.array_equal(np.concatenate([g[i] for g in got], axis=1),
-                                  whole[i])
+                                  whole[i], equal_nan=True)
     for i in range(k):
         row = _levin_panels(lambda t: (L(t)[i:i + 1], dL(t)[i:i + 1]), lo,
                             hi)
-        assert np.array_equal(row[0], whole[0][i:i + 1])
-        assert np.array_equal(row[1], whole[1][i:i + 1])
+        assert np.array_equal(row[0], whole[0][i:i + 1], equal_nan=True)
+        assert np.array_equal(row[1], whole[1][i:i + 1], equal_nan=True)
         if rows[i][0] == -800.0:
-            assert not np.any(whole[0][i]) and not np.any(whole[1][i])
+            assert not np.any(whole[:, i, turns[i]])
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(rows=st.lists(_CHIRP, min_size=1, max_size=12),
+       widths=st.lists(st.floats(0.05, 0.5), min_size=1, max_size=60))
+@example(rows=[(0.0, 0.0, 40.0, 0.0), (0.0, 0.0, 40.0, 5.0)], widths=[0.125])
+def test_panel_sums_take_each_rows_rule_from_its_own_samples(rows, widths):
+    # each row gets the bits of its one-row call, whichever rule its
+    # batch-mates take on a panel: on [-3, -2.875] the chirp (0, 0, 40, 5)
+    # turns by 0.125 * 11.25 < pi/2 and takes Gauss-Kronrod beside
+    # (0, 0, 40, 0), which turns
+    L, dL = damped_chirps(rows)
+    f, levin = log_form(L, dL)
+    edges = -3.0 + np.concatenate([[0.0], np.cumsum(widths)])
+    lo, hi = edges[:-1], edges[1:]
+    whole = _panel_sums(f, levin, lo, hi, len(rows))
+    assert np.all(np.isfinite(whole))
+    for i in range(len(rows)):
+        one = log_form(lambda t: L(t)[i:i + 1], lambda t: dL(t)[i:i + 1])
+        assert np.array_equal(_panel_sums(*one, lo, hi, 1), whole[:, i:i + 1])
 
 
 def test_panels_that_do_not_turn_are_left_to_gauss_kronrod():

@@ -694,6 +694,25 @@ def test_row_groups_match_per_row_batches_bit_for_bit(sc, size):
         assert wmap.panels[iy] == panels and wmap.rounds[iy] == rounds
 
 
+def test_levin_row_fits_a_budget_of_the_pilots_panels():
+    # with the pilot's edges as guide, a map-long row's Gauss-Kronrod start
+    # mesh would take 18 panels, but the batch picks Levin panels and
+    # starts on the pilot's 10: a budget of 10 is checked against those,
+    # and the row takes the bits, panels and round of an uncapped budget
+    sc = balance_scenario(sigma=1e-5, theta_frac=1.1, t_out=5e7)
+    grid = default_grid(sc, 12, 12)
+    ctx = _Context(sc)
+    _, abs_tol, _, pilot = _pilot(sc, grid)
+    assert pilot.levin and pilot.panels_used == 10
+    nodes = _row_nodes(grid, 0)[:_source_columns(ctx, grid).max() + 1]
+    capped, uncapped = (ctx.nodes(nodes, 1e-9, abs_tol, budget, pilot)[0]
+                        for budget in (pilot.panels_used, 4096))
+    assert capped.rounds == 1 and capped.converged.all()
+    assert np.array_equal(capped.edges, pilot.edges)
+    for name in ("values", "error_estimates", "panels_used", "edges"):
+        assert np.array_equal(getattr(capped, name), getattr(uncapped, name))
+
+
 # both map-long maps, fig12 and the fig10 map at DeltaP = 0, each with
 # the grid of its benchmark or bundled config
 _BLOCK_MAPS = [(sc, default_grid(sc, size, size))
