@@ -10,12 +10,11 @@ from .kinematics import (ElectronPacket, EmissionGeometry, Momentum3,
                          triangle_angles, triangle_geometry)
 from .medium import (AnalyticMedium, ConstantMedium, TabulatedMedium,
                      load_index_table)
-from .observables import (PhaseSpaceKernel, correlation_geometry, flash_stats,
-                          formation_lengths, gouy_phase, singular_angles,
-                          spread_times_at_angle, spreading_times)
+from .observables import (PhaseSpaceKernel, flash_stats, gouy_phase,
+                          singular_angles, spread_times_at_angle,
+                          spreading_times)
 from .wignerfield import (EmissionScenario, MapGrid, SnapshotMap, WignerMap,
                           delta_p_scan, evaluate_map, evaluate_point,
-                          evaluate_point_reference, momentum_marginal_weight,
-                          near_field_snapshot)
+                          evaluate_point_reference, near_field_snapshot)
 
 __version__ = "0.1.0"

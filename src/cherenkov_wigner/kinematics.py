@@ -22,7 +22,6 @@ __all__ = [
     "BelowThreshold",
     "Unphysical",
     "TriangleViolation",
-    "NegativeRadicand",
     "ParaxialWarning",
     "HELICITIES",
     "energy",
@@ -35,7 +34,6 @@ __all__ = [
     "mach_angle",
     "triangle_angles",
     "triangle_rules_hold",
-    "reconstruct_p_perp",
     "place_triangle",
     "triangle_geometry",
 ]
@@ -57,10 +55,6 @@ class Unphysical(ValueError):
 
 class TriangleViolation(ValueError):
     """Transverse momenta cannot close into a triangle."""
-
-
-class NegativeRadicand(ValueError):
-    """Transverse-momentum reconstruction has no real solution."""
 
 
 class ParaxialWarning(UserWarning):
@@ -267,20 +261,6 @@ def triangle_angles(p_perp: float, pp_perp: float, k_perp: float) -> TriangleAng
     return TriangleAngles(alpha, vartheta, gamma, area)
 
 
-def reconstruct_p_perp(pp_perp: float, pp_z: float, k_perp: float,
-                       k_z: float, omega: float, n: float) -> float:
-    """Initial transverse momentum fixed by energy conservation at
-    p_z = pp_z + k_z.  The photon four-momentum squared in the medium is
-    k^2 = omega^2 (1 - n^2)."""
-    ksq = omega * omega * (1.0 - n * n)
-    eps_prime = math.sqrt(1.0 + pp_perp ** 2 + pp_z ** 2)
-    rad = (pp_perp ** 2 + k_perp ** 2 + ksq
-           + 2.0 * (eps_prime * omega - pp_z * k_z))
-    if rad < -1e-14 * max(pp_perp ** 2, k_perp ** 2, abs(ksq), 1e-300):
-        raise NegativeRadicand(f"radicand {rad} < 0; kinematics forbidden")
-    return math.sqrt(max(rad, 0.0))
-
-
 @dataclass(frozen=True)
 class ElectronPacket:
     """Gaussian electron wave packet in momentum space: mean momentum and
@@ -321,6 +301,12 @@ class EmissionGeometry:
     lambda_gamma: int = 1
 
     def __post_init__(self):
+        if not math.isfinite(self.omega):
+            raise ValueError(f"omega must be finite, got {self.omega!r}")
+        for name in ("p", "p_prime", "k"):
+            mom = getattr(self, name)
+            if not all(map(math.isfinite, (mom.x, mom.y, mom.z))):
+                raise ValueError(f"{name} must be finite, got {mom!r}")
         if self.omega <= 0:
             raise ValueError("omega must be positive")
         for name, allowed in HELICITIES.items():

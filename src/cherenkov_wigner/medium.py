@@ -110,10 +110,13 @@ class AnalyticMedium(MediumModel):
         lo, hi = self.domain()
         if not (lo <= omega <= hi):
             raise OutOfDomain(f"omega={omega} outside [{lo}, {hi}]")
-        n = float(self._n(omega))
+        n, n1, n2 = (float(f(omega)) for f in (self._n, self._n1, self._n2))
+        for name, value in (("n", n), ("n'", n1), ("n''", n2)):
+            if not math.isfinite(value):
+                raise OutOfDomain(f"{name}({omega}) = {value} is not finite")
         if n <= 0:
             raise OutOfDomain(f"n({omega}) = {n} <= 0")
-        return n, float(self._n1(omega)), float(self._n2(omega))
+        return n, n1, n2
 
 
 class TabulatedMedium(MediumModel):

@@ -1,7 +1,7 @@
 """Closed-form phase-space observables of the emitted photon field:
 spreading (diffraction) times and their singular angles, Gouy phases,
-correlation radii, flash duration, arrival time and its quantum shift,
-and formation lengths, in both weak-dispersion and dispersive variants.
+correlation radii, flash duration, and arrival time and its quantum
+shift, in both weak-dispersion and dispersive variants.
 
 The central object is the pair of complex coefficients
 
@@ -33,9 +33,7 @@ from .medium import (WEAK_DISPERSION_THRESHOLD, DegenerateGroupVelocity,
 
 __all__ = [
     "SpreadTimes",
-    "CorrelationGeometry",
     "FlashStats",
-    "FormationLengths",
     "PhaseSpaceKernel",
     "WkbFlags",
     "NoSingularAngles",
@@ -47,9 +45,7 @@ __all__ = [
     "singular_angles",
     "singular_width_approx",
     "gouy_phase",
-    "correlation_geometry",
     "flash_stats",
-    "formation_lengths",
     "wkb_flags",
     "count_flags",
 ]
@@ -112,20 +108,6 @@ class SpreadTimes:
 
 
 @dataclass(frozen=True)
-class CorrelationGeometry:
-    """Directional correlation scales at (R_hat, t'): the exponent of the
-    master integrand is -R^2/R_eff^2 + i R^2/R_im^2 (the imaginary term is
-    signed, hence 1/R_im^2 is stored)."""
-
-    R: np.ndarray
-    u_p: np.ndarray
-    u_k: np.ndarray
-    R_eff: float
-    R_im_sq_inverse: float
-    sigma_perp_t: float
-
-
-@dataclass(frozen=True)
 class FlashStats:
     """Flash duration, arrival-probability peak, and its quantum shift,
     with the WKB validity flags of the kernel they were computed from."""
@@ -135,16 +117,6 @@ class FlashStats:
     delta_t: float
     l_0: np.ndarray
     flags: WkbFlags
-
-
-@dataclass(frozen=True)
-class FormationLengths:
-    l_f: float
-    l_cl: float
-
-    @property
-    def inv_l_cl(self) -> float:
-        return 0.0 if math.isinf(self.l_cl) else 1.0 / self.l_cl
 
 
 def dispersion_coefficients(n: float, omega: float, epsilon: float,
@@ -455,27 +427,6 @@ class PhaseSpaceKernel:
         return _cross(self.diff, -self.cross) / self.dd
 
 
-def correlation_geometry(geom: EmissionGeometry, packet: ElectronPacket,
-                         medium: MediumModel, R,
-                         t_prime: float) -> CorrelationGeometry:
-    """Correlation radius and imaginary-radius curvature along R at t'.
-
-    Both scales are taken along the unit vector of R, so only the direction
-    of R matters; R must be non-zero.
-    """
-    R = np.asarray(R, dtype=float)
-    r2 = float(R @ R)
-    if r2 == 0.0:
-        raise ValueError("R must be non-zero (direction defines the scales)")
-    kernel = PhaseSpaceKernel.from_geometry(geom, packet, medium)
-    r_eff, im_unit = kernel.correlation_scales(float(t_prime),
-                                               R / math.sqrt(r2))
-    return CorrelationGeometry(
-        R=R, u_p=kernel.u_p, u_k=kernel.u_k, R_eff=r_eff,
-        R_im_sq_inverse=im_unit,
-        sigma_perp_t=float(np.sqrt(kernel.sigma_perp_sq(float(t_prime)))))
-
-
 def flash_stats(geom: EmissionGeometry, packet: ElectronPacket,
                 medium: MediumModel, r, t_prime: float,
                 dispersive: Optional[bool] = None) -> FlashStats:
@@ -498,20 +449,6 @@ def flash_stats(geom: EmissionGeometry, packet: ElectronPacket,
     t_0 = float(l0 @ (r + phi_vec))
     return FlashStats(sigma_t=sigma_t, t_0=t_0, delta_t=delta_t, l_0=l0,
                       flags=wkb_flags(geom, kernel))
-
-
-def formation_lengths(geom: EmissionGeometry, packet: ElectronPacket,
-                      medium: MediumModel) -> FormationLengths:
-    """Quantum formation length L_f = beta t_d (signed) and the classical
-    one L_cl = (2/(omega n)) / |cos(theta) - 1/(beta n)|."""
-    spread = spreading_times(geom, packet, medium)
-    beta = geom.beta
-    l_f = beta * spread.t_d
-    n = medium.index(geom.omega)[0]
-    cos_theta = (geom.p.dot(geom.k)) / (geom.p.mag * geom.k.mag)
-    mismatch = abs(cos_theta - 1.0 / (beta * n))
-    l_cl = math.inf if mismatch == 0.0 else 2.0 / (geom.omega * n * mismatch)
-    return FormationLengths(l_f=l_f, l_cl=l_cl)
 
 
 def wkb_flags(geom: EmissionGeometry, kernel: PhaseSpaceKernel) -> WkbFlags:

@@ -1,7 +1,7 @@
 """Evaluation of the reduced master integral over the formation time t':
 pointwise Wigner-function values, 2-D maps in the plane of the shifted
-coordinate R, the near-field snapshot limit, the momentum-marginal weight,
-and the final-electron displacement scan.
+coordinate R, the near-field snapshot limit and the final-electron
+displacement scan.
 
 The production path is the manifestly real cosine form
 
@@ -28,8 +28,7 @@ import numpy as np
 
 from . import amplitudes, numerics, observables
 from .kinematics import (HELICITIES, ElectronPacket, EmissionGeometry,
-                         Momentum3, energy, place_triangle,
-                         reconstruct_p_perp, triangle_rules_hold)
+                         Momentum3, energy)
 from .medium import MediumModel
 from .observables import PhaseSpaceKernel, WkbFlags, count_flags
 
@@ -38,20 +37,14 @@ __all__ = [
     "MapGrid",
     "WignerMap",
     "SnapshotMap",
-    "OffShell",
     "evaluate_point",
     "evaluate_point_reference",
     "evaluate_map",
     "delta_p_scan",
     "near_field_snapshot",
-    "momentum_marginal_weight",
     "default_grid",
     "central_value",
 ]
-
-
-class OffShell(ValueError):
-    """No on-shell frequency exists for the requested emission angles."""
 
 
 @dataclass(frozen=True)
@@ -668,74 +661,3 @@ def near_field_snapshot(scenario: EmissionScenario, grid: MapGrid,
     meta = {"t": t, "sigma_perp": math.sqrt(sp2), "t_d_electron": t_de,
             "center_x": center[0], "center_y": center[1]}
     return SnapshotMap(grid=grid, values=values, meta=meta)
-
-
-def momentum_marginal_weight(scenario: EmissionScenario) -> float:
-    """Relative spectral-angular detection weight at the on-shell point,
-    i.e. the regular factor of the momentum marginal of the Wigner
-    function; independent of all phases.
-
-    For the momentum-balance scenario the on-shell frequency is solved for
-    at the scenario's angles; with an explicit final electron the initial
-    transverse momentum is reconstructed instead, and the weight vanishes
-    when the transverse triangle cannot close.
-    """
-    medium = scenario.medium
-    packet = scenario.packet
-    if scenario.p_prime is None:
-        p = mean = packet.mean_momentum
-        eps0 = energy(mean)
-        lo, hi = medium.domain()
-
-        def mismatch(w):
-            n = medium.index(w)[0]
-            k = Momentum3.from_spherical(n * w, scenario.theta_k,
-                                         scenario.phi_k)
-            # eps - eps' rewritten cancellation-free via the squared masses
-            delta = (2.0 * mean.dot(k) - k.mag2) / (eps0 + energy(mean - k))
-            return (delta - w) / w
-
-        ws = np.geomspace(max(1e-9 * scenario.omega, lo),
-                          min(hi, 0.99 * eps0), 200)
-        vals = [mismatch(w) for w in ws]
-        for i in range(len(ws) - 1):
-            if vals[i] == 0.0:
-                omega = ws[i]
-                break
-            if vals[i] * vals[i + 1] < 0:
-                omega = numerics.find_root(mismatch, ws[i], ws[i + 1],
-                                           tol=1e-15 * ws[i + 1])
-                break
-        else:
-            raise OffShell("no on-shell frequency in the scenario band")
-        n = medium.index(omega)[0]
-        k = Momentum3.from_spherical(n * omega, scenario.theta_k,
-                                     scenario.phi_k)
-        p_prime = mean - k
-    else:
-        # on-shell: reconstruct the initial transverse momentum and close
-        # the transverse triangle (the weight is phi'-independent, so the
-        # final electron may be rotated to the closing azimuth)
-        omega = scenario.omega
-        n = medium.index(omega)[0]
-        k = scenario.photon_momentum()
-        old_prime = scenario.p_prime
-        p_perp = reconstruct_p_perp(old_prime.perp, old_prime.z, k.perp, k.z,
-                                    omega, n)
-        if not triangle_rules_hold(p_perp, old_prime.perp, k.perp):
-            return 0.0
-        p_prime = place_triangle(p_perp, old_prime.perp, old_prime.z,
-                                 k.perp, k.phi)
-        p = p_prime + k
-
-    geom = replace(scenario.geometry(), p=p, p_prime=p_prime, k=k,
-                   omega=omega)
-    m2 = _mod_squared(geom, scenario.lambda_gamma)
-    eps = geom.epsilon
-    eps_p = geom.epsilon_prime
-    sigma = packet.sigma
-    packet_density = ((2.0 * math.sqrt(math.pi) / sigma) ** 3
-                      * math.exp(-(p - packet.mean_momentum).mag2 / sigma ** 2))
-    return (omega / (2.0 * n * n) * (2.0 * math.pi) ** 2
-            * 4.0 * math.pi / (2.0 * omega * n * n * 2.0 * eps * 2.0 * eps_p)
-            * packet_density * m2)

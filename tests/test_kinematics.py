@@ -1,18 +1,19 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from cherenkov_wigner.kinematics import (BelowThreshold, ElectronPacket,
                                          EmissionGeometry, Momentum3,
-                                         NegativeRadicand, ParaxialWarning,
+                                         ParaxialWarning,
                                          TriangleViolation,
                                          cherenkov_angle_classical,
                                          cherenkov_angle_quantum,
                                          cutoff_frequency, energy,
                                          lorentz_gamma, mach_angle,
                                          momentum_magnitude,
-                                         reconstruct_p_perp, triangle_angles,
+                                         triangle_angles,
                                          triangle_geometry,
                                          triangle_rules_hold)
 from cherenkov_wigner.observables import (singular_angles,
@@ -239,53 +240,6 @@ def test_triangle_violation():
         triangle_angles(1.0, 0.1, 0.1)
 
 
-def test_reconstruct_p_perp_no_photon():
-    # omega -> 0 with no photon momentum reduces to the final transverse
-    assert abs(reconstruct_p_perp(3e-5, 1.0, 0.0, 0.0, 0.0, 1.5) - 3e-5) \
-        < 1e-18
-
-
-def test_reconstruct_p_perp_direct_reduction():
-    pp_z, k_perp, omega, n = 2.0, 1e-5, 2e-5, 1.5
-    eps_prime = math.sqrt(1 + pp_z ** 2)
-    expected = math.sqrt(k_perp ** 2 + omega ** 2 * (1 - n * n)
-                         + 2 * eps_prime * omega)
-    got = reconstruct_p_perp(0.0, pp_z, k_perp, 0.0, omega, n)
-    assert abs(got - expected) < 1e-15
-
-
-def test_reconstruct_p_perp_forward_construction(rng):
-    # build p = p' + k with energy conservation solved for omega, then the
-    # reconstruction must return |p_perp|
-    for _ in range(50):
-        n = rng.uniform(1.1, 1.8)
-        pp = Momentum3(rng.normal() * 1e-4, rng.normal() * 1e-4,
-                       rng.uniform(0.5, 5.0))
-        theta_k = rng.uniform(0.05, 2.5)
-        phi_k = rng.uniform(0, 2 * math.pi)
-
-        def mismatch(w):
-            k = Momentum3.from_spherical(n * w, theta_k, phi_k)
-            return energy(pp + k) - energy(pp) - w
-
-        from cherenkov_wigner.numerics import find_root
-        try:
-            w = find_root(mismatch, 1e-9, 0.3, 1e-16)
-        except Exception:
-            continue
-        if w < 1e-8:
-            continue
-        k = Momentum3.from_spherical(n * w, theta_k, phi_k)
-        p = pp + k
-        got = reconstruct_p_perp(pp.perp, pp.z, k.perp, k.z, w, n)
-        assert abs(got - p.perp) < 1e-9 * max(p.perp, 1e-9)
-
-
-def test_reconstruct_negative_radicand():
-    with pytest.raises(NegativeRadicand):
-        reconstruct_p_perp(1e-6, 10.0, 1e-6, 0.5, 1e-6, 1.5)
-
-
 def test_electron_packet_validation():
     with pytest.raises(ValueError):
         ElectronPacket(Momentum3(0, 0, 1.0), -1.0)
@@ -380,3 +334,20 @@ def test_emission_geometry_rejects_helicities_by_name(name, bad):
     with pytest.raises(ValueError, match=f"^{name} must be one of"):
         EmissionGeometry.from_final_state(p_prime, k, 1e-5,
                                           **dict(labels, **{name: bad}))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name,axis", [
+    ("omega", None), ("p", "z"), ("p_prime", "x"), ("k", "y")])
+def test_emission_geometry_rejects_non_finite_inputs_by_name(name, axis, bad):
+    # NaN <= 0 and NaN > bound are both False, so the omega > 0 and
+    # momentum-balance checks alone let a NaN through
+    p_prime, k = Momentum3(1e-5, 0.0, 2.0), Momentum3(0.0, 1e-5, 1e-5)
+    fields = dict(p=p_prime + k, p_prime=p_prime, k=k, omega=1e-5)
+    EmissionGeometry(**fields)
+    if axis is None:
+        fields[name] = bad
+    else:
+        fields[name] = replace(fields[name], **{axis: bad})
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        EmissionGeometry(**fields)

@@ -172,6 +172,21 @@ def test_out_of_domain():
         med.index(3.5)
 
 
+@pytest.mark.parametrize("name,medium", [
+    ("n", AnalyticMedium.from_dispersion_params(1.4, 1e-5, math.nan)),
+    ("n", AnalyticMedium.from_dispersion_params(1.4, 2e-5, -math.inf)),
+    ("n", AnalyticMedium.from_dispersion_params(1.4, 1e-5, 0.0, math.nan)),
+    ("n", AnalyticMedium(lambda w: math.nan, lambda w: 0.0, lambda w: 0.0)),
+    ("n'", AnalyticMedium(lambda w: 1.5, lambda w: math.inf,
+                          lambda w: 0.0)),
+    ("n''", AnalyticMedium(lambda w: 1.5, lambda w: 0.0,
+                           lambda w: -math.inf))])
+def test_analytic_index_must_be_finite(name, medium):
+    # NaN <= 0 is False, so the n <= 0 check alone lets a NaN n through
+    with pytest.raises(OutOfDomain, match=f"^{name}\\("):
+        medium.index(1e-5)
+
+
 def test_table_validation():
     with pytest.raises(TableFormatError):
         TabulatedMedium([1.0, 2.0, 3.0], [1.1, 1.2, 1.3])  # too few

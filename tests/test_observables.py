@@ -17,9 +17,8 @@ from cherenkov_wigner.numerics import DiffSpec, differentiate, find_root
 from cherenkov_wigner.observables import (CollinearVelocities,
                                           MachConeDegenerate,
                                           NoSingularAngles, PhaseSpaceKernel,
-                                          WkbFlags, correlation_geometry,
-                                          flash_stats, formation_lengths,
-                                          gouy_phase, singular_angles,
+                                          WkbFlags, flash_stats, gouy_phase,
+                                          singular_angles,
                                           singular_width_approx,
                                           spread_times_at_angle,
                                           spreading_times, wkb_flags)
@@ -249,12 +248,12 @@ def test_correlation_radius_reduction_at_zero_time():
     geom = sc.geometry()
     kern = PhaseSpaceKernel.from_geometry(geom, sc.packet, sc.medium)
     R = np.array([0.3, -0.7, 0.2]) * 1e3
-    cg = correlation_geometry(geom, sc.packet, sc.medium, R, 0.0)
-    assert cg.R_im_sq_inverse == 0.0
     r_hat = R / np.linalg.norm(R)
+    r_eff, im_unit = kern.correlation_scales(0.0, r_hat)
+    assert im_unit == 0.0
     cross = np.cross(r_hat, kern.u_p - kern.u_k)
-    expected = (cg.sigma_perp_t ** 2 * kern.cc / float(cross @ cross))
-    assert abs(cg.R_eff ** 2 - expected) < 1e-10 * expected
+    expected = (kern.sigma_perp_sq(0.0) * kern.cc / float(cross @ cross))
+    assert abs(r_eff ** 2 - expected) < 1e-10 * expected
 
 
 def test_correlation_radius_growth_and_mach_ratio():
@@ -268,9 +267,8 @@ def test_correlation_radius_growth_and_mach_ratio():
     phi_R = sc.phi_k + 20 * DEG
 
     def r_eff(theta_R, t):
-        R = Momentum3.from_spherical(1.0, theta_R, phi_R).as_array()
-        cg = correlation_geometry(geom, sc.packet, sc.medium, R, t)
-        return cg.R_eff
+        r_hat = Momentum3.from_spherical(1.0, theta_R, phi_R).as_array()
+        return kern.correlation_scales(t, r_hat)[0]
 
     t_form = 1e6
     beta = geom.beta
@@ -491,24 +489,6 @@ def test_mach_cone_degenerate_raises():
     beta = 1.0 / n  # u_p = u_k at theta = 0
     with pytest.raises(MachConeDegenerate):
         spread_times_at_angle(beta, n, 1e-5, lorentz_gamma(beta), 1e-4, 0.0)
-
-
-def test_formation_lengths():
-    sc = balance_scenario(beta=0.99, n=1.4, omega=1e-5, sigma=1e-5)
-    geom = sc.geometry()
-    fl = formation_lengths(geom, sc.packet, sc.medium)
-    assert fl.inv_l_cl < 1e-15  # classical length diverges at theta_Ch
-    spread = spreading_times(geom, sc.packet, sc.medium)
-    assert fl.l_f == geom.beta * spread.t_d
-    # generic angle: finite, sign follows t_d; |L_f| grows as sigma drops
-    sc2 = balance_scenario(beta=0.99, n=1.4, theta_frac=1.3, sigma=1e-4)
-    fl2 = formation_lengths(sc2.geometry(), sc2.packet, sc2.medium)
-    sp2 = spreading_times(sc2.geometry(), sc2.packet, sc2.medium)
-    assert math.isfinite(fl2.l_f) and fl2.l_f * sp2.t_d > 0
-    assert fl2.inv_l_cl > 0
-    sc3 = balance_scenario(beta=0.99, n=1.4, theta_frac=1.3, sigma=1e-5)
-    fl3 = formation_lengths(sc3.geometry(), sc3.packet, sc3.medium)
-    assert abs(fl3.l_f) > 50 * abs(fl2.l_f)
 
 
 def _scenario_flags(sc):

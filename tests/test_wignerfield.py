@@ -20,7 +20,6 @@ from cherenkov_wigner.kinematics import (ElectronPacket, Momentum3,
 from cherenkov_wigner.medium import AnalyticMedium, ConstantMedium
 from cherenkov_wigner.observables import PhaseSpaceKernel, WkbFlags
 from cherenkov_wigner.wignerfield import (EmissionScenario, MapGrid,
-                                          OffShell,
                                           _Context, _reference_edges,
                                           _source_columns, _source_rows,
                                           _x_normal,
@@ -28,7 +27,6 @@ from cherenkov_wigner.wignerfield import (EmissionScenario, MapGrid,
                                           default_grid, delta_p_scan,
                                           evaluate_map, evaluate_point,
                                           evaluate_point_reference,
-                                          momentum_marginal_weight,
                                           near_field_snapshot, read_map_csv,
                                           write_map_csv)
 
@@ -1269,56 +1267,6 @@ def test_points_and_maps_reject_invalid_quadrature_settings(call, name):
     # broadcast (the reference), without naming R
     with pytest.raises(ValueError, match=f"^{name} must be"):
         call(balance_scenario(sigma=1e-5, t_out=3e5))
-
-
-def test_marginal_weight_on_shell_frequency():
-    # for a constant medium the on-shell frequency has a closed form
-    beta, n = 0.99, 1.4
-    theta = 0.9 * math.acos(1.0 / (beta * n))
-    sc = balance_scenario(beta=beta, n=n, sigma=1e-4, theta_frac=0.9,
-                          t_out=1e5)
-    eps = math.sqrt(1.0 + momentum_magnitude(beta) ** 2)
-    w_star = 2 * eps * (beta * n * math.cos(theta) - 1.0) / (n * n - 1.0)
-    weight = momentum_marginal_weight(sc)
-    assert weight > 0
-    # reconstruct the root the function solved for via the closed form
-    sc_probe = balance_scenario(beta=beta, n=n, sigma=1e-4, theta_frac=0.9,
-                                t_out=1e5, omega=w_star)
-    assert abs(momentum_marginal_weight(sc_probe) - weight) < 1e-9 * weight
-
-
-def test_marginal_weight_plane_wave_proportionality():
-    # weight(theta) / sigma^-3 is independent of sigma: the relative
-    # spectral-angular shape matches the plane-wave squared amplitude
-    thetas = [0.85, 0.9, 0.95]
-    ratios = []
-    for sigma in (1e-4, 1e-5):
-        row = []
-        for frac in thetas:
-            sc = balance_scenario(sigma=sigma, theta_frac=frac, t_out=1e5)
-            row.append(momentum_marginal_weight(sc) * sigma ** 3)
-        ratios.append(row)
-    assert np.allclose(ratios[0], ratios[1], rtol=1e-12)
-
-
-def test_marginal_weight_forbidden_triangle_is_zero():
-    # explicit final electron whose transverse momentum cannot close the
-    # triangle
-    beta, n, omega = 0.99, 1.4, 1e-5
-    mean = Momentum3(0, 0, momentum_magnitude(beta))
-    packet = ElectronPacket(mean, 1e-4)
-    p_prime = Momentum3(5e-3, 0.0, mean.z)  # huge transverse mismatch
-    sc = EmissionScenario(packet=packet, medium=ConstantMedium(n),
-                          omega=omega, theta_k=0.7, phi_k=0.5 * math.pi,
-                          t_out=1e5, p_prime=p_prime)
-    assert momentum_marginal_weight(sc) == 0.0
-
-
-def test_marginal_weight_off_shell():
-    # beyond the quantum Cherenkov cone no on-shell frequency exists
-    sc = balance_scenario(sigma=1e-4, theta_frac=1.5, t_out=1e5)
-    with pytest.raises(OffShell):
-        momentum_marginal_weight(sc)
 
 
 def test_default_grid_extent():

@@ -1,16 +1,22 @@
-"""Which lines of the library one benchmark cycle never runs.
+"""Which lines and public functions of the library the benchmark and the
+demos never run.
 
 Runs one cycle of both benchmark workloads of ``perfbench/workloads.py``
-(seed 1, with their workers=2 operations) and ``demos/wigner_map.py`` in a
-temporary directory, under a line tracer on ``src/cherenkov_wigner/``,
-then prints, per module, the executable lines that never ran.  Nothing is
-written under the checkout: no bytecode, and every output goes to a
-temporary directory.  Not part of the test suite; it takes a few seconds.
+(seed 1, with their workers=2 operations) and every script of ``demos/``
+in a temporary directory, under a line tracer on ``src/cherenkov_wigner/``,
+then prints, per module, the executable lines that never ran and the
+functions of its ``__all__`` that were never called.  Nothing is written
+under the checkout: no bytecode, and every output goes to a temporary
+directory, which holds copies of ``demos/`` and ``data/`` so that each
+demo's ``output/`` and the bundled index table resolve there.  Not part of
+the test suite; it takes a few seconds.
 
     python3 tools/traffic_lines.py
 """
 
 import contextlib
+import importlib
+import inspect
 import io
 import runpy
 import shutil
@@ -24,8 +30,9 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "cherenkov_wigner"
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
-# the lines run so far, per library file
+# the lines run so far, per library file, and the library code called
 RAN = {str(path): set() for path in sorted(PACKAGE.glob("*.py"))}
+CALLED = set()
 
 
 def trace(frame, event, arg):
@@ -33,6 +40,7 @@ def trace(frame, event, arg):
     lines = RAN.get(frame.f_code.co_filename)
     if lines is None:
         return None
+    CALLED.add(frame.f_code)
 
     def line(frame, event, arg):
         if event == "line":
@@ -75,12 +83,28 @@ def run_traffic(tmp):
         for step in wl.steps(True):
             step(rec)
         failures += rec.failures
-    demo = tmp / "demo"
-    demo.mkdir()
-    shutil.copy(ROOT / "demos" / "wigner_map.py", demo)
-    with contextlib.redirect_stdout(io.StringIO()):
-        runpy.run_path(str(demo / "wigner_map.py"), run_name="__main__")
+    # the copies keep the repository layout, demos/ beside data/
+    shutil.copytree(ROOT / "data", tmp / "data")
+    shutil.copytree(ROOT / "demos", tmp / "demos",
+                    ignore=shutil.ignore_patterns("output", "__pycache__"))
+    for script in sorted((tmp / "demos").glob("*.py")):
+        with contextlib.redirect_stdout(io.StringIO()):
+            runpy.run_path(str(script), run_name="__main__")
     return failures
+
+
+def never_called(path):
+    """The functions of the module's ``__all__`` that no call reached."""
+    name = "cherenkov_wigner" if path.stem == "__init__" else \
+        f"cherenkov_wigner.{path.stem}"
+    module = importlib.import_module(name)
+    out = []
+    for export in getattr(module, "__all__", ()):
+        obj = inspect.unwrap(getattr(module, export))
+        if (inspect.isfunction(obj) and obj.__module__ == name
+                and obj.__code__ not in CALLED):
+            out.append(export)
+    return out
 
 
 def main():
@@ -100,6 +124,10 @@ def main():
         print(f"{path.relative_to(ROOT)}: {len(idle)} lines never ran")
         if idle:
             print(f"    {spans(idle)}")
+        idle_functions = never_called(path)
+        if idle_functions:
+            print(f"    public functions never called: "
+                  f"{', '.join(idle_functions)}")
 
 
 if __name__ == "__main__":
