@@ -12,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 
+from cherenkov_wigner.amplitudes import (combined_phase_gradient,
+                                         helicity_amplitude)
 from cherenkov_wigner.kinematics import ElectronPacket, triangle_geometry
 from cherenkov_wigner.medium import AnalyticMedium, ConstantMedium
 from cherenkov_wigner.observables import flash_stats
@@ -49,6 +51,12 @@ print(f"  mirror branches are exact opposites: "
       f"{np.nanmax(np.abs(curve_p[:, 0] + curve_m[:, 0])):.2e} t_c residual")
 print(f"  flash duration dominates everywhere: "
       f"{np.nanmin(curve_p[:, 1] - np.abs(curve_p[:, 0])):.3g} t_c margin")
+geom = triangle_geometry(p_perp, 0.99 * p_perp, beta, omega, n,
+                         math.radians(30.0))
+phi = combined_phase_gradient(geom)
+print(f"  amplitude phase at 30 deg: {helicity_amplitude(geom).phase:.3f} "
+      "rad; transverse part of its gradient: "
+      f"{math.hypot(phi[0], phi[1]) * 2.0 * p_perp:.3f} / (2 p_perp)")
 polyline_svg(OUT / "arrival_shift_weak.svg", thetas,
              [curve_p[:, 0], curve_m[:, 0], curve_p[:, 1]],
              title="arrival-time shift, weak dispersion",

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kinematics import EmissionGeometry, Momentum3
+from .kinematics import EmissionGeometry, GeometryBatch, first_fault
 
 __all__ = [
     "ALPHA_EM",
@@ -28,6 +28,7 @@ __all__ = [
     "amplitude_complex",
     "summed_mod_squared",
     "phase_gradient",
+    "phase_gradients",
     "combined_phase_gradient",
 ]
 
@@ -51,27 +52,35 @@ class AmplitudeValue:
     degenerate: bool = False
 
 
-def wigner_d_half(sigma: float, lam: float, theta: float) -> float:
+def _lib(x):
+    """``np`` for an array argument, ``math`` for a number: the scalar
+    amplitude keeps math's rounding, and a sweep takes one numpy pass."""
+    return np if isinstance(x, np.ndarray) else math
+
+
+def wigner_d_half(sigma: float, lam: float, theta):
     """d^(1/2)_{sigma lambda}(theta) = delta_{sigma lambda} cos(theta/2)
-    - 2 sigma delta_{sigma,-lambda} sin(theta/2)."""
+    - 2 sigma delta_{sigma,-lambda} sin(theta/2), elementwise over an
+    array theta."""
     if sigma not in (0.5, -0.5) or lam not in (0.5, -0.5):
         raise ValueError("spin-1/2 projections must be +-1/2")
     if sigma == lam:
-        return math.cos(0.5 * theta)
-    return -2.0 * sigma * math.sin(0.5 * theta)
+        return _lib(theta).cos(0.5 * theta)
+    return -2.0 * sigma * _lib(theta).sin(0.5 * theta)
 
 
-def wigner_d_one(sigma: int, lam: int, theta: float) -> float:
+def wigner_d_one(sigma: int, lam: int, theta):
     """Spin-1 entries needed here: d^1_{11} = cos^2(theta/2),
     d^1_{-11} = sin^2(theta/2), d^1_{0 lambda} = (lambda/sqrt2) sin(theta),
-    extended to lambda = -1 by d^1_{sigma,-lambda} = d^1_{-sigma,lambda}."""
+    extended to lambda = -1 by d^1_{sigma,-lambda} = d^1_{-sigma,lambda};
+    elementwise over an array theta."""
     if sigma not in (1, 0, -1) or lam not in (1, -1):
         raise ValueError("sigma in {0,+-1}, lambda in {+-1}")
     if sigma == 0:
-        return lam / math.sqrt(2.0) * math.sin(theta)
+        return lam / math.sqrt(2.0) * _lib(theta).sin(theta)
     if sigma == lam:
-        return math.cos(0.5 * theta) ** 2
-    return math.sin(0.5 * theta) ** 2
+        return _lib(theta).cos(0.5 * theta) ** 2
+    return _lib(theta).sin(0.5 * theta) ** 2
 
 
 def coupling(epsilon: float, epsilon_prime: float, lambda_e: float,
@@ -85,20 +94,20 @@ def coupling(epsilon: float, epsilon_prime: float, lambda_e: float,
         * math.sqrt(epsilon + 1.0))
 
 
-def _d_half_slope(sigma: float, lam: float, theta: float) -> float:
+def _d_half_slope(sigma: float, lam: float, theta: np.ndarray) -> np.ndarray:
     """d/dtheta of ``wigner_d_half``."""
     if sigma == lam:
-        return -0.5 * math.sin(0.5 * theta)
-    return -sigma * math.cos(0.5 * theta)
+        return -0.5 * np.sin(0.5 * theta)
+    return -sigma * np.cos(0.5 * theta)
 
 
-def _d_one_slope(sigma: int, lam: int, theta: float) -> float:
+def _d_one_slope(sigma: int, lam: int, theta: np.ndarray) -> np.ndarray:
     """d/dtheta of ``wigner_d_one``."""
     if sigma == 0:
-        return lam / math.sqrt(2.0) * math.cos(theta)
+        return lam / math.sqrt(2.0) * np.cos(theta)
     if sigma == lam:
-        return -0.5 * math.sin(theta)
-    return 0.5 * math.sin(theta)
+        return -0.5 * np.sin(theta)
+    return 0.5 * np.sin(theta)
 
 
 # (prefactor, sigma, sigma', sigma_gamma) of the four partial amplitudes,
@@ -127,16 +136,29 @@ def _helicity_terms(geom: EmissionGeometry, lambda_gammas):
     """``_geometry_terms`` at each photon helicity of ``lambda_gammas``:
     (one tuple of partial amplitudes per helicity, the phases, which no
     helicity changes)."""
-    # half-integer phases are double-valued under 2*pi relabeling of a
-    # single azimuth; anchor all azimuths within pi of phi_k (the
-    # triangle-point convention) so that zeta is continuous and mirror
-    # configurations give exactly opposite phases
     phi_k = geom.k.phi
-    phi = phi_k + math.remainder(geom.p.phi - phi_k, _TWO_PI)
-    phi_p = phi_k + math.remainder(geom.p_prime.phi - phi_k, _TWO_PI)
-    theta, theta_p, theta_k = geom.p.theta, geom.p_prime.theta, geom.k.theta
-    electron = [c * wigner_d_half(s, geom.lambda_e, theta)
-                * wigner_d_half(sp, geom.lambda_prime, theta_p)
+    return _partial_terms(
+        (geom.p.theta, geom.p_prime.theta, geom.k.theta),
+        (_anchored(geom.p.phi, phi_k), _anchored(geom.p_prime.phi, phi_k),
+         phi_k), geom.lambda_e, geom.lambda_prime, lambda_gammas)
+
+
+def _anchored(phi: float, phi_k: float) -> float:
+    """The azimuth phi within pi of phi_k.  Half-integer phases are
+    double-valued under 2*pi relabeling of a single azimuth; anchoring all
+    azimuths within pi of phi_k (the triangle-point convention) keeps zeta
+    continuous and gives mirror configurations exactly opposite phases."""
+    return phi_k + math.remainder(phi - phi_k, _TWO_PI)
+
+
+def _partial_terms(thetas, phis, lambda_e: float, lambda_prime: float,
+                   lambda_gammas):
+    """The partial amplitudes and azimuthal phases of ``_helicity_terms``
+    from the polar angles (theta, theta', theta_k) and the anchored
+    azimuths (phi, phi', phi_k), elementwise over arrays of them."""
+    (theta, theta_p, theta_k), (phi, phi_p, phi_k) = thetas, phis
+    electron = [c * wigner_d_half(s, lambda_e, theta)
+                * wigner_d_half(sp, lambda_prime, theta_p)
                 for c, s, sp, _ in _TERMS]
     ms = [tuple(e * wigner_d_one(sg, lg, theta_k)
                 for e, (*_, sg) in zip(electron, _TERMS))
@@ -185,15 +207,26 @@ def _amplitude(geom: EmissionGeometry, lambda_gamma: int) -> AmplitudeValue:
     g = coupling(geom.epsilon, geom.epsilon_prime, geom.lambda_e,
                  geom.lambda_prime)
     mod2 = _mod_squared(ms, _cosines(zs), g)
-    s_sin = sum(m * math.sin(z) for m, z in zip(ms, zs))
-    s_cos = sum(m * math.cos(z) for m, z in zip(ms, zs))
-    scale = max(sum(abs(m) for m in ms), 1e-300)
-    if math.hypot(s_sin, s_cos) < 1e-15 * scale or scale <= 1e-300:
+    s_sin, s_cos, undefined = _phase_sums(ms, zs)
+    if undefined:
         return AmplitudeValue(mod2, 0.0, degenerate=True)
     phase = math.atan2(s_sin, s_cos)
     if g < 0:
         phase = _wrap(phase + math.pi)
     return AmplitudeValue(mod2, phase, degenerate=False)
+
+
+def _phase_sums(ms, zs):
+    """S, C = sum_i m_i (sin, cos) z_i, the sums whose atan2 is the
+    amplitude phase, and whether that phase is undefined: |S + iC| below
+    1e-15 of sum_i |m_i|, or that sum at most 1e-300.  Elementwise over
+    arrays of the terms."""
+    lib = _lib(zs[0])
+    s_sin = sum(m * lib.sin(z) for m, z in zip(ms, zs))
+    s_cos = sum(m * lib.cos(z) for m, z in zip(ms, zs))
+    total = sum(abs(m) for m in ms)
+    return s_sin, s_cos, ((lib.hypot(s_sin, s_cos) < 1e-15 * total)
+                          | (total <= 1e-300))
 
 
 def amplitude_complex(geom: EmissionGeometry) -> complex:
@@ -219,70 +252,103 @@ def summed_mod_squared(geom: EmissionGeometry) -> float:
                                                             cosines, g)
 
 
-def _zeta_partials(geom: EmissionGeometry):
-    """The amplitude phase zeta and its partials with respect to (theta,
-    phi, theta', phi', theta_k, phi_k).
+def _zeta_partials(ms, zs, thetas, helicities):
+    """The partials of the amplitude phase zeta with respect to (theta,
+    phi, theta', phi', theta_k, phi_k), as six arrays over the samples of
+    the partial amplitudes ``ms`` and phases ``zs`` at the polar angles
+    ``thetas``, and where zeta is undefined.
 
     zeta = atan2(S, C) with S, C = sum_i m_i (sin, cos) z_i, so
     d zeta = (C dS - S dC) / (S^2 + C^2).  The m_i are products of
     d-functions of the polar angles; the z_i are linear in the anchored
     azimuths, whose anchoring phi_k + remainder(phi - phi_k, 2 pi) has unit
     slope in phi and none in phi_k.  The coupling sign is a constant pi.
+    Each sum over the four terms is spelled out, so a sample's bits do not
+    depend on the other samples.
     """
-    amp = helicity_amplitude(geom)
-    if amp.degenerate:
-        raise DegeneratePhase("amplitude phase undefined at this geometry")
-    lam, lam_p, lam_g = geom.lambda_e, geom.lambda_prime, geom.lambda_gamma
-    ms, zs = _geometry_terms(geom, lam_g)
-    theta, theta_p, theta_k = geom.p.theta, geom.p_prime.theta, geom.k.theta
-    dm = np.zeros((4, 6))
-    for i, (c, s, sp, sg) in enumerate(_TERMS):
+    (theta, theta_p, theta_k), (lam, lam_p, lam_g) = thetas, helicities
+    s_sin, s_cos, undefined = _phase_sums(ms, zs)
+    d_sin, d_cos = np.zeros((2, 6, len(theta)))
+    for (c, s, sp, sg), m, z, slopes in zip(_TERMS, ms, zs, _Z_SLOPES):
         a = wigner_d_half(s, lam, theta)
         b = wigner_d_half(sp, lam_p, theta_p)
         d = wigner_d_one(sg, lam_g, theta_k)
-        dm[i, 0] = c * _d_half_slope(s, lam, theta) * b * d
-        dm[i, 2] = c * a * _d_half_slope(sp, lam_p, theta_p) * d
-        dm[i, 4] = c * a * b * _d_one_slope(sg, lam_g, theta_k)
-    m = np.array(ms)
-    sin, cos = np.sin(zs), np.cos(zs)
-    s_sin, s_cos = m @ sin, m @ cos
-    d_sin = sin @ dm + (m * cos) @ _Z_SLOPES
-    d_cos = cos @ dm - (m * sin) @ _Z_SLOPES
-    return amp.phase, (s_cos * d_sin - s_sin * d_cos) / (s_sin ** 2
-                                                         + s_cos ** 2)
+        sin, cos = np.sin(z), np.cos(z)
+        # m_i varies with the polar angles, z_i with the azimuths
+        for col, dm in ((0, c * _d_half_slope(s, lam, theta) * b * d),
+                        (2, c * a * _d_half_slope(sp, lam_p, theta_p) * d),
+                        (4, c * a * b * _d_one_slope(sg, lam_g, theta_k))):
+            d_sin[col] += sin * dm
+            d_cos[col] += cos * dm
+        for col in np.flatnonzero(slopes):
+            d_sin[col] += m * cos * slopes[col]
+            d_cos[col] -= m * sin * slopes[col]
+    return ((s_cos * d_sin - s_sin * d_cos) / (s_sin ** 2 + s_cos ** 2),
+            undefined)
 
 
-def _angle_gradients(v: Momentum3, name: str):
-    """Cartesian gradients of the polar angle and the azimuth of v:
+def _angle_gradients(v: np.ndarray, rho: np.ndarray):
+    """Cartesian gradients of the polar angle and the azimuth of each
+    column of v, of transverse length rho:
     (cos theta cos phi, cos theta sin phi, -sin theta)/|v| and
     (-sin phi, cos phi, 0)/v_perp."""
-    rho = v.perp
-    if rho == 0.0:
-        raise DegeneratePhase(f"azimuth of {name} undefined: zero transverse "
-                              "momentum, so the phase gradient is singular")
-    grad_theta = np.array([v.x * v.z / rho, v.y * v.z / rho, -rho]) / v.mag2
-    grad_phi = np.array([-v.y, v.x, 0.0]) / (rho * rho)
+    x, y, z = v
+    grad_theta = np.array([x * z / rho, y * z / rho, -rho]) / (
+        x * x + y * y + z * z)
+    grad_phi = np.array([-y, x, np.zeros_like(x)]) / (rho * rho)
     return grad_theta, grad_phi
 
 
-def phase_gradient(geom: EmissionGeometry):
+def phase_gradients(batch: GeometryBatch):
     """Gradients of the amplitude phase with respect to p (at fixed k) and
-    k (at fixed p), the final electron p' = p - k varying accordingly.
+    k (at fixed p) at each geometry of ``batch``, the final electron
+    p' = p - k varying accordingly: (grad_p, grad_k, fault), the gradients
+    as (3, N) arrays.
 
     Closed form: the angle partials of ``_zeta_partials`` chained through
     the angle gradients of p, p' and k, with dp'/dp = 1 and dp'/dk = -1.
     Their sum is the fixed-p' joint gradient entering the arrival-time
-    shift.  Raises ``DegeneratePhase`` where the phase is undefined or
-    p, p' or k has no transverse momentum (its azimuth is undefined).
+    shift.  ``fault`` is None, or (position, ``DegeneratePhase``) of the
+    first sample where p, p' or k has no transverse momentum (its azimuth
+    is undefined; the error names the vector) or the phase is undefined;
+    the gradients are not defined from that sample on.
     """
-    theta_p, phi_p = _angle_gradients(geom.p, "p")
-    theta_pp, phi_pp = _angle_gradients(geom.p_prime, "p'")
-    theta_k, phi_k = _angle_gradients(geom.k, "k")
-    _, d = _zeta_partials(geom)
+    vectors = (batch.p, batch.p_prime, batch.k)
+    rho = [np.hypot(v[0], v[1]) for v in vectors]
+    thetas = [np.arctan2(r, v[2]) for r, v in zip(rho, vectors)]
+    phis = [np.arctan2(v[1], v[0]) % _TWO_PI for v in vectors]
+    # math.remainder has no numpy twin
+    anchored = [np.array([_anchored(a, b) for a, b in
+                          zip(phi.tolist(), phis[2].tolist())])
+                for phi in phis[:2]]
+    helicities = (batch.lambda_e, batch.lambda_prime, batch.lambda_gamma)
+    (ms,), zs = _partial_terms(thetas, (*anchored, phis[2]), batch.lambda_e,
+                               batch.lambda_prime, (batch.lambda_gamma,))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d, undefined = _zeta_partials(ms, zs, thetas, helicities)
+        (theta_p, phi_p), (theta_pp, phi_pp), (theta_k, phi_k) = (
+            _angle_gradients(v, r) for v, r in zip(vectors, rho))
+    fault = first_fault([
+        *((r == 0.0, lambda i, name=name: DegeneratePhase(
+            f"azimuth of {name} undefined: zero transverse momentum, so the "
+            "phase gradient is singular"))
+          for r, name in zip(rho, ("p", "p'", "k"))),
+        (undefined, lambda i: DegeneratePhase(
+            "amplitude phase undefined at this geometry"))])
     final = d[2] * theta_pp + d[3] * phi_pp
     grad_p = d[0] * theta_p + d[1] * phi_p + final
     grad_k = d[4] * theta_k + d[5] * phi_k - final
-    return grad_p, grad_k
+    return grad_p, grad_k, fault
+
+
+def phase_gradient(geom: EmissionGeometry):
+    """(grad_p, grad_k) of ``phase_gradients`` at one geometry: raises
+    ``DegeneratePhase`` where the phase is undefined or p, p' or k has no
+    transverse momentum (its azimuth is undefined)."""
+    grad_p, grad_k, fault = phase_gradients(GeometryBatch.of(geom))
+    if fault is not None:
+        raise fault[1]
+    return grad_p[:, 0], grad_k[:, 0]
 
 
 def combined_phase_gradient(geom: EmissionGeometry) -> np.ndarray:

@@ -23,10 +23,10 @@ import numpy as np
 
 from . import observables, svgplot
 from .kinematics import (HELICITIES, ElectronPacket, Momentum3,
-                         cherenkov_angle_classical, lorentz_gamma,
-                         momentum_magnitude, triangle_geometry)
-from .medium import (AnalyticMedium, ConstantMedium, DegenerateGroupVelocity,
-                     MediumModel, load_index_table)
+                         cherenkov_angle_classical, column_dot, lorentz_gamma,
+                         momentum_magnitude, place_triangles)
+from .medium import (AnalyticMedium, ConstantMedium, MediumModel,
+                     load_index_table)
 from .observables import (singular_angles, singular_width_approx,
                           spread_times_at_angle)
 from .units import convert_units
@@ -396,54 +396,73 @@ def _study_flash_duration(cfg, out_dir, fmt, workers):
                   rows), {}
 
 
-def _arrival_rows(cfg, samples):
+def _arrival_rows(cfg, values, media, theta_k):
     """One row (sweep value, Delta t, sigma_t, t_0, WKB flags) per sample
-    (sweep value, medium, theta_k) of the transverse-triangle construction,
-    and the flags dict: the WKB flag counts, then the number of samples that
+    of the sweep ``values``, sample i in ``media[i]`` at emission angle
+    ``theta_k`` (one angle, or one per sample), from one pass of
+    ``place_triangles`` and one of ``observables.flash_stats_batch``; and
+    the flags dict: the WKB flag counts, then the number of samples that
     emit no photon, by reason.  The reasons are checked in this order:
-    below_threshold (beta*n < 1), open_triangle (``triangle_geometry``
-    finds no triangle) and degenerate_group_velocity (n (1 + D) = 0).  Such
-    a sample's row holds NaN times and no flags."""
-    rows, no_photon = [], dict.fromkeys(
-        ("below_threshold", "open_triangle", "degenerate_group_velocity"), 0)
-    for v, medium, theta_k in samples:
-        n = medium.index(cfg.omega)[0]
-        stats = None
-        if cfg.beta * n < 1.0:
-            no_photon["below_threshold"] += 1
-        elif (geom := triangle_geometry(
-                cfg.p_perp, cfg.pp_perp_ratio * cfg.p_perp, cfg.beta,
-                cfg.omega, n, theta_k, cfg.phi_k, cfg.branch, cfg.lambda_e,
-                cfg.lambda_prime,
-                1 if cfg.lambda_gamma is None else cfg.lambda_gamma)) is None:
-            no_photon["open_triangle"] += 1
-        else:
-            try:
-                stats = observables.flash_stats(
-                    geom, ElectronPacket(geom.p, cfg.sigma), medium,
-                    geom.k.as_array() / geom.k.mag * cfg.r_mag, 0.0)
-            except DegenerateGroupVelocity:
-                no_photon["degenerate_group_velocity"] += 1
-        rows.append((v, math.nan, math.nan, math.nan, 0) if stats is None else
-                    (v, stats.delta_t, stats.sigma_t, stats.t_0,
-                     int(stats.flags)))
-    flags = observables.count_flags([row[-1] for row in rows])
-    return rows, dict(flags, **{k: c for k, c in no_photon.items() if c})
+    below_threshold (beta*n < 1), open_triangle (``place_triangles`` finds
+    no triangle) and degenerate_group_velocity (n (1 + D) = 0).  Such a
+    sample's row holds NaN times and no flags.  Any other error is raised
+    as at the first sample that raises it, so a sweep fails as a loop over
+    ``triangle_geometry`` and ``flash_stats`` would."""
+    count = len(values)
+    n = np.array([medium.index(cfg.omega)[0] for medium in media])
+    reasons = dict.fromkeys(("below_threshold", "open_triangle",
+                             "degenerate_group_velocity"), 0)
+    table = np.full((4, count), np.nan)
+    table[3] = 0
+    emitting = np.flatnonzero(cfg.beta * n >= 1.0)
+    reasons["below_threshold"] = count - len(emitting)
+    if len(emitting):
+        batch, closes, fault = place_triangles(
+            cfg.p_perp, cfg.pp_perp_ratio * cfg.p_perp, cfg.beta, cfg.omega,
+            n[emitting], np.broadcast_to(theta_k, count)[emitting], cfg.phi_k,
+            cfg.branch, cfg.lambda_e, cfg.lambda_prime,
+            1 if cfg.lambda_gamma is None else cfg.lambda_gamma)
+        placed = emitting[closes]
+        reasons["open_triangle"] = len(emitting) - len(placed)
+        stats, (no_velocity, _), late = observables.flash_stats_batch(
+            batch, [media[i] for i in placed], cfg.sigma,
+            batch.k / np.sqrt(column_dot(batch.k, batch.k)) * cfg.r_mag, 0.0)
+        # every placed sample lies before the placement's fault
+        for first in (late, fault):
+            if first is not None:
+                raise first[1]
+        reasons["degenerate_group_velocity"] = int(no_velocity.sum())
+        table[:, placed] = (stats.delta_t, stats.sigma_t, stats.t_0,
+                            stats.flags)
+    rows = list(zip(values.tolist(), *table[:3].tolist(),
+                    table[3].astype(int).tolist()))
+    flags = observables.count_flags(table[3].astype(int))
+    return rows, dict(flags, **{k: c for k, c in reasons.items() if c})
 
 
 def _fixed_theta_k(cfg) -> float:
     return cfg.theta_k if cfg.theta_k is not None else 10.0 * math.pi / 180.0
 
 
-def _study_arrival_shift(cfg, out_dir, fmt, workers):
+def _arrival_samples(cfg):
+    """(sweep values, the medium of each sample, theta_k: one angle or one
+    per sample) of an arrival-shift or dispersion-scan sweep."""
     values = _sweep_values(cfg)
     if cfg.sweep_variable == "theta-k":
-        medium = cfg.medium()
-        samples = ((v, medium, v * math.pi / 180.0) for v in values)
+        return (values, [cfg.medium()] * len(values),
+                values * math.pi / 180.0)
+    if cfg.sweep_variable == "n":
+        media = [ConstantMedium(v) for v in values]
     else:
-        samples = ((v, ConstantMedium(v), _fixed_theta_k(cfg))
-                   for v in values)
-    rows, flags = _arrival_rows(cfg, samples)
+        n = cfg.medium().index(cfg.omega)[0]
+        media = [AnalyticMedium.from_dispersion_params(n, cfg.omega, d,
+                                                       cfg.medium_e)
+                 for d in values]
+    return values, media, _fixed_theta_k(cfg)
+
+
+def _study_arrival_shift(cfg, out_dir, fmt, workers):
+    rows, flags = _arrival_rows(cfg, *_arrival_samples(cfg))
     return _table(cfg, out_dir, fmt, "arrival_shift.csv",
                   [f"beta: {cfg.beta}", f"omega: {cfg.omega}",
                    f"p_perp: {cfg.p_perp}", f"branch: {cfg.branch}"],
@@ -455,14 +474,11 @@ def _study_arrival_shift(cfg, out_dir, fmt, workers):
 
 
 def _study_dispersion_scan(cfg, out_dir, fmt, workers):
-    theta_k = _fixed_theta_k(cfg)
-    n = cfg.medium().index(cfg.omega)[0]
-    rows, flags = _arrival_rows(cfg, (
-        (d, AnalyticMedium.from_dispersion_params(n, cfg.omega, d,
-                                                  cfg.medium_e), theta_k)
-        for d in _sweep_values(cfg)))
+    rows, flags = _arrival_rows(cfg, *_arrival_samples(cfg))
     return _table(cfg, out_dir, fmt, "dispersion_scan.csv",
-                  [f"beta: {cfg.beta}", f"n: {n}", f"theta_k_rad: {theta_k}"],
+                  [f"beta: {cfg.beta}",
+                   f"n: {cfg.medium().index(cfg.omega)[0]}",
+                   f"theta_k_rad: {_fixed_theta_k(cfg)}"],
                   ["d_param", "delta_t_tc", "sigma_t_tc", "flags"],
                   [(d, dt, st, f) for d, dt, st, _, f in rows]), flags
 

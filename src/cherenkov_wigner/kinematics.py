@@ -18,6 +18,7 @@ __all__ = [
     "Momentum3",
     "ElectronPacket",
     "EmissionGeometry",
+    "GeometryBatch",
     "TriangleAngles",
     "BelowThreshold",
     "Unphysical",
@@ -34,8 +35,10 @@ __all__ = [
     "mach_angle",
     "triangle_angles",
     "triangle_rules_hold",
-    "place_triangle",
+    "place_triangles",
     "triangle_geometry",
+    "column_dot",
+    "first_fault",
 ]
 
 _THRESHOLD_EPS = 1e-12
@@ -223,13 +226,17 @@ class TriangleAngles:
     area_delta: float
 
 
-def triangle_rules_hold(p_perp: float, pp_perp: float, k_perp: float,
-                        rtol: float = 1e-12) -> bool:
-    """Transverse closure: each leg no longer than the sum of the others."""
-    slack = rtol * max(p_perp, pp_perp, k_perp, 1e-300)
-    return (p_perp <= pp_perp + k_perp + slack
-            and pp_perp <= p_perp + k_perp + slack
-            and k_perp <= p_perp + pp_perp + slack)
+def triangle_rules_hold(p_perp: float, pp_perp: float, k_perp,
+                        rtol: float = 1e-12):
+    """Transverse closure: each leg no longer than the sum of the others;
+    a boolean array over the samples of an array ``k_perp``."""
+    longest = (np.maximum(k_perp, max(p_perp, pp_perp, 1e-300))
+               if isinstance(k_perp, np.ndarray)
+               else max(p_perp, pp_perp, k_perp, 1e-300))
+    slack = rtol * longest
+    return ((p_perp <= pp_perp + k_perp + slack)
+            & (pp_perp <= p_perp + k_perp + slack)
+            & (k_perp <= p_perp + pp_perp + slack))
 
 
 def _clamped_acos(x: float) -> float:
@@ -342,14 +349,146 @@ class EmissionGeometry:
         return triangle_angles(self.p.perp, self.p_prime.perp, self.k.perp)
 
 
-def place_triangle(p_perp: float, pp_perp: float, pp_z: float,
-                   k_perp: float, phi_k: float, branch: int = 1) -> Momentum3:
-    """p' at azimuth phi_k - branch * (pi - vartheta) and height pp_z, so
-    that p' + k closes the transverse triangle (p_perp, pp_perp, k_perp)."""
-    tri = triangle_angles(p_perp, pp_perp, k_perp)
-    phi_prime = phi_k - branch * (math.pi - tri.vartheta)
-    return Momentum3(pp_perp * math.cos(phi_prime),
-                     pp_perp * math.sin(phi_prime), pp_z)
+def column_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The dot product of each column of two (3, N) arrays, spelled out so
+    that a column's bits do not depend on the other columns."""
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
+def first_fault(checks):
+    """The first sample that fails a check, and its error.  ``checks``
+    holds (mask, error) pairs in the order one sample runs them: a boolean
+    mask over the samples, and a callable from a sample's position to the
+    exception that sample raises.  Returns (position, exception) at the
+    lowest position that any mask holds, with the error of the first check
+    that fails there, or None."""
+    found = None
+    for mask, error in checks:
+        hits = np.flatnonzero(mask)
+        if hits.size and (found is None or hits[0] < found[0]):
+            found = (int(hits[0]), error)
+    return None if found is None else (found[0], found[1](found[0]))
+
+
+@dataclass(frozen=True, eq=False)
+class GeometryBatch:
+    """Emission geometries of a sweep: p, p' and k as (3, N) arrays of
+    their x, y and z components, at one omega and one helicity triple.
+    ``place_triangles`` builds them; the sweep functions of ``amplitudes``
+    and ``observables`` take them."""
+
+    p: np.ndarray
+    p_prime: np.ndarray
+    k: np.ndarray
+    omega: float
+    lambda_e: float = 0.5
+    lambda_prime: float = 0.5
+    lambda_gamma: int = 1
+
+    @classmethod
+    def of(cls, geom: EmissionGeometry) -> "GeometryBatch":
+        """The one-sample batch of ``geom``."""
+        return cls(*(v.as_array()[:, None]
+                     for v in (geom.p, geom.p_prime, geom.k)),
+                   geom.omega, geom.lambda_e, geom.lambda_prime,
+                   geom.lambda_gamma)
+
+    def __len__(self) -> int:
+        return self.p.shape[1]
+
+    def take(self, index) -> "GeometryBatch":
+        """The batch of the samples at ``index``."""
+        return GeometryBatch(self.p[:, index], self.p_prime[:, index],
+                             self.k[:, index], self.omega, self.lambda_e,
+                             self.lambda_prime, self.lambda_gamma)
+
+    def geometry(self, i: int) -> EmissionGeometry:
+        """Sample ``i`` as an ``EmissionGeometry``."""
+        return EmissionGeometry(
+            *(Momentum3.from_array(v[:, i])
+              for v in (self.p, self.p_prime, self.k)),
+            self.omega, self.lambda_e, self.lambda_prime, self.lambda_gamma)
+
+    @property
+    def epsilon(self) -> np.ndarray:
+        return np.sqrt(1.0 + column_dot(self.p, self.p))
+
+
+def place_triangles(p_perp: float, pp_perp: float, beta: float,
+                    omega: float, n, theta_k, phi_k: float = 0.5 * math.pi,
+                    branch: int = 1, lambda_e: float = 0.5,
+                    lambda_prime: float = 0.5, lambda_gamma: int = 1):
+    """``triangle_geometry`` over arrays of n and theta_k (broadcast
+    together): returns (batch, closes, fault).  ``closes`` masks the
+    samples whose legs close with p_perp < |p|, and ``batch`` is the
+    ``GeometryBatch`` of those samples.  ``fault`` is None, or (position,
+    exception) of the first sample at which ``triangle_geometry`` raises;
+    ``closes`` then holds no sample from that position on."""
+    if branch not in (1, -1):
+        raise ValueError("branch must be +1 or -1")
+    n, theta_k = (a.ravel() for a in np.broadcast_arrays(
+        np.asarray(n, dtype=float), np.asarray(theta_k, dtype=float)))
+    kmag = n * omega
+    k_perp = kmag * np.sin(theta_k)
+    k_z = kmag * np.cos(theta_k)
+    p_mag = momentum_magnitude(beta)
+    closes = triangle_rules_hold(p_perp, pp_perp, k_perp) & (p_mag > p_perp)
+    where = np.flatnonzero(closes)
+    # per sample: math.acos rounds differently from np.arccos
+    vartheta, fault = [], None
+    for i, leg in zip(where.tolist(), k_perp[where].tolist()):
+        try:
+            vartheta.append(triangle_angles(p_perp, pp_perp, leg).vartheta)
+        except TriangleViolation as exc:
+            fault = (i, exc)
+            break
+    where = where[:len(vartheta)]
+    k_perp, k_z = k_perp[where], k_z[where]
+    phi_prime = phi_k - branch * (math.pi - np.array(vartheta))
+    # (no sample closes where p_perp >= |p|, and none needs p'_z)
+    pp_z = math.sqrt(max(p_mag ** 2 - p_perp ** 2, 0.0)) - k_z
+    p_prime = np.array([pp_perp * np.cos(phi_prime),
+                        pp_perp * np.sin(phi_prime), pp_z])
+    k = np.array([k_perp * math.cos(phi_k), k_perp * math.sin(phi_k), k_z])
+    vectors = np.array([p_prime + k, p_prime, k])
+    batch = GeometryBatch(*vectors, omega, lambda_e, lambda_prime,
+                          lambda_gamma)
+    p = vectors[0]
+    perp = np.hypot(p[0], p[1])
+    # the samples that EmissionGeometry rejects, each built to raise its
+    # own error: where a component is not finite or |p - p' - k| exceeds
+    # 1e-12 max(|p|, 1), and the first sample if it rejects omega or a
+    # helicity (and so every sample)
+    scale = np.maximum(np.sqrt(column_dot(p, p)), 1.0)
+    rejected = (~np.isfinite(vectors).all(axis=(0, 1))
+                | (np.abs(p - vectors[1] - vectors[2]).max(axis=0)
+                   > 1e-12 * scale))
+    if len(where) and _raises(lambda: batch.geometry(0)) is not None:
+        rejected[0] = True
+    # law of cosines guarantees closure; catch sign mistakes loudly
+    misplaced = ~(np.abs(perp - p_perp) <= np.maximum(
+        1e-9 * np.maximum(perp, p_perp), 1e-15 * max(1.0, p_perp)))
+    late = first_fault([
+        (rejected, lambda j: _raises(lambda: batch.geometry(j))),
+        (misplaced, lambda j: TriangleViolation(
+            "triangle placement inconsistent: |p_perp| = "
+            f"{math.hypot(p[0, j], p[1, j])}, requested {p_perp}"))])
+    if late is not None:
+        # every sample before the first raising one has been placed
+        fault = (int(where[late[0]]), late[1])
+        where = where[:late[0]]
+    closes = np.zeros(closes.shape, dtype=bool)
+    closes[where] = True
+    return batch.take(slice(len(where))), closes, fault
+
+
+def _raises(build):
+    """The ValueError that ``build()`` raises, or None."""
+    try:
+        build()
+    except ValueError as exc:
+        return exc
+    return None
 
 
 def triangle_geometry(p_perp: float, pp_perp: float, beta: float,
@@ -363,28 +502,12 @@ def triangle_geometry(p_perp: float, pp_perp: float, beta: float,
     p' = p - k exactly.  None when the legs cannot close or p_perp >= |p|.
 
     ``branch=+1`` selects the configuration phi = phi' + alpha,
-    phi_k = phi' + alpha + gamma; ``branch=-1`` its mirror.
+    phi_k = phi' + alpha + gamma; ``branch=-1`` its mirror.  The one-sample
+    call of ``place_triangles``.
     """
-    if branch not in (1, -1):
-        raise ValueError("branch must be +1 or -1")
-    kmag = n * omega
-    k_perp = kmag * math.sin(theta_k)
-    k_z = kmag * math.cos(theta_k)
-    if not triangle_rules_hold(p_perp, pp_perp, k_perp):
-        return None
-    p_mag = momentum_magnitude(beta)
-    if p_mag <= p_perp:
-        return None
-    p_prime = place_triangle(p_perp, pp_perp,
-                             math.sqrt(p_mag ** 2 - p_perp ** 2) - k_z,
-                             k_perp, phi_k, branch)
-    k = Momentum3(k_perp * math.cos(phi_k), k_perp * math.sin(phi_k), k_z)
-    geom = EmissionGeometry.from_final_state(p_prime, k, omega, lambda_e,
-                                             lambda_prime, lambda_gamma)
-    # law of cosines guarantees closure; catch sign mistakes loudly
-    if not math.isclose(geom.p.perp, p_perp,
-                        rel_tol=1e-9, abs_tol=1e-15 * max(1.0, p_perp)):
-        raise TriangleViolation(
-            f"triangle placement inconsistent: |p_perp| = {geom.p.perp}, "
-            f"requested {p_perp}")
-    return geom
+    batch, closes, fault = place_triangles(
+        p_perp, pp_perp, beta, omega, n, theta_k, phi_k, branch, lambda_e,
+        lambda_prime, lambda_gamma)
+    if fault is not None:
+        raise fault[1]
+    return batch.geometry(0) if closes[0] else None

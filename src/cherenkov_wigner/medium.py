@@ -99,7 +99,18 @@ class AnalyticMedium(MediumModel):
     @classmethod
     def from_dispersion_params(cls, n0: float, omega0: float, d_param: float,
                                e_param: float = 0.0) -> "AnalyticMedium":
-        """Local quadratic model matching (n, D, E) at omega0."""
+        """Local quadratic model matching (n, D, E) at omega0.  Raises
+        ``ValueError`` naming the first argument that is NaN or infinite,
+        then an n0 or omega0 that is not positive."""
+        args = {"n0": n0, "omega0": omega0, "d_param": d_param,
+                "e_param": e_param}
+        for name, value in args.items():
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
+        for name in ("n0", "omega0"):
+            if not args[name] > 0:
+                raise ValueError(
+                    f"{name} must be positive, got {args[name]!r}")
         n1 = d_param * n0 / omega0
         n2 = e_param / (n0 * omega0 ** 2)
         return cls(lambda w: n0 + n1 * (w - omega0) + 0.5 * n2 * (w - omega0) ** 2,

@@ -26,8 +26,8 @@ from typing import Optional
 import numpy as np
 
 from . import amplitudes
-from .kinematics import (ElectronPacket, EmissionGeometry,
-                         check_speed_and_index)
+from .kinematics import (ElectronPacket, EmissionGeometry, GeometryBatch,
+                         check_speed_and_index, column_dot, first_fault)
 from .medium import (WEAK_DISPERSION_THRESHOLD, DegenerateGroupVelocity,
                      MediumModel)
 
@@ -46,6 +46,7 @@ __all__ = [
     "singular_width_approx",
     "gouy_phase",
     "flash_stats",
+    "flash_stats_batch",
     "wkb_flags",
     "count_flags",
 ]
@@ -110,7 +111,9 @@ class SpreadTimes:
 @dataclass(frozen=True)
 class FlashStats:
     """Flash duration, arrival-probability peak, and its quantum shift,
-    with the WKB validity flags of the kernel they were computed from."""
+    with the WKB validity flags of the velocities they were computed from:
+    of one geometry, or arrays over a sweep's samples (``l_0`` then of
+    shape (3, N), and ``flags`` of ints)."""
 
     sigma_t: float
     t_0: float
@@ -130,10 +133,22 @@ def dispersion_coefficients(n: float, omega: float, epsilon: float,
     The arithmetic runs in the arguments' dtype (``np.longdouble`` in
     ``spread_times_at_angle``).
     """
-    one_plus_d = 1.0 + d_param
-    if abs(n * one_plus_d) < 1e-12:
-        raise DegenerateGroupVelocity(f"n (1 + D) = {n * one_plus_d} at "
+    if _no_group_velocity(n, d_param):
+        raise DegenerateGroupVelocity(f"n (1 + D) = {n * (1.0 + d_param)} at "
                                       f"omega={omega}")
+    return _coefficients(n, omega, epsilon, d_param, e_param)
+
+
+def _no_group_velocity(n, d_param):
+    """|n (1 + D)| < 1e-12, where the group velocity 1/(n (1 + D)) is
+    undefined; elementwise."""
+    return abs(n * (1.0 + d_param)) < 1e-12
+
+
+def _coefficients(n, omega, epsilon, d_param, e_param):
+    """(a, b, |u_k|) of ``dispersion_coefficients``, unchecked and
+    elementwise."""
+    one_plus_d = 1.0 + d_param
     uk_mag = 1.0 / (n * one_plus_d)
     uk_over_k = uk_mag / (n * omega)
     xi = e_param + n * n * (1.0 + d_param * (4.0 + d_param))
@@ -160,9 +175,9 @@ def _spread_from_coeffs(a: float, b: float, sigma: float, cc: float,
     cc = (u_p - u_k)^2, dd = [u_p x u_k]^2, computed in the arguments' dtype
     and rounded to float at the end."""
     if cc < 1e-28:
-        raise MachConeDegenerate("|u_p - u_k| ~ 0: WKB turning point")
+        raise MachConeDegenerate(_MACH_CONE)
     half_s2 = 0.5 * sigma * sigma
-    inv_t_d = half_s2 * (a + b * dd / cc)
+    inv_t_d = _inv_spread_time(a, b, sigma, cc, dd)
     t_d_tilde = (1.0 / (half_s2 * a)) if a != 0.0 else math.inf
     inv_tilde = half_s2 * a
     inv_tau_sq = half_s2 * b * (inv_t_d + inv_tilde)
@@ -173,6 +188,15 @@ def _spread_from_coeffs(a: float, b: float, sigma: float, cc: float,
         tau_d = math.copysign(math.sqrt(abs(tau_sq)), tau_sq)
     return SpreadTimes(float(inv_t_d), float(t_d_tilde), float(tau_d),
                        dispersive)
+
+
+_MACH_CONE = "|u_p - u_k| ~ 0: WKB turning point"
+
+
+def _inv_spread_time(a, b, sigma, cc, dd):
+    """1/t_d = (sigma^2/2) (a + b dd/cc), elementwise in the arguments'
+    dtype."""
+    return 0.5 * sigma * sigma * (a + b * dd / cc)
 
 
 def spreading_times(geom: EmissionGeometry, packet: ElectronPacket,
@@ -252,8 +276,9 @@ def gouy_phase(t_prime, spread: SpreadTimes):
 
 
 def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a x b of two 3-vectors, spelled out: np.cross costs over ten times
-    as much on one pair, and the kernel is built once per point."""
+    """a x b of two 3-vectors, or of each column of two (3, N) arrays,
+    spelled out: np.cross costs over ten times as much on one pair, and
+    the kernel is built once per point."""
     (a0, a1, a2), (b0, b1, b2) = a, b
     return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2,
                      a0 * b1 - a1 * b0])
@@ -379,8 +404,7 @@ class PhaseSpaceKernel:
     # explicit split (independent evaluation route) -------------------------
 
     def sigma_perp_sq(self, t):
-        t = np.asarray(t, dtype=float)
-        return (1.0 + (t * self.spread.inv_t_d) ** 2) / self.sigma ** 2
+        return _sigma_perp_sq(t, self.spread.inv_t_d, self.sigma)
 
     def big_g(self, t):
         """G(t') = |u_p - u_k|/(2 sigma^2) [(1 + (t/t_d)^2)(1 + (t/t~)^2)]^(1/4)."""
@@ -417,14 +441,95 @@ class PhaseSpaceKernel:
 
     def sigma_t(self, t) -> float:
         if self.dd < 1e-28:
-            raise CollinearVelocities("[u_p x u_k] = 0: flash duration "
-                                      "undefined")
-        return float(np.sqrt(self.sigma_perp_sq(t) / 2.0 * self.cc / self.dd))
+            raise CollinearVelocities(_COLLINEAR)
+        return float(_flash_duration(t, self.spread.inv_t_d, self.sigma,
+                                     self.cc, self.dd))
 
     def l_0(self) -> np.ndarray:
         if self.dd < 1e-28:
             raise CollinearVelocities("[u_p x u_k] = 0")
-        return _cross(self.diff, -self.cross) / self.dd
+        return _arrival_direction(self.diff, self.cross, self.dd)
+
+
+_COLLINEAR = "[u_p x u_k] = 0: flash duration undefined"
+
+
+def _sigma_perp_sq(t, inv_t_d, sigma):
+    """(1 + (t'/t_d)^2)/sigma^2, elementwise."""
+    t = np.asarray(t, dtype=float)
+    return (1.0 + (t * inv_t_d) ** 2) / sigma ** 2
+
+
+def _flash_duration(t, inv_t_d, sigma, cc, dd):
+    """sigma_t(t') = sqrt(sigma_perp^2/2 (u_p - u_k)^2/[u_p x u_k]^2),
+    elementwise."""
+    return np.sqrt(_sigma_perp_sq(t, inv_t_d, sigma) / 2.0 * cc / dd)
+
+
+def _arrival_direction(diff, cross, dd):
+    """l_0 = (u_p - u_k) x (u_k x u_p)/[u_p x u_k]^2, of one velocity pair
+    or of each column of (3, N) arrays."""
+    return _cross(diff, -cross) / dd
+
+
+def flash_stats_batch(batch: GeometryBatch, media, sigma: float, r,
+                      t_prime: float, dispersive: Optional[bool] = None):
+    """``flash_stats`` at each geometry of ``batch``, sample i in
+    ``media[i]``, with packet width ``sigma`` and observation point r of
+    shape (3,) or (3, N), in one numpy pass.  Returns (stats, no_velocity,
+    fault): ``stats`` is a ``FlashStats`` of arrays over the samples;
+    ``no_velocity`` is a pair (mask, error) of the samples where
+    n (1 + D) = 0, whose stats are NaN with no flags, and the
+    ``DegenerateGroupVelocity`` that ``flash_stats`` raises at each;
+    ``fault`` is None, or (position, exception) of the first other sample
+    at which ``flash_stats`` raises (``MachConeDegenerate``,
+    ``CollinearVelocities`` or ``amplitudes.DegeneratePhase``), and no
+    stats hold from that position on.  The medium values are read one
+    medium at a time, as ``PhaseSpaceKernel.from_geometry`` reads them;
+    the rest is elementwise, so a sample's bits do not depend on the
+    other samples.
+    """
+    omega, count = batch.omega, len(batch)
+    branches = [_resolve_branch(m, omega, dispersive) for m in media]
+    n = np.array([m.index(omega)[0] for m in media])
+    d = np.array([branch[1] for branch in branches], dtype=float)
+    e = np.array([branch[2] for branch in branches], dtype=float)
+    no_velocity = _no_group_velocity(n, d)
+    keep = np.flatnonzero(~no_velocity)
+    sub = batch.take(keep)
+    eps = sub.epsilon
+    a, b, uk_mag = _coefficients(n[keep], omega, eps, d[keep], e[keep])
+    u_p = sub.p / eps
+    u_k = uk_mag * (sub.k / np.sqrt(column_dot(sub.k, sub.k)))
+    diff = u_p - u_k
+    cross = _cross(u_p, u_k)
+    cc, dd = column_dot(diff, diff), column_dot(cross, cross)
+    grad_p, grad_k, phase_fault = amplitudes.phase_gradients(sub)
+    phi = grad_p + grad_k
+    r = np.broadcast_to(np.asarray(r, dtype=float), (3, count))[:, keep]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sigma_t = _flash_duration(t_prime, _inv_spread_time(
+            a, b, sigma, cc, dd), sigma, cc, dd)
+        l_0 = _arrival_direction(diff, cross, dd)
+    checks = [(cc < 1e-28, lambda i: MachConeDegenerate(_MACH_CONE)),
+              (dd < 1e-28, lambda i: CollinearVelocities(_COLLINEAR))]
+    if phase_fault is not None:
+        checks.append((np.arange(len(keep)) == phase_fault[0],
+                       lambda i: phase_fault[1]))
+    fault = first_fault(checks)
+    if fault is not None:
+        fault = (int(keep[fault[0]]), fault[1])
+    values = np.full((6, count), np.nan)
+    values[:, keep] = (sigma_t, column_dot(l_0, phi),
+                       column_dot(l_0, r + phi), *l_0)
+    p_mag, k_mag = (np.sqrt(column_dot(v, v)) for v in (sub.p, sub.k))
+    flags = np.zeros(count, dtype=int)
+    flags[keep] = _wkb_flag_values(column_dot(sub.p, sub.k) / (p_mag * k_mag),
+                                   eps, cc, sigma)
+    stats = FlashStats(sigma_t=values[0], t_0=values[2], delta_t=values[1],
+                       l_0=values[3:], flags=flags)
+    return stats, (no_velocity, lambda i: DegenerateGroupVelocity(
+        f"n (1 + D) = {n[i] * (1.0 + d[i])} at omega={omega}")), fault
 
 
 def flash_stats(geom: EmissionGeometry, packet: ElectronPacket,
@@ -433,33 +538,47 @@ def flash_stats(geom: EmissionGeometry, packet: ElectronPacket,
     """Flash duration sigma_t(t'), the detection-probability peak time
     t_0 = (r + Phi) . l_0 and the quantum shift Delta t = Phi . l_0, where
     Phi = ``amplitudes.combined_phase_gradient(geom)``, the closed-form
-    amplitude-phase gradient (the Gaussian packet adds no phase).
-    ``flags`` holds the ``wkb_flags`` of the one kernel all three are read
-    from, so a caller needs no second kernel for them.  With p, p' or k
-    along z the azimuth, and so Phi, is undefined:
-    ``amplitudes.DegeneratePhase`` names the vector (``kernel.sigma_t``
-    alone does not need Phi).
+    amplitude-phase gradient (the Gaussian packet adds no phase), and
+    l_0 = (u_p - u_k) x (u_k x u_p)/[u_p x u_k]^2.  ``flags`` holds the
+    ``wkb_flags`` of the same velocities.  With p, p' or k along z the
+    azimuth, and so Phi, is undefined: ``amplitudes.DegeneratePhase``
+    names the vector (``PhaseSpaceKernel.sigma_t`` alone does not need
+    Phi).  The one-sample call of ``flash_stats_batch``.
     """
-    kernel = PhaseSpaceKernel.from_geometry(geom, packet, medium, dispersive)
-    sigma_t = kernel.sigma_t(float(t_prime))
-    l0 = kernel.l_0()
-    phi_vec = amplitudes.combined_phase_gradient(geom)
-    r = np.asarray(r, dtype=float)
-    delta_t = float(l0 @ phi_vec)
-    t_0 = float(l0 @ (r + phi_vec))
-    return FlashStats(sigma_t=sigma_t, t_0=t_0, delta_t=delta_t, l_0=l0,
-                      flags=wkb_flags(geom, kernel))
+    stats, (no_velocity, no_velocity_error), fault = flash_stats_batch(
+        GeometryBatch.of(geom), [medium], packet.sigma,
+        np.asarray(r, dtype=float)[:, None], float(t_prime), dispersive)
+    if no_velocity[0]:
+        raise no_velocity_error(0)
+    if fault is not None:
+        raise fault[1]
+    return FlashStats(sigma_t=float(stats.sigma_t[0]),
+                      t_0=float(stats.t_0[0]),
+                      delta_t=float(stats.delta_t[0]), l_0=stats.l_0[:, 0],
+                      flags=WkbFlags(int(stats.flags[0])))
 
 
 def wkb_flags(geom: EmissionGeometry, kernel: PhaseSpaceKernel) -> WkbFlags:
     """Validity guards: the paraxial treatment degrades for emission angles
     below 1/gamma and near the turning point |u_p - u_k| -> 0, read from
     the geometry's kernel (its velocities and packet width)."""
-    flags = WkbFlags.NONE
-    theta_k = math.acos(max(-1.0, min(1.0,
-        geom.p.dot(geom.k) / (geom.p.mag * geom.k.mag))))
-    if theta_k < 1.0 / geom.epsilon:
-        flags |= WkbFlags.SMALL_ANGLE
-    if math.sqrt(kernel.cc) < 10.0 * kernel.sigma:
-        flags |= WkbFlags.TURNING_POINT
-    return flags
+    return WkbFlags(_wkb_flag_values(
+        geom.p.dot(geom.k) / (geom.p.mag * geom.k.mag), geom.epsilon,
+        kernel.cc, kernel.sigma))
+
+
+def _wkb_flag_values(cos_pk, epsilon, cc, sigma):
+    """The ``wkb_flags`` value from the cosine of the angle theta_k between
+    p and k, the energy and (u_p - u_k)^2: SMALL_ANGLE where theta_k is
+    below 1/epsilon, and TURNING_POINT where |u_p - u_k| is below
+    10 sigma.  Elementwise over arrays, with math.acos per sample (it
+    rounds differently from np.arccos)."""
+    if isinstance(cos_pk, np.ndarray):
+        theta_k = np.array([math.acos(max(-1.0, min(1.0, c)))
+                            for c in cos_pk.tolist()])
+        speed_gap = np.sqrt(cc)
+    else:
+        theta_k = math.acos(max(-1.0, min(1.0, cos_pk)))
+        speed_gap = math.sqrt(cc)
+    return ((theta_k < 1.0 / epsilon) * int(WkbFlags.SMALL_ANGLE)
+            | (speed_gap < 10.0 * sigma) * int(WkbFlags.TURNING_POINT))

@@ -13,13 +13,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cherenkov_wigner import cli
+from cherenkov_wigner.amplitudes import DegeneratePhase
 from cherenkov_wigner.cli import (ParseError, ScenarioConfig, ValidationError,
                                   parse_config, run_study)
 from cherenkov_wigner.kinematics import (ElectronPacket, EmissionGeometry,
-                                         Momentum3, momentum_magnitude,
+                                         Momentum3, TriangleViolation,
+                                         momentum_magnitude,
                                          triangle_geometry)
-from cherenkov_wigner.medium import EV_PER_ME, ConstantMedium, TabulatedMedium
-from cherenkov_wigner.observables import flash_stats, spread_times_at_angle
+from cherenkov_wigner.medium import (EV_PER_ME, ConstantMedium,
+                                     DegenerateGroupVelocity, TabulatedMedium)
+from cherenkov_wigner.observables import (CollinearVelocities, flash_stats,
+                                          spread_times_at_angle)
 from cherenkov_wigner.units import IncompatibleDimensions, convert_units
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -477,31 +481,156 @@ def test_bundled_configs_run(config, tmp_path, capsys):
                              for art in artifacts)
 
 
-# PhaseSpaceKernel.from_geometry calls of each arrival-time config: one per
-# sample with a geometry (fig08a: 38 of 116 samples lie below threshold;
-# fig09: the D = -1 kernel raises; sodium: no sample clears the threshold)
-KERNEL_BUILDS = {"fig06b_arrival_shift": 89,
-                 "fig08a_arrival_shift_n_sweep": 78,
-                 "fig09_ice_dispersion": 41, "sodium_eit_shift": 0}
+# array passes of each arrival-time config: one placement and one
+# flash-statistics pass per sweep, none where no sample clears the
+# Cherenkov threshold (sodium)
+ARRAY_PASSES = {"fig06b_arrival_shift": 1,
+                "fig08a_arrival_shift_n_sweep": 1,
+                "fig09_ice_dispersion": 1, "sodium_eit_shift": 0}
 
 
-@pytest.mark.parametrize("name", sorted(KERNEL_BUILDS))
-def test_arrival_time_sample_builds_one_kernel(tmp_path, monkeypatch, name):
+@pytest.mark.parametrize("name", sorted(ARRAY_PASSES))
+def test_arrival_time_study_makes_one_array_pass(tmp_path, monkeypatch,
+                                                 name):
+    from cherenkov_wigner import kinematics, observables
     from cherenkov_wigner.observables import PhaseSpaceKernel
-    build = PhaseSpaceKernel.from_geometry.__func__
     calls = []
 
-    def counted(cls, *args, **kwargs):
-        calls.append(args[0])
-        return build(cls, *args, **kwargs)
+    def counted(label, real):
+        def wrapper(*args, **kwargs):
+            calls.append(label)
+            return real(*args, **kwargs)
+        return wrapper
 
-    monkeypatch.setattr(PhaseSpaceKernel, "from_geometry",
-                        classmethod(counted))
+    def never(*args, **kwargs):
+        raise AssertionError("a sweep evaluated one sample at a time")
+
+    monkeypatch.setattr(cli, "place_triangles",
+                        counted("place", cli.place_triangles))
+    monkeypatch.setattr(observables, "flash_stats_batch",
+                        counted("flash", observables.flash_stats_batch))
+    monkeypatch.setattr(PhaseSpaceKernel, "from_geometry", never)
+    monkeypatch.setattr(observables, "flash_stats", never)
+    monkeypatch.setattr(kinematics, "triangle_geometry", never)
     config = CONFIG_DIR / f"{name}.cfg"
-    cli.main([parse_config(config).study, "--config", str(config),
-              "--out-dir", str(tmp_path)])
-    assert len(calls) == KERNEL_BUILDS[name]
-    assert len({id(geom) for geom in calls}) == len(calls)
+    assert cli.main([parse_config(config).study, "--config", str(config),
+                     "--out-dir", str(tmp_path)]) in (0, 2)
+    assert calls == ["place", "flash"] * ARRAY_PASSES[name]
+
+
+def _rows_bits(rows):
+    return [tuple(float(v).hex() for v in row) for row in rows]
+
+
+@pytest.mark.parametrize("name", sorted(ARRAY_PASSES))
+def test_arrival_time_sample_bits_do_not_depend_on_the_sweep(name):
+    # each sample's Delta t, sigma_t, t_0 and flags, bit for bit, in the
+    # full sweep, the reversed sweep, a sweep of that sample alone, and
+    # through flash_stats(triangle_geometry(...)); the cross-sample sums
+    # are elementwise, where a BLAS product would round a lone row apart
+    cfg = parse_config(CONFIG_DIR / f"{name}.cfg")
+    values, media, theta_k = cli._arrival_samples(cfg)
+    theta_k = np.broadcast_to(theta_k, len(values))
+    rows, flags = cli._arrival_rows(cfg, values, media, theta_k)
+    back, back_flags = cli._arrival_rows(cfg, values[::-1], media[::-1],
+                                         theta_k[::-1])
+    assert _rows_bits(back[::-1]) == _rows_bits(rows)
+    assert back_flags == flags
+    for i, row in enumerate(rows):
+        alone, _ = cli._arrival_rows(cfg, values[i:i + 1], media[i:i + 1],
+                                     theta_k[i:i + 1])
+        assert _rows_bits(alone) == _rows_bits([row])
+        n = media[i].index(cfg.omega)[0]
+        geom = triangle_geometry(cfg.p_perp, cfg.pp_perp_ratio * cfg.p_perp,
+                                 cfg.beta, cfg.omega, n, theta_k[i],
+                                 cfg.phi_k, cfg.branch)
+        if geom is None or cfg.beta * n < 1.0 or math.isnan(row[1]):
+            continue
+        stats = flash_stats(geom, ElectronPacket(geom.p, cfg.sigma),
+                            media[i], geom.k.as_array() / geom.k.mag
+                            * cfg.r_mag, 0.0)
+        assert _rows_bits([row]) == _rows_bits([(
+            row[0], stats.delta_t, stats.sigma_t, stats.t_0,
+            int(stats.flags))])
+
+
+def _loop_error(cfg):
+    """The first error of a loop over the sweep's samples through the
+    single-geometry functions: the reference that the array pass of the
+    study must match."""
+    values, media, theta_k = cli._arrival_samples(cfg)
+    for medium, theta in zip(media, np.broadcast_to(theta_k, len(values))):
+        n = medium.index(cfg.omega)[0]
+        if cfg.beta * n < 1.0:
+            continue
+        try:
+            geom = triangle_geometry(cfg.p_perp,
+                                     cfg.pp_perp_ratio * cfg.p_perp,
+                                     cfg.beta, cfg.omega, n, theta,
+                                     cfg.phi_k, cfg.branch)
+            if geom is not None:
+                flash_stats(geom, ElectronPacket(geom.p, cfg.sigma), medium,
+                            geom.k.as_array() / geom.k.mag * cfg.r_mag, 0.0)
+        except DegenerateGroupVelocity:
+            continue
+        except Exception as exc:  # the error under test
+            return exc
+    return None
+
+
+@pytest.mark.parametrize("changes,error,match", [
+    # theta_k = 0 with pp_perp = p_perp closes with k along z, after two
+    # samples that emit
+    ({"pp-perp-ratio": "1", "sweep.start": "4", "sweep.stop": "0",
+      "sweep.samples": "3"}, DegeneratePhase, "azimuth of k "),
+    # at p_perp = 1e-20 only theta_k = 0 closes, and there u_p and u_k
+    # lie along z together
+    ({"p-perp": "1e-20", "pp-perp-ratio": "1", "sweep.start": "90",
+      "sweep.stop": "0", "sweep.samples": "4"}, CollinearVelocities,
+     r"^\[u_p x u_k\] = 0")])
+def test_sweep_raises_the_first_samples_error(tmp_path, capsys, changes,
+                                              error, match):
+    text = FIG06B
+    for key, value in changes.items():
+        text = with_key(text, key, value)
+    path = write_config(tmp_path, text)
+    cfg = parse_config(path)
+    want = _loop_error(cfg)
+    assert type(want) is error and re.search(match, str(want))
+    with pytest.raises(error) as got:
+        run_study(cfg, tmp_path / "lib")
+    assert str(got.value) == str(want)
+    assert cli.main(["arrival-shift", "--config", str(path),
+                     "--out-dir", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"chr: arrival-shift failed: {want}\n"
+
+
+@pytest.mark.parametrize("start,stop,want", [
+    ("0", "4", DegeneratePhase), ("4", "0", TriangleViolation)])
+def test_sweep_error_order_follows_the_samples(tmp_path, monkeypatch, start,
+                                               stop, want):
+    # theta_k = 0 fails in the flash statistics (k has no azimuth), and a
+    # placement made to fail at theta_k = 4 deg fails before them: the
+    # error raised is the one of the earlier sample, as in a loop
+    from cherenkov_wigner import kinematics
+    real = kinematics.triangle_angles
+
+    def failing(p_perp, pp_perp, k_perp):
+        if k_perp > 8e-8:
+            raise TriangleViolation("placement made to fail")
+        return real(p_perp, pp_perp, k_perp)
+
+    monkeypatch.setattr(kinematics, "triangle_angles", failing)
+    text = FIG06B
+    for key, value in (("pp-perp-ratio", "1"), ("sweep.start", start),
+                       ("sweep.stop", stop), ("sweep.samples", "3")):
+        text = with_key(text, key, value)
+    cfg = parse_config(write_config(tmp_path, text))
+    expected = _loop_error(cfg)
+    assert type(expected) is want
+    with pytest.raises(want) as got:
+        run_study(cfg, tmp_path)
+    assert str(got.value) == str(expected)
 
 
 FIG06B = (CONFIG_DIR / "fig06b_arrival_shift.cfg").read_text(encoding="utf-8")
@@ -543,7 +672,7 @@ def test_dispersion_scan_lets_other_errors_through(tmp_path, monkeypatch,
     def fail(*args, **kwargs):
         raise ZeroDivisionError("boom")
 
-    monkeypatch.setattr(cli.observables, "flash_stats", fail)
+    monkeypatch.setattr(cli.observables, "flash_stats_batch", fail)
     config = CONFIG_DIR / "fig09_ice_dispersion.cfg"
     assert cli.main(["dispersion-scan", "--config", str(config),
                      "--out-dir", str(tmp_path)]) == 1

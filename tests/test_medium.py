@@ -173,9 +173,15 @@ def test_out_of_domain():
 
 
 @pytest.mark.parametrize("name,medium", [
-    ("n", AnalyticMedium.from_dispersion_params(1.4, 1e-5, math.nan)),
-    ("n", AnalyticMedium.from_dispersion_params(1.4, 2e-5, -math.inf)),
-    ("n", AnalyticMedium.from_dispersion_params(1.4, 1e-5, 0.0, math.nan)),
+    # the quadratic models of a NaN D, a -inf D and a NaN E, which
+    # from_dispersion_params now rejects by name
+    ("n", AnalyticMedium(lambda w: 1.4 + math.nan * (w - 1e-5),
+                         lambda w: math.nan, lambda w: 0.0)),
+    ("n", AnalyticMedium(lambda w: 1.4 - math.inf * (w - 2e-5),
+                         lambda w: -math.inf, lambda w: 0.0)),
+    ("n", AnalyticMedium(lambda w: 1.4 + 0.5 * math.nan * (w - 1e-5) ** 2,
+                         lambda w: math.nan * (w - 1e-5),
+                         lambda w: math.nan)),
     ("n", AnalyticMedium(lambda w: math.nan, lambda w: 0.0, lambda w: 0.0)),
     ("n'", AnalyticMedium(lambda w: 1.5, lambda w: math.inf,
                           lambda w: 0.0)),
@@ -185,6 +191,20 @@ def test_analytic_index_must_be_finite(name, medium):
     # NaN <= 0 is False, so the n <= 0 check alone lets a NaN n through
     with pytest.raises(OutOfDomain, match=f"^{name}\\("):
         medium.index(1e-5)
+
+
+@pytest.mark.parametrize("args,name", [
+    ((1.4, 0.0, 0.3), "omega0"), ((1.4, -1e-5, 0.3), "omega0"),
+    ((-1.4, 1e-5, 0.3), "n0"), ((0.0, 1e-5, 0.3), "n0"),
+    ((math.nan, 1e-5, 0.3), "n0"), ((1.4, math.inf, 0.3), "omega0"),
+    ((1.4, 1e-5, math.nan), "d_param"), ((1.4, 1e-5, -math.inf), "d_param"),
+    ((1.4, 1e-5, 0.0, math.nan), "e_param"),
+    ((1.4, 1e-5, 0.0, math.inf), "e_param")])
+def test_dispersion_params_medium_rejects_bad_arguments_by_name(args, name):
+    # omega0 = 0 divided by zero unnamed, n0 <= 0 or NaN constructed, and a
+    # NaN or infinite D or E failed only at index(), naming n
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        AnalyticMedium.from_dispersion_params(*args)
 
 
 def test_table_validation():
