@@ -37,12 +37,9 @@ for ev in (0.37, 4.0, 4.3):
 beta, n0, omega, sigma = 0.8, 1.5, 1e-6, 1e-5
 eps = lorentz_gamma(beta)
 thetas = np.linspace(5.0, 85.0, 161)
-curves = []
-for d in (-0.1, 0.0, 0.1):
-    curve = [spread_times_at_angle(beta, n0, omega, eps, sigma,
-                                   math.radians(t), d_param=d).inv_t_d
-             for t in thetas]
-    curves.append(np.array(curve))
+curves = [spread_times_at_angle(beta, n0, omega, eps, sigma,
+                                np.radians(thetas), d_param=d).inv_t_d
+          for d in (-0.1, 0.0, 0.1)]
 polyline_svg(OUT / "ice_spreading_dispersion.svg", thetas, curves,
              title="inverse spreading time vs dispersion strength",
              xlabel="theta_k [deg]", ylabel="1/t_d [1/t_c]",

@@ -28,9 +28,8 @@ theta_ch = math.degrees(math.acos(1 / (beta * n)))
 print(f"beta = {beta}, n = {n}: Cherenkov angle {theta_ch:.2f} deg")
 
 thetas = np.linspace(1.0, 179.0, 713)
-inv_td = np.array([spread_times_at_angle(beta, n, omega, eps, sigma,
-                                         math.radians(t)).inv_t_d
-                   for t in thetas])
+inv_td = spread_times_at_angle(beta, n, omega, eps, sigma,
+                               np.radians(thetas)).inv_t_d
 
 lo, hi, width = singular_angles(beta, n, omega, eps)
 print(f"singular angles: {math.degrees(lo):.4f} and {math.degrees(hi):.4f} "

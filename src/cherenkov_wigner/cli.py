@@ -312,18 +312,15 @@ def _table(cfg, out_dir, fmt, name, header, columns, rows, series=None,
 
 
 def _study_spreading_time(cfg, out_dir, fmt, workers):
-    eps = cfg.epsilon()
     medium = cfg.medium()
-    n = medium.index(cfg.omega)[0]
     dp = medium.dispersion_params(cfg.omega)
     thetas = _sweep_values(cfg) * math.pi / 180.0
     tc_ps = convert_units(1.0, "t_c", "ps")
-    rows = []
-    for th in thetas:
-        st = spread_times_at_angle(cfg.beta, n, cfg.omega, eps, cfg.sigma, th,
-                                   dp.d_param, dp.e_param)
-        rows.append((math.degrees(th), st.t_d * tc_ps, st.inv_t_d,
-                     st.t_d_tilde * tc_ps))
+    st = spread_times_at_angle(cfg.beta, medium.index(cfg.omega)[0],
+                               cfg.omega, cfg.epsilon(), cfg.sigma, thetas,
+                               dp.d_param, dp.e_param)
+    rows = list(zip(np.degrees(thetas).tolist(), (st.t_d * tc_ps).tolist(),
+                    st.inv_t_d.tolist(), (st.t_d_tilde * tc_ps).tolist()))
     return _table(cfg, out_dir, fmt, "spreading_time.csv",
                   [f"beta: {cfg.beta}", f"omega: {cfg.omega}",
                    f"sigma: {cfg.sigma}"],
@@ -359,16 +356,17 @@ def _study_correlation_radius(cfg, out_dir, fmt, workers):
     kernel = observables.PhaseSpaceKernel.from_geometry(
         scenario.geometry(), scenario.packet, scenario.medium,
         scenario.dispersive)
-    sweep = _sweep_values(cfg) * math.pi / 180.0
     t = cfg.t_prime
-    rows = []
-    for v in sweep:
-        if cfg.sweep_variable == "theta-r":
-            theta_r, dphi = v, 20.0 * math.pi / 180.0
-        else:
-            theta_r, dphi = scenario.theta_k, v
-        R = Momentum3.from_spherical(1.0, theta_r, cfg.phi_k + dphi).as_array()
-        rows.append((math.degrees(v), *kernel.correlation_scales(t, R)))
+    sweep = _sweep_values(cfg) * math.pi / 180.0
+    if cfg.sweep_variable == "theta-r":
+        angles = [(v, cfg.phi_k + 20.0 * math.pi / 180.0) for v in sweep]
+    else:
+        angles = [(scenario.theta_k, cfg.phi_k + v) for v in sweep]
+    # unit vectors by math.sin and math.cos; numpy's round differently
+    r_eff, inv_r_im_sq = kernel.correlation_scales(t, np.array(
+        [Momentum3.from_spherical(1.0, *a).as_array() for a in angles]))
+    rows = list(zip(np.degrees(sweep).tolist(), r_eff.tolist(),
+                    inv_r_im_sq.tolist()))
     return _table(cfg, out_dir, fmt, "correlation_radius.csv",
                   [f"t_prime: {t}", f"theta_k: {scenario.theta_k}"],
                   [cfg.sweep_variable.replace("-", "_") + "_deg",
@@ -380,14 +378,17 @@ def _study_correlation_radius(cfg, out_dir, fmt, workers):
 
 def _study_flash_duration(cfg, out_dir, fmt, workers):
     scenario = _balance_scenario(cfg, t_out=1.0)
-    geom = scenario.geometry()
-    rows = []
-    for sig in _sweep_values(cfg):
-        packet = replace(scenario.packet, sigma=sig)
-        sigma_t = observables.PhaseSpaceKernel.from_geometry(
-            geom, packet, scenario.medium).sigma_t(0.0)
-        rows.append((sig, sigma_t, convert_units(sigma_t, "t_c", "as"),
-                     convert_units(sigma_t, "t_c", "fs")))
+    sigmas = _sweep_values(cfg)
+    for sig in sigmas:  # each width is checked, and warned of, as a packet's
+        replace(scenario.packet, sigma=sig)
+    kernel = observables.PhaseSpaceKernel.from_geometry(
+        scenario.geometry(), scenario.packet, scenario.medium)
+    sigma_t = observables.PhaseSpaceKernel(
+        kernel.u_p, kernel.u_k, kernel.a, kernel.b, sigmas, kernel.delta_eps,
+        kernel.spread.dispersive).sigma_t(0.0)
+    rows = list(zip(sigmas.tolist(), sigma_t.tolist(),
+                    convert_units(sigma_t, "t_c", "as").tolist(),
+                    convert_units(sigma_t, "t_c", "fs").tolist()))
     n = scenario.medium.index(cfg.omega)[0]
     return _table(cfg, out_dir, fmt, "flash_duration.csv",
                   [f"beta: {cfg.beta}", f"n: {n}",
@@ -409,7 +410,8 @@ def _arrival_rows(cfg, values, media, theta_k):
     as at the first sample that raises it, so a sweep fails as a loop over
     ``triangle_geometry`` and ``flash_stats`` would."""
     count = len(values)
-    n = np.array([medium.index(cfg.omega)[0] for medium in media])
+    medium_values = observables.read_media(media, cfg.omega)
+    n = medium_values[0]
     reasons = dict.fromkeys(("below_threshold", "open_triangle",
                              "degenerate_group_velocity"), 0)
     table = np.full((4, count), np.nan)
@@ -424,8 +426,8 @@ def _arrival_rows(cfg, values, media, theta_k):
             1 if cfg.lambda_gamma is None else cfg.lambda_gamma)
         placed = emitting[closes]
         reasons["open_triangle"] = len(emitting) - len(placed)
-        stats, (no_velocity, _), late = observables.flash_stats_batch(
-            batch, [media[i] for i in placed], cfg.sigma,
+        stats, no_velocity, late = observables.flash_stats_batch(
+            batch, medium_values[:, placed], cfg.sigma,
             batch.k / np.sqrt(column_dot(batch.k, batch.k)) * cfg.r_mag, 0.0)
         # every placed sample lies before the placement's fault
         for first in (late, fault):

@@ -37,6 +37,7 @@ __all__ = [
     "triangle_rules_hold",
     "place_triangles",
     "triangle_geometry",
+    "column_cross",
     "column_dot",
     "first_fault",
 ]
@@ -349,10 +350,21 @@ class EmissionGeometry:
         return triangle_angles(self.p.perp, self.p_prime.perp, self.k.perp)
 
 
-def column_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def column_dot(a: np.ndarray, b: np.ndarray):
     """The dot product of each column of two (3, N) arrays, spelled out so
-    that a column's bits do not depend on the other columns."""
-    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+    that a column's bits do not depend on the other columns; of two
+    3-vectors, in Python floats (numpy's bits, without its call cost)."""
+    a0, a1, a2 = a.tolist() if a.ndim == 1 else a
+    b0, b1, b2 = b.tolist() if b.ndim == 1 else b
+    return a0 * b0 + a1 * b1 + a2 * b2
+
+
+def column_cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a x b, summed as ``column_dot`` sums (np.cross costs ten times more)."""
+    a0, a1, a2 = a.tolist() if a.ndim == 1 else a
+    b0, b1, b2 = b.tolist() if b.ndim == 1 else b
+    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2,
+                     a0 * b1 - a1 * b0])
 
 
 def first_fault(checks):

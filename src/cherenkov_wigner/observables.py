@@ -27,7 +27,8 @@ import numpy as np
 
 from . import amplitudes
 from .kinematics import (ElectronPacket, EmissionGeometry, GeometryBatch,
-                         check_speed_and_index, column_dot, first_fault)
+                         check_speed_and_index, column_cross, column_dot,
+                         first_fault)
 from .medium import (WEAK_DISPERSION_THRESHOLD, DegenerateGroupVelocity,
                      MediumModel)
 
@@ -40,6 +41,7 @@ __all__ = [
     "MachConeDegenerate",
     "CollinearVelocities",
     "dispersion_coefficients",
+    "read_media",
     "spreading_times",
     "spread_times_at_angle",
     "singular_angles",
@@ -75,23 +77,19 @@ def count_flags(flags) -> dict:
     """{lower-case flag name: number of entries of ``flags`` that carry it}
     for each flag that at least one entry carries."""
     flags = np.asarray(flags, dtype=int)
-    counts = {}
-    for f in (WkbFlags.SMALL_ANGLE, WkbFlags.TURNING_POINT,
-              WkbFlags.QUAD_NONCONVERGED):
-        c = int(np.count_nonzero(flags & int(f)))
-        if c:
-            counts[f.name.lower()] = c
-    return counts
+    counts = ((f.name.lower(), int(np.count_nonzero(flags & int(f))))
+              for f in (WkbFlags.SMALL_ANGLE, WkbFlags.TURNING_POINT,
+                        WkbFlags.QUAD_NONCONVERGED))
+    return {name: c for name, c in counts if c}
 
 
 @dataclass(frozen=True)
 class SpreadTimes:
-    """Diffraction times in Compton-time units.
-
-    ``inv_t_d`` is 1/t_d (zero at the singular angles); ``tau_d`` stores the
-    spreading-mixing time as a signed square root, i.e. tau_d_sq =
-    sign(tau_d) * tau_d^2, since only tau_d^2 (which can be negative) enters
-    the correlation radius.
+    """Diffraction times in Compton-time units: floats, or arrays over the
+    samples of a sweep.  ``inv_t_d`` is 1/t_d (zero at the singular
+    angles); ``tau_d`` stores the spreading-mixing time as a signed square
+    root, i.e. tau_d_sq = sign(tau_d) * tau_d^2, since only tau_d^2 (which
+    can be negative) enters the correlation radius.
     """
 
     inv_t_d: float
@@ -100,12 +98,12 @@ class SpreadTimes:
     dispersive: bool = False
 
     @property
-    def t_d(self) -> float:
-        return 1.0 / self.inv_t_d if self.inv_t_d != 0.0 else math.inf
+    def t_d(self):
+        return _reciprocal(self.inv_t_d)
 
     @property
-    def tau_d_sq(self) -> float:
-        return math.copysign(self.tau_d * self.tau_d, self.tau_d)
+    def tau_d_sq(self):
+        return self.tau_d * abs(self.tau_d)
 
 
 @dataclass(frozen=True)
@@ -134,22 +132,24 @@ def dispersion_coefficients(n: float, omega: float, epsilon: float,
     ``spread_times_at_angle``).
     """
     if _no_group_velocity(n, d_param):
-        raise DegenerateGroupVelocity(f"n (1 + D) = {n * (1.0 + d_param)} at "
-                                      f"omega={omega}")
+        raise _no_group_velocity_error(n, d_param, omega)
     return _coefficients(n, omega, epsilon, d_param, e_param)
 
 
 def _no_group_velocity(n, d_param):
-    """|n (1 + D)| < 1e-12, where the group velocity 1/(n (1 + D)) is
-    undefined; elementwise."""
+    """|n (1 + D)| < 1e-12: no group velocity 1/(n (1 + D)); elementwise."""
     return abs(n * (1.0 + d_param)) < 1e-12
+
+
+def _no_group_velocity_error(n, d_param, omega):
+    return DegenerateGroupVelocity(f"n (1 + D) = {n * (1.0 + d_param)} at "
+                                   f"omega={omega}")
 
 
 def _coefficients(n, omega, epsilon, d_param, e_param):
     """(a, b, |u_k|) of ``dispersion_coefficients``, unchecked and
     elementwise."""
-    one_plus_d = 1.0 + d_param
-    uk_mag = 1.0 / (n * one_plus_d)
+    uk_mag = 1.0 / (n * (1.0 + d_param))
     uk_over_k = uk_mag / (n * omega)
     xi = e_param + n * n * (1.0 + d_param * (4.0 + d_param))
     a = uk_over_k - 1.0 / epsilon
@@ -157,46 +157,54 @@ def _coefficients(n, omega, epsilon, d_param, e_param):
     return a, b, uk_mag
 
 
-def _resolve_branch(medium: MediumModel, omega: float,
-                    dispersive: Optional[bool]):
-    d, e = 0.0, 0.0
+def _read_medium(medium: MediumModel, omega: float, dispersive):
+    """(n, D, E, dispersive) at omega, with D = E = 0 on the weak-dispersion
+    branch, selected from D and E unless ``dispersive`` forces it."""
     params = medium.dispersion_params(omega)
     if dispersive is None:
         thr = WEAK_DISPERSION_THRESHOLD
         dispersive = (abs(params.d_param) >= thr or abs(params.e_param) >= thr)
-    if dispersive:
-        d, e = params.d_param, params.e_param
-    return dispersive, d, e
+    d, e = (params.d_param, params.e_param) if dispersive else (0.0, 0.0)
+    return medium.index(omega)[0], d, e, dispersive
 
 
-def _spread_from_coeffs(a: float, b: float, sigma: float, cc: float,
-                        dd: float, dispersive: bool) -> SpreadTimes:
+def read_media(media, omega: float,
+               dispersive: Optional[bool] = None) -> np.ndarray:
+    """``_read_medium`` of ``media[i]`` in column i of a (4, N) array (the
+    branch as 0 or 1), reading each distinct medium once."""
+    reads = {id(m): _read_medium(m, omega, dispersive)
+             for m in {id(m): m for m in media}.values()}
+    return np.array([reads[id(m)] for m in media], float).reshape(-1, 4).T
+
+
+def _reciprocal(x):
+    """1/x in x's dtype, inf where x is zero; elementwise."""
+    if isinstance(x, np.ndarray):
+        return np.divide(1.0, x, out=np.full_like(x, np.inf), where=x != 0.0)
+    return 1.0 / x if x != 0.0 else math.inf
+
+
+def _float64(x):
+    """x rounded to float64: an array, or a Python float."""
+    return np.asarray(x, float) if isinstance(x, np.ndarray) else float(x)
+
+
+def _spread_from_coeffs(a, b, sigma, cc, dd, dispersive=False):
     """SpreadTimes from the (a, b) pair and the velocity invariants
-    cc = (u_p - u_k)^2, dd = [u_p x u_k]^2, computed in the arguments' dtype
-    and rounded to float at the end."""
-    if cc < 1e-28:
-        raise MachConeDegenerate(_MACH_CONE)
+    cc = (u_p - u_k)^2, dd = [u_p x u_k]^2, elementwise in the arguments'
+    dtype, rounded to float at the end: 1/t_d = (sigma^2/2)(a + b dd/cc),
+    t_d~ = 2/(sigma^2 a), tau_d^2 = 1/((sigma^2/2) b (1/t_d + 1/t_d~))."""
     half_s2 = 0.5 * sigma * sigma
-    inv_t_d = _inv_spread_time(a, b, sigma, cc, dd)
-    t_d_tilde = (1.0 / (half_s2 * a)) if a != 0.0 else math.inf
+    inv_t_d = half_s2 * (a + b * dd / cc)
     inv_tilde = half_s2 * a
-    inv_tau_sq = half_s2 * b * (inv_t_d + inv_tilde)
-    if inv_tau_sq == 0.0:
-        tau_d = math.inf
-    else:
-        tau_sq = 1.0 / inv_tau_sq
-        tau_d = math.copysign(math.sqrt(abs(tau_sq)), tau_sq)
-    return SpreadTimes(float(inv_t_d), float(t_d_tilde), float(tau_d),
-                       dispersive)
+    tau_sq = _float64(_reciprocal(half_s2 * b * (inv_t_d + inv_tilde)))
+    xp = np if isinstance(tau_sq, np.ndarray) else math
+    return SpreadTimes(_float64(inv_t_d), _float64(_reciprocal(inv_tilde)),
+                       xp.copysign(xp.sqrt(abs(tau_sq)), tau_sq), dispersive)
 
 
 _MACH_CONE = "|u_p - u_k| ~ 0: WKB turning point"
-
-
-def _inv_spread_time(a, b, sigma, cc, dd):
-    """1/t_d = (sigma^2/2) (a + b dd/cc), elementwise in the arguments'
-    dtype."""
-    return 0.5 * sigma * sigma * (a + b * dd / cc)
+_COLLINEAR = "[u_p x u_k] = 0: flash duration undefined"
 
 
 def spreading_times(geom: EmissionGeometry, packet: ElectronPacket,
@@ -213,27 +221,33 @@ def spreading_times(geom: EmissionGeometry, packet: ElectronPacket,
 
 
 def spread_times_at_angle(beta: float, n: float, omega: float, epsilon: float,
-                          sigma: float, theta: float, d_param: float = 0.0,
+                          sigma: float, theta, d_param: float = 0.0,
                           e_param: float = 0.0) -> SpreadTimes:
     """Parametric form with the z axis along the electron momentum and the
-    photon at polar angle theta; used for angle sweeps and root searches.
+    photon at polar angle theta (an array of angles gives arrays); used
+    for angle sweeps and root searches.
 
     Evaluated in extended precision: near the Cherenkov angle the two terms
     of 1/t_d cancel to ~6 digits, which plain doubles cannot afford.
-    Inputs are checked by ``kinematics.check_speed_and_index``, and omega
-    must be positive: 1/t_d divides by n omega.
+    Inputs are checked by ``kinematics.check_speed_and_index`` (theta by
+    its first non-finite angle), and omega must be positive: 1/t_d divides
+    by n omega.  u_p = u_k at any angle raises ``MachConeDegenerate``.
     """
+    thetas = np.asarray(theta, dtype=float)
+    first = thetas[~np.isfinite(thetas)].tolist() + [0.0]  # else a valid one
     check_speed_and_index(beta, n, omega=omega, epsilon=epsilon, sigma=sigma,
-                          theta=theta, d_param=d_param, e_param=e_param)
+                          theta=first[0], d_param=d_param, e_param=e_param)
     if not omega > 0.0:
         raise ValueError(f"omega must be positive, got {omega!r}")
     ld = np.longdouble
-    beta, theta = ld(beta), ld(theta)
+    beta, theta = ld(beta), thetas.astype(ld)
     a, b, uk = dispersion_coefficients(ld(n), ld(omega), ld(epsilon),
                                        ld(d_param), ld(e_param))
     cc = uk * uk + beta * beta - 2.0 * beta * uk * np.cos(theta)
     dd = (beta * uk * np.sin(theta)) ** 2
-    return _spread_from_coeffs(a, b, ld(sigma), cc, dd,
+    if (cc < 1e-28).any():
+        raise MachConeDegenerate(_MACH_CONE)
+    return _spread_from_coeffs(np.full(theta.shape, a), b, ld(sigma), cc, dd,
                                dispersive=(d_param != 0.0 or e_param != 0.0))
 
 
@@ -275,15 +289,6 @@ def gouy_phase(t_prime, spread: SpreadTimes):
     return float(g) if np.ndim(t_prime) == 0 else g
 
 
-def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a x b of two 3-vectors, or of each column of two (3, N) arrays,
-    spelled out: np.cross costs over ten times as much on one pair, and
-    the kernel is built once per point."""
-    (a0, a1, a2), (b0, b1, b2) = a, b
-    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2,
-                     a0 * b1 - a1 * b0])
-
-
 class PhaseSpaceKernel:
     """Velocity pair, (a, b) coefficients and packet width bundled with the
     complex eta/chi algebra of the master integrand.
@@ -291,20 +296,24 @@ class PhaseSpaceKernel:
     The exponent is linear in the two direction scalars
     A = |R x (u_p - u_k)|^2 and B = (R . [u_p x u_k])^2, so the
     t'-dependent coefficient arrays can be shared across map nodes.
+
+    It holds one velocity pair (shape (3,)), (3, N) columns of pairs, or a
+    pair and an array of widths, in elementwise sums; the integrand
+    methods (``eta`` to ``exponent_split``) take one pair.
     """
 
-    def __init__(self, u_p: np.ndarray, u_k: np.ndarray, a: float, b: float,
-                 sigma: float, delta_eps: float = 0.0, dispersive: bool = False):
-        self.u_p = np.asarray(u_p, dtype=float)
-        self.u_k = np.asarray(u_k, dtype=float)
-        self.a = a
-        self.b = b
-        self.sigma = sigma
-        self.delta_eps = delta_eps
-        self.diff = self.u_p - self.u_k
-        self.cross = _cross(self.u_p, self.u_k)
-        self.cc = float(self.diff @ self.diff)
-        self.dd = float(self.cross @ self.cross)
+    def __init__(self, u_p: np.ndarray, u_k: np.ndarray, a, b, sigma,
+                 delta_eps=0.0, dispersive=False):
+        self.u_p = u_p = np.asarray(u_p, dtype=float)
+        self.u_k = u_k = np.asarray(u_k, dtype=float)
+        self.a, self.b, self.sigma, self.delta_eps = a, b, sigma, delta_eps
+        self.diff = u_p - u_k
+        self.cross = column_cross(u_p, u_k)
+        self.cc = column_dot(self.diff, self.diff)
+        self.dd = column_dot(self.cross, self.cross)
+        # one sample raises at C ~ 0 or D ~ 0; over samples, callers mask
+        if not isinstance(self.cc, np.ndarray) and self.cc < 1e-28:
+            raise MachConeDegenerate(_MACH_CONE)
         self.spread = _spread_from_coeffs(a, b, sigma, self.cc, self.dd,
                                           dispersive)
 
@@ -312,14 +321,27 @@ class PhaseSpaceKernel:
     def from_geometry(cls, geom: EmissionGeometry, packet: ElectronPacket,
                       medium: MediumModel,
                       dispersive: Optional[bool] = None) -> "PhaseSpaceKernel":
-        dispersive, d, e = _resolve_branch(medium, geom.omega, dispersive)
-        n = medium.index(geom.omega)[0]
-        a, b, uk_mag = dispersion_coefficients(n, geom.omega, geom.epsilon,
-                                               d, e)
-        u_p = geom.p.as_array() / geom.epsilon
-        u_k = uk_mag * (geom.k.as_array() / geom.k.mag)
-        delta_eps = geom.epsilon - geom.epsilon_prime - geom.omega
-        return cls(u_p, u_k, a, b, packet.sigma, delta_eps, dispersive)
+        return cls._from_momenta(
+            *(v.as_array() for v in (geom.p, geom.p_prime, geom.k)),
+            geom.omega, _read_medium(medium, geom.omega, dispersive),
+            packet.sigma)
+
+    @classmethod
+    def _from_momenta(cls, p, p_prime, k, omega: float, medium_values,
+                      sigma) -> "PhaseSpaceKernel":
+        """The kernel of momenta p, p', k (3-vectors, or (3, N) columns free
+        of n (1 + D) = 0) in a medium read by ``_read_medium`` or
+        ``read_media``; for one pair, math.sqrt (numpy's bits, less cost)."""
+        n, d, e, dispersive = medium_values
+        xp = math if p.ndim == 1 else np
+        if xp is math and _no_group_velocity(n, d):
+            raise _no_group_velocity_error(n, d, omega)
+        eps = xp.sqrt(1.0 + column_dot(p, p))
+        eps_prime = xp.sqrt(1.0 + column_dot(p_prime, p_prime))
+        a, b, uk_mag = _coefficients(n, omega, eps, d, e)
+        u_k = uk_mag * (k / xp.sqrt(column_dot(k, k)))
+        return cls(p / eps, u_k, a, b, sigma, eps - eps_prime - omega,
+                   dispersive)
 
     # complex eta/chi route -------------------------------------------------
 
@@ -331,13 +353,13 @@ class PhaseSpaceKernel:
 
     def direction_factors(self, R: np.ndarray):
         """A = |R x (u_p - u_k)|^2 and B = (R . [u_p x u_k])^2 of one node
-        R, shape (3,), or of each row of R, shape (k, 3)."""
+        R, shape (3,), or of each row of R, shape (k, 3), elementwise."""
         R = np.asarray(R, dtype=float)
         x, y, z = R[..., 0], R[..., 1], R[..., 2]
-        dx, dy, dz = self.diff
-        cr2 = ((y * dz - z * dy) ** 2 + (z * dx - x * dz) ** 2
-               + (x * dy - y * dx) ** 2)
-        return cr2, (R @ self.cross) ** 2
+        (dx, dy, dz), (cx, cy, cz) = self.diff.tolist(), self.cross.tolist()
+        along = x * cx + y * cy + z * cz
+        return ((y * dz - z * dy) ** 2 + (z * dx - x * dz) ** 2
+                + (x * dy - y * dx) ** 2), along * along
 
     def integrand_coefficients(self, t):
         """The t'-dependent factors of the master integrand, sharing eta,
@@ -389,12 +411,12 @@ class PhaseSpaceKernel:
         return cA * A + cB * B
 
     def correlation_scales(self, t: float, R: np.ndarray):
-        """(R_eff, 1/R_im^2) along a unit vector R at t': the exponent
-        -R^2/R_eff^2 + i R^2/R_im^2 at R, with R_eff = inf where its real
-        part is not negative.  R is taken as given, not renormalized."""
-        expo = complex(self.exponent_complex(t, R))
-        r_eff = math.inf if expo.real >= 0.0 else 1.0 / math.sqrt(-expo.real)
-        return r_eff, expo.imag
+        """(R_eff, 1/R_im^2) along a unit vector R, or each row of R, at t':
+        the exponent -R^2/R_eff^2 + i R^2/R_im^2 at R, with R_eff = inf
+        where its real part is not negative.  R is not renormalized."""
+        expo = self.exponent_complex(t, R)
+        r_eff = _reciprocal(np.sqrt(np.maximum(-expo.real, 0.0)))
+        return _float64(r_eff), _float64(expo.imag)
 
     def prefactor_complex(self, t):
         """1/sqrt(eta (eta C + chi D)) = exp(-i g/2)/G; both factors lie in
@@ -404,7 +426,9 @@ class PhaseSpaceKernel:
     # explicit split (independent evaluation route) -------------------------
 
     def sigma_perp_sq(self, t):
-        return _sigma_perp_sq(t, self.spread.inv_t_d, self.sigma)
+        """(1 + (t'/t_d)^2)/sigma^2, elementwise."""
+        t = np.asarray(t, dtype=float)
+        return (1.0 + (t * self.spread.inv_t_d) ** 2) / self.sigma ** 2
 
     def big_g(self, t):
         """G(t') = |u_p - u_k|/(2 sigma^2) [(1 + (t/t_d)^2)(1 + (t/t~)^2)]^(1/4)."""
@@ -439,80 +463,48 @@ class PhaseSpaceKernel:
 
     # flash-statistics geometry ---------------------------------------------
 
-    def sigma_t(self, t) -> float:
-        if self.dd < 1e-28:
+    def sigma_t(self, t):
+        """sigma_t(t') = sqrt(sigma_perp^2/2 (u_p - u_k)^2/[u_p x u_k]^2)."""
+        if not isinstance(self.dd, np.ndarray) and self.dd < 1e-28:
             raise CollinearVelocities(_COLLINEAR)
-        return float(_flash_duration(t, self.spread.inv_t_d, self.sigma,
-                                     self.cc, self.dd))
+        return _float64(np.sqrt(self.sigma_perp_sq(t) / 2.0
+                                * self.cc / self.dd))
 
     def l_0(self) -> np.ndarray:
-        if self.dd < 1e-28:
+        """l_0 = (u_p - u_k) x (u_k x u_p)/[u_p x u_k]^2."""
+        if not isinstance(self.dd, np.ndarray) and self.dd < 1e-28:
             raise CollinearVelocities("[u_p x u_k] = 0")
-        return _arrival_direction(self.diff, self.cross, self.dd)
+        return column_cross(self.diff, -self.cross) / self.dd
 
 
-_COLLINEAR = "[u_p x u_k] = 0: flash duration undefined"
-
-
-def _sigma_perp_sq(t, inv_t_d, sigma):
-    """(1 + (t'/t_d)^2)/sigma^2, elementwise."""
-    t = np.asarray(t, dtype=float)
-    return (1.0 + (t * inv_t_d) ** 2) / sigma ** 2
-
-
-def _flash_duration(t, inv_t_d, sigma, cc, dd):
-    """sigma_t(t') = sqrt(sigma_perp^2/2 (u_p - u_k)^2/[u_p x u_k]^2),
-    elementwise."""
-    return np.sqrt(_sigma_perp_sq(t, inv_t_d, sigma) / 2.0 * cc / dd)
-
-
-def _arrival_direction(diff, cross, dd):
-    """l_0 = (u_p - u_k) x (u_k x u_p)/[u_p x u_k]^2, of one velocity pair
-    or of each column of (3, N) arrays."""
-    return _cross(diff, -cross) / dd
-
-
-def flash_stats_batch(batch: GeometryBatch, media, sigma: float, r,
-                      t_prime: float, dispersive: Optional[bool] = None):
-    """``flash_stats`` at each geometry of ``batch``, sample i in
-    ``media[i]``, with packet width ``sigma`` and observation point r of
-    shape (3,) or (3, N), in one numpy pass.  Returns (stats, no_velocity,
-    fault): ``stats`` is a ``FlashStats`` of arrays over the samples;
-    ``no_velocity`` is a pair (mask, error) of the samples where
-    n (1 + D) = 0, whose stats are NaN with no flags, and the
-    ``DegenerateGroupVelocity`` that ``flash_stats`` raises at each;
-    ``fault`` is None, or (position, exception) of the first other sample
-    at which ``flash_stats`` raises (``MachConeDegenerate``,
-    ``CollinearVelocities`` or ``amplitudes.DegeneratePhase``), and no
-    stats hold from that position on.  The medium values are read one
-    medium at a time, as ``PhaseSpaceKernel.from_geometry`` reads them;
-    the rest is elementwise, so a sample's bits do not depend on the
-    other samples.
+def flash_stats_batch(batch: GeometryBatch, media: np.ndarray,
+                      sigma: float, r, t_prime: float):
+    """``flash_stats`` at each geometry of ``batch``, sample i in a medium
+    read as column i of ``media`` (``read_media``), with packet width
+    ``sigma`` and observation point r of shape (3,) or (3, N), in one
+    numpy pass over one ``PhaseSpaceKernel`` of the samples.  Returns
+    (stats, no_velocity, fault): ``stats`` is a ``FlashStats`` of arrays
+    over the samples; ``no_velocity`` masks the samples where
+    n (1 + D) = 0, whose stats are NaN with no flags (``flash_stats``
+    raises ``DegenerateGroupVelocity`` there); ``fault`` is None, or
+    (position, exception) of the first other sample at which
+    ``flash_stats`` raises (``MachConeDegenerate``, ``CollinearVelocities``
+    or ``amplitudes.DegeneratePhase``), and no stats hold from there on.
     """
     omega, count = batch.omega, len(batch)
-    branches = [_resolve_branch(m, omega, dispersive) for m in media]
-    n = np.array([m.index(omega)[0] for m in media])
-    d = np.array([branch[1] for branch in branches], dtype=float)
-    e = np.array([branch[2] for branch in branches], dtype=float)
-    no_velocity = _no_group_velocity(n, d)
+    no_velocity = _no_group_velocity(media[0], media[1])
     keep = np.flatnonzero(~no_velocity)
     sub = batch.take(keep)
-    eps = sub.epsilon
-    a, b, uk_mag = _coefficients(n[keep], omega, eps, d[keep], e[keep])
-    u_p = sub.p / eps
-    u_k = uk_mag * (sub.k / np.sqrt(column_dot(sub.k, sub.k)))
-    diff = u_p - u_k
-    cross = _cross(u_p, u_k)
-    cc, dd = column_dot(diff, diff), column_dot(cross, cross)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        kernel = PhaseSpaceKernel._from_momenta(
+            sub.p, sub.p_prime, sub.k, omega, media[:, keep], sigma)
+        sigma_t = kernel.sigma_t(t_prime)
+        l_0 = kernel.l_0()
     grad_p, grad_k, phase_fault = amplitudes.phase_gradients(sub)
     phi = grad_p + grad_k
     r = np.broadcast_to(np.asarray(r, dtype=float), (3, count))[:, keep]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        sigma_t = _flash_duration(t_prime, _inv_spread_time(
-            a, b, sigma, cc, dd), sigma, cc, dd)
-        l_0 = _arrival_direction(diff, cross, dd)
-    checks = [(cc < 1e-28, lambda i: MachConeDegenerate(_MACH_CONE)),
-              (dd < 1e-28, lambda i: CollinearVelocities(_COLLINEAR))]
+    checks = [(kernel.cc < 1e-28, lambda i: MachConeDegenerate(_MACH_CONE)),
+              (kernel.dd < 1e-28, lambda i: CollinearVelocities(_COLLINEAR))]
     if phase_fault is not None:
         checks.append((np.arange(len(keep)) == phase_fault[0],
                        lambda i: phase_fault[1]))
@@ -525,11 +517,10 @@ def flash_stats_batch(batch: GeometryBatch, media, sigma: float, r,
     p_mag, k_mag = (np.sqrt(column_dot(v, v)) for v in (sub.p, sub.k))
     flags = np.zeros(count, dtype=int)
     flags[keep] = _wkb_flag_values(column_dot(sub.p, sub.k) / (p_mag * k_mag),
-                                   eps, cc, sigma)
+                                   sub.epsilon, kernel.cc, sigma)
     stats = FlashStats(sigma_t=values[0], t_0=values[2], delta_t=values[1],
                        l_0=values[3:], flags=flags)
-    return stats, (no_velocity, lambda i: DegenerateGroupVelocity(
-        f"n (1 + D) = {n[i] * (1.0 + d[i])} at omega={omega}")), fault
+    return stats, no_velocity, fault
 
 
 def flash_stats(geom: EmissionGeometry, packet: ElectronPacket,
@@ -545,11 +536,12 @@ def flash_stats(geom: EmissionGeometry, packet: ElectronPacket,
     names the vector (``PhaseSpaceKernel.sigma_t`` alone does not need
     Phi).  The one-sample call of ``flash_stats_batch``.
     """
-    stats, (no_velocity, no_velocity_error), fault = flash_stats_batch(
-        GeometryBatch.of(geom), [medium], packet.sigma,
-        np.asarray(r, dtype=float)[:, None], float(t_prime), dispersive)
+    media = read_media([medium], geom.omega, dispersive)
+    stats, no_velocity, fault = flash_stats_batch(
+        GeometryBatch.of(geom), media, packet.sigma,
+        np.asarray(r, dtype=float)[:, None], float(t_prime))
     if no_velocity[0]:
-        raise no_velocity_error(0)
+        raise _no_group_velocity_error(media[0, 0], media[1, 0], geom.omega)
     if fault is not None:
         raise fault[1]
     return FlashStats(sigma_t=float(stats.sigma_t[0]),

@@ -238,14 +238,6 @@ def read_map_csv(path):
 
 # scenario context ---------------------------------------------------------
 
-def _mod_squared(geom: EmissionGeometry, lambda_gamma: Optional[int]) -> float:
-    """|M|^2 summed over the photon helicity, or at the geometry's one
-    helicity when ``lambda_gamma`` is set."""
-    if lambda_gamma is None:
-        return amplitudes.summed_mod_squared(geom)
-    return amplitudes.helicity_amplitude(geom).mod_squared
-
-
 def _x_normal(kernel: PhaseSpaceKernel) -> bool:
     """Whether X is normal to the plane of u_p and u_k: d = u_p - u_k has
     no X component and c = u_p x u_k lies along X, so A and B are even in
@@ -267,7 +259,9 @@ class _Context:
             self.geom, scenario.packet, scenario.medium, scenario.dispersive)
         sigma = scenario.packet.sigma
         self.n = n = scenario.medium.index(scenario.omega)[0]
-        m2 = _mod_squared(self.geom, scenario.lambda_gamma)
+        m2 = (amplitudes.summed_mod_squared(self.geom)
+              if scenario.lambda_gamma is None
+              else amplitudes.helicity_amplitude(self.geom).mod_squared)
         eps = self.geom.epsilon
         eps_p = self.geom.epsilon_prime
         self.delta_p = dp = (self.geom.p - scenario.packet.mean_momentum).mag
@@ -464,11 +458,9 @@ def _kernel_grid(kernel: PhaseSpaceKernel, beta: float, t_out: float,
                  nx: int = 128, ny: int = 128, z: float = 0.0) -> MapGrid:
     """``default_grid`` of a scenario's kernel, electron speed and t_out."""
     cap = max(beta, float(np.linalg.norm(kernel.u_k))) * t_out
-    halves = []
-    for axis in (np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])):
-        r_eff, _ = kernel.correlation_scales(t_out, axis)
-        halves.append(min(4.0 * r_eff, cap))
-    return MapGrid.centered(halves[0], halves[1], nx, ny, z)
+    r_eff, _ = kernel.correlation_scales(t_out, np.eye(2, 3))  # X and Y
+    half_x, half_y = (min(4.0 * r, cap) for r in r_eff.tolist())
+    return MapGrid.centered(half_x, half_y, nx, ny, z)
 
 
 def _source_rows(grid: MapGrid) -> np.ndarray:

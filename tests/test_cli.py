@@ -4,6 +4,8 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -21,8 +23,10 @@ from cherenkov_wigner.kinematics import (ElectronPacket, EmissionGeometry,
                                          momentum_magnitude,
                                          triangle_geometry)
 from cherenkov_wigner.medium import (EV_PER_ME, ConstantMedium,
-                                     DegenerateGroupVelocity, TabulatedMedium)
-from cherenkov_wigner.observables import (CollinearVelocities, flash_stats,
+                                     DegenerateGroupVelocity,
+                                     DispersionParams, TabulatedMedium)
+from cherenkov_wigner.observables import (CollinearVelocities,
+                                          PhaseSpaceKernel, flash_stats,
                                           spread_times_at_angle)
 from cherenkov_wigner.units import IncompatibleDimensions, convert_units
 
@@ -493,7 +497,6 @@ ARRAY_PASSES = {"fig06b_arrival_shift": 1,
 def test_arrival_time_study_makes_one_array_pass(tmp_path, monkeypatch,
                                                  name):
     from cherenkov_wigner import kinematics, observables
-    from cherenkov_wigner.observables import PhaseSpaceKernel
     calls = []
 
     def counted(label, real):
@@ -522,36 +525,175 @@ def _rows_bits(rows):
     return [tuple(float(v).hex() for v in row) for row in rows]
 
 
-@pytest.mark.parametrize("name", sorted(ARRAY_PASSES))
-def test_arrival_time_sample_bits_do_not_depend_on_the_sweep(name):
-    # each sample's Delta t, sigma_t, t_0 and flags, bit for bit, in the
-    # full sweep, the reversed sweep, a sweep of that sample alone, and
-    # through flash_stats(triangle_geometry(...)); the cross-sample sums
-    # are elementwise, where a BLAS product would round a lone row apart
-    cfg = parse_config(CONFIG_DIR / f"{name}.cfg")
+def _arrival_sweep(cfg):
     values, media, theta_k = cli._arrival_samples(cfg)
-    theta_k = np.broadcast_to(theta_k, len(values))
-    rows, flags = cli._arrival_rows(cfg, values, media, theta_k)
-    back, back_flags = cli._arrival_rows(cfg, values[::-1], media[::-1],
-                                         theta_k[::-1])
-    assert _rows_bits(back[::-1]) == _rows_bits(rows)
-    assert back_flags == flags
-    for i, row in enumerate(rows):
-        alone, _ = cli._arrival_rows(cfg, values[i:i + 1], media[i:i + 1],
-                                     theta_k[i:i + 1])
-        assert _rows_bits(alone) == _rows_bits([row])
-        n = media[i].index(cfg.omega)[0]
+
+    def one(value, medium, theta):
+        n = medium.index(cfg.omega)[0]
         geom = triangle_geometry(cfg.p_perp, cfg.pp_perp_ratio * cfg.p_perp,
-                                 cfg.beta, cfg.omega, n, theta_k[i],
-                                 cfg.phi_k, cfg.branch)
-        if geom is None or cfg.beta * n < 1.0 or math.isnan(row[1]):
-            continue
-        stats = flash_stats(geom, ElectronPacket(geom.p, cfg.sigma),
-                            media[i], geom.k.as_array() / geom.k.mag
-                            * cfg.r_mag, 0.0)
-        assert _rows_bits([row]) == _rows_bits([(
-            row[0], stats.delta_t, stats.sigma_t, stats.t_0,
-            int(stats.flags))])
+                                 cfg.beta, cfg.omega, n, theta, cfg.phi_k,
+                                 cfg.branch)
+        if geom is None or cfg.beta * n < 1.0:
+            return None
+        try:
+            stats = flash_stats(geom, ElectronPacket(geom.p, cfg.sigma),
+                                medium, geom.k.as_array() / geom.k.mag
+                                * cfg.r_mag, 0.0)
+        except DegenerateGroupVelocity:
+            return None
+        return (value, stats.delta_t, stats.sigma_t, stats.t_0,
+                int(stats.flags))
+
+    return ((values, media, np.broadcast_to(theta_k, len(values))),
+            lambda *samples: cli._arrival_rows(cfg, *samples), one)
+
+
+def _spread_rows(st):
+    return list(zip(*(np.atleast_1d(getattr(st, field)).tolist()
+                      for field in ("inv_t_d", "t_d", "t_d_tilde", "tau_d"))))
+
+
+def _spreading_sweep(cfg):
+    # the emission angles of fig05 through spread_times_at_angle
+    medium = cfg.medium()
+    dp = medium.dispersion_params(cfg.omega)
+
+    def rows_of(thetas):
+        return _spread_rows(spread_times_at_angle(
+            cfg.beta, medium.index(cfg.omega)[0], cfg.omega, cfg.epsilon(),
+            cfg.sigma, thetas, dp.d_param, dp.e_param)), {}
+
+    return ((cli._sweep_values(cfg) * math.pi / 180.0,), rows_of,
+            lambda theta: rows_of(float(theta))[0][0])
+
+
+def _correlation_sweep(cfg):
+    # the unit vectors R of fig03, one row each, through correlation_scales
+    scenario = cli._balance_scenario(cfg, t_out=cfg.t_out or 1.0)
+    kernel = PhaseSpaceKernel.from_geometry(
+        scenario.geometry(), scenario.packet, scenario.medium)
+    assert cfg.sweep_variable == "theta-r"
+    R = np.array([Momentum3.from_spherical(
+        1.0, v, cfg.phi_k + 20.0 * math.pi / 180.0).as_array()
+        for v in cli._sweep_values(cfg) * math.pi / 180.0])
+    def rows_of(rows):
+        r_eff, inv_r_im_sq = kernel.correlation_scales(cfg.t_prime, rows)
+        return list(zip(r_eff.tolist(), inv_r_im_sq.tolist())), {}
+
+    return ((R,), rows_of,
+            lambda one: kernel.correlation_scales(cfg.t_prime, one))
+
+
+def _flash_duration_sweep(cfg):
+    # the packet widths of the flash-duration study through one kernel of
+    # them, against a kernel of each width's packet
+    scenario = cli._balance_scenario(cfg, t_out=1.0)
+    geom, packet, medium = scenario.geometry(), scenario.packet, \
+        scenario.medium
+    kernel = PhaseSpaceKernel.from_geometry(geom, packet, medium)
+
+    def rows_of(sigmas):
+        return [(v,) for v in PhaseSpaceKernel(
+            kernel.u_p, kernel.u_k, kernel.a, kernel.b, sigmas,
+            kernel.delta_eps).sigma_t(0.0).tolist()], {}
+
+    return ((cli._sweep_values(cfg),), rows_of,
+            lambda sigma: (PhaseSpaceKernel.from_geometry(
+                geom, replace(packet, sigma=sigma), medium).sigma_t(0.0),))
+
+
+# every config whose samples one call evaluates together: a function from
+# its config to (samples, rows, one), the per-sample inputs, the study's
+# rows and counts of any subset of them, and a sample's row from the
+# one-sample call (None where that emits nothing)
+SWEEPS = {**dict.fromkeys(ARRAY_PASSES, _arrival_sweep),
+          "fig05_spreading_time": _spreading_sweep,
+          "fig03_correlation_radius": _correlation_sweep,
+          "flash_duration": _flash_duration_sweep}
+
+
+@pytest.mark.parametrize("name", sorted(SWEEPS))
+def test_sweep_sample_bits_do_not_depend_on_the_sweep(name):
+    # each sample's row, bit for bit, in the full sweep, the reversed sweep,
+    # a sweep of that sample alone, and from its one-sample call:
+    # flash_stats(triangle_geometry(...)) for the arrival studies (rows of
+    # the study), spread_times_at_angle at one angle, correlation_scales
+    # at one R, a kernel of one packet width (rows of the closed form);
+    # the cross-sample sums are elementwise, where a BLAS product would
+    # round a lone row apart
+    cfg = parse_config(CONFIG_DIR / f"{name}.cfg")
+    samples, rows_of, one = SWEEPS[name](cfg)
+    rows, counts = rows_of(*samples)
+    back, back_counts = rows_of(*(s[::-1] for s in samples))
+    assert _rows_bits(back[::-1]) == _rows_bits(rows)
+    assert back_counts == counts
+    for i, row in enumerate(rows):
+        alone, _ = rows_of(*(s[i:i + 1] for s in samples))
+        assert _rows_bits(alone) == _rows_bits([row])
+        single = one(*(s[i] for s in samples))
+        if single is not None:
+            assert _rows_bits([single]) == _rows_bits([row])
+
+
+@pytest.mark.parametrize("name,owner,method", [
+    ("fig05_spreading_time", cli, "spread_times_at_angle"),
+    ("fig03_correlation_radius", PhaseSpaceKernel, "correlation_scales"),
+    ("flash_duration", PhaseSpaceKernel, "sigma_t")])
+def test_closed_form_study_makes_one_call(tmp_path, monkeypatch, name, owner,
+                                          method):
+    # fig05 called spread_times_at_angle once per angle (357 times), fig03
+    # correlation_scales once per R (179) and flash-duration built a kernel
+    # per width (31)
+    calls = []
+    real = getattr(owner, method)
+
+    def counted(*args, **kwargs):
+        calls.append(method)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, method, counted)
+    config = CONFIG_DIR / f"{name}.cfg"
+    assert cli.main([parse_config(config).study, "--config", str(config),
+                     "--out-dir", str(tmp_path)]) == 0
+    assert calls == [method]
+
+
+def _counting_media(monkeypatch):
+    """Make the ConstantMedium of ``cli`` count the reads of each medium it
+    builds; returns the list of those media, each with its ``reads``."""
+    built = []
+
+    class Counting(ConstantMedium):
+        def __init__(self, n):
+            super().__init__(n)
+            self.reads = Counter()
+            built.append(self)
+
+        def index(self, omega):
+            self.reads["index"] += 1
+            return super().index(omega)
+
+        def dispersion_params(self, omega):
+            self.reads["dispersion_params"] += 1
+            return DispersionParams(0.0, 0.0, omega)
+
+    monkeypatch.setattr(cli, "ConstantMedium", Counting)
+    return built
+
+
+@pytest.mark.parametrize("name,media", [
+    ("fig06b_arrival_shift", 1), ("fig08a_arrival_shift_n_sweep", 116)])
+def test_arrival_sweep_reads_each_medium_once(tmp_path, monkeypatch, name,
+                                              media):
+    # a theta_k sweep read its one medium three times per sample (89
+    # samples), an n sweep each sample's medium three times
+    built = _counting_media(monkeypatch)
+    config = CONFIG_DIR / f"{name}.cfg"
+    assert cli.main(["arrival-shift", "--config", str(config),
+                     "--out-dir", str(tmp_path)]) == 2
+    assert len(built) == media
+    assert all(medium.reads == {"index": 1, "dispersion_params": 1}
+               for medium in built)
 
 
 def _loop_error(cfg):
@@ -907,6 +1049,17 @@ def test_sweep_needs_samples(tmp_path, samples):
                                      is None else f"sweep.samples = {samples}\n")
     with pytest.raises(ValidationError, match="sweep.samples"):
         parse_config(write_config(tmp_path, text))
+
+
+def test_flash_duration_names_collinear_velocities(tmp_path, capsys):
+    # theta_k = 0 puts k along p: the one kernel over the widths raises
+    # as the kernel of each width did
+    path = write_config(tmp_path, FLASH + "theta-k = 0\n")
+    assert cli.main(["flash-duration", "--config", str(path),
+                     "--out-dir", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == (
+        "chr: flash-duration failed: [u_p x u_k] = 0: flash duration "
+        "undefined\n")
 
 
 def test_flash_duration_honours_medium_d(tmp_path):

@@ -141,7 +141,10 @@ _BAD_ANGLE_INPUTS = [
                            for arg in args),
                          ("beta", (1.0, 1.2, 1.5, -1.0)),
                          ("n", (0.0, -1.4))]
-    for bad in values]
+    for bad in values] + [
+    # an array of angles with one NaN or +-inf among them
+    ("spread_times_at_angle", "theta", np.array([0.3, bad, 0.7]))
+    for bad in (math.nan, math.inf, -math.inf)]
 
 
 @pytest.mark.parametrize("func", sorted(_ANGLE_CALLS))

@@ -210,9 +210,16 @@ def test_eta_chi_pair(rng):
         assert abs(chi.imag - 0.25 * tp * kern.b) < 1e-18 * abs(tp * kern.b)
 
 
+def _dot(a, b):
+    """a . b summed elementwise, left to right, as the kernel sums it (a
+    BLAS dot may round apart)."""
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
 def test_kernel_cross_products_are_np_cross_bit_for_bit(rng):
     # the kernel spells out [u_p x u_k] and l_0's cross product; both must
-    # stay the bits np.cross gives, so the closed-form outputs do not move
+    # stay the bits np.cross gives, so the closed-form outputs do not move;
+    # [u_p x u_k]^2, l_0's denominator, is an elementwise sum
     for _ in range(2000):
         u_p, u_k = (rng.normal(size=(2, 3))
                     * 10.0 ** rng.uniform(-3.0, 0.0, (2, 1)))
@@ -220,8 +227,33 @@ def test_kernel_cross_products_are_np_cross_bit_for_bit(rng):
         cross = np.cross(u_p, u_k)
         assert np.array_equal(kern.cross.view(np.uint64),
                               cross.view(np.uint64))
-        l_0 = np.cross(u_p - u_k, -cross) / float(cross @ cross)
+        l_0 = np.cross(u_p - u_k, -cross) / _dot(cross, cross)
         assert np.array_equal(kern.l_0().view(np.uint64), l_0.view(np.uint64))
+
+
+def test_kernel_and_flash_stats_agree_bit_for_bit(rng):
+    # one velocity pair, one rounding: PhaseSpaceKernel's sigma_t and l_0
+    # and those of flash_stats, on random triangle geometries; a kernel
+    # that formed C and D with a BLAS dot differed on 45 of these 400 in
+    # sigma_t and on 57 in l_0
+    geometries = 0
+    while geometries < 400:
+        n = rng.uniform(1.35, 1.8)
+        got = triangle_from_beta(0.999, n, 10.0 ** rng.uniform(-7.0, -5.0),
+                                 1e-6, rng.uniform(5.0, 170.0) * DEG,
+                                 pp_ratio=rng.uniform(0.5, 1.5),
+                                 phi_k=rng.uniform(0.0, 2.0 * math.pi),
+                                 branch=int(rng.choice([1, -1])))
+        if got is None:
+            continue
+        geometries += 1
+        geom, packet = got
+        medium = ConstantMedium(n)
+        kern = PhaseSpaceKernel.from_geometry(geom, packet, medium)
+        stats = flash_stats(geom, packet, medium, np.zeros(3), 0.0)
+        assert kern.sigma_t(0.0).hex() == stats.sigma_t.hex()
+        assert np.array_equal(kern.l_0().view(np.uint64),
+                              stats.l_0.view(np.uint64))
 
 
 def test_exponent_vanishes_along_mach_direction():
@@ -479,8 +511,8 @@ def test_flash_stats_phi_is_the_amplitude_phase_gradient():
     phi = combined_phase_gradient(geom)
     r = np.array([3e4, -2e4, 5e3])
     stats = flash_stats(geom, packet, medium, r, 0.0)
-    assert stats.delta_t == float(l0 @ phi)
-    assert stats.t_0 == float(l0 @ (r + phi))
+    assert stats.delta_t == _dot(l0, phi)
+    assert stats.t_0 == _dot(l0, r + phi)
     assert stats.t_0 != stats.delta_t
 
 
@@ -489,6 +521,17 @@ def test_mach_cone_degenerate_raises():
     beta = 1.0 / n  # u_p = u_k at theta = 0
     with pytest.raises(MachConeDegenerate):
         spread_times_at_angle(beta, n, 1e-5, lorentz_gamma(beta), 1e-4, 0.0)
+    # any angle of an array where u_p = u_k
+    with pytest.raises(MachConeDegenerate):
+        spread_times_at_angle(beta, n, 1e-5, lorentz_gamma(beta), 1e-4,
+                              np.array([0.5, 0.2, 0.0, 0.1]))
+
+
+def test_spread_times_of_no_angles_are_empty():
+    # the input check takes a valid stand-in, not the first of no angles
+    st = spread_times_at_angle(0.9, 1.5, 1e-5, lorentz_gamma(0.9), 1e-4,
+                               np.array([]))
+    assert st.inv_t_d.shape == st.t_d_tilde.shape == st.tau_d.shape == (0,)
 
 
 def _scenario_flags(sc):
