@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kinematics import EmissionGeometry, GeometryBatch, first_fault
+from .kinematics import EmissionGeometry, GeometryBatch
 
 __all__ = [
     "ALPHA_EM",
@@ -302,16 +302,16 @@ def _angle_gradients(v: np.ndarray, rho: np.ndarray):
 def phase_gradients(batch: GeometryBatch):
     """Gradients of the amplitude phase with respect to p (at fixed k) and
     k (at fixed p) at each geometry of ``batch``, the final electron
-    p' = p - k varying accordingly: (grad_p, grad_k, fault), the gradients
-    as (3, N) arrays.
+    p' = p - k varying accordingly: (grad_p, grad_k, checks), the
+    gradients as (3, N) arrays.
 
     Closed form: the angle partials of ``_zeta_partials`` chained through
     the angle gradients of p, p' and k, with dp'/dp = 1 and dp'/dk = -1.
     Their sum is the fixed-p' joint gradient entering the arrival-time
-    shift.  ``fault`` is None, or (position, ``DegeneratePhase``) of the
-    first sample where p, p' or k has no transverse momentum (its azimuth
-    is undefined; the error names the vector) or the phase is undefined;
-    the gradients are not defined from that sample on.
+    shift.  ``checks`` lists (mask, ``DegeneratePhase``) pairs in the order
+    a sample runs them: where p, p' or k has no transverse momentum (its
+    azimuth is undefined; the error names the vector), then where the phase
+    is undefined.  The gradients are not defined where a mask holds.
     """
     vectors = (batch.p, batch.p_prime, batch.k)
     rho = [np.hypot(v[0], v[1]) for v in vectors]
@@ -328,26 +328,27 @@ def phase_gradients(batch: GeometryBatch):
         d, undefined = _zeta_partials(ms, zs, thetas, helicities)
         (theta_p, phi_p), (theta_pp, phi_pp), (theta_k, phi_k) = (
             _angle_gradients(v, r) for v, r in zip(vectors, rho))
-    fault = first_fault([
-        *((r == 0.0, lambda i, name=name: DegeneratePhase(
-            f"azimuth of {name} undefined: zero transverse momentum, so the "
-            "phase gradient is singular"))
-          for r, name in zip(rho, ("p", "p'", "k"))),
-        (undefined, lambda i: DegeneratePhase(
-            "amplitude phase undefined at this geometry"))])
+    checks = [(r == 0.0, DegeneratePhase(
+        f"azimuth of {name} undefined: zero transverse momentum, so the "
+        "phase gradient is singular"))
+        for r, name in zip(rho, ("p", "p'", "k"))]
+    checks.append((undefined, DegeneratePhase(
+        "amplitude phase undefined at this geometry")))
     final = d[2] * theta_pp + d[3] * phi_pp
     grad_p = d[0] * theta_p + d[1] * phi_p + final
     grad_k = d[4] * theta_k + d[5] * phi_k - final
-    return grad_p, grad_k, fault
+    return grad_p, grad_k, checks
 
 
 def phase_gradient(geom: EmissionGeometry):
-    """(grad_p, grad_k) of ``phase_gradients`` at one geometry: raises
-    ``DegeneratePhase`` where the phase is undefined or p, p' or k has no
-    transverse momentum (its azimuth is undefined)."""
-    grad_p, grad_k, fault = phase_gradients(GeometryBatch.of(geom))
-    if fault is not None:
-        raise fault[1]
+    """(grad_p, grad_k) of ``phase_gradients`` at one geometry: raises the
+    ``DegeneratePhase`` of its first check that holds, where p, p' or k has
+    no transverse momentum (its azimuth is undefined) or the phase is
+    undefined."""
+    grad_p, grad_k, checks = phase_gradients(GeometryBatch.of(geom))
+    for mask, error in checks:
+        if mask[0]:
+            raise error
     return grad_p[:, 0], grad_k[:, 0]
 
 

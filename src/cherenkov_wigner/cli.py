@@ -6,8 +6,9 @@ Usage:  chr <study> --config <path> [--out-dir DIR] [--workers N]
         [--format csv|csv+svg]
 
 Exit codes: 0 success, 2 completed with warnings (WKB or quadrature
-flags, or sweep samples that emit no photon, named by ``_arrival_rows``;
-one stderr line per raised flag), 1 error (a usage error included).
+flags, or sweep samples that emit no photon, each counted by its first
+reason in ``_arrival_rows`` and written as a NaN row; one stderr line per
+raised flag), 1 error (a usage error included).
 """
 
 from __future__ import annotations
@@ -403,37 +404,35 @@ def _arrival_rows(cfg, values, media, theta_k):
     ``theta_k`` (one angle, or one per sample), from one pass of
     ``place_triangles`` and one of ``observables.flash_stats_batch``; and
     the flags dict: the WKB flag counts, then the number of samples that
-    emit no photon, by reason.  The reasons are checked in this order:
-    below_threshold (beta*n < 1), open_triangle (``place_triangles`` finds
-    no triangle) and degenerate_group_velocity (n (1 + D) = 0).  Such a
-    sample's row holds NaN times and no flags.  Any other error is raised
-    as at the first sample that raises it, so a sweep fails as a loop over
-    ``triangle_geometry`` and ``flash_stats`` would."""
+    emit no photon, each under the first reason that holds for it, in this
+    order: below_threshold (beta*n < 1), open_triangle (``place_triangles``
+    finds no triangle), then the reasons of ``flash_stats_batch``
+    (degenerate_group_velocity, mach_cone, collinear_velocities and
+    degenerate_phase).  Such a sample's row holds NaN times and no
+    flags."""
     count = len(values)
     medium_values = observables.read_media(media, cfg.omega)
     n = medium_values[0]
-    reasons = dict.fromkeys(("below_threshold", "open_triangle",
-                             "degenerate_group_velocity"), 0)
+    reasons = Counter()
     table = np.full((4, count), np.nan)
     table[3] = 0
     emitting = np.flatnonzero(cfg.beta * n >= 1.0)
     reasons["below_threshold"] = count - len(emitting)
     if len(emitting):
-        batch, closes, fault = place_triangles(
+        batch, closes = place_triangles(
             cfg.p_perp, cfg.pp_perp_ratio * cfg.p_perp, cfg.beta, cfg.omega,
             n[emitting], np.broadcast_to(theta_k, count)[emitting], cfg.phi_k,
             cfg.branch, cfg.lambda_e, cfg.lambda_prime,
             1 if cfg.lambda_gamma is None else cfg.lambda_gamma)
         placed = emitting[closes]
         reasons["open_triangle"] = len(emitting) - len(placed)
-        stats, no_velocity, late = observables.flash_stats_batch(
+        stats, checks = observables.flash_stats_batch(
             batch, medium_values[:, placed], cfg.sigma,
             batch.k / np.sqrt(column_dot(batch.k, batch.k)) * cfg.r_mag, 0.0)
-        # every placed sample lies before the placement's fault
-        for first in (late, fault):
-            if first is not None:
-                raise first[1]
-        reasons["degenerate_group_velocity"] = int(no_velocity.sum())
+        counted = np.zeros(len(placed), dtype=bool)
+        for reason, mask, _ in checks:
+            reasons[reason] += int(np.count_nonzero(mask & ~counted))
+            counted |= mask
         table[:, placed] = (stats.delta_t, stats.sigma_t, stats.t_0,
                             stats.flags)
     rows = list(zip(values.tolist(), *table[:3].tolist(),

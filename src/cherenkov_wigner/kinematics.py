@@ -39,7 +39,6 @@ __all__ = [
     "triangle_geometry",
     "column_cross",
     "column_dot",
-    "first_fault",
 ]
 
 _THRESHOLD_EPS = 1e-12
@@ -309,18 +308,12 @@ class EmissionGeometry:
     lambda_gamma: int = 1
 
     def __post_init__(self):
-        if not math.isfinite(self.omega):
-            raise ValueError(f"omega must be finite, got {self.omega!r}")
+        _check_emission(self.omega, self.lambda_e, self.lambda_prime,
+                        self.lambda_gamma)
         for name in ("p", "p_prime", "k"):
             mom = getattr(self, name)
             if not all(map(math.isfinite, (mom.x, mom.y, mom.z))):
                 raise ValueError(f"{name} must be finite, got {mom!r}")
-        if self.omega <= 0:
-            raise ValueError("omega must be positive")
-        for name, allowed in HELICITIES.items():
-            if getattr(self, name) not in allowed:
-                raise ValueError(f"{name} must be one of {allowed}, "
-                                 f"got {getattr(self, name)!r}")
         scale = max(self.p.mag, 1.0)
         residual = (self.p - self.p_prime - self.k).as_array()
         if np.max(np.abs(residual)) > 1e-12 * scale:
@@ -346,8 +339,20 @@ class EmissionGeometry:
     def beta(self) -> float:
         return self.p.mag / self.epsilon
 
-    def triangle(self) -> TriangleAngles:
-        return triangle_angles(self.p.perp, self.p_prime.perp, self.k.perp)
+
+def _check_emission(omega: float, lambda_e: float, lambda_prime: float,
+                    lambda_gamma: int) -> None:
+    """Raises ``ValueError`` naming omega if it is not finite and positive,
+    or the first helicity label outside its ``HELICITIES``."""
+    if not math.isfinite(omega):
+        raise ValueError(f"omega must be finite, got {omega!r}")
+    if omega <= 0:
+        raise ValueError("omega must be positive")
+    for name, value in zip(HELICITIES, (lambda_e, lambda_prime,
+                                        lambda_gamma)):
+        if value not in HELICITIES[name]:
+            raise ValueError(f"{name} must be one of {HELICITIES[name]}, "
+                             f"got {value!r}")
 
 
 def column_dot(a: np.ndarray, b: np.ndarray):
@@ -365,21 +370,6 @@ def column_cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     b0, b1, b2 = b.tolist() if b.ndim == 1 else b
     return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2,
                      a0 * b1 - a1 * b0])
-
-
-def first_fault(checks):
-    """The first sample that fails a check, and its error.  ``checks``
-    holds (mask, error) pairs in the order one sample runs them: a boolean
-    mask over the samples, and a callable from a sample's position to the
-    exception that sample raises.  Returns (position, exception) at the
-    lowest position that any mask holds, with the error of the first check
-    that fails there, or None."""
-    found = None
-    for mask, error in checks:
-        hits = np.flatnonzero(mask)
-        if hits.size and (found is None or hits[0] < found[0]):
-            found = (int(hits[0]), error)
-    return None if found is None else (found[0], found[1](found[0]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -405,15 +395,6 @@ class GeometryBatch:
                    geom.omega, geom.lambda_e, geom.lambda_prime,
                    geom.lambda_gamma)
 
-    def __len__(self) -> int:
-        return self.p.shape[1]
-
-    def take(self, index) -> "GeometryBatch":
-        """The batch of the samples at ``index``."""
-        return GeometryBatch(self.p[:, index], self.p_prime[:, index],
-                             self.k[:, index], self.omega, self.lambda_e,
-                             self.lambda_prime, self.lambda_gamma)
-
     def geometry(self, i: int) -> EmissionGeometry:
         """Sample ``i`` as an ``EmissionGeometry``."""
         return EmissionGeometry(
@@ -431,76 +412,46 @@ def place_triangles(p_perp: float, pp_perp: float, beta: float,
                     branch: int = 1, lambda_e: float = 0.5,
                     lambda_prime: float = 0.5, lambda_gamma: int = 1):
     """``triangle_geometry`` over arrays of n and theta_k (broadcast
-    together): returns (batch, closes, fault).  ``closes`` masks the
-    samples whose legs close with p_perp < |p|, and ``batch`` is the
-    ``GeometryBatch`` of those samples.  ``fault`` is None, or (position,
-    exception) of the first sample at which ``triangle_geometry`` raises;
-    ``closes`` then holds no sample from that position on."""
+    together): returns (batch, closes).  ``closes`` masks the samples whose
+    legs close with p_perp < |p| (a negative leg k_perp, where theta_k lies
+    outside [0, pi], does not), and ``batch`` is the ``GeometryBatch`` of
+    those samples.  Raises ``ValueError`` naming the first bad input, before
+    any placement: a branch other than +-1, a non-finite n, theta_k or
+    phi_k, a p_perp or pp_perp that is not finite and non-negative, beta
+    (as ``momentum_magnitude``), omega or a helicity (as
+    ``EmissionGeometry``)."""
     if branch not in (1, -1):
         raise ValueError("branch must be +1 or -1")
     n, theta_k = (a.ravel() for a in np.broadcast_arrays(
         np.asarray(n, dtype=float), np.asarray(theta_k, dtype=float)))
+    for name, values in (("n", n), ("theta_k", theta_k),
+                         ("phi_k", np.array([phi_k], dtype=float))):
+        bad = values[~np.isfinite(values)].tolist()
+        if bad:
+            raise ValueError(f"{name} must be finite, got {bad[0]!r}")
+    for name, value in (("p_perp", p_perp), ("pp_perp", pp_perp)):
+        if not (math.isfinite(value) and value >= 0.0):
+            raise ValueError(
+                f"{name} must be finite and non-negative, got {value!r}")
+    p_mag = momentum_magnitude(beta)
+    _check_emission(omega, lambda_e, lambda_prime, lambda_gamma)
     kmag = n * omega
     k_perp = kmag * np.sin(theta_k)
     k_z = kmag * np.cos(theta_k)
-    p_mag = momentum_magnitude(beta)
-    closes = triangle_rules_hold(p_perp, pp_perp, k_perp) & (p_mag > p_perp)
-    where = np.flatnonzero(closes)
+    closes = ((k_perp >= 0.0) & triangle_rules_hold(p_perp, pp_perp, k_perp)
+              & (p_mag > p_perp))
+    k_perp, k_z = k_perp[closes], k_z[closes]
     # per sample: math.acos rounds differently from np.arccos
-    vartheta, fault = [], None
-    for i, leg in zip(where.tolist(), k_perp[where].tolist()):
-        try:
-            vartheta.append(triangle_angles(p_perp, pp_perp, leg).vartheta)
-        except TriangleViolation as exc:
-            fault = (i, exc)
-            break
-    where = where[:len(vartheta)]
-    k_perp, k_z = k_perp[where], k_z[where]
-    phi_prime = phi_k - branch * (math.pi - np.array(vartheta))
+    vartheta = np.array([triangle_angles(p_perp, pp_perp, leg).vartheta
+                         for leg in k_perp.tolist()])
+    phi_prime = phi_k - branch * (math.pi - vartheta)
     # (no sample closes where p_perp >= |p|, and none needs p'_z)
     pp_z = math.sqrt(max(p_mag ** 2 - p_perp ** 2, 0.0)) - k_z
     p_prime = np.array([pp_perp * np.cos(phi_prime),
                         pp_perp * np.sin(phi_prime), pp_z])
     k = np.array([k_perp * math.cos(phi_k), k_perp * math.sin(phi_k), k_z])
-    vectors = np.array([p_prime + k, p_prime, k])
-    batch = GeometryBatch(*vectors, omega, lambda_e, lambda_prime,
-                          lambda_gamma)
-    p = vectors[0]
-    perp = np.hypot(p[0], p[1])
-    # the samples that EmissionGeometry rejects, each built to raise its
-    # own error: where a component is not finite or |p - p' - k| exceeds
-    # 1e-12 max(|p|, 1), and the first sample if it rejects omega or a
-    # helicity (and so every sample)
-    scale = np.maximum(np.sqrt(column_dot(p, p)), 1.0)
-    rejected = (~np.isfinite(vectors).all(axis=(0, 1))
-                | (np.abs(p - vectors[1] - vectors[2]).max(axis=0)
-                   > 1e-12 * scale))
-    if len(where) and _raises(lambda: batch.geometry(0)) is not None:
-        rejected[0] = True
-    # law of cosines guarantees closure; catch sign mistakes loudly
-    misplaced = ~(np.abs(perp - p_perp) <= np.maximum(
-        1e-9 * np.maximum(perp, p_perp), 1e-15 * max(1.0, p_perp)))
-    late = first_fault([
-        (rejected, lambda j: _raises(lambda: batch.geometry(j))),
-        (misplaced, lambda j: TriangleViolation(
-            "triangle placement inconsistent: |p_perp| = "
-            f"{math.hypot(p[0, j], p[1, j])}, requested {p_perp}"))])
-    if late is not None:
-        # every sample before the first raising one has been placed
-        fault = (int(where[late[0]]), late[1])
-        where = where[:late[0]]
-    closes = np.zeros(closes.shape, dtype=bool)
-    closes[where] = True
-    return batch.take(slice(len(where))), closes, fault
-
-
-def _raises(build):
-    """The ValueError that ``build()`` raises, or None."""
-    try:
-        build()
-    except ValueError as exc:
-        return exc
-    return None
+    return GeometryBatch(p_prime + k, p_prime, k, omega, lambda_e,
+                         lambda_prime, lambda_gamma), closes
 
 
 def triangle_geometry(p_perp: float, pp_perp: float, beta: float,
@@ -517,9 +468,7 @@ def triangle_geometry(p_perp: float, pp_perp: float, beta: float,
     phi_k = phi' + alpha + gamma; ``branch=-1`` its mirror.  The one-sample
     call of ``place_triangles``.
     """
-    batch, closes, fault = place_triangles(
+    batch, closes = place_triangles(
         p_perp, pp_perp, beta, omega, n, theta_k, phi_k, branch, lambda_e,
         lambda_prime, lambda_gamma)
-    if fault is not None:
-        raise fault[1]
     return batch.geometry(0) if closes[0] else None

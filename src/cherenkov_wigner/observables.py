@@ -27,8 +27,7 @@ import numpy as np
 
 from . import amplitudes
 from .kinematics import (ElectronPacket, EmissionGeometry, GeometryBatch,
-                         check_speed_and_index, column_cross, column_dot,
-                         first_fault)
+                         check_speed_and_index, column_cross, column_dot)
 from .medium import (WEAK_DISPERSION_THRESHOLD, DegenerateGroupVelocity,
                      MediumModel)
 
@@ -132,7 +131,7 @@ def dispersion_coefficients(n: float, omega: float, epsilon: float,
     ``spread_times_at_angle``).
     """
     if _no_group_velocity(n, d_param):
-        raise _no_group_velocity_error(n, d_param, omega)
+        raise _no_group_velocity_error(n * (1.0 + d_param), omega)
     return _coefficients(n, omega, epsilon, d_param, e_param)
 
 
@@ -141,9 +140,8 @@ def _no_group_velocity(n, d_param):
     return abs(n * (1.0 + d_param)) < 1e-12
 
 
-def _no_group_velocity_error(n, d_param, omega):
-    return DegenerateGroupVelocity(f"n (1 + D) = {n * (1.0 + d_param)} at "
-                                   f"omega={omega}")
+def _no_group_velocity_error(n_d, omega):
+    return DegenerateGroupVelocity(f"n (1 + D) = {n_d} at omega={omega}")
 
 
 def _coefficients(n, omega, epsilon, d_param, e_param):
@@ -299,7 +297,9 @@ class PhaseSpaceKernel:
 
     It holds one velocity pair (shape (3,)), (3, N) columns of pairs, or a
     pair and an array of widths, in elementwise sums; the integrand
-    methods (``eta`` to ``exponent_split``) take one pair.
+    methods (``eta`` to ``exponent_split``) take one pair.  A kernel built
+    from momenta and a medium read (``from_geometry``) keeps the
+    refractive index n it read.
     """
 
     def __init__(self, u_p: np.ndarray, u_k: np.ndarray, a, b, sigma,
@@ -335,13 +335,15 @@ class PhaseSpaceKernel:
         n, d, e, dispersive = medium_values
         xp = math if p.ndim == 1 else np
         if xp is math and _no_group_velocity(n, d):
-            raise _no_group_velocity_error(n, d, omega)
+            raise _no_group_velocity_error(n * (1.0 + d), omega)
         eps = xp.sqrt(1.0 + column_dot(p, p))
         eps_prime = xp.sqrt(1.0 + column_dot(p_prime, p_prime))
         a, b, uk_mag = _coefficients(n, omega, eps, d, e)
         u_k = uk_mag * (k / xp.sqrt(column_dot(k, k)))
-        return cls(p / eps, u_k, a, b, sigma, eps - eps_prime - omega,
-                   dispersive)
+        kernel = cls(p / eps, u_k, a, b, sigma, eps - eps_prime - omega,
+                     dispersive)
+        kernel.n = n
+        return kernel
 
     # complex eta/chi route -------------------------------------------------
 
@@ -483,44 +485,44 @@ def flash_stats_batch(batch: GeometryBatch, media: np.ndarray,
     read as column i of ``media`` (``read_media``), with packet width
     ``sigma`` and observation point r of shape (3,) or (3, N), in one
     numpy pass over one ``PhaseSpaceKernel`` of the samples.  Returns
-    (stats, no_velocity, fault): ``stats`` is a ``FlashStats`` of arrays
-    over the samples; ``no_velocity`` masks the samples where
-    n (1 + D) = 0, whose stats are NaN with no flags (``flash_stats``
-    raises ``DegenerateGroupVelocity`` there); ``fault`` is None, or
-    (position, exception) of the first other sample at which
-    ``flash_stats`` raises (``MachConeDegenerate``, ``CollinearVelocities``
-    or ``amplitudes.DegeneratePhase``), and no stats hold from there on.
+    (stats, checks): ``stats`` is a ``FlashStats`` of arrays over the
+    samples, and ``checks`` lists (reason, mask, error) in the order
+    ``flash_stats`` runs them: degenerate_group_velocity where
+    n (1 + D) = 0 (``DegenerateGroupVelocity``, naming n (1 + D) at the
+    first sample it holds at), mach_cone (``MachConeDegenerate``),
+    collinear_velocities (``CollinearVelocities``), then degenerate_phase
+    once per check of ``amplitudes.phase_gradients``.  Each mask runs over
+    the samples; where one holds, the stats are NaN with no flags.
     """
-    omega, count = batch.omega, len(batch)
-    no_velocity = _no_group_velocity(media[0], media[1])
-    keep = np.flatnonzero(~no_velocity)
-    sub = batch.take(keep)
+    omega = batch.omega
     with np.errstate(divide="ignore", invalid="ignore"):
         kernel = PhaseSpaceKernel._from_momenta(
-            sub.p, sub.p_prime, sub.k, omega, media[:, keep], sigma)
-        sigma_t = kernel.sigma_t(t_prime)
+            batch.p, batch.p_prime, batch.k, omega, media, sigma)
+        grad_p, grad_k, phase_checks = amplitudes.phase_gradients(batch)
+        phi = grad_p + grad_k
         l_0 = kernel.l_0()
-    grad_p, grad_k, phase_fault = amplitudes.phase_gradients(sub)
-    phi = grad_p + grad_k
-    r = np.broadcast_to(np.asarray(r, dtype=float), (3, count))[:, keep]
-    checks = [(kernel.cc < 1e-28, lambda i: MachConeDegenerate(_MACH_CONE)),
-              (kernel.dd < 1e-28, lambda i: CollinearVelocities(_COLLINEAR))]
-    if phase_fault is not None:
-        checks.append((np.arange(len(keep)) == phase_fault[0],
-                       lambda i: phase_fault[1]))
-    fault = first_fault(checks)
-    if fault is not None:
-        fault = (int(keep[fault[0]]), fault[1])
-    values = np.full((6, count), np.nan)
-    values[:, keep] = (sigma_t, column_dot(l_0, phi),
-                       column_dot(l_0, r + phi), *l_0)
-    p_mag, k_mag = (np.sqrt(column_dot(v, v)) for v in (sub.p, sub.k))
-    flags = np.zeros(count, dtype=int)
-    flags[keep] = _wkb_flag_values(column_dot(sub.p, sub.k) / (p_mag * k_mag),
-                                   sub.epsilon, kernel.cc, sigma)
+        values = np.array([kernel.sigma_t(t_prime), column_dot(l_0, phi),
+                           column_dot(l_0, np.reshape(r, (3, -1)) + phi),
+                           *l_0])
+        cos_pk = column_dot(batch.p, batch.k) / (
+            np.sqrt(column_dot(batch.p, batch.p))
+            * np.sqrt(column_dot(batch.k, batch.k)))
+        flags = _wkb_flag_values(cos_pk, batch.epsilon, kernel.cc, sigma)
+    no_velocity = _no_group_velocity(media[0], media[1])
+    n_d = (media[0] * (1.0 + media[1]))[no_velocity].tolist()
+    checks = [("degenerate_group_velocity", no_velocity,
+               _no_group_velocity_error(n_d[0] if n_d else 0.0, omega)),
+              ("mach_cone", kernel.cc < 1e-28,
+               MachConeDegenerate(_MACH_CONE)),
+              ("collinear_velocities", kernel.dd < 1e-28,
+               CollinearVelocities(_COLLINEAR)),
+              *(("degenerate_phase", *check) for check in phase_checks)]
+    failed = np.logical_or.reduce([mask for _, mask, _ in checks])
+    values[:, failed] = np.nan
+    flags[failed] = 0
     stats = FlashStats(sigma_t=values[0], t_0=values[2], delta_t=values[1],
                        l_0=values[3:], flags=flags)
-    return stats, no_velocity, fault
+    return stats, checks
 
 
 def flash_stats(geom: EmissionGeometry, packet: ElectronPacket,
@@ -534,16 +536,15 @@ def flash_stats(geom: EmissionGeometry, packet: ElectronPacket,
     ``wkb_flags`` of the same velocities.  With p, p' or k along z the
     azimuth, and so Phi, is undefined: ``amplitudes.DegeneratePhase``
     names the vector (``PhaseSpaceKernel.sigma_t`` alone does not need
-    Phi).  The one-sample call of ``flash_stats_batch``.
+    Phi).  The one-sample call of ``flash_stats_batch``: raises the error
+    of its first check that holds.
     """
-    media = read_media([medium], geom.omega, dispersive)
-    stats, no_velocity, fault = flash_stats_batch(
-        GeometryBatch.of(geom), media, packet.sigma,
-        np.asarray(r, dtype=float)[:, None], float(t_prime))
-    if no_velocity[0]:
-        raise _no_group_velocity_error(media[0, 0], media[1, 0], geom.omega)
-    if fault is not None:
-        raise fault[1]
+    stats, checks = flash_stats_batch(
+        GeometryBatch.of(geom), read_media([medium], geom.omega, dispersive),
+        packet.sigma, np.asarray(r, dtype=float)[:, None], float(t_prime))
+    for _, mask, error in checks:
+        if mask[0]:
+            raise error
     return FlashStats(sigma_t=float(stats.sigma_t[0]),
                       t_0=float(stats.t_0[0]),
                       delta_t=float(stats.delta_t[0]), l_0=stats.l_0[:, 0],

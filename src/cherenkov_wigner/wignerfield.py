@@ -258,7 +258,7 @@ class _Context:
         self.kernel = PhaseSpaceKernel.from_geometry(
             self.geom, scenario.packet, scenario.medium, scenario.dispersive)
         sigma = scenario.packet.sigma
-        self.n = n = scenario.medium.index(scenario.omega)[0]
+        self.n = n = self.kernel.n
         m2 = (amplitudes.summed_mod_squared(self.geom)
               if scenario.lambda_gamma is None
               else amplitudes.helicity_amplitude(self.geom).mod_squared)

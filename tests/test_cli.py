@@ -19,13 +19,14 @@ from cherenkov_wigner.amplitudes import DegeneratePhase
 from cherenkov_wigner.cli import (ParseError, ScenarioConfig, ValidationError,
                                   parse_config, run_study)
 from cherenkov_wigner.kinematics import (ElectronPacket, EmissionGeometry,
-                                         Momentum3, TriangleViolation,
+                                         Momentum3,
                                          momentum_magnitude,
                                          triangle_geometry)
 from cherenkov_wigner.medium import (EV_PER_ME, ConstantMedium,
                                      DegenerateGroupVelocity,
                                      DispersionParams, TabulatedMedium)
 from cherenkov_wigner.observables import (CollinearVelocities,
+                                          MachConeDegenerate,
                                           PhaseSpaceKernel, flash_stats,
                                           spread_times_at_angle)
 from cherenkov_wigner.units import IncompatibleDimensions, convert_units
@@ -525,24 +526,40 @@ def _rows_bits(rows):
     return [tuple(float(v).hex() for v in row) for row in rows]
 
 
+# the reason under which a sweep counts each error of the one-sample calls
+_REASONS = {DegenerateGroupVelocity: "degenerate_group_velocity",
+            MachConeDegenerate: "mach_cone",
+            CollinearVelocities: "collinear_velocities",
+            DegeneratePhase: "degenerate_phase"}
+
+
+def _one_sample(cfg, medium, theta):
+    """(reason, row) of one arrival-time sample through the single-geometry
+    functions, the reference of the sweep's array pass: reason is None
+    where the sample emits, below_threshold, open_triangle (no triangle
+    from ``triangle_geometry``), or the exception ``flash_stats`` raises."""
+    n = medium.index(cfg.omega)[0]
+    geom = triangle_geometry(cfg.p_perp, cfg.pp_perp_ratio * cfg.p_perp,
+                             cfg.beta, cfg.omega, n, theta, cfg.phi_k,
+                             cfg.branch)
+    if cfg.beta * n < 1.0:
+        return "below_threshold", None
+    if geom is None:
+        return "open_triangle", None
+    try:
+        stats = flash_stats(geom, ElectronPacket(geom.p, cfg.sigma), medium,
+                            geom.k.as_array() / geom.k.mag * cfg.r_mag, 0.0)
+    except tuple(_REASONS) as exc:
+        return exc, None
+    return None, (stats.delta_t, stats.sigma_t, stats.t_0, int(stats.flags))
+
+
 def _arrival_sweep(cfg):
     values, media, theta_k = cli._arrival_samples(cfg)
 
     def one(value, medium, theta):
-        n = medium.index(cfg.omega)[0]
-        geom = triangle_geometry(cfg.p_perp, cfg.pp_perp_ratio * cfg.p_perp,
-                                 cfg.beta, cfg.omega, n, theta, cfg.phi_k,
-                                 cfg.branch)
-        if geom is None or cfg.beta * n < 1.0:
-            return None
-        try:
-            stats = flash_stats(geom, ElectronPacket(geom.p, cfg.sigma),
-                                medium, geom.k.as_array() / geom.k.mag
-                                * cfg.r_mag, 0.0)
-        except DegenerateGroupVelocity:
-            return None
-        return (value, stats.delta_t, stats.sigma_t, stats.t_0,
-                int(stats.flags))
+        _, row = _one_sample(cfg, medium, theta)
+        return None if row is None else (value, *row)
 
     return ((values, media, np.broadcast_to(theta_k, len(values))),
             lambda *samples: cli._arrival_rows(cfg, *samples), one)
@@ -611,9 +628,36 @@ SWEEPS = {**dict.fromkeys(ARRAY_PASSES, _arrival_sweep),
           "fig03_correlation_radius": _correlation_sweep,
           "flash_duration": _flash_duration_sweep}
 
+# fig06b variants with one sample that closes its triangle but emits no
+# photon: (config changes, that sample's exception from the one-sample
+# calls, its message)
+DEGENERATE_FIG06B = {
+    # theta_k = 0 with pp_perp = p_perp closes with k along z, after two
+    # samples that emit
+    "fig06b_k_along_z": (
+        {"pp-perp-ratio": "1", "sweep.start": "4", "sweep.stop": "0",
+         "sweep.samples": "3"}, DegeneratePhase, "^azimuth of k "),
+    # at p_perp = 1e-20 only theta_k = 0 closes, and there u_p and u_k
+    # lie along z together (k has no azimuth either, a later check)
+    "fig06b_collinear": (
+        {"p-perp": "1e-20", "pp-perp-ratio": "1", "sweep.start": "90",
+         "sweep.stop": "0", "sweep.samples": "4"}, CollinearVelocities,
+        r"^\[u_p x u_k\] = 0")}
 
-@pytest.mark.parametrize("name", sorted(SWEEPS))
-def test_sweep_sample_bits_do_not_depend_on_the_sweep(name):
+
+def _config_path(name, tmp_path):
+    """The bundled config ``name``, or the fig06b variant of that name
+    written under ``tmp_path``."""
+    if name not in DEGENERATE_FIG06B:
+        return CONFIG_DIR / f"{name}.cfg"
+    text = FIG06B
+    for key, value in DEGENERATE_FIG06B[name][0].items():
+        text = with_key(text, key, value)
+    return write_config(tmp_path, text)
+
+
+@pytest.mark.parametrize("name", sorted(SWEEPS) + sorted(DEGENERATE_FIG06B))
+def test_sweep_sample_bits_do_not_depend_on_the_sweep(tmp_path, name):
     # each sample's row, bit for bit, in the full sweep, the reversed sweep,
     # a sweep of that sample alone, and from its one-sample call:
     # flash_stats(triangle_geometry(...)) for the arrival studies (rows of
@@ -621,8 +665,8 @@ def test_sweep_sample_bits_do_not_depend_on_the_sweep(name):
     # at one R, a kernel of one packet width (rows of the closed form);
     # the cross-sample sums are elementwise, where a BLAS product would
     # round a lone row apart
-    cfg = parse_config(CONFIG_DIR / f"{name}.cfg")
-    samples, rows_of, one = SWEEPS[name](cfg)
+    cfg = parse_config(_config_path(name, tmp_path))
+    samples, rows_of, one = SWEEPS.get(name, _arrival_sweep)(cfg)
     rows, counts = rows_of(*samples)
     back, back_counts = rows_of(*(s[::-1] for s in samples))
     assert _rows_bits(back[::-1]) == _rows_bits(rows)
@@ -696,83 +740,61 @@ def test_arrival_sweep_reads_each_medium_once(tmp_path, monkeypatch, name,
                for medium in built)
 
 
-def _loop_error(cfg):
-    """The first error of a loop over the sweep's samples through the
-    single-geometry functions: the reference that the array pass of the
-    study must match."""
+@pytest.mark.parametrize("name", sorted(DEGENERATE_FIG06B))
+def test_sweep_counts_each_sample_without_a_photon_by_reason(tmp_path,
+                                                            capsys, name):
+    # the degenerate sample used to stop the sweep (exit 1, no rows); now
+    # its row is NaN with no flags, and each sample is counted under the
+    # type of the error that the one-sample calls raise for it alone
+    _, error, match = DEGENERATE_FIG06B[name]
+    path = _config_path(name, tmp_path)
+    cfg = parse_config(path)
     values, media, theta_k = cli._arrival_samples(cfg)
-    for medium, theta in zip(media, np.broadcast_to(theta_k, len(values))):
-        n = medium.index(cfg.omega)[0]
-        if cfg.beta * n < 1.0:
-            continue
-        try:
-            geom = triangle_geometry(cfg.p_perp,
-                                     cfg.pp_perp_ratio * cfg.p_perp,
-                                     cfg.beta, cfg.omega, n, theta,
-                                     cfg.phi_k, cfg.branch)
-            if geom is not None:
-                flash_stats(geom, ElectronPacket(geom.p, cfg.sigma), medium,
-                            geom.k.as_array() / geom.k.mag * cfg.r_mag, 0.0)
-        except DegenerateGroupVelocity:
-            continue
-        except Exception as exc:  # the error under test
-            return exc
-    return None
+    reasons = [_one_sample(cfg, medium, theta)[0] for medium, theta in
+               zip(media, np.broadcast_to(theta_k, len(values)))]
+    raised = [r for r in reasons if isinstance(r, Exception)]
+    assert len(raised) == 1 and type(raised[0]) is error
+    assert re.search(match, str(raised[0]))
+    reasons = [_REASONS.get(type(r), r) for r in reasons]
+    out = tmp_path / "out"
+    assert cli.main(["arrival-shift", "--config", str(path),
+                     "--out-dir", str(out)]) == 2
+    rows = data_rows(out / "fig06b_arrival_shift.csv")
+    assert [float(r[0]) for r in rows] == values.tolist()
+    for row, reason in zip(rows, reasons):
+        if reason is None:
+            assert "nan" not in row
+        else:
+            assert row[1:] == ["nan", "nan", "nan", "0.0"]
+    counts = Counter(r for r in reasons if r is not None)
+    assert _REASONS[error] in counts
+    # one line per reason, in check order, after the WKB flag lines
+    order = ("below_threshold", "open_triangle", *_REASONS.values())
+    want = [f"chr: warning: {r} flag on {counts[r]} sample"
+            f"{'s' * (counts[r] != 1)}" for r in order if counts[r]]
+    err = capsys.readouterr().err.splitlines()
+    assert err[len(err) - len(want):] == want
+    assert not any(r in line for line in err[:len(err) - len(want)]
+                   for r in order)
 
 
-@pytest.mark.parametrize("changes,error,match", [
-    # theta_k = 0 with pp_perp = p_perp closes with k along z, after two
-    # samples that emit
-    ({"pp-perp-ratio": "1", "sweep.start": "4", "sweep.stop": "0",
-      "sweep.samples": "3"}, DegeneratePhase, "azimuth of k "),
-    # at p_perp = 1e-20 only theta_k = 0 closes, and there u_p and u_k
-    # lie along z together
-    ({"p-perp": "1e-20", "pp-perp-ratio": "1", "sweep.start": "90",
-      "sweep.stop": "0", "sweep.samples": "4"}, CollinearVelocities,
-     r"^\[u_p x u_k\] = 0")])
-def test_sweep_raises_the_first_samples_error(tmp_path, capsys, changes,
-                                              error, match):
+def test_theta_k_sweep_through_zero_counts_negative_legs_as_open(tmp_path,
+                                                                 capsys):
+    # at pp_perp = p_perp the sample at -2.2e-16 degrees has a negative
+    # leg k_perp within the closure slack: the sweep raised
+    # TriangleViolation ("legs must be non-negative") and wrote no rows
     text = FIG06B
-    for key, value in changes.items():
+    for key, value in (("pp-perp-ratio", "1"), ("sweep.start", "-2"),
+                       ("sweep.stop", "2"), ("sweep.samples", "99")):
         text = with_key(text, key, value)
     path = write_config(tmp_path, text)
-    cfg = parse_config(path)
-    want = _loop_error(cfg)
-    assert type(want) is error and re.search(match, str(want))
-    with pytest.raises(error) as got:
-        run_study(cfg, tmp_path / "lib")
-    assert str(got.value) == str(want)
     assert cli.main(["arrival-shift", "--config", str(path),
-                     "--out-dir", str(tmp_path / "out")]) == 1
-    assert capsys.readouterr().err == f"chr: arrival-shift failed: {want}\n"
-
-
-@pytest.mark.parametrize("start,stop,want", [
-    ("0", "4", DegeneratePhase), ("4", "0", TriangleViolation)])
-def test_sweep_error_order_follows_the_samples(tmp_path, monkeypatch, start,
-                                               stop, want):
-    # theta_k = 0 fails in the flash statistics (k has no azimuth), and a
-    # placement made to fail at theta_k = 4 deg fails before them: the
-    # error raised is the one of the earlier sample, as in a loop
-    from cherenkov_wigner import kinematics
-    real = kinematics.triangle_angles
-
-    def failing(p_perp, pp_perp, k_perp):
-        if k_perp > 8e-8:
-            raise TriangleViolation("placement made to fail")
-        return real(p_perp, pp_perp, k_perp)
-
-    monkeypatch.setattr(kinematics, "triangle_angles", failing)
-    text = FIG06B
-    for key, value in (("pp-perp-ratio", "1"), ("sweep.start", start),
-                       ("sweep.stop", stop), ("sweep.samples", "3")):
-        text = with_key(text, key, value)
-    cfg = parse_config(write_config(tmp_path, text))
-    expected = _loop_error(cfg)
-    assert type(expected) is want
-    with pytest.raises(want) as got:
-        run_study(cfg, tmp_path)
-    assert str(got.value) == str(expected)
+                     "--out-dir", str(tmp_path / "out")]) == 2
+    rows = data_rows(tmp_path / "out" / "fig06b_arrival_shift.csv")
+    assert [r[1] == "nan" for r in rows] == [True] * 50 + [False] * 49
+    assert capsys.readouterr().err.splitlines() == [
+        "chr: warning: small_angle flag on 49 samples",
+        "chr: warning: open_triangle flag on 50 samples"]
 
 
 FIG06B = (CONFIG_DIR / "fig06b_arrival_shift.cfg").read_text(encoding="utf-8")

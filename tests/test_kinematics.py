@@ -13,7 +13,7 @@ from cherenkov_wigner.kinematics import (BelowThreshold, ElectronPacket,
                                          cutoff_frequency, energy,
                                          lorentz_gamma, mach_angle,
                                          momentum_magnitude,
-                                         triangle_angles,
+                                         place_triangles, triangle_angles,
                                          triangle_geometry,
                                          triangle_rules_hold)
 from cherenkov_wigner.observables import (singular_angles,
@@ -291,7 +291,7 @@ def test_geometry_from_balance_passes_triangle_rules(rng):
                                      rng.uniform(0, 2 * math.pi))
         geom = EmissionGeometry.from_final_state(pp, k, k.mag / 1.5)
         assert triangle_rules_hold(geom.p.perp, pp.perp, k.perp, rtol=1e-9)
-        geom.triangle()  # must not raise
+        triangle_angles(geom.p.perp, pp.perp, k.perp)  # must not raise
 
 
 def test_triangle_geometry_placement():
@@ -299,7 +299,7 @@ def test_triangle_geometry_placement():
                              theta_k=0.4, branch=1)
     # the initial electron moves at the requested speed
     assert geom.beta == pytest.approx(0.9, rel=1e-15)
-    tri = geom.triangle()
+    tri = triangle_angles(geom.p.perp, geom.p_prime.perp, geom.k.perp)
     # phi = phi' + alpha and phi_k = phi' + alpha + gamma on the +1 branch
     phi_p = geom.p.phi
     phi_prime = geom.p_prime.phi
@@ -354,3 +354,65 @@ def test_emission_geometry_rejects_non_finite_inputs_by_name(name, axis, bad):
         fields[name] = replace(fields[name], **{axis: bad})
     with pytest.raises(ValueError, match=f"^{name} must be finite"):
         EmissionGeometry(**fields)
+
+
+# place_triangles arguments under which both samples close
+_PLACED = dict(p_perp=1e-5, pp_perp=0.99e-5, beta=0.9, omega=1e-5,
+               n=np.array([1.5, 1.4]), theta_k=np.array([0.4, 0.5]))
+
+
+@pytest.mark.parametrize("changes,match", [
+    ({"n": np.array([1.5, math.nan])}, "^n must be finite, got nan"),
+    ({"theta_k": np.array([0.4, math.inf])},
+     "^theta_k must be finite, got inf"),
+    ({"theta_k": -math.inf}, "^theta_k must be finite, got -inf"),
+    ({"p_perp": -1e-5}, "^p_perp must be finite and non-negative"),
+    ({"pp_perp": -1e-12}, "^pp_perp must be finite and non-negative"),
+    ({"omega": 0.0}, "^omega must be positive"),
+    ({"omega": -1e-5}, "^omega must be positive"),
+    ({"lambda_gamma": 0}, "^lambda_gamma must be one of"),
+    ({"lambda_e": 0.3}, "^lambda_e must be one of")])
+def test_place_triangles_names_a_bad_input_before_placing(monkeypatch,
+                                                          changes, match):
+    from cherenkov_wigner import kinematics
+    batch, closes = place_triangles(**_PLACED)
+    assert closes.tolist() == [True, True] and batch.p.shape == (3, 2)
+
+    def placed(*args):
+        raise AssertionError("a triangle was placed")
+
+    monkeypatch.setattr(kinematics, "triangle_angles", placed)
+    with pytest.raises(ValueError, match=match):
+        place_triangles(**dict(_PLACED, **changes))
+
+
+def test_negative_transverse_legs_do_not_close():
+    # theta_k from -2 to 2 degrees at pp_perp = p_perp: the middle sample
+    # is -2.2e-16 degrees, whose leg k_perp < 0 lies within the closure
+    # slack, and raised TriangleViolation ("legs must be non-negative")
+    theta = np.linspace(-2.0, 2.0, 99) * DEG
+    assert -1e-15 < theta[49] * 180.0 / math.pi < 0.0
+    batch, closes = place_triangles(1e-6, 1e-6, 0.999, 1e-6, 1.3, theta)
+    assert closes.tolist() == [False] * 50 + [True] * 49
+    assert batch.p.shape == (3, 49)
+    assert triangle_geometry(1e-6, 1e-6, 0.999, 1e-6, 1.3, theta[49]) is None
+    assert triangle_geometry(1e-6, 1e-6, 0.999, 1e-6, 1.3, -0.4) is None
+
+
+def test_placed_triangles_close(rng):
+    # every placed p has transverse length p_perp and its requested speed
+    # beta, on both branches: the law of cosines guarantees it, so the
+    # placement no longer checks each sample at run time
+    for _ in range(40):
+        p_perp = 10 ** rng.uniform(-9, -3)
+        beta, omega = rng.uniform(0.5, 0.9999), 10 ** rng.uniform(-8, -4)
+        n, theta = rng.uniform(1.0, 2.0, 200), rng.uniform(0.0, math.pi, 200)
+        for branch in (1, -1):
+            batch, closes = place_triangles(
+                p_perp, rng.uniform(0.5, 1.5) * p_perp, beta, omega, n,
+                theta, rng.uniform(0.0, 2.0 * math.pi), branch)
+            assert batch.p.shape == (3, closes.sum())
+            perp = np.hypot(batch.p[0], batch.p[1])
+            assert np.all(np.abs(perp - p_perp) <= 1e-12 * p_perp)
+            speed = np.sqrt(1.0 - 1.0 / batch.epsilon ** 2)
+            assert np.allclose(speed, beta, rtol=1e-12, atol=0.0)

@@ -1281,6 +1281,27 @@ class _MapGrid(Exception):
     """Carries the grid a map was about to integrate."""
 
 
+def test_context_reads_the_index_once_per_use():
+    # the scenario's geometry (|k| = n omega) and the kernel's medium read
+    # (dispersion_params, which reads the index, then the index for n);
+    # the context read n a fourth time, and now takes the kernel's
+    class Counting(ConstantMedium):
+        reads = 0
+
+        def index(self, omega):
+            self.reads += 1
+            return super().index(omega)
+
+    sc = balance_scenario(sigma=1e-5, t_out=1e6, theta_frac=1.1)
+    counted = replace(sc, medium=Counting(1.4))
+    ctx = _Context(counted)
+    assert counted.medium.reads == 3
+    want = _Context(sc)
+    assert ctx.n == want.n == 1.4
+    assert ((ctx.prefactor, ctx.envelope_scale, ctx.phase_rate_hint)
+            == (want.prefactor, want.envelope_scale, want.phase_rate_hint))
+
+
 def test_default_grid_reads_only_the_kernel(monkeypatch):
     # no |M|^2, prefactor, envelope or WKB flags; and the grid is the one
     # that evaluate_map builds for itself when given none
