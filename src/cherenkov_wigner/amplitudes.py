@@ -115,6 +115,12 @@ def _d_one_slope(sigma: int, lam: int, theta: np.ndarray) -> np.ndarray:
 _TERMS = ((math.sqrt(2.0), 0.5, -0.5, 1), (-1.0, 0.5, 0.5, 0),
           (-math.sqrt(2.0), -0.5, 0.5, -1), (1.0, -0.5, -0.5, 0))
 
+# each term's prefactor and the places of its three d-function entries
+# among the spin projections _HALF (sigma, sigma') and _ONE (sigma_gamma)
+_HALF, _ONE = (0.5, -0.5), (1, 0, -1)
+_TERM_ENTRIES = tuple((c, _HALF.index(s), _HALF.index(sp), _ONE.index(sg))
+                      for c, s, sp, sg in _TERMS)
+
 # d z_i / d(theta, phi, theta', phi', theta_k, phi_k): the azimuthal phases
 # are linear in the azimuths and free of the polar angles
 _Z_SLOPES = np.array([[0.0, -0.5, 0.0, -0.5, 0.0, 1.0],
@@ -157,12 +163,14 @@ def _partial_terms(thetas, phis, lambda_e: float, lambda_prime: float,
     from the polar angles (theta, theta', theta_k) and the anchored
     azimuths (phi, phi', phi_k), elementwise over arrays of them."""
     (theta, theta_p, theta_k), (phi, phi_p, phi_k) = thetas, phis
-    electron = [c * wigner_d_half(s, lambda_e, theta)
-                * wigner_d_half(sp, lambda_prime, theta_p)
-                for c, s, sp, _ in _TERMS]
-    ms = [tuple(e * wigner_d_one(sg, lg, theta_k)
-                for e, (*_, sg) in zip(electron, _TERMS))
-          for lg in lambda_gammas]
+    # each d-function entry once per angle, shared by the terms that take it
+    d_e = [wigner_d_half(s, lambda_e, theta) for s in _HALF]
+    d_p = [wigner_d_half(s, lambda_prime, theta_p) for s in _HALF]
+    electron = [(c * d_e[i] * d_p[j], k) for c, i, j, k in _TERM_ENTRIES]
+    ms = []
+    for lg in lambda_gammas:
+        d_k = [wigner_d_one(s, lg, theta_k) for s in _ONE]
+        ms.append(tuple([m * d_k[k] for m, k in electron]))
     z1 = -0.5 * (phi + phi_p) + phi_k
     z2 = 0.5 * (phi_p - phi)
     return ms, (z1, z2, -z1, -z2)

@@ -315,10 +315,14 @@ class EmissionGeometry:
             if not all(map(math.isfinite, (mom.x, mom.y, mom.z))):
                 raise ValueError(f"{name} must be finite, got {mom!r}")
         scale = max(self.p.mag, 1.0)
-        residual = (self.p - self.p_prime - self.k).as_array()
-        if np.max(np.abs(residual)) > 1e-12 * scale:
+        # p - p' - k by component; finite momenta leave no NaN component,
+        # so max sees every one
+        p, p_prime, k = self.p, self.p_prime, self.k
+        residual = (p.x - p_prime.x - k.x, p.y - p_prime.y - k.y,
+                    p.z - p_prime.z - k.z)
+        if max(map(abs, residual)) > 1e-12 * scale:
             raise ValueError("momentum balance p = p' + k violated: "
-                             f"residual {residual}")
+                             f"residual {np.array(residual)}")
 
     @classmethod
     def from_final_state(cls, p_prime: Momentum3, k: Momentum3, omega: float,

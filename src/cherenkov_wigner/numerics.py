@@ -112,17 +112,23 @@ def _gk15_panels(f, lo, hi):
         row, panel = np.argwhere(~np.isfinite(kronrod))[0]
         raise NonFiniteIntegrand(
             f"non-finite integrand row {row} on [{lo[panel]}, {hi[panel]}]")
-    gauss = np.einsum("...j,j->...", y[..., 1::2], _GAUSS_WEIGHTS)
-    err = half * np.abs(kronrod - gauss)
-    # QUADPACK-style rescaling: sharpen the raw |K - G| estimate
-    resasc = half * np.einsum("...j,j->...",
-                              np.abs(y - 0.5 * kronrod[..., None]),
+    err = np.einsum("...j,j->...", y[..., 1::2], _GAUSS_WEIGHTS)
+    err -= kronrod
+    np.abs(err, out=err)
+    err *= half
+    # QUADPACK-style rescaling: sharpen the raw |K - G| estimate where
+    # resasc > 0; elsewhere, where every sample is K/2, the ratio is unused
+    dev = y - 0.5 * kronrod[..., None]
+    resasc = half * np.einsum("...j,j->...", np.abs(dev, out=dev),
                               _KRONROD_WEIGHTS)
+    ratio = 200.0 * err
     scaled = resasc > 0.0
-    ratio = np.divide(200.0 * err, resasc, out=np.zeros_like(err),
-                      where=scaled)
-    return (half * kronrod,
-            np.where(scaled, resasc * np.minimum(1.0, ratio ** 1.5), err))
+    np.divide(ratio, resasc, out=ratio, where=scaled)
+    ratio **= 1.5
+    estimate = resasc * np.minimum(ratio, 1.0, out=ratio)
+    if not scaled.all():
+        estimate = np.where(scaled, estimate, err)
+    return half * kronrod, estimate
 
 
 def _differentiation_matrix(x):
@@ -283,15 +289,20 @@ def _start_mesh(a, b, n0, knee, max_panels):
     in order; near a large |a|, where w 2**-k falls below the spacing of
     floats, an edge that rounds onto the one before it is dropped, which
     leaves the edges of ``np.unique``."""
-    edges = a + np.arange(n0 + 1) * ((b - a) / n0)
+    edges = np.arange(n0 + 1) * ((b - a) / n0)
+    edges += a
     edges[-1] = b
-    w = edges[1] - a
+    w = float(edges[1]) - a
     if knee is not None and 0.0 < knee / 8.0 < 0.5 * w:
         levels = min(math.ceil(math.log2(8.0 * w) - math.log2(knee)) - 1,
                      max_panels - n0)
-        graded = a + w * 2.0 ** -np.arange(levels, 0, -1)
+        graded = 2.0 ** np.arange(-levels, 0)
+        graded *= w
+        graded += a
         edges = np.concatenate(([a], graded, edges[1:]))
-        edges = edges[np.concatenate(([True], edges[1:] > edges[:-1]))]
+        rises = edges[1:] > edges[:-1]
+        if not rises.all():
+            edges = edges[np.concatenate(([True], rises))]
     return edges
 
 
@@ -454,8 +465,9 @@ def integrate_batch(
     if levin is not None:
         phase = np.abs(levin(edges)[1].imag)
         rows = phase.shape[0]
-        turns = (np.maximum(phase[:, :-1], phase[:, 1:])
-                 * (edges[1:] - edges[:-1])).max() > _LEVIN_BATCH
+        turn = np.maximum(phase[:, :-1], phase[:, 1:])
+        turn *= edges[1:] - edges[:-1]
+        turns = turn.max() > _LEVIN_BATCH
         # with one start panel, the start mesh is the knee-only one
         plain = edges if n0 == 1 or not turns else start(1)
         if turns and plain.size - 1 <= max_panels:
@@ -480,8 +492,8 @@ def integrate_batch(
         if not active.any() or budget <= 0:
             break
         share = errs[active].max(axis=0) / tol * lo.size
-        chosen = np.flatnonzero((share > 1.0)
-                                & ((hi - lo) > np.abs(hi + lo) * 1e-15))
+        chosen = ((share > 1.0)
+                  & ((hi - lo) > np.abs(hi + lo) * 1e-15)).nonzero()[0]
         if chosen.size == 0:
             break
         if chosen.size > budget:

@@ -232,9 +232,16 @@ def spread_times_at_angle(beta: float, n: float, omega: float, epsilon: float,
     by n omega.  u_p = u_k at any angle raises ``MachConeDegenerate``.
     """
     thetas = np.asarray(theta, dtype=float)
-    first = thetas[~np.isfinite(thetas)].tolist() + [0.0]  # else a valid one
+    # one angle is a number throughout: no mask, no any(), no np.full, and
+    # longdouble scalars in place of 0-d arrays, with the same arithmetic
+    one = thetas.ndim == 0
+    if one:
+        first = float(thetas)
+        first = 0.0 if math.isfinite(first) else first
+    else:  # the first non-finite angle, else a valid one
+        first = (thetas[~np.isfinite(thetas)].tolist() + [0.0])[0]
     check_speed_and_index(beta, n, omega=omega, epsilon=epsilon, sigma=sigma,
-                          theta=first[0], d_param=d_param, e_param=e_param)
+                          theta=first, d_param=d_param, e_param=e_param)
     if not omega > 0.0:
         raise ValueError(f"omega must be positive, got {omega!r}")
     ld = np.longdouble
@@ -243,9 +250,11 @@ def spread_times_at_angle(beta: float, n: float, omega: float, epsilon: float,
                                        ld(d_param), ld(e_param))
     cc = uk * uk + beta * beta - 2.0 * beta * uk * np.cos(theta)
     dd = (beta * uk * np.sin(theta)) ** 2
-    if (cc < 1e-28).any():
+    mach_cone = cc < 1e-28
+    if mach_cone if one else mach_cone.any():
         raise MachConeDegenerate(_MACH_CONE)
-    return _spread_from_coeffs(np.full(theta.shape, a), b, ld(sigma), cc, dd,
+    return _spread_from_coeffs(a if one else np.full(theta.shape, a), b,
+                               ld(sigma), cc, dd,
                                dispersive=(d_param != 0.0 or e_param != 0.0))
 
 
@@ -283,8 +292,11 @@ def gouy_phase(t_prime, spread: SpreadTimes):
     """g(t') = arctan(t'/t_d) + arctan(t'/t_d~); odd and continuous in t',
     with a negative first partial phase wherever t_d < 0."""
     t = np.asarray(t_prime, dtype=float)
+    scalar = t.ndim == 0
+    # a float takes numpy's scalar arctan, with the bits of its array loop
+    t = float(t) if scalar else t
     g = np.arctan(t * spread.inv_t_d) + np.arctan(t / spread.t_d_tilde)
-    return float(g) if np.ndim(t_prime) == 0 else g
+    return float(g) if scalar else g
 
 
 class PhaseSpaceKernel:
@@ -366,9 +378,14 @@ class PhaseSpaceKernel:
     def integrand_coefficients(self, t):
         """The t'-dependent factors of the master integrand, sharing eta,
         chi and eta C + chi D: ``prefactor_complex`` and the
-        ``exponent_coefficients`` (cA, cB).  Each intermediate is dropped
-        after its last use: on the reference evaluator's abscissae one
-        complex array takes 4 MB."""
+        ``exponent_coefficients`` (cA, cB)."""
+        scaled, c_a, c_b = self._exponent_terms(t)
+        return 1.0 / np.sqrt(scaled), c_a, c_b
+
+    def _exponent_terms(self, t):
+        """(eta (eta C + chi D), cA, cB), from one eta and one chi.  Each
+        intermediate is dropped after its last use: on the reference
+        evaluator's abscissae one complex array takes 4 MB."""
         eta = self.eta(t)
         chi = self.chi(t)
         denom = eta * self.cc + chi * self.dd
@@ -376,9 +393,7 @@ class PhaseSpaceKernel:
         del eta
         c_b = -0.5 * chi / scaled
         del chi
-        c_a = -0.5 / denom
-        del denom
-        return 1.0 / np.sqrt(scaled), c_a, c_b
+        return scaled, -0.5 / denom, c_b
 
     def log_integrand_coefficients(self, t):
         """The t'-dependent factors of the log-integrand
@@ -403,7 +418,7 @@ class PhaseSpaceKernel:
 
     def exponent_coefficients(self, t):
         """Complex (cA, cB) with exponent(t, R) = cA A + cB B."""
-        return self.integrand_coefficients(t)[1:]
+        return self._exponent_terms(t)[1:]
 
     def exponent_complex(self, t, R: np.ndarray):
         """-(eta A + chi B) / (2 eta (eta C + chi D)); real part is
@@ -435,10 +450,18 @@ class PhaseSpaceKernel:
     def big_g(self, t):
         """G(t') = |u_p - u_k|/(2 sigma^2) [(1 + (t/t_d)^2)(1 + (t/t~)^2)]^(1/4)."""
         t = np.asarray(t, dtype=float)
-        x2 = (t * self.spread.inv_t_d) ** 2
-        y2 = (t / self.spread.t_d_tilde) ** 2
-        return (math.sqrt(self.cc) / (2.0 * self.sigma ** 2)
-                * ((1.0 + x2) * (1.0 + y2)) ** 0.25)
+        # (t/t_d)^2 + 1 and (t/t~)^2 + 1 formed in place: the bits of
+        # 1 + x^2, without the temporaries
+        g = t * self.spread.inv_t_d
+        g *= g
+        g += 1.0
+        y2 = t / self.spread.t_d_tilde
+        y2 *= y2
+        y2 += 1.0
+        g *= y2
+        g **= 0.25
+        g *= math.sqrt(self.cc) / (2.0 * self.sigma ** 2)
+        return g
 
     def gouy(self, t):
         return gouy_phase(t, self.spread)

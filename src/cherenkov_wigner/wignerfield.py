@@ -247,6 +247,10 @@ def _x_normal(kernel: PhaseSpaceKernel) -> bool:
                 and max(abs(c[1]), abs(c[2])) <= 1e-15 * math.hypot(*c))
 
 
+# the sample indices of the envelope integral's 513-point trapezoid
+_ENVELOPE_STEPS = np.arange(513.0)
+
+
 class _Context:
     """Per-scenario precomputation: kernel, constant prefactor, the
     oscillation-rate hint, the Gouy knee and the scenario-wide WKB
@@ -284,13 +288,16 @@ class _Context:
         self.base_flags = int(observables.wkb_flags(self.geom, self.kernel))
         # natural magnitude of the t' integral, Int dt'/G: sets the scale of
         # absolute quadrature tolerances (the integrand envelope is 1/G).
-        # np.trapezoid on np.linspace(0, t_out, 513), spelled out: the
-        # same arithmetic without their argument handling
-        t = np.arange(513.0) * (scenario.t_out / 512)
+        # np.trapezoid on np.linspace(0, t_out, 513), spelled out and in
+        # place: the same arithmetic without their argument handling
+        t = _ENVELOPE_STEPS * (scenario.t_out / 512)
         t[-1] = scenario.t_out
-        inv_g = 1.0 / self.kernel.big_g(t)
-        self.envelope_scale = float(
-            ((t[1:] - t[:-1]) * (inv_g[1:] + inv_g[:-1]) / 2.0).sum())
+        inv_g = self.kernel.big_g(t)
+        np.divide(1.0, inv_g, out=inv_g)
+        area = t[1:] - t[:-1]
+        area *= inv_g[1:] + inv_g[:-1]
+        area /= 2.0
+        self.envelope_scale = float(area.sum())
 
     def integrand_for(self, R) -> callable:
         """Master integrand (prefactor excluded) at one node R of shape (3,)
@@ -310,17 +317,32 @@ class _Context:
         def f(t):
             t = np.atleast_1d(np.asarray(t, dtype=float))
             pre, c_a, c_b = self.kernel.integrand_coefficients(t)
-            env = c_a.real * a_dir + c_b.real * b_dir
-            osc = c_a.imag * a_dir + c_b.imag * b_dir
-            out = np.abs(pre) * np.exp(env) * np.cos(
-                np.angle(pre) + t * delta_eps + osc)
+            # |pre| exp(env) cos(arg pre + t delta_eps + osc), each sum and
+            # product formed in place, in an order that keeps its bits
+            env = c_a.real * a_dir
+            env += c_b.real * b_dir
+            osc = c_a.imag * a_dir
+            osc += c_b.imag * b_dir
+            phase = np.arctan2(pre.imag, pre.real)
+            phase += t * delta_eps
+            osc += phase
+            out = np.exp(env, out=env)
+            out *= np.abs(pre)
+            out *= np.cos(osc, out=osc)
             return out if R.ndim == 2 else out[0]
 
         def levin(t):
             log_pre, c_a, c_b, d_pre, d_a, d_b = (
                 self.kernel.log_integrand_coefficients(t))
-            return (log_pre + c_a * a_dir + c_b * b_dir + 1j * delta_eps * t,
-                    d_pre + d_a * a_dir + d_b * b_dir + 1j * delta_eps)
+            log_f = c_a * a_dir
+            log_f += log_pre
+            log_f += c_b * b_dir
+            log_f += 1j * delta_eps * t
+            rate = d_a * a_dir
+            rate += d_pre
+            rate += d_b * b_dir
+            rate += 1j * delta_eps
+            return log_f, rate
 
         f.levin = levin
         return f

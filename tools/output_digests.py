@@ -9,9 +9,19 @@ copies of the same configs too, and prints, per artifact, whether its
 bytes are the same; for a CSV that moved, the number of moved cells and
 the largest move, relative to the map scale (max |value| of a map's data
 cells) or to the column's largest |value| in the other checkout.  A
-differing exit code or stderr is printed as such.  Not part of the test
-suite; it takes a few seconds per checkout.  Exits 1 when some output,
-exit code or stderr differs from the other checkout, else 0.
+differing exit code or stderr is printed as such.
+
+It also runs ``evaluate_point`` on the benchmark's point set, as
+``perfbench/workloads.py`` of this checkout builds it at seed 1: the 126
+points of the ``studies`` workload and the 128 map nodes of ``map-long``
+timed one at a time.  Each point gives one record: its value, error
+estimate and flags, and the rule (``gk`` or ``levin``), rounds and panels
+of its ``BatchQuadrature``; the sha256 of the records is printed, and
+with ``--against`` each record that differs from the other checkout's.
+
+Not part of the test suite; it takes a few seconds per checkout.  Exits 1
+when some output, exit code, stderr or point record differs from the
+other checkout, else 0.
 
     python3 tools/output_digests.py [--against ../other-checkout]
 """
@@ -53,6 +63,52 @@ def run_configs(checkout, out_root):
         runs[cfg.name] = (run.returncode, run.stderr.strip(),
                           {f.name: f.read_bytes() for f in files})
     return runs
+
+
+def point_records():
+    """Print one record per point of the benchmark's point set (see the
+    module docstring), read from the ``BatchQuadrature`` that
+    ``evaluate_point`` makes; run in a child process whose path holds the
+    checkout's ``src`` and this checkout's ``perfbench``."""
+    import workloads
+    from cherenkov_wigner import numerics, wignerfield
+    made = []
+    integrate = numerics.integrate_batch
+
+    def recorded(*args, **kwargs):
+        made.append(integrate(*args, **kwargs))
+        return made[-1]
+
+    numerics.integrate_batch = recorded
+    points = [(f"studies point {i}", sc, R) for i, (sc, R) in
+              enumerate(workloads.rotated_points(1, False))]
+    maps = workloads.build("map-long", ROOT, 1)
+    points += [(f"map-long map {m} node {iy},{ix}", sc, R)
+               for m, nodes in enumerate(maps.points)
+               for (iy, ix), sc, R in nodes]
+    for label, sc, R in points:
+        try:
+            value, err, flags = wignerfield.evaluate_point(sc, R)
+        except Exception as exc:  # a record like any other
+            print(f"{label}: raised {type(exc).__name__}: {exc}")
+            continue
+        res = made[-1]
+        print(f"{label}: {value!r} {err!r} {flags} "
+              f"{'levin' if res.levin else 'gk'} {res.rounds} "
+              f"{res.panels_used}")
+
+
+def run_points(checkout, cwd):
+    """The lines ``point_records`` prints with ``checkout``'s ``src``."""
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+               PYTHONPATH=os.pathsep.join(
+                   str(p) for p in (checkout / "src", ROOT / "tools",
+                                    ROOT / "perfbench")))
+    run = subprocess.run(
+        [sys.executable, "-c",
+         "import output_digests; output_digests.point_records()"],
+        cwd=cwd, env=env, capture_output=True, text=True, check=True)
+    return run.stdout.splitlines()
 
 
 def cells(text):
@@ -120,10 +176,12 @@ def main(argv=None):
     with tempfile.TemporaryDirectory() as tmp:
         (Path(tmp) / "this").mkdir()
         runs = run_configs(ROOT, Path(tmp) / "this")
-        others = None
+        points = run_points(ROOT, tmp)
+        others = other_points = None
         if args.against is not None:
             (Path(tmp) / "other").mkdir()
             others = run_configs(args.against.resolve(), Path(tmp) / "other")
+            other_points = run_points(args.against.resolve(), tmp)
     differ = False
     for name, (code, err, files) in runs.items():
         print(f"{name}: exit {code}")
@@ -158,6 +216,24 @@ def main(argv=None):
             for fname in sorted(set(other[2]) - set(files)):
                 print(f"  (missing) {fname}")
                 differ = True
+    digest = hashlib.sha256("\n".join(points).encode()).hexdigest()
+    print(f"points: {len(points)} records")
+    line = f"  {digest}  point records"
+    if other_points is not None:
+        moved = [(a, b) for a, b in zip(points, other_points) if a != b]
+        if len(points) != len(other_points):
+            line += f"  {len(other_points)} records in the other checkout"
+            differ = True
+        elif moved:
+            line += f"  {len(moved)} records differ"
+            differ = True
+        else:
+            line += "  same"
+        print(line)
+        for a, b in moved:
+            print(f"  {a}\n    (was {b.partition(': ')[2]})")
+    else:
+        print(line)
     return 1 if differ else 0
 
 
