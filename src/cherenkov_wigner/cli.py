@@ -299,8 +299,8 @@ def _table(cfg, out_dir, fmt, name, header, columns, rows, series=None,
     out = out_dir / _name(cfg, name)
     lines = [f"# {h}" for h in header]
     lines.append("# " + ",".join(columns))
-    for row in rows:
-        lines.append(",".join(repr(float(v)) if isinstance(v, (int, float))
+    for row in rows:  # floats round-trip, ints stay ints
+        lines.append(",".join(repr(float(v)) if isinstance(v, float)
                               else str(v) for v in row))
     out.write_text("\n".join(lines) + "\n", encoding="utf-8")
     arts = [out]

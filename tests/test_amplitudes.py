@@ -438,3 +438,42 @@ def test_coupling_sign_folded_into_phase():
     assert amp.mod_squared >= 0.0
     assert abs(amp.mod_squared - abs(coherent) ** 2) \
         <= 1e-12 * max(abs(coherent) ** 2, 1e-300)
+
+
+_ANGLES = st.floats(-4.0, 4.0, allow_nan=False)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(thetas=st.tuples(_ANGLES, _ANGLES, _ANGLES),
+       phis=st.tuples(_ANGLES, _ANGLES, _ANGLES),
+       lambda_e=st.sampled_from((HALF, -HALF)),
+       lambda_prime=st.sampled_from((HALF, -HALF)),
+       lambda_gammas=st.sampled_from(((1,), (-1,), (1, -1), (-1, 1))),
+       size=st.sampled_from((None, 1, 7)))
+def test_partial_terms_are_the_products_of_the_public_d_functions(
+        thetas, phis, lambda_e, lambda_prime, lambda_gammas, size):
+    # each d-function entry is computed once per angle and shared by the
+    # terms that take it: every term keeps the bits of
+    # c * d_half(sigma) * d_half(sigma') * d_one(sigma_gamma), on numbers
+    # and elementwise on arrays (size None: numbers)
+    if size is not None:
+        shift = np.linspace(0.0, 0.3, size)
+        thetas = tuple(a + shift for a in thetas)
+        phis = tuple(a - shift for a in phis)
+    (theta, theta_p, theta_k) = thetas
+    ms, zs = amplitudes._partial_terms(thetas, phis, lambda_e, lambda_prime,
+                                       lambda_gammas)
+    assert len(ms) == len(lambda_gammas)
+    for terms, lg in zip(ms, lambda_gammas):
+        want = [c * wigner_d_half(s, lambda_e, theta)
+                * wigner_d_half(sp, lambda_prime, theta_p)
+                * wigner_d_one(sg, lg, theta_k)
+                for c, s, sp, sg in amplitudes._TERMS]
+        assert len(terms) == 4
+        for got, expected in zip(terms, want):
+            assert type(got) is type(expected)
+            assert np.array_equal(got, expected)
+    phi, phi_p, phi_k = phis
+    z1, z2 = -0.5 * (phi + phi_p) + phi_k, 0.5 * (phi_p - phi)
+    for got, expected in zip(zs, (z1, z2, -z1, -z2)):
+        assert np.array_equal(got, expected)

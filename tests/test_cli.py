@@ -765,7 +765,7 @@ def test_sweep_counts_each_sample_without_a_photon_by_reason(tmp_path,
         if reason is None:
             assert "nan" not in row
         else:
-            assert row[1:] == ["nan", "nan", "nan", "0.0"]
+            assert row[1:] == ["nan", "nan", "nan", "0"]
     counts = Counter(r for r in reasons if r is not None)
     assert _REASONS[error] in counts
     # one line per reason, in check order, after the WKB flag lines
@@ -1175,6 +1175,26 @@ def test_flagged_sweep_names_its_flags(tmp_path, capsys):
     if turning:
         expect.append(f"chr: warning: turning_point flag on {turning} samples")
     assert capsys.readouterr().err.splitlines() == expect
+
+
+@pytest.mark.parametrize("study,cfg,csv,width", [
+    ("arrival-shift", "fig06b_arrival_shift", "fig06b_arrival_shift", 5),
+    ("arrival-shift", "fig08a_arrival_shift_n_sweep", "fig08a_arrival_shift",
+     5),
+    ("dispersion-scan", "fig09_ice_dispersion", "fig09_dispersion_scan", 4),
+    ("arrival-shift", "sodium_eit_shift", "sodium_arrival_shift", 5)])
+def test_sweep_flags_column_reads_as_integers(tmp_path, study, cfg, csv,
+                                              width):
+    # the WKB flags are ints and are written as ints ("0", "1", ...), the
+    # time columns as round-trip floats
+    assert cli.main([study, "--config", str(CONFIG_DIR / f"{cfg}.cfg"),
+                     "--out-dir", str(tmp_path)]) == 2
+    rows = data_rows(tmp_path / f"{csv}.csv")
+    assert rows and all(len(r) == width for r in rows)
+    for row in rows:
+        assert row[-1] == str(int(row[-1])) and 0 <= int(row[-1]) <= 3
+        assert all("." in v or "e" in v or v in ("nan", "inf", "-inf")
+                   for v in row[:-1])
 
 
 def test_flagged_map_names_its_flags(tmp_path, capsys):

@@ -282,6 +282,31 @@ def test_geometry_momentum_balance_enforced():
     assert (geom.p - p - k).mag < 1e-12 * geom.p.mag
 
 
+def test_momentum_balance_check_is_the_array_check_on_floats(rng):
+    # the residual is checked on floats, by the arithmetic of
+    # np.max(np.abs((p - p' - k).as_array())) > 1e-12 max(|p|, 1), so a
+    # violation within a few ulps of the bound raises exactly as before
+    seen = set()
+    for _ in range(400):
+        p_prime = Momentum3(*(rng.normal(size=3) * 10 ** rng.uniform(-6, 1)))
+        k = Momentum3(*(rng.normal(size=3) * 10 ** rng.uniform(-7, -3)))
+        p = p_prime + k
+        off = 1e-12 * max(p.mag, 1.0) * rng.choice(
+            [0.5, 1.0 - 2e-16, 1.0, 1.0 + 2e-16, 2.0])
+        axis = "xyz"[rng.integers(3)]
+        p = replace(p, **{axis: getattr(p, axis) + off})
+        residual = (p - p_prime - k).as_array()
+        violated = np.max(np.abs(residual)) > 1e-12 * max(p.mag, 1.0)
+        seen.add(bool(violated))
+        if violated:
+            with pytest.raises(ValueError, match="momentum balance") as err:
+                EmissionGeometry(p, p_prime, k, omega=1e-5)
+            assert str(residual) in str(err.value)
+        else:
+            EmissionGeometry(p, p_prime, k, omega=1e-5)
+    assert seen == {True, False}
+
+
 def test_geometry_from_balance_passes_triangle_rules(rng):
     for _ in range(100):
         pp = Momentum3(rng.normal() * 1e-5, rng.normal() * 1e-5,

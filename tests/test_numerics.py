@@ -331,6 +331,59 @@ def test_start_mesh_of_up_to_64_panels_is_one_integrand_call(hint, panels,
     assert len(sizes) == calls
 
 
+def _plain_gk15_panels(f, lo, hi):
+    """``_gk15_panels`` as plain expressions, without its in-place work:
+    the QUADPACK rescaling by np.divide into zeros and np.where."""
+    from cherenkov_wigner.numerics import (_GAUSS_WEIGHTS, _KRONROD_NODES,
+                                           _KRONROD_WEIGHTS)
+    half = 0.5 * (hi - lo)
+    t = (0.5 * (lo + hi))[:, None] + half[:, None] * _KRONROD_NODES
+    y = np.ascontiguousarray(f(t.ravel()), dtype=float)
+    y = y.reshape(y.shape[0], -1, 15)
+    kronrod = np.einsum("...j,j->...", y, _KRONROD_WEIGHTS)
+    gauss = np.einsum("...j,j->...", y[..., 1::2], _GAUSS_WEIGHTS)
+    err = half * np.abs(kronrod - gauss)
+    resasc = half * np.einsum("...j,j->...",
+                              np.abs(y - 0.5 * kronrod[..., None]),
+                              _KRONROD_WEIGHTS)
+    scaled = resasc > 0.0
+    ratio = np.divide(200.0 * err, resasc, out=np.zeros_like(err),
+                      where=scaled)
+    return (half * kronrod,
+            np.where(scaled, resasc * np.minimum(1.0, ratio ** 1.5), err))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(rows=st.lists(_ROW, min_size=1, max_size=8),
+       widths=st.lists(st.floats(1e-9, 2.0), min_size=1, max_size=40),
+       constant=st.sampled_from((None, 0.0, 1.5)))
+def test_gk15_panels_keep_the_bits_of_their_plain_expressions(rows, widths,
+                                                              constant):
+    # the sums after the three einsums run in place, and the ratio is left
+    # unused where resasc = 0 (a zero or constant row); values and errors
+    # keep the bits of the plain expressions, and the integrand's own
+    # array is not written to
+    waves = damped_waves(rows)
+    edges = -3.0 + np.concatenate([[0.0], np.cumsum(widths)])
+    lo, hi = edges[:-1], edges[1:]
+    kept = {}
+
+    def f(t):
+        y = waves(t)
+        if constant is not None:
+            y = np.vstack([y, np.full(t.size, constant)])
+        kept["y"], kept["copy"] = y, y.copy()
+        return y
+
+    got = _gk15_panels(f, lo, hi)
+    assert np.array_equal(kept["y"], kept["copy"])
+    want = _plain_gk15_panels(f, lo, hi)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape == (len(rows) + (constant is not None),
+                                      lo.size)
+        assert np.array_equal(g, w)
+
+
 @settings(derandomize=True, max_examples=40, deadline=None)
 @given(rows=st.lists(_ROW, min_size=1, max_size=30),
        widths=st.lists(st.floats(1e-3, 0.5), min_size=1, max_size=160),

@@ -558,3 +558,72 @@ def test_dispersive_tau_d_sign_convention():
     # tau_d^2 is negative here; the signed-root convention keeps the sign
     assert st.tau_d < 0
     assert st.tau_d_sq < 0
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(beta=st.floats(0.3, 0.9999), n=st.floats(1.01, 2.5),
+       log_omega=st.floats(-8.0, -2.0), log_sigma=st.floats(-6.0, -2.0),
+       theta=st.floats(0.0, 3.1), d_param=st.sampled_from((0.0, 0.2, -0.3)),
+       wrap=st.sampled_from((float, np.float64, np.asarray)))
+def test_spread_times_at_one_angle_are_those_of_a_one_angle_array(
+        beta, n, log_omega, log_sigma, theta, d_param, wrap):
+    # a single angle takes no mask, no any() and no np.full, with the same
+    # longdouble arithmetic: each field has the bits of the array call's
+    # only element, as a float
+    args = (beta, n, 10 ** log_omega, lorentz_gamma(beta), 10 ** log_sigma)
+    try:
+        want = spread_times_at_angle(*args, np.array([theta]), d_param)
+    except MachConeDegenerate:
+        with pytest.raises(MachConeDegenerate):
+            spread_times_at_angle(*args, wrap(theta), d_param)
+        return
+    got = spread_times_at_angle(*args, wrap(theta), d_param)
+    for name in ("inv_t_d", "t_d_tilde", "tau_d"):
+        value = getattr(got, name)
+        assert type(value) is float
+        assert np.array_equal(value, getattr(want, name)[0])
+    assert got.dispersive == want.dispersive
+
+
+@pytest.mark.parametrize("t", [0.0, 1e3, -2.5e6, 7e7, np.float64(3e5),
+                               np.array(4e6), np.linspace(-1e7, 1e7, 9),
+                               np.array([[0.0, 5e5], [1e6, 3e9]])])
+def test_gouy_phase_and_big_g_keep_the_bits_of_their_array_forms(t):
+    # a number takes numpy's scalar arctan and G is formed in place: the
+    # bits of the expressions on np.asarray(t), and numbers stay numbers
+    kern = kernel_for(theta_frac=1.1)
+    spread = kern.spread
+    ta = np.asarray(t, dtype=float)
+    gouy = np.arctan(ta * spread.inv_t_d) + np.arctan(ta / spread.t_d_tilde)
+    big_g = (math.sqrt(kern.cc) / (2.0 * kern.sigma ** 2)
+             * ((1.0 + (ta * spread.inv_t_d) ** 2)
+                * (1.0 + (ta / spread.t_d_tilde) ** 2)) ** 0.25)
+    got = gouy_phase(t, spread)
+    assert np.array_equal(got, gouy)
+    assert np.array_equal(kern.big_g(t), big_g)
+    if np.ndim(t) == 0:
+        assert type(got) is float
+    else:
+        assert got.shape == kern.big_g(t).shape == ta.shape
+
+
+def test_exponent_coefficients_form_no_prefactor(rng, monkeypatch):
+    # (cA, cB) alone, with the bits of integrand_coefficients(t)[1:]: the
+    # exponent's users never take the complex root of the prefactor
+    kern = kernel_for(theta_frac=0.99)
+    t = np.concatenate([[0.0], rng.uniform(0, 1e8, size=200)])
+    R = rng.normal(size=(5, 3)) * 1e4
+    want = kern.integrand_coefficients(t)[1:]
+    A, B = kern.direction_factors(R)
+    scales = kern.correlation_scales(3e6, R)
+
+    def forbidden(self, t):
+        raise AssertionError("exponent formed the prefactor")
+
+    monkeypatch.setattr(PhaseSpaceKernel, "integrand_coefficients", forbidden)
+    got = kern.exponent_coefficients(t)
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    assert np.array_equal(kern.exponent_complex(t, R[0]),
+                          want[0] * A[0] + want[1] * B[0])
+    assert all(np.array_equal(g, w) for g, w in
+               zip(kern.correlation_scales(3e6, R), scales))

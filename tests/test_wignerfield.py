@@ -1477,3 +1477,34 @@ def test_central_value_nearest_node():
     iy = 4
     ix = 4
     assert central_value(wmap) == wmap.values[iy, ix]
+
+
+@pytest.mark.parametrize("theta_frac,t_out", [(1.0, 5e7), (1.1, 1e6),
+                                              (0.99, 3e5)])
+@pytest.mark.parametrize("shape", [(3,), (1, 3), (6, 3)])
+def test_integrand_forms_keep_the_bits_of_their_expressions(theta_frac, t_out,
+                                                            shape):
+    # f and its log form build their sums and products in place, in an
+    # order that keeps the bits of the plain expressions
+    ctx = _Context(balance_scenario(sigma=1e-5, theta_frac=theta_frac,
+                                    t_out=t_out))
+    kern = ctx.kernel
+    rng = np.random.default_rng(11)
+    R = rng.normal(size=shape) * 3e3
+    t = np.concatenate([[0.0], np.sort(rng.uniform(0.0, t_out, size=44))])
+    a_dir, b_dir = kern.direction_factors(R.reshape(-1, 3))
+    a_dir, b_dir = a_dir[:, None], b_dir[:, None]
+    de = kern.delta_eps
+    pre, c_a, c_b = kern.integrand_coefficients(t)
+    env = c_a.real * a_dir + c_b.real * b_dir
+    osc = c_a.imag * a_dir + c_b.imag * b_dir
+    want = np.abs(pre) * np.exp(env) * np.cos(np.angle(pre) + t * de + osc)
+    f = ctx.integrand_for(R)
+    got = f(t)
+    assert np.array_equal(got, want if R.ndim == 2 else want[0])
+    assert np.array_equal(f(t[7]), (want if R.ndim == 2 else want[0])[..., 7:8])
+    log_pre, c_a, c_b, d_pre, d_a, d_b = kern.log_integrand_coefficients(t)
+    log_f, rate = f.levin(t)
+    assert np.array_equal(log_f, log_pre + c_a * a_dir + c_b * b_dir
+                          + 1j * de * t)
+    assert np.array_equal(rate, d_pre + d_a * a_dir + d_b * b_dir + 1j * de)
