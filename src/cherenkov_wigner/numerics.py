@@ -465,9 +465,8 @@ def integrate_batch(
     if levin is not None:
         phase = np.abs(levin(edges)[1].imag)
         rows = phase.shape[0]
-        turn = np.maximum(phase[:, :-1], phase[:, 1:])
-        turn *= edges[1:] - edges[:-1]
-        turns = turn.max() > _LEVIN_BATCH
+        turns = (np.maximum(phase[:, :-1], phase[:, 1:])
+                 * (edges[1:] - edges[:-1])).max() > _LEVIN_BATCH
         # with one start panel, the start mesh is the knee-only one
         plain = edges if n0 == 1 or not turns else start(1)
         if turns and plain.size - 1 <= max_panels:

@@ -450,18 +450,10 @@ class PhaseSpaceKernel:
     def big_g(self, t):
         """G(t') = |u_p - u_k|/(2 sigma^2) [(1 + (t/t_d)^2)(1 + (t/t~)^2)]^(1/4)."""
         t = np.asarray(t, dtype=float)
-        # (t/t_d)^2 + 1 and (t/t~)^2 + 1 formed in place: the bits of
-        # 1 + x^2, without the temporaries
-        g = t * self.spread.inv_t_d
-        g *= g
-        g += 1.0
-        y2 = t / self.spread.t_d_tilde
-        y2 *= y2
-        y2 += 1.0
-        g *= y2
-        g **= 0.25
-        g *= math.sqrt(self.cc) / (2.0 * self.sigma ** 2)
-        return g
+        x2 = (t * self.spread.inv_t_d) ** 2
+        y2 = (t / self.spread.t_d_tilde) ** 2
+        return (math.sqrt(self.cc) / (2.0 * self.sigma ** 2)
+                * ((1.0 + x2) * (1.0 + y2)) ** 0.25)
 
     def gouy(self, t):
         return gouy_phase(t, self.spread)

@@ -334,15 +334,8 @@ class _Context:
         def levin(t):
             log_pre, c_a, c_b, d_pre, d_a, d_b = (
                 self.kernel.log_integrand_coefficients(t))
-            log_f = c_a * a_dir
-            log_f += log_pre
-            log_f += c_b * b_dir
-            log_f += 1j * delta_eps * t
-            rate = d_a * a_dir
-            rate += d_pre
-            rate += d_b * b_dir
-            rate += 1j * delta_eps
-            return log_f, rate
+            return (log_pre + c_a * a_dir + c_b * b_dir + 1j * delta_eps * t,
+                    d_pre + d_a * a_dir + d_b * b_dir + 1j * delta_eps)
 
         f.levin = levin
         return f
