@@ -111,7 +111,7 @@ def _d_one_slope(sigma: int, lam: int, theta: np.ndarray) -> np.ndarray:
 
 
 # (prefactor, sigma, sigma', sigma_gamma) of the four partial amplitudes,
-# in the order _geometry_terms returns them
+# in the order _partial_terms returns them
 _TERMS = ((math.sqrt(2.0), 0.5, -0.5, 1), (-1.0, 0.5, 0.5, 0),
           (-math.sqrt(2.0), -0.5, 0.5, -1), (1.0, -0.5, -0.5, 0))
 
@@ -121,32 +121,23 @@ _HALF, _ONE = (0.5, -0.5), (1, 0, -1)
 _TERM_ENTRIES = tuple((c, _HALF.index(s), _HALF.index(sp), _ONE.index(sg))
                       for c, s, sp, sg in _TERMS)
 
-# d z_i / d(theta, phi, theta', phi', theta_k, phi_k): the azimuthal phases
-# are linear in the azimuths and free of the polar angles
-_Z_SLOPES = np.array([[0.0, -0.5, 0.0, -0.5, 0.0, 1.0],
-                      [0.0, -0.5, 0.0, 0.5, 0.0, 0.0],
-                      [0.0, 0.5, 0.0, 0.5, 0.0, -1.0],
-                      [0.0, 0.5, 0.0, -0.5, 0.0, 0.0]])
-
-
-def _geometry_terms(geom: EmissionGeometry, lambda_gamma: int):
-    """The four signed partial amplitudes at the geometry's electron
-    helicities and photon helicity ``lambda_gamma``, and their azimuthal
-    phases, ordered (1/2,-1/2,1), (1/2,1/2,0), (-1/2,1/2,-1), (-1/2,-1/2,0).
-    """
-    (ms,), zs = _helicity_terms(geom, (lambda_gamma,))
-    return ms, zs
+# the slopes (-sigma, sigma', sigma_gamma) of each term's azimuthal phase
+# z_i in the azimuths (phi, phi', phi_k); z_i is free of the polar angles
+_Z_WEIGHTS = tuple((-s, sp, sg) for _, s, sp, sg in _TERMS)
 
 
 def _helicity_terms(geom: EmissionGeometry, lambda_gammas):
-    """``_geometry_terms`` at each photon helicity of ``lambda_gammas``:
-    (one tuple of partial amplitudes per helicity, the phases, which no
-    helicity changes)."""
+    """(one tuple of the four signed partial amplitudes per photon helicity
+    of ``lambda_gammas``, ordered (1/2,-1/2,1), (1/2,1/2,0), (-1/2,1/2,-1),
+    (-1/2,-1/2,0); their azimuthal phases, which no helicity changes; the
+    coupling g) at the geometry's electron helicities."""
     phi_k = geom.k.phi
-    return _partial_terms(
+    ms, zs = _partial_terms(
         (geom.p.theta, geom.p_prime.theta, geom.k.theta),
         (_anchored(geom.p.phi, phi_k), _anchored(geom.p_prime.phi, phi_k),
          phi_k), geom.lambda_e, geom.lambda_prime, lambda_gammas)
+    return ms, zs, coupling(geom.epsilon, geom.epsilon_prime, geom.lambda_e,
+                            geom.lambda_prime)
 
 
 def _anchored(phi: float, phi_k: float) -> float:
@@ -157,29 +148,38 @@ def _anchored(phi: float, phi_k: float) -> float:
     return phi_k + math.remainder(phi - phi_k, _TWO_PI)
 
 
+def _d_entries(d_half, d_one, thetas, helicities):
+    """Each d-function entry that the terms take, once per angle, by
+    ``d_half`` and ``d_one`` (the d-functions or their slopes) at the
+    helicities (lambda, lambda', photon helicities): over _HALF at theta
+    and theta', over _ONE at theta_k per photon helicity."""
+    (theta, theta_p, theta_k), (lam, lam_p, lambda_gammas) = thetas, helicities
+    return ([d_half(s, lam, theta) for s in _HALF],
+            [d_half(s, lam_p, theta_p) for s in _HALF],
+            [[d_one(s, lg, theta_k) for s in _ONE] for lg in lambda_gammas])
+
+
+def _products(d_e, d_p, d_k) -> tuple:
+    """c d_e[sigma] d_p[sigma'] d_k[sigma_gamma] of each term."""
+    return tuple([c * d_e[i] * d_p[j] * d_k[k]
+                  for c, i, j, k in _TERM_ENTRIES])
+
+
+def _azimuthal_phases(phis) -> tuple:
+    """Each term's z_i at the anchored azimuths (phi, phi', phi_k)."""
+    phi, phi_p, phi_k = phis
+    return tuple((a * phi + b * phi_p) + c * phi_k for a, b, c in _Z_WEIGHTS)
+
+
 def _partial_terms(thetas, phis, lambda_e: float, lambda_prime: float,
                    lambda_gammas):
     """The partial amplitudes and azimuthal phases of ``_helicity_terms``
     from the polar angles (theta, theta', theta_k) and the anchored
     azimuths (phi, phi', phi_k), elementwise over arrays of them."""
-    (theta, theta_p, theta_k), (phi, phi_p, phi_k) = thetas, phis
-    # each d-function entry once per angle, shared by the terms that take it
-    d_e = [wigner_d_half(s, lambda_e, theta) for s in _HALF]
-    d_p = [wigner_d_half(s, lambda_prime, theta_p) for s in _HALF]
-    electron = [(c * d_e[i] * d_p[j], k) for c, i, j, k in _TERM_ENTRIES]
-    ms = []
-    for lg in lambda_gammas:
-        d_k = [wigner_d_one(s, lg, theta_k) for s in _ONE]
-        ms.append(tuple([m * d_k[k] for m, k in electron]))
-    z1 = -0.5 * (phi + phi_p) + phi_k
-    z2 = 0.5 * (phi_p - phi)
-    return ms, (z1, z2, -z1, -z2)
-
-
-def _wrap(phase: float) -> float:
-    """Wrap into (-pi, pi]."""
-    w = math.remainder(phase, _TWO_PI)
-    return w if w != -math.pi else math.pi
+    d_e, d_p, d_ks = _d_entries(wigner_d_half, wigner_d_one, thetas,
+                                (lambda_e, lambda_prime, lambda_gammas))
+    return ([_products(d_e, d_p, d_k) for d_k in d_ks],
+            _azimuthal_phases(phis))
 
 
 def helicity_amplitude(geom: EmissionGeometry) -> AmplitudeValue:
@@ -188,7 +188,16 @@ def helicity_amplitude(geom: EmissionGeometry) -> AmplitudeValue:
     the partial sine/cosine sums, with the coupling sign folded in as 0/pi,
     at the geometry's helicities.
     """
-    return _amplitude(geom, geom.lambda_gamma)
+    (ms,), zs, g = _helicity_terms(geom, (geom.lambda_gamma,))
+    mod2 = _mod_squared(ms, _cosines(zs), g)
+    s_sin, s_cos, undefined = _phase_sums(ms, zs)
+    if undefined:
+        return AmplitudeValue(mod2, 0.0, degenerate=True)
+    phase = math.atan2(s_sin, s_cos)
+    if g < 0:  # the coupling sign as pi, wrapped into (-pi, pi]
+        phase = math.remainder(phase + math.pi, _TWO_PI)
+        phase = math.pi if phase == -math.pi else phase
+    return AmplitudeValue(mod2, phase, degenerate=False)
 
 
 # the six pairs (i, j), i < j, of the four partial amplitudes
@@ -209,21 +218,6 @@ def _mod_squared(ms, cosines, g: float) -> float:
     return max(mod2, 0.0) * g * g
 
 
-def _amplitude(geom: EmissionGeometry, lambda_gamma: int) -> AmplitudeValue:
-    """``helicity_amplitude`` at photon helicity ``lambda_gamma``."""
-    ms, zs = _geometry_terms(geom, lambda_gamma)
-    g = coupling(geom.epsilon, geom.epsilon_prime, geom.lambda_e,
-                 geom.lambda_prime)
-    mod2 = _mod_squared(ms, _cosines(zs), g)
-    s_sin, s_cos, undefined = _phase_sums(ms, zs)
-    if undefined:
-        return AmplitudeValue(mod2, 0.0, degenerate=True)
-    phase = math.atan2(s_sin, s_cos)
-    if g < 0:
-        phase = _wrap(phase + math.pi)
-    return AmplitudeValue(mod2, phase, degenerate=False)
-
-
 def _phase_sums(ms, zs):
     """S, C = sum_i m_i (sin, cos) z_i, the sums whose atan2 is the
     amplitude phase, and whether that phase is undefined: |S + iC| below
@@ -240,9 +234,7 @@ def _phase_sums(ms, zs):
 def amplitude_complex(geom: EmissionGeometry) -> complex:
     """Coherent sum g * sum_i M_i exp(i zeta_i); cross-check route for the
     cosine expansion used by ``helicity_amplitude``."""
-    ms, zs = _geometry_terms(geom, geom.lambda_gamma)
-    g = coupling(geom.epsilon, geom.epsilon_prime, geom.lambda_e,
-                 geom.lambda_prime)
+    (ms,), zs, g = _helicity_terms(geom, (geom.lambda_gamma,))
     return g * sum(m * complex(math.cos(z), math.sin(z))
                    for m, z in zip(ms, zs))
 
@@ -252,45 +244,45 @@ def summed_mod_squared(geom: EmissionGeometry) -> float:
     helicities.  The azimuthal phases do not depend on the photon
     helicity, so their cosines serve both terms, and no amplitude phase is
     formed."""
-    g = coupling(geom.epsilon, geom.epsilon_prime, geom.lambda_e,
-                 geom.lambda_prime)
-    (ms_plus, ms_minus), zs = _helicity_terms(geom, (1, -1))
+    (ms_plus, ms_minus), zs, g = _helicity_terms(geom, (1, -1))
     cosines = _cosines(zs)
     return _mod_squared(ms_plus, cosines, g) + _mod_squared(ms_minus,
                                                             cosines, g)
 
 
-def _zeta_partials(ms, zs, thetas, helicities):
-    """The partials of the amplitude phase zeta with respect to (theta,
-    phi, theta', phi', theta_k, phi_k), as six arrays over the samples of
-    the partial amplitudes ``ms`` and phases ``zs`` at the polar angles
-    ``thetas``, and where zeta is undefined.
+def _zeta_partials(thetas, zs, helicities):
+    """The partials of the amplitude phase zeta in (theta, phi, theta',
+    phi', theta_k, phi_k), six arrays over the samples of the polar angles
+    ``thetas`` and azimuthal phases ``zs`` at the ``helicities`` (lambda,
+    lambda', (lambda_gamma,)), and where zeta is undefined.
 
     zeta = atan2(S, C) with S, C = sum_i m_i (sin, cos) z_i, so
     d zeta = (C dS - S dC) / (S^2 + C^2).  The m_i are products of
-    d-functions of the polar angles; the z_i are linear in the anchored
-    azimuths, whose anchoring phi_k + remainder(phi - phi_k, 2 pi) has unit
-    slope in phi and none in phi_k.  The coupling sign is a constant pi.
-    Each sum over the four terms is spelled out, so a sample's bits do not
-    depend on the other samples.
+    d-functions of the polar angles, each entry and slope taken once per
+    angle; the z_i are linear in the anchored azimuths, whose anchoring
+    phi_k + remainder(phi - phi_k, 2 pi) has unit slope in phi and none in
+    phi_k.  The coupling sign is a constant pi.  Each sum over the four
+    terms is spelled out, so a sample's bits do not depend on the others.
     """
-    (theta, theta_p, theta_k), (lam, lam_p, lam_g) = thetas, helicities
+    d_e, d_p, (d_k,) = _d_entries(wigner_d_half, wigner_d_one, thetas,
+                                  helicities)
+    s_e, s_p, (s_k,) = _d_entries(_d_half_slope, _d_one_slope, thetas,
+                                  helicities)
+    ms = _products(d_e, d_p, d_k)
+    # m_i varies with the polar angles, z_i with the azimuths
+    polar = ((0, _products(s_e, d_p, d_k)), (2, _products(d_e, s_p, d_k)),
+             (4, _products(d_e, d_p, s_k)))
     s_sin, s_cos, undefined = _phase_sums(ms, zs)
-    d_sin, d_cos = np.zeros((2, 6, len(theta)))
-    for (c, s, sp, sg), m, z, slopes in zip(_TERMS, ms, zs, _Z_SLOPES):
-        a = wigner_d_half(s, lam, theta)
-        b = wigner_d_half(sp, lam_p, theta_p)
-        d = wigner_d_one(sg, lam_g, theta_k)
+    d_sin, d_cos = np.zeros((2, 6, len(zs[0])))
+    for i, (m, z, weights) in enumerate(zip(ms, zs, _Z_WEIGHTS)):
         sin, cos = np.sin(z), np.cos(z)
-        # m_i varies with the polar angles, z_i with the azimuths
-        for col, dm in ((0, c * _d_half_slope(s, lam, theta) * b * d),
-                        (2, c * a * _d_half_slope(sp, lam_p, theta_p) * d),
-                        (4, c * a * b * _d_one_slope(sg, lam_g, theta_k))):
-            d_sin[col] += sin * dm
-            d_cos[col] += cos * dm
-        for col in np.flatnonzero(slopes):
-            d_sin[col] += m * cos * slopes[col]
-            d_cos[col] -= m * sin * slopes[col]
+        for col, dms in polar:
+            d_sin[col] += sin * dms[i]
+            d_cos[col] += cos * dms[i]
+        for col, w in zip((1, 3, 5), weights):
+            if w:
+                d_sin[col] += m * cos * w
+                d_cos[col] -= m * sin * w
     return ((s_cos * d_sin - s_sin * d_cos) / (s_sin ** 2 + s_cos ** 2),
             undefined)
 
@@ -329,11 +321,10 @@ def phase_gradients(batch: GeometryBatch):
     anchored = [np.array([_anchored(a, b) for a, b in
                           zip(phi.tolist(), phis[2].tolist())])
                 for phi in phis[:2]]
-    helicities = (batch.lambda_e, batch.lambda_prime, batch.lambda_gamma)
-    (ms,), zs = _partial_terms(thetas, (*anchored, phis[2]), batch.lambda_e,
-                               batch.lambda_prime, (batch.lambda_gamma,))
+    zs = _azimuthal_phases((*anchored, phis[2]))
     with np.errstate(divide="ignore", invalid="ignore"):
-        d, undefined = _zeta_partials(ms, zs, thetas, helicities)
+        d, undefined = _zeta_partials(thetas, zs, (
+            batch.lambda_e, batch.lambda_prime, (batch.lambda_gamma,)))
         (theta_p, phi_p), (theta_pp, phi_pp), (theta_k, phi_k) = (
             _angle_gradients(v, r) for v, r in zip(vectors, rho))
     checks = [(r == 0.0, DegeneratePhase(

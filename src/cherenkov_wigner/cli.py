@@ -265,10 +265,10 @@ def _validate(values: dict, path: Path) -> ScenarioConfig:
             f"{' or '.join(sweeps) or 'nothing'}, not {cfg.sweep_variable!r}")
     if sweeps and cfg.sweep_samples < 1:
         raise ValidationError("sweep.samples: must be >= 1")
-    ignored, instead = _SWEEP_OVERRIDES.get(cfg.sweep_variable, ((), ""))
-    for key in ignored:
-        if key in values:
-            raise ValidationError(f"{key}: {instead}, not {key}")
+    for (key, value), (ignored, instead) in _OVERRIDES.items():
+        given = [other for other in ignored if other in values]
+        if given and key in values and value in (None, values[key]):
+            raise ValidationError(f"{given[0]}: {instead}, not {given[0]}")
     if study == "singular-angles":
         try:
             n = cfg.medium().index(cfg.omega)[0]
@@ -604,15 +604,20 @@ _STUDIES = {
 }
 STUDIES = tuple(_STUDIES)
 
-# sweep.variable -> (the config keys that its samples override, so that no
-# study reads them, and what the samples use instead)
-_SWEEP_OVERRIDES = {
-    "n": (("medium.n", "medium.d", "medium.e", "medium.table"),
-          "an n sweep uses a constant medium at each n"),
-    "sigma": (("sigma",), "a sigma sweep takes sigma from each sample"),
-    "d-param": (("medium.d",), "a d-param sweep takes D from each sample"),
-    "theta-k": (("theta-k",),
-                "a theta-k sweep takes theta_k from each sample"),
+# (config key, its value or None for any) -> (the config keys that it
+# overrides, so that no study reads them, and what is used instead)
+_OVERRIDES = {
+    ("sweep.variable", "n"): (
+        ("medium.n", "medium.d", "medium.e", "medium.table"),
+        "an n sweep uses a constant medium at each n"),
+    ("sweep.variable", "sigma"): (
+        ("sigma",), "a sigma sweep takes sigma from each sample"),
+    ("sweep.variable", "d-param"): (
+        ("medium.d",), "a d-param sweep takes D from each sample"),
+    ("sweep.variable", "theta-k"): (
+        ("theta-k",), "a theta-k sweep takes theta_k from each sample"),
+    ("medium.table", None): (
+        ("medium.n", "medium.d"), "a medium.table gives n and D per omega"),
 }
 
 

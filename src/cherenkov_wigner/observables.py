@@ -201,6 +201,7 @@ def _spread_from_coeffs(a, b, sigma, cc, dd, dispersive=False):
                        xp.copysign(xp.sqrt(abs(tau_sq)), tau_sq), dispersive)
 
 
+_DEGENERATE = 1e-28  # C = (u_p - u_k)^2 or D = [u_p x u_k]^2 below it
 _MACH_CONE = "|u_p - u_k| ~ 0: WKB turning point"
 _COLLINEAR = "[u_p x u_k] = 0: flash duration undefined"
 
@@ -250,7 +251,7 @@ def spread_times_at_angle(beta: float, n: float, omega: float, epsilon: float,
                                        ld(d_param), ld(e_param))
     cc = uk * uk + beta * beta - 2.0 * beta * uk * np.cos(theta)
     dd = (beta * uk * np.sin(theta)) ** 2
-    mach_cone = cc < 1e-28
+    mach_cone = cc < _DEGENERATE
     if mach_cone if one else mach_cone.any():
         raise MachConeDegenerate(_MACH_CONE)
     return _spread_from_coeffs(a if one else np.full(theta.shape, a), b,
@@ -324,7 +325,7 @@ class PhaseSpaceKernel:
         self.cc = column_dot(self.diff, self.diff)
         self.dd = column_dot(self.cross, self.cross)
         # one sample raises at C ~ 0 or D ~ 0; over samples, callers mask
-        if not isinstance(self.cc, np.ndarray) and self.cc < 1e-28:
+        if not isinstance(self.cc, np.ndarray) and self.cc < _DEGENERATE:
             raise MachConeDegenerate(_MACH_CONE)
         self.spread = _spread_from_coeffs(a, b, sigma, self.cc, self.dd,
                                           dispersive)
@@ -359,11 +360,20 @@ class PhaseSpaceKernel:
 
     # complex eta/chi route -------------------------------------------------
 
+    def _eta_chi(self, t):
+        """(eta, chi, eta C + chi D, eta (eta C + chi D)) at t', from one
+        i t'/4: the pass that every integrand coefficient reads."""
+        chi = 0.25j * np.asarray(t)  # i t'/4 until scaled by b
+        eta = 1.0 / (2.0 * self.sigma ** 2) + chi * self.a
+        chi *= self.b
+        denom = eta * self.cc + chi * self.dd
+        return eta, chi, denom, eta * denom
+
     def eta(self, t):
-        return 1.0 / (2.0 * self.sigma ** 2) + 0.25j * np.asarray(t) * self.a
+        return self._eta_chi(t)[0]
 
     def chi(self, t):
-        return 0.25j * np.asarray(t) * self.b
+        return self._eta_chi(t)[1]
 
     def direction_factors(self, R: np.ndarray):
         """A = |R x (u_p - u_k)|^2 and B = (R . [u_p x u_k])^2 of one node
@@ -383,13 +393,10 @@ class PhaseSpaceKernel:
         return 1.0 / np.sqrt(scaled), c_a, c_b
 
     def _exponent_terms(self, t):
-        """(eta (eta C + chi D), cA, cB), from one eta and one chi.  Each
+        """(eta (eta C + chi D), cA, cB), from one ``_eta_chi`` pass.  Each
         intermediate is dropped after its last use: on the reference
         evaluator's abscissae one complex array takes 4 MB."""
-        eta = self.eta(t)
-        chi = self.chi(t)
-        denom = eta * self.cc + chi * self.dd
-        scaled = eta * denom
+        eta, chi, denom, scaled = self._eta_chi(t)
         del eta
         c_b = -0.5 * chi / scaled
         del chi
@@ -403,11 +410,7 @@ class PhaseSpaceKernel:
         L' = d_log_pre + d_c_a A + d_c_b B + i delta_eps, in closed form
         from eta' = i a/4 and chi' = i b/4.  Returns (log_pre, c_a, c_b,
         d_log_pre, d_c_a, d_c_b)."""
-        t = np.asarray(t)
-        eta = 1.0 / (2.0 * self.sigma ** 2) + (0.25j * self.a) * t
-        chi = (0.25j * self.b) * t
-        denom = eta * self.cc + chi * self.dd
-        scaled = eta * denom
+        eta, chi, denom, scaled = self._eta_chi(t)
         # (eta denom)'/(eta denom) = eta'/eta + denom'/denom
         d_denom = (0.25j * (self.a * self.cc + self.b * self.dd)) / denom
         rate = (0.25j * self.a) / eta + d_denom
@@ -482,15 +485,15 @@ class PhaseSpaceKernel:
 
     def sigma_t(self, t):
         """sigma_t(t') = sqrt(sigma_perp^2/2 (u_p - u_k)^2/[u_p x u_k]^2)."""
-        if not isinstance(self.dd, np.ndarray) and self.dd < 1e-28:
+        if not isinstance(self.dd, np.ndarray) and self.dd < _DEGENERATE:
             raise CollinearVelocities(_COLLINEAR)
         return _float64(np.sqrt(self.sigma_perp_sq(t) / 2.0
                                 * self.cc / self.dd))
 
     def l_0(self) -> np.ndarray:
         """l_0 = (u_p - u_k) x (u_k x u_p)/[u_p x u_k]^2."""
-        if not isinstance(self.dd, np.ndarray) and self.dd < 1e-28:
-            raise CollinearVelocities("[u_p x u_k] = 0")
+        if not isinstance(self.dd, np.ndarray) and self.dd < _DEGENERATE:
+            raise CollinearVelocities(_COLLINEAR)
         return column_cross(self.diff, -self.cross) / self.dd
 
 
@@ -527,9 +530,9 @@ def flash_stats_batch(batch: GeometryBatch, media: np.ndarray,
     n_d = (media[0] * (1.0 + media[1]))[no_velocity].tolist()
     checks = [("degenerate_group_velocity", no_velocity,
                _no_group_velocity_error(n_d[0] if n_d else 0.0, omega)),
-              ("mach_cone", kernel.cc < 1e-28,
+              ("mach_cone", kernel.cc < _DEGENERATE,
                MachConeDegenerate(_MACH_CONE)),
-              ("collinear_velocities", kernel.dd < 1e-28,
+              ("collinear_velocities", kernel.dd < _DEGENERATE,
                CollinearVelocities(_COLLINEAR)),
               *(("degenerate_phase", *check) for check in phase_checks)]
     failed = np.logical_or.reduce([mask for _, mask, _ in checks])

@@ -877,6 +877,29 @@ def test_n_sweep_rejects_dispersion_keys(tmp_path, capsys, key, value):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("keys", [("medium.n",), ("medium.d",),
+                                  ("medium.n", "medium.d")],
+                         ids=["medium.n", "medium.d", "both"])
+def test_medium_table_rejects_the_keys_it_gives(tmp_path, capsys, keys):
+    # a table gives n and D at each omega, and no study reads medium.n or
+    # medium.d beside it: a spreading-time config with the table and both
+    # keys ran on the table's n and D with exit 0
+    key = keys[0]
+    message = f"{key}: a medium.table gives n and D per omega, not {key}"
+    text = MINIMAL_SPREADING.replace("medium.n = 1.7",
+                                     f"medium.table = {ICE_TABLE}")
+    path = write_config(tmp_path, text + "".join(
+        f"{k} = {v}\n" for k, v in zip(keys, ("1.7", "0.3"))))
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        parse_config(path)
+    assert cli.main(["spreading-time", "--config", str(path),
+                     "--out-dir", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"chr: config error: {message}\n"
+    assert not (tmp_path / "out").exists()
+    # medium.e stays: a d-param sweep over the table's n reads it
+    parse_config(write_config(tmp_path, text + "medium.e = 0.1\n"))
+
+
 @pytest.mark.parametrize("config,study,key,value", [
     ("fig09_ice_dispersion.cfg", "dispersion-scan", "medium.d", "0.3"),
     ("fig06b_arrival_shift.cfg", "arrival-shift", "theta-k", "30"),

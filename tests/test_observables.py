@@ -340,8 +340,8 @@ def test_prefactor_complex_matches_g_and_gouy(rng):
 
 
 def test_integrand_coefficients_share_eta_and_chi(rng, monkeypatch):
-    # one eta and one chi evaluation per call, with the arithmetic of the
-    # separate prefactor and exponent formulas, bit for bit
+    # one eta/chi pass per call of either coefficient method, with the
+    # arithmetic of the separate prefactor and exponent formulas, bit for bit
     kern = kernel_for(0.99, 1.4, 1e-5, 1e-5)
     t = rng.uniform(0, 1e7, size=300)
     eta, chi = kern.eta(t), kern.chi(t)
@@ -351,14 +351,17 @@ def test_integrand_coefficients_share_eta_and_chi(rng, monkeypatch):
                                                     + chi * kern.dd)))
     assert np.array_equal(c_a, -0.5 / denom)
     assert np.array_equal(c_b, -0.5 * chi / (eta * denom))
+    log_pre, log_c_a, log_c_b = kern.log_integrand_coefficients(t)[:3]
+    assert np.array_equal(log_c_a, c_a) and np.array_equal(log_c_b, c_b)
+    assert np.array_equal(log_pre, -0.5 * np.log(eta * denom))
     calls = []
-    for name in ("eta", "chi"):
-        method = getattr(PhaseSpaceKernel, name)
-        monkeypatch.setattr(PhaseSpaceKernel, name,
-                            lambda self, t, _m=method, _n=name:
-                            calls.append(_n) or _m(self, t))
+    method = PhaseSpaceKernel._eta_chi
+    monkeypatch.setattr(PhaseSpaceKernel, "_eta_chi",
+                        lambda self, t: calls.append(t) or method(self, t))
     kern.integrand_coefficients(t)
-    assert sorted(calls) == ["chi", "eta"]
+    assert len(calls) == 1
+    kern.log_integrand_coefficients(t)
+    assert len(calls) == 2
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
