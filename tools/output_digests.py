@@ -130,8 +130,9 @@ def as_float(cell):
 def csv_moves(new, old):
     """A one-line account of how CSV ``new`` differs from ``old``: the
     moved data cells and their largest move relative to the map scale or
-    the column's largest |value| in ``old``, and the differing header
-    lines."""
+    the column's largest |value| in ``old``, the cells whose text differs
+    but whose parsed values are the same (``0.0`` and ``0``), and the
+    differing header lines."""
     (h_new, r_new), (h_old, r_old) = cells(new), cells(old)
     if [len(r) for r in r_new] != [len(r) for r in r_old]:
         return "layout differs"
@@ -145,12 +146,15 @@ def csv_moves(new, old):
                 scales[j] = max(scales[j], abs(v))
     if is_map:
         scales = [max(scales, default=0.0)] * columns
-    moved, worst, other = 0, 0.0, 0
+    moved, worst, text_only, other = 0, 0.0, 0, 0
     for row_new, row_old in zip(r_new, r_old):
         for j, (a, b) in enumerate(zip(row_new, row_old)):
             if a == b:
                 continue
             fa, fb = as_float(a), as_float(b)
+            if fa is not None and fb is not None and repr(fa) == repr(fb):
+                text_only += 1
+                continue
             if fa is None or fb is None or scales[j] == 0.0:
                 other += 1
                 continue
@@ -158,6 +162,8 @@ def csv_moves(new, old):
             worst = max(worst, abs(fa - fb) / scales[j])
     parts = [f"{moved} cells moved, largest {worst:.2g} of "
              + ("map scale" if is_map else "column max")]
+    if text_only:
+        parts.append(f"{text_only} cells differ in text only")
     if other:
         parts.append(f"{other} other cells differ")
     headers = [f"{a!r} (was {b!r})" for a, b in zip(h_new, h_old) if a != b]
