@@ -251,8 +251,8 @@ def test_criterion_07_arrival_shift():
     Measured cause: on every scanned angle the transverse part of Phi
     (``amplitudes.combined_phase_gradient``) has magnitude 1/(2 p_perp),
     4.99e5 at p_perp = 1e-6 and 5.0e4 at p_perp = 1e-5.  It is the
-    gradient of the +-phi/2 spinor-azimuth phases in
-    ``amplitudes._geometry_terms``.  Delta t = l_0 . Phi therefore keeps
+    gradient of the +-phi/2 spinor-azimuth phases of the one azimuthal-phase
+    rule, ``amplitudes._Z_WEIGHTS``.  Delta t = l_0 . Phi therefore keeps
     one sign on a branch: on branch +1 at beta = 0.999, n = 1.3,
     p_perp = omega = 1e-6 it runs from -1.6e7 to -3.7e5 t_c between 4 and
     176 degrees, and it flips only between the two mirror branches.  The

@@ -60,7 +60,7 @@ MUTANTS = [
     Mutant("z_integer_azimuths", PKG + "amplitudes.py",
            "_Z_WEIGHTS = tuple((-s, sp, sg)",
            "_Z_WEIGHTS = tuple((-2 * s, 2 * sp, sg)",
-           "the +-1/2 electron azimuthal slopes (formerly _Z_SLOPES) "
+           "the +-1/2 electron azimuthal slopes of _Z_WEIGHTS "
            "made integer"),
     Mutant("z_sigma_prime_sign", PKG + "amplitudes.py",
            "_Z_WEIGHTS = tuple((-s, sp, sg)",
@@ -104,9 +104,63 @@ MUTANTS = [
            "the Mach-cone and collinear threshold on C and D"),
 ]
 
-# tier-1 test function -> "oracle" (derived independently of the code) or
-# "pin" (records today's output or code path); see the module docstring
-KINDS = {}
+# the tier-1 test functions that a mutant here kills, as oracles: each
+# checks a law of the physics (a symmetry, a limit, a closed form, an
+# expansion) or a second evaluation route; where a route shares the
+# mutated code, the kill came from a part it does not share
+ORACLES = {
+    "test_criterion_05_amplitude_symmetries",
+    "test_criterion_10_delta_p_scan",
+    "test_criterion_11_oracle_equivalence",
+    "test_mirror_symmetry",
+    "test_phase_gradient_matches_50_digit_reference",
+    "test_phi_prime_rigid_rotation_invariance",
+    "test_summed_mod_squared",
+    "test_flash_duration_honours_medium_d",
+    "test_hessian_factor_analytic",
+    "test_sodium_eit_dispersion_strength",
+    "test_arrival_shift_linear_in_dispersion_strength",
+    "test_arrival_shift_mirror_swap",
+    "test_correlation_radius_reduction_at_zero_time",
+    "test_exponent_at_zero_time",
+    "test_log_integrand_slope_is_the_derivative_of_its_log",
+    "test_prefactor_complex_matches_g_and_gouy",
+    "test_split_route_matches_complex_route",
+    "test_delta_p_intensity_law_property",
+    "test_delta_p_scan",
+    "test_integrand_at_zero_time",
+    "test_integrand_dual_route",
+    "test_kernel_against_tau_integral_oracle",
+    "test_long_map_matches_reference_at_every_node",
+    "test_map_labels_the_photon_helicity_it_computes",
+    "test_short_formation_map_is_the_packet_gaussian",
+    "test_wide_maps_converge_at_every_node",
+}
+# and as pins: each records today's output, bits, call counts or code path
+PINS = {
+    "test_partial_terms_are_the_products_of_the_public_d_functions",
+    "test_flash_duration_names_collinear_velocities",
+    "test_sweep_counts_each_sample_without_a_photon_by_reason",
+    "test_collinear_flash_raises",
+    "test_eta_chi_pair",
+    "test_integrand_coefficients_share_eta_and_chi",
+    "test_mach_cone_degenerate_raises",
+    "test_fig10_rows_converge_on_the_graded_start_mesh",
+    "test_grid_without_mirror_symmetry_integrates_every_row",
+    "test_levin_point_on_one_start_panel_builds_one_start_mesh",
+    "test_levin_row_fits_a_budget_of_the_pilots_panels",
+    "test_map_is_the_same_for_smaller_blocks",
+    "test_map_long_batches_build_each_start_mesh_once",
+    "test_map_long_rows_follow_the_pilot_mesh",
+    "test_map_worker_independence_under_spawn",
+    "test_mirrored_rows_are_their_source_reversed",
+    "test_point_negative_value_at_shifted_angle",
+    "test_point_on_its_start_mesh_is_one_integrand_call",
+    "test_row_groups_match_per_row_batches_bit_for_bit",
+    "test_threads_map_row_groups",
+    "test_threads_on_a_levin_map_of_several_groups_change_no_bit",
+}
+KINDS = dict.fromkeys(ORACLES, "oracle") | dict.fromkeys(PINS, "pin")
 
 # a failed or errored test in pytest's short summary
 FAILED = re.compile(r"^(?:FAILED|ERROR) (\S+)")
@@ -129,15 +183,15 @@ def failures(tree):
 def run(mutant, scratch):
     """The failures of a copy of the checkout with ``mutant`` applied;
     None if its text is not in its file exactly once."""
+    if mutant is not None:
+        text = (ROOT / mutant.file).read_text(encoding="utf-8")
+        if text.count(mutant.old) != 1:
+            return None
     tree = Path(tempfile.mkdtemp(dir=scratch))
     shutil.copytree(ROOT, tree, dirs_exist_ok=True, ignore=IGNORE)
     if mutant is not None:
-        path = tree / mutant.file
-        text = path.read_text(encoding="utf-8")
-        if text.count(mutant.old) != 1:
-            return None
-        path.write_text(text.replace(mutant.old, mutant.new),
-                        encoding="utf-8")
+        (tree / mutant.file).write_text(text.replace(mutant.old, mutant.new),
+                                        encoding="utf-8")
     try:
         return failures(tree)
     finally:
@@ -155,12 +209,19 @@ def census(mutants):
                             capture_output=True, text=True).stdout.strip()
     with tempfile.TemporaryDirectory() as scratch:
         base = run(None, scratch)
-        lines = [f"Measured on commit {commit}; the unmutated suite fails "
+        lines = ["# Mutation census", "",
+                 "Written by `python3 tools/mutants.py --write MUTANTS.md`. "
+                 "Each row is one single-edit mutant of the library (the "
+                 "`MUTANTS` list of the tool) and the tier-1 tests that fail "
+                 "on it but not on the unmutated tree, each marked an oracle "
+                 "(derived independently of the code) or a pin (records "
+                 "today's output or code path).", "",
+                 f"Measured on commit {commit}; the unmutated suite fails "
                  f"{len(base)} test(s): "
                  + (", ".join(sorted(map(function, base))) or "none") + ".",
                  "", "| mutant | breaks | killed by (oracle / pin) |",
                  "| --- | --- | --- |"]
-        ok = True
+        ok, survivors, pinned = True, [], []
         for mutant in mutants:
             got = run(mutant, scratch)
             if got is None:
@@ -172,15 +233,22 @@ def census(mutants):
                     killers.setdefault(function(node), []).append(node)
                 fixed = sorted(map(function, base - got))
                 cell = "; ".join(
-                    f"{name} ({KINDS.get(name, '?')}"
+                    f"{name} ({KINDS.get(name.split('::')[1], '?')}"
                     + (f", {len(nodes)} cases" if len(nodes) > 1 else "")
                     + ")" for name, nodes in sorted(killers.items()))
+                kinds = {KINDS.get(name.split("::")[1]) for name in killers}
+                if not killers:
+                    survivors.append(mutant.name)
+                elif "oracle" not in kinds:
+                    pinned.append(mutant.name)
                 cell = cell or "**survives**"
                 if fixed:
                     cell += "; now passing: " + ", ".join(fixed)
             lines.append(f"| `{mutant.name}` (`{Path(mutant.file).name}`) "
                          f"| {mutant.physics} | {cell} |")
             print(lines[-1], file=sys.stderr, flush=True)
+    lines += ["", "Survivors: " + (", ".join(survivors) or "none") + ".",
+              "Caught by pins only: " + (", ".join(pinned) or "none") + "."]
     return lines, ok
 
 
