@@ -339,6 +339,20 @@ def test_prefactor_complex_matches_g_and_gouy(rng):
         assert abs(pre - alt) < 1e-12 * abs(pre)
 
 
+def test_prefactor_root_is_principal_where_the_gouy_phase_is_negative(rng):
+    # a strong E gives 1/t_d + 1/t_d~ < 0 at theta_Ch: g < 0 and
+    # eta (eta C + chi D) lies below the real axis, where only the principal
+    # root matches exp(-i g/2)/G of the explicit arctan split
+    sc = balance_scenario(beta=0.99, n=1.4, omega=1e-5, sigma=1e-5)
+    medium = AnalyticMedium.from_dispersion_params(1.4, 1e-5, 0.0, 3.0)
+    kern = PhaseSpaceKernel.from_geometry(sc.geometry(), sc.packet, medium,
+                                          dispersive=True)
+    t = rng.uniform(0, 1e7, size=50)
+    assert np.all(kern.gouy(t) < 0)
+    alt = np.exp(-0.5j * kern.gouy(t)) / kern.big_g(t)
+    assert np.all(np.abs(kern.prefactor_complex(t) - alt) < 1e-12 * abs(alt))
+
+
 def test_integrand_coefficients_share_eta_and_chi(rng, monkeypatch):
     # one eta/chi pass per call of either coefficient method, with the
     # arithmetic of the separate prefactor and exponent formulas, bit for bit

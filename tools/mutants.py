@@ -125,6 +125,7 @@ ORACLES = {
     "test_exponent_at_zero_time",
     "test_log_integrand_slope_is_the_derivative_of_its_log",
     "test_prefactor_complex_matches_g_and_gouy",
+    "test_prefactor_root_is_principal_where_the_gouy_phase_is_negative",
     "test_split_route_matches_complex_route",
     "test_delta_p_intensity_law_property",
     "test_delta_p_scan",
