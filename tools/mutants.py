@@ -16,8 +16,9 @@ records today's output or today's code path.  A test not in ``KINDS``
 is marked ``?``.
 
 Not part of the test suite: one suite run per mutant, plus one for the
-unmutated copy, one after another (about five minutes for fifteen
-mutants on two cores).  Prints the census as a Markdown table, or writes
+unmutated copy, one after another: about a quarter of an hour for
+fifteen mutants on two cores, since a failing Hypothesis test shrinks
+its example before it reports.  Prints the census as a Markdown table, or writes
 it with ``--write``; ``--only`` runs the named mutants.  Exits 1 when an
 edit's text is not found exactly once, else 0.
 
