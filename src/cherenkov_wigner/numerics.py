@@ -149,18 +149,11 @@ def _differentiation_matrix(x):
 # its error estimate
 _LOBATTO = -np.cos(np.pi * np.arange(17) / 16)
 _ONES = np.ones((17, 1), dtype=complex)
-# the 17-point matrix, and the 9- and 5-point ones as the two diagonal
-# blocks of one 14 x 14 matrix, so that one solve takes both; complex, so
-# that a stack of systems is a copy of them
-_LEVIN_FINE = _differentiation_matrix(_LOBATTO).astype(complex)
-_LEVIN_COARSE = np.zeros((14, 14), dtype=complex)
-_LEVIN_COARSE[:9, :9] = _differentiation_matrix(_LOBATTO[::2])
-_LEVIN_COARSE[9:, 9:] = _differentiation_matrix(_LOBATTO[::4])
-_COARSE_POINTS = np.r_[0:17:2, 0:17:4]
-# each system's solution at the panel's ends: the 17-point one's first and
-# last entries, and the 9- and 5-point ones' within the 14
-_FINE_ENDS = slice(None, None, 16)
-_COARSE_ENDS = np.array([0, 8, 9, 13])
+# the step that takes the 17, 9 and 5 points from the 17, and each one's
+# matrix; complex, so that a stack of systems is a copy of it
+_LEVIN_RULES = [
+    (step, _differentiation_matrix(_LOBATTO[::step]).astype(complex))
+    for step in (1, 2, 4)]
 # the signs of F(lo) and F(hi) in P(hi) F(hi) - P(lo) F(lo)
 _END_SIGNS = np.array([-1.0, 1.0])
 
@@ -172,6 +165,10 @@ _END_SIGNS = np.array([-1.0, 1.0])
 # start mesh that phase_rate_hint splits, it takes Gauss-Kronrod
 _LEVIN_BATCH = 1e4
 _LEVIN_TURN = 0.5 * math.pi
+# a turning cell whose envelope bound, the panel's width times the largest
+# |F| = exp(Re L) on its 17 points, is at most this fraction of the
+# batch's abs_tol is not solved: it takes value 0 and error the bound
+_LEVIN_NEGLIGIBLE = 1e-6
 
 
 def _solve(m, ones):
@@ -190,7 +187,7 @@ def _solve(m, ones):
         return q
 
 
-def _levin_panels(levin, lo, hi):
+def _levin_panels(levin, lo, hi, abs_tol):
     """Levin collocation sums of the rows of Re exp(L) on each panel
     [lo, hi], from one call ``levin(t)`` of (L, L'), each of shape
     (rows, len(t)): one array of shape (2, rows, len(lo)), the values and
@@ -199,17 +196,21 @@ def _levin_panels(levin, lo, hi):
     L and L' are sampled on each panel's 17 Chebyshev-Lobatto points, its
     edges among them.  A row turns on a panel when the panel's width times
     that row's larger |L'| at the two edges exceeds ``_LEVIN_TURN``, so a
-    cell's rule reads only that row's samples.  A turning cell's value
-    solves P' + L'P = 1 for a polynomial P on the 17 points and is
+    cell's rule reads only that row's samples.  A turning cell whose L'
+    is finite and whose envelope bound, the panel's width times its
+    largest exp(Re L) on the 17 points, is at most
+    ``_LEVIN_NEGLIGIBLE`` x ``abs_tol`` (the batch's own) is not solved:
+    its value is 0 and its error that bound.  Any other turning cell's
+    value solves P' + L'P = 1 for a polynomial P on the 17 points and is
     Re[P(hi) F(hi) - P(lo) F(lo)], F = exp(L), so F is needed at the ends
     only: a row whose F is zero at both ends has value and error zero.
-    The same on the nested 9 and 5 points gives e9 and e5, the distances
-    of their values from the 17-point one; the error is e9 times the
-    contraction e9/e5 when that is below 1, else e9.  A cell's sums
-    depend only on its own samples; a row whose L or L' is not finite, or
-    whose system is singular, gets non-finite sums there.  Each stack of
-    collocation systems solved at once holds at most ``_BLOCK`` matrix
-    entries."""
+    The same on the nested 9 and 5 points, each system solved at its own
+    size, gives e9 and e5, the distances of their values from the 17-point
+    one; the error is e9 times the contraction e9/e5 when that is below 1,
+    else e9.  A cell's sums depend only on its own samples and
+    ``abs_tol``; a row whose L or L' is not finite, or whose system is
+    singular, gets non-finite sums there.  Each stack of collocation
+    systems solved at once holds at most ``_BLOCK`` matrix entries."""
     half = 0.5 * (hi - lo)
     t = (0.5 * (lo + hi))[:, None] + half[:, None] * _LOBATTO
     log_f, rate = levin(t.ravel())
@@ -217,27 +218,29 @@ def _levin_panels(levin, lo, hi):
     # _panel_sums hands to Gauss-Kronrod
     with np.errstate(invalid="ignore", over="ignore"):
         rate = np.reshape(rate, (-1, lo.size, 17)) * half[:, None]
+        log_f = np.reshape(log_f, rate.shape)
         turning = 2.0 * np.abs(rate[..., ::16]).max(axis=2) > _LEVIN_TURN
-        ends = np.exp(np.reshape(log_f, rate.shape)[..., ::16])
+        ends = np.exp(log_f[..., ::16])
+        bound = (hi - lo) * np.exp(log_f.real.max(axis=2))
+        skip = (turning & (bound <= _LEVIN_NEGLIGIBLE * abs_tol)
+                & np.isfinite(rate).all(axis=2))
         sums = np.where(turning, 0.0, np.full((2,) + rate.shape[:2], np.nan))
-        row, panel = np.nonzero(turning & (ends != 0.0).any(axis=2))
+        sums[1][skip] = bound[skip]
+        row, panel = np.nonzero(turning & ~skip & (ends != 0.0).any(axis=2))
         rate, ends = rate[row, panel], ends[row, panel]
-        # (D + h diag(L')) q = 1 on [-1, 1], and P = h q, solved in stacks
-        # of at most _BLOCK matrix entries; q_ends holds each system's q at
-        # the ends, 17-point, 9-point, 5-point
-        q_ends = np.empty((row.size, 6), dtype=complex)
-        for d, points, ends_at, into in (
-                (_LEVIN_FINE, slice(None), _FINE_ENDS, q_ends[:, :2]),
-                (_LEVIN_COARSE, _COARSE_POINTS, _COARSE_ENDS,
-                 q_ends[:, 2:])):
+        # (D + h diag(L')) q = 1 on [-1, 1], and P = h q, on the 17, 9 and
+        # 5 points in stacks of at most _BLOCK matrix entries; q_ends holds
+        # each system's q at the ends
+        q_ends = np.empty((3, row.size, 2), dtype=complex)
+        for (step, d), into in zip(_LEVIN_RULES, q_ends):
             n = d.shape[0]
             stack = _BLOCK // (n * n)
             for s in range(0, row.size, stack):
                 m = d[None].repeat(min(stack, row.size - s), axis=0)
-                m.reshape(-1, n * n)[:, ::n + 1] += rate[s:s + stack, points]
-                into[s:s + stack] = _solve(m, _ONES[:n])[:, ends_at, 0]
+                m.reshape(-1, n * n)[:, ::n + 1] += rate[s:s + stack, ::step]
+                into[s:s + stack] = _solve(m, _ONES[:n])[:, ::n - 1, 0]
         fine, e9, e5 = half[panel] * np.einsum(
-            "irj,ij->ri", q_ends.reshape(-1, 3, 2), ends * _END_SIGNS).real
+            "rij,ij->ri", q_ends, ends * _END_SIGNS).real
         e9, e5 = abs(e9 - fine), abs(e5 - fine)
         err = np.divide(e9 * e9, e5, out=e9, where=e9 < e5)
     sums[0, row, panel], sums[1, row, panel] = fine, err
@@ -252,18 +255,21 @@ def per_call(*sizes: int) -> int:
     return max(1, _BLOCK // (17 * math.prod(sizes)))
 
 
-def _panel_sums(f, levin, lo, hi, rows):
+def _panel_sums(f, levin, lo, hi, rows, abs_tol):
     """(values, errors) of the rows on each panel [lo, hi], each of shape
     (rows, len(lo)): each cell by Levin collocation where that row turns
     on the panel and its sums are finite in that row, else by
     Gauss-Kronrod (see ``_levin_panels``), which runs once on each panel
     that holds such a cell; by Gauss-Kronrod alone when ``levin`` is None.
+    ``abs_tol`` is the batch's own: a turning cell whose envelope bound is
+    negligible against it takes value 0 and error the bound, unsolved.
 
     The one loop that splits panels into integrand calls: each call holds
     ``per_call(rows)`` panels, so at most ``_BLOCK`` rows x abscissae, but
     when ``rows`` is None the first holds min(len(lo), ``_HEAD``) panels
     and tells it.  A cell's sums depend only on its row's samples on its
-    panel, so the split changes no bit, nor do the other rows."""
+    panel and on ``abs_tol``, so the split changes no bit, nor do the
+    other rows."""
     chunks, start = [], 0
     while start < lo.size:
         stop = start + (_HEAD if rows is None else per_call(rows))
@@ -271,7 +277,7 @@ def _panel_sums(f, levin, lo, hi, rows):
         if levin is None:
             sums = _gk15_panels(f, a, b)
         else:
-            sums = _levin_panels(levin, a, b)
+            sums = _levin_panels(levin, a, b, abs_tol)
             cells = ~np.isfinite(sums).all(axis=0)
             rest = cells.any(axis=0)
             if rest.any():
@@ -315,7 +321,8 @@ class BatchQuadrature:
     held to in the last round, max(abs_tol, rel_tol * max_s |value_s|),
     and ``levin`` whether the batch took Levin panels.  Each value is the
     sum of its row's Gauss-Kronrod and Levin panel values on ``edges``,
-    and depends on that mesh, the batch's rule and its own samples only."""
+    and depends on that mesh, the batch's rule and abs_tol and its own
+    samples only."""
 
     values: np.ndarray
     error_estimates: np.ndarray
@@ -406,10 +413,14 @@ def integrate_batch(
     Chebyshev-Lobatto points, edges included.  A row with w |L'| above pi/2
     at either edge of a panel takes that panel by Levin collocation: its
     value solves P' + L'P = 1, with error from the nested 9- and 5-point
-    collocations (see ``_levin_panels``).  The row's other panels, and any
-    where its Levin sums are not finite or its collocation is singular, are
-    Gauss-Kronrod panels in that row.  Every panel's value and error in a
-    row depend on that row's own samples only, given the batch's rule.
+    collocations (see ``_levin_panels``), unless its envelope bound, the
+    panel's width times the largest exp(Re L) on the 17 points, is at most
+    ``_LEVIN_NEGLIGIBLE`` (1e-6) x ``abs_tol``: then it is not solved, and
+    its value is 0 and its error that bound.  The row's other panels, and
+    any where its Levin sums are not finite or its collocation is
+    singular, are Gauss-Kronrod panels in that row.  Every panel's value
+    and error in a row depend on that row's own samples and ``abs_tol``
+    only, given the batch's rule.
 
     Rows that have not converged when the budget is spent keep their best
     estimate with ``converged`` False instead of raising.  Two limits hold
@@ -477,7 +488,8 @@ def integrate_batch(
         raise ValueError(f"guide takes the start mesh to {edges.size - 1}"
                          f" panels, over max_panels {max_panels}")
 
-    vals, errs = _panel_sums(f, levin, edges[:-1], edges[1:], rows)
+    vals, errs = _panel_sums(f, levin, edges[:-1], edges[1:], rows,
+                             abs_tol)
     rows = vals.shape[0]
     rounds = 1
 
@@ -526,7 +538,7 @@ def integrate_batch(
         fresh = np.searchsorted(edges, cuts)
         vals, errs = vals.take(kept, axis=1), errs.take(kept, axis=1)
         vals[:, fresh], errs[:, fresh] = _panel_sums(f, levin, cuts, ends,
-                                                     rows)
+                                                     rows, abs_tol)
         rounds += 1
 
     return BatchQuadrature(total, total_err, ~active, edges.size - 1, rounds,

@@ -531,8 +531,9 @@ def evaluate_map(scenario: EmissionScenario, grid: Optional[MapGrid] = None,
     panel count.  The groups depend only on the grid and the pilot, and no
     integrand call holds more rows x abscissae than the block that
     ``per_call`` divides.  Given the group's rule, a row's panel rules and
-    sums read only its own samples, so a group that converges in its first
-    round at the pilot's tolerance gives each row the bits it gets alone; a
+    sums read only its own samples and the group's abs_tol, the pilot's
+    tolerance, so a group that converges in its first round at that
+    tolerance gives each row the bits it gets alone; a
     group that refines shares its cuts, and is held to ``rel_tol`` of its
     own largest |integral| when that exceeds the pilot's tolerance.  The
     pilot is batch 0 and each group one more: each batch's record fills its

@@ -6,7 +6,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cherenkov_wigner import numerics
-from cherenkov_wigner.numerics import (_LEVIN_TURN, DiffSpec, NoSignChange,
+from cherenkov_wigner.numerics import (_LEVIN_NEGLIGIBLE, _LEVIN_TURN,
+                                       _LOBATTO, DiffSpec, NoSignChange,
                                        NonFiniteIntegrand, NonFiniteSample,
                                        _gk15_panels, _HEAD, _levin_panels,
                                        _panel_sums, _solve, _start_mesh,
@@ -747,6 +748,11 @@ def test_deep_split_keeps_the_mesh_and_the_tolerance(rows, layer, offset,
     assert np.all((np.abs(res.values - ref) <= tol)[res.converged])
 
 
+# the abs_tol of direct _levin_panels and _panel_sums calls:
+# integrate_batch's default
+_ABS_TOL = 1e-10
+
+
 def log_form(L, dL):
     """(f, levin) for integrate_batch: the rows of Re exp(L(t)) and the
     (L, L') callable of the Levin rule."""
@@ -868,7 +874,7 @@ def test_levin_panels_depend_on_their_own_samples_only(rows, widths, bounds):
     k = len(rows)
     edges = -3.0 + np.concatenate([[0.0], np.cumsum(widths)])
     lo, hi = edges[:-1], edges[1:]
-    whole = _levin_panels(levin, lo, hi)
+    whole = _levin_panels(levin, lo, hi, _ABS_TOL)
     half = 0.5 * (hi - lo)
     turn = [np.abs(dL(0.5 * (lo + hi) + side * half) * half)
             for side in (-1.0, 1.0)]
@@ -876,9 +882,9 @@ def test_levin_panels_depend_on_their_own_samples_only(rows, widths, bounds):
     for i in (0, 1):
         assert np.array_equal(np.isfinite(whole[i]), turns)
     cuts = sorted({0, lo.size, *(c for c in bounds if c < lo.size)})
-    blocks = [_levin_panels(levin, lo[s:e], hi[s:e])
+    blocks = [_levin_panels(levin, lo[s:e], hi[s:e], _ABS_TOL)
               for s, e in zip(cuts[:-1], cuts[1:])]
-    panels = [_levin_panels(levin, lo[j:j + 1], hi[j:j + 1])
+    panels = [_levin_panels(levin, lo[j:j + 1], hi[j:j + 1], _ABS_TOL)
               for j in range(lo.size)]
     for got in (blocks, panels):
         for i in (0, 1):
@@ -886,7 +892,7 @@ def test_levin_panels_depend_on_their_own_samples_only(rows, widths, bounds):
                                   whole[i], equal_nan=True)
     for i in range(k):
         row = _levin_panels(lambda t: (L(t)[i:i + 1], dL(t)[i:i + 1]), lo,
-                            hi)
+                            hi, _ABS_TOL)
         assert np.array_equal(row[0], whole[0][i:i + 1], equal_nan=True)
         assert np.array_equal(row[1], whole[1][i:i + 1], equal_nan=True)
         if rows[i][0] == -800.0:
@@ -906,11 +912,12 @@ def test_panel_sums_take_each_rows_rule_from_its_own_samples(rows, widths):
     f, levin = log_form(L, dL)
     edges = -3.0 + np.concatenate([[0.0], np.cumsum(widths)])
     lo, hi = edges[:-1], edges[1:]
-    whole = _panel_sums(f, levin, lo, hi, len(rows))
+    whole = _panel_sums(f, levin, lo, hi, len(rows), _ABS_TOL)
     assert np.all(np.isfinite(whole))
     for i in range(len(rows)):
         one = log_form(lambda t: L(t)[i:i + 1], lambda t: dL(t)[i:i + 1])
-        assert np.array_equal(_panel_sums(*one, lo, hi, 1), whole[:, i:i + 1])
+        assert np.array_equal(_panel_sums(*one, lo, hi, 1, _ABS_TOL),
+                              whole[:, i:i + 1])
 
 
 def test_panels_that_do_not_turn_are_left_to_gauss_kronrod():
@@ -919,11 +926,129 @@ def test_panels_that_do_not_turn_are_left_to_gauss_kronrod():
     levin = lambda t: (0.01j * t[None], np.full((1, t.size), 1.0j))
     lo = np.array([0.0, 1.0, 3.0])
     hi = np.array([1.0, 3.0, 10.0])
-    vals, errs = _levin_panels(levin, lo, hi)
+    vals, errs = _levin_panels(levin, lo, hi, _ABS_TOL)
     assert np.isnan(vals[0, 0]) and np.isnan(errs[0, 0])
     assert (hi - lo)[0] <= _LEVIN_TURN < (hi - lo)[1]
     assert np.all(np.isfinite(vals[0, 1:]))
     assert np.all(np.isfinite(errs[0, 1:]))
+
+
+def _record_solves(monkeypatch):
+    """A list that gains (m, q) of each ``_solve`` call of the Levin rule."""
+    stacks = []
+    solve = numerics._solve
+
+    def recorded(m, ones):
+        q = solve(m, ones)
+        stacks.append((m, q))
+        return q
+
+    monkeypatch.setattr(numerics, "_solve", recorded)
+    return stacks
+
+
+def _systems(stacks):
+    """The number of systems solved, keyed by their size."""
+    counts = {}
+    for m, _ in stacks:
+        counts[m.shape[1]] = counts.get(m.shape[1], 0) + m.shape[0]
+    return counts
+
+
+# rows that turn on every panel of [0, 10] (0.5 x 300 > pi/2) and whose
+# |F| is 1, e^-60 and e^(-30 - t)
+_FADING = [(0.0, 0.0, 300.0, 0.0), (-60.0, 0.0, 300.0, 0.0),
+           (-30.0, 1.0, 300.0, 0.0)]
+
+
+def _fading_panels():
+    """(levin, lo, hi, bound) of the _FADING rows on 20 even panels of
+    [0, 10], bound the envelope bound of each cell: the panel's width
+    times its largest |F| on the 17 Chebyshev-Lobatto points."""
+    L, dL = damped_chirps(_FADING)
+    edges = np.linspace(0.0, 10.0, 21)
+    lo, hi = edges[:-1], edges[1:]
+    t = (0.5 * (lo + hi))[:, None] + (0.5 * (hi - lo))[:, None] * _LOBATTO
+    peak = np.exp(L(t.ravel()).real.reshape(3, 20, 17).max(axis=2))
+    return (lambda t: (L(t), dL(t))), lo, hi, (hi - lo) * peak
+
+
+def test_negligible_cells_take_their_bound_and_are_not_solved(monkeypatch):
+    # a turning cell whose envelope bound is at most 1e-6 x abs_tol has
+    # value 0 and error that bound, and none of its 17-, 9- or 5-point
+    # systems is solved: row 1 on every panel, row 2 from t = 6.5 on
+    levin, lo, hi, bound = _fading_panels()
+    skipped = bound <= _LEVIN_NEGLIGIBLE * _ABS_TOL
+    assert skipped.sum(axis=1).tolist() == [0, 20, 7]
+    stacks = _record_solves(monkeypatch)
+    vals, errs = _levin_panels(levin, lo, hi, _ABS_TOL)
+    assert np.all(vals[skipped] == 0.0)
+    assert np.array_equal(errs[skipped], bound[skipped])
+    assert np.all(np.isfinite(vals)) and np.all(errs[~skipped] < 1e-12)
+    assert _systems(stacks) == {17: 33, 9: 33, 5: 33}
+
+
+def test_negligible_cells_with_a_non_finite_slope_are_not_skipped():
+    # a cell under the bound whose L' is NaN or infinite inside the panel
+    # (its edges, where the turn is read, are finite) reads NaN, which
+    # hands it to Gauss-Kronrod, as any cell with a non-finite L'
+    def levin(t):
+        slope = np.full((1, t.size), 300j)
+        slope[0, (2.0 < t) & (t < 3.0)] = np.nan
+        slope[0, (5.0 < t) & (t < 6.0)] = np.inf
+        return (-60.0 + 300j * t)[None], slope
+
+    lo = np.arange(8.0)
+    vals, errs = _levin_panels(levin, lo, lo + 1.0, _ABS_TOL)
+    blocked = np.isin(lo, [2.0, 5.0])
+    assert np.all(np.isnan(vals[0, blocked]))
+    assert np.all(vals[0, ~blocked] == 0.0) and np.all(errs[0, ~blocked] > 0)
+
+
+def test_without_the_skip_every_turning_cell_is_solved(monkeypatch):
+    # with the factor 0 no cell whose F is not zero is skipped, which is the
+    # rule before the skip: every cell is solved, and those that the skip
+    # leaves keep their bits; the skipped ones read within their bound
+    levin, lo, hi, bound = _fading_panels()
+    skipped = bound <= _LEVIN_NEGLIGIBLE * _ABS_TOL
+    want = _levin_panels(levin, lo, hi, _ABS_TOL)
+    monkeypatch.setattr(numerics, "_LEVIN_NEGLIGIBLE", 0.0)
+    stacks = _record_solves(monkeypatch)
+    got = _levin_panels(levin, lo, hi, _ABS_TOL)
+    assert _systems(stacks) == {17: 60, 9: 60, 5: 60}
+    assert np.array_equal(got[:, ~skipped], want[:, ~skipped])
+    assert np.all(np.abs(got[0][skipped]) <= bound[skipped])
+    assert np.all(got[1][skipped] <= bound[skipped])
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_nested_error_systems_match_a_block_diagonal_solve(seed,
+                                                           monkeypatch):
+    # the 9- and 5-point error systems, solved as stacks of their own size,
+    # meet the two diagonal blocks of one 14 x 14 system, built here from
+    # the differentiation matrices and h L' on every other and every fourth
+    # point, within 1e-12 relative, on random turning systems
+    rng = np.random.default_rng(seed)
+    rows, panels = 4, 8
+    lo = np.arange(panels, dtype=float)
+    hi = lo + 1.0
+    size = (rows, panels * 17)
+    rate = (rng.normal(size=size) + 1j * rng.normal(size=size)) * 10.0 ** (
+        rng.uniform(1.0, 3.0, size=size))
+    log_f = rng.normal(size=size) + 1j * rng.normal(size=size)
+    stacks = _record_solves(monkeypatch)
+    _levin_panels(lambda t: (log_f, rate), lo, hi, _ABS_TOL)
+    assert _systems(stacks) == {17: 32, 9: 32, 5: 32}
+    q = {m.shape[1]: solved[..., 0] for m, solved in stacks}
+    h_rate = 0.5 * rate.reshape(rows * panels, 17)
+    block = np.zeros((rows * panels, 14, 14), dtype=complex)
+    block[:, :9, :9] = numerics._differentiation_matrix(_LOBATTO[::2])
+    block[:, 9:, 9:] = numerics._differentiation_matrix(_LOBATTO[::4])
+    block[:, range(14), range(14)] += np.concatenate(
+        [h_rate[:, ::2], h_rate[:, ::4]], axis=1)
+    want = np.linalg.solve(block, np.ones((14, 1), dtype=complex))[..., 0]
+    got = np.concatenate([q[9], q[5]], axis=1)
+    assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
 
 
 def test_singular_systems_solve_to_nan_and_leave_the_others_alone():
@@ -1017,14 +1142,16 @@ def test_panel_sums_split_into_calls_change_no_bit(case, monkeypatch):
     f, levin, lo, hi, rows = _chunk_case(case)
     default = []
     want = _panel_sums(_sized(f, default), _sized(levin, default), lo, hi,
-                       rows)
+                       rows, _ABS_TOL)
     assert np.all(np.isfinite(want))
     if levin is not None:
-        turns = np.isfinite(_levin_panels(levin, lo, hi)).all(axis=(0, 1))
+        turns = np.isfinite(_levin_panels(levin, lo, hi, _ABS_TOL)).all(
+            axis=(0, 1))
         assert turns.all() == (case == "levin")
     monkeypatch.setattr(numerics, "_BLOCK", 1 << 9)
     sizes = []
-    got = _panel_sums(_sized(f, sizes), _sized(levin, sizes), lo, hi, rows)
+    got = _panel_sums(_sized(f, sizes), _sized(levin, sizes), lo, hi, rows,
+                      _ABS_TOL)
     assert np.array_equal(got, want)
     assert len(sizes) >= 8 > len(default)
     if rows is None:

@@ -621,6 +621,46 @@ def test_map_long_integrates_each_source_row_once(theta_frac, monkeypatch):
     assert _batch_rows(calls) == sizes == [6, 30]
 
 
+@pytest.mark.parametrize("theta_frac,systems", [(1.0, 81), (1.1, 79)])
+def test_map_long_solves_only_the_levin_systems_that_can_matter(
+        theta_frac, systems, monkeypatch):
+    # the map-long maps have 162 turning cells whose F is not zero at both
+    # ends; the others' envelope bounds are under 1e-6 of their batch's
+    # abs_tol, so only these are solved, each at 17, 9 and 5 points
+    sc = balance_scenario(sigma=1e-5, theta_frac=theta_frac, t_out=5e7)
+    sizes = []
+    solve = numerics._solve
+
+    def counted(m, ones):
+        sizes.extend([m.shape[1]] * m.shape[0])
+        return solve(m, ones)
+
+    monkeypatch.setattr(numerics, "_solve", counted)
+    evaluate_map(sc, default_grid(sc, 12, 12), workers=1)
+    assert {n: sizes.count(n) for n in set(sizes)} == dict.fromkeys(
+        (17, 9, 5), systems)
+    sizes.clear()
+    monkeypatch.setattr(numerics, "_LEVIN_NEGLIGIBLE", 0.0)
+    evaluate_map(sc, default_grid(sc, 12, 12), workers=1)
+    assert sizes.count(17) == 162
+
+
+@pytest.mark.parametrize("theta_frac", [1.0, 1.1])
+def test_map_long_maps_are_the_maps_without_the_levin_skip(theta_frac,
+                                                           monkeypatch):
+    # the cells left unsolved change no rule, panel, round or flag, and
+    # move no value by more than 1e-15 of the scale
+    sc = balance_scenario(sigma=1e-5, theta_frac=theta_frac, t_out=5e7)
+    grid = default_grid(sc, 12, 12)
+    got = evaluate_map(sc, grid)
+    monkeypatch.setattr(numerics, "_LEVIN_NEGLIGIBLE", 0.0)
+    want = evaluate_map(sc, grid)
+    for name in ("flags", "panels", "rounds"):
+        assert np.array_equal(getattr(got, name), getattr(want, name))
+    assert got.scale == want.scale
+    assert np.max(np.abs(got.values - want.values)) <= 1e-15
+
+
 def fig12_scenario():
     """The fig12 map's scenario, theta_k = 43.82 deg at t_out = 1e6."""
     return replace(balance_scenario(sigma=1e-5, t_out=1e6),

@@ -15,12 +15,14 @@ that shares none of the mutated code, or a law of the physics), a pin
 records today's output or today's code path.  A test not in ``KINDS``
 is marked ``?``.
 
-Not part of the test suite: one suite run per mutant, plus one for the
-unmutated copy, one after another: about a quarter of an hour for
-fifteen mutants on two cores, since a failing Hypothesis test shrinks
-its example before it reports.  Prints the census as a Markdown table, or writes
-it with ``--write``; ``--only`` runs the named mutants.  Exits 1 when an
-edit's text is not found exactly once, else 0.
+Each copy, the unmutated one included, loads a Hypothesis profile
+without the shrink phase (``NO_SHRINK``), so that a failing property
+test stops at its first failing example; the repository's own test
+settings are not changed.  Not part of the test suite: one suite run per
+mutant, plus one for the unmutated copy, one after another: about eight
+minutes for sixteen mutants on two cores.  Prints the census as a
+Markdown table, or writes it with ``--write``; ``--only`` runs the named
+mutants.  Exits 1 when an edit's text is not found exactly once, else 0.
 
     python3 tools/mutants.py [--only NAME ...] [--write MUTANTS.md]
 """
@@ -103,6 +105,10 @@ MUTANTS = [
     Mutant("degeneracy_threshold", PKG + "observables.py",
            "_DEGENERATE = 1e-28", "_DEGENERATE = 0.0",
            "the Mach-cone and collinear threshold on C and D"),
+    Mutant("levin_negligible", PKG + "numerics.py",
+           "_LEVIN_NEGLIGIBLE = 1e-6", "_LEVIN_NEGLIGIBLE = 1e3",
+           "the Levin skip: turning cells whose envelope bound is up to "
+           "1e3 x abs_tol, not 1e-6, left unsolved"),
 ]
 
 # the tier-1 test functions that a mutant here kills, as oracles: each
@@ -137,6 +143,8 @@ ORACLES = {
     "test_map_labels_the_photon_helicity_it_computes",
     "test_short_formation_map_is_the_packet_gaussian",
     "test_wide_maps_converge_at_every_node",
+    "test_copied_half_rows_match_rows_integrated_in_full",
+    "test_map_long_maps_are_the_maps_without_the_levin_skip",
 }
 # and as pins: each records today's output, bits, call counts or code path
 PINS = {
@@ -161,11 +169,26 @@ PINS = {
     "test_row_groups_match_per_row_batches_bit_for_bit",
     "test_threads_map_row_groups",
     "test_threads_on_a_levin_map_of_several_groups_change_no_bit",
+    "test_negligible_cells_take_their_bound_and_are_not_solved",
+    "test_map_long_nodes_as_points_take_few_rounds",
+    "test_map_long_rows_take_few_levin_panels",
+    "test_map_long_solves_only_the_levin_systems_that_can_matter",
 }
 KINDS = dict.fromkeys(ORACLES, "oracle") | dict.fromkeys(PINS, "pin")
 
 # a failed or errored test in pytest's short summary
 FAILED = re.compile(r"^(?:FAILED|ERROR) (\S+)")
+# appended to the copy's root conftest.py (the checkout has none): a
+# Hypothesis profile without the shrink and explain phases, so that a
+# failing property test reports its first failing example at once; the
+# census needs only which tests fail
+NO_SHRINK = """
+from hypothesis import Phase, settings
+
+settings.register_profile("census", phases=(
+    Phase.explicit, Phase.reuse, Phase.generate, Phase.target))
+settings.load_profile("census")
+"""
 IGNORE = shutil.ignore_patterns(".git", ".hypothesis", ".pytest_cache",
                                 ".benchmarks", "__pycache__", "output", "out")
 
@@ -191,6 +214,8 @@ def run(mutant, scratch):
             return None
     tree = Path(tempfile.mkdtemp(dir=scratch))
     shutil.copytree(ROOT, tree, dirs_exist_ok=True, ignore=IGNORE)
+    with open(tree / "conftest.py", "a", encoding="utf-8") as conftest:
+        conftest.write(NO_SHRINK)
     if mutant is not None:
         (tree / mutant.file).write_text(text.replace(mutant.old, mutant.new),
                                         encoding="utf-8")
