@@ -624,9 +624,10 @@ def test_map_long_integrates_each_source_row_once(theta_frac, monkeypatch):
 @pytest.mark.parametrize("theta_frac,systems", [(1.0, 81), (1.1, 79)])
 def test_map_long_solves_only_the_levin_systems_that_can_matter(
         theta_frac, systems, monkeypatch):
-    # the map-long maps have 162 turning cells whose F is not zero at both
-    # ends; the others' envelope bounds are under 1e-6 of their batch's
-    # abs_tol, so only these are solved, each at 17, 9 and 5 points
+    # of the 162 turning cells of each map-long map whose F is not zero
+    # at both ends, all solved with the factor 0, only those whose
+    # envelope bound exceeds 1e-6 of their batch's abs_tol are solved,
+    # each at 17, 9 and 5 points
     sc = balance_scenario(sigma=1e-5, theta_frac=theta_frac, t_out=5e7)
     sizes = []
     solve = numerics._solve
@@ -648,7 +649,7 @@ def test_map_long_solves_only_the_levin_systems_that_can_matter(
 @pytest.mark.parametrize("theta_frac", [1.0, 1.1])
 def test_map_long_maps_are_the_maps_without_the_levin_skip(theta_frac,
                                                            monkeypatch):
-    # the cells left unsolved change no rule, panel, round or flag, and
+    # the cells left unsolved change no panel, round, flag or scale, and
     # move no value by more than 1e-15 of the scale
     sc = balance_scenario(sigma=1e-5, theta_frac=theta_frac, t_out=5e7)
     grid = default_grid(sc, 12, 12)
