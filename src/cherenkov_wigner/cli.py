@@ -245,6 +245,10 @@ def _validate(values: dict, path: Path) -> ScenarioConfig:
                                       f"sweep.scale = log, got {value!r}")
     if cfg.grid_nx < 1 or cfg.grid_ny < 1:
         raise ValidationError("grid.nx/grid.ny: must be >= 1")
+    prefix = cfg.out_prefix or ""
+    if prefix in (".", "..") or {"/", "\\"} & set(prefix):
+        raise ValidationError("out.prefix: must name files in --out-dir, "
+                              f"without a path separator, got {prefix!r}")
     tags = {}
     for off in cfg.delta_p_offsets:
         tag = _dp_tag(off)

@@ -304,14 +304,15 @@ class PhaseSpaceKernel:
     """Velocity pair, (a, b) coefficients and packet width bundled with the
     complex eta/chi algebra of the master integrand.
 
-    The exponent is linear in the two direction scalars
+    The integrand is stated once, in log form (``_log_terms``): its
+    exponent is linear in the two direction scalars
     A = |R x (u_p - u_k)|^2 and B = (R . [u_p x u_k])^2, so the
     t'-dependent coefficient arrays can be shared across map nodes.
 
     It holds one velocity pair (shape (3,)), (3, N) columns of pairs, or a
     pair and an array of widths, in elementwise sums; the integrand
-    methods (``eta`` to ``exponent_split``) take one pair.  A kernel built
-    from momenta and a medium read (``from_geometry``) keeps the
+    methods (``_eta_chi`` to ``exponent_split``) take one pair.  A kernel
+    built from momenta and a medium read (``from_geometry``) keeps the
     refractive index n it read.
     """
 
@@ -369,12 +370,6 @@ class PhaseSpaceKernel:
         denom = eta * self.cc + chi * self.dd
         return eta, chi, denom, eta * denom
 
-    def eta(self, t):
-        return self._eta_chi(t)[0]
-
-    def chi(self, t):
-        return self._eta_chi(t)[1]
-
     def direction_factors(self, R: np.ndarray):
         """A = |R x (u_p - u_k)|^2 and B = (R . [u_p x u_k])^2 of one node
         R, shape (3,), or of each row of R, shape (k, 3), elementwise."""
@@ -385,43 +380,36 @@ class PhaseSpaceKernel:
         return ((y * dz - z * dy) ** 2 + (z * dx - x * dz) ** 2
                 + (x * dy - y * dx) ** 2), along * along
 
-    def integrand_coefficients(self, t):
-        """The t'-dependent factors of the master integrand, sharing eta,
-        chi and eta C + chi D: ``prefactor_complex`` and the
-        ``exponent_coefficients`` (cA, cB)."""
-        scaled, c_a, c_b = self._exponent_terms(t)
-        return 1.0 / np.sqrt(scaled), c_a, c_b
-
     def _exponent_terms(self, t):
-        """(eta (eta C + chi D), cA, cB), from one ``_eta_chi`` pass.  Each
-        intermediate is dropped after its last use: on the reference
-        evaluator's abscissae one complex array takes 4 MB."""
+        """(cA, cB, eta, eta C + chi D, eta (eta C + chi D)) at t', from one
+        ``_eta_chi`` pass."""
         eta, chi, denom, scaled = self._eta_chi(t)
-        del eta
         c_b = -0.5 * chi / scaled
-        del chi
-        return scaled, -0.5 / denom, c_b
+        return -0.5 / denom, c_b, eta, denom, scaled
+
+    def _log_terms(self, t):
+        """(log pre, cA, cB, eta, eta C + chi D, eta (eta C + chi D)) at t'
+        of L = log pre + cA A + cB B + i t' delta_eps, the master integrand
+        Re exp(L) that both panel rules read, from one ``_eta_chi`` pass:
+        log pre = -log(eta (eta C + chi D))/2 on the principal branch."""
+        c_a, c_b, eta, denom, scaled = self._exponent_terms(t)
+        return -0.5 * np.log(scaled), c_a, c_b, eta, denom, scaled
 
     def log_integrand_coefficients(self, t):
-        """The t'-dependent factors of the log-integrand
-        L = log pre + cA A + cB B + i t' delta_eps, where pre is
-        ``prefactor_complex`` and log pre = -log(eta (eta C + chi D))/2 on
-        the principal branch, and of its derivative
+        """The factors of L (see ``_log_terms``) and of its derivative
         L' = d_log_pre + d_c_a A + d_c_b B + i delta_eps, in closed form
         from eta' = i a/4 and chi' = i b/4.  Returns (log_pre, c_a, c_b,
         d_log_pre, d_c_a, d_c_b)."""
-        eta, chi, denom, scaled = self._eta_chi(t)
+        log_pre, c_a, c_b, eta, denom, scaled = self._log_terms(t)
         # (eta denom)'/(eta denom) = eta'/eta + denom'/denom
         d_denom = (0.25j * (self.a * self.cc + self.b * self.dd)) / denom
         rate = (0.25j * self.a) / eta + d_denom
-        c_a = -0.5 / denom
-        c_b = -0.5 * chi / scaled
-        return (-0.5 * np.log(scaled), c_a, c_b, -0.5 * rate, -c_a * d_denom,
+        return (log_pre, c_a, c_b, -0.5 * rate, -c_a * d_denom,
                 (-0.125j * self.b) / scaled - c_b * rate)
 
     def exponent_coefficients(self, t):
         """Complex (cA, cB) with exponent(t, R) = cA A + cB B."""
-        return self._exponent_terms(t)[1:]
+        return self._exponent_terms(t)[:2]
 
     def exponent_complex(self, t, R: np.ndarray):
         """-(eta A + chi B) / (2 eta (eta C + chi D)); real part is
@@ -439,9 +427,9 @@ class PhaseSpaceKernel:
         return _float64(r_eff), _float64(expo.imag)
 
     def prefactor_complex(self, t):
-        """1/sqrt(eta (eta C + chi D)) = exp(-i g/2)/G; both factors lie in
-        the right half-plane, so the principal square root is continuous."""
-        return self.integrand_coefficients(t)[0]
+        """exp(log pre) = 1/sqrt(eta (eta C + chi D)) = exp(-i g/2)/G: both
+        factors lie in the right half-plane, so the branch is continuous."""
+        return np.exp(self._log_terms(t)[0])
 
     # explicit split (independent evaluation route) -------------------------
 

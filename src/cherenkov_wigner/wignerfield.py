@@ -3,16 +3,15 @@ pointwise Wigner-function values, 2-D maps in the plane of the shifted
 coordinate R, the near-field snapshot limit and the final-electron
 displacement scan.
 
-The production path is the manifestly real cosine form
+The production path integrates the log form of the integrand, stated
+once in ``observables.PhaseSpaceKernel``,
 
-    W ~ pref * 2 Int_0^{t_out} dt' (1/G) exp(-R^2/R_eff^2)
-        cos(t' (eps - eps' - omega) - g/2 + R^2/R_im^2),
+    W ~ pref * 2 Int_0^{t_out} dt' Re exp(L),
+    L = log pre + cA A + cB B + i t' (eps - eps' - omega),
 
-with G, g, R_eff and R_im taken from the complex eta/chi algebra of
-``observables.PhaseSpaceKernel``; where its phase turns fast, the
-quadrature integrates the same integrand in log form, Re exp(L), on Levin
-collocation panels.  The complex symmetric-interval form over
-[-t_out, t_out] is kept as an independent reference evaluator.
+with exp(log pre) = exp(-i g/2)/G: Gauss-Kronrod panels as exp(Re L)
+cos(Im L), and Levin panels, where its phase turns fast, from L and L'.
+The complex form with a square-root prefactor is the reference.
 """
 
 from __future__ import annotations
@@ -301,12 +300,11 @@ class _Context:
 
     def integrand_for(self, R) -> callable:
         """Master integrand (prefactor excluded) at one node R of shape (3,)
-        or at k nodes of shape (k, 3); ``f(t)`` then has shape (len(t),)
-        or (k, len(t)).  The t'-dependent coefficients are computed once
-        per call and shared by the nodes, which enter only through A and
-        B.  ``f.levin(t)`` returns the same rows in log form (L, L'), each
-        of shape (k, len(t)), k = 1 for one node, with Re exp(L) the
-        integrand and L' in closed form (see
+        or at k nodes of shape (k, 3): ``f(t)`` = exp(Re L) cos(Im L), of
+        shape (len(t),) or (k, len(t)), from t'-dependent coefficients
+        formed once per call and shared by the nodes (via A and B only).
+        ``f.levin(t)`` returns the same rows as (L, L'), each of shape
+        (k, len(t)), k = 1 for one node, with L' in closed form (see
         ``PhaseSpaceKernel.log_integrand_coefficients``): the form that
         ``numerics.integrate_batch`` takes for its Levin panels."""
         R = np.asarray(R, dtype=float)
@@ -316,18 +314,15 @@ class _Context:
 
         def f(t):
             t = np.atleast_1d(np.asarray(t, dtype=float))
-            pre, c_a, c_b = self.kernel.integrand_coefficients(t)
-            # |pre| exp(env) cos(arg pre + t delta_eps + osc), each sum and
-            # product formed in place, in an order that keeps its bits
+            log_pre, c_a, c_b = self.kernel._log_terms(t)[:3]
+            # exp(Re L) cos(Im L) in place, in an order that keeps its bits
             env = c_a.real * a_dir
             env += c_b.real * b_dir
+            env += log_pre.real
             osc = c_a.imag * a_dir
             osc += c_b.imag * b_dir
-            phase = np.arctan2(pre.imag, pre.real)
-            phase += t * delta_eps
-            osc += phase
+            osc += log_pre.imag + t * delta_eps
             out = np.exp(env, out=env)
-            out *= np.abs(pre)
             out *= np.cos(osc, out=osc)
             return out if R.ndim == 2 else out[0]
 
@@ -381,8 +376,8 @@ def _node(R) -> np.ndarray:
 
 def evaluate_point(scenario: EmissionScenario, R, rel_tol: float = 1e-10,
                    abs_tol: Optional[float] = None, max_panels: int = 4096):
-    """Wigner-function value at R: adaptive quadrature of the cosine form
-    over [0, t_out], doubled, times the scenario prefactor.  A point is the
+    """Wigner-function value at R: adaptive quadrature of Re exp(L) over
+    [0, t_out], doubled, times the scenario prefactor.  A point is the
     one-node row of a map, on the map's quadrature path.  A node ``R`` that
     is not three finite values raises ``ValueError`` naming R before any
     work; so do a tolerance that is not finite and positive and a
@@ -417,11 +412,9 @@ def _reference_edges(ctx: "_Context", R, max_phase: float = 0.35,
         np.linspace(0.0, t_out, 4097),
         np.geomspace(knee / 64.0, t_out, 1025),
     ]))
-    a_dir, b_dir = ctx.kernel.direction_factors(np.asarray(R, float))
-    c_a, c_b = ctx.kernel.exponent_coefficients(probe)
-    expo = c_a * a_dir + c_b * b_dir
-    phase = expo.imag + probe * ctx.kernel.delta_eps
-    log_env = expo.real - np.log(np.abs(ctx.kernel.big_g(probe)))
+    re, im = ctx.kernel.exponent_split(probe, np.asarray(R, float))
+    phase = im + probe * ctx.kernel.delta_eps
+    log_env = re - np.log(np.abs(ctx.kernel.big_g(probe)))
     alive = (log_env - np.max(log_env)) > -100.0
     seg_alive = alive[:-1] | alive[1:]
     dm = (np.abs(np.diff(phase)) + 0.2 * np.abs(np.diff(log_env))) * seg_alive
@@ -433,28 +426,42 @@ def _reference_edges(ctx: "_Context", R, max_phase: float = 0.35,
     return np.unique(edges)
 
 
+def _reference_sum(ctx: "_Context", R, edges) -> float:
+    """2 Re Int_0^{t_out} of exp(-(eta A + chi B)/(2 eta (eta C + chi D))
+    + i t' delta_eps)/sqrt(eta (eta C + chi D)) from ``_eta_chi`` alone, by
+    32-point Gauss-Legendre on each panel of ``edges``, 10,000 at a time."""
+    x, w = _gl_nodes()
+    a_dir, b_dir = ctx.kernel.direction_factors(R)
+    total = 0.0
+    for s in range(0, edges.size - 1, 10_000):
+        lo, hi = edges[s:s + 10_001][:-1], edges[s:s + 10_001][1:]
+        half = 0.5 * (hi - lo)[:, None]
+        t = 0.5 * (lo + hi)[:, None] + half * x
+        eta, chi, denom, scaled = ctx.kernel._eta_chi(t)
+        del denom
+        vals = eta * a_dir
+        vals += chi * b_dir
+        del eta, chi
+        vals /= -2.0 * scaled
+        vals += 1j * ctx.kernel.delta_eps * t
+        np.exp(vals, out=vals)
+        vals /= np.sqrt(scaled)
+        total += 2.0 * np.sum(half * w * vals.real)
+    return total
+
+
 def evaluate_point_reference(scenario: EmissionScenario, R):
     """Brute-force reference: composite 32-point Gauss-Legendre quadrature
-    of the complex integrand over the symmetric interval [-t_out, t_out],
+    of the complex integrand over [-t_out, t_out] (``_reference_sum``),
     on a non-adaptive mesh graded by the integrand's analytic scales.
 
     Returns the complex integral times the prefactor; its real part should
-    match ``evaluate_point`` and its imaginary part should vanish.  A node
+    match ``evaluate_point`` and its imaginary part vanishes.  A node
     ``R`` that is not three finite values raises ``ValueError``."""
     R = _node(R)
     ctx = _Context(scenario)
-    x, w = _gl_nodes()
-    edges = _reference_edges(ctx, R)
-    a_dir, b_dir = ctx.kernel.direction_factors(R)
-    half = 0.5 * np.diff(edges)
-    centers = 0.5 * (edges[:-1] + edges[1:])
-    t = centers[:, None] + half[:, None] * x[None, :]
-    pre, c_a, c_b = ctx.kernel.integrand_coefficients(t)
-    expo = c_a * a_dir + c_b * b_dir + 1j * t * ctx.kernel.delta_eps
-    vals = pre * np.exp(expo)
-    # t' > 0 plus the conjugate contribution from t' < 0
-    total = np.sum(half[:, None] * w[None, :] * (vals + np.conj(vals)))
-    return ctx.prefactor * complex(total)
+    return ctx.prefactor * complex(_reference_sum(ctx, R,
+                                                  _reference_edges(ctx, R)))
 
 
 def default_grid(scenario: EmissionScenario, nx: int = 128, ny: int = 128,

@@ -452,6 +452,41 @@ def test_cli_main_error_on_bad_config(tmp_path):
     assert cli.main(["spreading-time", "--config", str(path)]) == 1
 
 
+SINGULAR = """
+study = singular-angles
+beta = 0.9
+sigma = 1e-4
+omega = 1e-6
+medium.n = 1.5
+"""
+
+
+@pytest.mark.parametrize("prefix", ["../escaped", "sub/dir", "/abs", ".",
+                                    ".."])
+def test_prefix_that_leaves_the_out_dir_is_a_config_error(tmp_path, capsys,
+                                                          prefix):
+    # ../escaped wrote its CSV beside --out-dir and exited 0; sub/dir
+    # computed the study, then exited 1 on a bare [Errno 2]
+    path = write_config(tmp_path, SINGULAR + f"out.prefix = {prefix}\n")
+    message = ("out.prefix: must name files in --out-dir, without a path "
+               f"separator, got {prefix!r}")
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        parse_config(path)
+    out = tmp_path / "out" / "in"
+    assert cli.main(["singular-angles", "--config", str(path),
+                     "--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err == f"chr: config error: {message}\n"
+    assert [p.name for p in tmp_path.rglob("*")] == ["study.cfg"]
+
+
+def test_prefix_names_files_in_the_out_dir(tmp_path):
+    path = write_config(tmp_path, SINGULAR + "out.prefix = a.b-c\n")
+    assert cli.main(["singular-angles", "--config", str(path),
+                     "--out-dir", str(tmp_path / "out")]) == 0
+    assert [p.name for p in (tmp_path / "out").iterdir()] == [
+        "a.b-c_singular_angles.csv"]
+
+
 # each bundled config's exit code and stderr lines under chr --format csv+svg
 BUNDLED_RUNS = {
     "fig03_correlation_radius.cfg": (0, []),

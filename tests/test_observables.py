@@ -202,8 +202,7 @@ def test_eta_chi_pair(rng):
     kern = kernel_for()
     for _ in range(30):
         tp = rng.uniform(-1e8, 1e8)
-        eta = complex(kern.eta(tp))
-        chi = complex(kern.chi(tp))
+        eta, chi = (complex(x) for x in kern._eta_chi(tp)[:2])
         assert eta.real == 1.0 / (2.0 * kern.sigma ** 2)
         assert chi.real == 0.0
         assert abs(eta.imag - 0.25 * tp * kern.a) < 1e-18 * abs(tp * kern.a)
@@ -353,29 +352,33 @@ def test_prefactor_root_is_principal_where_the_gouy_phase_is_negative(rng):
     assert np.all(np.abs(kern.prefactor_complex(t) - alt) < 1e-12 * abs(alt))
 
 
-def test_integrand_coefficients_share_eta_and_chi(rng, monkeypatch):
-    # one eta/chi pass per call of either coefficient method, with the
-    # arithmetic of the separate prefactor and exponent formulas, bit for bit
+def test_coefficient_methods_share_one_eta_chi_pass(rng, monkeypatch):
+    # one eta/chi pass per call of each coefficient method, each with the
+    # arithmetic of the plain log-prefactor and exponent formulas on the
+    # pass's eta and chi, bit for bit
     kern = kernel_for(0.99, 1.4, 1e-5, 1e-5)
     t = rng.uniform(0, 1e7, size=300)
-    eta, chi = kern.eta(t), kern.chi(t)
+    eta, chi = kern._eta_chi(t)[:2]
     denom = eta * kern.cc + chi * kern.dd
-    pre, c_a, c_b = kern.integrand_coefficients(t)
-    assert np.array_equal(pre, 1.0 / np.sqrt(eta * (eta * kern.cc
-                                                    + chi * kern.dd)))
+    log_pre, c_a, c_b = kern._log_terms(t)[:3]
+    assert np.array_equal(log_pre, -0.5 * np.log(eta * (eta * kern.cc
+                                                        + chi * kern.dd)))
     assert np.array_equal(c_a, -0.5 / denom)
     assert np.array_equal(c_b, -0.5 * chi / (eta * denom))
-    log_pre, log_c_a, log_c_b = kern.log_integrand_coefficients(t)[:3]
-    assert np.array_equal(log_c_a, c_a) and np.array_equal(log_c_b, c_b)
-    assert np.array_equal(log_pre, -0.5 * np.log(eta * denom))
+    got = kern.log_integrand_coefficients(t)[:3]
+    assert all(np.array_equal(g, w) for g, w in zip(got, (log_pre, c_a, c_b)))
+    assert all(np.array_equal(g, w) for g, w in
+               zip(kern.exponent_coefficients(t), (c_a, c_b)))
+    assert np.array_equal(kern.prefactor_complex(t), np.exp(log_pre))
     calls = []
     method = PhaseSpaceKernel._eta_chi
     monkeypatch.setattr(PhaseSpaceKernel, "_eta_chi",
                         lambda self, t: calls.append(t) or method(self, t))
-    kern.integrand_coefficients(t)
-    assert len(calls) == 1
-    kern.log_integrand_coefficients(t)
-    assert len(calls) == 2
+    for count, coefficients in enumerate(
+            (kern._log_terms, kern.log_integrand_coefficients,
+             kern.exponent_coefficients, kern.prefactor_complex), 1):
+        coefficients(t)
+        assert len(calls) == count
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
@@ -387,7 +390,9 @@ def test_log_integrand_slope_is_the_derivative_of_its_log(
         beta, n, log_omega, log_sigma, theta_frac, log_t, R):
     # L' of the Levin rule, closed-form from eta' = i a/4 and chi' = i b/4,
     # against Richardson differences of L = log F, part by part; exp(L) is
-    # F = prefactor_complex exp(cA A + cB B + i t' delta_eps)
+    # F = exp(-(eta A + chi B)/(2 eta (eta C + chi D)) + i t' delta_eps)
+    # / sqrt(eta (eta C + chi D)), the square-root form on the principal
+    # branch, formed here from the eta/chi pass alone
     sc = balance_scenario(beta=beta, n=n, omega=10 ** log_omega,
                           sigma=10 ** log_sigma, theta_frac=theta_frac)
     kern = PhaseSpaceKernel.from_geometry(sc.geometry(), sc.packet, sc.medium)
@@ -402,9 +407,9 @@ def test_log_integrand_slope_is_the_derivative_of_its_log(
                 d0 + d_a * a_dir + d_b * b_dir + 1j * kern.delta_eps)
 
     L, slope = (complex(x) for x in log_form(t))
-    pre, c_a, c_b = kern.integrand_coefficients(t)
-    big_f = complex(pre * np.exp(c_a * a_dir + c_b * b_dir
-                                 + 1j * kern.delta_eps * t))
+    eta, chi, _, scaled = (complex(x) for x in kern._eta_chi(t))
+    big_f = (np.exp(-(eta * a_dir + chi * b_dir) / (2.0 * scaled)
+                    + 1j * kern.delta_eps * t) / np.sqrt(scaled))
     # both round the phase, |Im L| radians, to a few ulps
     assert abs(np.exp(L) - big_f) <= 1e-14 * (1.0 + abs(L)) * abs(big_f)
     for part in (np.real, np.imag):
@@ -625,19 +630,20 @@ def test_gouy_phase_and_big_g_keep_the_bits_of_their_array_forms(t):
 
 
 def test_exponent_coefficients_form_no_prefactor(rng, monkeypatch):
-    # (cA, cB) alone, with the bits of integrand_coefficients(t)[1:]: the
-    # exponent's users never take the complex root of the prefactor
+    # (cA, cB) alone, with the bits of _log_terms(t)[1:3]: the exponent's
+    # users never take the complex log of the prefactor
     kern = kernel_for(theta_frac=0.99)
     t = np.concatenate([[0.0], rng.uniform(0, 1e8, size=200)])
     R = rng.normal(size=(5, 3)) * 1e4
-    want = kern.integrand_coefficients(t)[1:]
+    want = kern._log_terms(t)[1:3]
     A, B = kern.direction_factors(R)
     scales = kern.correlation_scales(3e6, R)
 
-    def forbidden(self, t):
+    def forbidden(*args):
         raise AssertionError("exponent formed the prefactor")
 
-    monkeypatch.setattr(PhaseSpaceKernel, "integrand_coefficients", forbidden)
+    monkeypatch.setattr(PhaseSpaceKernel, "_log_terms", forbidden)
+    monkeypatch.setattr(np, "log", forbidden)
     got = kern.exponent_coefficients(t)
     assert all(np.array_equal(g, w) for g, w in zip(got, want))
     assert np.array_equal(kern.exponent_complex(t, R[0]),

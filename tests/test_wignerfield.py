@@ -21,6 +21,7 @@ from cherenkov_wigner.medium import AnalyticMedium, ConstantMedium
 from cherenkov_wigner.observables import PhaseSpaceKernel, WkbFlags
 from cherenkov_wigner.wignerfield import (EmissionScenario, MapGrid,
                                           _Context, _reference_edges,
+                                          _reference_sum,
                                           _source_columns, _source_rows,
                                           _x_normal,
                                           central_value,
@@ -83,8 +84,7 @@ def test_kernel_against_tau_integral_oracle(rng):
     for _ in range(4):
         t = rng.uniform(1e4, 3e6)
         R = rng.normal(size=3) * 10 ** rng.uniform(3, 5)
-        eta = complex(kern.eta(t))
-        chi = complex(kern.chi(t))
+        eta, chi = (complex(x) for x in kern._eta_chi(t)[:2])
         det_b = eta ** 2 * (eta + chi * up2)
         c1 = 1.0 / eta
         c2 = -chi / (eta * (eta + chi * up2))
@@ -198,23 +198,11 @@ def test_long_map_matches_reference_at_every_node():
 
 
 def _fine_reference(sc, R):
-    """``evaluate_point_reference``'s 32-point Gauss-Legendre sum (real
-    part) on a mesh of 0.05-radian phase steps and up to 200,000 panels,
-    summed 10,000 panels at a time."""
+    """``evaluate_point_reference``'s sum (real part) on a mesh of
+    0.05-radian phase steps and up to 200,000 panels."""
     ctx = _Context(sc)
-    x, w = np.polynomial.legendre.leggauss(32)
     edges = _reference_edges(ctx, R, max_phase=0.05, max_panels=200_000)
-    a_dir, b_dir = ctx.kernel.direction_factors(R)
-    total = 0.0
-    for s in range(0, edges.size - 1, 10_000):
-        lo, hi = edges[s:s + 10_001][:-1], edges[s:s + 10_001][1:]
-        half = 0.5 * (hi - lo)[:, None]
-        t = 0.5 * (lo + hi)[:, None] + half * x
-        pre, c_a, c_b = ctx.kernel.integrand_coefficients(t)
-        vals = pre * np.exp(c_a * a_dir + c_b * b_dir
-                            + 1j * t * ctx.kernel.delta_eps)
-        total += 2.0 * np.sum(half * w * vals.real)
-    return ctx.prefactor * total
+    return ctx.prefactor * _reference_sum(ctx, R, edges)
 
 
 @pytest.mark.parametrize("sigma,t_out,nodes", [
@@ -1611,8 +1599,9 @@ def test_central_value_nearest_node():
 @pytest.mark.parametrize("shape", [(3,), (1, 3), (6, 3)])
 def test_integrand_forms_keep_the_bits_of_their_expressions(theta_frac, t_out,
                                                             shape):
-    # f and its log form build their sums and products in place, in an
-    # order that keeps the bits of the plain expressions
+    # f, exp(Re L) cos(Im L), and its log form L build their sums and
+    # products in place, in an order that keeps the bits of the plain
+    # expressions
     ctx = _Context(balance_scenario(sigma=1e-5, theta_frac=theta_frac,
                                     t_out=t_out))
     kern = ctx.kernel
@@ -1622,10 +1611,10 @@ def test_integrand_forms_keep_the_bits_of_their_expressions(theta_frac, t_out,
     a_dir, b_dir = kern.direction_factors(R.reshape(-1, 3))
     a_dir, b_dir = a_dir[:, None], b_dir[:, None]
     de = kern.delta_eps
-    pre, c_a, c_b = kern.integrand_coefficients(t)
-    env = c_a.real * a_dir + c_b.real * b_dir
-    osc = c_a.imag * a_dir + c_b.imag * b_dir
-    want = np.abs(pre) * np.exp(env) * np.cos(np.angle(pre) + t * de + osc)
+    log_pre, c_a, c_b = kern._log_terms(t)[:3]
+    want = (np.exp(c_a.real * a_dir + c_b.real * b_dir + log_pre.real)
+            * np.cos(c_a.imag * a_dir + c_b.imag * b_dir
+                     + (log_pre.imag + t * de)))
     f = ctx.integrand_for(R)
     got = f(t)
     assert np.array_equal(got, want if R.ndim == 2 else want[0])
@@ -1635,3 +1624,42 @@ def test_integrand_forms_keep_the_bits_of_their_expressions(theta_frac, t_out,
     assert np.array_equal(log_f, log_pre + c_a * a_dir + c_b * b_dir
                           + 1j * de * t)
     assert np.array_equal(rate, d_pre + d_a * a_dir + d_b * b_dir + 1j * de)
+
+
+@pytest.mark.parametrize("theta_frac", [1.0, 1.1])
+@pytest.mark.parametrize("t_out", [3e5, 1e6, 5e7])
+@pytest.mark.parametrize("shape", [(3,), (1, 3), (6, 3)])
+def test_gauss_kronrod_integrand_is_the_levin_log_form(theta_frac, t_out,
+                                                       shape):
+    # the real arithmetic of f and the complex exp of its log form L, which
+    # the Levin panels read, are one integrand to rounding
+    ctx = _Context(balance_scenario(sigma=1e-5, theta_frac=theta_frac,
+                                    t_out=t_out))
+    rng = np.random.default_rng(5)
+    R = rng.normal(size=shape) * 3e3
+    t = np.concatenate([[0.0], np.sort(rng.uniform(0.0, t_out, size=200))])
+    f = ctx.integrand_for(R)
+    got = f(t)
+    want = np.exp(f.levin(t)[0]).real
+    want = want if R.ndim == 2 else want[0]
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(got))
+
+
+def test_reference_reads_no_production_coefficients(monkeypatch):
+    # the reference states the integrand in its own square-root form from
+    # the eta/chi pass alone: with every coefficient method of the kernel
+    # made to raise, its value is unchanged
+    sc = balance_scenario(sigma=1e-5, theta_frac=1.1, t_out=1e6)
+    R = np.array([2e4, -1e4, 0.0])
+    want = evaluate_point_reference(sc, R)
+
+    def forbidden(*args):
+        raise AssertionError("the reference read a production coefficient")
+
+    for name in ("_exponent_terms", "_log_terms",
+                 "log_integrand_coefficients", "exponent_coefficients",
+                 "exponent_complex", "prefactor_complex"):
+        monkeypatch.setattr(PhaseSpaceKernel, name, forbidden)
+    got = evaluate_point_reference(sc, R)
+    assert got == want and got.imag == 0.0

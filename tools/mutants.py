@@ -22,7 +22,9 @@ settings are not changed.  Not part of the test suite: one suite run per
 mutant, plus one for the unmutated copy, one after another: about eight
 minutes for sixteen mutants on two cores.  Prints the census as a
 Markdown table, or writes it with ``--write``; ``--only`` runs the named
-mutants.  Exits 1 when an edit's text is not found exactly once, else 0.
+mutants and only prints, since its table is partial.  The table names
+the commit it was measured on and the paths of the checkout that differ
+from it.  Exits 1 when an edit's text is not found exactly once, else 0.
 
     python3 tools/mutants.py [--only NAME ...] [--write MUTANTS.md]
 """
@@ -47,15 +49,16 @@ MUTANTS = [
            "eps - eps_prime - omega,", "-(eps - eps_prime - omega),",
            "the sign of the energy mismatch delta_eps"),
     Mutant("gouy_sign", PKG + "observables.py",
-           "return 1.0 / np.sqrt(scaled), c_a, c_b",
-           "return np.conj(1.0 / np.sqrt(scaled)), c_a, c_b",
+           "return -0.5 * np.log(scaled),",
+           "return -0.5 * np.conj(np.log(scaled)),",
            "the sign of the Gouy phase g in the prefactor exp(-i g/2)/G "
-           "(cosine form and reference)"),
+           "(log pre, read by both panel rules)"),
     Mutant("sqrt_branch", PKG + "observables.py",
-           "return 1.0 / np.sqrt(scaled), c_a, c_b",
-           "return 1.0 / (1j * np.sqrt(-scaled)), c_a, c_b",
-           "the principal branch of sqrt(eta (eta C + chi D)): the cut "
-           "moved to the positive real axis"),
+           "return -0.5 * np.log(scaled),",
+           "return -0.5 * (np.log(-scaled) + 1j * np.pi),",
+           "the principal branch of log(eta (eta C + chi D)), and so of the "
+           "prefactor's square root: the cut moved to the positive real "
+           "axis"),
     Mutant("prefactor_index", PKG + "wignerfield.py",
            "(1.0 + n * n) / (2.0 * n * n) ** 2",
            "(1.0 + n * n) / (2.0 * n * n)",
@@ -95,8 +98,8 @@ MUTANTS = [
            "the Gouy knee from the slower spreading time (swapping t_d and "
            "t_d~ inside min() is an equivalent mutant)"),
     Mutant("levin_gouy_rate", PKG + "observables.py",
-           "return (-0.5 * np.log(scaled), c_a, c_b, -0.5 * rate,",
-           "return (-0.5 * np.log(scaled), c_a, c_b, -0.5 * rate.real,",
+           "return (log_pre, c_a, c_b, -0.5 * rate,",
+           "return (log_pre, c_a, c_b, -0.5 * rate.real,",
            "the Gouy rate -i g'/2 dropped from L' of the Levin panels"),
     Mutant("eta_width", PKG + "observables.py",
            "eta = 1.0 / (2.0 * self.sigma ** 2) + chi * self.a",
@@ -140,6 +143,8 @@ ORACLES = {
     "test_integrand_dual_route",
     "test_kernel_against_tau_integral_oracle",
     "test_long_map_matches_reference_at_every_node",
+    "test_fig10_map_matches_reference_at_every_node",
+    "test_point_matches_reference_oracle",
     "test_map_labels_the_photon_helicity_it_computes",
     "test_short_formation_map_is_the_packet_gaussian",
     "test_wide_maps_converge_at_every_node",
@@ -153,7 +158,10 @@ PINS = {
     "test_sweep_counts_each_sample_without_a_photon_by_reason",
     "test_collinear_flash_raises",
     "test_eta_chi_pair",
-    "test_integrand_coefficients_share_eta_and_chi",
+    "test_coefficient_methods_share_one_eta_chi_pass",
+    "test_gauss_kronrod_integrand_is_the_levin_log_form",
+    "test_integrand_forms_keep_the_bits_of_their_expressions",
+    "test_reference_reads_no_production_coefficients",
     "test_mach_cone_degenerate_raises",
     "test_fig10_rows_converge_on_the_graded_start_mesh",
     "test_grid_without_mirror_symmetry_integrates_every_row",
@@ -230,10 +238,19 @@ def function(node):
     return node.split("/")[-1].split("[")[0]
 
 
+def git(*args):
+    return subprocess.run(["git", *args], cwd=ROOT, capture_output=True,
+                          text=True).stdout
+
+
 def census(mutants):
     """The census as Markdown lines, and whether every edit applied."""
-    commit = subprocess.run(["git", "rev-parse", "--short", "HEAD"], cwd=ROOT,
-                            capture_output=True, text=True).stdout.strip()
+    commit = git("rev-parse", "--short", "HEAD").strip()
+    # each copy carries the checkout as it is, not as committed
+    dirty = [line[3:] for line in git("status", "--porcelain",
+                                      "--untracked-files=all").splitlines()]
+    if dirty:
+        commit += " with uncommitted changes to " + ", ".join(dirty)
     with tempfile.TemporaryDirectory() as scratch:
         base = run(None, scratch)
         lines = ["# Mutation census", "",
@@ -286,6 +303,8 @@ def main(argv=None):
     parser.add_argument("--write", type=Path, metavar="PATH",
                         help="write the table to PATH instead of stdout")
     args = parser.parse_args(argv)
+    if args.only and args.write:
+        parser.error("--only gives a partial census: print it, not --write")
     names = {m.name for m in MUTANTS}
     unknown = set(args.only or ()) - names
     if unknown:
