@@ -187,6 +187,21 @@ def _float64(x):
     return np.asarray(x, float) if isinstance(x, np.ndarray) else float(x)
 
 
+def _exponent_scales(c_a, c_b, A, B):
+    """(R_eff, 1/R_im^2) of c_a A + c_b B = -R^2/R_eff^2 + i R^2/R_im^2
+    for real direction factors A and B, each part summed in real
+    arithmetic (the bits of the complex sum, up to the sign of a zero);
+    R_eff = inf where the real part is not negative, NaN kept.  Python
+    floats for numbers (math.sqrt, max), else elementwise."""
+    re = c_a.real * A + c_b.real * B
+    im = c_a.imag * A + c_b.imag * B
+    if isinstance(re, np.ndarray):
+        root = np.sqrt(np.maximum(-re, 0.0))
+    else:  # max keeps a NaN first argument
+        root = math.sqrt(max(-re, 0.0))
+    return _float64(_reciprocal(root)), _float64(im)
+
+
 def _spread_from_coeffs(a, b, sigma, cc, dd, dispersive=False):
     """SpreadTimes from the (a, b) pair and the velocity invariants
     cc = (u_p - u_k)^2, dd = [u_p x u_k]^2, elementwise in the arguments'
@@ -419,12 +434,12 @@ class PhaseSpaceKernel:
         return cA * A + cB * B
 
     def correlation_scales(self, t: float, R: np.ndarray):
-        """(R_eff, 1/R_im^2) along a unit vector R, or each row of R, at t':
-        the exponent -R^2/R_eff^2 + i R^2/R_im^2 at R, with R_eff = inf
-        where its real part is not negative.  R is not renormalized."""
-        expo = self.exponent_complex(t, R)
-        r_eff = _reciprocal(np.sqrt(np.maximum(-expo.real, 0.0)))
-        return _float64(r_eff), _float64(expo.imag)
+        """(R_eff, 1/R_im^2) along a unit vector R, or each row of R, at t'
+        (``_exponent_scales`` of ``exponent_coefficients`` and
+        ``direction_factors``): Python floats for one R at one t', else
+        arrays.  R is not renormalized."""
+        return _exponent_scales(*self.exponent_coefficients(t),
+                               *self.direction_factors(R))
 
     def prefactor_complex(self, t):
         """exp(log pre) = 1/sqrt(eta (eta C + chi D)) = exp(-i g/2)/G: both

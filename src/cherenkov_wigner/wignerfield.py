@@ -468,8 +468,9 @@ def default_grid(scenario: EmissionScenario, nx: int = 128, ny: int = 128,
                  z: float = 0.0) -> MapGrid:
     """Grid extents of +-4 R_eff(t_out) per axis around the packet center,
     each capped at max(beta, |u_k|) * t_out, the farther of the electron's
-    and the photon's flight distances.  Reads only the scenario's kernel:
-    no amplitude, prefactor or envelope is evaluated."""
+    and the photon's flight distances.  Reads only the scenario's kernel,
+    with one ``exponent_coefficients`` call for both axes: no amplitude,
+    prefactor or envelope is evaluated."""
     geom = scenario.geometry()
     kernel = PhaseSpaceKernel.from_geometry(
         geom, scenario.packet, scenario.medium, scenario.dispersive)
@@ -478,10 +479,17 @@ def default_grid(scenario: EmissionScenario, nx: int = 128, ny: int = 128,
 
 def _kernel_grid(kernel: PhaseSpaceKernel, beta: float, t_out: float,
                  nx: int = 128, ny: int = 128, z: float = 0.0) -> MapGrid:
-    """``default_grid`` of a scenario's kernel, electron speed and t_out."""
+    """``default_grid`` of a scenario's kernel, electron speed and t_out:
+    R_eff on the unit X and Y axes from one (c_A, c_B) at t_out, with A, B
+    of ``direction_factors`` (same bits) in Python floats: dy^2 + dz^2,
+    cx^2 on X and dx^2 + dz^2, cy^2 on Y (d = u_p - u_k, c = u_p x u_k)."""
     cap = max(beta, float(np.linalg.norm(kernel.u_k))) * t_out
-    r_eff, _ = kernel.correlation_scales(t_out, np.eye(2, 3))  # X and Y
-    half_x, half_y = (min(4.0 * r, cap) for r in r_eff.tolist())
+    c_a, c_b = kernel.exponent_coefficients(t_out)
+    (dx, dy, dz), (cx, cy, _) = kernel.diff.tolist(), kernel.cross.tolist()
+    half_x, half_y = (
+        min(4.0 * observables._exponent_scales(c_a, c_b, a, b)[0], cap)
+        for a, b in ((dy * dy + dz * dz, cx * cx),
+                     (dx * dx + dz * dz, cy * cy)))
     return MapGrid.centered(half_x, half_y, nx, ny, z)
 
 

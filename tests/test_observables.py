@@ -3,7 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import balance_scenario, triangle_from_beta
+from conftest import (acceptance_11_scenario, balance_scenario,
+                      triangle_from_beta)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,6 +15,7 @@ from cherenkov_wigner.kinematics import (ElectronPacket, EmissionGeometry,
                                          momentum_magnitude)
 from cherenkov_wigner.medium import AnalyticMedium, ConstantMedium
 from cherenkov_wigner.numerics import DiffSpec, differentiate, find_root
+from cherenkov_wigner import observables
 from cherenkov_wigner.observables import (CollinearVelocities,
                                           MachConeDegenerate,
                                           NoSingularAngles, PhaseSpaceKernel,
@@ -285,6 +287,62 @@ def test_correlation_radius_reduction_at_zero_time():
     cross = np.cross(r_hat, kern.u_p - kern.u_k)
     expected = (kern.sigma_perp_sq(0.0) * kern.cc / float(cross @ cross))
     assert abs(r_eff ** 2 - expected) < 1e-10 * expected
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(beta=st.floats(0.6, 0.9995), n=st.floats(1.1, 1.8),
+       log_omega=st.floats(-7.0, -4.0), log_sigma=st.floats(-5.0, -2.0),
+       theta_frac=st.floats(0.5, 1.5), log_t=st.floats(4.0, 6.5),
+       t_frac=st.floats(-1.0, 1.0),
+       rows=st.lists(st.tuples(*[st.floats(0.1, 3.0)] * 3), min_size=1,
+                     max_size=5),
+       signs=st.lists(st.sampled_from((-1.0, 1.0)), min_size=3, max_size=3))
+def test_correlation_scales_keep_the_bits_of_the_complex_exponent(
+        beta, n, log_omega, log_sigma, theta_frac, log_t, t_frac, rows,
+        signs):
+    # R_eff = 1/sqrt(max(-Re, 0)) (inf at 0) and 1/R_im^2 = Im of the
+    # complex exponent cA A + cB B, summed part by part in real arithmetic,
+    # for one R (Python floats) and for (k, 3) rows (arrays)
+    sc = acceptance_11_scenario(beta, n, 10 ** log_omega, 10 ** log_sigma,
+                                theta_frac, 10 ** log_t)
+    kern = PhaseSpaceKernel.from_geometry(sc.geometry(), sc.packet,
+                                          sc.medium)
+    t = t_frac * sc.t_out
+    R = np.array(rows) * signs
+    for r in (R, R[0]):
+        expo = kern.exponent_complex(t, r)
+        root = np.sqrt(np.maximum(-expo.real, 0.0))
+        want = np.divide(1.0, root, out=np.full_like(root, np.inf),
+                         where=root != 0.0)
+        r_eff, inv_r_im_sq = kern.correlation_scales(t, r)
+        assert _bits(r_eff) == _bits(want)
+        assert _bits(inv_r_im_sq) == _bits(expo.imag)
+        kind = float if r.ndim == 1 else np.ndarray
+        assert type(r_eff) is type(inv_r_im_sq) is kind
+
+
+def test_correlation_scale_branches_agree_at_zero_and_nan_factors():
+    # the Python-float branch (math.sqrt, max) and the array branch give
+    # the same bits, R_eff = inf where A = B = 0 and NaN on a NaN factor
+    kern = kernel_for(theta_frac=1.1)
+    nan = float("nan")
+    for t in (0.0, 3e5, -3e5, 5e7):
+        c_a, c_b = kern.exponent_coefficients(t)
+        for a_dir, b_dir in ((0.0, 0.0), (nan, 1.0), (1.0, nan), (nan, nan),
+                             (2.5, 0.5)):
+            one = observables._exponent_scales(c_a, c_b, a_dir, b_dir)
+            rows = observables._exponent_scales(
+                c_a, c_b, np.array([a_dir]), np.array([b_dir]))
+            assert [type(x) for x in one] == [float, float]
+            assert all(_bits(x) == _bits(y[0]) for x, y in zip(one, rows))
+            if a_dir == b_dir == 0.0:
+                assert one[0] == math.inf
+            elif math.isnan(a_dir) or math.isnan(b_dir):
+                assert math.isnan(one[0]) and math.isnan(one[1])
 
 
 def test_correlation_radius_growth_and_mach_ratio():

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import balance_scenario
+from conftest import acceptance_11_scenario, balance_scenario
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -1390,6 +1390,70 @@ def test_default_grid_extent():
     assert grid.nx == grid.ny == 16
     assert 0 < grid.x_max <= 0.99 * sc.t_out
     assert 0 < grid.y_max <= 0.99 * sc.t_out
+
+
+def _extents_from_scales(sc):
+    """min(4 R_eff, cap) on X and Y, R_eff from the (2, 3) rows of the unit
+    X and Y axes through ``correlation_scales``."""
+    geom = sc.geometry()
+    kern = PhaseSpaceKernel.from_geometry(geom, sc.packet, sc.medium,
+                                          sc.dispersive)
+    cap = max(geom.beta, float(np.linalg.norm(kern.u_k))) * sc.t_out
+    r_eff, _ = kern.correlation_scales(sc.t_out, np.eye(2, 3))
+    return [min(4.0 * r, cap) for r in r_eff.tolist()], cap
+
+
+def _assert_grid_reads_the_scales(sc, size):
+    (half_x, half_y), cap = _extents_from_scales(sc)
+    grid = default_grid(sc, size, size)
+    assert grid == MapGrid.centered(half_x, half_y, size, size)
+    return grid, cap
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(beta=st.floats(0.6, 0.9995), n=st.floats(1.1, 1.8),
+       log_omega=st.floats(-7.0, -4.0), log_sigma=st.floats(-5.0, -2.0),
+       theta_frac=st.floats(0.5, 1.5), log_t=st.floats(2.0, 8.0))
+def test_default_grid_extents_are_the_correlation_scales(
+        beta, n, log_omega, log_sigma, theta_frac, log_t):
+    # the Python-float extents of default_grid have the bits of
+    # min(4 R_eff, cap) read through the (2, 3) array route
+    _assert_grid_reads_the_scales(acceptance_11_scenario(
+        beta, n, 10 ** log_omega, 10 ** log_sigma, theta_frac, 10 ** log_t),
+        8)
+
+
+@pytest.mark.parametrize("sc,size", [_GROUPED_MAPS[i] for i in (0, 1, 2)]
+                         + [(balance_scenario(sigma=1e-2, t_out=1e6), 16)],
+                         ids=["map-long-1.0", "map-long-1.1", "fig12",
+                              "sigma-1e-2"])
+def test_default_grid_extents_on_the_benchmark_and_paper_maps(sc, size):
+    # at phi_k = 90 deg X is normal to the u_p-u_k plane, and 4 R_eff on X
+    # exceeds the flight distance: X is capped and Y is not
+    grid, cap = _assert_grid_reads_the_scales(sc, size)
+    assert grid.x_max == cap
+    assert 0.0 < grid.y_max < cap
+
+
+def test_default_grid_forms_the_exponent_coefficients_once(monkeypatch):
+    # one (c_A, c_B) at t_out for both axes, and the axes' direction
+    # factors as Python floats, not through direction_factors
+    calls = []
+    coefficients = PhaseSpaceKernel.exponent_coefficients
+
+    def counted(self, t):
+        calls.append(t)
+        return coefficients(self, t)
+
+    def never(self, R):
+        raise AssertionError("default_grid called direction_factors")
+
+    sc = balance_scenario(sigma=1e-5, t_out=5e7, theta_frac=1.1)
+    want = default_grid(sc, 12, 12)
+    monkeypatch.setattr(PhaseSpaceKernel, "exponent_coefficients", counted)
+    monkeypatch.setattr(PhaseSpaceKernel, "direction_factors", never)
+    assert default_grid(sc, 12, 12) == want
+    assert calls == [sc.t_out]
 
 
 class _MapGrid(Exception):

@@ -20,13 +20,19 @@ without the shrink phase (``NO_SHRINK``), so that a failing property
 test stops at its first failing example; the repository's own test
 settings are not changed.  Not part of the test suite: one suite run per
 mutant, plus one for the unmutated copy, one after another: about eight
-minutes for sixteen mutants on two cores.  Prints the census as a
+minutes for seventeen mutants on two cores.  Prints the census as a
 Markdown table, or writes it with ``--write``; ``--only`` runs the named
 mutants and only prints, since its table is partial.  The table names
 the commit it was measured on and the paths of the checkout that differ
-from it.  Exits 1 when an edit's text is not found exactly once, else 0.
+from it.  ``--check MUTANTS.md`` compares the census, full or
+``--only``, with a written table row by row instead of printing it, and
+prints each mutant that an oracle caught there and that is now caught by
+pins only, survives, or is missing (``regressions``).  Exits 1 when an
+edit's text is not found exactly once or the check prints a mutant,
+else 0.
 
-    python3 tools/mutants.py [--only NAME ...] [--write MUTANTS.md]
+    python3 tools/mutants.py [--only NAME ...]
+                             [--write MUTANTS.md | --check MUTANTS.md]
 """
 
 import argparse
@@ -108,6 +114,11 @@ MUTANTS = [
     Mutant("degeneracy_threshold", PKG + "observables.py",
            "_DEGENERATE = 1e-28", "_DEGENERATE = 0.0",
            "the Mach-cone and collinear threshold on C and D"),
+    Mutant("r_eff_phase", PKG + "observables.py",
+           "re = c_a.real * A + c_b.real * B",
+           "re = c_a.imag * A + c_b.real * B",
+           "R_eff read from the imaginary part of c_A, the phase, instead "
+           "of its real part, the envelope (the one R_eff statement)"),
     Mutant("levin_negligible", PKG + "numerics.py",
            "_LEVIN_NEGLIGIBLE = 1e-6", "_LEVIN_NEGLIGIBLE = 1e3",
            "the Levin skip: turning cells whose envelope bound is up to "
@@ -181,9 +192,17 @@ PINS = {
     "test_map_long_nodes_as_points_take_few_rounds",
     "test_map_long_rows_take_few_levin_panels",
     "test_map_long_solves_only_the_levin_systems_that_can_matter",
+    "test_correlation_scales_keep_the_bits_of_the_complex_exponent",
+    "test_correlation_scale_branches_agree_at_zero_and_nan_factors",
+    "test_default_grid_extents_are_the_correlation_scales",
+    "test_default_grid_extents_on_the_benchmark_and_paper_maps",
+    "test_default_grid_forms_the_exponent_coefficients_once",
 }
 KINDS = dict.fromkeys(ORACLES, "oracle") | dict.fromkeys(PINS, "pin")
 
+# a census row: the mutant's name and, after the last " | ", its killers
+ROW = re.compile(r"^\| `(?P<name>[^`]+)` \(`[^`]+`\) \| .* \| "
+                 r"(?P<cell>[^|]*) \|$")
 # a failed or errored test in pytest's short summary
 FAILED = re.compile(r"^(?:FAILED|ERROR) (\S+)")
 # appended to the copy's root conftest.py (the checkout has none): a
@@ -296,15 +315,60 @@ def census(mutants):
     return lines, ok
 
 
+def outcomes(lines):
+    """{mutant: (outcome, row)} of the census rows among ``lines``, each
+    outcome "oracle" (an oracle kills it), "pins" (only pins or unmarked
+    tests do), "survives" or "not applied"."""
+    rows = {}
+    for line in lines:
+        m = ROW.match(line.strip())
+        if m is None:
+            continue
+        cell = m.group("cell")
+        if cell.startswith("edit not applied"):
+            outcome = "not applied"
+        elif cell.startswith("**survives**"):
+            outcome = "survives"
+        else:
+            outcome = "oracle" if "(oracle" in cell else "pins"
+        rows[m.group("name")] = (outcome, line.strip())
+    return rows
+
+
+def regressions(committed, fresh, names=None):
+    """The lines that report each mutant an oracle caught in the
+    ``committed`` census and that the ``fresh`` one has caught by pins
+    only, as a survivor, not applied, or not at all; ``names`` limits the
+    comparison to the mutants run (``--only``)."""
+    now = outcomes(fresh)
+    found = []
+    for name, (outcome, row) in outcomes(committed).items():
+        if outcome != "oracle" or (names is not None and name not in names):
+            continue
+        got, fresh_row = now.get(name, ("missing", row))
+        if got != "oracle":
+            found.append(f"{name}: was caught by an oracle, now {got}: "
+                         f"{fresh_row}")
+    return found
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--only", nargs="+", metavar="NAME",
                         help="run only the named mutants")
-    parser.add_argument("--write", type=Path, metavar="PATH",
-                        help="write the table to PATH instead of stdout")
+    out = parser.add_mutually_exclusive_group()
+    out.add_argument("--write", type=Path, metavar="PATH",
+                     help="write the table to PATH instead of stdout")
+    out.add_argument("--check", type=Path, metavar="PATH",
+                     help="compare with the table in PATH instead of "
+                          "printing: exit 1 on each mutant that an oracle "
+                          "caught there and that is now caught by pins "
+                          "only, survives or is missing")
     args = parser.parse_args(argv)
     if args.only and args.write:
         parser.error("--only gives a partial census: print it, not --write")
+    committed = (args.check.read_text(encoding="utf-8").splitlines()
+                 if args.check else None)
     names = {m.name for m in MUTANTS}
     unknown = set(args.only or ()) - names
     if unknown:
@@ -312,7 +376,12 @@ def main(argv=None):
     mutants = [m for m in MUTANTS if not args.only or m.name in args.only]
     lines, ok = census(mutants)
     text = "\n".join(lines) + "\n"
-    if args.write:
+    if committed is not None:
+        found = regressions(committed, lines, args.only and set(args.only))
+        print("\n".join(found + [f"census check: {len(found)} mutant(s) "
+                                  "no longer caught by an oracle"]))
+        ok = ok and not found
+    elif args.write:
         args.write.write_text(text, encoding="utf-8")
     else:
         print(text, end="")
