@@ -143,6 +143,7 @@ ORACLES = {
     "test_arrival_shift_linear_in_dispersion_strength",
     "test_arrival_shift_mirror_swap",
     "test_correlation_radius_reduction_at_zero_time",
+    "test_correlation_radius_growth_and_mach_ratio",
     "test_exponent_at_zero_time",
     "test_log_integrand_slope_is_the_derivative_of_its_log",
     "test_prefactor_complex_matches_g_and_gouy",
@@ -197,6 +198,7 @@ PINS = {
     "test_default_grid_extents_are_the_correlation_scales",
     "test_default_grid_extents_on_the_benchmark_and_paper_maps",
     "test_default_grid_forms_the_exponent_coefficients_once",
+    "test_phi_r_sweep_without_theta_k_puts_r_at_the_scenario_angle",
 }
 KINDS = dict.fromkeys(ORACLES, "oracle") | dict.fromkeys(PINS, "pin")
 
