@@ -27,7 +27,8 @@ def balance_scenario(beta=0.99, n=1.4, omega=1e-5, sigma=1e-5,
                             lambda_gamma=lambda_gamma)
 
 
-def acceptance_11_scenario(beta, n, omega, sigma, theta_frac, t_out):
+def acceptance_11_scenario(beta, n, omega, sigma, theta_frac, t_out,
+                           phi_k=0.5 * math.pi):
     """A scenario of acceptance 11's draws: theta_k at theta_frac times the
     classical Cherenkov angle (0.5 rad below threshold), at least 0.05."""
     theta_ch = (math.acos(min(1.0, 1.0 / (beta * n))) if beta * n > 1.0
@@ -36,7 +37,7 @@ def acceptance_11_scenario(beta, n, omega, sigma, theta_frac, t_out):
     return EmissionScenario(packet=ElectronPacket(mean, sigma),
                             medium=ConstantMedium(n), omega=omega,
                             theta_k=max(0.05, theta_ch * theta_frac),
-                            phi_k=0.5 * math.pi, t_out=t_out)
+                            phi_k=phi_k, t_out=t_out)
 
 
 def triangle_from_beta(beta, n, omega, p_perp, theta_k, pp_ratio=0.99,

@@ -8,6 +8,7 @@ from conftest import (acceptance_11_scenario, balance_scenario,
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cherenkov_wigner import observables
 from cherenkov_wigner.amplitudes import (DegeneratePhase,
                                          combined_phase_gradient)
 from cherenkov_wigner.kinematics import (ElectronPacket, EmissionGeometry,
@@ -15,7 +16,6 @@ from cherenkov_wigner.kinematics import (ElectronPacket, EmissionGeometry,
                                          momentum_magnitude)
 from cherenkov_wigner.medium import AnalyticMedium, ConstantMedium
 from cherenkov_wigner.numerics import DiffSpec, differentiate, find_root
-from cherenkov_wigner import observables
 from cherenkov_wigner.observables import (CollinearVelocities,
                                           MachConeDegenerate,
                                           NoSingularAngles, PhaseSpaceKernel,

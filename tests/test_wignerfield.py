@@ -1413,14 +1413,16 @@ def _assert_grid_reads_the_scales(sc, size):
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(beta=st.floats(0.6, 0.9995), n=st.floats(1.1, 1.8),
        log_omega=st.floats(-7.0, -4.0), log_sigma=st.floats(-5.0, -2.0),
-       theta_frac=st.floats(0.5, 1.5), log_t=st.floats(2.0, 8.0))
+       theta_frac=st.floats(0.5, 1.5), log_t=st.floats(2.0, 8.0),
+       phi_k=st.floats(0.0, 2.0 * math.pi))
 def test_default_grid_extents_are_the_correlation_scales(
-        beta, n, log_omega, log_sigma, theta_frac, log_t):
+        beta, n, log_omega, log_sigma, theta_frac, log_t, phi_k):
     # the Python-float extents of default_grid have the bits of
-    # min(4 R_eff, cap) read through the (2, 3) array route
+    # min(4 R_eff, cap) read through the (2, 3) array route; away from
+    # phi_k = 90 deg neither axis is normal to the u_p-u_k plane
     _assert_grid_reads_the_scales(acceptance_11_scenario(
-        beta, n, 10 ** log_omega, 10 ** log_sigma, theta_frac, 10 ** log_t),
-        8)
+        beta, n, 10 ** log_omega, 10 ** log_sigma, theta_frac, 10 ** log_t,
+        phi_k), 8)
 
 
 @pytest.mark.parametrize("sc,size", [_GROUPED_MAPS[i] for i in (0, 1, 2)]
