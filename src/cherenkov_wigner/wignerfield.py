@@ -27,7 +27,7 @@ import numpy as np
 
 from . import amplitudes, numerics, observables
 from .kinematics import (HELICITIES, ElectronPacket, EmissionGeometry,
-                         Momentum3, energy)
+                         Momentum3, column_dot, energy)
 from .medium import MediumModel
 from .observables import PhaseSpaceKernel, WkbFlags, count_flags
 
@@ -144,10 +144,6 @@ class MapGrid:
         return np.linspace(self.y_min, self.y_max, self.ny)
 
 
-def _format_float(x: float) -> str:
-    return repr(float(x))
-
-
 @dataclass
 class WignerMap:
     """Normalized map values (max |value| scaled to 1) with the raw scale
@@ -211,8 +207,8 @@ def write_map_csv(path, grid: MapGrid, values: np.ndarray, scale: float,
         lines.append(f"# {key}: {header[key]}")
     for fname, count in sorted(flag_counts.items()):
         lines.append(f"# flag.{fname}: {count}")
-    for row in values:
-        lines.append(",".join(_format_float(v) for v in row))
+    for row in np.asarray(values, dtype=float).tolist():
+        lines.append(",".join(map(repr, row)))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -429,12 +425,15 @@ def _reference_edges(ctx: "_Context", R, max_phase: float = 0.35,
 def _reference_sum(ctx: "_Context", R, edges) -> float:
     """2 Re Int_0^{t_out} of exp(-(eta A + chi B)/(2 eta (eta C + chi D))
     + i t' delta_eps)/sqrt(eta (eta C + chi D)) from ``_eta_chi`` alone, by
-    32-point Gauss-Legendre on each panel of ``edges``, 10,000 at a time."""
+    32-point Gauss-Legendre on each panel of ``edges``, summed in chunks of
+    ``numerics._BLOCK`` abscissae (2,048 panels), the memory bound that every
+    integrand call of the quadrature keeps."""
     x, w = _gl_nodes()
     a_dir, b_dir = ctx.kernel.direction_factors(R)
+    chunk = numerics._BLOCK // x.size
     total = 0.0
-    for s in range(0, edges.size - 1, 10_000):
-        lo, hi = edges[s:s + 10_001][:-1], edges[s:s + 10_001][1:]
+    for s in range(0, edges.size - 1, chunk):
+        lo, hi = edges[s:s + chunk + 1][:-1], edges[s:s + chunk + 1][1:]
         half = 0.5 * (hi - lo)[:, None]
         t = 0.5 * (lo + hi)[:, None] + half * x
         eta, chi, denom, scaled = ctx.kernel._eta_chi(t)
@@ -483,7 +482,7 @@ def _kernel_grid(kernel: PhaseSpaceKernel, beta: float, t_out: float,
     R_eff on the unit X and Y axes from one (c_A, c_B) at t_out, with A, B
     of ``direction_factors`` (same bits) in Python floats: dy^2 + dz^2,
     cx^2 on X and dx^2 + dz^2, cy^2 on Y (d = u_p - u_k, c = u_p x u_k)."""
-    cap = max(beta, float(np.linalg.norm(kernel.u_k))) * t_out
+    cap = max(beta, math.sqrt(column_dot(kernel.u_k, kernel.u_k))) * t_out
     c_a, c_b = kernel.exponent_coefficients(t_out)
     (dx, dy, dz), (cx, cy, _) = kernel.diff.tolist(), kernel.cross.tolist()
     half_x, half_y = (

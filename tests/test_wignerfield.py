@@ -5,6 +5,7 @@ import os
 import string
 import sys
 import tempfile
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 
 from cherenkov_wigner import numerics
 from cherenkov_wigner.kinematics import (ElectronPacket, Momentum3,
-                                         momentum_magnitude)
+                                         column_dot, momentum_magnitude)
 from cherenkov_wigner.medium import AnalyticMedium, ConstantMedium
 from cherenkov_wigner.observables import PhaseSpaceKernel, WkbFlags
 from cherenkov_wigner.wignerfield import (EmissionScenario, MapGrid,
@@ -1398,7 +1399,8 @@ def _extents_from_scales(sc):
     geom = sc.geometry()
     kern = PhaseSpaceKernel.from_geometry(geom, sc.packet, sc.medium,
                                           sc.dispersive)
-    cap = max(geom.beta, float(np.linalg.norm(kern.u_k))) * sc.t_out
+    u_k = math.sqrt(column_dot(kern.u_k, kern.u_k))
+    cap = max(geom.beta, u_k) * sc.t_out
     r_eff, _ = kern.correlation_scales(sc.t_out, np.eye(2, 3))
     return [min(4.0 * r, cap) for r in r_eff.tolist()], cap
 
@@ -1435,6 +1437,19 @@ def test_default_grid_extents_on_the_benchmark_and_paper_maps(sc, size):
     grid, cap = _assert_grid_reads_the_scales(sc, size)
     assert grid.x_max == cap
     assert 0.0 < grid.y_max < cap
+
+
+def test_default_grid_caps_at_the_photon_flight_without_blas(monkeypatch):
+    # below threshold (beta n = 0.66) |u_k| = 1/n exceeds beta, so the cap
+    # is the photon's flight |u_k| t_out, read from an elementwise sum
+    def never(*args, **kwargs):
+        raise AssertionError("default_grid called np.linalg.norm")
+
+    sc = acceptance_11_scenario(0.6, 1.1, 1e-5, 1e-5, 1.0, 1e6)
+    monkeypatch.setattr(np.linalg, "norm", never)
+    grid, cap = _assert_grid_reads_the_scales(sc, 8)
+    assert cap == (1.0 / 1.1) * sc.t_out > sc.geometry().beta * sc.t_out
+    assert grid.x_max == grid.y_max == cap
 
 
 def test_default_grid_forms_the_exponent_coefficients_once(monkeypatch):
@@ -1729,3 +1744,51 @@ def test_reference_reads_no_production_coefficients(monkeypatch):
         monkeypatch.setattr(PhaseSpaceKernel, name, forbidden)
     got = evaluate_point_reference(sc, R)
     assert got == want and got.imag == 0.0
+
+
+def _long_reference_node():
+    """A node of the benchmark's point design, rounded, whose reference
+    mesh takes the full 8,192 panels: four chunks of 2,048."""
+    mean = Momentum3(0.0, 0.0, momentum_magnitude(0.9646))
+    sc = EmissionScenario(packet=ElectronPacket(mean, 4.8e-4),
+                          medium=ConstantMedium(1.181), omega=1.8e-7,
+                          theta_k=0.731, phi_k=0.5 * math.pi, t_out=1.85e6)
+    return sc, np.array([6.0e5, 1.47e6, 9.0e5])
+
+
+def test_reference_holds_at_most_twelve_blocks():
+    # each chunk of the reference sum holds numerics._BLOCK abscissae, so
+    # its complex temporaries stay within a few complex _BLOCK arrays; one
+    # chunk of 10,000 panels traced at 23 MB, about twice the bound
+    sc, R = _long_reference_node()
+    assert _reference_edges(_Context(sc), R).size - 1 == 8192
+    evaluate_point_reference(sc, R)  # the Gauss-Legendre rule is cached
+    tracemalloc.start()
+    try:
+        evaluate_point_reference(sc, R)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12 * numerics._BLOCK * np.dtype(complex).itemsize
+
+
+def test_chunked_reference_matches_the_one_chunk_sum(monkeypatch):
+    # the sum over chunks of numerics._BLOCK abscissae moves only the last
+    # bits of the sum over one chunk of every panel
+    sc, R = _long_reference_node()
+    ctx = _Context(sc)
+    edges = _reference_edges(ctx, R)
+    sizes = []
+    eta_chi = PhaseSpaceKernel._eta_chi
+
+    def counted(self, t):
+        sizes.append(t.size)
+        return eta_chi(self, t)
+
+    monkeypatch.setattr(PhaseSpaceKernel, "_eta_chi", counted)
+    chunked = _reference_sum(ctx, R, edges)
+    assert sizes == [numerics._BLOCK] * 4
+    monkeypatch.setattr(numerics, "_BLOCK", 2 ** 30)
+    whole = _reference_sum(ctx, R, edges)
+    assert sizes[4:] == [32 * 8192]
+    assert abs(chunked - whole) <= 1e-14 * abs(whole)
