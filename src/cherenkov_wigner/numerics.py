@@ -80,7 +80,8 @@ _GAUSS_WEIGHTS = np.array([
 
 
 # upper bound on rows x abscissae per integrand call of integrate_batch,
-# after the first call of a quadrature (see _panel_sums); it bounds memory
+# after the first call of a quadrature (see _panel_sums), and on the
+# abscissae of each chunk of wignerfield's reference sum; it bounds memory
 _BLOCK = 1 << 16
 
 

@@ -1758,8 +1758,7 @@ def _long_reference_node():
 
 def test_reference_holds_at_most_twelve_blocks():
     # each chunk of the reference sum holds numerics._BLOCK abscissae, so
-    # its complex temporaries stay within a few complex _BLOCK arrays; one
-    # chunk of 10,000 panels traced at 23 MB, about twice the bound
+    # its complex temporaries stay within a few complex _BLOCK arrays
     sc, R = _long_reference_node()
     assert _reference_edges(_Context(sc), R).size - 1 == 8192
     evaluate_point_reference(sc, R)  # the Gauss-Legendre rule is cached
